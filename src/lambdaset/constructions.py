@@ -15,15 +15,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
-from .errors import HypothesisUnsatisfiable, Inconclusive
+from .errors import HypothesisUnsatisfiable, Inconclusive, InvalidInput
 from .cantor_metrics import DefiningSequence, Interval
-from .lambda_set import binary_expansion, psi_inverse
-from .numerics import (DEFAULT_CONFIG, Dyadic, Enclosure, PrecisionConfig,
-                       Rational)
-from .seqcode import (SEQ_01INF, EpSequence, Word, lex_le, n_index,
-                      word_at_position, zero_indices)
+from .lambda_set import CACHE_SIZE, admissible, binary_expansion, psi_inverse
+from .numerics import DEFAULT_CONFIG, Dyadic, Enclosure, PrecisionConfig
+from .seqcode import (EpSequence, Word, n_index, word_at_position,
+                      zero_indices)
 
 __all__ = [
     "PieceEndpoints",
@@ -50,7 +50,7 @@ def _nk(x: Fraction, k: int) -> int:
     return zero_indices(binary_expansion(x), k)[k - 1]
 
 
-def first_switch_index(x: Rational) -> int:
+def first_switch_index(x: Fraction) -> int:
     """Smallest index m >= 3 with digit 1 in the expansion of x.
 
     Such an index exists for every x in (0, 1/2) except 1/4, whose expansion
@@ -84,19 +84,16 @@ class PieceEndpoints:
                 "alpha_next": self.alpha_next.to_json()}
 
 
-_PIECE_CACHE: dict[tuple, PieceEndpoints] = {}
-
-
-def piece_endpoints(x: Rational, k: int,
+def piece_endpoints(x: Fraction, k: int,
                     cfg: PrecisionConfig = DEFAULT_CONFIG) -> PieceEndpoints:
     """Solve alpha_k, beta_k and alpha_{k+1} for the k-th piece."""
-    x = Fraction(x)
-    key = (x, k, cfg.precision_bits, cfg.target_width)
-    cached = _PIECE_CACHE.get(key)
-    if cached is not None:
-        return cached
     if k < 1:
         raise ValueError("k must be positive")
+    return _solve_piece(Fraction(x), k, cfg)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _solve_piece(x: Fraction, k: int, cfg: PrecisionConfig) -> PieceEndpoints:
     xs = binary_expansion(x)
     n_k = _nk(x, k)
     prefix = xs.prefix(n_k - 1)
@@ -106,9 +103,7 @@ def piece_endpoints(x: Rational, k: int,
     if not (alpha.hi < beta.lo and beta.hi < alpha_next.lo):
         raise Inconclusive(
             f"piece {k} endpoints not separated at this precision")
-    result = PieceEndpoints(x, k, n_k, alpha, beta, alpha_next)
-    _PIECE_CACHE[key] = result
-    return result
+    return PieceEndpoints(x, k, n_k, alpha, beta, alpha_next)
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,9 +119,6 @@ class GapRecord:
     left_ratio_lo: Fraction
     right_ratio_lo: Fraction
 
-    def gap_length_hi(self) -> Fraction:
-        return self.gap[1].hi.to_fraction() - self.gap[0].lo.to_fraction()
-
     def to_json(self) -> dict:
         return {"k": self.k, "omega": str(self.omega), "position": self.position,
                 "gap": [self.gap[0].to_json(), self.gap[1].to_json()],
@@ -136,7 +128,7 @@ class GapRecord:
                 "right_ratio_lo": str(self.right_ratio_lo)}
 
 
-def gap_record(x: Rational, k: int, omega: Word,
+def gap_record(x: Fraction, k: int, omega: Word,
                cfg: PrecisionConfig = DEFAULT_CONFIG) -> GapRecord:
     """Solve the four endpoints around the gap labelled by `omega`.
 
@@ -170,7 +162,7 @@ def _gap_records(x: Fraction, k: int, q_max: int,
             for j in range(1, count + 1)]
 
 
-def defining_sequence_Fk(x: Rational, k: int, q_max: int,
+def defining_sequence_Fk(x: Fraction, k: int, q_max: int,
                          cfg: PrecisionConfig = DEFAULT_CONFIG) -> DefiningSequence:
     """Hull [alpha_k, beta_k] with its gaps enumerated length-then-lex,
     truncated at words of length q_max."""
@@ -181,7 +173,7 @@ def defining_sequence_Fk(x: Rational, k: int, q_max: int,
                             tuple(r.gap for r in records))
 
 
-def defining_sequence_Cl(x: Rational, ell: int, k_max: int, q_max: int,
+def defining_sequence_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
                          cfg: PrecisionConfig = DEFAULT_CONFIG) -> DefiningSequence:
     """Defining sequence for the tail union of pieces ell, ell+1, ... plus
     the accumulation point 1/2, truncated to k_max pieces and gap words of
@@ -286,7 +278,7 @@ def _half_bound_caseB(piece: PieceEndpoints, bits: int) -> Fraction:
     return 1 / root_lo.to_fraction()
 
 
-def thickness_Cl(x: Rational, ell: int, k_max: int, q_max: int,
+def thickness_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
                  cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThicknessReport:
     """Truncated thickness of the tail construction starting at piece ell.
 
@@ -379,30 +371,29 @@ class VerificationLedger:
                 "entries": [e.to_json() for e in self.entries]}
 
 
-def _admissible(x: Fraction, s: EpSequence) -> bool:
-    return lex_le(binary_expansion(x), s) and lex_le(s, SEQ_01INF)
-
-
 def _draw_switch_pair(rng: random.Random, x: Fraction,
                       q_range: tuple[int, int]) -> tuple[Word, EpSequence, EpSequence]:
     """Random word whose 1-tail and 0-tail extensions are both admissible."""
+    xs = binary_expansion(x)
     for _ in range(400):
         q = rng.randint(*q_range)
         w = Word(tuple(rng.randint(0, 1) for _ in range(q)))
         hi = EpSequence(w, ONE_TAIL)
         lo = EpSequence(w, ZERO_TAIL)
-        if _admissible(x, hi) and _admissible(x, lo):
+        if admissible(xs, hi) and admissible(xs, lo):
             return w, hi, lo
     raise HypothesisUnsatisfiable(
         f"no admissible switch pair found for {x} with q in {q_range}")
 
 
-def verify_caseA(x: Rational, trials: int,
+def verify_caseA(x: Fraction, trials: int,
                  cfg: PrecisionConfig = DEFAULT_CONFIG,
                  seed: int = 0) -> VerificationLedger:
     """Certified spot checks of the switch inequalities for targets other
     than 1/4, plus the derived per-gap ratio bounds; `trials` instances of
     each shape."""
+    if trials < 1:
+        raise InvalidInput(f"trials must be positive, got {trials}")
     x = Fraction(x)
     m = first_switch_index(x)     # raises for x = 1/4
     rng = random.Random(seed)
@@ -426,7 +417,7 @@ def verify_caseA(x: Rational, trials: int,
             j = Word(tuple(rng.randint(0, 1) for _ in range(q)))
             s3 = EpSequence(prefix + j + ONE_TAIL, ZERO_TAIL)
             s4 = EpSequence(prefix + j + ZERO_TAIL, ONE_TAIL)
-            if _admissible(x, s3) and _admissible(x, s4):
+            if admissible(xs, s3) and admissible(xs, s4):
                 found = (q, s3, s4)
                 break
         if found is None:
@@ -470,6 +461,8 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
                  seed: int = 0) -> VerificationLedger:
     """Certified spot checks for the exceptional target 1/4, including the
     exact square identity (1/2 - alpha_{k+1})^2 = alpha_{k+1}^(n_k)."""
+    if trials < 1:
+        raise InvalidInput(f"trials must be positive, got {trials}")
     x = Fraction(1, 4)
     rng = random.Random(seed)
     entries: list[LedgerEntry] = []

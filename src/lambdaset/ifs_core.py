@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import NeedsLargerTruncation, OutOfRange
-from .numerics import Enclosure, Rational
+from .numerics import Enclosure
 from .seqcode import SEQ_ZERO, EpSequence, Ordering, Word, lex_compare
 
 __all__ = [
@@ -132,7 +132,8 @@ def pi_derivative(s: EpSequence, lam: Numeric, truncation: int) -> Enclosure:
     power = one  # lam^(n-2)
     for n in range(2, truncation + 1):
         if s.digit(n):
-            coeff = Enclosure.exact_int(n - 1, bits) - lam.scale_fraction(Fraction(n))
+            coeff = (Enclosure.exact_int(n - 1, bits)
+                     - lam * Enclosure.exact_int(n, bits))
             acc = acc + coeff * power
         power = power * lam
     z = Enclosure.point(lam.hi, bits)
@@ -145,7 +146,7 @@ def pi_derivative(s: EpSequence, lam: Numeric, truncation: int) -> Enclosure:
     return result
 
 
-def greedy_digits(x: Rational, lam: Rational, max_steps: int = 256) -> GreedyOutcome:
+def greedy_digits(x: Fraction, lam: Fraction, max_steps: int = 256) -> GreedyOutcome:
     """Greedy coding of x in base lam by exact rational iteration.
 
     Digit 1 whenever the state reaches [1-lam, 1] (so the tie at the overlap
@@ -180,7 +181,7 @@ def greedy_digits(x: Rational, lam: Rational, max_steps: int = 256) -> GreedyOut
     return Unresolved(Word(tuple(digits)))
 
 
-def membership(x: Rational, lam: Rational, max_steps: int = 256) -> bool | None:
+def membership(x: Fraction, lam: Fraction, max_steps: int = 256) -> bool | None:
     """True / False when decided, None when unresolved within max_steps."""
     outcome = greedy_digits(x, lam, max_steps)
     if isinstance(outcome, Member):

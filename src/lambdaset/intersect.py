@@ -18,10 +18,9 @@ from .constructions import thickness_Cl
 from .errors import InvalidInput, NoneFound, OutOfRange
 from .ifs_core import Member, greedy_digits
 from .lambda_set import (CoverInterval, IntervalCover, binary_expansion,
-                         cover, psi_inverse)
-from .numerics import (DEFAULT_CONFIG, Dyadic, Enclosure, PrecisionConfig,
-                       Rational)
-from .seqcode import EpSequence, Word, lex_max, lex_min, SEQ_01INF
+                         block_codes, cover, psi_inverse)
+from .numerics import DEFAULT_CONFIG, Dyadic, Enclosure, PrecisionConfig
+from .seqcode import EpSequence, Word
 
 __all__ = [
     "CommonPointCertificate",
@@ -121,13 +120,6 @@ def _forced_digits(y: Fraction, lam: Enclosure,
     return digits, "ok"
 
 
-def _candidate_codings(y: Fraction, digits: list[int]) -> list[EpSequence]:
-    w = Word(tuple(digits))
-    ys = binary_expansion(y)
-    return [lex_min(EpSequence(w, Word((1,))), SEQ_01INF),
-            lex_max(EpSequence(w, Word((0,))), ys)]
-
-
 def _pin_candidate(targets: list[Fraction], s0: EpSequence,
                    cfg: PrecisionConfig,
                    tolerance: Fraction) -> CommonPointCertificate | None:
@@ -142,7 +134,8 @@ def _pin_candidate(targets: list[Fraction], s0: EpSequence,
         if outcome == "rejected":
             return None
         best = None
-        for s in _candidate_codings(y, digits):
+        candidates = block_codes(binary_expansion(y), Word(tuple(digits)))
+        for s in candidates:
             enc = psi_inverse(y, s, tight)
             if enc.overlaps(current):
                 joint = Enclosure(max(enc.lo, current.lo),
@@ -152,7 +145,7 @@ def _pin_candidate(targets: list[Fraction], s0: EpSequence,
                     break
         if best is None:
             status = "Candidate"
-            codings.append(_candidate_codings(y, digits)[0])
+            codings.append(candidates[0])
         else:
             codings.append(best[0])
             current = best[1]
@@ -160,7 +153,7 @@ def _pin_candidate(targets: list[Fraction], s0: EpSequence,
                                   tuple(codings), status)
 
 
-def find_common(targets: list[Rational], search_depth: int,
+def find_common(targets: list[Fraction], search_depth: int,
                 cfg: PrecisionConfig = DEFAULT_CONFIG,
                 max_certificates: int = 24,
                 tolerance: Fraction = Fraction(1, 1 << 60)) -> list[CommonPointCertificate]:
@@ -251,7 +244,7 @@ class ProductDimReport:
                 "combination": self.combination}
 
 
-def product_dim_report(targets: list[Rational], ell_range: range,
+def product_dim_report(targets: list[Fraction], ell_range: range,
                        cfg: PrecisionConfig = DEFAULT_CONFIG,
                        k_max: int = 5, q_max: int = 2) -> ProductDimReport:
     """Newhouse lower bounds from the tail constructions, per target."""

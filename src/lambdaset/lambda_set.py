@@ -15,13 +15,14 @@ import random
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import (DepthBudgetExceeded, InsufficientMembers, InvalidInput,
                      NotAdmissible, OutOfRange)
 from .ifs_core import Member, greedy_digits, pi_eval
 from .numerics import (DEFAULT_CONFIG, Dyadic, Enclosure, PrecisionConfig,
-                       Rational, bisect_monotone)
+                       bisect_monotone)
 from .seqcode import (SEQ_01INF, EpSequence, Word, lex_le, lex_max, lex_min)
 
 __all__ = [
@@ -31,6 +32,8 @@ __all__ = [
     "LipschitzReport",
     "BoxDimReport",
     "binary_expansion",
+    "admissible",
+    "block_codes",
     "psi_inverse",
     "admissible_prefixes",
     "cover",
@@ -42,25 +45,31 @@ __all__ = [
 
 HALF = Fraction(1, 2)
 
-_EXPANSION_CACHE: dict[Fraction, EpSequence] = {}
-_PSI_CACHE: dict[tuple, Enclosure] = {}
+# Bound of every memo table in the package (expansions, root solves,
+# pieces). A full benchmark session fills under a quarter of it, so nothing
+# is evicted there; a long-lived process stays bounded.
+CACHE_SIZE = 4096
 
 
-def binary_expansion(x: Rational) -> EpSequence:
+@lru_cache(maxsize=CACHE_SIZE)
+def binary_expansion(x: Fraction) -> EpSequence:
     """Greedy base-1/2 coding of x; starts with 0, never ends in 1^inf."""
     x = Fraction(x)
     if not 0 < x < HALF:
         raise OutOfRange(f"x must lie in (0, 1/2): {x}")
-    cached = _EXPANSION_CACHE.get(x)
-    if cached is None:
-        outcome = greedy_digits(x, HALF, max_steps=2 * x.denominator + 16)
-        if not isinstance(outcome, Member):
-            raise AssertionError(f"binary expansion did not cycle for {x}")
-        cached = _EXPANSION_CACHE[x] = outcome.coding
-    return cached
+    outcome = greedy_digits(x, HALF, max_steps=2 * x.denominator + 16)
+    if not isinstance(outcome, Member):
+        raise AssertionError(f"binary expansion did not cycle for {x}")
+    return outcome.coding
 
 
-def psi_inverse(x: Rational, s: EpSequence,
+def admissible(xs: EpSequence, s: EpSequence) -> bool:
+    """Whether s lies in the admissible window [xs, 0 1^inf] of the target
+    whose base-1/2 expansion is xs."""
+    return lex_le(xs, s) and lex_le(s, SEQ_01INF)
+
+
+def psi_inverse(x: Fraction, s: EpSequence,
                 cfg: PrecisionConfig = DEFAULT_CONFIG) -> Enclosure:
     """Certified enclosure of the unique ratio whose coding of x equals s.
 
@@ -69,36 +78,37 @@ def psi_inverse(x: Rational, s: EpSequence,
     bisection on the (strictly increasing) map lam -> pi_eval(s, lam).
     """
     x = Fraction(x)
-    xs = binary_expansion(x)
-    if not (lex_le(xs, s) and lex_le(s, SEQ_01INF)):
+    if not admissible(binary_expansion(x), s):
         raise NotAdmissible(f"{s} is outside the admissible window for {x}")
-    c = s.canonical()
-    key = (x, c.preperiod.bits, c.period.bits,
-           cfg.precision_bits, cfg.target_width)
-    cached = _PSI_CACHE.get(key)
-    if cached is None:
-        bits = cfg.precision_bits
-        bracket = Enclosure(Dyadic.from_fraction(x, bits, False),
-                            Dyadic(1, -1), bits)
-        cached = _PSI_CACHE[key] = bisect_monotone(
-            lambda lam: pi_eval(s, lam), bracket, x, cfg, increasing=True)
-    return cached
+    return _solve_psi(x, s, cfg)
 
 
-def _one_tail(w: Word) -> EpSequence:
-    return EpSequence(w, Word((1,)))
+@lru_cache(maxsize=CACHE_SIZE)
+def _solve_psi(x: Fraction, s: EpSequence, cfg: PrecisionConfig) -> Enclosure:
+    # Solves s as given: representations of one sequence share an entry
+    # (EpSequence compares canonically), and the first one solved is kept.
+    bits = cfg.precision_bits
+    bracket = Enclosure(Dyadic.from_fraction(x, bits, False),
+                        Dyadic(1, -1), bits)
+    return bisect_monotone(lambda lam: pi_eval(s, lam), bracket, x, cfg,
+                           increasing=True)
 
 
-def _zero_tail(w: Word) -> EpSequence:
-    return EpSequence(w, Word((0,)))
+def block_codes(xs: EpSequence, w: Word) -> tuple[EpSequence, EpSequence]:
+    """Extremal admissible codings that start with w, for the target whose
+    expansion is xs: the lex-largest (smallest ratio), then the
+    lex-smallest (largest ratio)."""
+    return (lex_min(EpSequence(w, Word((1,))), SEQ_01INF),
+            lex_max(EpSequence(w, Word((0,))), xs))
 
 
 def _prefix_admissible(bits: tuple[int, ...], xs: EpSequence) -> bool:
     w = Word(bits)
-    return lex_le(xs, _one_tail(w)) and lex_le(_zero_tail(w), SEQ_01INF)
+    return (lex_le(xs, EpSequence(w, Word((1,))))
+            and lex_le(EpSequence(w, Word((0,))), SEQ_01INF))
 
 
-def admissible_prefixes(x: Rational, depth: int) -> list[Word]:
+def admissible_prefixes(x: Fraction, depth: int) -> list[Word]:
     """All length-`depth` words extendable to an admissible coding for x,
     in descending lexicographic order (so ratio images come out ascending).
     """
@@ -157,9 +167,6 @@ class IntervalCover:
     def total_length(self) -> Fraction:
         return sum((iv.hi.hi - iv.lo.lo).to_fraction() for iv in self.intervals)
 
-    def max_interval_length(self) -> Fraction:
-        return max((iv.hi.hi - iv.lo.lo).to_fraction() for iv in self.intervals)
-
     def to_json(self) -> dict:
         return {
             "x": str(self.x),
@@ -190,8 +197,7 @@ class LambdaGap:
 
 def _prefix_interval(x: Fraction, w: Word, xs: EpSequence,
                      cfg: PrecisionConfig) -> CoverInterval:
-    low_code = lex_min(_one_tail(w), SEQ_01INF)
-    high_code = lex_max(_zero_tail(w), xs)
+    low_code, high_code = block_codes(xs, w)
     return CoverInterval(psi_inverse(x, low_code, cfg),
                          psi_inverse(x, high_code, cfg),
                          low_code, high_code)
@@ -208,7 +214,7 @@ def _merge_touching(raw: Iterable[CoverInterval]) -> tuple[CoverInterval, ...]:
     return tuple(merged)
 
 
-def cover(x: Rational, depth: int,
+def cover(x: Fraction, depth: int,
           cfg: PrecisionConfig = DEFAULT_CONFIG) -> IntervalCover:
     """Outer cover of the ratio set at a prefix depth.
 
@@ -222,7 +228,7 @@ def cover(x: Rational, depth: int,
     return IntervalCover(x, depth, _merge_touching(raw), cfg)
 
 
-def gaps(x: Rational, depth: int,
+def gaps(x: Fraction, depth: int,
          cfg: PrecisionConfig = DEFAULT_CONFIG) -> list[LambdaGap]:
     """Certified open intervals between consecutive cover blocks."""
     cov = cover(x, depth, cfg)
@@ -253,13 +259,11 @@ def _random_admissible_coding(rng: random.Random, xs: EpSequence,
     for _ in range(length):
         choices = [d for d in (0, 1) if _prefix_admissible(bits + (d,), xs)]
         bits = bits + (rng.choice(choices),)
-    w = Word(bits)
-    if rng.random() < 0.5:
-        return lex_min(_one_tail(w), SEQ_01INF)
-    return lex_max(_zero_tail(w), xs)
+    low, high = block_codes(xs, Word(bits))
+    return low if rng.random() < 0.5 else high
 
 
-def lipschitz_check(x: Rational, lam: Rational, samples: int, seed: int = 0,
+def lipschitz_check(x: Fraction, lam: Fraction, samples: int, seed: int = 0,
                     cfg: PrecisionConfig = DEFAULT_CONFIG) -> LipschitzReport:
     """Sampled verification that the coding-map separation constant holds.
 
@@ -312,7 +316,7 @@ def lipschitz_check(x: Rational, lam: Rational, samples: int, seed: int = 0,
     return LipschitzReport(x, lam, bound, min_ratio, pairs, violations)
 
 
-def subshift_dim(lam: Rational, k: int) -> float:
+def subshift_dim(lam: Fraction, k: int) -> float:
     """Dimension of the image of the no-k-zero-run subshift lower bound:
     (k-1) log 2 / (k (-log lam))."""
     lam = Fraction(lam)
@@ -340,7 +344,7 @@ class BoxDimReport:
                 "segments": self.segments}
 
 
-def box_dim_estimate(x: Rational, window: tuple[Rational, Rational],
+def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
                      eps_exponents: list[int],
                      cfg: PrecisionConfig = DEFAULT_CONFIG,
                      max_depth: int = 48) -> BoxDimReport:

@@ -18,17 +18,13 @@ from typing import Callable, Union
 from .errors import Inconclusive, NoSignChange, StepLimit
 
 __all__ = [
-    "Rational",
     "parse_rational",
     "Dyadic",
     "Enclosure",
     "PrecisionConfig",
     "DEFAULT_CONFIG",
     "bisect_monotone",
-    "pow_enclosure",
 ]
-
-Rational = Fraction
 
 
 def parse_rational(text: str) -> Fraction:
@@ -242,9 +238,6 @@ class Enclosure:
     def contains(self, q: Fraction) -> bool:
         return self.lo.cmp_fraction(q) <= 0 <= self.hi.cmp_fraction(q)
 
-    def contains_enclosure(self, other: "Enclosure") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def overlaps(self, other: "Enclosure") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
@@ -312,13 +305,6 @@ class Enclosure:
         return Enclosure(_sqrt_dir(self.lo, self.bits, False),
                          _sqrt_dir(self.hi, self.bits, True), self.bits)
 
-    def scale_fraction(self, q: Fraction) -> "Enclosure":
-        """Multiply by an exact rational scalar."""
-        return self * Enclosure.from_fraction(q, self.bits)
-
-    def add_fraction(self, q: Fraction) -> "Enclosure":
-        return self + Enclosure.from_fraction(q, self.bits)
-
     def hull(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(min(self.lo, other.lo), max(self.hi, other.hi),
                          min(self.bits, other.bits))
@@ -344,11 +330,6 @@ def _pow_dir(base: Dyadic, n: int, bits: int, up: bool) -> Dyadic:
         if n:
             b = (b * b).round(guard, up)
     return result.round(bits, up)
-
-
-def pow_enclosure(base: Enclosure, exp: int) -> Enclosure:
-    """Containment-preserving integer power."""
-    return base ** exp
 
 
 @dataclass(frozen=True, slots=True)

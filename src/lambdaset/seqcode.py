@@ -155,7 +155,11 @@ class EpSequence:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EpSequence):
             return NotImplemented
-        return lex_compare(self, other) is Ordering.EQUAL
+        # equal representations first: memo lookups compare a fresh
+        # sequence with the stored one, which is nearly always built alike
+        return ((self.preperiod.bits, self.period.bits)
+                == (other.preperiod.bits, other.period.bits)
+                or lex_compare(self, other) is Ordering.EQUAL)
 
     def __hash__(self) -> int:
         c = self.canonical()

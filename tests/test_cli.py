@@ -49,11 +49,22 @@ def test_symmetry_reduction(capsys):
     assert out_high == out_low
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, monkeypatch):
     assert run(capsys, "bogus")[0] == 1
     assert run(capsys, "cover", "--x", "1/2", "--depth", "2")[0] == 1
     assert run(capsys, "verify", "--case", "A", "--trials", "2")[0] == 1
     assert run(capsys, "code", "--x", "not-a-number", "--lambda", "1/2")[0] == 1
+    for case in (["--case", "A", "--x", "1/3"], ["--case", "B"]):
+        for trials in ("0", "-1"):
+            code, out, err = run(capsys, "verify", *case, "--trials", trials)
+            assert code == 1 and out == "" and err.startswith("error: ")
+    code, _, err = run(capsys, "cover", "--x", "1/4", "--depth", "2",
+                       "--width-bits", "-3")
+    assert code == 1 and err == "error: --width-bits must be nonnegative\n"
+    monkeypatch.setenv("LAMBDASET_PRECISION_BITS", "abc")
+    code, _, err = run(capsys, "expansion", "--x", "1/3")
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith("error: LAMBDASET_PRECISION_BITS")
 
 
 def test_verify_subcommand(capsys):
@@ -74,6 +85,13 @@ def test_csv_formats(capsys):
                        "--format", "csv")
     assert code == 0
     assert out.startswith("index,left,right")
+    code, out, _ = run(capsys, "intersect", "--targets", "1/3,1/4",
+                       "--depth", "3", "--format", "csv")
+    assert code == 0
+    assert out.startswith("index,lo,hi,low_code,high_code\n")
+    # commands without a CSV writer do not accept --format at all
+    assert run(capsys, "pieces", "--x", "1/4", "--k", "1",
+               "--format", "csv")[0] == 1
 
 
 def test_svg_output(capsys, tmp_path):
@@ -105,6 +123,50 @@ def test_thickness_from_file(capsys, tmp_path):
     assert code == 0
     assert payload["gaps"] == 3
     assert abs(payload["thickness_float"] - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("doc", [[1, 2], {"hull": [0], "gaps": []},
+                                 {"hull": [0, 1], "gaps": 5}],
+                         ids=["list", "short-hull", "gaps-not-list"])
+def test_thickness_rejects_misshaped_gap_files(capsys, tmp_path, doc):
+    path = tmp_path / "gaps.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "thickness", "--gaps", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# every command whose --x/--targets is a ratio-set target: (argv, target
+# at or below 1/2, its mirror image above 1/2)
+MIRROR_RUNS = [
+    (["expansion", "--x", "{}"], "1/3", "2/3"),
+    (["cover", "--x", "{}", "--depth", "3"], "1/4", "3/4"),
+    (["gaps", "--x", "{}", "--depth", "3"], "1/4", "3/4"),
+    (["dim", "--x", "{}", "--center", "0.46", "--radius", "1/16",
+      "--eps-min-exp", "4", "--eps-max-exp", "5", "--bits", "64",
+      "--width-bits", "20"], "1/3", "2/3"),
+    (["pieces", "--x", "{}", "--k", "1"], "1/3", "2/3"),
+    (["cantor-ds", "--x", "{}", "--ell", "2", "--kmax", "2", "--qmax", "1"],
+     "1/3", "2/3"),
+    (["thickness-cl", "--x", "{}", "--ell", "2", "--kmax", "2", "--qmax", "1"],
+     "1/3", "2/3"),
+    (["verify", "--case", "A", "--x", "{}", "--trials", "1"], "1/3", "2/3"),
+    (["svg-gaps", "--x", "{}", "--kmax", "2", "--qmax", "1"], "1/3", "2/3"),
+    (["intersect", "--targets", "{}", "--depth", "3"], "1/3,1/4", "2/3,3/4"),
+    (["common", "--targets", "{}", "--depth", "3"], "1/3,1/4", "1/3,3/4"),
+]
+
+
+@pytest.mark.parametrize("argv,low,high", MIRROR_RUNS,
+                         ids=[r[0][0] for r in MIRROR_RUNS])
+def test_targets_above_half_are_mirrored(capsys, argv, low, high):
+    code_low, out_low, _ = run(capsys, *(a.format(low) for a in argv))
+    code_high, out_high, err = run(capsys, *(a.format(high) for a in argv))
+    assert code_low == code_high == 0
+    assert out_high == out_low
+    manifest = json.loads(err.strip().splitlines()[-1])
+    assert manifest["notes"]["symmetry_reduced_from"] == high
 
 
 SCHEMA_RUNS = [

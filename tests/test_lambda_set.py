@@ -7,7 +7,8 @@ import pytest
 from lambdaset.errors import (DepthBudgetExceeded, InvalidInput,
                               NotAdmissible, OutOfRange)
 from lambdaset.ifs_core import membership, pi_eval
-from lambdaset.lambda_set import (admissible_prefixes, binary_expansion,
+from lambdaset.lambda_set import (admissible, admissible_prefixes,
+                                  binary_expansion, block_codes,
                                   box_dim_estimate, cover, gaps,
                                   lipschitz_check, psi_inverse, subshift_dim)
 from lambdaset.numerics import PrecisionConfig
@@ -56,6 +57,17 @@ def test_psi_inverse_rejects_inadmissible(cfg):
         psi_inverse(F(1, 3), S("00(1)"), cfg)          # below the expansion
     with pytest.raises(NotAdmissible):
         psi_inverse(F(1, 3), S("1(0)"), cfg)           # above 0 1^inf
+
+
+def test_block_codes_bound_each_prefix_block():
+    xs = binary_expansion(F(1, 4))                     # 01(0)
+    assert block_codes(xs, Word((0, 1, 1))) == (S("011(1)"), S("011(0)"))
+    assert block_codes(xs, Word((0, 1, 0))) == (S("010(1)"), S("01(0)"))
+    for w in admissible_prefixes(F(1, 4), 5):
+        low, high = block_codes(xs, w)
+        assert admissible(xs, low) and admissible(xs, high)
+        assert lex_compare(low, high) is not Ordering.LESS
+    assert not admissible(xs, S("00(1)")) and not admissible(xs, S("1(0)"))
 
 
 def test_admissible_prefixes_examples():

@@ -5,7 +5,7 @@ import pytest
 
 from lambdaset.errors import Inconclusive, NoSignChange, StepLimit
 from lambdaset.numerics import (Dyadic, Enclosure, PrecisionConfig,
-                                bisect_monotone, parse_rational, pow_enclosure)
+                                bisect_monotone, parse_rational)
 
 F = Fraction
 BR_BITS = 128
@@ -78,13 +78,13 @@ def test_containment_soundness_bulk():
 
 
 def test_pow_enclosure_examples():
-    p = pow_enclosure(Enclosure.point(Dyadic(1, -1), 128), 3)
+    p = Enclosure.point(Dyadic(1, -1), 128) ** 3
     assert p.lo.to_fraction() == F(1, 8) == p.hi.to_fraction()
     e = Enclosure.from_fraction(F(2, 5), 128).hull(
         Enclosure.from_fraction(F(1, 2), 128))
-    sq = pow_enclosure(e, 2)
+    sq = e ** 2
     assert sq.lo.to_fraction() <= F(4, 25) and sq.hi.to_fraction() >= F(1, 4)
-    unit = pow_enclosure(e, 0)
+    unit = e ** 0
     assert unit.lo.to_fraction() == 1 == unit.hi.to_fraction()
 
 

@@ -38,12 +38,6 @@ class BridgePair:
     left: Interval
     right: Interval
 
-    def left_length_lower(self) -> Fraction:
-        return self.left[1].lo.to_fraction() - self.left[0].hi.to_fraction()
-
-    def right_length_lower(self) -> Fraction:
-        return self.right[1].lo.to_fraction() - self.right[0].hi.to_fraction()
-
 
 @dataclass(frozen=True, slots=True)
 class DefiningSequence:

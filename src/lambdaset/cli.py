@@ -321,10 +321,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.width_bits < 0:
             raise InvalidInput("--width-bits must be nonnegative")
-        try:
-            bits = args.bits or int(os.environ.get(ENV_BITS, "128"))
-        except ValueError:
-            raise InvalidInput(f"{ENV_BITS} must be an integer") from None
+        bits = args.bits
+        if bits is None:
+            try:
+                bits = int(os.environ.get(ENV_BITS, "128"))
+            except ValueError:
+                raise InvalidInput(f"{ENV_BITS} must be an integer") from None
         cfg = PrecisionConfig(precision_bits=bits,
                               target_width=Fraction(1, 1 << args.width_bits))
         if entry.mirror:

@@ -5,16 +5,8 @@ class LambdasetError(Exception):
     """Base class for all library errors."""
 
 
-class NoSignChange(LambdasetError):
-    """Bisection bracket does not straddle the target value."""
-
-
 class Inconclusive(LambdasetError):
     """Enclosure arithmetic too coarse to decide; raise precision_bits."""
-
-
-class StepLimit(LambdasetError):
-    """Bisection exceeded max_bisection_steps before reaching target width."""
 
 
 class PeriodAllOnes(LambdasetError):
@@ -46,7 +38,8 @@ class InsufficientMembers(LambdasetError):
 
 
 class DepthBudgetExceeded(LambdasetError):
-    """Adaptive refinement hit the depth cap before meeting the size rule."""
+    """Adaptive refinement hit the depth cap before meeting the size rule,
+    or a cover would need more prefixes than the enumeration budget."""
 
 
 class HypothesisUnsatisfiable(LambdasetError):

@@ -20,6 +20,8 @@ __all__ = [
     "GreedyOutcome",
     "apply_branch",
     "pi_eval",
+    "pi_root_poly",
+    "poly_sign",
     "pi_derivative",
     "greedy_digits",
     "membership",
@@ -72,41 +74,61 @@ def apply_branch(d: int, lam: Numeric, t: Numeric) -> Numeric:
 
 def _poly_fraction(bits: tuple[int, ...], lam: Fraction) -> Fraction:
     """sum of bits[n-1] * lam^(n-1), via Horner."""
-    acc = Fraction(0)
+    acc = 0
     for b in reversed(bits):
         acc = acc * lam + b
     return acc
 
 
-def _poly_enclosure(bits: tuple[int, ...], lam: Enclosure) -> Enclosure:
-    acc = Enclosure.exact_int(0, lam.bits)
-    one = Enclosure.exact_int(1, lam.bits)
-    for b in reversed(bits):
-        acc = acc * lam
-        if b:
-            acc = acc + one
-    return acc
-
-
-def pi_eval(s: EpSequence, lam: Numeric) -> Numeric:
+def pi_eval(s: EpSequence, lam: Fraction | float) -> Fraction | float:
     """Value of the coding map at an eventually periodic sequence.
 
     Uses the closed form (1-lam) * [P_u(lam) + lam^|u| * P_v(lam) / (1 - lam^|v|)]
-    with u the preperiod and v the period; exact on Fractions and
-    containment-sound on Enclosures.
+    with u the preperiod and v the period; exact on Fractions, rounded on
+    floats.
     """
     u, v = s.preperiod.bits, s.period.bits
-    if isinstance(lam, Enclosure):
-        if lam.lo.m < 0 or lam.hi.cmp_fraction(Fraction(1)) >= 0:
-            raise OutOfRange("contraction ratio enclosure must lie in [0, 1)")
-        one = Enclosure.exact_int(1, lam.bits)
-        per = _poly_enclosure(v, lam).div(one - lam ** len(v))
-        total = _poly_enclosure(u, lam) + lam ** len(u) * per
-        return (one - lam) * total
     if not 0 <= lam < 1:
         raise OutOfRange("contraction ratio must lie in [0, 1)")
     per = _poly_fraction(v, lam) / (1 - lam ** len(v))
     return (1 - lam) * (_poly_fraction(u, lam) + lam ** len(u) * per)
+
+
+def pi_root_poly(s: EpSequence, x: Fraction) -> tuple[int, ...]:
+    """Integer coefficients, constant term first, of a polynomial R with
+    sign R(lam) = sign(pi_eval(s, lam) - x) for every lam in (0, 1).
+
+    For x = p/q this is the closed form of pi_eval - x times q (1 - lam^|v|):
+    R = q (1-lam) [P_u (1 - lam^|v|) + lam^|u| P_v] - p (1 - lam^|v|).
+    """
+    u, v = s.preperiod.bits, s.period.bits
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    inner = [0] * (len(u) + len(v))        # P_u (1 - lam^|v|) + lam^|u| P_v
+    for i, d in enumerate(u):
+        inner[i] += d
+        inner[i + len(v)] -= d
+    for i, d in enumerate(v):
+        inner[len(u) + i] += d
+    coeffs = [0] * (len(inner) + 1)
+    for i, c in enumerate(inner):
+        coeffs[i] += q * c
+        coeffs[i + 1] -= q * c
+    coeffs[0] -= p
+    coeffs[len(v)] += p
+    return tuple(coeffs)
+
+
+def poly_sign(coeffs: tuple[int, ...], m: int, k: int) -> int:
+    """Exact sign (-1, 0 or 1) of a polynomial at the dyadic m * 2^-k, from a
+    homogenised Horner evaluation of 2^(k deg) * R(m * 2^-k) in integers."""
+    deg = len(coeffs) - 1
+    acc = 0
+    for i in range(deg, -1, -1):
+        acc *= m
+        if coeffs[i]:
+            acc += coeffs[i] << (k * (deg - i))
+    return (acc > 0) - (acc < 0)
 
 
 def pi_derivative(s: EpSequence, lam: Numeric, truncation: int) -> Enclosure:

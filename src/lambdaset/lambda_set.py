@@ -5,7 +5,8 @@ box-counting dimension estimation.
 For x in (0, 1/2) the valid ratios form a Cantor set between x and 1/2. Its
 codings are exactly the sequences between the base-1/2 expansion of x and
 0 1^inf, and the map from codings to ratios is a decreasing homeomorphism,
-realized here by certified bisection on the coding map.
+realized here by bisection on exact integer signs of the coding map minus
+x, started from a float root.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from typing import Iterable
 
 from .errors import (DepthBudgetExceeded, InsufficientMembers, InvalidInput,
                      NotAdmissible, OutOfRange)
-from .ifs_core import Member, greedy_digits, pi_eval
-from .numerics import (DEFAULT_CONFIG, Dyadic, Enclosure, PrecisionConfig,
-                       bisect_monotone)
+from .ifs_core import Member, greedy_digits, pi_eval, pi_root_poly, poly_sign
+from .numerics import DEFAULT_CONFIG, Dyadic, Enclosure, PrecisionConfig
 from .seqcode import (SEQ_01INF, EpSequence, Word, lex_le, lex_max, lex_min)
 
 __all__ = [
@@ -50,6 +50,11 @@ HALF = Fraction(1, 2)
 # is evicted there; a long-lived process stays bounded.
 CACHE_SIZE = 4096
 
+# Most words admissible_prefixes returns (a cover solves two roots per word).
+# Depth 10, the deepest cover the tests and benchmark ask for, has at most
+# 308; 1/3 at depth 60 has far more and fails at once instead of running on.
+MAX_PREFIXES = 1 << 14
+
 
 @lru_cache(maxsize=CACHE_SIZE)
 def binary_expansion(x: Fraction) -> EpSequence:
@@ -74,8 +79,13 @@ def psi_inverse(x: Fraction, s: EpSequence,
     """Certified enclosure of the unique ratio whose coding of x equals s.
 
     Requires s to be admissible for x, i.e. between the base-1/2 expansion
-    of x and 0 1^inf; the root then exists in [x, 1/2] and is pinned by
-    bisection on the (strictly increasing) map lam -> pi_eval(s, lam).
+    of x and 0 1^inf; the root then lies in [a, 1/2], a being x rounded down
+    to `precision_bits`, where lam -> pi_eval(s, lam) is strictly
+    increasing. The result is the cell of the midpoint-bisection grid of
+    [a, 1/2] that holds the root, at the first level no wider than
+    `target_width`, or the exact point when the root is a grid point up to
+    that level. Every cell is decided by exact integer signs, so the answer
+    does not depend on how it was found.
     """
     x = Fraction(x)
     if not admissible(binary_expansion(x), s):
@@ -83,15 +93,80 @@ def psi_inverse(x: Fraction, s: EpSequence,
     return _solve_psi(x, s, cfg)
 
 
+# Grid level that a float root jumps to before exact bisection: cells there
+# are at most 2^-41 wide, far wider than the error of a float root.
+SEED_LEVEL = 40
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _solve_psi(x: Fraction, s: EpSequence, cfg: PrecisionConfig) -> Enclosure:
     # Solves s as given: representations of one sequence share an entry
     # (EpSequence compares canonically), and the first one solved is kept.
+    # Level k of the grid splits [a, 1/2] into cells [m, m + width] / 2^(n+k).
     bits = cfg.precision_bits
-    bracket = Enclosure(Dyadic.from_fraction(x, bits, False),
-                        Dyadic(1, -1), bits)
-    return bisect_monotone(lambda lam: pi_eval(s, lam), bracket, x, cfg,
-                           increasing=True)
+    poly = pi_root_poly(s, x)
+    a = Dyadic.from_fraction(x, bits, False)
+    n = -a.e
+    width = (1 << (n - 1)) - a.m
+    target = cfg.target_width
+    # first level whose cells are at most target_width wide; the bit-length
+    # estimate falls short by at most one
+    scaled = width * target.denominator
+    levels = max(0, scaled.bit_length() - target.numerator.bit_length() - n)
+    while scaled > target.numerator << (n + levels):
+        levels += 1
+    m, k = a.m, min(SEED_LEVEL, levels)
+    if k:
+        seed = Fraction(_float_root(s, x)) * (1 << (n + k))
+        cell = math.floor((seed - (a.m << k)) / width)
+        m = (a.m << k) + min(max(cell, 0), (1 << k) - 1) * width
+    while True:
+        sign_lo = poly_sign(poly, m, n + k)
+        sign_hi = poly_sign(poly, m + width, n + k)
+        if sign_lo <= 0 <= sign_hi:
+            break
+        if not k:
+            raise AssertionError(f"[x, 1/2] does not bracket the root of {s}")
+        m, k = a.m, 0                      # the float seed missed: start over
+    if sign_lo == 0 or sign_hi == 0:
+        return Enclosure.point(Dyadic(m if sign_lo == 0 else m + width,
+                                      -n - k), bits)
+    while k < levels:
+        mid, k = 2 * m + width, k + 1
+        sign = poly_sign(poly, mid, n + k)
+        if sign == 0:
+            return Enclosure.point(Dyadic(mid, -n - k), bits)
+        m = 2 * m if sign > 0 else mid
+    return Enclosure(Dyadic(m, -n - k), Dyadic(m + width, -n - k), bits)
+
+
+def _float_root(s: EpSequence, x: Fraction) -> float:
+    """Float root of pi_eval(s, .) = x in [x, 1/2] by the Illinois variant
+    of regula falsi; only a seed, so rounding may leave it a little off."""
+    target = float(x)
+    lo, hi = target, 0.5
+    f_lo, f_hi = pi_eval(s, lo) - target, pi_eval(s, hi) - target
+    if f_lo >= 0 or f_hi <= 0:
+        return lo if f_lo >= 0 else hi
+    side = 0
+    for _ in range(100):
+        mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < mid < hi:
+            break
+        f_mid = pi_eval(s, mid) - target
+        if f_mid == 0:
+            return mid
+        if f_mid < 0:
+            lo, f_lo = mid, f_mid
+            if side < 0:
+                f_hi /= 2
+            side = -1
+        else:
+            hi, f_hi = mid, f_mid
+            if side > 0:
+                f_lo /= 2
+            side = 1
+    return (lo + hi) / 2
 
 
 def block_codes(xs: EpSequence, w: Word) -> tuple[EpSequence, EpSequence]:
@@ -111,6 +186,9 @@ def _prefix_admissible(bits: tuple[int, ...], xs: EpSequence) -> bool:
 def admissible_prefixes(x: Fraction, depth: int) -> list[Word]:
     """All length-`depth` words extendable to an admissible coding for x,
     in descending lexicographic order (so ratio images come out ascending).
+
+    Raises DepthBudgetExceeded, before any root is solved, when there are
+    more than MAX_PREFIXES of them.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
@@ -119,6 +197,10 @@ def admissible_prefixes(x: Fraction, depth: int) -> list[Word]:
 
     def descend(bits: tuple[int, ...]) -> None:
         if len(bits) == depth:
+            if len(out) == MAX_PREFIXES:
+                raise DepthBudgetExceeded(
+                    f"more than {MAX_PREFIXES} admissible prefixes of "
+                    f"length {depth} for {x}")
             out.append(Word(bits))
             return
         for d in (1, 0):

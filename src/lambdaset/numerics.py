@@ -1,5 +1,5 @@
-"""Exact rationals, dyadic enclosures with outward rounding, and certified
-monotone bisection.
+"""Exact rationals, dyadic enclosures with outward rounding, and the
+precision settings of root solving.
 
 A Dyadic is an integer pair (m, e) standing for m * 2**e. An Enclosure is a
 pair of dyadics [lo, hi] together with a working precision in bits; every
@@ -10,12 +10,8 @@ of the exact value is preserved through arbitrary compositions.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum, auto
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Union
-
-from .errors import Inconclusive, NoSignChange, StepLimit
 
 __all__ = [
     "parse_rational",
@@ -23,7 +19,6 @@ __all__ = [
     "Enclosure",
     "PrecisionConfig",
     "DEFAULT_CONFIG",
-    "bisect_monotone",
 ]
 
 
@@ -335,7 +330,6 @@ def _pow_dir(base: Dyadic, n: int, bits: int, up: bool) -> Dyadic:
 @dataclass(frozen=True, slots=True)
 class PrecisionConfig:
     precision_bits: int = 128
-    max_bisection_steps: int = 4096
     target_width: Fraction = Fraction(1, 1 << 80)
 
     def __post_init__(self):
@@ -343,96 +337,9 @@ class PrecisionConfig:
             raise ValueError("precision_bits must be at least 32")
         if self.target_width <= 0:
             raise ValueError("target_width must be positive")
-        if self.max_bisection_steps < 1:
-            raise ValueError("max_bisection_steps must be positive")
 
     def with_(self, **kwargs) -> "PrecisionConfig":
         return replace(self, **kwargs)
 
 
 DEFAULT_CONFIG = PrecisionConfig()
-
-
-class _Side(Enum):
-    BELOW = auto()
-    ABOVE = auto()
-    EXACT = auto()
-    CONTAINS = auto()
-
-
-def _classify(value: Enclosure, target: Fraction) -> _Side:
-    if value.certainly_below(target):
-        return _Side.BELOW
-    if value.certainly_above(target):
-        return _Side.ABOVE
-    if value.lo == value.hi and value.lo.cmp_fraction(target) == 0:
-        return _Side.EXACT
-    return _Side.CONTAINS
-
-
-# interior split points tried per step: 1/2, then 3/8 and 5/8 as fallbacks
-_SPLITS = ((1, 1), (3, 3), (5, 3))
-
-
-def bisect_monotone(
-    f: Callable[[Enclosure], Enclosure],
-    bracket: Enclosure,
-    target: Union[Fraction, int],
-    cfg: PrecisionConfig = DEFAULT_CONFIG,
-    *,
-    increasing: bool | None = None,
-) -> Enclosure:
-    """Certified enclosure of the unique root of f = target inside bracket.
-
-    `f` must be an enclosure-sound evaluator of a function strictly monotone
-    on the bracket. The bracket must straddle the target; a root sitting
-    exactly at a bracket endpoint is returned as a point enclosure. When the
-    endpoint evaluations cannot certify the direction of monotonicity the
-    caller may supply it via `increasing`.
-    """
-    target = Fraction(target)
-    a, b = bracket.lo, bracket.hi
-    if not a < b:
-        raise ValueError("bracket must have positive width")
-    bits = cfg.precision_bits
-    ca = _classify(f(Enclosure.point(a, bits)), target)
-    cb = _classify(f(Enclosure.point(b, bits)), target)
-    if ca is _Side.EXACT:
-        return Enclosure.point(a, bits)
-    if cb is _Side.EXACT:
-        return Enclosure.point(b, bits)
-    if increasing is None:
-        if ca is _Side.CONTAINS and cb is _Side.CONTAINS:
-            raise NoSignChange("cannot infer direction: both endpoint values "
-                               "contain the target")
-        if ca is cb:
-            raise NoSignChange(f"no straddle: both endpoints are {ca.name}")
-        increasing = (ca is _Side.BELOW) or (cb is _Side.ABOVE)
-    low_end, high_end = (ca, cb) if increasing else (cb, ca)
-    if low_end is _Side.ABOVE or high_end is _Side.BELOW:
-        raise NoSignChange("bracket does not straddle the target")
-
-    steps = 0
-    while (b - a).to_fraction() > cfg.target_width:
-        steps += 1
-        if steps > cfg.max_bisection_steps:
-            raise StepLimit(f"no convergence in {cfg.max_bisection_steps} steps")
-        gap = b - a
-        progressed = False
-        for num, shift in _SPLITS:
-            c = a + Dyadic(gap.m * num, gap.e - shift)
-            side = _classify(f(Enclosure.point(c, bits)), target)
-            if side is _Side.EXACT:
-                return Enclosure.point(c, bits)
-            if side is _Side.CONTAINS:
-                continue
-            if (side is _Side.BELOW) == increasing:
-                a = c
-            else:
-                b = c
-            progressed = True
-            break
-        if not progressed:
-            raise Inconclusive("all split points undecidable at "
-                               f"{bits} bits; raise precision_bits")
-    return Enclosure(a, b, bits)

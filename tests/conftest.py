@@ -13,4 +13,4 @@ def cfg():
 @pytest.fixture(scope="session")
 def fast_cfg():
     # cheaper solver settings for property sweeps that do many solves
-    return PrecisionConfig(64, 4096, Fraction(1, 1 << 40))
+    return PrecisionConfig(64, target_width=Fraction(1, 1 << 40))

@@ -64,7 +64,7 @@ def test_criterion_02_greedy_ground_truth():
 
 
 def test_criterion_03_local_dimension():
-    fast = PrecisionConfig(64, 4096, F(1, 1 << 24))
+    fast = PrecisionConfig(64, target_width=F(1, 1 << 24))
     near_half = box_dim_estimate(F(1, 3), (F(1, 2) - F(1, 16), F(1, 2)),
                                  [8, 9, 10, 11, 12, 13], fast)
     ok = abs(near_half.slope - 1.0) <= 0.15

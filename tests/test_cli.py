@@ -61,10 +61,27 @@ def test_exit_codes(capsys, monkeypatch):
     code, _, err = run(capsys, "cover", "--x", "1/4", "--depth", "2",
                        "--width-bits", "-3")
     assert code == 1 and err == "error: --width-bits must be nonnegative\n"
+    for bits in ("0", "16"):
+        code, out, err = run(capsys, "expansion", "--x", "1/3", "--bits", bits)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: ")
     monkeypatch.setenv("LAMBDASET_PRECISION_BITS", "abc")
     code, _, err = run(capsys, "expansion", "--x", "1/3")
     assert code == 1 and err.count("\n") == 1
     assert err.startswith("error: LAMBDASET_PRECISION_BITS")
+
+
+def test_prefix_budget_ends_deep_covers(capsys):
+    code, out, err = run(capsys, "cover", "--x", "1/3", "--depth", "60")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: more than ")
+
+
+def test_wide_target_at_low_precision(capsys):
+    # a 2^-100 grid at 40 bits: only exact signs decide every midpoint
+    code, payload, _ = run_json(capsys, "cover", "--x", "1/3", "--depth", "2",
+                                "--bits", "40", "--width-bits", "100")
+    assert code == 0 and len(payload["intervals"]) == 1
 
 
 def test_verify_subcommand(capsys):

@@ -135,7 +135,7 @@ def test_thickness_agrees_across_precisions(cfg):
     """Raising the working precision moves the certified truncated value by
     no more than the solver widths."""
     from lambdaset.numerics import PrecisionConfig
-    high = PrecisionConfig(192, 4096, F(1, 1 << 100))
+    high = PrecisionConfig(192, target_width=F(1, 1 << 100))
     r_default = thickness_Cl(F(1, 3), 2, 3, 2, cfg)
     r_high = thickness_Cl(F(1, 3), 2, 3, 2, high)
     assert abs(r_default.tau_truncated - r_high.tau_truncated) <= F(1, 1 << 60)

@@ -6,7 +6,7 @@ import pytest
 from lambdaset.errors import NeedsLargerTruncation, OutOfRange
 from lambdaset.ifs_core import (Member, NotMember, Unresolved, apply_branch,
                                 greedy_digits, membership, pi_derivative,
-                                pi_eval)
+                                pi_eval, pi_root_poly, poly_sign)
 from lambdaset.numerics import Enclosure
 from lambdaset.seqcode import EpSequence, Word
 
@@ -32,26 +32,32 @@ def test_pi_eval_examples():
     assert pi_eval(S("(01)"), F(1, 2)) == F(1, 3)
 
 
-def test_pi_eval_enclosure_contains_exact():
+def test_pi_root_poly_sign_matches_pi_eval():
+    """The integer polynomial's exact sign at a dyadic ratio is the sign of
+    the exact coding map value minus the target."""
     rng = random.Random(7)
-    for _ in range(50):
+    for _ in range(300):
         pre = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 6)))
         per = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 4)))
         s = EpSequence(Word(pre), Word(per))
-        lam = F(rng.randint(1, 49), 100)
-        enc = pi_eval(s, Enclosure.from_fraction(lam, 128))
-        assert enc.contains(pi_eval(s, lam))
+        x = F(rng.randint(1, 99), rng.randint(100, 200))
+        k = rng.randint(1, 12)
+        m = rng.randint(1, (1 << k) - 1)
+        diff = pi_eval(s, F(m, 1 << k)) - x
+        assert poly_sign(pi_root_poly(s, x), m, k) == (diff > 0) - (diff < 0)
+    # roots that are dyadic give an exact zero
+    assert poly_sign(pi_root_poly(S("0(1)"), F(3, 8)), 3, 3) == 0
+    assert poly_sign(pi_root_poly(S("(01)"), F(1, 3)), 1, 1) == 0
 
 
-def test_pi_eval_wide_enclosure_containment():
-    """A ratio interval's image encloses the value at every ratio inside."""
-    lam = Enclosure.from_fraction(F(3, 10), 128).hull(
-        Enclosure.from_fraction(F(9, 20), 128))
-    for text in ("0(1)", "01(0)", "011(010)", "(01)"):
-        s = S(text)
-        enc = pi_eval(s, lam)
-        for point in (F(3, 10), F(1, 3), F(2, 5), F(9, 20)):
-            assert enc.contains(pi_eval(s, point))
+def test_pi_eval_floats_track_exact_values():
+    rng = random.Random(11)
+    for _ in range(100):
+        pre = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 8)))
+        per = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 6)))
+        s = EpSequence(Word(pre), Word(per))
+        lam = F(rng.randint(1, 99), 100)
+        assert abs(pi_eval(s, float(lam)) - float(pi_eval(s, lam))) < 1e-14
 
 
 def test_pi_derivative_wide_enclosure_containment():

@@ -3,7 +3,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lambdaset import lambda_set
 from lambdaset.errors import (DepthBudgetExceeded, InvalidInput,
                               NotAdmissible, OutOfRange)
 from lambdaset.ifs_core import membership, pi_eval
@@ -11,7 +13,7 @@ from lambdaset.lambda_set import (admissible, admissible_prefixes,
                                   binary_expansion, block_codes,
                                   box_dim_estimate, cover, gaps,
                                   lipschitz_check, psi_inverse, subshift_dim)
-from lambdaset.numerics import PrecisionConfig
+from lambdaset.numerics import Dyadic, PrecisionConfig
 from lambdaset.seqcode import (SEQ_01INF, EpSequence, Ordering, Word,
                                lex_compare)
 
@@ -50,6 +52,65 @@ def test_psi_inverse_examples(cfg):
     lo, hi = e.lo.to_fraction(), e.hi.to_fraction()
     assert lo - lo ** 3 <= F(1, 4) <= hi - hi ** 3     # exact bracket check
     assert abs(e.mid_fraction() - BETA1_QUARTER) < F(1, 10 ** 24)
+
+
+def grid_oracle(s, x, cfg):
+    """Plain bisection in exact Fractions on the solver's grid: the halving
+    of [x rounded down, 1/2] until cells are at most target_width wide, and
+    a point wherever the coding map meets x exactly."""
+    lo = Dyadic.from_fraction(x, cfg.precision_bits, False).to_fraction()
+    hi = F(1, 2)
+    for end in (lo, hi):
+        if pi_eval(s, end) == x:
+            return end, end
+    while hi - lo > cfg.target_width:
+        mid = (lo + hi) / 2
+        value = pi_eval(s, mid)
+        if value == x:
+            return mid, mid
+        lo, hi = (mid, hi) if value < x else (lo, mid)
+    return lo, hi
+
+
+@st.composite
+def targets_and_codings(draw):
+    q = draw(st.integers(3, 64))
+    x = F(draw(st.integers(1, (q - 1) // 2)), q)
+    words = admissible_prefixes(x, draw(st.integers(1, 6)))
+    word = words[draw(st.integers(0, len(words) - 1))]
+    return x, block_codes(binary_expansion(x), word)[draw(st.integers(0, 1))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(targets_and_codings(), st.sampled_from([32, 64, 128]),
+       st.sampled_from([16, 40, 80]))
+def test_psi_inverse_matches_fraction_oracle(case, bits, width_bits):
+    x, s = case
+    cfg = PrecisionConfig(bits, target_width=F(1, 1 << width_bits))
+    e = psi_inverse(x, s, cfg)
+    lo, hi = e.lo.to_fraction(), e.hi.to_fraction()
+    assert (lo, hi) == grid_oracle(s, x, cfg)
+    assert pi_eval(s, lo) <= x <= pi_eval(s, hi)
+
+
+def test_psi_inverse_recovers_from_a_bad_seed(cfg, monkeypatch):
+    x = F(2, 7)
+    xs = binary_expansion(x)
+    codes = [c for w in admissible_prefixes(x, 5) for c in block_codes(xs, w)]
+    expected = [lambda_set._solve_psi.__wrapped__(x, s, cfg) for s in codes]
+    monkeypatch.setattr(lambda_set, "_float_root", lambda s, x: 0.49)
+    for s, e in zip(codes, expected):
+        got = lambda_set._solve_psi.__wrapped__(x, s, cfg)
+        assert got.to_json() == e.to_json()
+
+
+def test_grid_roots_come_back_as_points(cfg, monkeypatch):
+    # 8 lam - 3 vanishes at 3/8, the first midpoint of [1/4, 1/2]
+    monkeypatch.setattr(lambda_set, "pi_root_poly", lambda s, x: (-3, 8))
+    for seed in (0.375, 0.49):       # a seed on the root, and one that misses
+        monkeypatch.setattr(lambda_set, "_float_root", lambda s, x: seed)
+        e = lambda_set._solve_psi.__wrapped__(F(1, 4), S("011(0)"), cfg)
+        assert e.lo == e.hi and e.lo.to_fraction() == F(3, 8)
 
 
 def test_psi_inverse_rejects_inadmissible(cfg):
@@ -200,7 +261,7 @@ def test_subshift_word_count_oracle():
 
 
 def test_box_dim_smoke():
-    fast = PrecisionConfig(64, 4096, F(1, 1 << 22))
+    fast = PrecisionConfig(64, target_width=F(1, 1 << 22))
     r = box_dim_estimate(F(1, 3), (F(1, 2) - F(1, 16), F(1, 2)),
                          [7, 8, 9, 10], fast)
     assert 0.6 < r.slope < 1.1
@@ -215,4 +276,5 @@ def test_box_dim_errors(cfg):
         box_dim_estimate(F(1, 3), (F(2, 5), F(1, 2)), [6], cfg)      # one eps
     with pytest.raises(DepthBudgetExceeded):
         box_dim_estimate(F(1, 3), (F(2, 5), F(1, 2)), [10, 12],
-                         PrecisionConfig(64, 4096, F(1, 1 << 30)), max_depth=3)
+                         PrecisionConfig(64, target_width=F(1, 1 << 30)),
+                         max_depth=3)

@@ -3,16 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from lambdaset.errors import Inconclusive, NoSignChange, StepLimit
-from lambdaset.numerics import (Dyadic, Enclosure, PrecisionConfig,
-                                bisect_monotone, parse_rational)
+from lambdaset.numerics import Dyadic, Enclosure, PrecisionConfig, parse_rational
 
 F = Fraction
-BR_BITS = 128
-
-
-def bracket_unit_half(bits=BR_BITS):
-    return Enclosure(Dyadic(0), Dyadic(1, -1), bits)
 
 
 def test_parse_rational():
@@ -98,72 +91,11 @@ def test_precision_refinement_never_widens():
         assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
 
 
-def oracle_bisect(f, lo, hi, target, iters=140):
-    """Independent plain bisection with exact rational arithmetic."""
-    assert f(lo) <= target <= f(hi)
-    for _ in range(iters):
-        mid = (lo + hi) / 2
-        if f(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
-def test_bisect_identity(cfg):
-    r = bisect_monotone(lambda t: t, bracket_unit_half(), F(1, 3), cfg)
-    assert r.contains(F(1, 3))
-    assert r.width() <= cfg.target_width
-
-
-def test_bisect_cubic_against_oracle(cfg):
-    f_exact = lambda l: l - l ** 3
-    olo, ohi = oracle_bisect(f_exact, F(0), F(1, 2), F(1, 4))
-    r = bisect_monotone(lambda t: t - t ** 3, bracket_unit_half(), F(1, 4), cfg)
-    assert r.width() <= cfg.target_width
-    # exact rational values bracket the target across the returned enclosure
-    assert f_exact(r.lo.to_fraction()) <= F(1, 4) <= f_exact(r.hi.to_fraction())
-    assert r.lo.to_fraction() <= ohi and olo <= r.hi.to_fraction()
-    # frozen oracle digits
-    assert abs(r.mid_fraction() - F("0.269594436405444558262937951349")) < F(1, 10 ** 25)
-
-
-def test_bisect_root_at_bracket_end(cfg):
-    one = Enclosure.exact_int(1, cfg.precision_bits)
-    r = bisect_monotone(lambda t: t.div(one + t), bracket_unit_half(),
-                        F(1, 3), cfg)
-    assert r.contains(F(1, 2))
-
-
-def test_bisect_decreasing(cfg):
-    one = Enclosure.exact_int(1, cfg.precision_bits)
-    # root of 1 - t = 2/3 inside [0, 1/2] is t = 1/3
-    r = bisect_monotone(lambda t: one - t, bracket_unit_half(), F(2, 3), cfg)
-    assert r.contains(F(1, 3))
-
-
-def test_bisect_errors(cfg):
-    with pytest.raises(NoSignChange):
-        bisect_monotone(lambda t: t, bracket_unit_half(), F(2), cfg)
-    with pytest.raises(StepLimit):
-        bisect_monotone(lambda t: t, bracket_unit_half(), F(1, 3),
-                        cfg.with_(max_bisection_steps=3))
-    wide = Enclosure(Dyadic(0), Dyadic(1), cfg.precision_bits)
-    with pytest.raises(NoSignChange):
-        # evaluator too coarse to even infer a direction
-        bisect_monotone(lambda t: wide, bracket_unit_half(), F(1, 3), cfg)
-    with pytest.raises(Inconclusive):
-        bisect_monotone(lambda t: wide, bracket_unit_half(), F(1, 3), cfg,
-                        increasing=True)
-
-
 def test_precision_config_validation():
     with pytest.raises(ValueError):
         PrecisionConfig(precision_bits=16)
     with pytest.raises(ValueError):
         PrecisionConfig(target_width=F(0))
-    with pytest.raises(ValueError):
-        PrecisionConfig(max_bisection_steps=0)
 
 
 def test_enclosure_json():

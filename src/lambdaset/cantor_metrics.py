@@ -4,8 +4,9 @@ Newhouse dimension lower bound, and the interleaving predicate.
 A defining sequence lists the open intervals removed from the convex hull in
 some order; each removal must sit strictly inside one connected component of
 what remains, leaving two bridges of positive length. Thickness over the
-listed removals is the minimum bridge-to-gap length ratio, computed here with
-directed rounding so the reported value is a certified lower bound.
+listed removals is the minimum bridge-to-gap length ratio, computed here
+exactly from the enclosure endpoints that make bridges shortest and gaps
+longest, so the reported value is a certified lower bound.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ def bridges(ds: DefiningSequence, n: int) -> BridgePair:
 
 def thickness_of(ds: DefiningSequence) -> Fraction:
     """Certified lower bound of the thickness restricted to the listed
-    removals: min over gaps of min(|L|/|V|, |R|/|V|) with directed rounding.
+    removals: min over gaps of min(|L|/|V|, |R|/|V|), with the shortest
+    bridges and the longest gap the enclosures allow.
 
     When the removals are ordered by decreasing length this equals (up to
     the truncation) the thickness of the set itself.

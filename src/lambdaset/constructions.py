@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Optional
 
 from .errors import HypothesisUnsatisfiable, Inconclusive, InvalidInput
@@ -102,7 +103,7 @@ def _solve_piece(x: Fraction, k: int, cfg: PrecisionConfig) -> PieceEndpoints:
     alpha_next = psi_inverse(x, EpSequence(prefix + ZERO_TAIL, ONE_TAIL), cfg)
     if not (alpha.hi < beta.lo and beta.hi < alpha_next.lo):
         raise Inconclusive(
-            f"piece {k} endpoints not separated at this precision")
+            f"piece {k} endpoints not separated at this target width")
     return PieceEndpoints(x, k, n_k, alpha, beta, alpha_next)
 
 
@@ -147,7 +148,7 @@ def gap_record(x: Fraction, k: int, omega: Word,
     if not (g1.hi < g2.lo and g2.hi < g3.lo and g3.hi < g4.lo):
         raise Inconclusive(
             f"gap endpoints for k={k}, omega={omega} not separated; "
-            "raise precision")
+            "tighten the target width")
     gap_hi = g3.hi.to_fraction() - g2.lo.to_fraction()
     left_lo = g2.lo.to_fraction() - g1.hi.to_fraction()
     right_lo = g4.lo.to_fraction() - g3.hi.to_fraction()
@@ -273,9 +274,10 @@ def _half_bound_caseB(piece: PieceEndpoints, bits: int) -> Fraction:
     if piece.n_k % 2 == 0:
         # integer exponent, exact
         return 1 / piece.alpha_next.lo.to_fraction() ** (piece.n_k // 2 - 1)
-    point = Enclosure.point(piece.alpha_next.lo, bits)
-    root_lo = (point ** (piece.n_k - 2)).sqrt().lo
-    return 1 / root_lo.to_fraction()
+    # 1 / sqrt(P) <= 2^bits / isqrt(floor(P 4^bits)) for P = alpha^(n_k - 2)
+    power = piece.alpha_next.lo.to_fraction() ** (piece.n_k - 2)
+    return Fraction(1 << bits,
+                    isqrt((power.numerator << 2 * bits) // power.denominator))
 
 
 def thickness_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
@@ -501,13 +503,18 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
     residual_cap = Fraction(1, 1 << 70)
     for k in range(1, 7):
         piece = piece_endpoints(x, k, cfg)
-        half_enc = Enclosure.from_fraction(HALF, bits)
-        res = (half_enc - piece.alpha_next) ** 2 - piece.alpha_next ** piece.n_k
-        magnitude = max(abs(res.lo.to_fraction()), abs(res.hi.to_fraction()))
+        # the residual falls as alpha rises in [0, 1/2], so its exact range
+        # over the cell [a_lo, a_hi] is [res(a_hi), res(a_lo)]
+        a_lo = piece.alpha_next.lo.to_fraction()
+        a_hi = piece.alpha_next.hi.to_fraction()
+        res_lo = (HALF - a_hi) ** 2 - a_hi ** piece.n_k
+        res_hi = (HALF - a_lo) ** 2 - a_lo ** piece.n_k
+        magnitude = Dyadic.from_fraction(max(-res_lo, res_hi), bits,
+                                         True).to_fraction()
         entries.append(LedgerEntry(
             "square_identity", {"k": k, "n_k": piece.n_k},
             str(magnitude), str(residual_cap),
-            res.contains(Fraction(0)) and magnitude <= residual_cap))
+            res_lo <= 0 <= res_hi and magnitude <= residual_cap))
         record = gap_record(x, k, word_at_position(1 + (k % 7)), cfg)
         lo = min(record.left_ratio_lo, record.right_ratio_lo)
         gb = _gap_bound_caseB(piece)

@@ -6,7 +6,8 @@ class LambdasetError(Exception):
 
 
 class Inconclusive(LambdasetError):
-    """Enclosure arithmetic too coarse to decide; raise precision_bits."""
+    """Solved cells of neighbouring endpoints are not separated; tighten
+    the target width."""
 
 
 class PeriodAllOnes(LambdasetError):

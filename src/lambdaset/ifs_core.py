@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import NeedsLargerTruncation, OutOfRange
-from .numerics import Enclosure
+from .numerics import Dyadic, Enclosure
 from .seqcode import SEQ_ZERO, EpSequence, Ordering, Word, lex_compare
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "greedy_digits",
     "membership",
 ]
-
-Numeric = Union[Fraction, Enclosure]
 
 HALF = Fraction(1, 2)
 
@@ -56,19 +54,10 @@ class Unresolved:
 GreedyOutcome = Union[Member, NotMember, Unresolved]
 
 
-def apply_branch(d: int, lam: Numeric, t: Numeric) -> Numeric:
+def apply_branch(d: int, lam: Fraction, t: Fraction) -> Fraction:
     """One IFS branch: lam*t + d*(1 - lam)."""
     if d not in (0, 1):
         raise ValueError("digit must be 0 or 1")
-    if isinstance(lam, Enclosure) or isinstance(t, Enclosure):
-        if not isinstance(lam, Enclosure):
-            lam = Enclosure.from_fraction(Fraction(lam), t.bits)
-        if not isinstance(t, Enclosure):
-            t = Enclosure.from_fraction(Fraction(t), lam.bits)
-        out = lam * t
-        if d:
-            out = out + (Enclosure.exact_int(1, lam.bits) - lam)
-        return out
     return lam * t + d * (1 - lam)
 
 
@@ -131,41 +120,45 @@ def poly_sign(coeffs: tuple[int, ...], m: int, k: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def pi_derivative(s: EpSequence, lam: Numeric, truncation: int) -> Enclosure:
+def pi_derivative(s: EpSequence, lam: Fraction | Enclosure,
+                  truncation: int) -> Enclosure:
     """Enclosure of d/dlam of the coding map value at a fixed sequence.
 
     Sums ((n-1) - n*lam) * lam^(n-2) over digit-1 positions n in [2, truncation]
     and closes with the certified tail bound
-    sum_{n > T} (n-1) lam^(n-2) = lam^(T-1) (T (1-lam) + lam) / (1-lam)^2,
-    evaluated at the upper end of lam. Requires a sequence starting with 0
+    sum_{n > T} (n-1) lam^(n-2) = lam^(T-1) (T (1-lam) + lam) / (1-lam)^2.
+    For lam in [a, b] within [0, 1/2] every term is nonnegative, its
+    coefficient falling and its power rising in lam: the exact lower bound
+    takes coefficients at b and powers at a, the upper one coefficients at a,
+    powers at b and the tail at b. Both are rounded outward once, at
+    lam.bits (128 for a rational lam). Requires a sequence starting with 0
     (all sequences in an admissible window do) and strictly above 0^inf.
     """
     if truncation < 2:
         raise ValueError("truncation must be at least 2")
     if s.digit(1) != 0 or lex_compare(s, SEQ_ZERO) is not Ordering.GREATER:
         raise OutOfRange("sequence must start with 0 and exceed 0^inf")
-    if not isinstance(lam, Enclosure):
-        lam = Enclosure.from_fraction(Fraction(lam), 128)
-    if lam.lo.m < 0 or lam.hi.cmp_fraction(HALF) > 0:
+    if isinstance(lam, Enclosure):
+        a, b, bits = lam.lo.to_fraction(), lam.hi.to_fraction(), lam.bits
+    else:
+        a = b = Fraction(lam)
+        bits = 128
+    if a < 0 or b > HALF:
         raise OutOfRange("contraction ratio must lie in [0, 1/2]")
-    bits = lam.bits
-    one = Enclosure.exact_int(1, bits)
-    acc = Enclosure.exact_int(0, bits)
-    power = one  # lam^(n-2)
+    lo = hi = Fraction(0)
+    power_a = power_b = Fraction(1)  # a^(n-2), b^(n-2)
     for n in range(2, truncation + 1):
         if s.digit(n):
-            coeff = (Enclosure.exact_int(n - 1, bits)
-                     - lam * Enclosure.exact_int(n, bits))
-            acc = acc + coeff * power
-        power = power * lam
-    z = Enclosure.point(lam.hi, bits)
-    t = Enclosure.exact_int(truncation, bits)
-    tail_hi = (z ** (truncation - 1) * (t * (one - z) + z)).div((one - z) ** 2).hi
-    result = Enclosure(acc.lo, (acc.hi + tail_hi).round(bits, True), bits)
-    if result.lo.m <= 0:
+            lo += ((n - 1) - n * b) * power_a
+            hi += ((n - 1) - n * a) * power_b
+        power_a *= a
+        power_b *= b
+    hi += power_b * (truncation * (1 - b) + b) / (1 - b) ** 2
+    if lo <= 0:
         raise NeedsLargerTruncation(
             f"positivity not certified at truncation {truncation}")
-    return result
+    return Enclosure(Dyadic.from_fraction(lo, bits, False),
+                     Dyadic.from_fraction(hi, bits, True), bits)
 
 
 def greedy_digits(x: Fraction, lam: Fraction, max_steps: int = 256) -> GreedyOutcome:

@@ -100,20 +100,22 @@ def intersect_covers(covers: list[IntervalCover]) -> IntervalCover:
 
 def _forced_digits(y: Fraction, lam: Enclosure,
                    max_digits: int) -> tuple[list[int], str]:
-    """Greedy digits of y valid for every ratio in `lam`, while decidable."""
-    bits = lam.bits
-    one = Enclosure.exact_int(1, bits)
-    threshold = one - lam
-    state = Enclosure.from_fraction(y, bits)
+    """Greedy digits of y valid for every ratio in `lam`, while decidable.
+
+    The state is an exact interval [s_lo, s_hi] holding the greedy orbit of
+    y for every ratio in lam = [a, b].
+    """
+    a, b = lam.lo.to_fraction(), lam.hi.to_fraction()
+    s_lo = s_hi = Fraction(y)
     digits: list[int] = []
     for _ in range(max_digits):
-        if state.lo >= threshold.hi:
+        if s_lo >= 1 - a:
             digits.append(1)
-            state = (state - threshold).div(lam)
-        elif state.hi <= lam.lo:
+            s_lo, s_hi = (s_lo - 1 + a) / b, (s_hi - 1 + b) / a
+        elif s_hi <= a:
             digits.append(0)
-            state = state.div(lam)
-        elif state.lo > lam.hi and state.hi < threshold.lo:
+            s_lo, s_hi = s_lo / b, s_hi / a
+        elif s_lo > b and s_hi < 1 - b:
             return digits, "rejected"
         else:
             return digits, "ambiguous"

@@ -23,7 +23,8 @@ from .errors import (DepthBudgetExceeded, InsufficientMembers, InvalidInput,
                      NotAdmissible, OutOfRange)
 from .ifs_core import Member, greedy_digits, pi_eval, pi_root_poly, poly_sign
 from .numerics import DEFAULT_CONFIG, Dyadic, Enclosure, PrecisionConfig
-from .seqcode import (SEQ_01INF, EpSequence, Word, lex_le, lex_max, lex_min)
+from .seqcode import (SEQ_01INF, EpSequence, Word, lex_le, lex_max, lex_min,
+                      word_at_position)
 
 __all__ = [
     "CoverInterval",
@@ -192,24 +193,17 @@ def admissible_prefixes(x: Fraction, depth: int) -> list[Word]:
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    xs = binary_expansion(Fraction(x))
-    out: list[Word] = []
-
-    def descend(bits: tuple[int, ...]) -> None:
-        if len(bits) == depth:
-            if len(out) == MAX_PREFIXES:
-                raise DepthBudgetExceeded(
-                    f"more than {MAX_PREFIXES} admissible prefixes of "
-                    f"length {depth} for {x}")
-            out.append(Word(bits))
-            return
-        for d in (1, 0):
-            nxt = bits + (d,)
-            if _prefix_admissible(nxt, xs):
-                descend(nxt)
-
-    descend(())
-    return out
+    x = Fraction(x)
+    binary_expansion(x)  # range check
+    # read as binary integers, the admissible words run from the first
+    # `depth` digits of x, floor(2^depth x), up to 0 1^(depth-1)
+    low, high = math.floor(x * (1 << depth)), (1 << (depth - 1)) - 1
+    if high - low + 1 > MAX_PREFIXES:
+        raise DepthBudgetExceeded(
+            f"more than {MAX_PREFIXES} admissible prefixes of "
+            f"length {depth} for {x}")
+    return [word_at_position((1 << depth) | m)
+            for m in range(high, low - 1, -1)]
 
 
 @dataclass(frozen=True, slots=True)

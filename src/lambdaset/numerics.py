@@ -1,17 +1,17 @@
-"""Exact rationals, dyadic enclosures with outward rounding, and the
-precision settings of root solving.
+"""Exact rationals, certified dyadic cells, and the precision settings of
+root solving.
 
 A Dyadic is an integer pair (m, e) standing for m * 2**e. An Enclosure is a
-pair of dyadics [lo, hi] together with a working precision in bits; every
-arithmetic operation rounds lo toward -inf and hi toward +inf, so containment
-of the exact value is preserved through arbitrary compositions.
+pair of dyadics [lo, hi] together with a working precision in bits: the cell
+a root solve certifies, or a rational rounded outward once. Enclosures carry
+no arithmetic; callers compute with the exact Fractions of the endpoints and
+round outward only the value they store or print.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import isqrt
 
 __all__ = [
     "parse_rational",
@@ -80,9 +80,6 @@ class Dyadic:
             return Fraction(self.m << self.e)
         return Fraction(self.m, 1 << -self.e)
 
-    def round(self, bits: int, up: bool) -> "Dyadic":
-        return Dyadic(*_round_dir(self.m, self.e, bits, up))
-
     # exact arithmetic -----------------------------------------------------
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
@@ -92,12 +89,6 @@ class Dyadic:
     def __sub__(self, other: "Dyadic") -> "Dyadic":
         e = min(self.e, other.e)
         return Dyadic((self.m << (self.e - e)) - (other.m << (other.e - e)), e)
-
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic(self.m * other.m, self.e + other.e)
-
-    def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.m, self.e)
 
     def half(self) -> "Dyadic":
         return Dyadic(self.m, self.e - 1)
@@ -156,43 +147,6 @@ class Dyadic:
         return sign + whole + ("." + frac if frac else "")
 
 
-DYADIC_ZERO = Dyadic(0)
-DYADIC_ONE = Dyadic(1)
-DYADIC_HALF = Dyadic(1, -1)
-
-
-def _div_dir(a: Dyadic, b: Dyadic, bits: int, up: bool) -> Dyadic:
-    """Directed a / b at `bits`; b must be nonzero."""
-    if a.m == 0:
-        return DYADIC_ZERO
-    sign = 1 if (a.m > 0) == (b.m > 0) else -1
-    num, den = abs(a.m), abs(b.m)
-    shift = max(bits + den.bit_length() - num.bit_length() + 2, 0)
-    scaled = num << shift
-    # ceil on the magnitude when the directed result moves away from zero
-    if (up and sign > 0) or (not up and sign < 0):
-        q = -((-scaled) // den)
-    else:
-        q = scaled // den
-    return Dyadic(*_round_dir(sign * q, a.e - b.e - shift, bits, up))
-
-
-def _sqrt_dir(a: Dyadic, bits: int, up: bool) -> Dyadic:
-    """Directed square root of a nonnegative dyadic."""
-    if a.m < 0:
-        raise ValueError("sqrt of negative dyadic")
-    if a.m == 0:
-        return DYADIC_ZERO
-    shift = max(2 * bits + 2 - a.m.bit_length(), 0)
-    if (a.e - shift) & 1:
-        shift += 1
-    n = a.m << shift
-    r = isqrt(n)
-    if up and r * r != n:
-        r += 1
-    return Dyadic(*_round_dir(r, (a.e - shift) // 2, bits, up))
-
-
 class Enclosure:
     """Certified interval [lo, hi] of dyadics at a fixed working precision."""
 
@@ -217,10 +171,6 @@ class Enclosure:
         return cls(Dyadic.from_fraction(q, bits, False),
                    Dyadic.from_fraction(q, bits, True), bits)
 
-    @classmethod
-    def exact_int(cls, n: int, bits: int) -> "Enclosure":
-        return cls.point(Dyadic(n), bits)
-
     def width(self) -> Fraction:
         return (self.hi - self.lo).to_fraction()
 
@@ -236,95 +186,11 @@ class Enclosure:
     def overlaps(self, other: "Enclosure") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def certainly_below(self, q: Fraction) -> bool:
-        return self.hi.cmp_fraction(q) < 0
-
-    def certainly_above(self, q: Fraction) -> bool:
-        return self.lo.cmp_fraction(q) > 0
-
-    # arithmetic -----------------------------------------------------------
-
-    def __add__(self, other: "Enclosure") -> "Enclosure":
-        bits = min(self.bits, other.bits)
-        return Enclosure((self.lo + other.lo).round(bits, False),
-                         (self.hi + other.hi).round(bits, True), bits)
-
-    def __sub__(self, other: "Enclosure") -> "Enclosure":
-        bits = min(self.bits, other.bits)
-        return Enclosure((self.lo - other.hi).round(bits, False),
-                         (self.hi - other.lo).round(bits, True), bits)
-
-    def __neg__(self) -> "Enclosure":
-        return Enclosure(-self.hi, -self.lo, self.bits)
-
-    def __mul__(self, other: "Enclosure") -> "Enclosure":
-        bits = min(self.bits, other.bits)
-        products = [self.lo * other.lo, self.lo * other.hi,
-                    self.hi * other.lo, self.hi * other.hi]
-        return Enclosure(min(products).round(bits, False),
-                         max(products).round(bits, True), bits)
-
-    def div(self, other: "Enclosure") -> "Enclosure":
-        bits = min(self.bits, other.bits)
-        if other.lo.m <= 0 <= other.hi.m:
-            raise ZeroDivisionError("denominator enclosure contains zero")
-        corners = [(self.lo, other.lo), (self.lo, other.hi),
-                   (self.hi, other.lo), (self.hi, other.hi)]
-        lo = min(_div_dir(a, b, bits, False) for a, b in corners)
-        hi = max(_div_dir(a, b, bits, True) for a, b in corners)
-        return Enclosure(lo, hi, bits)
-
-    def __pow__(self, n: int) -> "Enclosure":
-        if n < 0:
-            raise ValueError("negative exponents are not supported")
-        if n == 0:
-            return Enclosure(DYADIC_ONE, DYADIC_ONE, self.bits)
-        bits = self.bits
-        if self.lo.m >= 0:
-            return Enclosure(_pow_dir(self.lo, n, bits, False),
-                             _pow_dir(self.hi, n, bits, True), bits)
-        if self.hi.m <= 0:
-            lo = _pow_dir(-self.lo, n, bits, True)
-            hi = _pow_dir(-self.hi, n, bits, False)
-            if n % 2:
-                return Enclosure(-lo, -hi, bits)
-            return Enclosure(hi, lo, bits)
-        # straddles zero
-        big = max(-self.lo, self.hi)
-        if n % 2 == 0:
-            return Enclosure(DYADIC_ZERO, _pow_dir(big, n, bits, True), bits)
-        return Enclosure(-_pow_dir(-self.lo, n, bits, True),
-                         _pow_dir(self.hi, n, bits, True), bits)
-
-    def sqrt(self) -> "Enclosure":
-        return Enclosure(_sqrt_dir(self.lo, self.bits, False),
-                         _sqrt_dir(self.hi, self.bits, True), self.bits)
-
-    def hull(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(min(self.lo, other.lo), max(self.hi, other.hi),
-                         min(self.bits, other.bits))
-
     def __repr__(self):
         return f"Enclosure[{self.lo.decimal()}, {self.hi.decimal()}]@{self.bits}"
 
     def to_json(self) -> dict:
         return {"lo": self.lo.decimal(), "hi": self.hi.decimal(), "bits": self.bits}
-
-
-def _pow_dir(base: Dyadic, n: int, bits: int, up: bool) -> Dyadic:
-    """Directed power of a nonnegative dyadic via square-and-multiply."""
-    if base.m < 0:
-        raise ValueError("negative base in directed power")
-    guard = bits + 8
-    result = DYADIC_ONE
-    b = base
-    while n:
-        if n & 1:
-            result = (result * b).round(guard, up)
-        n >>= 1
-        if n:
-            b = (b * b).round(guard, up)
-    return result.round(bits, up)
 
 
 @dataclass(frozen=True, slots=True)

@@ -79,6 +79,22 @@ WORD_EPSILON = Word(())
 _SEQ_RE = re.compile(r"([01]*)\(([01]+)\)")
 
 
+def _canonical_bits(u: tuple[int, ...], v: tuple[int, ...]
+                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Shortest preperiod and primitive period of the stream u v^inf."""
+    # primitive period: smallest divisor block that tiles the period
+    n = len(v)
+    for d in range(1, n + 1):
+        if n % d == 0 and v == v[:d] * (n // d):
+            v = v[:d]
+            break
+    # absorb preperiod digits that already match the periodic tail
+    while u and u[-1] == v[-1]:
+        v = (v[-1],) + v[:-1]
+        u = u[:-1]
+    return u, v
+
+
 @dataclass(frozen=True, slots=True)
 class EpSequence:
     """An eventually periodic sequence preperiod . period^infinity.
@@ -138,18 +154,7 @@ class EpSequence:
 
     def canonical(self) -> "EpSequence":
         """Shortest preperiod and primitive period representing this stream."""
-        v = self.period.bits
-        # primitive period: smallest divisor block that tiles the period
-        n = len(v)
-        for d in range(1, n + 1):
-            if n % d == 0 and v == v[:d] * (n // d):
-                v = v[:d]
-                break
-        u = self.preperiod.bits
-        # absorb preperiod digits that already match the periodic tail
-        while u and u[-1] == v[-1]:
-            v = (v[-1],) + v[:-1]
-            u = u[:-1]
+        u, v = _canonical_bits(self.preperiod.bits, self.period.bits)
         return EpSequence(Word(u), Word(v))
 
     def __eq__(self, other) -> bool:
@@ -162,8 +167,7 @@ class EpSequence:
                 or lex_compare(self, other) is Ordering.EQUAL)
 
     def __hash__(self) -> int:
-        c = self.canonical()
-        return hash((c.preperiod.bits, c.period.bits))
+        return hash(_canonical_bits(self.preperiod.bits, self.period.bits))
 
     def __str__(self) -> str:
         return f"{self.preperiod}({self.period})"

@@ -72,9 +72,10 @@ def test_exit_codes(capsys, monkeypatch):
 
 
 def test_prefix_budget_ends_deep_covers(capsys):
-    code, out, err = run(capsys, "cover", "--x", "1/3", "--depth", "60")
-    assert code == 1 and out == "" and err.count("\n") == 1
-    assert err.startswith("error: more than ")
+    for depth in ("60", "2000"):
+        code, out, err = run(capsys, "cover", "--x", "1/3", "--depth", depth)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: more than ")
 
 
 def test_wide_target_at_low_precision(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from lambdaset.cantor_metrics import newhouse_lower, thickness_of
-from lambdaset.constructions import (defining_sequence_Cl,
+from lambdaset.constructions import (_half_bound_caseB, defining_sequence_Cl,
                                      defining_sequence_Fk, first_switch_index,
                                      gap_record, piece_endpoints,
                                      thickness_Cl, verify_caseA, verify_caseB)
@@ -129,6 +129,18 @@ def test_right_tail_ratio_bound_exceptional_target(cfg):
         a_lo = p.alpha_next.lo.to_fraction()
         bound_sq = 1 / a_lo ** (p.n_k - 2)      # bound^2 without the sqrt
         assert ratio ** 2 >= bound_sq
+
+
+def test_half_bound_caseB_is_a_tight_upper_root(cfg):
+    """For odd n_k the bound 1 / sqrt(alpha^(n_k - 2)) is rounded up, by
+    less than a relative 2^-100."""
+    for k in (1, 3, 5):
+        p = piece_endpoints(F(1, 4), k, cfg)
+        assert p.n_k % 2 == 1
+        power = p.alpha_next.lo.to_fraction() ** (p.n_k - 2)
+        bound = _half_bound_caseB(p, 128)
+        assert bound ** 2 * power >= 1
+        assert (bound * (1 - F(1, 1 << 100))) ** 2 * power < 1
 
 
 def test_thickness_agrees_across_precisions(cfg):

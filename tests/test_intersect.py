@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lambdaset.errors import InvalidInput, OutOfRange
-from lambdaset.ifs_core import membership
-from lambdaset.intersect import (find_common, intersect_covers,
-                                 product_dim_report)
+from lambdaset.ifs_core import Member, NotMember, greedy_digits, membership
+from lambdaset.intersect import (_forced_digits, find_common,
+                                 intersect_covers, product_dim_report)
 from lambdaset.lambda_set import binary_expansion, cover
+from lambdaset.numerics import Dyadic, Enclosure
 
 F = Fraction
 
@@ -102,3 +104,47 @@ def test_product_dim_report(cfg):
     assert "heuristic" in rep2.combination
     with pytest.raises(InvalidInput):
         product_dim_report([], range(2, 3), cfg)
+
+
+@st.composite
+def targets_and_dyadic_cells(draw):
+    """y = p/q below 1/2 and dyadic ratios y <= lo <= hi <= 1/2."""
+    q = draw(st.integers(3, 64))
+    y = F(draw(st.integers(1, (q - 1) // 2)), q)
+    # 1/2 - y >= 1/128, so [y, 1/2] holds a multiple of 2^-k for k >= 7
+    k = draw(st.integers(7, 20))
+    ceil_y = -((-y.numerator << k) // y.denominator)
+    lo = draw(st.integers(ceil_y, 1 << (k - 1)))
+    hi = draw(st.integers(lo, 1 << (k - 1)))
+    return y, Dyadic(lo, -k), Dyadic(hi, -k)
+
+
+def _greedy_head(y, lam, n):
+    """The first n greedy digits of y at lam, or the NotMember outcome."""
+    out = greedy_digits(y, lam.to_fraction(), n)
+    if isinstance(out, Member):
+        return out.coding.prefix(n).bits
+    return out if isinstance(out, NotMember) else out.digits.bits
+
+
+@given(targets_and_dyadic_cells())
+def test_forced_digits_at_a_point_follow_the_greedy_orbit(case):
+    y, lam, _ = case
+    digits, outcome = _forced_digits(y, Enclosure.point(lam, 128), 48)
+    head = _greedy_head(y, lam, 48)
+    if isinstance(head, NotMember):
+        assert outcome == "rejected" and len(digits) == head.reject_step - 1
+    else:
+        assert outcome == "ok" and tuple(digits) == head
+
+
+@given(targets_and_dyadic_cells())
+def test_forced_digits_on_a_cell_hold_at_both_ends(case):
+    y, lo, hi = case
+    digits, outcome = _forced_digits(y, Enclosure(lo, hi, 128), 48)
+    n = len(digits)
+    for lam in (lo, hi):
+        if digits:
+            assert _greedy_head(y, lam, n) == tuple(digits)
+        if outcome == "rejected":
+            assert _greedy_head(y, lam, n + 1) == NotMember(n + 1)

@@ -137,6 +137,22 @@ def test_admissible_prefixes_examples():
     assert [str(w) for w in admissible_prefixes(F(1, 4), 3)] == ["011", "010"]
 
 
+def test_admissible_prefixes_match_brute_force():
+    """Every word of length d <= 8 with an admissible extension, found by
+    testing the extensions w 0^inf, w 1^inf and w followed by the tail of
+    the target's expansion."""
+    for q in range(3, 13):
+        for p in range(1, (q + 1) // 2):
+            x = F(p, q)
+            xs = binary_expansion(x)
+            for d in range(1, 9):
+                words = (Word(bits) for bits in product((1, 0), repeat=d))
+                expected = [w for w in words if any(
+                    admissible(xs, EpSequence(w + s.preperiod, s.period))
+                    for s in (S("(0)"), S("(1)"), xs.shift(d)))]
+                assert admissible_prefixes(x, d) == expected
+
+
 def test_cover_examples(cfg):
     c = cover(F(1, 3), 2, cfg)
     assert len(c.intervals) == 1

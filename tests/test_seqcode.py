@@ -67,6 +67,12 @@ def test_period_unrolling_invariance(s, reps):
     assert lex_compare(s, unrolled) is Ordering.EQUAL
     assert s == unrolled and hash(s) == hash(unrolled)
     assert rho_distance(s, unrolled) == 0
+    # the same stream with its first period digit moved into the preperiod
+    v = s.period.bits
+    absorbed = EpSequence(s.preperiod + Word(v[:1]), Word(v[1:] + v[:1]))
+    assert s == absorbed and hash(s) == hash(absorbed)
+    for short, long in (("0(1)", "011(1)"), ("(01)", "0(10)")):
+        assert S(short) == S(long) and hash(S(short)) == hash(S(long))
 
 
 def test_n_index_examples():

@@ -12,6 +12,7 @@ longest, so the reported value is a certified lower bound.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -67,18 +68,18 @@ class DefiningSequence:
 def _split_components(hull: Interval,
                       removals: Sequence[Interval]) -> tuple[list[Interval], list[tuple[Interval, Interval, Interval]]]:
     """Replay removals; returns final components and per-removal
-    (component, left bridge, right bridge) records."""
+    (component, left bridge, right bridge) records.
+
+    The components stay disjoint and sorted, so the only one that can hold
+    a removal is the last whose left end lies certainly below it.
+    """
     components: list[Interval] = [hull]
     records = []
     for idx, (vl, vr) in enumerate(removals, start=1):
         if not vl.hi < vr.lo:
             raise MalformedSequence(f"removal {idx} has no certified length")
-        home = None
-        for j, (clo, chi) in enumerate(components):
-            if clo.hi < vl.lo and vr.hi < chi.lo:
-                home = j
-                break
-        if home is None:
+        home = bisect_left(components, vl.lo, key=lambda c: c[0].hi) - 1
+        if home < 0 or not vr.hi < components[home][1].lo:
             raise MalformedSequence(
                 f"removal {idx} is not strictly interior to any component")
         clo, chi = components[home]
@@ -110,9 +111,9 @@ def thickness_of(ds: DefiningSequence) -> Fraction:
     _, records = _split_components(ds.hull, ds.removals)
     best: Fraction | None = None
     for _component, (left_lo, vl), (vr, right_hi) in records:
-        gap_hi = vr.hi.to_fraction() - vl.lo.to_fraction()
-        left_lo_len = vl.lo.to_fraction() - left_lo.hi.to_fraction()
-        right_lo_len = right_hi.lo.to_fraction() - vr.hi.to_fraction()
+        gap_hi = vr.hi - vl.lo
+        left_lo_len = vl.lo - left_lo.hi
+        right_lo_len = right_hi.lo - vr.hi
         ratio = min(left_lo_len, right_lo_len) / gap_hi
         if best is None or ratio < best:
             best = ratio

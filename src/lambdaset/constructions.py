@@ -19,10 +19,12 @@ from functools import lru_cache
 from math import isqrt
 from typing import Optional
 
-from .errors import HypothesisUnsatisfiable, Inconclusive, InvalidInput
+from .errors import (DepthBudgetExceeded, HypothesisUnsatisfiable,
+                     Inconclusive, InvalidInput)
 from .cantor_metrics import DefiningSequence, Interval
-from .lambda_set import CACHE_SIZE, admissible, binary_expansion, psi_inverse
-from .numerics import DEFAULT_CONFIG, Dyadic, Enclosure, PrecisionConfig
+from .lambda_set import (CACHE_SIZE, MAX_PREFIXES, admissible,
+                         binary_expansion, psi_inverse)
+from .numerics import DEFAULT_CONFIG, Enclosure, PrecisionConfig, round_dyadic
 from .seqcode import (EpSequence, Word, n_index, word_at_position,
                       zero_indices)
 
@@ -149,11 +151,32 @@ def gap_record(x: Fraction, k: int, omega: Word,
         raise Inconclusive(
             f"gap endpoints for k={k}, omega={omega} not separated; "
             "tighten the target width")
-    gap_hi = g3.hi.to_fraction() - g2.lo.to_fraction()
-    left_lo = g2.lo.to_fraction() - g1.hi.to_fraction()
-    right_lo = g4.lo.to_fraction() - g3.hi.to_fraction()
+    gap_hi = g3.hi - g2.lo
+    left_lo = g2.lo - g1.hi
+    right_lo = g4.lo - g3.hi
     return GapRecord(k, omega, n_index(omega), (g2, g3), (g1, g2), (g3, g4),
                      left_lo / gap_hi, right_lo / gap_hi)
+
+
+def _check_tail_args(ell: int, k_max: int, q_max: int) -> None:
+    """Reject a truncation of the tail construction with no pieces or a
+    negative gap-word length."""
+    if ell < 1 or k_max < 1 or q_max < 0:
+        raise ValueError("ell, k_max must be positive and q_max nonnegative")
+
+
+def _check_tail_budget(ell: int, k_max: int, q_max: int) -> None:
+    """Check the arguments, then raise DepthBudgetExceeded, before any
+    root is solved, when the truncation needs more than MAX_PREFIXES gap
+    records (four root solves each): k_max pieces of 2^(q_max+1) - 1 gap
+    words."""
+    _check_tail_args(ell, k_max, q_max)
+    # the first test keeps a huge q_max from building a huge integer
+    if (q_max >= MAX_PREFIXES.bit_length()
+            or k_max * ((1 << (q_max + 1)) - 1) > MAX_PREFIXES):
+        raise DepthBudgetExceeded(
+            f"more than {MAX_PREFIXES} gap records for k_max={k_max}, "
+            f"q_max={q_max}")
 
 
 def _gap_records(x: Fraction, k: int, q_max: int,
@@ -186,13 +209,12 @@ def defining_sequence_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
     shorter than required for well-formedness.
     """
     x = Fraction(x)
-    if ell < 1 or k_max < 1 or q_max < 0:
-        raise ValueError("ell, k_max must be positive and q_max nonnegative")
+    _check_tail_budget(ell, k_max, q_max)
     pieces = {k: piece_endpoints(x, k, cfg) for k in range(ell, ell + k_max)}
     per_piece = {k: _gap_records(x, k, q_max, cfg) for k in pieces}
     n_gaps = (1 << (q_max + 1)) - 1
     bits = cfg.precision_bits
-    half_point = Enclosure.point(Dyadic(1, -1), bits)
+    half_point = Enclosure.point(HALF, bits)
     removals: list[Interval] = []
     for t in range(1, k_max + n_gaps):
         if t <= k_max:
@@ -228,44 +250,44 @@ class ThicknessReport:
 
 
 def _piece_ratio_lo(piece: PieceEndpoints) -> Fraction:
-    num = piece.beta.lo.to_fraction() - piece.alpha.hi.to_fraction()
-    den = piece.alpha_next.hi.to_fraction() - piece.beta.lo.to_fraction()
+    num = piece.beta.lo - piece.alpha.hi
+    den = piece.alpha_next.hi - piece.beta.lo
     return num / den
 
 
 def _half_ratio_lo(piece: PieceEndpoints) -> Fraction:
-    num = HALF - piece.alpha_next.hi.to_fraction()
-    den = piece.alpha_next.hi.to_fraction() - piece.beta.lo.to_fraction()
+    num = HALF - piece.alpha_next.hi
+    den = piece.alpha_next.hi - piece.beta.lo
     return num / den
 
 
 def _gap_bound_caseA(piece: PieceEndpoints, m: int) -> Fraction:
     """Upper evaluation of alpha_k^(m-1) / (8 (1 - 2 alpha_k))."""
-    a_hi = piece.alpha.hi.to_fraction()
+    a_hi = piece.alpha.hi
     return a_hi ** (m - 1) / (8 * (1 - 2 * a_hi))
 
 def _piece_bound_caseA(piece: PieceEndpoints, m: int) -> Fraction:
     """Upper evaluation of x^(m-1) / (8 (1 - 2 beta_k))."""
-    b_hi = piece.beta.hi.to_fraction()
+    b_hi = piece.beta.hi
     return piece.x ** (m - 1) / (8 * (1 - 2 * b_hi))
 
 
 def _half_bound_caseA(piece: PieceEndpoints, m: int) -> Fraction:
     """Upper evaluation of beta_k^(m-2) / (4 alpha_{k+1}^(n_k - 1))."""
-    return (piece.beta.hi.to_fraction() ** (m - 2)
-            / (4 * piece.alpha_next.lo.to_fraction() ** (piece.n_k - 1)))
+    return (piece.beta.hi ** (m - 2)
+            / (4 * piece.alpha_next.lo ** (piece.n_k - 1)))
 
 
 def _gap_bound_caseB(piece: PieceEndpoints) -> Fraction:
     """Upper evaluation of alpha_k / (1 - 2 alpha_k + n_k 2^(3 - n_k))."""
-    a_hi = piece.alpha.hi.to_fraction()
+    a_hi = piece.alpha.hi
     return a_hi / (1 - 2 * a_hi + Fraction(piece.n_k, 1 << (piece.n_k - 3)))
 
 
 def _piece_bound_caseB(piece: PieceEndpoints) -> Fraction:
     """Upper evaluation of beta_k / (1 - 2 alpha_k + n_k 2^(3 - n_k))."""
-    a_hi = piece.alpha.hi.to_fraction()
-    return (piece.beta.hi.to_fraction()
+    a_hi = piece.alpha.hi
+    return (piece.beta.hi
             / (1 - 2 * a_hi + Fraction(piece.n_k, 1 << (piece.n_k - 3))))
 
 
@@ -273,9 +295,9 @@ def _half_bound_caseB(piece: PieceEndpoints, bits: int) -> Fraction:
     """Upper evaluation of 1 / alpha_{k+1}^(n_k/2 - 1)."""
     if piece.n_k % 2 == 0:
         # integer exponent, exact
-        return 1 / piece.alpha_next.lo.to_fraction() ** (piece.n_k // 2 - 1)
+        return 1 / piece.alpha_next.lo ** (piece.n_k // 2 - 1)
     # 1 / sqrt(P) <= 2^bits / isqrt(floor(P 4^bits)) for P = alpha^(n_k - 2)
-    power = piece.alpha_next.lo.to_fraction() ** (piece.n_k - 2)
+    power = piece.alpha_next.lo ** (piece.n_k - 2)
     return Fraction(1 << bits,
                     isqrt((power.numerator << 2 * bits) // power.denominator))
 
@@ -291,6 +313,7 @@ def thickness_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
     family, and any failure is recorded as a violation.
     """
     x = Fraction(x)
+    _check_tail_budget(ell, k_max, q_max)
     case_b = binary_expansion(x) == EpSequence.from_digits((0, 1), (0,))
     m: Optional[int] = None if case_b else first_switch_index(x)
     violations: list[dict] = []
@@ -406,8 +429,8 @@ def verify_caseA(x: Fraction, trials: int,
         w, hi, lo = _draw_switch_pair(rng, x, (3, 12))
         lam1 = psi_inverse(x, hi, cfg)
         lam2 = psi_inverse(x, lo, cfg)
-        lhs = lam2.lo.to_fraction() - lam1.hi.to_fraction()
-        rhs = lam2.hi.to_fraction() ** len(w) / 4
+        lhs = lam2.lo - lam1.hi
+        rhs = lam2.hi ** len(w) / 4
         entries.append(LedgerEntry(
             "switch_lower", {"word": str(w)}, str(lhs), str(rhs), lhs >= rhs))
 
@@ -427,9 +450,9 @@ def verify_caseA(x: Fraction, trials: int,
         q, s3, s4 = found
         lam3 = psi_inverse(x, s3, cfg)
         lam4 = psi_inverse(x, s4, cfg)
-        lhs = lam4.hi.to_fraction() - lam3.lo.to_fraction()
-        l3_lo, l3_hi = lam3.lo.to_fraction(), lam3.hi.to_fraction()
-        l4_lo, l4_hi = lam4.lo.to_fraction(), lam4.hi.to_fraction()
+        lhs = lam4.hi - lam3.lo
+        l3_lo, l3_hi = lam3.lo, lam3.hi
+        l4_lo, l4_hi = lam4.lo, lam4.hi
         bound1 = 2 * (1 - 2 * l3_hi) * l3_lo ** (q + 2)
         bound2 = 2 * (1 - 2 * l4_hi) * l4_lo ** (m + q) / l3_hi ** (m - 2)
         rhs = min(bound1, bound2)
@@ -479,9 +502,9 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
         s2 = EpSequence(head, ZERO_TAIL)
         lam1 = psi_inverse(x, s1, cfg)
         lam2 = psi_inverse(x, s2, cfg)
-        lhs = lam2.lo.to_fraction() - lam1.hi.to_fraction()
-        den = 1 - 2 * lam1.hi.to_fraction() + Fraction(mm + 3, 1 << mm)
-        rhs = lam2.hi.to_fraction() ** (mm + 2 + q) / den
+        lhs = lam2.lo - lam1.hi
+        den = 1 - 2 * lam1.hi + Fraction(mm + 3, 1 << mm)
+        rhs = lam2.hi ** (mm + 2 + q) / den
         entries.append(LedgerEntry(
             "switch_lower", {"m": mm, "q": q, "word": str(j)},
             str(lhs), str(rhs), lhs >= rhs))
@@ -494,8 +517,8 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
         s4 = EpSequence(head + ZERO_TAIL, ONE_TAIL)
         lam3 = psi_inverse(x, s3, cfg)
         lam4 = psi_inverse(x, s4, cfg)
-        lhs = lam4.hi.to_fraction() - lam3.lo.to_fraction()
-        rhs = lam3.lo.to_fraction() ** (2 + q)
+        lhs = lam4.hi - lam3.lo
+        rhs = lam3.lo ** (2 + q)
         entries.append(LedgerEntry(
             "switch_upper", {"q": q, "word": str(j)},
             str(lhs), str(rhs), lhs <= rhs))
@@ -505,12 +528,11 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
         piece = piece_endpoints(x, k, cfg)
         # the residual falls as alpha rises in [0, 1/2], so its exact range
         # over the cell [a_lo, a_hi] is [res(a_hi), res(a_lo)]
-        a_lo = piece.alpha_next.lo.to_fraction()
-        a_hi = piece.alpha_next.hi.to_fraction()
+        a_lo = piece.alpha_next.lo
+        a_hi = piece.alpha_next.hi
         res_lo = (HALF - a_hi) ** 2 - a_hi ** piece.n_k
         res_hi = (HALF - a_lo) ** 2 - a_lo ** piece.n_k
-        magnitude = Dyadic.from_fraction(max(-res_lo, res_hi), bits,
-                                         True).to_fraction()
+        magnitude = round_dyadic(max(-res_lo, res_hi), bits, True)
         entries.append(LedgerEntry(
             "square_identity", {"k": k, "n_k": piece.n_k},
             str(magnitude), str(residual_cap),

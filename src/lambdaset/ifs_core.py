@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import NeedsLargerTruncation, OutOfRange
-from .numerics import Dyadic, Enclosure
+from .numerics import Enclosure, round_dyadic
 from .seqcode import SEQ_ZERO, EpSequence, Ordering, Word, lex_compare
 
 __all__ = [
@@ -139,7 +139,7 @@ def pi_derivative(s: EpSequence, lam: Fraction | Enclosure,
     if s.digit(1) != 0 or lex_compare(s, SEQ_ZERO) is not Ordering.GREATER:
         raise OutOfRange("sequence must start with 0 and exceed 0^inf")
     if isinstance(lam, Enclosure):
-        a, b, bits = lam.lo.to_fraction(), lam.hi.to_fraction(), lam.bits
+        a, b, bits = lam.lo, lam.hi, lam.bits
     else:
         a = b = Fraction(lam)
         bits = 128
@@ -157,8 +157,8 @@ def pi_derivative(s: EpSequence, lam: Fraction | Enclosure,
     if lo <= 0:
         raise NeedsLargerTruncation(
             f"positivity not certified at truncation {truncation}")
-    return Enclosure(Dyadic.from_fraction(lo, bits, False),
-                     Dyadic.from_fraction(hi, bits, True), bits)
+    return Enclosure(round_dyadic(lo, bits, False),
+                     round_dyadic(hi, bits, True), bits)
 
 
 def greedy_digits(x: Fraction, lam: Fraction, max_steps: int = 256) -> GreedyOutcome:

@@ -17,9 +17,9 @@ from .cantor_metrics import newhouse_lower
 from .constructions import thickness_Cl
 from .errors import InvalidInput, NoneFound, OutOfRange
 from .ifs_core import Member, greedy_digits
-from .lambda_set import (CoverInterval, IntervalCover, binary_expansion,
-                         block_codes, cover, psi_inverse)
-from .numerics import DEFAULT_CONFIG, Dyadic, Enclosure, PrecisionConfig
+from .lambda_set import (CoverInterval, IntervalCover, admissible_prefixes,
+                         binary_expansion, block_codes, cover, psi_inverse)
+from .numerics import DEFAULT_CONFIG, Enclosure, PrecisionConfig
 from .seqcode import EpSequence, Word
 
 __all__ = [
@@ -62,7 +62,7 @@ class CommonPointCertificate:
 
 
 def _outer(iv: CoverInterval) -> tuple[Fraction, Fraction]:
-    return iv.lo.lo.to_fraction(), iv.hi.hi.to_fraction()
+    return iv.lo.lo, iv.hi.hi
 
 
 def _intersect_pair(a: IntervalCover, b: IntervalCover,
@@ -105,7 +105,7 @@ def _forced_digits(y: Fraction, lam: Enclosure,
     The state is an exact interval [s_lo, s_hi] holding the greedy orbit of
     y for every ratio in lam = [a, b].
     """
-    a, b = lam.lo.to_fraction(), lam.hi.to_fraction()
+    a, b = lam.lo, lam.hi
     s_lo = s_hi = Fraction(y)
     digits: list[int] = []
     for _ in range(max_digits):
@@ -174,9 +174,14 @@ def find_common(targets: list[Fraction], search_depth: int,
         raise OutOfRange("targets must lie in (0, 1/2)")
     if search_depth < 1:
         raise ValueError("search_depth must be positive")
+    if len(targets) > 1:
+        # the covers built after the rational search must fit the prefix
+        # budget; fail before that search rather than after it
+        for y in targets:
+            admissible_prefixes(y, search_depth)
     bits = cfg.precision_bits
     certs: list[CommonPointCertificate] = [CommonPointCertificate(
-        tuple(targets), Enclosure.point(Dyadic(1, -1), bits), HALF,
+        tuple(targets), Enclosure.point(HALF, bits), HALF,
         tuple(binary_expansion(y) for y in targets), "Exact")]
 
     floor_lam = max(targets)
@@ -210,7 +215,7 @@ def find_common(targets: list[Fraction], search_depth: int,
                 continue
             seed = next((civ.low_code for civ in lead.intervals
                          if civ.low_code is not None
-                         and lo <= civ.lo.hi.to_fraction() <= hi), None)
+                         and lo <= civ.lo.hi <= hi), None)
             if seed is None:
                 continue
             pinned = _pin_candidate(targets, seed, cfg, tolerance)

@@ -22,7 +22,7 @@ from typing import Iterable
 from .errors import (DepthBudgetExceeded, InsufficientMembers, InvalidInput,
                      NotAdmissible, OutOfRange)
 from .ifs_core import Member, greedy_digits, pi_eval, pi_root_poly, poly_sign
-from .numerics import DEFAULT_CONFIG, Dyadic, Enclosure, PrecisionConfig
+from .numerics import DEFAULT_CONFIG, Enclosure, PrecisionConfig, round_dyadic
 from .seqcode import (SEQ_01INF, EpSequence, Word, lex_le, lex_max, lex_min,
                       word_at_position)
 
@@ -51,9 +51,10 @@ HALF = Fraction(1, 2)
 # is evicted there; a long-lived process stays bounded.
 CACHE_SIZE = 4096
 
-# Most words admissible_prefixes returns (a cover solves two roots per word).
-# Depth 10, the deepest cover the tests and benchmark ask for, has at most
-# 308; 1/3 at depth 60 has far more and fails at once instead of running on.
+# Most words admissible_prefixes returns (a cover solves two roots per word),
+# and most gap records a tail construction lists (four solves each). Depth
+# 10, the deepest cover the tests and benchmark ask for, has at most 308
+# words; 1/3 at depth 60 has far more and fails at once instead of running on.
 MAX_PREFIXES = 1 << 14
 
 
@@ -106,9 +107,9 @@ def _solve_psi(x: Fraction, s: EpSequence, cfg: PrecisionConfig) -> Enclosure:
     # Level k of the grid splits [a, 1/2] into cells [m, m + width] / 2^(n+k).
     bits = cfg.precision_bits
     poly = pi_root_poly(s, x)
-    a = Dyadic.from_fraction(x, bits, False)
-    n = -a.e
-    width = (1 << (n - 1)) - a.m
+    a = round_dyadic(x, bits, False)
+    n, a_m = a.denominator.bit_length() - 1, a.numerator
+    width = (1 << (n - 1)) - a_m
     target = cfg.target_width
     # first level whose cells are at most target_width wide; the bit-length
     # estimate falls short by at most one
@@ -116,11 +117,11 @@ def _solve_psi(x: Fraction, s: EpSequence, cfg: PrecisionConfig) -> Enclosure:
     levels = max(0, scaled.bit_length() - target.numerator.bit_length() - n)
     while scaled > target.numerator << (n + levels):
         levels += 1
-    m, k = a.m, min(SEED_LEVEL, levels)
+    m, k = a_m, min(SEED_LEVEL, levels)
     if k:
         seed = Fraction(_float_root(s, x)) * (1 << (n + k))
-        cell = math.floor((seed - (a.m << k)) / width)
-        m = (a.m << k) + min(max(cell, 0), (1 << k) - 1) * width
+        cell = math.floor((seed - (a_m << k)) / width)
+        m = (a_m << k) + min(max(cell, 0), (1 << k) - 1) * width
     while True:
         sign_lo = poly_sign(poly, m, n + k)
         sign_hi = poly_sign(poly, m + width, n + k)
@@ -128,17 +129,18 @@ def _solve_psi(x: Fraction, s: EpSequence, cfg: PrecisionConfig) -> Enclosure:
             break
         if not k:
             raise AssertionError(f"[x, 1/2] does not bracket the root of {s}")
-        m, k = a.m, 0                      # the float seed missed: start over
+        m, k = a_m, 0                      # the float seed missed: start over
     if sign_lo == 0 or sign_hi == 0:
-        return Enclosure.point(Dyadic(m if sign_lo == 0 else m + width,
-                                      -n - k), bits)
+        return Enclosure.point(Fraction(m if sign_lo == 0 else m + width,
+                                        1 << (n + k)), bits)
     while k < levels:
         mid, k = 2 * m + width, k + 1
         sign = poly_sign(poly, mid, n + k)
         if sign == 0:
-            return Enclosure.point(Dyadic(mid, -n - k), bits)
+            return Enclosure.point(Fraction(mid, 1 << (n + k)), bits)
         m = 2 * m if sign > 0 else mid
-    return Enclosure(Dyadic(m, -n - k), Dyadic(m + width, -n - k), bits)
+    return Enclosure(Fraction(m, 1 << (n + k)),
+                     Fraction(m + width, 1 << (n + k)), bits)
 
 
 def _float_root(s: EpSequence, x: Fraction) -> float:
@@ -178,10 +180,16 @@ def block_codes(xs: EpSequence, w: Word) -> tuple[EpSequence, EpSequence]:
             lex_max(EpSequence(w, Word((0,))), xs))
 
 
-def _prefix_admissible(bits: tuple[int, ...], xs: EpSequence) -> bool:
-    w = Word(bits)
-    return (lex_le(xs, EpSequence(w, Word((1,))))
-            and lex_le(EpSequence(w, Word((0,))), SEQ_01INF))
+def _prefix_range(x: Fraction, depth: int) -> tuple[int, int]:
+    """Read as binary integers, the words of length `depth` that extend
+    to an admissible coding for x run from the first `depth` digits of x,
+    floor(2^depth x), up to 0 1^(depth-1)."""
+    return math.floor(x * (1 << depth)), (1 << (depth - 1)) - 1
+
+
+def _prefix_admissible(x: Fraction, bits: tuple[int, ...]) -> bool:
+    low, high = _prefix_range(x, len(bits))
+    return low <= int("".join(map(str, bits)), 2) <= high
 
 
 def admissible_prefixes(x: Fraction, depth: int) -> list[Word]:
@@ -195,9 +203,7 @@ def admissible_prefixes(x: Fraction, depth: int) -> list[Word]:
         raise ValueError("depth must be positive")
     x = Fraction(x)
     binary_expansion(x)  # range check
-    # read as binary integers, the admissible words run from the first
-    # `depth` digits of x, floor(2^depth x), up to 0 1^(depth-1)
-    low, high = math.floor(x * (1 << depth)), (1 << (depth - 1)) - 1
+    low, high = _prefix_range(x, depth)
     if high - low + 1 > MAX_PREFIXES:
         raise DepthBudgetExceeded(
             f"more than {MAX_PREFIXES} admissible prefixes of "
@@ -220,7 +226,7 @@ class CoverInterval:
     high_code: EpSequence | None  # lex-smallest coding in the block (largest ratio)
 
     def covers(self, lam: Fraction) -> bool:
-        return self.lo.lo.cmp_fraction(lam) <= 0 <= self.hi.hi.cmp_fraction(lam)
+        return self.lo.lo <= lam <= self.hi.hi
 
     def to_json(self) -> dict:
         return {"lo": self.lo.to_json(), "hi": self.hi.to_json(),
@@ -241,7 +247,7 @@ class IntervalCover:
         return any(iv.covers(lam) for iv in self.intervals)
 
     def total_length(self) -> Fraction:
-        return sum((iv.hi.hi - iv.lo.lo).to_fraction() for iv in self.intervals)
+        return sum(iv.hi.hi - iv.lo.lo for iv in self.intervals)
 
     def to_json(self) -> dict:
         return {
@@ -263,8 +269,7 @@ class LambdaGap:
     right_code: EpSequence
 
     def interior_contains(self, lam: Fraction) -> bool:
-        return (self.left_end.hi.cmp_fraction(lam) < 0
-                and self.right_end.lo.cmp_fraction(lam) > 0)
+        return self.left_end.hi < lam < self.right_end.lo
 
     def to_json(self) -> dict:
         return {"left": self.left_end.to_json(), "right": self.right_end.to_json(),
@@ -329,11 +334,11 @@ class LipschitzReport:
                 "violations": self.violations}
 
 
-def _random_admissible_coding(rng: random.Random, xs: EpSequence,
-                              length: int) -> EpSequence:
+def _random_admissible_coding(rng: random.Random, x: Fraction,
+                              xs: EpSequence, length: int) -> EpSequence:
     bits: tuple[int, ...] = ()
     for _ in range(length):
-        choices = [d for d in (0, 1) if _prefix_admissible(bits + (d,), xs)]
+        choices = [d for d in (0, 1) if _prefix_admissible(x, bits + (d,))]
         bits = bits + (rng.choice(choices),)
     low, high = block_codes(xs, Word(bits))
     return low if rng.random() < 0.5 else high
@@ -357,11 +362,12 @@ def lipschitz_check(x: Fraction, lam: Fraction, samples: int, seed: int = 0,
     attempts = 0
     while len(members) < want and attempts < 40 * want:
         attempts += 1
-        s = _random_admissible_coding(rng, xs, rng.randint(3, 20)).canonical()
+        s = _random_admissible_coding(rng, x, xs,
+                                      rng.randint(3, 20)).canonical()
         if s in members:
             continue
         enc = psi_inverse(x, s, cfg)
-        if enc.hi.cmp_fraction(lam) <= 0:
+        if enc.hi <= lam:
             members[s] = (enc, pi_eval(s, lam))
     if len(members) < 2:
         raise InsufficientMembers(f"only {len(members)} members found below {lam}")
@@ -384,7 +390,7 @@ def lipschitz_check(x: Fraction, lam: Fraction, samples: int, seed: int = 0,
         if not e1.hi < e2.lo:        # cannot certify distinctness; skip pair
             continue
         pairs += 1
-        ratio = abs(v2 - v1) / (e2.hi - e1.lo).to_fraction()
+        ratio = abs(v2 - v1) / (e2.hi - e1.lo)
         if min_ratio is None or ratio < min_ratio:
             min_ratio = ratio
         if ratio < bound:
@@ -446,7 +452,7 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
     while stack:
         bits = stack.pop()
         iv = _prefix_interval(x, Word(bits), xs, cfg)
-        s_lo, s_hi = iv.lo.lo.to_fraction(), iv.hi.hi.to_fraction()
+        s_lo, s_hi = iv.lo.lo, iv.hi.hi
         if s_hi < lo_w or s_lo > hi_w:
             continue
         if s_hi - s_lo <= threshold:
@@ -455,7 +461,7 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
         if len(bits) >= max_depth:
             raise DepthBudgetExceeded(f"prefix depth {max_depth} reached")
         for d in (0, 1):
-            if _prefix_admissible(bits + (d,), xs):
+            if _prefix_admissible(x, bits + (d,)):
                 stack.append(bits + (d,))
     points = []
     for eps in eps_list:

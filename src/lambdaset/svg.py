@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .constructions import gap_record, piece_endpoints
+from .constructions import _check_tail_args, gap_record, piece_endpoints
 from .numerics import DEFAULT_CONFIG, PrecisionConfig
 from .seqcode import word_at_position
 
@@ -32,6 +32,7 @@ def svg_gaps(x: Fraction, ell: int, k_max: int, q_max: int,
              cfg: PrecisionConfig = DEFAULT_CONFIG) -> str:
     """Render pieces ell..ell+k_max-1 and their first gaps as an SVG string."""
     x = Fraction(x)
+    _check_tail_args(ell, k_max, q_max)
     pieces = [piece_endpoints(x, k, cfg) for k in range(ell, ell + k_max)]
     lo = float(pieces[0].alpha.mid_fraction())
     hi = 0.5
@@ -47,7 +48,7 @@ def svg_gaps(x: Fraction, ell: int, k_max: int, q_max: int,
         _label(_W / 2, 30, f"pieces of the tail construction for x = {x} "
                            f"(ell = {ell})"),
     ]
-    n_first = min(3, (1 << (q_max + 1)) - 1)
+    n_first = 1 if q_max == 0 else 3   # min(3, 2^(q_max+1) - 1) gap words
     for piece in pieces:
         a = float(piece.alpha.mid_fraction())
         b = float(piece.beta.mid_fraction())

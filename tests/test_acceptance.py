@@ -124,7 +124,7 @@ def test_criterion_08_intersection_witness():
     half = [c for c in certs if c.lam_exact == F(1, 2) and c.status == "Exact"]
     tol = F(1, 1 << 60)
     below = [c for c in certs
-             if c.lam.hi.to_fraction() < F(1, 2) and c.lam.width() <= tol]
+             if c.lam.hi < F(1, 2) and c.lam.width() <= tol]
     ok = len(half) == 1 and len(below) >= 1
     for c in certs:
         if c.lam_exact is not None:
@@ -178,10 +178,10 @@ def test_criterion_10_cover_soundness_suite():
             current = cover(x, depth, CFG)
             if previous is not None:
                 for child in current.intervals:
-                    clo = child.lo.lo.to_fraction()
-                    chi = child.hi.hi.to_fraction()
-                    ok &= any(p.lo.lo.to_fraction() - slack <= clo
-                              and chi <= p.hi.hi.to_fraction() + slack
+                    clo = child.lo.lo
+                    chi = child.hi.hi
+                    ok &= any(p.lo.lo - slack <= clo
+                              and chi <= p.hi.hi + slack
                               for p in previous.intervals)
             previous = current
     _report(10, ok, "1000 membership queries consistent with covers and "

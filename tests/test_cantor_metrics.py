@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lambdaset.cantor_metrics import (DefiningSequence, bridges, interleaved,
-                                      newhouse_lower, thickness_of)
+from lambdaset.cantor_metrics import (DefiningSequence, _split_components,
+                                      bridges, interleaved, newhouse_lower,
+                                      thickness_of)
 from lambdaset.errors import (InvalidInput, MalformedSequence,
                               NonpositiveThickness)
 
@@ -58,6 +60,67 @@ def test_malformed_removals():
         thickness_of(empty_gap)
     with pytest.raises(InvalidInput):
         thickness_of(DefiningSequence.from_fractions((F(0), F(1)), []))
+
+
+def linear_replay(hull, removals):
+    """Reference replay: scan every component for the removal's home."""
+    components = [hull]
+    records = []
+    for idx, (vl, vr) in enumerate(removals, start=1):
+        if not vl.hi < vr.lo:
+            raise MalformedSequence(f"removal {idx} has no certified length")
+        home = next((j for j, (clo, chi) in enumerate(components)
+                     if clo.hi < vl.lo and vr.hi < chi.lo), None)
+        if home is None:
+            raise MalformedSequence(
+                f"removal {idx} is not strictly interior to any component")
+        clo, chi = components[home]
+        left, right = (clo, vl), (vr, chi)
+        components[home:home + 1] = [left, right]
+        records.append(((clo, chi), left, right))
+    return components, records
+
+
+def _outcome(replay, ds):
+    try:
+        return replay(ds.hull, ds.removals)
+    except MalformedSequence as exc:
+        return str(exc)
+
+
+grid = st.builds(F, st.integers(-8, 40), st.integers(1, 12))
+
+
+@st.composite
+def defining_sequences(draw):
+    """Removals mostly cut strictly inside a component of the exact
+    replay; the rest are arbitrary pairs (reversed, empty, overlapping or
+    outside the hull), and a few hulls are reversed. Coarse rounding makes
+    some interior cuts uncertain."""
+    lo, length = draw(grid), draw(st.builds(F, st.integers(1, 40),
+                                            st.integers(1, 12)))
+    hull = (lo + length, lo) if draw(st.integers(0, 9)) == 0 else (lo, lo + length)
+    components = [hull]
+    removals = []
+    for _ in range(draw(st.integers(0, 40))):
+        a, b = components[draw(st.integers(0, len(components) - 1))]
+        t1, t2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        if a < b and draw(st.integers(0, 11)):
+            gl, gr = a + (b - a) * F(t1, 8), b - (b - a) * F(t2, 8)
+            home = components.index((a, b))
+            components[home:home + 1] = [(a, gl), (gr, b)]
+        else:
+            gl, gr = draw(grid), draw(grid)
+        removals.append((gl, gr))
+    bits = draw(st.sampled_from((8, 32, 64)))
+    return DefiningSequence.from_fractions(hull, removals, bits)
+
+
+@settings(deadline=None)
+@given(defining_sequences())
+def test_bisect_replay_matches_linear_scan(ds):
+    # same records (the same Enclosure objects) or the same error message
+    assert _outcome(_split_components, ds) == _outcome(linear_replay, ds)
 
 
 def test_thickness_examples():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import jsonschema
 import pytest
@@ -65,6 +66,15 @@ def test_exit_codes(capsys, monkeypatch):
         code, out, err = run(capsys, "expansion", "--x", "1/3", "--bits", bits)
         assert code == 1 and out == "" and err.count("\n") == 1
         assert err.startswith("error: ")
+    for argv in (["thickness-cl", "--ell", "1", "--qmax", "-1"],
+                 ["thickness-cl", "--ell", "1", "--kmax", "0"],
+                 ["thickness-cl", "--ell", "1", "--qmax", "-2"],
+                 ["cantor-ds", "--ell", "0"],
+                 ["svg-gaps", "--kmax", "0"],
+                 ["svg-gaps", "--qmax", "-1"]):
+        code, out, err = run(capsys, *argv, "--x", "1/3")
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: ")
     monkeypatch.setenv("LAMBDASET_PRECISION_BITS", "abc")
     code, _, err = run(capsys, "expansion", "--x", "1/3")
     assert code == 1 and err.count("\n") == 1
@@ -72,8 +82,18 @@ def test_exit_codes(capsys, monkeypatch):
 
 
 def test_prefix_budget_ends_deep_covers(capsys):
-    for depth in ("60", "2000"):
-        code, out, err = run(capsys, "cover", "--x", "1/3", "--depth", depth)
+    # tail constructions and multi-target searches meet the same budget
+    # before any root is solved
+    for argv in (["cover", "--x", "1/3", "--depth", "60"],
+                 ["cover", "--x", "1/3", "--depth", "2000"],
+                 ["thickness-cl", "--x", "1/3", "--ell", "1", "--kmax", "3",
+                  "--qmax", "30"],
+                 ["cantor-ds", "--x", "1/3", "--ell", "1", "--kmax", "3",
+                  "--qmax", "30"],
+                 ["common", "--targets", "1/3,1/4", "--depth", "40"]):
+        started = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - started < 2
         assert code == 1 and out == "" and err.count("\n") == 1
         assert err.startswith("error: more than ")
 

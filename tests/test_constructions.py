@@ -30,11 +30,11 @@ def test_piece_endpoints_quarter(cfg):
     p1 = piece_endpoints(F(1, 4), 1, cfg)
     assert p1.n_k == 3
     assert p1.alpha.contains(F(1, 4))
-    lo, hi = p1.beta.lo.to_fraction(), p1.beta.hi.to_fraction()
+    lo, hi = p1.beta.lo, p1.beta.hi
     assert lo - lo ** 3 <= F(1, 4) <= hi - hi ** 3
     assert abs(p1.beta.mid_fraction() - BETA1_QUARTER) < F(1, 10 ** 24)
     # alpha_2 solves l - l^2 + l^3 = 1/4, equivalently (1/2 - l)^2 = l^3
-    lo, hi = p1.alpha_next.lo.to_fraction(), p1.alpha_next.hi.to_fraction()
+    lo, hi = p1.alpha_next.lo, p1.alpha_next.hi
     assert lo - lo ** 2 + lo ** 3 <= F(1, 4) <= hi - hi ** 2 + hi ** 3
     assert abs(p1.alpha_next.mid_fraction() - ALPHA2_QUARTER) < F(1, 10 ** 24)
     p2 = piece_endpoints(F(1, 4), 2, cfg)
@@ -48,7 +48,7 @@ def test_pieces_separated_and_increasing(cfg):
         for k in range(1, 9):
             p = piece_endpoints(x, k, cfg)
             assert p.alpha.hi < p.beta.lo < p.beta.hi < p.alpha_next.lo
-            assert p.alpha_next.hi.cmp_fraction(F(1, 2)) <= 0
+            assert p.alpha_next.hi <= F(1, 2)
             if last_alpha is not None:
                 assert p.alpha.lo > last_alpha.hi     # min of pieces increases
             last_alpha = p.alpha
@@ -69,7 +69,7 @@ def test_gap_record_ratio_bound_caseA(cfg):
     for k in (2, 3):
         piece = piece_endpoints(x, k, cfg)
         assert piece.n_k > m
-        a_hi = piece.alpha.hi.to_fraction()
+        a_hi = piece.alpha.hi
         bound = x ** (m - 1) / (8 * (1 - 2 * a_hi))
         g = gap_record(x, k, Word((0,)), cfg)
         assert g.left_ratio_lo >= bound
@@ -123,10 +123,10 @@ def test_right_tail_ratio_bound_exceptional_target(cfg):
     assert rep.bound_violations == ()
     for k in range(2, 6):
         p = piece_endpoints(x, k, cfg)
-        num = F(1, 2) - p.alpha_next.hi.to_fraction()
-        den = p.alpha_next.hi.to_fraction() - p.beta.lo.to_fraction()
+        num = F(1, 2) - p.alpha_next.hi
+        den = p.alpha_next.hi - p.beta.lo
         ratio = num / den
-        a_lo = p.alpha_next.lo.to_fraction()
+        a_lo = p.alpha_next.lo
         bound_sq = 1 / a_lo ** (p.n_k - 2)      # bound^2 without the sqrt
         assert ratio ** 2 >= bound_sq
 
@@ -137,7 +137,7 @@ def test_half_bound_caseB_is_a_tight_upper_root(cfg):
     for k in (1, 3, 5):
         p = piece_endpoints(F(1, 4), k, cfg)
         assert p.n_k % 2 == 1
-        power = p.alpha_next.lo.to_fraction() ** (p.n_k - 2)
+        power = p.alpha_next.lo ** (p.n_k - 2)
         bound = _half_bound_caseB(p, 128)
         assert bound ** 2 * power >= 1
         assert (bound * (1 - F(1, 1 << 100))) ** 2 * power < 1
@@ -178,8 +178,8 @@ def test_caseA_switch_lower_explicit_q5(cfg):
     word = Word((0, 1, 1, 0, 1))
     lam1 = psi_inverse(x, EpSequence(word, Word((1,))), cfg)
     lam2 = psi_inverse(x, EpSequence(word, Word((0,))), cfg)
-    lhs = lam2.lo.to_fraction() - lam1.hi.to_fraction()
-    assert lhs >= lam2.hi.to_fraction() ** 5 / 4
+    lhs = lam2.lo - lam1.hi
+    assert lhs >= lam2.hi ** 5 / 4
 
 
 def test_caseB_switch_upper_explicit_q3(cfg):
@@ -190,8 +190,8 @@ def test_caseB_switch_upper_explicit_q3(cfg):
                                      Word((0,))), cfg)
     lam4 = psi_inverse(x, EpSequence(Word((0, 1)) + j + Word((0,)),
                                      Word((1,))), cfg)
-    lhs = lam4.hi.to_fraction() - lam3.lo.to_fraction()
-    assert lhs <= lam3.lo.to_fraction() ** 5
+    lhs = lam4.hi - lam3.lo
+    assert lhs <= lam3.lo ** 5
 
 
 def test_verify_caseB(cfg):

@@ -8,7 +8,7 @@ from lambdaset.ifs_core import Member, NotMember, greedy_digits, membership
 from lambdaset.intersect import (_forced_digits, find_common,
                                  intersect_covers, product_dim_report)
 from lambdaset.lambda_set import binary_expansion, cover
-from lambdaset.numerics import Dyadic, Enclosure
+from lambdaset.numerics import Enclosure
 
 F = Fraction
 
@@ -20,8 +20,8 @@ def test_intersect_with_full_interval_clips(cfg):
         both = intersect_covers([base, full])
         assert len(both.intervals) == len(base.intervals)
         for got, expect in zip(both.intervals, base.intervals):
-            assert got.lo.lo.to_fraction() == expect.lo.lo.to_fraction()
-            assert got.hi.hi.to_fraction() == expect.hi.hi.to_fraction()
+            assert got.lo.lo == expect.lo.lo
+            assert got.hi.hi == expect.hi.hi
 
 
 def test_intersection_contains_half(cfg):
@@ -42,7 +42,7 @@ def test_intersection_commutative_associative(cfg):
               cover(F(2, 5), 4, cfg)]
 
     def outline(ic):
-        return [(iv.lo.lo.to_fraction(), iv.hi.hi.to_fraction())
+        return [(iv.lo.lo, iv.hi.hi)
                 for iv in ic.intervals]
 
     ab_c = intersect_covers([intersect_covers(covers[:2]), covers[2]])
@@ -77,13 +77,13 @@ def test_find_common_pair(cfg):
             assert all(membership(y, c.lam_exact, 600) is True
                        for y in c.targets)
     # ratio lower bound: never below the largest target
-    assert all(c.lam.hi.to_fraction() >= F(1, 3) for c in certs)
+    assert all(c.lam.hi >= F(1, 3) for c in certs)
 
 
 def test_find_common_extreme_targets(cfg):
     certs = find_common([F(49, 100), F(1, 100)], 3, cfg)
     assert any(c.lam_exact == F(1, 2) for c in certs)
-    assert all(c.lam.hi.to_fraction() >= F(49, 100) for c in certs)
+    assert all(c.lam.hi >= F(49, 100) for c in certs)
 
 
 def test_find_common_validation(cfg):
@@ -116,12 +116,12 @@ def targets_and_dyadic_cells(draw):
     ceil_y = -((-y.numerator << k) // y.denominator)
     lo = draw(st.integers(ceil_y, 1 << (k - 1)))
     hi = draw(st.integers(lo, 1 << (k - 1)))
-    return y, Dyadic(lo, -k), Dyadic(hi, -k)
+    return y, F(lo, 2**k), F(hi, 2**k)
 
 
 def _greedy_head(y, lam, n):
     """The first n greedy digits of y at lam, or the NotMember outcome."""
-    out = greedy_digits(y, lam.to_fraction(), n)
+    out = greedy_digits(y, lam, n)
     if isinstance(out, Member):
         return out.coding.prefix(n).bits
     return out if isinstance(out, NotMember) else out.digits.bits

@@ -13,7 +13,7 @@ from lambdaset.lambda_set import (admissible, admissible_prefixes,
                                   binary_expansion, block_codes,
                                   box_dim_estimate, cover, gaps,
                                   lipschitz_check, psi_inverse, subshift_dim)
-from lambdaset.numerics import Dyadic, PrecisionConfig
+from lambdaset.numerics import PrecisionConfig, round_dyadic
 from lambdaset.seqcode import (SEQ_01INF, EpSequence, Ordering, Word,
                                lex_compare)
 
@@ -49,7 +49,7 @@ def test_psi_inverse_examples(cfg):
     e = psi_inverse(F(1, 3), S("(01)"), cfg)
     assert e.contains(F(1, 2))
     e = psi_inverse(F(1, 4), S("011(0)"), cfg)
-    lo, hi = e.lo.to_fraction(), e.hi.to_fraction()
+    lo, hi = e.lo, e.hi
     assert lo - lo ** 3 <= F(1, 4) <= hi - hi ** 3     # exact bracket check
     assert abs(e.mid_fraction() - BETA1_QUARTER) < F(1, 10 ** 24)
 
@@ -58,7 +58,7 @@ def grid_oracle(s, x, cfg):
     """Plain bisection in exact Fractions on the solver's grid: the halving
     of [x rounded down, 1/2] until cells are at most target_width wide, and
     a point wherever the coding map meets x exactly."""
-    lo = Dyadic.from_fraction(x, cfg.precision_bits, False).to_fraction()
+    lo = round_dyadic(x, cfg.precision_bits, False)
     hi = F(1, 2)
     for end in (lo, hi):
         if pi_eval(s, end) == x:
@@ -88,7 +88,7 @@ def test_psi_inverse_matches_fraction_oracle(case, bits, width_bits):
     x, s = case
     cfg = PrecisionConfig(bits, target_width=F(1, 1 << width_bits))
     e = psi_inverse(x, s, cfg)
-    lo, hi = e.lo.to_fraction(), e.hi.to_fraction()
+    lo, hi = e.lo, e.hi
     assert (lo, hi) == grid_oracle(s, x, cfg)
     assert pi_eval(s, lo) <= x <= pi_eval(s, hi)
 
@@ -110,7 +110,7 @@ def test_grid_roots_come_back_as_points(cfg, monkeypatch):
     for seed in (0.375, 0.49):       # a seed on the root, and one that misses
         monkeypatch.setattr(lambda_set, "_float_root", lambda s, x: seed)
         e = lambda_set._solve_psi.__wrapped__(F(1, 4), S("011(0)"), cfg)
-        assert e.lo == e.hi and e.lo.to_fraction() == F(3, 8)
+        assert e.lo == e.hi and e.lo == F(3, 8)
 
 
 def test_psi_inverse_rejects_inadmissible(cfg):
@@ -140,17 +140,19 @@ def test_admissible_prefixes_examples():
 def test_admissible_prefixes_match_brute_force():
     """Every word of length d <= 8 with an admissible extension, found by
     testing the extensions w 0^inf, w 1^inf and w followed by the tail of
-    the target's expansion."""
+    the target's expansion; the per-word predicate agrees on every word."""
     for q in range(3, 13):
         for p in range(1, (q + 1) // 2):
             x = F(p, q)
             xs = binary_expansion(x)
             for d in range(1, 9):
-                words = (Word(bits) for bits in product((1, 0), repeat=d))
+                words = [Word(bits) for bits in product((1, 0), repeat=d)]
                 expected = [w for w in words if any(
                     admissible(xs, EpSequence(w + s.preperiod, s.period))
                     for s in (S("(0)"), S("(1)"), xs.shift(d)))]
                 assert admissible_prefixes(x, d) == expected
+                assert [w for w in words if lambda_set._prefix_admissible(
+                    x, w.bits)] == expected
 
 
 def test_cover_examples(cfg):
@@ -215,11 +217,11 @@ def test_cover_nesting(cfg):
             current = cover(x, depth, cfg)
             if previous is not None:
                 for child in current.intervals:
-                    clo = child.lo.lo.to_fraction()
-                    chi = child.hi.hi.to_fraction()
+                    clo = child.lo.lo
+                    chi = child.hi.hi
                     assert any(
-                        p.lo.lo.to_fraction() - slack <= clo
-                        and chi <= p.hi.hi.to_fraction() + slack
+                        p.lo.lo - slack <= clo
+                        and chi <= p.hi.hi + slack
                         for p in previous.intervals), (x, depth)
             previous = current
 

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from lambdaset.numerics import Dyadic, Enclosure, PrecisionConfig, parse_rational
+from lambdaset.numerics import (Enclosure, PrecisionConfig, _decimal,
+                                parse_rational, round_dyadic)
 
 F = Fraction
 
@@ -16,25 +18,69 @@ def test_parse_rational():
 
 
 def test_dyadic_decimal_exact():
-    assert Dyadic(5, -3).decimal() == "0.625"
-    assert Dyadic(-5, -3).decimal() == "-0.625"
-    assert Dyadic(3, 2).decimal() == "12"
-    assert Dyadic(0).decimal() == "0"
-    assert Dyadic(1, -10).decimal() == "0.0009765625"
+    assert _decimal(F(5, 2**3)) == "0.625"
+    assert _decimal(F(-5, 2**3)) == "-0.625"
+    assert _decimal(F(3 * 2**2)) == "12"
+    assert _decimal(F(0)) == "0"
+    assert _decimal(F(1, 2**10)) == "0.0009765625"
     # decimal string parses back to the same value
-    d = Dyadic(12345677, -27)
-    assert F(d.decimal()) == d.to_fraction()
+    d = F(12345677, 2**27)
+    assert F(_decimal(d)) == d
+    with pytest.raises(ValueError):
+        _decimal(F(1, 3))
 
 
 def test_from_fraction_directed():
     for q in (F(1, 3), F(2, 7), F(-5, 11), F(355, 113)):
-        lo = Dyadic.from_fraction(q, 64, False)
-        hi = Dyadic.from_fraction(q, 64, True)
-        assert lo.to_fraction() <= q <= hi.to_fraction()
-        assert hi.to_fraction() - lo.to_fraction() <= abs(q) * F(1, 1 << 60)
+        lo = round_dyadic(q, 64, False)
+        hi = round_dyadic(q, 64, True)
+        assert lo <= q <= hi
+        assert hi - lo <= abs(q) * F(1, 1 << 60)
     # dyadic inputs convert exactly
-    assert Dyadic.from_fraction(F(3, 8), 64, False).to_fraction() == F(3, 8)
-    assert Dyadic.from_fraction(F(3, 8), 64, True).to_fraction() == F(3, 8)
+    assert round_dyadic(F(3, 8), 64, False) == F(3, 8)
+    assert round_dyadic(F(3, 8), 64, True) == F(3, 8)
+
+
+def _mantissa_bits(d: Fraction) -> int:
+    """Bit length of the odd part of a dyadic rational's numerator."""
+    m = abs(d.numerator)
+    return (m >> ((m & -m).bit_length() - 1)).bit_length() if m else 0
+
+
+rationals = st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**40))
+dyadics = st.builds(lambda m, e: F(m) * F(2) ** e,
+                    st.integers(-2**80, 2**80), st.integers(-200, 200))
+
+
+@given(rationals, st.integers(1, 160))
+def test_round_dyadic_brackets_with_few_bits(q, bits):
+    lo, hi = round_dyadic(q, bits, False), round_dyadic(q, bits, True)
+    assert lo <= q <= hi
+    for d in (lo, hi):
+        assert d.denominator & (d.denominator - 1) == 0
+        assert _mantissa_bits(d) <= bits
+    # one unit in the last of `bits` places of |q| at most
+    assert hi - lo <= abs(q) * F(2) ** (2 - bits)
+
+
+@given(dyadics, st.integers(1, 160))
+def test_round_dyadic_keeps_dyadics_that_fit(d, bits):
+    if _mantissa_bits(d) <= bits:
+        assert round_dyadic(d, bits, False) == d == round_dyadic(d, bits, True)
+
+
+@given(dyadics)
+def test_decimal_is_exact(d):
+    assert F(_decimal(d)) == d
+
+
+@given(rationals)
+def test_decimal_rejects_non_dyadics(q):
+    if q.denominator & (q.denominator - 1):
+        with pytest.raises(ValueError):
+            _decimal(q)
+    else:
+        assert F(_decimal(q)) == q
 
 
 def test_precision_config_validation():
@@ -45,7 +91,7 @@ def test_precision_config_validation():
 
 
 def test_enclosure_json():
-    e = Enclosure(Dyadic(5, -3), Dyadic(3, -2), 64)
+    e = Enclosure(F(5, 2**3), F(3, 2**2), 64)
     js = e.to_json()
     assert js == {"lo": "0.625", "hi": "0.75", "bits": 64}
-    assert F(js["lo"]) == e.lo.to_fraction()
+    assert F(js["lo"]) == e.lo

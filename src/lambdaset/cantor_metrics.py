@@ -1,5 +1,5 @@
-"""Defining sequences of Cantor sets on the line, bridge/gap thickness, the
-Newhouse dimension lower bound, and the interleaving predicate.
+"""Defining sequences of Cantor sets on the line, their bridge/gap
+thickness, and the Newhouse dimension lower bound.
 
 A defining sequence lists the open intervals removed from the convex hull in
 some order; each removal must sit strictly inside one connected component of
@@ -22,23 +22,12 @@ from .numerics import Enclosure
 
 __all__ = [
     "Interval",
-    "BridgePair",
     "DefiningSequence",
-    "bridges",
     "thickness_of",
     "newhouse_lower",
-    "interleaved",
 ]
 
 Interval = tuple[Enclosure, Enclosure]   # closed or open interval [lo, hi]
-
-
-@dataclass(frozen=True, slots=True)
-class BridgePair:
-    """The two closed intervals flanking a removal inside its component."""
-
-    left: Interval
-    right: Interval
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,10 +54,10 @@ class DefiningSequence:
         }
 
 
-def _split_components(hull: Interval,
-                      removals: Sequence[Interval]) -> tuple[list[Interval], list[tuple[Interval, Interval, Interval]]]:
-    """Replay removals; returns final components and per-removal
-    (component, left bridge, right bridge) records.
+def _split_components(hull: Interval, removals: Sequence[Interval]
+                      ) -> list[tuple[Interval, Interval, Interval]]:
+    """Replay removals; returns per-removal (component, left bridge, right
+    bridge) records.
 
     The components stay disjoint and sorted, so the only one that can hold
     a removal is the last whose left end lies certainly below it.
@@ -86,16 +75,7 @@ def _split_components(hull: Interval,
         left, right = (clo, vl), (vr, chi)
         components[home:home + 1] = [left, right]
         records.append(((clo, chi), left, right))
-    return components, records
-
-
-def bridges(ds: DefiningSequence, n: int) -> BridgePair:
-    """Bridges of the n-th removal (1-based) at its removal time."""
-    if not 1 <= n <= len(ds.removals):
-        raise IndexError(f"removal index {n} out of range")
-    _, records = _split_components(ds.hull, ds.removals[:n])
-    _, left, right = records[n - 1]
-    return BridgePair(left, right)
+    return records
 
 
 def thickness_of(ds: DefiningSequence) -> Fraction:
@@ -108,7 +88,7 @@ def thickness_of(ds: DefiningSequence) -> Fraction:
     """
     if not ds.removals:
         raise InvalidInput("defining sequence lists no removals")
-    _, records = _split_components(ds.hull, ds.removals)
+    records = _split_components(ds.hull, ds.removals)
     best: Fraction | None = None
     for _component, (left_lo, vl), (vr, right_hi) in records:
         gap_hi = vr.hi - vl.lo
@@ -127,25 +107,3 @@ def newhouse_lower(tau) -> float:
     if tau <= 0:
         raise NonpositiveThickness(f"thickness must be positive: {tau}")
     return math.log(2) / math.log(2 + 1 / tau)
-
-
-def _hulls_overlap(e_hull: Interval, f_hull: Interval) -> bool:
-    return (f_hull[0].hi <= e_hull[1].lo) and (e_hull[0].hi <= f_hull[1].lo)
-
-
-def _certainly_not_inside(hull: Interval, gap: Interval) -> bool:
-    """Certified: hull is NOT strictly contained in the open gap."""
-    return hull[0].hi <= gap[0].lo or hull[1].lo >= gap[1].hi
-
-
-def interleaved(e_hull: Interval, e_gaps: Sequence[Interval],
-                f_hull: Interval, f_gaps: Sequence[Interval]) -> bool:
-    """True only when certified at this truncation: the hulls overlap and
-    neither hull sits inside a listed gap of the other."""
-    if not _hulls_overlap(e_hull, f_hull):
-        return False
-    if any(not _certainly_not_inside(f_hull, g) for g in e_gaps):
-        return False
-    if any(not _certainly_not_inside(e_hull, g) for g in f_gaps):
-        return False
-    return True

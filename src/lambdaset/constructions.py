@@ -37,7 +37,6 @@ __all__ = [
     "first_switch_index",
     "piece_endpoints",
     "gap_record",
-    "defining_sequence_Fk",
     "defining_sequence_Cl",
     "thickness_Cl",
     "verify_caseA",
@@ -50,6 +49,9 @@ ZERO_TAIL = Word((0,))
 
 
 def _nk(x: Fraction, k: int) -> int:
+    """The k-th zero index of the expansion of x; k is at most MAX_PREFIXES."""
+    if k > MAX_PREFIXES:
+        raise DepthBudgetExceeded(f"more than {MAX_PREFIXES} pieces: k={k}")
     return zero_indices(binary_expansion(x), k)[k - 1]
 
 
@@ -87,16 +89,14 @@ class PieceEndpoints:
                 "alpha_next": self.alpha_next.to_json()}
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def piece_endpoints(x: Fraction, k: int,
                     cfg: PrecisionConfig = DEFAULT_CONFIG) -> PieceEndpoints:
-    """Solve alpha_k, beta_k and alpha_{k+1} for the k-th piece."""
+    """Solve alpha_k, beta_k and alpha_{k+1} for the k-th piece. Memoised,
+    with the checks inside the cached body."""
     if k < 1:
         raise ValueError("k must be positive")
-    return _solve_piece(Fraction(x), k, cfg)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _solve_piece(x: Fraction, k: int, cfg: PrecisionConfig) -> PieceEndpoints:
+    x = Fraction(x)
     xs = binary_expansion(x)
     n_k = _nk(x, k)
     prefix = xs.prefix(n_k - 1)
@@ -184,17 +184,6 @@ def _gap_records(x: Fraction, k: int, q_max: int,
     count = (1 << (q_max + 1)) - 1
     return [gap_record(x, k, word_at_position(j), cfg)
             for j in range(1, count + 1)]
-
-
-def defining_sequence_Fk(x: Fraction, k: int, q_max: int,
-                         cfg: PrecisionConfig = DEFAULT_CONFIG) -> DefiningSequence:
-    """Hull [alpha_k, beta_k] with its gaps enumerated length-then-lex,
-    truncated at words of length q_max."""
-    x = Fraction(x)
-    piece = piece_endpoints(x, k, cfg)
-    records = _gap_records(x, k, q_max, cfg)
-    return DefiningSequence((piece.alpha, piece.beta),
-                            tuple(r.gap for r in records))
 
 
 def defining_sequence_Cl(x: Fraction, ell: int, k_max: int, q_max: int,

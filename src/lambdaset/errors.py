@@ -22,10 +22,6 @@ class NotAdmissible(LambdasetError):
     """Coding lies outside the admissible window for the given target."""
 
 
-class NeedsLargerTruncation(LambdasetError):
-    """Series tail bound prevents certifying the required sign."""
-
-
 class MalformedSequence(LambdasetError):
     """A removed interval is not strictly interior to its component."""
 
@@ -40,7 +36,8 @@ class InsufficientMembers(LambdasetError):
 
 class DepthBudgetExceeded(LambdasetError):
     """Adaptive refinement hit the depth cap before meeting the size rule,
-    or a cover would need more prefixes than the enumeration budget."""
+    or a cover, tail construction, expansion or piece index would exceed
+    the enumeration budget."""
 
 
 class HypothesisUnsatisfiable(LambdasetError):

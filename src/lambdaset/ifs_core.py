@@ -1,6 +1,7 @@
-"""The two-branch IFS {t -> lam*t, t -> lam*t + 1 - lam}, its coding map,
-the coding map's derivative in the contraction ratio, and the greedy digit
-algorithm used as an exact membership test for rational inputs.
+"""The coding map of the two-branch IFS {t -> lam*t, t -> lam*t + 1 - lam},
+the integer polynomial whose exact signs locate its roots in the ratio, and
+the greedy digit algorithm used as an exact membership test for rational
+inputs.
 """
 
 from __future__ import annotations
@@ -9,20 +10,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import NeedsLargerTruncation, OutOfRange
-from .numerics import Enclosure, round_dyadic
-from .seqcode import SEQ_ZERO, EpSequence, Ordering, Word, lex_compare
+from .errors import OutOfRange
+from .seqcode import EpSequence, Word
 
 __all__ = [
     "Member",
     "NotMember",
     "Unresolved",
     "GreedyOutcome",
-    "apply_branch",
     "pi_eval",
     "pi_root_poly",
     "poly_sign",
-    "pi_derivative",
     "greedy_digits",
     "membership",
 ]
@@ -52,13 +50,6 @@ class Unresolved:
 
 
 GreedyOutcome = Union[Member, NotMember, Unresolved]
-
-
-def apply_branch(d: int, lam: Fraction, t: Fraction) -> Fraction:
-    """One IFS branch: lam*t + d*(1 - lam)."""
-    if d not in (0, 1):
-        raise ValueError("digit must be 0 or 1")
-    return lam * t + d * (1 - lam)
 
 
 def _poly_fraction(bits: tuple[int, ...], lam: Fraction) -> Fraction:
@@ -120,47 +111,6 @@ def poly_sign(coeffs: tuple[int, ...], m: int, k: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def pi_derivative(s: EpSequence, lam: Fraction | Enclosure,
-                  truncation: int) -> Enclosure:
-    """Enclosure of d/dlam of the coding map value at a fixed sequence.
-
-    Sums ((n-1) - n*lam) * lam^(n-2) over digit-1 positions n in [2, truncation]
-    and closes with the certified tail bound
-    sum_{n > T} (n-1) lam^(n-2) = lam^(T-1) (T (1-lam) + lam) / (1-lam)^2.
-    For lam in [a, b] within [0, 1/2] every term is nonnegative, its
-    coefficient falling and its power rising in lam: the exact lower bound
-    takes coefficients at b and powers at a, the upper one coefficients at a,
-    powers at b and the tail at b. Both are rounded outward once, at
-    lam.bits (128 for a rational lam). Requires a sequence starting with 0
-    (all sequences in an admissible window do) and strictly above 0^inf.
-    """
-    if truncation < 2:
-        raise ValueError("truncation must be at least 2")
-    if s.digit(1) != 0 or lex_compare(s, SEQ_ZERO) is not Ordering.GREATER:
-        raise OutOfRange("sequence must start with 0 and exceed 0^inf")
-    if isinstance(lam, Enclosure):
-        a, b, bits = lam.lo, lam.hi, lam.bits
-    else:
-        a = b = Fraction(lam)
-        bits = 128
-    if a < 0 or b > HALF:
-        raise OutOfRange("contraction ratio must lie in [0, 1/2]")
-    lo = hi = Fraction(0)
-    power_a = power_b = Fraction(1)  # a^(n-2), b^(n-2)
-    for n in range(2, truncation + 1):
-        if s.digit(n):
-            lo += ((n - 1) - n * b) * power_a
-            hi += ((n - 1) - n * a) * power_b
-        power_a *= a
-        power_b *= b
-    hi += power_b * (truncation * (1 - b) + b) / (1 - b) ** 2
-    if lo <= 0:
-        raise NeedsLargerTruncation(
-            f"positivity not certified at truncation {truncation}")
-    return Enclosure(round_dyadic(lo, bits, False),
-                     round_dyadic(hi, bits, True), bits)
-
-
 def greedy_digits(x: Fraction, lam: Fraction, max_steps: int = 256) -> GreedyOutcome:
     """Greedy coding of x in base lam by exact rational iteration.
 
@@ -178,7 +128,9 @@ def greedy_digits(x: Fraction, lam: Fraction, max_steps: int = 256) -> GreedyOut
         raise ValueError("max_steps must be positive")
     threshold = 1 - lam
     y = x
-    seen: dict[Fraction, int] = {y: 0}
+    # states keyed by their integer pair, which hashes far faster than a
+    # Fraction with a large denominator
+    seen: dict[tuple[int, int], int] = {(y.numerator, y.denominator): 0}
     digits: list[int] = []
     for step in range(1, max_steps + 1):
         if y >= threshold:
@@ -189,10 +141,9 @@ def greedy_digits(x: Fraction, lam: Fraction, max_steps: int = 256) -> GreedyOut
             y = y / lam
         else:
             return NotMember(step)
-        start = seen.get(y)
-        if start is not None:
+        start = seen.setdefault((y.numerator, y.denominator), step)
+        if start != step:
             return Member(EpSequence.from_digits(digits[:start], digits[start:]))
-        seen[y] = step
     return Unresolved(Word(tuple(digits)))
 
 

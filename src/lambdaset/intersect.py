@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd
 
-from .cantor_metrics import newhouse_lower
-from .constructions import thickness_Cl
 from .errors import InvalidInput, NoneFound, OutOfRange
 from .ifs_core import Member, greedy_digits
 from .lambda_set import (CoverInterval, IntervalCover, admissible_prefixes,
@@ -24,10 +22,8 @@ from .seqcode import EpSequence, Word
 
 __all__ = [
     "CommonPointCertificate",
-    "ProductDimReport",
     "intersect_covers",
     "find_common",
-    "product_dim_report",
 ]
 
 HALF = Fraction(1, 2)
@@ -228,52 +224,3 @@ def find_common(targets: list[Fraction], search_depth: int,
     if not certs:
         raise NoneFound("no certificates within the search budget")
     return certs
-
-
-@dataclass(frozen=True, slots=True)
-class ProductDimReport:
-    """Per-target truncated thickness bounds and their minimum.
-
-    The combined value is heuristic evidence about the common-ratio set in
-    the spirit of the thickness intersection mechanism; it is not a claimed
-    dimension of the intersection.
-    """
-
-    targets: tuple[Fraction, ...]
-    per_target: tuple[dict, ...]
-    combined_lower: float
-    combination: str
-
-    def to_json(self) -> dict:
-        return {"targets": [str(t) for t in self.targets],
-                "per_target": list(self.per_target),
-                "combined_lower": self.combined_lower,
-                "combination": self.combination}
-
-
-def product_dim_report(targets: list[Fraction], ell_range: range,
-                       cfg: PrecisionConfig = DEFAULT_CONFIG,
-                       k_max: int = 5, q_max: int = 2) -> ProductDimReport:
-    """Newhouse lower bounds from the tail constructions, per target."""
-    targets = [Fraction(t) for t in targets]
-    if not targets:
-        raise InvalidInput("no targets given")
-    if any(not 0 < t < HALF for t in targets):
-        raise OutOfRange("targets must lie in (0, 1/2)")
-    rows = []
-    for y in targets:
-        best = None
-        for ell in ell_range:
-            rep = thickness_Cl(y, ell, k_max, q_max, cfg)
-            bound = newhouse_lower(rep.tau_truncated)
-            if best is None or bound > best["newhouse_lower"]:
-                best = {"target": str(y), "ell": ell,
-                        "tau_truncated": float(rep.tau_truncated),
-                        "newhouse_lower": bound,
-                        "bound_violations": len(rep.bound_violations)}
-        rows.append(best)
-    return ProductDimReport(
-        tuple(targets), tuple(rows),
-        min(r["newhouse_lower"] for r in rows),
-        "min of per-target truncated Newhouse bounds (heuristic, "
-        "not a certified intersection dimension)")

@@ -40,7 +40,6 @@ __all__ = [
     "cover",
     "gaps",
     "lipschitz_check",
-    "subshift_dim",
     "box_dim_estimate",
 ]
 
@@ -52,21 +51,28 @@ HALF = Fraction(1, 2)
 CACHE_SIZE = 4096
 
 # Most words admissible_prefixes returns (a cover solves two roots per word),
-# and most gap records a tail construction lists (four solves each). Depth
-# 10, the deepest cover the tests and benchmark ask for, has at most 308
-# words; 1/3 at depth 60 has far more and fails at once instead of running on.
+# most gap records a tail construction lists (four solves each), most digits
+# of a target's expansion (preperiod plus period, the degree of every root
+# polynomial), and the highest piece index. Depth 10, the deepest cover the
+# tests and benchmark ask for, has at most 308 words; 1/3 at depth 60 has far
+# more and fails at once instead of running on.
 MAX_PREFIXES = 1 << 14
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def binary_expansion(x: Fraction) -> EpSequence:
-    """Greedy base-1/2 coding of x; starts with 0, never ends in 1^inf."""
+    """Greedy base-1/2 coding of x; starts with 0, never ends in 1^inf.
+
+    Raises DepthBudgetExceeded when the coding has more than MAX_PREFIXES
+    digits before its period closes.
+    """
     x = Fraction(x)
     if not 0 < x < HALF:
         raise OutOfRange(f"x must lie in (0, 1/2): {x}")
-    outcome = greedy_digits(x, HALF, max_steps=2 * x.denominator + 16)
+    outcome = greedy_digits(x, HALF, max_steps=MAX_PREFIXES)
     if not isinstance(outcome, Member):
-        raise AssertionError(f"binary expansion did not cycle for {x}")
+        raise DepthBudgetExceeded(
+            f"more than {MAX_PREFIXES} digits in the binary expansion of {x}")
     return outcome.coding
 
 
@@ -76,6 +82,12 @@ def admissible(xs: EpSequence, s: EpSequence) -> bool:
     return lex_le(xs, s) and lex_le(s, SEQ_01INF)
 
 
+# Grid level that a float root jumps to before exact bisection: cells there
+# are at most 2^-41 wide, far wider than the error of a float root.
+SEED_LEVEL = 40
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def psi_inverse(x: Fraction, s: EpSequence,
                 cfg: PrecisionConfig = DEFAULT_CONFIG) -> Enclosure:
     """Certified enclosure of the unique ratio whose coding of x equals s.
@@ -88,20 +100,13 @@ def psi_inverse(x: Fraction, s: EpSequence,
     `target_width`, or the exact point when the root is a grid point up to
     that level. Every cell is decided by exact integer signs, so the answer
     does not depend on how it was found.
+
+    Memoised, with the admissibility check inside the cached body, so a hit
+    skips it.
     """
     x = Fraction(x)
     if not admissible(binary_expansion(x), s):
         raise NotAdmissible(f"{s} is outside the admissible window for {x}")
-    return _solve_psi(x, s, cfg)
-
-
-# Grid level that a float root jumps to before exact bisection: cells there
-# are at most 2^-41 wide, far wider than the error of a float root.
-SEED_LEVEL = 40
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _solve_psi(x: Fraction, s: EpSequence, cfg: PrecisionConfig) -> Enclosure:
     # Solves s as given: representations of one sequence share an entry
     # (EpSequence compares canonically), and the first one solved is kept.
     # Level k of the grid splits [a, 1/2] into cells [m, m + width] / 2^(n+k).
@@ -396,17 +401,6 @@ def lipschitz_check(x: Fraction, lam: Fraction, samples: int, seed: int = 0,
         if ratio < bound:
             violations += 1
     return LipschitzReport(x, lam, bound, min_ratio, pairs, violations)
-
-
-def subshift_dim(lam: Fraction, k: int) -> float:
-    """Dimension of the image of the no-k-zero-run subshift lower bound:
-    (k-1) log 2 / (k (-log lam))."""
-    lam = Fraction(lam)
-    if not 0 < lam <= HALF:
-        raise OutOfRange("lam must lie in (0, 1/2]")
-    if k < 1:
-        raise ValueError("k must be positive")
-    return (k - 1) * math.log(2) / (k * (-math.log(lam)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import IntEnum
-from fractions import Fraction
 from math import lcm
 
 from .errors import PeriodAllOnes
@@ -19,17 +18,13 @@ __all__ = [
     "Word",
     "WORD_EPSILON",
     "EpSequence",
-    "SequenceInterval",
     "Ordering",
     "lex_compare",
     "lex_min",
     "lex_max",
     "n_index",
     "word_at_position",
-    "rho_distance",
     "zero_indices",
-    "has_zero_run",
-    "SEQ_ZERO",
     "SEQ_01INF",
 ]
 
@@ -121,10 +116,6 @@ class EpSequence:
                    Word.from_string(m.group(2)))
 
     @classmethod
-    def constant(cls, bit: int) -> "EpSequence":
-        return cls(WORD_EPSILON, Word((bit,)))
-
-    @classmethod
     def from_digits(cls, preperiod, period) -> "EpSequence":
         return cls(Word(tuple(preperiod)), Word(tuple(period)))
 
@@ -149,9 +140,6 @@ class EpSequence:
         k = (n - len(u)) % len(v)
         return EpSequence(WORD_EPSILON, Word(v[k:] + v[:k]))
 
-    def prepend(self, w: Word) -> "EpSequence":
-        return EpSequence(w + self.preperiod, self.period)
-
     def canonical(self) -> "EpSequence":
         """Shortest preperiod and primitive period representing this stream."""
         u, v = _canonical_bits(self.preperiod.bits, self.period.bits)
@@ -173,7 +161,6 @@ class EpSequence:
         return f"{self.preperiod}({self.period})"
 
 
-SEQ_ZERO = EpSequence.constant(0)
 SEQ_01INF = EpSequence(Word((0,)), Word((1,)))
 
 
@@ -206,21 +193,6 @@ def lex_max(a: EpSequence, b: EpSequence) -> EpSequence:
     return b if lex_le(a, b) else a
 
 
-@dataclass(frozen=True, slots=True)
-class SequenceInterval:
-    """Closed lexicographic interval of sequences [low, high]."""
-
-    low: EpSequence
-    high: EpSequence
-
-    def __post_init__(self):
-        if lex_compare(self.low, self.high) is Ordering.GREATER:
-            raise ValueError("interval endpoints out of order")
-
-    def contains(self, s: EpSequence) -> bool:
-        return lex_le(self.low, s) and lex_le(s, self.high)
-
-
 def n_index(word: Word) -> int:
     """Position of a word in the length-then-lex enumeration of {0,1}*.
 
@@ -239,14 +211,6 @@ def word_at_position(position: int) -> Word:
     if position < 1:
         raise ValueError("positions start at 1")
     return Word(tuple(int(c) for c in bin(position)[3:]))
-
-
-def rho_distance(a: EpSequence, b: EpSequence) -> Fraction:
-    """2^(-first disagreement index), or 0 for equal streams."""
-    for n in range(1, _decision_bound(a, b) + 1):
-        if a.digit(n) != b.digit(n):
-            return Fraction(1, 1 << n)
-    return Fraction(0)
 
 
 def zero_indices(s: EpSequence, count: int) -> list[int]:
@@ -270,17 +234,3 @@ def zero_indices(s: EpSequence, count: int) -> list[int]:
             out.append(n)
         n += 1
     return out
-
-
-def has_zero_run(s: EpSequence, k: int, horizon: int) -> bool:
-    """True iff k consecutive zeros occur within the first `horizon` digits."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if horizon < k:
-        raise ValueError("horizon must be at least k")
-    run = 0
-    for n in range(1, horizon + 1):
-        run = run + 1 if s.digit(n) == 0 else 0
-        if run >= k:
-            return True
-    return False

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambdaset.cantor_metrics import (DefiningSequence, _split_components,
-                                      bridges, interleaved, newhouse_lower,
-                                      thickness_of)
+                                      newhouse_lower, thickness_of)
 from lambdaset.errors import (InvalidInput, MalformedSequence,
                               NonpositiveThickness)
 
@@ -30,27 +29,13 @@ def middle_alpha(alpha: F, levels: int, hull=(F(0), F(1))) -> DefiningSequence:
     return DefiningSequence.from_fractions(hull, gaps)
 
 
-def test_bridges_middle_thirds():
-    ds = middle_alpha(F(1, 3), 3)
-    bp = bridges(ds, 1)
-    assert bp.left[0].contains(F(0)) and bp.left[1].contains(F(1, 3))
-    assert bp.right[0].contains(F(2, 3)) and bp.right[1].contains(F(1))
-    ds2 = DefiningSequence.from_fractions(
-        (F(0), F(1)), [(F(1, 3), F(2, 3)), (F(1, 9), F(2, 9))])
-    bp2 = bridges(ds2, 2)
-    assert bp2.left[0].contains(F(0)) and bp2.left[1].contains(F(1, 9))
-    assert bp2.right[0].contains(F(2, 9)) and bp2.right[1].contains(F(1, 3))
-    with pytest.raises(IndexError):
-        bridges(ds2, 3)
-
-
 def test_malformed_removals():
     touching = DefiningSequence.from_fractions((F(0), F(1)), [(F(0), F(1, 3))])
     with pytest.raises(MalformedSequence):
         thickness_of(touching)
     outside = DefiningSequence.from_fractions((F(0), F(1)), [(F(2), F(3))])
     with pytest.raises(MalformedSequence):
-        bridges(outside, 1)
+        thickness_of(outside)
     overlapping = DefiningSequence.from_fractions(
         (F(0), F(1)), [(F(1, 3), F(2, 3)), (F(1, 2), F(3, 4))])
     with pytest.raises(MalformedSequence):
@@ -78,7 +63,7 @@ def linear_replay(hull, removals):
         left, right = (clo, vl), (vr, chi)
         components[home:home + 1] = [left, right]
         records.append(((clo, chi), left, right))
-    return components, records
+    return records
 
 
 def _outcome(replay, ds):
@@ -167,14 +152,3 @@ def test_newhouse_monotone_bounded():
     values = [newhouse_lower(F(n, 7)) for n in range(1, 60)]
     assert all(a < b for a, b in zip(values, values[1:]))
     assert all(0 < v < 1 for v in values)
-
-
-def test_interleaved_examples():
-    mt = middle_alpha(F(1, 3), 2)
-    assert interleaved(mt.hull, mt.removals, mt.hull, mt.removals) is True
-    inner = DefiningSequence.from_fractions(
-        (F(2, 5), F(3, 5)), [(F(12, 25), F(13, 25))])
-    assert interleaved(mt.hull, mt.removals, inner.hull, inner.removals) is False
-    assert interleaved(inner.hull, inner.removals, mt.hull, mt.removals) is False
-    far = DefiningSequence.from_fractions((F(2), F(3)), [(F(9, 4), F(11, 4))])
-    assert interleaved(mt.hull, mt.removals, far.hull, far.removals) is False

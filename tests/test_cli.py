@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
+import signal
 import time
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lambdaset.cli import load_schema, main
+from lambdaset.cli import COMMANDS, load_schema, main
 
 
 def run(capsys, *argv):
@@ -82,15 +86,19 @@ def test_exit_codes(capsys, monkeypatch):
 
 
 def test_prefix_budget_ends_deep_covers(capsys):
-    # tail constructions and multi-target searches meet the same budget
-    # before any root is solved
+    # tail constructions, multi-target searches, long expansions and high
+    # piece indices meet the same budget before any root is solved
     for argv in (["cover", "--x", "1/3", "--depth", "60"],
                  ["cover", "--x", "1/3", "--depth", "2000"],
                  ["thickness-cl", "--x", "1/3", "--ell", "1", "--kmax", "3",
                   "--qmax", "30"],
                  ["cantor-ds", "--x", "1/3", "--ell", "1", "--kmax", "3",
                   "--qmax", "30"],
-                 ["common", "--targets", "1/3,1/4", "--depth", "40"]):
+                 ["common", "--targets", "1/3,1/4", "--depth", "40"],
+                 ["cover", "--x", "0.1234567", "--depth", "4"],
+                 ["expansion", "--x", "0.123456789"],
+                 ["cover", "--x", "1e-30", "--depth", "3"],
+                 ["pieces", "--x", "1/3", "--k", "100000"]):
         started = time.monotonic()
         code, out, err = run(capsys, *argv)
         assert time.monotonic() - started < 2
@@ -239,3 +247,104 @@ def test_svg_write_payload_schema(capsys, tmp_path):
     _, payload, _ = run_json(capsys, "svg-gaps", "--x", "1/3", "--kmax", "2",
                              "--qmax", "1", "--out", str(target))
     jsonschema.validate(payload, load_schema("svg-gaps"))
+
+
+# A small grammar of argv for every subcommand. Each flag takes one of its
+# listed values or, where None is listed, is left out. Depths (at most 6)
+# and the options whose defaults start long runs (dim's grid exponents,
+# verify's trial count) are always given; k is at most 8.
+RATIONALS = ["1/3", "1/4", "2/7", "2/3", "1/2", "0", "-1/3", "1e-30",
+             "0.123456789", "", "abc", "1/0"]
+INTS = ["1", "2", "3", "0", "-1", "x"]
+DEPTHS = ["4", "5", "6"] + INTS
+KS = ["4", "5", "6", "7", "8"] + INTS
+TARGET_LISTS = [f"{a},{b}" for a in ("1/3", "2/3", "abc")
+                for b in ("1/4", "0.123456789", "1e-30")] + RATIONALS
+X_FLAG = ("--x", RATIONALS + [None])
+TAIL_FLAGS = (("--ell", INTS + [None]), ("--kmax", INTS + [None]),
+              ("--qmax", INTS + [None]))
+FORMAT_FLAG = ("--format", [None, "csv", "json", "xml"])
+GAP_FILES = {"valid": {"hull": ["0", "1"], "gaps": [["1/3", "2/3"]]},
+             "misshaped": {"hull": [0], "gaps": []},
+             "malformed": {"hull": ["0", "1"], "gaps": [["2", "3"]]}}
+GRAMMAR = {
+    "code": (X_FLAG, ("--lambda", RATIONALS + [None]),
+             ("--max-steps", INTS + [None])),
+    "pi": (("--seq", ["(01)", "0(1)", "01", "", "2(0)", None]),
+           ("--lambda", RATIONALS + [None])),
+    "expansion": (X_FLAG,),
+    "cover": (X_FLAG, ("--depth", DEPTHS), FORMAT_FLAG),
+    "gaps": (X_FLAG, ("--depth", DEPTHS), FORMAT_FLAG),
+    "dim": (X_FLAG, ("--center", RATIONALS), ("--radius", RATIONALS),
+            ("--eps-min-exp", INTS), ("--eps-max-exp", INTS)),
+    "pieces": (X_FLAG, ("--k", KS + [None])),
+    "cantor-ds": (X_FLAG,) + TAIL_FLAGS,
+    "thickness": (("--gaps", list(GAP_FILES) + ["missing", None]),),
+    "thickness-cl": (X_FLAG,) + TAIL_FLAGS,
+    "verify": (("--case", ["A", "B", "C", None]), X_FLAG, ("--trials", INTS),
+               ("--seed", INTS + [None])),
+    "intersect": (("--targets", TARGET_LISTS + [None]), ("--depth", DEPTHS),
+                  FORMAT_FLAG),
+    "common": (("--targets", TARGET_LISTS + [None]), ("--depth", DEPTHS)),
+    "svg-gaps": (X_FLAG,) + TAIL_FLAGS,
+}
+# mostly left out, so that most draws reach the library
+SHARED_FLAGS = (("--bits", [None] * 6 + ["64", "0", "x"]),
+                ("--width-bits", [None] * 6 + ["40", "3", "-1", "x"]))
+
+
+class _Hang(BaseException):
+    """Raised by the alarm; no handler in the program catches it."""
+
+
+def _raise_hang(signum, frame):
+    raise _Hang
+
+
+@st.composite
+def cli_argvs(draw):
+    name = draw(st.sampled_from(sorted(GRAMMAR)))
+    argv = [name]
+    for flag, values in GRAMMAR[name] + SHARED_FLAGS:
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            argv.append(f"{flag}={value}")   # so that -1/3 is not a flag
+    return argv
+
+
+def test_grammar_spans_every_subcommand():
+    assert sorted(GRAMMAR) == sorted(COMMANDS)
+
+
+@pytest.fixture(scope="module")
+def gap_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("gap-files")
+    for name, doc in GAP_FILES.items():
+        (root / name).write_text(json.dumps(doc))
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argvs())
+def test_any_argv_ends_cleanly(gap_dir, argv):
+    """Exit 0, 1 or 2 within a few seconds and never a traceback; exit 1
+    prints exactly one error line."""
+    argv = [f"--gaps={gap_dir / a[7:]}" if a.startswith("--gaps=") else a
+            for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _raise_hang)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except _Hang:
+        pytest.fail(f"still running after 5 s: {argv}")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert out.getvalue() == ""
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1

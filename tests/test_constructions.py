@@ -4,12 +4,12 @@ import pytest
 
 from lambdaset.cantor_metrics import newhouse_lower, thickness_of
 from lambdaset.constructions import (_half_bound_caseB, defining_sequence_Cl,
-                                     defining_sequence_Fk, first_switch_index,
-                                     gap_record, piece_endpoints,
-                                     thickness_Cl, verify_caseA, verify_caseB)
+                                     first_switch_index, gap_record,
+                                     piece_endpoints, thickness_Cl,
+                                     verify_caseA, verify_caseB)
 from lambdaset.errors import HypothesisUnsatisfiable
 from lambdaset.lambda_set import psi_inverse
-from lambdaset.seqcode import WORD_EPSILON, EpSequence, Word, word_at_position
+from lambdaset.seqcode import WORD_EPSILON, EpSequence, Word
 
 F = Fraction
 S = EpSequence.from_string
@@ -74,18 +74,6 @@ def test_gap_record_ratio_bound_caseA(cfg):
         g = gap_record(x, k, Word((0,)), cfg)
         assert g.left_ratio_lo >= bound
         assert g.right_ratio_lo >= bound
-
-
-def test_defining_sequence_Fk_quarter(cfg):
-    ds = defining_sequence_Fk(F(1, 4), 1, 2, cfg)
-    assert len(ds.removals) == 7          # words of length <= 2
-    # enumeration follows the length-then-lex listing
-    expected = ["", "0", "1", "00", "01", "10", "11"]
-    assert [str(word_at_position(j)) for j in range(1, 8)] == expected
-    for j, (left, right) in enumerate(ds.removals, start=1):
-        rec = gap_record(F(1, 4), 1, word_at_position(j), cfg)
-        assert left.overlaps(rec.gap[0]) and right.overlaps(rec.gap[1])
-    assert thickness_of(ds) > 0
 
 
 def test_defining_sequence_Cl_structure(cfg):

@@ -3,23 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from lambdaset.errors import NeedsLargerTruncation, OutOfRange
-from lambdaset.ifs_core import (Member, NotMember, Unresolved, apply_branch,
-                                greedy_digits, membership, pi_derivative,
-                                pi_eval, pi_root_poly, poly_sign)
-from lambdaset.numerics import Enclosure, round_dyadic
+from lambdaset.errors import OutOfRange
+from lambdaset.ifs_core import (Member, NotMember, Unresolved, greedy_digits,
+                                membership, pi_eval, pi_root_poly, poly_sign)
 from lambdaset.seqcode import EpSequence, Word
 
 F = Fraction
 S = EpSequence.from_string
-
-
-def test_apply_branch_examples():
-    assert apply_branch(0, F(1, 3), F(1)) == F(1, 3)
-    assert apply_branch(1, F(1, 3), F(0)) == F(2, 3)
-    assert apply_branch(1, F(1, 2), F(1)) == F(1)
-    with pytest.raises(ValueError):
-        apply_branch(2, F(1, 3), F(0))
 
 
 def test_pi_eval_examples():
@@ -54,56 +44,6 @@ def test_pi_eval_floats_track_exact_values():
         s = EpSequence(Word(pre), Word(per))
         lam = F(rng.randint(1, 99), 100)
         assert abs(pi_eval(s, float(lam)) - float(pi_eval(s, lam))) < 1e-14
-
-
-def test_pi_derivative_wide_enclosure_containment():
-    lam = Enclosure(F(1, 2**2), round_dyadic(F(3, 10), 128, True),
-                    128)                               # [1/4, 3/10 rounded up]
-    wide = pi_derivative(S("011(010)"), lam, 96)
-    for point in (F(1, 4), F(27, 100), F(3, 10)):
-        narrow = pi_derivative(S("011(010)"), point, 96)
-        assert wide.lo <= narrow.hi and narrow.lo <= wide.hi
-
-
-def test_pi_derivative_closed_forms():
-    # pi(0 1^inf) = lam, so the derivative is exactly 1
-    d = pi_derivative(S("0(1)"), F(1, 4), 64)
-    assert d.contains(F(1)) and d.width() < F(1, 1 << 40)
-    # pi(0 1 0^inf) = (1-lam) lam, derivative 1 - 2 lam = 1/2 at lam = 1/4
-    d = pi_derivative(S("01(0)"), F(1, 4), 64)
-    assert d.contains(F(1, 2))
-
-
-def test_pi_derivative_positive_for_admissible():
-    rng = random.Random(11)
-    for _ in range(30):
-        pre = (0,) + tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 5)))
-        per = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 3)))
-        s = EpSequence(Word(pre), Word(per))
-        if s.canonical().period.bits == (0,) and 1 not in s.preperiod.bits:
-            continue  # 0^inf excluded by the operation's domain
-        d = pi_derivative(s, F(3, 10), 96)
-        assert d.lo > 0
-
-
-def test_pi_derivative_vs_central_difference():
-    h = F(1, 1 << 30)
-    for text, lam in (("0(1)", F(1, 4)), ("01(0)", F(1, 4)),
-                      ("011(010)", F(3, 10)), ("0110(1)", F(2, 5))):
-        s = S(text)
-        diff = (pi_eval(s, lam + h) - pi_eval(s, lam - h)) / (2 * h)
-        d = pi_derivative(s, lam, 96)
-        pad = F(1, 1 << 20)
-        assert d.lo - pad <= diff <= d.hi + pad
-
-
-def test_pi_derivative_errors():
-    with pytest.raises(OutOfRange):
-        pi_derivative(S("1(0)"), F(1, 4), 64)      # starts with 1
-    with pytest.raises(OutOfRange):
-        pi_derivative(S("(0)"), F(1, 4), 64)       # equals 0^inf
-    with pytest.raises(NeedsLargerTruncation):
-        pi_derivative(EpSequence(Word((0,) * 100), Word((1,))), F(1, 4), 64)
 
 
 def test_greedy_examples():

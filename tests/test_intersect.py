@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 
 from lambdaset.errors import InvalidInput, OutOfRange
 from lambdaset.ifs_core import Member, NotMember, greedy_digits, membership
-from lambdaset.intersect import (_forced_digits, find_common,
-                                 intersect_covers, product_dim_report)
+from lambdaset.intersect import _forced_digits, find_common, intersect_covers
 from lambdaset.lambda_set import binary_expansion, cover
 from lambdaset.numerics import Enclosure
 
@@ -91,19 +90,6 @@ def test_find_common_validation(cfg):
         find_common([], 4, cfg)
     with pytest.raises(OutOfRange):
         find_common([F(3, 4)], 4, cfg)
-
-
-def test_product_dim_report(cfg):
-    rep = product_dim_report([F(1, 3)], range(2, 7), cfg)
-    assert rep.per_target[0]["newhouse_lower"] > 0.8
-    assert rep.per_target[0]["bound_violations"] == 0
-    rep2 = product_dim_report([F(1, 3), F(1, 4)], range(2, 4), cfg)
-    assert len(rep2.per_target) == 2
-    assert rep2.combined_lower == min(r["newhouse_lower"]
-                                      for r in rep2.per_target)
-    assert "heuristic" in rep2.combination
-    with pytest.raises(InvalidInput):
-        product_dim_report([], range(2, 3), cfg)
 
 
 @st.composite

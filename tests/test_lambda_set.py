@@ -12,7 +12,7 @@ from lambdaset.ifs_core import membership, pi_eval
 from lambdaset.lambda_set import (admissible, admissible_prefixes,
                                   binary_expansion, block_codes,
                                   box_dim_estimate, cover, gaps,
-                                  lipschitz_check, psi_inverse, subshift_dim)
+                                  lipschitz_check, psi_inverse)
 from lambdaset.numerics import PrecisionConfig, round_dyadic
 from lambdaset.seqcode import (SEQ_01INF, EpSequence, Ordering, Word,
                                lex_compare)
@@ -97,10 +97,10 @@ def test_psi_inverse_recovers_from_a_bad_seed(cfg, monkeypatch):
     x = F(2, 7)
     xs = binary_expansion(x)
     codes = [c for w in admissible_prefixes(x, 5) for c in block_codes(xs, w)]
-    expected = [lambda_set._solve_psi.__wrapped__(x, s, cfg) for s in codes]
+    expected = [lambda_set.psi_inverse.__wrapped__(x, s, cfg) for s in codes]
     monkeypatch.setattr(lambda_set, "_float_root", lambda s, x: 0.49)
     for s, e in zip(codes, expected):
-        got = lambda_set._solve_psi.__wrapped__(x, s, cfg)
+        got = lambda_set.psi_inverse.__wrapped__(x, s, cfg)
         assert got.to_json() == e.to_json()
 
 
@@ -109,7 +109,7 @@ def test_grid_roots_come_back_as_points(cfg, monkeypatch):
     monkeypatch.setattr(lambda_set, "pi_root_poly", lambda s, x: (-3, 8))
     for seed in (0.375, 0.49):       # a seed on the root, and one that misses
         monkeypatch.setattr(lambda_set, "_float_root", lambda s, x: seed)
-        e = lambda_set._solve_psi.__wrapped__(F(1, 4), S("011(0)"), cfg)
+        e = lambda_set.psi_inverse.__wrapped__(F(1, 4), S("011(0)"), cfg)
         assert e.lo == e.hi and e.lo == F(3, 8)
 
 
@@ -255,12 +255,6 @@ def test_lipschitz_check(cfg):
     assert rep.pairs == 60
     with pytest.raises(OutOfRange):
         lipschitz_check(F(1, 3), F(1, 4), 10)
-
-
-def test_subshift_dim_examples():
-    assert subshift_dim(F(1, 2), 1) == 0.0
-    assert abs(subshift_dim(F(1, 2), 64) - 63 / 64) < 1e-12
-    assert abs(subshift_dim(F(1, 4), 2) - 0.25) < 1e-12
 
 
 def test_subshift_word_count_oracle():

@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -36,7 +35,6 @@ from .seqcode import EpSequence
 from .svg import svg_gaps
 
 HALF = Fraction(1, 2)
-ENV_BITS = "LAMBDASET_PRECISION_BITS"
 
 
 def load_schema(command: str) -> dict:
@@ -280,8 +278,8 @@ def build_parser() -> _Parser:
                      description="certified ratio-set computations for "
                                  "two-branch self-similar sets")
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--bits", type=int, default=None,
-                        help=f"enclosure precision bits (default: ${ENV_BITS} or 128)")
+    shared.add_argument("--bits", type=int, default=128,
+                        help="enclosure precision bits (default 128)")
     shared.add_argument("--width-bits", type=int, default=80,
                         help="solver target width 2^-W (default 80)")
     sub = parser.add_subparsers(dest="command", required=True,
@@ -321,13 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.width_bits < 0:
             raise InvalidInput("--width-bits must be nonnegative")
-        bits = args.bits
-        if bits is None:
-            try:
-                bits = int(os.environ.get(ENV_BITS, "128"))
-            except ValueError:
-                raise InvalidInput(f"{ENV_BITS} must be an integer") from None
-        cfg = PrecisionConfig(precision_bits=bits,
+        cfg = PrecisionConfig(precision_bits=args.bits,
                               target_width=Fraction(1, 1 << args.width_bits))
         if entry.mirror:
             _mirror_targets(args, notes)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import (DepthBudgetExceeded, HypothesisUnsatisfiable,
                      Inconclusive, InvalidInput)
@@ -89,6 +89,21 @@ class PieceEndpoints:
                 "alpha_next": self.alpha_next.to_json()}
 
 
+def _separated(x: Fraction, codings: tuple[EpSequence, ...],
+               cfg: PrecisionConfig, k: int,
+               omega: Optional[Word] = None) -> list[Enclosure]:
+    """Solve the codings in order; raise Inconclusive unless each cell lies
+    strictly below the next. `k` and `omega` name the piece, or the gap of
+    the piece, in the message."""
+    cells = [psi_inverse(x, s, cfg) for s in codings]
+    for left, right in zip(cells, cells[1:]):
+        if not left.hi < right.lo:
+            where = f"piece {k}" if omega is None else f"gap {omega} of piece {k}"
+            raise Inconclusive(f"endpoints of {where} not separated at target "
+                               f"width {cfg.target_width}")
+    return cells
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def piece_endpoints(x: Fraction, k: int,
                     cfg: PrecisionConfig = DEFAULT_CONFIG) -> PieceEndpoints:
@@ -100,35 +115,21 @@ def piece_endpoints(x: Fraction, k: int,
     xs = binary_expansion(x)
     n_k = _nk(x, k)
     prefix = xs.prefix(n_k - 1)
-    alpha = psi_inverse(x, EpSequence(prefix, ONE_TAIL), cfg)
-    beta = psi_inverse(x, EpSequence(prefix + ONE_TAIL, ZERO_TAIL), cfg)
-    alpha_next = psi_inverse(x, EpSequence(prefix + ZERO_TAIL, ONE_TAIL), cfg)
-    if not (alpha.hi < beta.lo and beta.hi < alpha_next.lo):
-        raise Inconclusive(
-            f"piece {k} endpoints not separated at this target width")
+    alpha, beta, alpha_next = _separated(x, (
+        EpSequence(prefix, ONE_TAIL), EpSequence(prefix + ONE_TAIL, ZERO_TAIL),
+        EpSequence(prefix + ZERO_TAIL, ONE_TAIL)), cfg, k)
     return PieceEndpoints(x, k, n_k, alpha, beta, alpha_next)
 
 
 @dataclass(frozen=True, slots=True)
 class GapRecord:
-    """One removed gap of a piece with its bridges and certified ratios."""
+    """One removed gap of a piece with the certified lower bounds of its
+    two bridge-over-gap ratios."""
 
-    k: int
-    omega: Word
     position: int
     gap: Interval
-    left_bridge: Interval
-    right_bridge: Interval
     left_ratio_lo: Fraction
     right_ratio_lo: Fraction
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "omega": str(self.omega), "position": self.position,
-                "gap": [self.gap[0].to_json(), self.gap[1].to_json()],
-                "left_bridge": [e.to_json() for e in self.left_bridge],
-                "right_bridge": [e.to_json() for e in self.right_bridge],
-                "left_ratio_lo": str(self.left_ratio_lo),
-                "right_ratio_lo": str(self.right_ratio_lo)}
 
 
 def gap_record(x: Fraction, k: int, omega: Word,
@@ -140,22 +141,14 @@ def gap_record(x: Fraction, k: int, omega: Word,
     the left bridge, the gap, and the right bridge in that order.
     """
     x = Fraction(x)
-    xs = binary_expansion(x)
-    n_k = _nk(x, k)
-    base = xs.prefix(n_k - 1) + ONE_TAIL + omega
-    g1 = psi_inverse(x, EpSequence(base, ONE_TAIL), cfg)
-    g2 = psi_inverse(x, EpSequence(base + ONE_TAIL, ZERO_TAIL), cfg)
-    g3 = psi_inverse(x, EpSequence(base + ZERO_TAIL, ONE_TAIL), cfg)
-    g4 = psi_inverse(x, EpSequence(base, ZERO_TAIL), cfg)
-    if not (g1.hi < g2.lo and g2.hi < g3.lo and g3.hi < g4.lo):
-        raise Inconclusive(
-            f"gap endpoints for k={k}, omega={omega} not separated; "
-            "tighten the target width")
+    base = binary_expansion(x).prefix(_nk(x, k) - 1) + ONE_TAIL + omega
+    g1, g2, g3, g4 = _separated(x, (
+        EpSequence(base, ONE_TAIL), EpSequence(base + ONE_TAIL, ZERO_TAIL),
+        EpSequence(base + ZERO_TAIL, ONE_TAIL), EpSequence(base, ZERO_TAIL)),
+        cfg, k, omega)
     gap_hi = g3.hi - g2.lo
-    left_lo = g2.lo - g1.hi
-    right_lo = g4.lo - g3.hi
-    return GapRecord(k, omega, n_index(omega), (g2, g3), (g1, g2), (g3, g4),
-                     left_lo / gap_hi, right_lo / gap_hi)
+    return GapRecord(n_index(omega), (g2, g3), (g2.lo - g1.hi) / gap_hi,
+                     (g4.lo - g3.hi) / gap_hi)
 
 
 def _check_tail_args(ell: int, k_max: int, q_max: int) -> None:
@@ -238,57 +231,45 @@ class ThicknessReport:
                 "zero_index_convention": "n >= 2"}
 
 
-def _piece_ratio_lo(piece: PieceEndpoints) -> Fraction:
-    num = piece.beta.lo - piece.alpha.hi
+FAMILIES = ("gap_ratio", "piece_gap", "half_gap")
+
+
+def _piece_ratios(piece: PieceEndpoints) -> tuple[Fraction, Fraction]:
+    """Certified lower bounds of the piece-over-gap and right-tail-over-gap
+    ratios at the inter-piece gap (beta_k, alpha_{k+1})."""
     den = piece.alpha_next.hi - piece.beta.lo
-    return num / den
+    return ((piece.beta.lo - piece.alpha.hi) / den,
+            (HALF - piece.alpha_next.hi) / den)
 
 
-def _half_ratio_lo(piece: PieceEndpoints) -> Fraction:
-    num = HALF - piece.alpha_next.hi
-    den = piece.alpha_next.hi - piece.beta.lo
-    return num / den
+def _family_bounds(piece: PieceEndpoints, m: Optional[int],
+                   bits: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Upper evaluations, in FAMILIES order, of the analytic lower bounds
+    that hold for every gap of each family of the k-th piece; `m` is the
+    first switch index, or None for the exceptional target 1/4.
 
-
-def _gap_bound_caseA(piece: PieceEndpoints, m: int) -> Fraction:
-    """Upper evaluation of alpha_k^(m-1) / (8 (1 - 2 alpha_k))."""
-    a_hi = piece.alpha.hi
-    return a_hi ** (m - 1) / (8 * (1 - 2 * a_hi))
-
-def _piece_bound_caseA(piece: PieceEndpoints, m: int) -> Fraction:
-    """Upper evaluation of x^(m-1) / (8 (1 - 2 beta_k))."""
-    b_hi = piece.beta.hi
-    return piece.x ** (m - 1) / (8 * (1 - 2 * b_hi))
-
-
-def _half_bound_caseA(piece: PieceEndpoints, m: int) -> Fraction:
-    """Upper evaluation of beta_k^(m-2) / (4 alpha_{k+1}^(n_k - 1))."""
-    return (piece.beta.hi ** (m - 2)
-            / (4 * piece.alpha_next.lo ** (piece.n_k - 1)))
-
-
-def _gap_bound_caseB(piece: PieceEndpoints) -> Fraction:
-    """Upper evaluation of alpha_k / (1 - 2 alpha_k + n_k 2^(3 - n_k))."""
-    a_hi = piece.alpha.hi
-    return a_hi / (1 - 2 * a_hi + Fraction(piece.n_k, 1 << (piece.n_k - 3)))
-
-
-def _piece_bound_caseB(piece: PieceEndpoints) -> Fraction:
-    """Upper evaluation of beta_k / (1 - 2 alpha_k + n_k 2^(3 - n_k))."""
-    a_hi = piece.alpha.hi
-    return (piece.beta.hi
-            / (1 - 2 * a_hi + Fraction(piece.n_k, 1 << (piece.n_k - 3))))
-
-
-def _half_bound_caseB(piece: PieceEndpoints, bits: int) -> Fraction:
-    """Upper evaluation of 1 / alpha_{k+1}^(n_k/2 - 1)."""
-    if piece.n_k % 2 == 0:
+    With a = alpha_k, b = beta_k, c = alpha_{k+1} and n = n_k they are,
+    for a switch index m,
+        a^(m-1) / (8 (1 - 2a)),  x^(m-1) / (8 (1 - 2b)),  b^(m-2) / (4 c^(n-1)),
+    and for 1/4, with d = 1 - 2a + n 2^(3-n),
+        a / d,  b / d,  1 / c^(n/2 - 1).
+    """
+    a_hi, b_hi, c_lo, n_k = (piece.alpha.hi, piece.beta.hi,
+                             piece.alpha_next.lo, piece.n_k)
+    if m is not None:
+        return (a_hi ** (m - 1) / (8 * (1 - 2 * a_hi)),
+                piece.x ** (m - 1) / (8 * (1 - 2 * b_hi)),
+                b_hi ** (m - 2) / (4 * c_lo ** (n_k - 1)))
+    den = 1 - 2 * a_hi + Fraction(n_k, 1 << (n_k - 3))
+    if n_k % 2 == 0:
         # integer exponent, exact
-        return 1 / piece.alpha_next.lo ** (piece.n_k // 2 - 1)
-    # 1 / sqrt(P) <= 2^bits / isqrt(floor(P 4^bits)) for P = alpha^(n_k - 2)
-    power = piece.alpha_next.lo ** (piece.n_k - 2)
-    return Fraction(1 << bits,
-                    isqrt((power.numerator << 2 * bits) // power.denominator))
+        half = 1 / c_lo ** (n_k // 2 - 1)
+    else:
+        # 1 / sqrt(P) <= 2^bits / isqrt(floor(P 4^bits)) for P = c^(n_k - 2)
+        power = c_lo ** (n_k - 2)
+        half = Fraction(1 << bits,
+                        isqrt((power.numerator << 2 * bits) // power.denominator))
+    return a_hi / den, b_hi / den, half
 
 
 def thickness_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
@@ -303,48 +284,29 @@ def thickness_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
     """
     x = Fraction(x)
     _check_tail_budget(ell, k_max, q_max)
-    case_b = binary_expansion(x) == EpSequence.from_digits((0, 1), (0,))
-    m: Optional[int] = None if case_b else first_switch_index(x)
+    m = None if x == Fraction(1, 4) else first_switch_index(x)
+    minima: list[Optional[Fraction]] = [None, None, None]
     violations: list[dict] = []
-    family_gap: Fraction | None = None
-    family_piece: Fraction | None = None
-    family_half: Fraction | None = None
     for k in range(ell, ell + k_max):
         piece = piece_endpoints(x, k, cfg)
-        check_bounds = case_b or piece.n_k > m
-        if case_b:
-            gap_bound = _gap_bound_caseB(piece)
-            piece_bound = _piece_bound_caseB(piece)
-            half_bound = _half_bound_caseB(piece, cfg.precision_bits)
-        elif check_bounds:
-            gap_bound = _gap_bound_caseA(piece, m)
-            piece_bound = _piece_bound_caseA(piece, m)
-            half_bound = _half_bound_caseA(piece, m)
-        for record in _gap_records(x, k, q_max, cfg):
-            lo = min(record.left_ratio_lo, record.right_ratio_lo)
-            if family_gap is None or lo < family_gap:
-                family_gap = lo
-            if check_bounds and lo < gap_bound:
-                violations.append({"family": "gap_ratio", "k": k,
-                                   "position": record.position,
-                                   "ratio": str(lo), "bound": str(gap_bound)})
-        pr = _piece_ratio_lo(piece)
-        hr = _half_ratio_lo(piece)
-        if family_piece is None or pr < family_piece:
-            family_piece = pr
-        if family_half is None or hr < family_half:
-            family_half = hr
-        if check_bounds and pr < piece_bound:
-            violations.append({"family": "piece_gap", "k": k,
-                               "ratio": str(pr), "bound": str(piece_bound)})
-        if check_bounds and hr < half_bound:
-            violations.append({"family": "half_gap", "k": k,
-                               "ratio": str(hr), "bound": str(half_bound)})
-    tau = min(family_gap, family_piece, family_half)
+        bounds = (_family_bounds(piece, m, cfg.precision_bits)
+                  if m is None or piece.n_k > m else None)
+        gap_ratio = [({"position": r.position},
+                      min(r.left_ratio_lo, r.right_ratio_lo))
+                     for r in _gap_records(x, k, q_max, cfg)]
+        piece_gap, half_gap = _piece_ratios(piece)
+        for i, ratios in enumerate((gap_ratio, [({}, piece_gap)],
+                                    [({}, half_gap)])):
+            for where, ratio in ratios:
+                if minima[i] is None or ratio < minima[i]:
+                    minima[i] = ratio
+                if bounds is not None and ratio < bounds[i]:
+                    violations.append({"family": FAMILIES[i], "k": k, **where,
+                                       "ratio": str(ratio),
+                                       "bound": str(bounds[i])})
     return ThicknessReport(
-        x, ell, k_max, q_max, tau,
-        {"bridge_F": family_gap, "piece_ratios": family_piece,
-         "bridge_half": family_half},
+        x, ell, k_max, q_max, min(minima),
+        dict(zip(("bridge_F", "piece_ratios", "bridge_half"), minima)),
         tuple(violations))
 
 
@@ -385,19 +347,39 @@ class VerificationLedger:
                 "entries": [e.to_json() for e in self.entries]}
 
 
-def _draw_switch_pair(rng: random.Random, x: Fraction,
-                      q_range: tuple[int, int]) -> tuple[Word, EpSequence, EpSequence]:
-    """Random word whose 1-tail and 0-tail extensions are both admissible."""
-    xs = binary_expansion(x)
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise InvalidInput(f"trials must be positive, got {trials}")
+    if trials > MAX_PREFIXES:
+        raise DepthBudgetExceeded(
+            f"more than {MAX_PREFIXES} trials: {trials}")
+
+
+def _draw(rng: random.Random, xs: EpSequence, q_range: tuple[int, int],
+          shape: Callable[[Word], tuple[EpSequence, EpSequence]]
+          ) -> tuple[Word, EpSequence, EpSequence]:
+    """Random word w of length in q_range whose two codings shape(w) are
+    both admissible for the target with expansion xs."""
     for _ in range(400):
         q = rng.randint(*q_range)
         w = Word(tuple(rng.randint(0, 1) for _ in range(q)))
-        hi = EpSequence(w, ONE_TAIL)
-        lo = EpSequence(w, ZERO_TAIL)
-        if admissible(xs, hi) and admissible(xs, lo):
-            return w, hi, lo
+        first, second = shape(w)
+        if admissible(xs, first) and admissible(xs, second):
+            return w, first, second
     raise HypothesisUnsatisfiable(
-        f"no admissible switch pair found for {x} with q in {q_range}")
+        f"no admissible draw with q in {q_range} for the expansion {xs}")
+
+
+def _family_entries(piece: PieceEndpoints, m: Optional[int], bits: int,
+                    record: GapRecord, gap_params: dict) -> list[LedgerEntry]:
+    """Ledger entries checking one gap record of the piece, and the piece's
+    inter-piece gap, against the family bounds."""
+    ratios = (min(record.left_ratio_lo, record.right_ratio_lo),
+              *_piece_ratios(piece))
+    params = (gap_params, {"k": piece.k}, {"k": piece.k})
+    return [LedgerEntry(family, p, str(ratio), str(bound), ratio >= bound)
+            for family, p, ratio, bound in
+            zip(FAMILIES, params, ratios, _family_bounds(piece, m, bits))]
 
 
 def verify_caseA(x: Fraction, trials: int,
@@ -406,8 +388,7 @@ def verify_caseA(x: Fraction, trials: int,
     """Certified spot checks of the switch inequalities for targets other
     than 1/4, plus the derived per-gap ratio bounds; `trials` instances of
     each shape."""
-    if trials < 1:
-        raise InvalidInput(f"trials must be positive, got {trials}")
+    _check_trials(trials)
     x = Fraction(x)
     m = first_switch_index(x)     # raises for x = 1/4
     rng = random.Random(seed)
@@ -415,7 +396,8 @@ def verify_caseA(x: Fraction, trials: int,
     entries: list[LedgerEntry] = []
 
     for _ in range(trials):
-        w, hi, lo = _draw_switch_pair(rng, x, (3, 12))
+        w, hi, lo = _draw(rng, xs, (3, 12), lambda w: (
+            EpSequence(w, ONE_TAIL), EpSequence(w, ZERO_TAIL)))
         lam1 = psi_inverse(x, hi, cfg)
         lam2 = psi_inverse(x, lo, cfg)
         lhs = lam2.lo - lam1.hi
@@ -425,25 +407,16 @@ def verify_caseA(x: Fraction, trials: int,
 
     prefix = xs.prefix(m)
     for _ in range(trials):
-        found = None
-        for _attempt in range(400):
-            q = rng.randint(1, 8)
-            j = Word(tuple(rng.randint(0, 1) for _ in range(q)))
-            s3 = EpSequence(prefix + j + ONE_TAIL, ZERO_TAIL)
-            s4 = EpSequence(prefix + j + ZERO_TAIL, ONE_TAIL)
-            if admissible(xs, s3) and admissible(xs, s4):
-                found = (q, s3, s4)
-                break
-        if found is None:
-            raise HypothesisUnsatisfiable(f"no admissible upper shape for {x}")
-        q, s3, s4 = found
+        j, s3, s4 = _draw(rng, xs, (1, 8), lambda j: (
+            EpSequence(prefix + j + ONE_TAIL, ZERO_TAIL),
+            EpSequence(prefix + j + ZERO_TAIL, ONE_TAIL)))
+        q = len(j)
         lam3 = psi_inverse(x, s3, cfg)
         lam4 = psi_inverse(x, s4, cfg)
         lhs = lam4.hi - lam3.lo
-        l3_lo, l3_hi = lam3.lo, lam3.hi
-        l4_lo, l4_hi = lam4.lo, lam4.hi
-        bound1 = 2 * (1 - 2 * l3_hi) * l3_lo ** (q + 2)
-        bound2 = 2 * (1 - 2 * l4_hi) * l4_lo ** (m + q) / l3_hi ** (m - 2)
+        bound1 = 2 * (1 - 2 * lam3.hi) * lam3.lo ** (q + 2)
+        bound2 = (2 * (1 - 2 * lam4.hi) * lam4.lo ** (m + q)
+                  / lam3.hi ** (m - 2))
         rhs = min(bound1, bound2)
         entries.append(LedgerEntry(
             "switch_upper", {"q": q, "m": m}, str(lhs), str(rhs), lhs <= rhs))
@@ -456,17 +429,8 @@ def verify_caseA(x: Fraction, trials: int,
         piece = piece_endpoints(x, k, cfg)
         omega = Word(tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 3))))
         record = gap_record(x, k, omega, cfg)
-        bound = _gap_bound_caseA(piece, m)
-        lo = min(record.left_ratio_lo, record.right_ratio_lo)
-        entries.append(LedgerEntry(
-            "gap_ratio", {"k": k, "omega": str(omega)},
-            str(lo), str(bound), lo >= bound))
-        pr, hr = _piece_ratio_lo(piece), _half_ratio_lo(piece)
-        pb, hb = _piece_bound_caseA(piece, m), _half_bound_caseA(piece, m)
-        entries.append(LedgerEntry("piece_gap", {"k": k}, str(pr), str(pb),
-                                   pr >= pb))
-        entries.append(LedgerEntry("half_gap", {"k": k}, str(hr), str(hb),
-                                   hr >= hb))
+        entries += _family_entries(piece, m, cfg.precision_bits, record,
+                                   {"k": k, "omega": str(omega)})
 
     return VerificationLedger("A", x, trials, seed, tuple(entries))
 
@@ -475,20 +439,20 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
                  seed: int = 0) -> VerificationLedger:
     """Certified spot checks for the exceptional target 1/4, including the
     exact square identity (1/2 - alpha_{k+1})^2 = alpha_{k+1}^(n_k)."""
-    if trials < 1:
-        raise InvalidInput(f"trials must be positive, got {trials}")
+    _check_trials(trials)
     x = Fraction(1, 4)
     rng = random.Random(seed)
+    xs = binary_expansion(x)
     entries: list[LedgerEntry] = []
     bits = cfg.precision_bits
 
+    # every coding that starts 01 is admissible for 1/4: no draw is rejected
     for _ in range(trials):
         mm = rng.randint(1, 6)
-        q = rng.randint(1, 6)
-        j = Word(tuple(rng.randint(0, 1) for _ in range(q)))
-        head = Word((0, 1) + (0,) * mm) + j
-        s1 = EpSequence(head, ONE_TAIL)
-        s2 = EpSequence(head, ZERO_TAIL)
+        head = Word((0, 1) + (0,) * mm)
+        j, s1, s2 = _draw(rng, xs, (1, 6), lambda j: (
+            EpSequence(head + j, ONE_TAIL), EpSequence(head + j, ZERO_TAIL)))
+        q = len(j)
         lam1 = psi_inverse(x, s1, cfg)
         lam2 = psi_inverse(x, s2, cfg)
         lhs = lam2.lo - lam1.hi
@@ -499,11 +463,10 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
             str(lhs), str(rhs), lhs >= rhs))
 
     for _ in range(trials):
-        q = rng.randint(1, 8)
-        j = Word(tuple(rng.randint(0, 1) for _ in range(q)))
-        head = Word((0, 1)) + j
-        s3 = EpSequence(head + ONE_TAIL, ZERO_TAIL)
-        s4 = EpSequence(head + ZERO_TAIL, ONE_TAIL)
+        j, s3, s4 = _draw(rng, xs, (1, 8), lambda j: (
+            EpSequence(Word((0, 1)) + j + ONE_TAIL, ZERO_TAIL),
+            EpSequence(Word((0, 1)) + j + ZERO_TAIL, ONE_TAIL)))
+        q = len(j)
         lam3 = psi_inverse(x, s3, cfg)
         lam4 = psi_inverse(x, s4, cfg)
         lhs = lam4.hi - lam3.lo
@@ -527,16 +490,6 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
             str(magnitude), str(residual_cap),
             res_lo <= 0 <= res_hi and magnitude <= residual_cap))
         record = gap_record(x, k, word_at_position(1 + (k % 7)), cfg)
-        lo = min(record.left_ratio_lo, record.right_ratio_lo)
-        gb = _gap_bound_caseB(piece)
-        entries.append(LedgerEntry("gap_ratio", {"k": k},
-                                   str(lo), str(gb), lo >= gb))
-        pr, hr = _piece_ratio_lo(piece), _half_ratio_lo(piece)
-        pb = _piece_bound_caseB(piece)
-        hb = _half_bound_caseB(piece, bits)
-        entries.append(LedgerEntry("piece_gap", {"k": k}, str(pr), str(pb),
-                                   pr >= pb))
-        entries.append(LedgerEntry("half_gap", {"k": k}, str(hr), str(hb),
-                                   hr >= hb))
+        entries += _family_entries(piece, None, bits, record, {"k": k})
 
     return VerificationLedger("B", x, trials, seed, tuple(entries))

@@ -6,8 +6,9 @@ class LambdasetError(Exception):
 
 
 class Inconclusive(LambdasetError):
-    """Solved cells of neighbouring endpoints are not separated; tighten
-    the target width."""
+    """Solved cells of neighbouring endpoints are not separated; the
+    message names the piece or gap and the target width they were solved
+    at, and a narrower target width may separate them."""
 
 
 class PeriodAllOnes(LambdasetError):

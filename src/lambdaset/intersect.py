@@ -9,14 +9,15 @@ a stated tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, gcd
 
-from .errors import InvalidInput, NoneFound, OutOfRange
+from .errors import DepthBudgetExceeded, InvalidInput, NoneFound, OutOfRange
 from .ifs_core import Member, greedy_digits
-from .lambda_set import (CoverInterval, IntervalCover, admissible_prefixes,
-                         binary_expansion, block_codes, cover, psi_inverse)
+from .lambda_set import (MAX_PREFIXES, CoverInterval, IntervalCover,
+                         admissible_prefixes, binary_expansion, block_codes,
+                         cover, psi_inverse)
 from .numerics import DEFAULT_CONFIG, Enclosure, PrecisionConfig
 from .seqcode import EpSequence, Word
 
@@ -27,6 +28,10 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
+# a search stops once it holds this many certificates
+MAX_CERTIFICATES = 24
+# width within which the coding enclosures of every target must agree
+TOLERANCE = Fraction(1, 1 << 60)
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,10 +124,9 @@ def _forced_digits(y: Fraction, lam: Enclosure,
 
 
 def _pin_candidate(targets: list[Fraction], s0: EpSequence,
-                   cfg: PrecisionConfig,
-                   tolerance: Fraction) -> CommonPointCertificate | None:
+                   cfg: PrecisionConfig) -> CommonPointCertificate | None:
     """Try to agree all targets on the ratio pinned by target 0's coding."""
-    tight = cfg.with_(target_width=min(cfg.target_width, tolerance / 4))
+    tight = replace(cfg, target_width=min(cfg.target_width, TOLERANCE / 4))
     lam = psi_inverse(targets[0], s0, tight)
     codings = [s0]
     status = "Certified"
@@ -138,7 +142,7 @@ def _pin_candidate(targets: list[Fraction], s0: EpSequence,
             if enc.overlaps(current):
                 joint = Enclosure(max(enc.lo, current.lo),
                                   min(enc.hi, current.hi), enc.bits)
-                if joint.width() <= tolerance:
+                if joint.width() <= TOLERANCE:
                     best = (s, joint)
                     break
         if best is None:
@@ -152,9 +156,7 @@ def _pin_candidate(targets: list[Fraction], s0: EpSequence,
 
 
 def find_common(targets: list[Fraction], search_depth: int,
-                cfg: PrecisionConfig = DEFAULT_CONFIG,
-                max_certificates: int = 24,
-                tolerance: Fraction = Fraction(1, 1 << 60)) -> list[CommonPointCertificate]:
+                cfg: PrecisionConfig = DEFAULT_CONFIG) -> list[CommonPointCertificate]:
     """Certificates of common ratios for all targets, sorted by ratio.
 
     Always contains the ratio-1/2 certificate (the attractor is the full
@@ -162,6 +164,10 @@ def find_common(targets: list[Fraction], search_depth: int,
     replay up to a denominator budget that grows with `search_depth`;
     remaining candidate regions from the intersected covers get coding
     pinning attempts.
+
+    Raises DepthBudgetExceeded, before any search, when there are more
+    than MAX_PREFIXES denominators q or candidate ratios p/q, or, for
+    several targets, more than MAX_PREFIXES prefixes in a cover.
     """
     targets = [Fraction(t) for t in targets]
     if not targets:
@@ -170,6 +176,16 @@ def find_common(targets: list[Fraction], search_depth: int,
         raise OutOfRange("targets must lie in (0, 1/2)")
     if search_depth < 1:
         raise ValueError("search_depth must be positive")
+    floor_lam = max(targets)
+    q_cap = 40 + 12 * search_depth
+    # the denominators are tested first, so a huge depth is refused before
+    # its candidates are counted
+    if q_cap > MAX_PREFIXES or sum(
+            max(0, (q + 1) // 2 - ceil(floor_lam * q))
+            for q in range(2, q_cap + 1)) > MAX_PREFIXES:
+        raise DepthBudgetExceeded(
+            f"more than {MAX_PREFIXES} denominators or candidate ratios for "
+            f"depth {search_depth}")
     if len(targets) > 1:
         # the covers built after the rational search must fit the prefix
         # budget; fail before that search rather than after it
@@ -180,11 +196,9 @@ def find_common(targets: list[Fraction], search_depth: int,
         tuple(targets), Enclosure.point(HALF, bits), HALF,
         tuple(binary_expansion(y) for y in targets), "Exact")]
 
-    floor_lam = max(targets)
-    q_cap = 40 + 12 * search_depth
     found_exact: set[Fraction] = {HALF}
     for q in range(2, q_cap + 1):
-        if len(certs) >= max_certificates:
+        if len(certs) >= MAX_CERTIFICATES:
             break
         for p in range(ceil(floor_lam * q), (q + 1) // 2):
             if gcd(p, q) != 1:
@@ -198,26 +212,26 @@ def find_common(targets: list[Fraction], search_depth: int,
                 certs.append(CommonPointCertificate(
                     tuple(targets), Enclosure.from_fraction(lam, bits), lam,
                     tuple(o.coding for o in outcomes), "Exact"))
-                if len(certs) >= max_certificates:
+                if len(certs) >= MAX_CERTIFICATES:
                     break
 
-    if len(certs) < max_certificates and len(targets) > 1:
-        inter = intersect_covers([cover(y, search_depth, cfg) for y in targets])
-        lead = cover(targets[0], search_depth, cfg)
+    if len(certs) < MAX_CERTIFICATES and len(targets) > 1:
+        covers = [cover(y, search_depth, cfg) for y in targets]
+        inter = intersect_covers(covers)
         for iv in inter.intervals[:-1]:     # skip the block at 1/2: covered above
             lo, hi = _outer(iv)
             if any(c.lam_exact is not None and lo <= c.lam_exact <= hi
                    for c in certs):
                 continue
-            seed = next((civ.low_code for civ in lead.intervals
+            seed = next((civ.low_code for civ in covers[0].intervals
                          if civ.low_code is not None
                          and lo <= civ.lo.hi <= hi), None)
             if seed is None:
                 continue
-            pinned = _pin_candidate(targets, seed, cfg, tolerance)
+            pinned = _pin_candidate(targets, seed, cfg)
             if pinned is not None:
                 certs.append(pinned)
-            if len(certs) >= max_certificates:
+            if len(certs) >= MAX_CERTIFICATES:
                 break
 
     certs.sort(key=CommonPointCertificate.sort_key)

@@ -208,13 +208,16 @@ def admissible_prefixes(x: Fraction, depth: int) -> list[Word]:
         raise ValueError("depth must be positive")
     x = Fraction(x)
     binary_expansion(x)  # range check
-    low, high = _prefix_range(x, depth)
-    if high - low + 1 > MAX_PREFIXES:
-        raise DepthBudgetExceeded(
-            f"more than {MAX_PREFIXES} admissible prefixes of "
-            f"length {depth} for {x}")
-    return [word_at_position((1 << depth) | m)
-            for m in range(high, low - 1, -1)]
+    # 1/2 - x >= 1/(2q) for x = p/q, so beyond this depth there are more
+    # than 2^16 words: refuse without building 2^depth
+    if depth <= x.denominator.bit_length() + 16:
+        low, high = _prefix_range(x, depth)
+        if high - low + 1 <= MAX_PREFIXES:
+            return [word_at_position((1 << depth) | m)
+                    for m in range(high, low - 1, -1)]
+    raise DepthBudgetExceeded(
+        f"more than {MAX_PREFIXES} admissible prefixes of "
+        f"length {depth} for {x}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -332,11 +335,6 @@ class LipschitzReport:
     min_ratio: Fraction        # certified lower bound over sampled pairs
     pairs: int
     violations: int
-
-    def to_json(self) -> dict:
-        return {"x": str(self.x), "lam": str(self.lam), "bound": str(self.bound),
-                "min_ratio": str(self.min_ratio), "pairs": self.pairs,
-                "violations": self.violations}
 
 
 def _random_admissible_coding(rng: random.Random, x: Fraction,

@@ -11,7 +11,7 @@ decimals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -120,9 +120,6 @@ class PrecisionConfig:
             raise ValueError("precision_bits must be at least 32")
         if self.target_width <= 0:
             raise ValueError("target_width must be positive")
-
-    def with_(self, **kwargs) -> "PrecisionConfig":
-        return replace(self, **kwargs)
 
 
 DEFAULT_CONFIG = PrecisionConfig()

@@ -54,7 +54,7 @@ def test_symmetry_reduction(capsys):
     assert out_high == out_low
 
 
-def test_exit_codes(capsys, monkeypatch):
+def test_exit_codes(capsys):
     assert run(capsys, "bogus")[0] == 1
     assert run(capsys, "cover", "--x", "1/2", "--depth", "2")[0] == 1
     assert run(capsys, "verify", "--case", "A", "--trials", "2")[0] == 1
@@ -79,17 +79,19 @@ def test_exit_codes(capsys, monkeypatch):
         code, out, err = run(capsys, *argv, "--x", "1/3")
         assert code == 1 and out == "" and err.count("\n") == 1
         assert err.startswith("error: ")
-    monkeypatch.setenv("LAMBDASET_PRECISION_BITS", "abc")
-    code, _, err = run(capsys, "expansion", "--x", "1/3")
-    assert code == 1 and err.count("\n") == 1
-    assert err.startswith("error: LAMBDASET_PRECISION_BITS")
 
 
 def test_prefix_budget_ends_deep_covers(capsys):
-    # tail constructions, multi-target searches, long expansions and high
-    # piece indices meet the same budget before any root is solved
+    # tail constructions, common-ratio searches, long expansions, high
+    # piece indices and trial counts meet the same budget before any root
+    # is solved
     for argv in (["cover", "--x", "1/3", "--depth", "60"],
                  ["cover", "--x", "1/3", "--depth", "2000"],
+                 ["cover", "--x", "1/3", "--depth", "1000000000"],
+                 ["common", "--targets", "1/3", "--depth", "1000"],
+                 ["common", "--targets", "1/3", "--depth", "34"],
+                 ["verify", "--case", "A", "--x", "1/3", "--trials", "16385"],
+                 ["verify", "--case", "B", "--trials", "1000000000"],
                  ["thickness-cl", "--x", "1/3", "--ell", "1", "--kmax", "3",
                   "--qmax", "30"],
                  ["cantor-ds", "--x", "1/3", "--ell", "1", "--kmax", "3",
@@ -151,13 +153,6 @@ def test_svg_output(capsys, tmp_path):
     code, out, _ = run(capsys, "svg-gaps", "--x", "1/3", "--ell", "1",
                        "--kmax", "2", "--qmax", "1")
     assert code == 0 and out.startswith("<svg")
-
-
-def test_env_var_precision(capsys, monkeypatch):
-    monkeypatch.setenv("LAMBDASET_PRECISION_BITS", "96")
-    _, _, err = run(capsys, "expansion", "--x", "1/3")
-    manifest = json.loads(err.strip().splitlines()[-1])
-    assert manifest["precision_bits"] == 96
 
 
 def test_thickness_from_file(capsys, tmp_path):

@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 
 from lambdaset.cantor_metrics import newhouse_lower, thickness_of
-from lambdaset.constructions import (_half_bound_caseB, defining_sequence_Cl,
+from lambdaset.constructions import (_family_bounds, defining_sequence_Cl,
                                      first_switch_index, gap_record,
                                      piece_endpoints, thickness_Cl,
                                      verify_caseA, verify_caseB)
-from lambdaset.errors import HypothesisUnsatisfiable
+from lambdaset.errors import HypothesisUnsatisfiable, Inconclusive
 from lambdaset.lambda_set import psi_inverse
+from lambdaset.numerics import PrecisionConfig
 from lambdaset.seqcode import WORD_EPSILON, EpSequence, Word
 
 F = Fraction
@@ -59,9 +60,8 @@ def test_gap_record_first_gap(cfg):
     g = gap_record(F(1, 3), 1, WORD_EPSILON, cfg)
     assert g.position == 1
     assert g.left_ratio_lo > 0 and g.right_ratio_lo > 0
-    # bridges flank the gap
-    assert g.left_bridge[1].overlaps(g.gap[0])
-    assert g.right_bridge[0].overlaps(g.gap[1])
+    # the gap is a certified open interval
+    assert g.gap[0].hi < g.gap[1].lo
 
 
 def test_gap_record_ratio_bound_caseA(cfg):
@@ -119,22 +119,50 @@ def test_right_tail_ratio_bound_exceptional_target(cfg):
         assert ratio ** 2 >= bound_sq
 
 
-def test_half_bound_caseB_is_a_tight_upper_root(cfg):
-    """For odd n_k the bound 1 / sqrt(alpha^(n_k - 2)) is rounded up, by
-    less than a relative 2^-100."""
-    for k in (1, 3, 5):
+def test_family_bounds_match_the_stated_formulas(cfg):
+    """Each bound equals its formula, evaluated at the cell ends that make
+    it largest, so lowering any one of them fails here even when every
+    certified ratio would still clear it."""
+    for x in (F(1, 3), F(2, 7), F(1, 5), F(2, 5)):
+        m = first_switch_index(x)
+        k0 = next(k for k in range(1, 20)
+                  if piece_endpoints(x, k, cfg).n_k > m)
+        for k in range(k0, k0 + 3):
+            p = piece_endpoints(x, k, cfg)
+            a, b, c = p.alpha.hi, p.beta.hi, p.alpha_next.lo
+            assert _family_bounds(p, m, 128) == (
+                a ** (m - 1) / (8 * (1 - 2 * a)),
+                x ** (m - 1) / (8 * (1 - 2 * b)),
+                b ** (m - 2) / (4 * c ** (p.n_k - 1))), (x, k)
+    parities = set()
+    for k in range(1, 9):
         p = piece_endpoints(F(1, 4), k, cfg)
-        assert p.n_k % 2 == 1
-        power = p.alpha_next.lo ** (p.n_k - 2)
-        bound = _half_bound_caseB(p, 128)
-        assert bound ** 2 * power >= 1
-        assert (bound * (1 - F(1, 1 << 100))) ** 2 * power < 1
+        a, b, c, n = p.alpha.hi, p.beta.hi, p.alpha_next.lo, p.n_k
+        gap, piece, half = _family_bounds(p, None, 128)
+        den = 1 - 2 * a + n * F(8, 2 ** n)
+        assert (gap, piece) == (a / den, b / den), k
+        if n % 2 == 0:
+            assert half == 1 / c ** (n // 2 - 1), k
+        else:
+            # 1 / sqrt(c^(n-2)), rounded up by less than a relative 2^-100
+            assert half ** 2 * c ** (n - 2) >= 1, k
+            assert (half * (1 - F(1, 2 ** 100))) ** 2 * c ** (n - 2) < 1, k
+        parities.add(n % 2)
+    assert parities == {0, 1}
+
+
+def test_unseparated_endpoints_name_the_width():
+    coarse = PrecisionConfig(64, target_width=F(1, 1 << 20))
+    with pytest.raises(Inconclusive, match="piece 40 .*width 1/1048576$"):
+        piece_endpoints(F(1, 3), 40, coarse)
+    coarser = PrecisionConfig(64, target_width=F(1, 1 << 8))
+    with pytest.raises(Inconclusive, match="gap 01 of piece 1 .*width 1/256$"):
+        gap_record(F(1, 3), 1, Word((0, 1)), coarser)
 
 
 def test_thickness_agrees_across_precisions(cfg):
     """Raising the working precision moves the certified truncated value by
     no more than the solver widths."""
-    from lambdaset.numerics import PrecisionConfig
     high = PrecisionConfig(192, target_width=F(1, 1 << 100))
     r_default = thickness_Cl(F(1, 3), 2, 3, 2, cfg)
     r_high = thickness_Cl(F(1, 3), 2, 3, 2, high)

@@ -257,21 +257,6 @@ def test_lipschitz_check(cfg):
         lipschitz_check(F(1, 3), F(1, 4), 10)
 
 
-def test_subshift_word_count_oracle():
-    """#length-m words with forced 1s at multiples of k is 2^(m - m//k)."""
-    for k in range(1, 7):
-        for m in range(1, 15):      # exhaustive enumeration
-            count = sum(
-                all(w[n - 1] == 1 for n in range(k, m + 1, k))
-                for w in product((0, 1), repeat=m))
-            assert count == 1 << (m - m // k)
-        for m in range(15, 25):     # per-position product
-            count = 1
-            for n in range(1, m + 1):
-                count *= 1 if n % k == 0 else 2
-            assert count == 1 << (m - m // k)
-
-
 def test_box_dim_smoke():
     fast = PrecisionConfig(64, target_width=F(1, 1 << 22))
     r = box_dim_estimate(F(1, 3), (F(1, 2) - F(1, 16), F(1, 2)),

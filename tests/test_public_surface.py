@@ -1,6 +1,7 @@
-"""Every name a module exports is used: by another part of the library,
-by the benchmark, or by the acceptance suite. Dead surface cannot grow
-back unnoticed."""
+"""Every name a module exports or defines is used: by another part of the
+library, by the benchmark, or by the acceptance suite, and every name a
+module imports is used in that module. Dead surface cannot grow back
+unnoticed."""
 
 import ast
 import importlib
@@ -54,4 +55,51 @@ def test_every_exported_name_has_a_caller():
             if name in refs or re.search(rf"\b{re.escape(name)}\b", outside):
                 continue
             unused.append(f"{path.stem}.{name}")
+    assert unused == []
+
+
+def _module_level_names(tree: ast.Module) -> list[str]:
+    """Undecorated functions and classes, and assigned constants, defined
+    at the top level of a module."""
+    names = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            if not stmt.decorator_list:
+                names.append(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_every_unexported_name_has_a_caller():
+    refs = _library_references()
+    outside = _outside_text()
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exported = set(getattr(importlib.import_module(f"lambdaset.{path.stem}"),
+                               "__all__", ()))
+        for name in _module_level_names(tree):
+            if name in exported or name in refs:
+                continue
+            if not re.search(rf"\b{re.escape(name)}\b", outside):
+                unused.append(f"{path.stem}.{name}")
+    assert unused == []
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                imported.update(alias.asname or alias.name.split(".")[0]
+                                for alias in stmt.names)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
     assert unused == []

@@ -31,7 +31,7 @@ from .ifs_core import Member, NotMember, greedy_digits, pi_eval
 from .intersect import find_common, intersect_covers
 from .lambda_set import binary_expansion, box_dim_estimate, cover, gaps
 from .numerics import PrecisionConfig, parse_rational
-from .seqcode import EpSequence
+from .seqcode import EpSequence, word_str
 from .svg import svg_gaps
 
 HALF = Fraction(1, 2)
@@ -153,7 +153,7 @@ def _code(args, cfg):
     elif isinstance(outcome, NotMember):
         payload.update(outcome="not_member", reject_step=outcome.reject_step)
     else:
-        payload.update(outcome="unresolved", digits=str(outcome.digits))
+        payload.update(outcome="unresolved", digits=word_str(outcome.digits))
     return payload, 0
 
 

@@ -25,7 +25,7 @@ from .cantor_metrics import DefiningSequence, Interval
 from .lambda_set import (CACHE_SIZE, MAX_PREFIXES, admissible,
                          binary_expansion, psi_inverse)
 from .numerics import DEFAULT_CONFIG, Enclosure, PrecisionConfig, round_dyadic
-from .seqcode import (EpSequence, Word, n_index, word_at_position,
+from .seqcode import (EpSequence, n_index, word_at_position, word_str,
                       zero_indices)
 
 __all__ = [
@@ -44,8 +44,8 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
-ONE_TAIL = Word((1,))
-ZERO_TAIL = Word((0,))
+ONE_TAIL = (1,)
+ZERO_TAIL = (0,)
 
 
 def _nk(x: Fraction, k: int) -> int:
@@ -63,10 +63,9 @@ def first_switch_index(x: Fraction) -> int:
     """
     xs = binary_expansion(Fraction(x))
     c = xs.canonical()
-    horizon = len(c.preperiod) + len(c.period) + 2
-    for m in range(3, horizon + 1):
-        if xs.digit(m) == 1:
-            return m
+    digits = c.prefix(len(c.preperiod) + len(c.period) + 2)
+    if 1 in digits[2:]:
+        return digits.index(1, 2) + 1
     raise HypothesisUnsatisfiable(
         f"expansion of {x} has no digit 1 at any index >= 3")
 
@@ -91,14 +90,15 @@ class PieceEndpoints:
 
 def _separated(x: Fraction, codings: tuple[EpSequence, ...],
                cfg: PrecisionConfig, k: int,
-               omega: Optional[Word] = None) -> list[Enclosure]:
+               omega: Optional[tuple[int, ...]] = None) -> list[Enclosure]:
     """Solve the codings in order; raise Inconclusive unless each cell lies
     strictly below the next. `k` and `omega` name the piece, or the gap of
     the piece, in the message."""
     cells = [psi_inverse(x, s, cfg) for s in codings]
     for left, right in zip(cells, cells[1:]):
         if not left.hi < right.lo:
-            where = f"piece {k}" if omega is None else f"gap {omega} of piece {k}"
+            where = (f"piece {k}" if omega is None
+                     else f"gap {word_str(omega)} of piece {k}")
             raise Inconclusive(f"endpoints of {where} not separated at target "
                                f"width {cfg.target_width}")
     return cells
@@ -132,7 +132,7 @@ class GapRecord:
     right_ratio_lo: Fraction
 
 
-def gap_record(x: Fraction, k: int, omega: Word,
+def gap_record(x: Fraction, k: int, omega: tuple[int, ...],
                cfg: PrecisionConfig = DEFAULT_CONFIG) -> GapRecord:
     """Solve the four endpoints around the gap labelled by `omega`.
 
@@ -356,13 +356,13 @@ def _check_trials(trials: int) -> None:
 
 
 def _draw(rng: random.Random, xs: EpSequence, q_range: tuple[int, int],
-          shape: Callable[[Word], tuple[EpSequence, EpSequence]]
-          ) -> tuple[Word, EpSequence, EpSequence]:
+          shape: Callable[[tuple[int, ...]], tuple[EpSequence, EpSequence]]
+          ) -> tuple[tuple[int, ...], EpSequence, EpSequence]:
     """Random word w of length in q_range whose two codings shape(w) are
     both admissible for the target with expansion xs."""
     for _ in range(400):
         q = rng.randint(*q_range)
-        w = Word(tuple(rng.randint(0, 1) for _ in range(q)))
+        w = tuple(rng.randint(0, 1) for _ in range(q))
         first, second = shape(w)
         if admissible(xs, first) and admissible(xs, second):
             return w, first, second
@@ -402,8 +402,8 @@ def verify_caseA(x: Fraction, trials: int,
         lam2 = psi_inverse(x, lo, cfg)
         lhs = lam2.lo - lam1.hi
         rhs = lam2.hi ** len(w) / 4
-        entries.append(LedgerEntry(
-            "switch_lower", {"word": str(w)}, str(lhs), str(rhs), lhs >= rhs))
+        entries.append(LedgerEntry("switch_lower", {"word": word_str(w)},
+                                   str(lhs), str(rhs), lhs >= rhs))
 
     prefix = xs.prefix(m)
     for _ in range(trials):
@@ -427,10 +427,10 @@ def verify_caseA(x: Fraction, trials: int,
     for _ in range(trials):
         k = rng.randint(k0, k0 + 4)
         piece = piece_endpoints(x, k, cfg)
-        omega = Word(tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 3))))
+        omega = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 3)))
         record = gap_record(x, k, omega, cfg)
         entries += _family_entries(piece, m, cfg.precision_bits, record,
-                                   {"k": k, "omega": str(omega)})
+                                   {"k": k, "omega": word_str(omega)})
 
     return VerificationLedger("A", x, trials, seed, tuple(entries))
 
@@ -449,7 +449,7 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
     # every coding that starts 01 is admissible for 1/4: no draw is rejected
     for _ in range(trials):
         mm = rng.randint(1, 6)
-        head = Word((0, 1) + (0,) * mm)
+        head = (0, 1) + (0,) * mm
         j, s1, s2 = _draw(rng, xs, (1, 6), lambda j: (
             EpSequence(head + j, ONE_TAIL), EpSequence(head + j, ZERO_TAIL)))
         q = len(j)
@@ -459,20 +459,20 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
         den = 1 - 2 * lam1.hi + Fraction(mm + 3, 1 << mm)
         rhs = lam2.hi ** (mm + 2 + q) / den
         entries.append(LedgerEntry(
-            "switch_lower", {"m": mm, "q": q, "word": str(j)},
+            "switch_lower", {"m": mm, "q": q, "word": word_str(j)},
             str(lhs), str(rhs), lhs >= rhs))
 
     for _ in range(trials):
         j, s3, s4 = _draw(rng, xs, (1, 8), lambda j: (
-            EpSequence(Word((0, 1)) + j + ONE_TAIL, ZERO_TAIL),
-            EpSequence(Word((0, 1)) + j + ZERO_TAIL, ONE_TAIL)))
+            EpSequence((0, 1) + j + ONE_TAIL, ZERO_TAIL),
+            EpSequence((0, 1) + j + ZERO_TAIL, ONE_TAIL)))
         q = len(j)
         lam3 = psi_inverse(x, s3, cfg)
         lam4 = psi_inverse(x, s4, cfg)
         lhs = lam4.hi - lam3.lo
         rhs = lam3.lo ** (2 + q)
         entries.append(LedgerEntry(
-            "switch_upper", {"q": q, "word": str(j)},
+            "switch_upper", {"q": q, "word": word_str(j)},
             str(lhs), str(rhs), lhs <= rhs))
 
     residual_cap = Fraction(1, 1 << 70)

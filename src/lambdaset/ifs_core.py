@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import OutOfRange
-from .seqcode import EpSequence, Word
+from .seqcode import EpSequence
 
 __all__ = [
     "Member",
@@ -46,7 +46,7 @@ class NotMember:
 class Unresolved:
     """No cycle and no rejection within the step budget."""
 
-    digits: Word
+    digits: tuple[int, ...]
 
 
 GreedyOutcome = Union[Member, NotMember, Unresolved]
@@ -67,7 +67,7 @@ def pi_eval(s: EpSequence, lam: Fraction | float) -> Fraction | float:
     with u the preperiod and v the period; exact on Fractions, rounded on
     floats.
     """
-    u, v = s.preperiod.bits, s.period.bits
+    u, v = s.preperiod, s.period
     if not 0 <= lam < 1:
         raise OutOfRange("contraction ratio must lie in [0, 1)")
     per = _poly_fraction(v, lam) / (1 - lam ** len(v))
@@ -81,7 +81,7 @@ def pi_root_poly(s: EpSequence, x: Fraction) -> tuple[int, ...]:
     For x = p/q this is the closed form of pi_eval - x times q (1 - lam^|v|):
     R = q (1-lam) [P_u (1 - lam^|v|) + lam^|u| P_v] - p (1 - lam^|v|).
     """
-    u, v = s.preperiod.bits, s.period.bits
+    u, v = s.preperiod, s.period
     x = Fraction(x)
     p, q = x.numerator, x.denominator
     inner = [0] * (len(u) + len(v))        # P_u (1 - lam^|v|) + lam^|u| P_v
@@ -143,8 +143,9 @@ def greedy_digits(x: Fraction, lam: Fraction, max_steps: int = 256) -> GreedyOut
             return NotMember(step)
         start = seen.setdefault((y.numerator, y.denominator), step)
         if start != step:
-            return Member(EpSequence.from_digits(digits[:start], digits[start:]))
-    return Unresolved(Word(tuple(digits)))
+            return Member(EpSequence(tuple(digits[:start]),
+                                     tuple(digits[start:])))
+    return Unresolved(tuple(digits))
 
 
 def membership(x: Fraction, lam: Fraction, max_steps: int = 256) -> bool | None:

@@ -19,7 +19,7 @@ from .lambda_set import (MAX_PREFIXES, CoverInterval, IntervalCover,
                          admissible_prefixes, binary_expansion, block_codes,
                          cover, psi_inverse)
 from .numerics import DEFAULT_CONFIG, Enclosure, PrecisionConfig
-from .seqcode import EpSequence, Word
+from .seqcode import EpSequence
 
 __all__ = [
     "CommonPointCertificate",
@@ -136,7 +136,7 @@ def _pin_candidate(targets: list[Fraction], s0: EpSequence,
         if outcome == "rejected":
             return None
         best = None
-        candidates = block_codes(binary_expansion(y), Word(tuple(digits)))
+        candidates = block_codes(binary_expansion(y), tuple(digits))
         for s in candidates:
             enc = psi_inverse(y, s, tight)
             if enc.overlaps(current):

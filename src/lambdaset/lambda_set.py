@@ -23,8 +23,7 @@ from .errors import (DepthBudgetExceeded, InsufficientMembers, InvalidInput,
                      NotAdmissible, OutOfRange)
 from .ifs_core import Member, greedy_digits, pi_eval, pi_root_poly, poly_sign
 from .numerics import DEFAULT_CONFIG, Enclosure, PrecisionConfig, round_dyadic
-from .seqcode import (SEQ_01INF, EpSequence, Word, lex_le, lex_max, lex_min,
-                      word_at_position)
+from .seqcode import SEQ_01INF, EpSequence, n_index, word_at_position
 
 __all__ = [
     "CoverInterval",
@@ -79,7 +78,7 @@ def binary_expansion(x: Fraction) -> EpSequence:
 def admissible(xs: EpSequence, s: EpSequence) -> bool:
     """Whether s lies in the admissible window [xs, 0 1^inf] of the target
     whose base-1/2 expansion is xs."""
-    return lex_le(xs, s) and lex_le(s, SEQ_01INF)
+    return xs <= s <= SEQ_01INF
 
 
 # Grid level that a float root jumps to before exact bisection: cells there
@@ -177,12 +176,15 @@ def _float_root(s: EpSequence, x: Fraction) -> float:
     return (lo + hi) / 2
 
 
-def block_codes(xs: EpSequence, w: Word) -> tuple[EpSequence, EpSequence]:
+def block_codes(xs: EpSequence, w: tuple[int, ...]
+                ) -> tuple[EpSequence, EpSequence]:
     """Extremal admissible codings that start with w, for the target whose
     expansion is xs: the lex-largest (smallest ratio), then the
-    lex-smallest (largest ratio)."""
-    return (lex_min(EpSequence(w, Word((1,))), SEQ_01INF),
-            lex_max(EpSequence(w, Word((0,))), xs))
+    lex-smallest (largest ratio). On a stream tie the low code is w 1^inf
+    and the high code is xs."""
+    low, high = EpSequence(w, (1,)), EpSequence(w, (0,))
+    return (low if low <= SEQ_01INF else SEQ_01INF,
+            xs if high <= xs else high)
 
 
 def _prefix_range(x: Fraction, depth: int) -> tuple[int, int]:
@@ -194,10 +196,10 @@ def _prefix_range(x: Fraction, depth: int) -> tuple[int, int]:
 
 def _prefix_admissible(x: Fraction, bits: tuple[int, ...]) -> bool:
     low, high = _prefix_range(x, len(bits))
-    return low <= int("".join(map(str, bits)), 2) <= high
+    return low <= n_index(bits) - (1 << len(bits)) <= high
 
 
-def admissible_prefixes(x: Fraction, depth: int) -> list[Word]:
+def admissible_prefixes(x: Fraction, depth: int) -> list[tuple[int, ...]]:
     """All length-`depth` words extendable to an admissible coding for x,
     in descending lexicographic order (so ratio images come out ascending).
 
@@ -284,7 +286,7 @@ class LambdaGap:
                 "left_code": str(self.left_code), "right_code": str(self.right_code)}
 
 
-def _prefix_interval(x: Fraction, w: Word, xs: EpSequence,
+def _prefix_interval(x: Fraction, w: tuple[int, ...], xs: EpSequence,
                      cfg: PrecisionConfig) -> CoverInterval:
     low_code, high_code = block_codes(xs, w)
     return CoverInterval(psi_inverse(x, low_code, cfg),
@@ -343,7 +345,7 @@ def _random_admissible_coding(rng: random.Random, x: Fraction,
     for _ in range(length):
         choices = [d for d in (0, 1) if _prefix_admissible(x, bits + (d,))]
         bits = bits + (rng.choice(choices),)
-    low, high = block_codes(xs, Word(bits))
+    low, high = block_codes(xs, bits)
     return low if rng.random() < 0.5 else high
 
 
@@ -406,7 +408,7 @@ class BoxDimReport:
     x: Fraction
     window: tuple[Fraction, Fraction]
     slope: float
-    stderr: float
+    stderr: float | None          # None for a two-point fit
     points: tuple[tuple[Fraction, int], ...]   # (eps, box count)
     segments: int
 
@@ -443,7 +445,7 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
     stack: list[tuple[int, ...]] = [(0,)]
     while stack:
         bits = stack.pop()
-        iv = _prefix_interval(x, Word(bits), xs, cfg)
+        iv = _prefix_interval(x, bits, xs, cfg)
         s_lo, s_hi = iv.lo.lo, iv.hi.hi
         if s_hi < lo_w or s_lo > hi_w:
             continue
@@ -469,6 +471,6 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
     sxx = sum((v - mean_x) ** 2 for v in xs_log)
     rss = sum((y - (fit.slope * v + fit.intercept)) ** 2
               for v, y in zip(xs_log, ys_log))
-    stderr = math.sqrt(rss / (n - 2) / sxx) if n > 2 else float("inf")
+    stderr = math.sqrt(rss / (n - 2) / sxx) if n > 2 else None
     return BoxDimReport(x, (a, b), fit.slope, stderr, tuple(points),
                         len(segments))

@@ -65,21 +65,19 @@ def _decimal(q: Fraction) -> str:
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Enclosure:
     """Certified interval [lo, hi] with dyadic Fraction endpoints at a fixed
-    working precision."""
+    working precision. Equal only to itself."""
 
-    __slots__ = ("lo", "hi", "bits")
+    lo: Fraction
+    hi: Fraction
+    bits: int
 
-    def __init__(self, lo: Fraction, hi: Fraction, bits: int):
-        if lo > hi:
-            raise ValueError(f"enclosure endpoints out of order: {lo} > {hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Enclosure is immutable")
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError(
+                f"enclosure endpoints out of order: {self.lo} > {self.hi}")
 
     @classmethod
     def point(cls, d: Fraction, bits: int) -> "Enclosure":

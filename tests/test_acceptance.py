@@ -16,7 +16,7 @@ from lambdaset.intersect import find_common
 from lambdaset.lambda_set import (box_dim_estimate, cover, gaps,
                                   lipschitz_check, psi_inverse)
 from lambdaset.numerics import PrecisionConfig
-from lambdaset.seqcode import EpSequence, Word
+from lambdaset.seqcode import EpSequence
 
 F = Fraction
 CFG = PrecisionConfig()
@@ -53,7 +53,7 @@ def test_criterion_02_greedy_ground_truth():
         pre = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 8)))
         per = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 6)))
         lam = F(rng.randint(1, 120), 240)
-        s = EpSequence(Word(pre), Word(per))
+        s = EpSequence(pre, per)
         x = pi_eval(s, lam)
         outcome = greedy_digits(x, lam, 512)
         ok &= isinstance(outcome, Member)

@@ -17,9 +17,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
 def run_json(capsys, *argv):
+    """Exit code, payload and manifest; both must be strict JSON."""
     code, out, err = run(capsys, *argv)
-    return code, json.loads(out), json.loads(err.strip().splitlines()[-1])
+    return code, *(json.loads(text, parse_constant=_no_constant)
+                   for text in (out, err.strip().splitlines()[-1]))
 
 
 def test_code_example(capsys):
@@ -219,6 +225,10 @@ SCHEMA_RUNS = [
     ("dim", ["dim", "--x", "1/3", "--center", "0.46", "--radius", "1/16",
              "--eps-min-exp", "7", "--eps-max-exp", "9", "--bits", "64",
              "--width-bits", "20"]),
+    # two grid sizes leave no residual degrees of freedom: stderr is null
+    ("dim-two-point", ["dim", "--x", "1/3", "--center", "9/20",
+                       "--radius", "1/20", "--eps-min-exp", "8",
+                       "--eps-max-exp", "9"]),
     ("pieces", ["pieces", "--x", "1/4", "--k", "1"]),
     ("cantor-ds", ["cantor-ds", "--x", "1/3", "--ell", "2", "--kmax", "2",
                    "--qmax", "1"]),
@@ -234,7 +244,7 @@ SCHEMA_RUNS = [
 def test_payloads_validate_against_schemas(capsys, name, argv):
     code, payload, _ = run_json(capsys, *argv)
     assert code == 0
-    jsonschema.validate(payload, load_schema(name))
+    jsonschema.validate(payload, load_schema(argv[0]))
 
 
 def test_svg_write_payload_schema(capsys, tmp_path):

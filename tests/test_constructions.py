@@ -10,7 +10,7 @@ from lambdaset.constructions import (_family_bounds, defining_sequence_Cl,
 from lambdaset.errors import HypothesisUnsatisfiable, Inconclusive
 from lambdaset.lambda_set import psi_inverse
 from lambdaset.numerics import PrecisionConfig
-from lambdaset.seqcode import WORD_EPSILON, EpSequence, Word
+from lambdaset.seqcode import EpSequence
 
 F = Fraction
 S = EpSequence.from_string
@@ -57,7 +57,7 @@ def test_pieces_separated_and_increasing(cfg):
 
 
 def test_gap_record_first_gap(cfg):
-    g = gap_record(F(1, 3), 1, WORD_EPSILON, cfg)
+    g = gap_record(F(1, 3), 1, (), cfg)
     assert g.position == 1
     assert g.left_ratio_lo > 0 and g.right_ratio_lo > 0
     # the gap is a certified open interval
@@ -71,7 +71,7 @@ def test_gap_record_ratio_bound_caseA(cfg):
         assert piece.n_k > m
         a_hi = piece.alpha.hi
         bound = x ** (m - 1) / (8 * (1 - 2 * a_hi))
-        g = gap_record(x, k, Word((0,)), cfg)
+        g = gap_record(x, k, (0,), cfg)
         assert g.left_ratio_lo >= bound
         assert g.right_ratio_lo >= bound
 
@@ -83,7 +83,7 @@ def test_defining_sequence_Cl_structure(cfg):
     # first removal is the inter-piece gap, second is the piece's first gap
     assert ds.removals[0][0] is piece.beta
     assert ds.removals[0][1] is piece.alpha_next
-    first_gap = gap_record(x, ell, WORD_EPSILON, cfg)
+    first_gap = gap_record(x, ell, (), cfg)
     assert ds.removals[1][0].overlaps(first_gap.gap[0])
     assert ds.removals[1][1].overlaps(first_gap.gap[1])
     assert ds.hull[1].contains(F(1, 2))
@@ -157,7 +157,7 @@ def test_unseparated_endpoints_name_the_width():
         piece_endpoints(F(1, 3), 40, coarse)
     coarser = PrecisionConfig(64, target_width=F(1, 1 << 8))
     with pytest.raises(Inconclusive, match="gap 01 of piece 1 .*width 1/256$"):
-        gap_record(F(1, 3), 1, Word((0, 1)), coarser)
+        gap_record(F(1, 3), 1, (0, 1), coarser)
 
 
 def test_thickness_agrees_across_precisions(cfg):
@@ -191,9 +191,9 @@ def test_caseA_switch_lower_explicit_q5(cfg):
     """One pinned instance: switching the tail after 01101 moves the ratio
     by at least a quarter of its fifth power."""
     x = F(1, 3)
-    word = Word((0, 1, 1, 0, 1))
-    lam1 = psi_inverse(x, EpSequence(word, Word((1,))), cfg)
-    lam2 = psi_inverse(x, EpSequence(word, Word((0,))), cfg)
+    word = (0, 1, 1, 0, 1)
+    lam1 = psi_inverse(x, EpSequence(word, (1,)), cfg)
+    lam2 = psi_inverse(x, EpSequence(word, (0,)), cfg)
     lhs = lam2.lo - lam1.hi
     assert lhs >= lam2.hi ** 5 / 4
 
@@ -201,11 +201,9 @@ def test_caseA_switch_lower_explicit_q5(cfg):
 def test_caseB_switch_upper_explicit_q3(cfg):
     """Pinned instance for 1/4: switching after 01 j1 j2 j3 narrows the gap
     to at most the smaller ratio to the fifth power."""
-    x, j = F(1, 4), Word((1, 0, 1))
-    lam3 = psi_inverse(x, EpSequence(Word((0, 1)) + j + Word((1,)),
-                                     Word((0,))), cfg)
-    lam4 = psi_inverse(x, EpSequence(Word((0, 1)) + j + Word((0,)),
-                                     Word((1,))), cfg)
+    x, j = F(1, 4), (1, 0, 1)
+    lam3 = psi_inverse(x, EpSequence((0, 1) + j + (1,), (0,)), cfg)
+    lam4 = psi_inverse(x, EpSequence((0, 1) + j + (0,), (1,)), cfg)
     lhs = lam4.hi - lam3.lo
     assert lhs <= lam3.lo ** 5
 

@@ -6,7 +6,7 @@ import pytest
 from lambdaset.errors import OutOfRange
 from lambdaset.ifs_core import (Member, NotMember, Unresolved, greedy_digits,
                                 membership, pi_eval, pi_root_poly, poly_sign)
-from lambdaset.seqcode import EpSequence, Word
+from lambdaset.seqcode import EpSequence
 
 F = Fraction
 S = EpSequence.from_string
@@ -25,7 +25,7 @@ def test_pi_root_poly_sign_matches_pi_eval():
     for _ in range(300):
         pre = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 6)))
         per = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 4)))
-        s = EpSequence(Word(pre), Word(per))
+        s = EpSequence(pre, per)
         x = F(rng.randint(1, 99), rng.randint(100, 200))
         k = rng.randint(1, 12)
         m = rng.randint(1, (1 << k) - 1)
@@ -41,7 +41,7 @@ def test_pi_eval_floats_track_exact_values():
     for _ in range(100):
         pre = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 8)))
         per = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 6)))
-        s = EpSequence(Word(pre), Word(per))
+        s = EpSequence(pre, per)
         lam = F(rng.randint(1, 99), 100)
         assert abs(pi_eval(s, float(lam)) - float(pi_eval(s, lam))) < 1e-14
 
@@ -80,7 +80,7 @@ def test_roundtrip_on_random_members():
         lam = F(rng.randint(1, 99), 200)
         if lam > F(1, 2):
             continue
-        s = EpSequence(Word(pre), Word(per))
+        s = EpSequence(pre, per)
         x = pi_eval(s, lam)
         out = greedy_digits(x, lam, 512)
         assert isinstance(out, Member), (s, lam)
@@ -96,13 +96,11 @@ def test_monotone_in_sequence():
         n1, n2 = rng.randint(0, 20), rng.randint(0, 20)
         w1 = tuple(rng.randint(0, 1) for _ in range(n1))
         w2 = tuple(rng.randint(0, 1) for _ in range(n2))
-        s = EpSequence(Word(w1), Word((rng.randint(0, 1),)))
-        t = EpSequence(Word(w2), Word((rng.randint(0, 1),)))
-        from lambdaset.seqcode import Ordering, lex_compare
-        order = lex_compare(s, t)
-        if order is Ordering.EQUAL:
+        s = EpSequence(w1, (rng.randint(0, 1),))
+        t = EpSequence(w2, (rng.randint(0, 1),))
+        if s == t:
             continue
-        if order is Ordering.GREATER:
+        if not s <= t:
             s, t = t, s
         lam = F(rng.randint(1, 499), 1000)
         assert pi_eval(s, lam) < pi_eval(t, lam)
@@ -131,9 +129,8 @@ def test_greedy_maximality_for_dyadic_targets():
     for x in (F(1, 4), F(3, 8), F(5, 16), F(7, 32), F(15, 32)):
         out = greedy_digits(x, F(1, 2), 128)
         assert isinstance(out, Member)
-        assert out.coding.canonical().period.bits != (1,)   # never ends 1^inf
-        prefix = tuple(out.coding.digit(n) for n in range(1, 21))
-        assert prefix == max(_all_codings_to_depth(x, 20))
+        assert out.coding.canonical().period != (1,)   # never ends 1^inf
+        assert out.coding.prefix(20) == max(_all_codings_to_depth(x, 20))
 
 
 def test_greedy_domain_errors():

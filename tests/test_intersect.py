@@ -109,8 +109,8 @@ def _greedy_head(y, lam, n):
     """The first n greedy digits of y at lam, or the NotMember outcome."""
     out = greedy_digits(y, lam, n)
     if isinstance(out, Member):
-        return out.coding.prefix(n).bits
-    return out if isinstance(out, NotMember) else out.digits.bits
+        return out.coding.prefix(n)
+    return out if isinstance(out, NotMember) else out.digits
 
 
 @given(targets_and_dyadic_cells())

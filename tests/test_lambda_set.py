@@ -14,8 +14,7 @@ from lambdaset.lambda_set import (admissible, admissible_prefixes,
                                   box_dim_estimate, cover, gaps,
                                   lipschitz_check, psi_inverse)
 from lambdaset.numerics import PrecisionConfig, round_dyadic
-from lambdaset.seqcode import (SEQ_01INF, EpSequence, Ordering, Word,
-                               lex_compare)
+from lambdaset.seqcode import SEQ_01INF, EpSequence, word_str
 
 F = Fraction
 S = EpSequence.from_string
@@ -38,8 +37,8 @@ def test_expansion_properties():
     for _ in range(50):
         x = F(rng.randint(1, 499), 1000)
         s = binary_expansion(x)
-        assert s.digit(1) == 0
-        assert s.canonical().period.bits != (1,)
+        assert s.prefix(1) == (0,)
+        assert s.canonical().period != (1,)
         assert pi_eval(s, F(1, 2)) == x
 
 
@@ -122,19 +121,20 @@ def test_psi_inverse_rejects_inadmissible(cfg):
 
 def test_block_codes_bound_each_prefix_block():
     xs = binary_expansion(F(1, 4))                     # 01(0)
-    assert block_codes(xs, Word((0, 1, 1))) == (S("011(1)"), S("011(0)"))
-    assert block_codes(xs, Word((0, 1, 0))) == (S("010(1)"), S("01(0)"))
+    assert block_codes(xs, (0, 1, 1)) == (S("011(1)"), S("011(0)"))
+    assert block_codes(xs, (0, 1, 0)) == (S("010(1)"), S("01(0)"))
     for w in admissible_prefixes(F(1, 4), 5):
         low, high = block_codes(xs, w)
         assert admissible(xs, low) and admissible(xs, high)
-        assert lex_compare(low, high) is not Ordering.LESS
+        assert high <= low
     assert not admissible(xs, S("00(1)")) and not admissible(xs, S("1(0)"))
 
 
 def test_admissible_prefixes_examples():
-    assert [str(w) for w in admissible_prefixes(F(1, 3), 1)] == ["0"]
-    assert [str(w) for w in admissible_prefixes(F(1, 3), 2)] == ["01"]
-    assert [str(w) for w in admissible_prefixes(F(1, 4), 3)] == ["011", "010"]
+    assert [word_str(w) for w in admissible_prefixes(F(1, 3), 1)] == ["0"]
+    assert [word_str(w) for w in admissible_prefixes(F(1, 3), 2)] == ["01"]
+    assert [word_str(w) for w in admissible_prefixes(F(1, 4), 3)] == ["011",
+                                                                      "010"]
 
 
 def test_admissible_prefixes_match_brute_force():
@@ -146,13 +146,15 @@ def test_admissible_prefixes_match_brute_force():
             x = F(p, q)
             xs = binary_expansion(x)
             for d in range(1, 9):
-                words = [Word(bits) for bits in product((1, 0), repeat=d)]
+                words = list(product((1, 0), repeat=d))
+                # the digits of xs after the first d, then its period
+                tail = (xs.preperiod + xs.period * d)[d:]
                 expected = [w for w in words if any(
                     admissible(xs, EpSequence(w + s.preperiod, s.period))
-                    for s in (S("(0)"), S("(1)"), xs.shift(d)))]
+                    for s in (S("(0)"), S("(1)"), EpSequence(tail, xs.period)))]
                 assert admissible_prefixes(x, d) == expected
                 assert [w for w in words if lambda_set._prefix_admissible(
-                    x, w.bits)] == expected
+                    x, w)] == expected
 
 
 def test_cover_examples(cfg):
@@ -163,6 +165,9 @@ def test_cover_examples(cfg):
 
     c = cover(F(1, 4), 3, cfg)
     assert len(c.intervals) == 2
+    # on a stream tie the low code is w 1^inf and the high code is x's own
+    assert [(str(iv.low_code), str(iv.high_code)) for iv in c.intervals] == [
+        ("011(1)", "011(0)"), ("010(1)", "01(0)")]
     assert c.intervals[0].lo.contains(F(1, 4))
     assert abs(c.intervals[0].hi.mid_fraction() - BETA1_QUARTER) < F(1, 10 ** 24)
     assert abs(c.intervals[1].lo.mid_fraction() - ALPHA2_QUARTER) < F(1, 10 ** 24)
@@ -192,15 +197,13 @@ def test_order_reversal(fast_cfg):
         pre_len = rng.randint(1, 10)
         bits1 = (0,) + tuple(rng.randint(0, 1) for _ in range(pre_len))
         bits2 = (0,) + tuple(rng.randint(0, 1) for _ in range(pre_len))
-        s = EpSequence(Word(bits1), Word((rng.randint(0, 1),)))
-        t = EpSequence(Word(bits2), Word((rng.randint(0, 1),)))
-        from lambdaset.seqcode import lex_le
-        if not all(lex_le(xs, u) and lex_le(u, SEQ_01INF) for u in (s, t)):
+        s = EpSequence(bits1, (rng.randint(0, 1),))
+        t = EpSequence(bits2, (rng.randint(0, 1),))
+        if not all(xs <= u <= SEQ_01INF for u in (s, t)):
             continue
-        order = lex_compare(s, t)
-        if order is Ordering.EQUAL:
+        if s == t:
             continue
-        if order is Ordering.GREATER:
+        if not s <= t:
             s, t = t, s
         es, et = psi_inverse(x, s, fast_cfg), psi_inverse(x, t, fast_cfg)
         if es.overlaps(et):

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lambdaset.errors import PeriodAllOnes
-from lambdaset.seqcode import (EpSequence, Ordering, Word, WORD_EPSILON,
-                               lex_compare, n_index, word_at_position,
+from lambdaset.seqcode import (EpSequence, n_index, word_at_position,
                                zero_indices)
 
 S = EpSequence.from_string
@@ -15,65 +14,88 @@ def bits(max_len):
 
 sequences = st.builds(
     EpSequence,
-    st.builds(Word, bits(6)),
-    st.builds(Word, st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple)),
+    bits(6),
+    st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple),
 )
+
+
+def stream(s, n):
+    """The first n digits of s, one at a time: the reference for order,
+    equality and prefixes."""
+    u, v = s.preperiod, s.period
+    return tuple(u[i] if i < len(u) else v[(i - len(u)) % len(v)]
+                 for i in range(n))
+
+
+def variants(s, reps):
+    """Other representations of the stream of s: the period unrolled, and
+    the first period digit moved into the preperiod."""
+    v = s.period
+    return (EpSequence(s.preperiod, v * reps),
+            EpSequence(s.preperiod + v[:1], v[1:] + v[:1]))
 
 
 def test_parse_and_str_roundtrip():
     for text in ("01(0)", "(01)", "0(1)", "0111(0)"):
         assert str(S(text)) == text
+    # a sequence prints the representation it was built with
+    assert str(EpSequence((0, 1, 1), (1, 1))) == "011(11)"
     with pytest.raises(ValueError):
         S("01")
     with pytest.raises(ValueError):
-        EpSequence(Word((0,)), Word(()))
+        EpSequence((0,), ())
 
 
 def test_lex_examples():
-    assert lex_compare(S("0(1)"), S("1(0)")) is Ordering.LESS
-    assert lex_compare(S("(01)"), S("010(0)")) is Ordering.GREATER
-    assert lex_compare(S("(0)"), S("(0)")) is Ordering.EQUAL
+    assert S("0(1)") <= S("1(0)") and not S("1(0)") <= S("0(1)")
+    assert S("010(0)") <= S("(01)") and not S("(01)") <= S("010(0)")
+    assert S("(0)") <= S("(0)") and S("(0)") == S("(0)")
 
 
 @given(sequences, sequences)
 def test_lex_antisymmetric(a, b):
-    ab, ba = lex_compare(a, b), lex_compare(b, a)
-    assert ab is Ordering(-ba)
+    assert a <= b or b <= a
+    assert (a <= b and b <= a) == (a == b)
 
 
 @given(sequences, sequences, sequences)
 def test_lex_transitive(a, b, c):
-    le = lambda u, v: lex_compare(u, v) is not Ordering.GREATER
-    if le(a, b) and le(b, c):
-        assert le(a, c)
+    if a <= b and b <= c:
+        assert a <= c
 
 
 @given(bits(6), sequences, sequences)
-def test_prefix_invariance(prefix, s, t):
-    w = Word(prefix)
-    assert (lex_compare(EpSequence(w + s.preperiod, s.period),
-                        EpSequence(w + t.preperiod, t.period))
-            is lex_compare(s, t))
+def test_prefix_invariance(w, s, t):
+    ws = EpSequence(w + s.preperiod, s.period)
+    wt = EpSequence(w + t.preperiod, t.period)
+    assert (ws <= wt) == (s <= t)
+    assert (wt <= ws) == (t <= s)
+    assert (ws == wt) == (s == t)
 
 
-@given(sequences, st.integers(1, 3))
-def test_period_unrolling_invariance(s, reps):
-    unrolled = EpSequence(s.preperiod, Word(s.period.bits * reps))
-    assert lex_compare(s, unrolled) is Ordering.EQUAL
-    assert s == unrolled and hash(s) == hash(unrolled)
-    # the same stream with its first period digit moved into the preperiod
-    v = s.period.bits
-    absorbed = EpSequence(s.preperiod + Word(v[:1]), Word(v[1:] + v[:1]))
-    assert s == absorbed and hash(s) == hash(absorbed)
+@given(sequences, sequences, st.integers(1, 3))
+def test_period_unrolling_invariance(a, b, reps):
+    """==, <= and hash agree with a digit-by-digit reference on every
+    representation of both streams."""
+    # past both preperiods (at most 7 digits) and a joint period (lcm 12 reps)
+    n = 2 * 7 + 12 * reps
+    for s in (a, *variants(a, reps)):
+        assert s.prefix(n) == stream(s, n) == stream(a, n)
+        assert s == a and hash(s) == hash(a) and s <= a <= s
+        for t in (b, *variants(b, reps)):
+            assert (s == t) == (stream(s, n) == stream(t, n))
+            assert (s <= t) == (stream(s, n) <= stream(t, n))
+            if s == t:
+                assert hash(s) == hash(t)
     for short, long in (("0(1)", "011(1)"), ("(01)", "0(10)")):
         assert S(short) == S(long) and hash(S(short)) == hash(S(long))
 
 
 def test_n_index_examples():
-    assert n_index(WORD_EPSILON) == 1
-    assert n_index(Word.from_string("0")) == 2
-    assert n_index(Word.from_string("1")) == 3
-    assert n_index(Word.from_string("011")) == 11
+    assert n_index(()) == 1
+    assert n_index((0,)) == 2
+    assert n_index((1,)) == 3
+    assert n_index((0, 1, 1)) == 11
 
 
 def test_n_index_bijective_up_to_length_12():
@@ -82,7 +104,7 @@ def test_n_index_bijective_up_to_length_12():
         lo, hi = 1 << q, (1 << (q + 1)) - 1
         values = set()
         for i in range(1 << q):
-            w = Word(tuple((i >> (q - 1 - j)) & 1 for j in range(q)))
+            w = tuple((i >> (q - 1 - j)) & 1 for j in range(q))
             n = n_index(w)
             assert lo <= n <= hi
             assert n not in seen
@@ -102,10 +124,11 @@ def test_zero_indices_examples():
         zero_indices(S("0(1)"), 1)
 
 
-@given(sequences.filter(lambda s: 0 in s.canonical().period.bits),
+@given(sequences.filter(lambda s: 0 in s.canonical().period),
        st.integers(1, 8))
 def test_zero_indices_invariants(s, count):
     idx = zero_indices(s, count)
     assert len(idx) == count
-    assert all(n >= 2 and s.digit(n) == 0 for n in idx)
-    assert all(a < b for a, b in zip(idx, idx[1:]))
+    digits = stream(s, idx[-1])
+    assert all(n >= 2 and digits[n - 1] == 0 for n in idx)
+    assert [n for n in range(2, idx[-1] + 1) if digits[n - 1] == 0] == idx

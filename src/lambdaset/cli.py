@@ -6,14 +6,18 @@ invocations produce byte-identical output; the manifest records the wall
 time and a SHA-256 digest of the payload separately.
 
 Every subcommand is one entry of COMMANDS, which the parser, the schema
-lookup, target mirroring and dispatch all read. Handlers look library
-functions up at call time, so wrappers set on this module's names see them.
+lookup, target mirroring and dispatch all read. A run imports only the
+library modules its command uses: handlers read library names as attributes
+of this module (`lib.cover`), and the module `__getattr__` imports a name's
+module on its first read and keeps the name here. Wrappers set on this
+module's names therefore see every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import io
 import json
 import sys
@@ -23,18 +27,39 @@ from fractions import Fraction
 from typing import Callable
 
 from . import __version__
-from .constructions import (defining_sequence_Cl, thickness_Cl, verify_caseA,
-                            verify_caseB, piece_endpoints)
-from .cantor_metrics import DefiningSequence, newhouse_lower, thickness_of
 from .errors import InvalidInput, LambdasetError
-from .ifs_core import Member, NotMember, greedy_digits, pi_eval
-from .intersect import find_common, intersect_covers
-from .lambda_set import binary_expansion, box_dim_estimate, cover, gaps
 from .numerics import PrecisionConfig, parse_rational
-from .seqcode import EpSequence, word_str
-from .svg import svg_gaps
 
 HALF = Fraction(1, 2)
+
+# library module -> the names the handlers read from it
+LIBRARY = {
+    "lambda_set": ("binary_expansion", "box_dim_estimate", "cover", "gaps"),
+    "cantor_metrics": ("DefiningSequence", "newhouse_lower", "thickness_of"),
+    "ifs_core": ("Member", "NotMember", "greedy_digits", "pi_eval"),
+    "seqcode": ("EpSequence", "word_str"),
+    "intersect": ("find_common", "intersect_covers"),
+    "constructions": ("defining_sequence_Cl", "piece_endpoints",
+                      "thickness_Cl", "verify_caseA", "verify_caseB"),
+    "svg": ("svg_gaps",),
+}
+_HOME = {name: module for module, names in LIBRARY.items() for name in names}
+
+lib = sys.modules[__name__]   # this module, as handlers read library names
+_import_seconds = 0.0         # time spent in __getattr__ imports so far
+
+
+def __getattr__(name: str):
+    """Import the module of a library name on its first read (PEP 562) and
+    keep the name in this module, so later reads are plain lookups."""
+    global _import_seconds
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    started = time.perf_counter()
+    module = importlib.import_module(f"{__package__}.{_HOME[name]}")
+    _import_seconds += time.perf_counter() - started
+    value = globals()[name] = getattr(module, name)
+    return value
 
 
 def load_schema(command: str) -> dict:
@@ -93,7 +118,7 @@ def _gaps_csv(payload: dict) -> str:
     return out.getvalue()
 
 
-def _load_defining_sequence(source: str, bits: int) -> DefiningSequence:
+def _load_defining_sequence(source: str, bits: int):
     if source == "-":
         raw = json.load(sys.stdin)
     else:
@@ -108,7 +133,7 @@ def _load_defining_sequence(source: str, bits: int) -> DefiningSequence:
     hull = tuple(parse_rational(str(v)) for v in raw["hull"])
     removals = [(parse_rational(str(a)), parse_rational(str(b)))
                 for a, b in raw["gaps"]]
-    return DefiningSequence.from_fractions(hull, removals, bits)
+    return lib.DefiningSequence.from_fractions(hull, removals, bits)
 
 
 @dataclass(frozen=True)
@@ -144,41 +169,44 @@ def command(name: str, help: str, *arguments: tuple[str, dict],
 @command("code", "greedy coding of x in base lambda", X, LAMBDA,
          ("--max-steps", dict(type=int, default=256)), mirror=False)
 def _code(args, cfg):
-    outcome = greedy_digits(args.x, args.lam, args.max_steps)
+    outcome = lib.greedy_digits(args.x, args.lam, args.max_steps)
     payload = {"coding": None, "reject_step": None, "digits": None,
                "x": str(args.x), "lambda": str(args.lam),
                "max_steps": args.max_steps}
-    if isinstance(outcome, Member):
+    if isinstance(outcome, lib.Member):
         payload.update(outcome="member", coding=str(outcome.coding))
-    elif isinstance(outcome, NotMember):
+    elif isinstance(outcome, lib.NotMember):
         payload.update(outcome="not_member", reject_step=outcome.reject_step)
     else:
-        payload.update(outcome="unresolved", digits=word_str(outcome.digits))
+        payload.update(outcome="unresolved",
+                       digits=lib.word_str(outcome.digits))
     return payload, 0
 
 
 @command("pi", "exact coding-map value of a sequence",
          ("--seq", dict(required=True, help="sequence literal PRE(PER)")), LAMBDA)
 def _pi(args, cfg):
-    seq = EpSequence.from_string(args.seq)
+    seq = lib.EpSequence.from_string(args.seq)
     return {"sequence": str(seq), "lambda": str(args.lam),
-            "value": str(pi_eval(seq, args.lam))}, 0
+            "value": str(lib.pi_eval(seq, args.lam))}, 0
 
 
 @command("expansion", "base-1/2 greedy expansion of x", X)
 def _expansion(args, cfg):
-    return {"x": str(args.x), "sequence": str(binary_expansion(args.x))}, 0
+    return {"x": str(args.x),
+            "sequence": str(lib.binary_expansion(args.x))}, 0
 
 
 @command("cover", "cover of the ratio set at a depth", X, DEPTH, csv=_cover_csv)
 def _cover(args, cfg):
-    return cover(args.x, args.depth, cfg).to_json(), 0
+    return lib.cover(args.x, args.depth, cfg).to_json(), 0
 
 
 @command("gaps", "gaps of the ratio set at a depth", X, DEPTH, csv=_gaps_csv)
 def _gaps(args, cfg):
+    found = lib.gaps(args.x, args.depth, cfg)
     return {"x": str(args.x), "depth": args.depth,
-            "gaps": [g.to_json() for g in gaps(args.x, args.depth, cfg)]}, 0
+            "gaps": [g.to_json() for g in found]}, 0
 
 
 @command("dim", "box-counting slope in a ratio window", X,
@@ -189,19 +217,19 @@ def _gaps(args, cfg):
 def _dim(args, cfg):
     ladder = list(range(args.eps_min_exp, args.eps_max_exp + 1))
     window = (args.center - args.radius, args.center + args.radius)
-    return box_dim_estimate(args.x, window, ladder, cfg).to_json(), 0
+    return lib.box_dim_estimate(args.x, window, ladder, cfg).to_json(), 0
 
 
 @command("pieces", "endpoints of the k-th piece", X,
          ("--k", dict(type=int, required=True)))
 def _pieces(args, cfg):
-    return piece_endpoints(args.x, args.k, cfg).to_json(), 0
+    return lib.piece_endpoints(args.x, args.k, cfg).to_json(), 0
 
 
 @command("cantor-ds", "defining sequence of a tail construction", X, ELL,
          ("--kmax", dict(type=int, default=4)), ("--qmax", dict(type=int, default=2)))
 def _cantor_ds(args, cfg):
-    ds = defining_sequence_Cl(args.x, args.ell, args.kmax, args.qmax, cfg)
+    ds = lib.defining_sequence_Cl(args.x, args.ell, args.kmax, args.qmax, cfg)
     payload = ds.to_json()
     payload.update({"x": str(args.x), "ell": args.ell,
                     "k_max": args.kmax, "q_max": args.qmax})
@@ -214,18 +242,18 @@ def _cantor_ds(args, cfg):
                               "- for stdin")))
 def _thickness(args, cfg):
     ds = _load_defining_sequence(args.gaps, cfg.precision_bits)
-    tau = thickness_of(ds)
+    tau = lib.thickness_of(ds)
     return {"thickness": str(tau), "thickness_float": float(tau),
-            "newhouse_lower": newhouse_lower(tau),
+            "newhouse_lower": lib.newhouse_lower(tau),
             "gaps": len(ds.removals)}, 0
 
 
 @command("thickness-cl", "truncated thickness report", X, ELL,
          ("--kmax", dict(type=int, default=5)), ("--qmax", dict(type=int, default=2)))
 def _thickness_cl(args, cfg):
-    report = thickness_Cl(args.x, args.ell, args.kmax, args.qmax, cfg)
+    report = lib.thickness_Cl(args.x, args.ell, args.kmax, args.qmax, cfg)
     payload = report.to_json()
-    payload["newhouse_lower"] = newhouse_lower(report.tau_truncated)
+    payload["newhouse_lower"] = lib.newhouse_lower(report.tau_truncated)
     return payload, 2 if report.bound_violations else 0
 
 
@@ -239,23 +267,23 @@ def _verify(args, cfg):
     if args.case == "A":
         if args.x is None:
             raise LambdasetError("case A needs --x")
-        ledger = verify_caseA(args.x, args.trials, cfg, args.seed)
+        ledger = lib.verify_caseA(args.x, args.trials, cfg, args.seed)
     else:
-        ledger = verify_caseB(args.trials, cfg, args.seed)
+        ledger = lib.verify_caseB(args.trials, cfg, args.seed)
     return ledger.to_json(), 2 if ledger.violations else 0
 
 
 @command("intersect", "outer cover of a common ratio set", TARGETS, DEPTH,
          schema="cover", csv=_cover_csv)
 def _intersect(args, cfg):
-    covers = [cover(y, args.depth, cfg) for y in args.targets]
-    return intersect_covers(covers).to_json(), 0
+    covers = [lib.cover(y, args.depth, cfg) for y in args.targets]
+    return lib.intersect_covers(covers).to_json(), 0
 
 
 @command("common", "common-ratio certificates", TARGETS,
          ("--depth", dict(type=int, default=8)))
 def _common(args, cfg):
-    certs = find_common(args.targets, args.depth, cfg)
+    certs = lib.find_common(args.targets, args.depth, cfg)
     return {"targets": [str(t) for t in args.targets], "depth": args.depth,
             "certificates": [c.to_json() for c in certs]}, 0
 
@@ -265,7 +293,7 @@ def _common(args, cfg):
          ("--qmax", dict(type=int, default=2)),
          ("--out", dict(default=None, help="output file (default stdout)")))
 def _svg_gaps(args, cfg):
-    text = svg_gaps(args.x, args.ell, args.kmax, args.qmax, cfg)
+    text = lib.svg_gaps(args.x, args.ell, args.kmax, args.qmax, cfg)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -311,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    started = time.time()
+    started, imports_before = time.time(), _import_seconds
     entry = COMMANDS[args.command]
     parameters = {k: str(v) for k, v in sorted(vars(args).items())
                   if k != "command"}
@@ -342,6 +370,7 @@ def main(argv: list[str] | None = None) -> int:
         "precision_bits": cfg.precision_bits,
         "library_version": __version__,
         "wall_time_ms": round((time.time() - started) * 1000, 3),
+        "import_ms": round((_import_seconds - imports_before) * 1000, 3),
         "output_digest": hashlib.sha256(body.encode()).hexdigest(),
     }
     sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")

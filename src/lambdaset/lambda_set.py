@@ -428,22 +428,32 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
 
     The cover is refined adaptively until every surviving block is shorter
     than a quarter of the smallest grid size, which keeps each count within
-    a constant factor of the count against the true cover.
+    a constant factor of the count against the true cover. Raises
+    DepthBudgetExceeded when the refinement visits more than MAX_PREFIXES
+    blocks.
     """
     x = Fraction(x)
     a, b = Fraction(window[0]), Fraction(window[1])
     lo_w, hi_w = max(a, x), min(b, HALF)
     if lo_w >= hi_w:
         raise InvalidInput(f"window ({a}, {b}) misses [{x}, 1/2]")
-    if len(eps_exponents) < 2:
-        raise InvalidInput("need at least two grid sizes")
-    eps_list = sorted((Fraction(1, 1 << e) for e in set(eps_exponents)),
-                      reverse=True)
+    exponents = set(eps_exponents)
+    if len(exponents) < 2:
+        raise InvalidInput("need at least two distinct grid sizes")
+    if min(exponents) < 0:
+        raise InvalidInput(f"grid exponent {min(exponents)} is negative")
+    eps_list = sorted((Fraction(1, 1 << e) for e in exponents), reverse=True)
     threshold = eps_list[-1] / 4
     xs = binary_expansion(x)
     segments: list[tuple[Fraction, Fraction]] = []
     stack: list[tuple[int, ...]] = [(0,)]
+    nodes = 0
     while stack:
+        nodes += 1
+        if nodes > MAX_PREFIXES:
+            raise DepthBudgetExceeded(
+                f"more than {MAX_PREFIXES} refinement blocks in the window "
+                f"({a}, {b}) at grid size 2^-{max(exponents)}")
         bits = stack.pop()
         iv = _prefix_interval(x, bits, xs, cfg)
         s_lo, s_hi = iv.lo.lo, iv.hi.hi

@@ -72,6 +72,9 @@ def test_exit_codes(capsys):
     code, _, err = run(capsys, "cover", "--x", "1/4", "--depth", "2",
                        "--width-bits", "-3")
     assert code == 1 and err == "error: --width-bits must be nonnegative\n"
+    code, _, err = run(capsys, "dim", "--x", "1/3", "--center", "9/20",
+                       "--radius", "1/20", "--eps-min-exp", "-3")
+    assert code == 1 and err == "error: grid exponent -3 is negative\n"
     for bits in ("0", "16"):
         code, out, err = run(capsys, "expansion", "--x", "1/3", "--bits", bits)
         assert code == 1 and out == "" and err.count("\n") == 1

@@ -1,0 +1,79 @@
+"""Each subcommand imports only the library modules it runs, and the traced
+benchmark still sees the library calls that the CLI makes."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# prints the lambdaset modules loaded after building the parser, or after
+# one in-process run of the argv given on the command line
+FOOTPRINT = """
+import contextlib, io, json, sys
+from lambdaset.cli import build_parser, main
+build_parser()
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("lambdaset"))))
+"""
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _loaded(*argv: str) -> set[str]:
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
+                          env=_env(), capture_output=True, text=True,
+                          check=True, timeout=60)
+    return {m.removeprefix("lambdaset.") for m in json.loads(done.stdout)}
+
+
+@pytest.fixture
+def gap_file(tmp_path):
+    path = tmp_path / "gaps.json"
+    path.write_text(json.dumps({"hull": ["0", "1"],
+                                "gaps": [["1/3", "2/3"], ["1/9", "2/9"]]}))
+    return str(path)
+
+
+def test_parser_loads_no_library_module():
+    assert _loaded() == {"lambdaset", "cli", "errors", "numerics"}
+
+
+def test_cover_and_thickness_load_only_their_modules(gap_file):
+    cover = _loaded("cover", "--x", "1/3", "--depth", "3")
+    assert "lambda_set" in cover
+    assert not cover & {"constructions", "intersect", "svg", "cantor_metrics"}
+    thickness = _loaded("thickness", "--gaps", gap_file)
+    assert "cantor_metrics" in thickness
+    assert not thickness & {"lambda_set", "constructions"}
+
+
+@pytest.mark.parametrize("argv, layer", [
+    (["dim", "--x", "1/3", "--center", "9/20", "--radius", "1/20",
+      "--eps-min-exp", "8", "--eps-max-exp", "9"],
+     "lambda_set.box_dim_estimate"),
+    (["thickness", "--gaps", None], "cantor_metrics.thickness_of"),
+    (["common", "--targets", "1/3", "--depth", "4"], "intersect.find_common"),
+    (["pi", "--seq", "0(01)", "--lambda", "1/3"], "ifs_core.pi_eval"),
+    (["code", "--x", "1/4", "--lambda", "1/3"], "ifs_core.greedy_digits"),
+], ids=["dim", "thickness", "common", "pi", "code"])
+def test_tracing_sees_calls_made_by_the_cli(argv, layer, gap_file, tmp_path):
+    # these layers are wrapped only where the CLI reads them
+    argv = [gap_file if a is None else a for a in argv]
+    out = tmp_path / "spans.json"
+    subprocess.run([sys.executable, str(ROOT / "bench" / "tracing.py"),
+                    str(out), "0", *argv], cwd=ROOT, env=_env(),
+                   capture_output=True, check=True, timeout=60)
+    names = {span[2] for span in json.loads(out.read_text())}
+    assert {"cli.main", layer} <= names

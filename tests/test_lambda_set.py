@@ -274,7 +274,23 @@ def test_box_dim_errors(cfg):
         box_dim_estimate(F(1, 3), (F(1, 8), F(1, 4)), [6, 7], cfg)   # below x
     with pytest.raises(InvalidInput):
         box_dim_estimate(F(1, 3), (F(2, 5), F(1, 2)), [6], cfg)      # one eps
+    with pytest.raises(InvalidInput, match="distinct"):
+        box_dim_estimate(F(1, 3), (F(2, 5), F(1, 2)), [8, 8], cfg)
+    with pytest.raises(InvalidInput, match="exponent -3 "):
+        box_dim_estimate(F(1, 3), (F(2, 5), F(1, 2)), [-3, 8], cfg)
     with pytest.raises(DepthBudgetExceeded):
         box_dim_estimate(F(1, 3), (F(2, 5), F(1, 2)), [10, 12],
                          PrecisionConfig(64, target_width=F(1, 1 << 30)),
                          max_depth=3)
+
+
+def test_box_dim_node_budget(monkeypatch):
+    # refinement nodes roughly double per grid exponent, so a fine ladder
+    # meets the prefix budget instead of running for minutes
+    fast = PrecisionConfig(64, target_width=F(1, 1 << 22))
+    window = (F(1, 2) - F(1, 16), F(1, 2))
+    segments = box_dim_estimate(F(1, 3), window, [7, 10], fast).segments
+    monkeypatch.setattr(lambda_set, "MAX_PREFIXES", segments)
+    with pytest.raises(DepthBudgetExceeded,
+                       match=f"more than {segments} refinement blocks"):
+        box_dim_estimate(F(1, 3), window, [7, 10], fast)

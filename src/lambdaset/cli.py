@@ -352,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
         if entry.mirror:
             _mirror_targets(args, notes)
         payload, code = entry.handler(args, cfg)
-    except (LambdasetError, ValueError, OSError, ZeroDivisionError,
+    except (LambdasetError, ValueError, OSError, ArithmeticError,
             KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -1,7 +1,7 @@
 """The coding map of the two-branch IFS {t -> lam*t, t -> lam*t + 1 - lam},
-the integer polynomial whose exact signs locate its roots in the ratio, and
-the greedy digit algorithm used as an exact membership test for rational
-inputs.
+the integer polynomial whose exact signs and Newton steps locate its roots
+in the ratio, and the greedy digit algorithm used as an exact membership
+test for rational inputs.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "pi_eval",
     "pi_root_poly",
     "poly_sign",
+    "newton_cell",
     "greedy_digits",
     "membership",
 ]
@@ -60,12 +61,11 @@ def _poly_fraction(bits: tuple[int, ...], lam: Fraction) -> Fraction:
     return acc
 
 
-def pi_eval(s: EpSequence, lam: Fraction | float) -> Fraction | float:
-    """Value of the coding map at an eventually periodic sequence.
+def pi_eval(s: EpSequence, lam: Fraction) -> Fraction:
+    """Exact value of the coding map at an eventually periodic sequence.
 
     Uses the closed form (1-lam) * [P_u(lam) + lam^|u| * P_v(lam) / (1 - lam^|v|)]
-    with u the preperiod and v the period; exact on Fractions, rounded on
-    floats.
+    with u the preperiod and v the period.
     """
     u, v = s.preperiod, s.period
     if not 0 <= lam < 1:
@@ -109,6 +109,28 @@ def poly_sign(coeffs: tuple[int, ...], m: int, k: int) -> int:
         if coeffs[i]:
             acc += coeffs[i] << (k * (deg - i))
     return (acc > 0) - (acc < 0)
+
+
+def newton_cell(coeffs: tuple[int, ...], m: int, k: int, base: int,
+                width: int) -> int:
+    """Index j of the cell [base + j width, base + (j+1) width] * 2^-k in
+    which one Newton step for the polynomial's root, taken from the dyadic
+    m * 2^-k, lands.
+
+    One homogenised Horner pass gives V = 2^(k deg) R(m 2^-k) and
+    D = 2^(k (deg-1)) R'(m 2^-k), so the step lands at (m - V/D) * 2^-k. At
+    a zero slope no step is taken. Only a guess: callers certify the cell.
+    """
+    deg = len(coeffs) - 1
+    acc = slope = 0
+    for i in range(deg, -1, -1):
+        slope = slope * m + acc
+        acc *= m
+        if coeffs[i]:
+            acc += coeffs[i] << (k * (deg - i))
+    if not slope:
+        return (m - base) // width
+    return ((m - base) * slope - acc) // (slope * width)
 
 
 def greedy_digits(x: Fraction, lam: Fraction, max_steps: int = 256) -> GreedyOutcome:

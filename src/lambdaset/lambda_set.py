@@ -5,8 +5,8 @@ box-counting dimension estimation.
 For x in (0, 1/2) the valid ratios form a Cantor set between x and 1/2. Its
 codings are exactly the sequences between the base-1/2 expansion of x and
 0 1^inf, and the map from codings to ratios is a decreasing homeomorphism,
-realized here by bisection on exact integer signs of the coding map minus
-x, started from a float root.
+realized here by integer Newton steps on a dyadic grid, each certified by
+exact integer signs of the coding map minus x.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from typing import Iterable
 
 from .errors import (DepthBudgetExceeded, InsufficientMembers, InvalidInput,
                      NotAdmissible, OutOfRange)
-from .ifs_core import Member, greedy_digits, pi_eval, pi_root_poly, poly_sign
+from .ifs_core import (Member, greedy_digits, newton_cell, pi_eval,
+                       pi_root_poly, poly_sign)
 from .numerics import DEFAULT_CONFIG, Enclosure, PrecisionConfig, round_dyadic
 from .seqcode import SEQ_01INF, EpSequence, n_index, word_at_position
 
@@ -81,11 +82,6 @@ def admissible(xs: EpSequence, s: EpSequence) -> bool:
     return xs <= s <= SEQ_01INF
 
 
-# Grid level that a float root jumps to before exact bisection: cells there
-# are at most 2^-41 wide, far wider than the error of a float root.
-SEED_LEVEL = 40
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def psi_inverse(x: Fraction, s: EpSequence,
                 cfg: PrecisionConfig = DEFAULT_CONFIG) -> Enclosure:
@@ -121,59 +117,40 @@ def psi_inverse(x: Fraction, s: EpSequence,
     levels = max(0, scaled.bit_length() - target.numerator.bit_length() - n)
     while scaled > target.numerator << (n + levels):
         levels += 1
-    m, k = a_m, min(SEED_LEVEL, levels)
-    if k:
-        seed = Fraction(_float_root(s, x)) * (1 << (n + k))
-        cell = math.floor((seed - (a_m << k)) / width)
-        m = (a_m << k) + min(max(cell, 0), (1 << k) - 1) * width
-    while True:
-        sign_lo = poly_sign(poly, m, n + k)
-        sign_hi = poly_sign(poly, m + width, n + k)
-        if sign_lo <= 0 <= sign_hi:
-            break
-        if not k:
-            raise AssertionError(f"[x, 1/2] does not bracket the root of {s}")
-        m, k = a_m, 0                      # the float seed missed: start over
+    sign_lo, sign_hi = poly_sign(poly, a_m, n), poly_sign(poly, a_m + width, n)
+    if sign_lo > 0 or sign_hi < 0:
+        raise AssertionError(f"[x, 1/2] does not bracket the root of {s}")
     if sign_lo == 0 or sign_hi == 0:
-        return Enclosure.point(Fraction(m if sign_lo == 0 else m + width,
-                                        1 << (n + k)), bits)
-    while k < levels:
-        mid, k = 2 * m + width, k + 1
-        sign = poly_sign(poly, mid, n + k)
-        if sign == 0:
-            return Enclosure.point(Fraction(mid, 1 << (n + k)), bits)
-        m = 2 * m if sign > 0 else mid
-    return Enclosure(Fraction(m, 1 << (n + k)),
-                     Fraction(m + width, 1 << (n + k)), bits)
-
-
-def _float_root(s: EpSequence, x: Fraction) -> float:
-    """Float root of pi_eval(s, .) = x in [x, 1/2] by the Illinois variant
-    of regula falsi; only a seed, so rounding may leave it a little off."""
-    target = float(x)
-    lo, hi = target, 0.5
-    f_lo, f_hi = pi_eval(s, lo) - target, pi_eval(s, hi) - target
-    if f_lo >= 0 or f_hi <= 0:
-        return lo if f_lo >= 0 else hi
-    side = 0
-    for _ in range(100):
-        mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not lo < mid < hi:
-            break
-        f_mid = pi_eval(s, mid) - target
-        if f_mid == 0:
-            return mid
-        if f_mid < 0:
-            lo, f_lo = mid, f_mid
-            if side < 0:
-                f_hi /= 2
-            side = -1
-        else:
-            hi, f_hi = mid, f_mid
-            if side > 0:
-                f_lo /= 2
-            side = 1
-    return (lo + hi) / 2
+        return Enclosure.point(Fraction(a_m if sign_lo == 0 else a_m + width,
+                                        1 << n), bits)
+    # The bracket is cells lo..hi-1 of level k, R < 0 at its left end and
+    # R > 0 at its right end. A Newton step from its midpoint aims at twice
+    # the bracket's precision; two signs certify the three cells around
+    # where it lands, and a step that misses still narrows the bracket.
+    lo, hi, k = 0, 1, 0
+    while k < levels or hi - lo > 1:
+        aim = min(levels, 2 * (k - (hi - lo).bit_length()))
+        probes = []
+        if aim > k:
+            lo, hi, k = lo << (aim - k), hi << (aim - k), aim
+            j = newton_cell(poly, (a_m << k) + (lo + hi) // 2 * width, n + k,
+                            a_m << k, width)
+            probes = [p for p in (j - 1, j + 2) if lo < p < hi]
+        if not probes:                     # bisect
+            if hi - lo == 1:
+                lo, hi, k = 2 * lo, 2 * hi, k + 1
+            probes = [(lo + hi) // 2]
+        for p in probes:                   # ascending
+            m = (a_m << k) + p * width
+            sign = poly_sign(poly, m, n + k)
+            if sign == 0:
+                return Enclosure.point(Fraction(m, 1 << (n + k)), bits)
+            if sign > 0:
+                hi = p
+                break                      # later probes lie above it too
+            lo = p
+    return Enclosure(Fraction((a_m << k) + lo * width, 1 << (n + k)),
+                     Fraction((a_m << k) + hi * width, 1 << (n + k)), bits)
 
 
 def block_codes(xs: EpSequence, w: tuple[int, ...]

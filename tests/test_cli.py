@@ -3,6 +3,7 @@ import io
 import json
 import signal
 import time
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -60,7 +61,7 @@ def test_symmetry_reduction(capsys):
     assert out_high == out_low
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, tmp_path):
     assert run(capsys, "bogus")[0] == 1
     assert run(capsys, "cover", "--x", "1/2", "--depth", "2")[0] == 1
     assert run(capsys, "verify", "--case", "A", "--trials", "2")[0] == 1
@@ -88,6 +89,14 @@ def test_exit_codes(capsys):
         code, out, err = run(capsys, *argv, "--x", "1/3")
         assert code == 1 and out == "" and err.count("\n") == 1
         assert err.startswith("error: ")
+    # a thickness beyond the float range
+    path = tmp_path / "gaps.json"
+    path.write_text(json.dumps({"hull": ["0", "1"], "gaps": [
+        ["1/2", str(Fraction(1, 2) + Fraction(1, 1 << 1100))]]}))
+    code, out, err = run(capsys, "thickness", "--bits", "2000",
+                         "--gaps", str(path))
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: ")
 
 
 def test_prefix_budget_ends_deep_covers(capsys):

@@ -104,6 +104,17 @@ def test_thickness_report_trend(cfg):
     assert r2.tau_truncated == min(r2.per_family_minima.values())
 
 
+def test_thickness_report_equals_defining_sequence_thickness(cfg):
+    """The report's minimum over the three ratio families and the replay of
+    the defining sequence are two computations of one number."""
+    for x, ell, k_max, q_max in ((F(1, 3), 1, 5, 2), (F(1, 3), 3, 6, 3),
+                                 (F(2, 7), 2, 4, 2), (F(1, 4), 1, 5, 2),
+                                 (F(2, 5), 1, 4, 3), (F(1, 5), 2, 5, 1)):
+        report = thickness_Cl(x, ell, k_max, q_max, cfg)
+        ds = defining_sequence_Cl(x, ell, k_max, q_max, cfg)
+        assert report.tau_truncated == thickness_of(ds)
+
+
 def test_right_tail_ratio_bound_exceptional_target(cfg):
     """Right-tail ratios for the exceptional target beat 1/alpha^(n_k/2 - 1)."""
     x = F(1, 4)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 
 from lambdaset.errors import OutOfRange
 from lambdaset.ifs_core import (Member, NotMember, Unresolved, greedy_digits,
-                                membership, pi_eval, pi_root_poly, poly_sign)
+                                membership, newton_cell, pi_eval,
+                                pi_root_poly, poly_sign)
 from lambdaset.seqcode import EpSequence
 
 F = Fraction
@@ -36,14 +38,27 @@ def test_pi_root_poly_sign_matches_pi_eval():
     assert poly_sign(pi_root_poly(S("(01)"), F(1, 3)), 1, 1) == 0
 
 
-def test_pi_eval_floats_track_exact_values():
+def test_newton_cell_matches_fraction_step():
+    """The integer Newton step lands in the cell that an exact rational
+    step lam - R(lam) / R'(lam) lands in."""
     rng = random.Random(11)
-    for _ in range(100):
+    for _ in range(300):
         pre = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 8)))
         per = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 6)))
-        s = EpSequence(pre, per)
-        lam = F(rng.randint(1, 99), 100)
-        assert abs(pi_eval(s, float(lam)) - float(pi_eval(s, lam))) < 1e-14
+        coeffs = pi_root_poly(EpSequence(pre, per),
+                              F(rng.randint(1, 99), rng.randint(100, 200)))
+        k = rng.randint(1, 40)
+        m = rng.randint(1, (1 << k) - 1)
+        base, width = rng.randint(0, m), rng.randint(1, 9)
+        lam = F(m, 1 << k)
+        value = sum(c * lam ** i for i, c in enumerate(coeffs))
+        slope = sum(i * c * lam ** (i - 1) for i, c in enumerate(coeffs) if i)
+        step = lam - value / slope if slope else lam
+        assert newton_cell(coeffs, m, k, base, width) == math.floor(
+            (step * (1 << k) - base) / width)
+    # a linear R is solved in one step
+    assert newton_cell((-3, 8), 1, 1, 0, 1) == 0
+    assert newton_cell((-3, 8), 7, 4, 0, 1) == 6
 
 
 def test_greedy_examples():

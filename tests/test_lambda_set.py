@@ -14,7 +14,7 @@ from lambdaset.lambda_set import (admissible, admissible_prefixes,
                                   box_dim_estimate, cover, gaps,
                                   lipschitz_check, psi_inverse)
 from lambdaset.numerics import PrecisionConfig, round_dyadic
-from lambdaset.seqcode import SEQ_01INF, EpSequence, word_str
+from lambdaset.seqcode import SEQ_01INF, EpSequence, word_str, zero_indices
 
 F = Fraction
 S = EpSequence.from_string
@@ -82,7 +82,7 @@ def targets_and_codings(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(targets_and_codings(), st.sampled_from([32, 64, 128]),
-       st.sampled_from([16, 40, 80]))
+       st.sampled_from([16, 40, 80, 200, 400]))
 def test_psi_inverse_matches_fraction_oracle(case, bits, width_bits):
     x, s = case
     cfg = PrecisionConfig(bits, target_width=F(1, 1 << width_bits))
@@ -92,24 +92,55 @@ def test_psi_inverse_matches_fraction_oracle(case, bits, width_bits):
     assert pi_eval(s, lo) <= x <= pi_eval(s, hi)
 
 
-def test_psi_inverse_recovers_from_a_bad_seed(cfg, monkeypatch):
+def test_psi_inverse_survives_bad_newton_steps(monkeypatch):
+    """A Newton step that lands in the wrong cell costs signs, never a
+    different cell: steps to cell 0, far past the grid, below it, three
+    cells off, or anywhere at random."""
     x = F(2, 7)
+    cfg = PrecisionConfig(248, target_width=F(1, 1 << 200))
     xs = binary_expansion(x)
     codes = [c for w in admissible_prefixes(x, 5) for c in block_codes(xs, w)]
     expected = [lambda_set.psi_inverse.__wrapped__(x, s, cfg) for s in codes]
-    monkeypatch.setattr(lambda_set, "_float_root", lambda s, x: 0.49)
-    for s, e in zip(codes, expected):
-        got = lambda_set.psi_inverse.__wrapped__(x, s, cfg)
-        assert got.to_json() == e.to_json()
+    newton_cell = lambda_set.newton_cell
+    rng = random.Random(7)
+    for step in (lambda j: 0, lambda j: 1 << 200, lambda j: -5,
+                 lambda j: j + 3, lambda j: rng.randrange(-4, 1 << 24)):
+        monkeypatch.setattr(lambda_set, "newton_cell",
+                            lambda *args: step(newton_cell(*args)))
+        for s, e in zip(codes, expected):
+            got = lambda_set.psi_inverse.__wrapped__(x, s, cfg)
+            assert (got.lo, got.hi) == (e.lo, e.hi)
 
 
 def test_grid_roots_come_back_as_points(cfg, monkeypatch):
-    # 8 lam - 3 vanishes at 3/8, the first midpoint of [1/4, 1/2]
-    monkeypatch.setattr(lambda_set, "pi_root_poly", lambda s, x: (-3, 8))
-    for seed in (0.375, 0.49):       # a seed on the root, and one that misses
-        monkeypatch.setattr(lambda_set, "_float_root", lambda s, x: seed)
+    # On the grid of [1/4, 1/2]: both ends, its first midpoint 3/8, and a
+    # level-28 point, each the root of a linear R
+    deep = F((1 << 28) + 12345, 1 << 30)
+    for root in (F(1, 4), F(1, 2), F(3, 8), deep):
+        monkeypatch.setattr(lambda_set, "pi_root_poly",
+                            lambda s, x: (-root.numerator, root.denominator))
         e = lambda_set.psi_inverse.__wrapped__(F(1, 4), S("011(0)"), cfg)
-        assert e.lo == e.hi and e.lo == F(3, 8)
+        assert e.lo == e.hi == root
+
+
+def test_deep_solve_work_is_bounded(monkeypatch):
+    """A 2^-400 solve of a gap-record coding of 1/3 at piece 32 takes at
+    most 64 polynomial evaluations; bisection alone takes about 360."""
+    x = F(1, 3)
+    cfg = PrecisionConfig(448, target_width=F(1, 1 << 400))
+    xs = binary_expansion(x)
+    n_32 = zero_indices(xs, 32)[31]
+    # the left-bridge coding of the gap record of word 01 at piece 32
+    s = EpSequence(xs.prefix(n_32 - 1) + (1, 0, 1), (1,))
+    calls = []
+    for name in ("pi_eval", "poly_sign", "newton_cell"):
+        def counted(*args, f=getattr(lambda_set, name)):
+            calls.append(f)
+            return f(*args)
+        monkeypatch.setattr(lambda_set, name, counted)
+    e = lambda_set.psi_inverse.__wrapped__(x, s, cfg)
+    assert e.width() <= cfg.target_width
+    assert len(calls) <= 64
 
 
 def test_psi_inverse_rejects_inadmissible(cfg):

@@ -132,51 +132,49 @@ class GapRecord:
     right_ratio_lo: Fraction
 
 
-def gap_record(x: Fraction, k: int, omega: tuple[int, ...],
+def gap_record(piece: PieceEndpoints, omega: tuple[int, ...],
                cfg: PrecisionConfig = DEFAULT_CONFIG) -> GapRecord:
-    """Solve the four endpoints around the gap labelled by `omega`.
+    """Solve the four endpoints around the gap of `piece` labelled by `omega`.
 
-    With p the expansion prefix before the switch, the four codings are
-    p 1 w 1^inf, p 1 w 1 0^inf, p 1 w 0 1^inf and p 1 w 0^inf; they bound
-    the left bridge, the gap, and the right bridge in that order.
+    With p the expansion prefix before the piece's switch, the four codings
+    are p 1 w 1^inf, p 1 w 1 0^inf, p 1 w 0 1^inf and p 1 w 0^inf; they
+    bound the left bridge, the gap, and the right bridge in that order.
     """
-    x = Fraction(x)
-    base = binary_expansion(x).prefix(_nk(x, k) - 1) + ONE_TAIL + omega
-    g1, g2, g3, g4 = _separated(x, (
+    base = (binary_expansion(piece.x).prefix(piece.n_k - 1) + ONE_TAIL
+            + omega)
+    g1, g2, g3, g4 = _separated(piece.x, (
         EpSequence(base, ONE_TAIL), EpSequence(base + ONE_TAIL, ZERO_TAIL),
         EpSequence(base + ZERO_TAIL, ONE_TAIL), EpSequence(base, ZERO_TAIL)),
-        cfg, k, omega)
+        cfg, piece.k, omega)
     gap_hi = g3.hi - g2.lo
     return GapRecord(n_index(omega), (g2, g3), (g2.lo - g1.hi) / gap_hi,
                      (g4.lo - g3.hi) / gap_hi)
 
 
-def _check_tail_args(ell: int, k_max: int, q_max: int) -> None:
-    """Reject a truncation of the tail construction with no pieces or a
-    negative gap-word length."""
+def _tail(x: Fraction, ell: int, k_max: int, q_max: int, cfg: PrecisionConfig
+          ) -> list[tuple[PieceEndpoints, list[GapRecord]]]:
+    """The truncation of the tail construction: pieces ell, ...,
+    ell+k_max-1, in order, each with the records of its first
+    2^(q_max+1) - 1 gap words.
+
+    Before any root is solved, raise ValueError for a truncation with no
+    pieces or a negative gap-word length, and DepthBudgetExceeded when it
+    needs more than MAX_PREFIXES gap records (four root solves each).
+    """
     if ell < 1 or k_max < 1 or q_max < 0:
         raise ValueError("ell, k_max must be positive and q_max nonnegative")
-
-
-def _check_tail_budget(ell: int, k_max: int, q_max: int) -> None:
-    """Check the arguments, then raise DepthBudgetExceeded, before any
-    root is solved, when the truncation needs more than MAX_PREFIXES gap
-    records (four root solves each): k_max pieces of 2^(q_max+1) - 1 gap
-    words."""
-    _check_tail_args(ell, k_max, q_max)
     # the first test keeps a huge q_max from building a huge integer
     if (q_max >= MAX_PREFIXES.bit_length()
             or k_max * ((1 << (q_max + 1)) - 1) > MAX_PREFIXES):
         raise DepthBudgetExceeded(
             f"more than {MAX_PREFIXES} gap records for k_max={k_max}, "
             f"q_max={q_max}")
-
-
-def _gap_records(x: Fraction, k: int, q_max: int,
-                 cfg: PrecisionConfig) -> list[GapRecord]:
-    count = (1 << (q_max + 1)) - 1
-    return [gap_record(x, k, word_at_position(j), cfg)
-            for j in range(1, count + 1)]
+    words = [word_at_position(j) for j in range(1, 1 << (q_max + 1))]
+    tail = []
+    for k in range(ell, ell + k_max):
+        piece = piece_endpoints(x, k, cfg)
+        tail.append((piece, [gap_record(piece, w, cfg) for w in words]))
+    return tail
 
 
 def defining_sequence_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
@@ -190,22 +188,17 @@ def defining_sequence_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
     next inter-piece gap, and so on, so that earlier removals are never
     shorter than required for well-formedness.
     """
-    x = Fraction(x)
-    _check_tail_budget(ell, k_max, q_max)
-    pieces = {k: piece_endpoints(x, k, cfg) for k in range(ell, ell + k_max)}
-    per_piece = {k: _gap_records(x, k, q_max, cfg) for k in pieces}
-    n_gaps = (1 << (q_max + 1)) - 1
-    bits = cfg.precision_bits
-    half_point = Enclosure.point(HALF, bits)
+    tail = _tail(Fraction(x), ell, k_max, q_max, cfg)
+    n_gaps = len(tail[0][1])
     removals: list[Interval] = []
     for t in range(1, k_max + n_gaps):
         if t <= k_max:
-            piece = pieces[ell + t - 1]
+            piece = tail[t - 1][0]
             removals.append((piece.beta, piece.alpha_next))
         for i in range(max(0, t - k_max), min(t, n_gaps)):
-            k = ell + t - 1 - i
-            removals.append(per_piece[k][i].gap)
-    return DefiningSequence((pieces[ell].alpha, half_point), tuple(removals))
+            removals.append(tail[t - 1 - i][1][i].gap)
+    half_point = Enclosure.point(HALF, cfg.precision_bits)
+    return DefiningSequence((tail[0][0].alpha, half_point), tuple(removals))
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,17 +276,16 @@ def thickness_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
     family, and any failure is recorded as a violation.
     """
     x = Fraction(x)
-    _check_tail_budget(ell, k_max, q_max)
+    tail = _tail(x, ell, k_max, q_max, cfg)
     m = None if x == Fraction(1, 4) else first_switch_index(x)
     minima: list[Optional[Fraction]] = [None, None, None]
     violations: list[dict] = []
-    for k in range(ell, ell + k_max):
-        piece = piece_endpoints(x, k, cfg)
+    for piece, records in tail:
         bounds = (_family_bounds(piece, m, cfg.precision_bits)
                   if m is None or piece.n_k > m else None)
         gap_ratio = [({"position": r.position},
                       min(r.left_ratio_lo, r.right_ratio_lo))
-                     for r in _gap_records(x, k, q_max, cfg)]
+                     for r in records]
         piece_gap, half_gap = _piece_ratios(piece)
         for i, ratios in enumerate((gap_ratio, [({}, piece_gap)],
                                     [({}, half_gap)])):
@@ -301,8 +293,8 @@ def thickness_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
                 if minima[i] is None or ratio < minima[i]:
                     minima[i] = ratio
                 if bounds is not None and ratio < bounds[i]:
-                    violations.append({"family": FAMILIES[i], "k": k, **where,
-                                       "ratio": str(ratio),
+                    violations.append({"family": FAMILIES[i], "k": piece.k,
+                                       **where, "ratio": str(ratio),
                                        "bound": str(bounds[i])})
     return ThicknessReport(
         x, ell, k_max, q_max, min(minima),
@@ -428,7 +420,7 @@ def verify_caseA(x: Fraction, trials: int,
         k = rng.randint(k0, k0 + 4)
         piece = piece_endpoints(x, k, cfg)
         omega = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 3)))
-        record = gap_record(x, k, omega, cfg)
+        record = gap_record(piece, omega, cfg)
         entries += _family_entries(piece, m, cfg.precision_bits, record,
                                    {"k": k, "omega": word_str(omega)})
 
@@ -489,7 +481,7 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
             "square_identity", {"k": k, "n_k": piece.n_k},
             str(magnitude), str(residual_cap),
             res_lo <= 0 <= res_hi and magnitude <= residual_cap))
-        record = gap_record(x, k, word_at_position(1 + (k % 7)), cfg)
+        record = gap_record(piece, word_at_position(1 + (k % 7)), cfg)
         entries += _family_entries(piece, None, bits, record, {"k": k})
 
     return VerificationLedger("B", x, trials, seed, tuple(entries))

@@ -196,7 +196,7 @@ def find_common(targets: list[Fraction], search_depth: int,
         tuple(targets), Enclosure.point(HALF, bits), HALF,
         tuple(binary_expansion(y) for y in targets), "Exact")]
 
-    found_exact: set[Fraction] = {HALF}
+    # each p/q in lowest terms, once, in [floor_lam, 1/2)
     for q in range(2, q_cap + 1):
         if len(certs) >= MAX_CERTIFICATES:
             break
@@ -204,11 +204,8 @@ def find_common(targets: list[Fraction], search_depth: int,
             if gcd(p, q) != 1:
                 continue
             lam = Fraction(p, q)
-            if lam in found_exact or lam < floor_lam:
-                continue
             outcomes = [greedy_digits(y, lam, 600) for y in targets]
             if all(isinstance(o, Member) for o in outcomes):
-                found_exact.add(lam)
                 certs.append(CommonPointCertificate(
                     tuple(targets), Enclosure.from_fraction(lam, bits), lam,
                     tuple(o.coding for o in outcomes), "Exact"))

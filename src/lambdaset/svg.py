@@ -7,9 +7,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .constructions import _check_tail_args, gap_record, piece_endpoints
+from .constructions import _tail
 from .numerics import DEFAULT_CONFIG, PrecisionConfig
-from .seqcode import word_at_position
 
 __all__ = ["svg_gaps"]
 
@@ -30,11 +29,12 @@ def _label(x: float, y: int, text: str) -> str:
 
 def svg_gaps(x: Fraction, ell: int, k_max: int, q_max: int,
              cfg: PrecisionConfig = DEFAULT_CONFIG) -> str:
-    """Render pieces ell..ell+k_max-1 and their first gaps as an SVG string."""
+    """Render pieces ell..ell+k_max-1 and their first gaps as an SVG string:
+    the first gap word only when q_max is 0, else the first three."""
     x = Fraction(x)
-    _check_tail_args(ell, k_max, q_max)
-    pieces = [piece_endpoints(x, k, cfg) for k in range(ell, ell + k_max)]
-    lo = float(pieces[0].alpha.mid_fraction())
+    tail = _tail(x, ell, k_max, min(q_max, 1), cfg)
+    n_first = len(tail[0][1])
+    lo = float(tail[0][0].alpha.mid_fraction())
     hi = 0.5
     pad = (hi - lo) * 0.04 + 1e-9
 
@@ -48,16 +48,14 @@ def svg_gaps(x: Fraction, ell: int, k_max: int, q_max: int,
         _label(_W / 2, 30, f"pieces of the tail construction for x = {x} "
                            f"(ell = {ell})"),
     ]
-    n_first = 1 if q_max == 0 else 3   # min(3, 2^(q_max+1) - 1) gap words
-    for piece in pieces:
+    for piece, records in tail:
         a = float(piece.alpha.mid_fraction())
         b = float(piece.beta.mid_fraction())
         rows.append(_seg(px(a), px(b), _ROW_Y[0]))
         rows.append(_label(px(a), _ROW_Y[0] - 10, f"a{piece.k}"))
         rows.append(_label(px(b), _ROW_Y[0] - 10, f"b{piece.k}"))
         cuts = [(float(r.gap[0].mid_fraction()), float(r.gap[1].mid_fraction()))
-                for r in (gap_record(x, piece.k, word_at_position(j), cfg)
-                          for j in range(1, n_first + 1))]
+                for r in records]
         for row, upto in ((_ROW_Y[1], 1), (_ROW_Y[2], n_first)):
             segments = [(a, b)]
             for gl, gr in cuts[:upto]:

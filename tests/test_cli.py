@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import signal
@@ -118,12 +119,44 @@ def test_prefix_budget_ends_deep_covers(capsys):
                  ["cover", "--x", "0.1234567", "--depth", "4"],
                  ["expansion", "--x", "0.123456789"],
                  ["cover", "--x", "1e-30", "--depth", "3"],
-                 ["pieces", "--x", "1/3", "--k", "100000"]):
+                 ["pieces", "--x", "1/3", "--k", "100000"],
+                 ["svg-gaps", "--x", "1/3", "--ell", "1", "--kmax", "20000"]):
         started = time.monotonic()
         code, out, err = run(capsys, *argv)
         assert time.monotonic() - started < 2
         assert code == 1 and out == "" and err.count("\n") == 1
         assert err.startswith("error: more than ")
+    # the diagram solves gap words of length at most 1 whatever --qmax is,
+    # and its refusal names that truncation
+    assert err == ("error: more than 16384 gap records for k_max=20000, "
+                   "q_max=1\n")
+
+
+# stdout digests of runs that list a tail construction or solve gap records
+PINNED_STDOUT = [
+    (["cantor-ds", "--x", "1/3", "--ell", "2", "--kmax", "4", "--qmax", "2"],
+     "f505a2792a94462d6069166738dc21176d75a70ac7e6cb7040bb07dc4f5c998d"),
+    (["svg-gaps", "--x", "1/3", "--ell", "1", "--kmax", "3"],
+     "a9e09de10e5c15082a6d31e271e3d791703d06ba06ae09db42a360c28894ef7a"),
+    (["svg-gaps", "--x", "1/4", "--ell", "2", "--kmax", "2", "--qmax", "0"],
+     "d3ac04798052103837d664ed8bef1226aefb6b58cd29ebb1e4947f084f0958e7"),
+    (["thickness-cl", "--x", "1/4", "--ell", "1", "--kmax", "5", "--qmax", "2"],
+     "5641b95f5f959a1fec8130a6dc46f17a689d621d73bf010cc1c1b88be796bb2c"),
+    (["thickness-cl", "--x", "2/7", "--ell", "2", "--kmax", "4", "--qmax", "2"],
+     "ef185c514439de622db502c067d6208d29fc3c27c34e56dfba520de19c6e8083"),
+    (["verify", "--case", "A", "--x", "1/3", "--trials", "20", "--seed", "3"],
+     "80ee43cc7e2b0f75d8cd66787b8bdf6dd587465e8685f74bed771d8ccfb121c4"),
+    (["verify", "--case", "B", "--trials", "20", "--seed", "3"],
+     "7b861b9075735fe908410863606ec6a6117eea4e0c22c2b69fd9b8b06f20fbaf"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
+                         ids=[" ".join(r[0]) for r in PINNED_STDOUT])
+def test_stdout_matches_pinned_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_wide_target_at_low_precision(capsys):

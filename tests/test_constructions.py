@@ -57,7 +57,7 @@ def test_pieces_separated_and_increasing(cfg):
 
 
 def test_gap_record_first_gap(cfg):
-    g = gap_record(F(1, 3), 1, (), cfg)
+    g = gap_record(piece_endpoints(F(1, 3), 1, cfg), (), cfg)
     assert g.position == 1
     assert g.left_ratio_lo > 0 and g.right_ratio_lo > 0
     # the gap is a certified open interval
@@ -71,7 +71,7 @@ def test_gap_record_ratio_bound_caseA(cfg):
         assert piece.n_k > m
         a_hi = piece.alpha.hi
         bound = x ** (m - 1) / (8 * (1 - 2 * a_hi))
-        g = gap_record(x, k, (0,), cfg)
+        g = gap_record(piece, (0,), cfg)
         assert g.left_ratio_lo >= bound
         assert g.right_ratio_lo >= bound
 
@@ -83,7 +83,7 @@ def test_defining_sequence_Cl_structure(cfg):
     # first removal is the inter-piece gap, second is the piece's first gap
     assert ds.removals[0][0] is piece.beta
     assert ds.removals[0][1] is piece.alpha_next
-    first_gap = gap_record(x, ell, (), cfg)
+    first_gap = gap_record(piece, (), cfg)
     assert ds.removals[1][0].overlaps(first_gap.gap[0])
     assert ds.removals[1][1].overlaps(first_gap.gap[1])
     assert ds.hull[1].contains(F(1, 2))
@@ -162,13 +162,24 @@ def test_family_bounds_match_the_stated_formulas(cfg):
     assert parities == {0, 1}
 
 
-def test_unseparated_endpoints_name_the_width():
+def test_unseparated_endpoints_name_the_width(cfg):
     coarse = PrecisionConfig(64, target_width=F(1, 1 << 20))
     with pytest.raises(Inconclusive, match="piece 40 .*width 1/1048576$"):
         piece_endpoints(F(1, 3), 40, coarse)
     coarser = PrecisionConfig(64, target_width=F(1, 1 << 8))
     with pytest.raises(Inconclusive, match="gap 01 of piece 1 .*width 1/256$"):
-        gap_record(F(1, 3), 1, (0, 1), coarser)
+        gap_record(piece_endpoints(F(1, 3), 1, cfg), (0, 1), coarser)
+
+
+def test_tail_reports_fail_alike(cfg):
+    """The defining sequence and the thickness report list one truncation
+    the same way, so an unseparated gap stops both with one message."""
+    messages = set()
+    for report in (defining_sequence_Cl, thickness_Cl):
+        with pytest.raises(Inconclusive, match="gap 0 of piece 20 ") as err:
+            report(F(1, 3), 14, 8, 3, cfg)
+        messages.add(str(err.value))
+    assert len(messages) == 1
 
 
 def test_thickness_agrees_across_precisions(cfg):

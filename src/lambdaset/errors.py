@@ -47,7 +47,3 @@ class HypothesisUnsatisfiable(LambdasetError):
 
 class InvalidInput(LambdasetError):
     """Structurally invalid input (empty target list, bad window, ...)."""
-
-
-class NoneFound(LambdasetError):
-    """Search exhausted its budget without producing any result."""

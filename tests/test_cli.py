@@ -133,7 +133,8 @@ def test_prefix_budget_ends_deep_covers(capsys):
                            "k_max=20000, q_max=1\n")
 
 
-# stdout digests of runs that list a tail construction or solve gap records
+# stdout digests of runs that list a tail construction, solve gap records
+# or search common ratios
 PINNED_STDOUT = [
     (["cantor-ds", "--x", "1/3", "--ell", "2", "--kmax", "4", "--qmax", "2"],
      "f505a2792a94462d6069166738dc21176d75a70ac7e6cb7040bb07dc4f5c998d"),
@@ -149,6 +150,14 @@ PINNED_STDOUT = [
      "80ee43cc7e2b0f75d8cd66787b8bdf6dd587465e8685f74bed771d8ccfb121c4"),
     (["verify", "--case", "B", "--trials", "20", "--seed", "3"],
      "7b861b9075735fe908410863606ec6a6117eea4e0c22c2b69fd9b8b06f20fbaf"),
+    (["common", "--targets", "1/3", "--depth", "9"],
+     "db4ead4f709aef021c172182c9d26f9b03602a8f57765693367d2116977c346b"),
+    (["common", "--targets", "2/7", "--depth", "9"],
+     "f19cf39d137c36f35e16a8ff6b691952977f86bd1b8aefb810a21b1e213c82a3"),
+    (["common", "--targets", "1/3,1/4", "--depth", "3"],
+     "c2382cb4af9f73ee704ed027fa2d7bf3a4ab536a88a3f806be430084da6a2b9a"),
+    (["common", "--targets", "1/3,1/4", "--depth", "8"],
+     "fe96310366e309305587deef8cf85ecd774a43badd25ffc423c8b221af4691fb"),
 ]
 
 
@@ -158,6 +167,44 @@ def test_stdout_matches_pinned_digest(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_deep_multi_target_common_is_quick(capsys):
+    started = time.monotonic()
+    code, payload, _ = run_json(capsys, "common", "--targets", "1/3,1/4",
+                                "--depth", "16")
+    assert time.monotonic() - started < 5
+    assert code == 0
+    assert {c["status"] for c in payload["certificates"]} == {"Exact"}
+
+
+def test_bound_violations_exit_2(capsys, monkeypatch):
+    """Bounds above every ratio turn each checked ratio into a violation;
+    the payload is still printed and still valid."""
+    from lambdaset import constructions
+    above = (Fraction(1 << 64),) * 3
+    monkeypatch.setattr(constructions, "_family_bounds",
+                        lambda piece, m, bits: above)
+    code, payload, _ = run_json(capsys, "thickness-cl", "--x", "1/3",
+                                "--ell", "2", "--kmax", "2", "--qmax", "1")
+    assert code == 2
+    jsonschema.validate(payload, load_schema("thickness-cl"))
+    # per piece: 2^(qmax+1) - 1 gap records and two inter-piece ratios
+    violations = payload["bound_violations"]
+    assert len(violations) == 2 * (3 + 2)
+    assert {v["family"] for v in violations} == set(constructions.FAMILIES)
+    assert {v["k"] for v in violations} == {2, 3}
+    assert all(("position" in v) == (v["family"] == "gap_ratio")
+               for v in violations)
+    assert all(v["bound"] == str(1 << 64) for v in violations)
+
+    code, payload, _ = run_json(capsys, "verify", "--case", "A", "--x", "1/3",
+                                "--trials", "2")
+    assert code == 2
+    jsonschema.validate(payload, load_schema("verify"))
+    violations = payload["violations"]
+    assert [v["kind"] for v in violations] == list(constructions.FAMILIES) * 2
+    assert violations == [e for e in payload["entries"] if not e["passed"]]
 
 
 def test_wide_target_at_low_precision(capsys):

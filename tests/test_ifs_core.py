@@ -59,6 +59,10 @@ def test_newton_cell_matches_fraction_step():
     # a linear R is solved in one step
     assert newton_cell((-3, 8), 1, 1, 0, 1) == 0
     assert newton_cell((-3, 8), 7, 4, 0, 1) == 6
+    # (4 lam - 1)^2 has a zero slope at its double root 1/4: no step is taken
+    for k, base, width in ((2, 0, 1), (10, 200, 7), (40, 0, 1 << 30)):
+        m = 1 << (k - 2)
+        assert newton_cell((1, -8, 16), m, k, base, width) == (m - base) // width
 
 
 def test_greedy_examples():

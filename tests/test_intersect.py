@@ -1,13 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
+from lambdaset import intersect
 from lambdaset.errors import InvalidInput, OutOfRange
-from lambdaset.ifs_core import Member, NotMember, greedy_digits, membership
-from lambdaset.intersect import _forced_digits, find_common, intersect_covers
+from lambdaset.ifs_core import Member, greedy_digits, membership
+from lambdaset.intersect import find_common, intersect_covers
 from lambdaset.lambda_set import binary_expansion, cover
-from lambdaset.numerics import Enclosure
 
 F = Fraction
 
@@ -66,15 +65,15 @@ def test_find_common_single_target(cfg):
 
 def test_find_common_pair(cfg):
     certs = find_common([F(1, 3), F(1, 4)], 6, cfg)
-    assert [c.sort_key() for c in certs] == sorted(c.sort_key() for c in certs)
-    exact = {c.lam_exact for c in certs if c.lam_exact is not None}
+    exact = [c.lam_exact for c in certs]
+    assert exact == sorted(exact)
     assert F(1, 2) in exact
     assert F(1, 3) in exact               # 1/4 and 1/3 both lie in K_{1/3}
-    # replayability of every exact certificate
-    for c in certs:
-        if c.lam_exact is not None:
-            assert all(membership(y, c.lam_exact, 600) is True
-                       for y in c.targets)
+    # the target order orders only the codings
+    backward = find_common([F(1, 4), F(1, 3)], 6, cfg)
+    assert [c.lam_exact for c in backward] == exact
+    assert [c.per_target_codings[::-1] for c in backward] == [
+        c.per_target_codings for c in certs]
     # ratio lower bound: never below the largest target
     assert all(c.lam.hi >= F(1, 3) for c in certs)
 
@@ -92,45 +91,32 @@ def test_find_common_validation(cfg):
         find_common([F(3, 4)], 4, cfg)
 
 
-@st.composite
-def targets_and_dyadic_cells(draw):
-    """y = p/q below 1/2 and dyadic ratios y <= lo <= hi <= 1/2."""
-    q = draw(st.integers(3, 64))
-    y = F(draw(st.integers(1, (q - 1) // 2)), q)
-    # 1/2 - y >= 1/128, so [y, 1/2] holds a multiple of 2^-k for k >= 7
-    k = draw(st.integers(7, 20))
-    ceil_y = -((-y.numerator << k) // y.denominator)
-    lo = draw(st.integers(ceil_y, 1 << (k - 1)))
-    hi = draw(st.integers(lo, 1 << (k - 1)))
-    return y, F(lo, 2**k), F(hi, 2**k)
+@pytest.mark.parametrize("targets,depth", [((F(1, 3), F(1, 4)), 6),
+                                           ((F(1, 5), F(1, 4)), 7)])
+def test_common_certificates_are_exact_and_replay(cfg, targets, depth):
+    certs = find_common(list(targets), depth, cfg)
+    assert len(certs) > 1
+    for c in certs:
+        assert c.status == "Exact" and c.to_json()["status"] == "Exact"
+        assert c.targets == targets and c.lam.contains(c.lam_exact)
+        # each target's coding is its greedy orbit at the ratio, which cycles
+        assert all(membership(y, c.lam_exact, 600) is True for y in targets)
+        if c.lam_exact != F(1, 2):
+            assert c.per_target_codings == tuple(
+                greedy_digits(y, c.lam_exact, 600).coding for y in targets)
 
 
-def _greedy_head(y, lam, n):
-    """The first n greedy digits of y at lam, or the NotMember outcome."""
-    out = greedy_digits(y, lam, n)
-    if isinstance(out, Member):
-        return out.coding.prefix(n)
-    return out if isinstance(out, NotMember) else out.digits
+def test_probe_stops_at_the_first_non_member(cfg, monkeypatch):
+    calls = []
 
+    def recording(y, lam, max_steps):
+        outcome = greedy_digits(y, lam, max_steps)
+        calls.append((y, lam, isinstance(outcome, Member)))
+        return outcome
 
-@given(targets_and_dyadic_cells())
-def test_forced_digits_at_a_point_follow_the_greedy_orbit(case):
-    y, lam, _ = case
-    digits, outcome = _forced_digits(y, Enclosure.point(lam, 128), 48)
-    head = _greedy_head(y, lam, 48)
-    if isinstance(head, NotMember):
-        assert outcome == "rejected" and len(digits) == head.reject_step - 1
-    else:
-        assert outcome == "ok" and tuple(digits) == head
-
-
-@given(targets_and_dyadic_cells())
-def test_forced_digits_on_a_cell_hold_at_both_ends(case):
-    y, lo, hi = case
-    digits, outcome = _forced_digits(y, Enclosure(lo, hi, 128), 48)
-    n = len(digits)
-    for lam in (lo, hi):
-        if digits:
-            assert _greedy_head(y, lam, n) == tuple(digits)
-        if outcome == "rejected":
-            assert _greedy_head(y, lam, n + 1) == NotMember(n + 1)
+    monkeypatch.setattr(intersect, "greedy_digits", recording)
+    find_common([F(1, 3), F(1, 4)], 4, cfg)
+    first = {lam: member for y, lam, member in calls if y == F(1, 3)}
+    second = [lam for y, lam, _ in calls if y == F(1, 4)]
+    assert second and all(first[lam] for lam in second)
+    assert len(second) == sum(first.values()) < len(first)

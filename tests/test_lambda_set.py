@@ -218,6 +218,23 @@ def test_gaps_examples(cfg):
     assert gaps(F(2, 7), 1, cfg) == []
 
 
+def test_cover_merges_overlapping_blocks():
+    """At a coarse width the cells of neighbouring blocks overlap, so the
+    cover merges its 11 blocks into 2 increasing intervals holding them."""
+    x, cfg = F(1, 3), PrecisionConfig(64, target_width=F(1, 1 << 6))
+    xs = binary_expansion(x)
+    blocks = [lambda_set._prefix_interval(x, w, xs, cfg)
+              for w in admissible_prefixes(x, 6)]
+    merged = cover(x, 6, cfg).intervals
+    assert (len(blocks), len(merged)) == (11, 2)
+    outline = [(iv.lo.lo, iv.hi.hi) for iv in merged]
+    assert all(lo < hi for lo, hi in outline)
+    assert all(a[1] < b[0] for a, b in zip(outline, outline[1:]))
+    for block in blocks:
+        assert any(lo <= block.lo.lo and block.hi.hi <= hi
+                   for lo, hi in outline)
+
+
 def test_order_reversal(fast_cfg):
     """Lex-smaller admissible coding maps to a larger ratio; 1000 pairs."""
     rng = random.Random(99)

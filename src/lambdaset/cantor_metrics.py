@@ -7,6 +7,11 @@ what remains, leaving two bridges of positive length. Thickness over the
 listed removals is the minimum bridge-to-gap length ratio, computed here
 exactly from the enclosure endpoints that make bridges shortest and gaps
 longest, so the reported value is a certified lower bound.
+
+The enclosure endpoints are dyadic, so the replay puts them all on one grid
+2^-E and runs on integers: one bisection and two list insertions per
+removal, the running minimum kept as an integer pair, and a single Fraction
+at the end.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InvalidInput, MalformedSequence, NonpositiveThickness
 from .numerics import Enclosure
@@ -54,30 +59,6 @@ class DefiningSequence:
         }
 
 
-def _split_components(hull: Interval, removals: Sequence[Interval]
-                      ) -> list[tuple[Interval, Interval, Interval]]:
-    """Replay removals; returns per-removal (component, left bridge, right
-    bridge) records.
-
-    The components stay disjoint and sorted, so the only one that can hold
-    a removal is the last whose left end lies certainly below it.
-    """
-    components: list[Interval] = [hull]
-    records = []
-    for idx, (vl, vr) in enumerate(removals, start=1):
-        if not vl.hi < vr.lo:
-            raise MalformedSequence(f"removal {idx} has no certified length")
-        home = bisect_left(components, vl.lo, key=lambda c: c[0].hi) - 1
-        if home < 0 or not vr.hi < components[home][1].lo:
-            raise MalformedSequence(
-                f"removal {idx} is not strictly interior to any component")
-        clo, chi = components[home]
-        left, right = (clo, vl), (vr, chi)
-        components[home:home + 1] = [left, right]
-        records.append(((clo, chi), left, right))
-    return records
-
-
 def thickness_of(ds: DefiningSequence) -> Fraction:
     """Certified lower bound of the thickness restricted to the listed
     removals: min over gaps of min(|L|/|V|, |R|/|V|), with the shortest
@@ -85,19 +66,43 @@ def thickness_of(ds: DefiningSequence) -> Fraction:
 
     When the removals are ordered by decreasing length this equals (up to
     the truncation) the thickness of the set itself.
+
+    The replay runs on the finest dyadic grid among the endpoints. The
+    components stay disjoint and sorted, so the only one that can hold a
+    removal is the last whose left end lies certainly below it. An endpoint
+    that is not dyadic raises InvalidInput.
     """
     if not ds.removals:
         raise InvalidInput("defining sequence lists no removals")
-    records = _split_components(ds.hull, ds.removals)
-    best: Fraction | None = None
-    for _component, (left_lo, vl), (vr, right_hi) in records:
-        gap_hi = vr.hi - vl.lo
-        left_lo_len = vl.lo - left_lo.hi
-        right_lo_len = right_hi.lo - vr.hi
-        ratio = min(left_lo_len, right_lo_len) / gap_hi
-        if best is None or ratio < best:
-            best = ratio
-    return best
+    values = [ds.hull[0].hi, ds.hull[1].lo]
+    for vl, vr in ds.removals:
+        values += (vl.lo, vl.hi, vr.lo, vr.hi)
+    dens = [v.denominator for v in values]
+    if any(den & (den - 1) for den in dens):
+        raise InvalidInput("defining sequence has an endpoint that is not "
+                           "dyadic")
+    top = max(dens).bit_length()
+    grid = [v.numerator << (top - den.bit_length())
+            for v, den in zip(values, dens)]
+    # component j spans (starts[j], ends[j]): its left end's upper bound and
+    # its right end's lower bound
+    starts, ends = grid[:1], grid[1:2]
+    best_num, best_den = None, 1
+    for idx in range(1, len(ds.removals) + 1):
+        vl_lo, vl_hi, vr_lo, vr_hi = grid[4 * idx - 2:4 * idx + 2]
+        if not vl_hi < vr_lo:
+            raise MalformedSequence(f"removal {idx} has no certified length")
+        home = bisect_left(starts, vl_lo) - 1
+        if home < 0 or not vr_hi < ends[home]:
+            raise MalformedSequence(
+                f"removal {idx} is not strictly interior to any component")
+        bridge = min(vl_lo - starts[home], ends[home] - vr_hi)
+        gap = vr_hi - vl_lo
+        if best_num is None or bridge * best_den < best_num * gap:
+            best_num, best_den = bridge, gap
+        starts.insert(home + 1, vr_hi)
+        ends.insert(home, vl_lo)
+    return Fraction(best_num, best_den)
 
 
 def newhouse_lower(tau) -> float:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from .errors import OutOfRange
@@ -134,7 +135,8 @@ def newton_cell(coeffs: tuple[int, ...], m: int, k: int, base: int,
 
 
 def greedy_digits(x: Fraction, lam: Fraction, max_steps: int = 256) -> GreedyOutcome:
-    """Greedy coding of x in base lam by exact rational iteration.
+    """Greedy coding of x in base lam by exact rational iteration on the
+    state's numerator and denominator.
 
     Digit 1 whenever the state reaches [1-lam, 1] (so the tie at the overlap
     point for lam = 1/2 resolves to 1, giving the lexicographically largest
@@ -148,22 +150,26 @@ def greedy_digits(x: Fraction, lam: Fraction, max_steps: int = 256) -> GreedyOut
         raise OutOfRange("lam must lie in (0, 1/2]")
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
-    threshold = 1 - lam
-    y = x
-    # states keyed by their integer pair, which hashes far faster than a
-    # Fraction with a large denominator
-    seen: dict[tuple[int, int], int] = {(y.numerator, y.denominator): 0}
+    # the state y = num/den in lowest terms, with lam = p/q and 1 - lam =
+    # rest/q; the states are keyed by that pair
+    p, q = lam.numerator, lam.denominator
+    rest = q - p
+    num, den = x.numerator, x.denominator
+    seen: dict[tuple[int, int], int] = {(num, den): 0}
     digits: list[int] = []
     for step in range(1, max_steps + 1):
-        if y >= threshold:
+        scaled, cut = num * q, rest * den
+        if scaled >= cut:                # y >= 1 - lam
             digits.append(1)
-            y = (y - threshold) / lam
-        elif y <= lam:
+            num, den = scaled - cut, den * p
+        elif scaled <= p * den:          # y <= lam
             digits.append(0)
-            y = y / lam
+            num, den = scaled, den * p
         else:
             return NotMember(step)
-        start = seen.setdefault((y.numerator, y.denominator), step)
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        start = seen.setdefault((num, den), step)
         if start != step:
             return Member(EpSequence(tuple(digits[:start]),
                                      tuple(digits[start:])))

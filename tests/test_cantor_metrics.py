@@ -2,12 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from lambdaset.cantor_metrics import (DefiningSequence, _split_components,
-                                      newhouse_lower, thickness_of)
+from lambdaset.cantor_metrics import (DefiningSequence, newhouse_lower,
+                                      thickness_of)
 from lambdaset.errors import (InvalidInput, MalformedSequence,
                               NonpositiveThickness)
+from lambdaset.numerics import Enclosure
 
 F = Fraction
 TOL = F(1, 1 << 40)
@@ -66,11 +67,25 @@ def linear_replay(hull, removals):
     return records
 
 
-def _outcome(replay, ds):
+def reference_thickness(ds):
+    """Reference thickness: the linear replay's records, then the minimum
+    bridge-to-gap ratio in Fraction arithmetic."""
+    if not ds.removals:
+        raise InvalidInput("defining sequence lists no removals")
+    best = None
+    for _component, (left_lo, vl), (vr, right_hi) in linear_replay(
+            ds.hull, ds.removals):
+        ratio = min(vl.lo - left_lo.hi, right_hi.lo - vr.hi) / (vr.hi - vl.lo)
+        if best is None or ratio < best:
+            best = ratio
+    return best
+
+
+def _outcome(thickness, ds):
     try:
-        return replay(ds.hull, ds.removals)
-    except MalformedSequence as exc:
-        return str(exc)
+        return thickness(ds)
+    except (InvalidInput, MalformedSequence) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 grid = st.builds(F, st.integers(-8, 40), st.integers(1, 12))
@@ -103,9 +118,37 @@ def defining_sequences(draw):
 
 @settings(deadline=None)
 @given(defining_sequences())
-def test_bisect_replay_matches_linear_scan(ds):
-    # same records (the same Enclosure objects) or the same error message
-    assert _outcome(_split_components, ds) == _outcome(linear_replay, ds)
+@example(DefiningSequence.from_fractions((F(0), F(1)), []))
+def test_integer_replay_matches_fraction_reference(ds):
+    # the same Fraction or the same error and message
+    assert _outcome(thickness_of, ds) == _outcome(reference_thickness, ds)
+
+
+def test_mixed_grid_exponents():
+    """Endpoints at 2^-3 and at 2^-700 share one sequence: each is shifted
+    onto the finest grid before any comparison."""
+    fine = F(1, 1 << 700)
+    ds = DefiningSequence(
+        (Enclosure.point(F(0), 8), Enclosure.point(F(1), 8)),
+        ((Enclosure.point(F(3, 8), 8), Enclosure.point(F(5, 8), 8)),
+         (Enclosure.point(fine, 8), Enclosure.point(F(1, 8), 8)),
+         (Enclosure.point(F(3, 4) - fine, 8), Enclosure.point(F(7, 8), 8))))
+    assert thickness_of(ds) == reference_thickness(ds) == fine / (F(1, 8) - fine)
+    # a removal that straddles the left end of the second gap
+    misplaced = DefiningSequence(ds.hull, ds.removals + (
+        (Enclosure.point(fine / 2, 8), Enclosure.point(2 * fine, 8)),))
+    with pytest.raises(MalformedSequence,
+                       match="removal 4 is not strictly interior"):
+        thickness_of(misplaced)
+
+
+def test_non_dyadic_endpoint_is_refused():
+    third = Enclosure.point(F(1, 3), 8)
+    ds = DefiningSequence(
+        (Enclosure.point(F(0), 8), Enclosure.point(F(1), 8)),
+        ((third, Enclosure.point(F(1, 2), 8)),))
+    with pytest.raises(InvalidInput, match="not dyadic"):
+        thickness_of(ds)
 
 
 def test_thickness_examples():

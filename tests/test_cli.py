@@ -158,6 +158,16 @@ PINNED_STDOUT = [
      "c2382cb4af9f73ee704ed027fa2d7bf3a4ab536a88a3f806be430084da6a2b9a"),
     (["common", "--targets", "1/3,1/4", "--depth", "8"],
      "fe96310366e309305587deef8cf85ecd774a43badd25ffc423c8b221af4691fb"),
+    # one run per greedy outcome: member, rejected at step 551, unresolved
+    (["code", "--x", "11759701296083149/16837617944622401", "--lambda", "7/17"],
+     "c258370b2298d6f8216bce8c8574c339865e50c63dce32f28d6be574dfe1eb1c"),
+    (["code", "--x", "153/250", "--lambda", "185/371", "--max-steps", "600"],
+     "fb84d80aa27ccff97c4e27fb04d83d904c9285731cbd1d28804220e008a49b19"),
+    (["code", "--x", "153/250", "--lambda", "185/371", "--max-steps", "500"],
+     "5a4038cbc57973771eea31254df20617696f452faef6c073c3da999c162aaff7"),
+    # period 2052
+    (["expansion", "--x", "1/2053"],
+     "7d5ad63ad86e85dd838d07a856af9001a38395552ce98998ebd59558406c65f2"),
 ]
 
 
@@ -165,6 +175,45 @@ PINNED_STDOUT = [
                          ids=[" ".join(r[0]) for r in PINNED_STDOUT])
 def test_stdout_matches_pinned_digest(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def middle_alpha_gaps(alpha: Fraction, levels: int, hull: tuple) -> dict:
+    """`thickness --gaps` input for the middle-alpha Cantor set on hull:
+    2^levels - 1 removals, level by level."""
+    side = (1 - alpha) / 2
+    components, gaps = [hull], []
+    for _ in range(levels):
+        nxt = []
+        for lo, hi in components:
+            a, b = lo + side * (hi - lo), hi - side * (hi - lo)
+            gaps.append([str(a), str(b)])
+            nxt += [(lo, a), (b, hi)]
+        components = nxt
+    return {"hull": [str(v) for v in hull], "gaps": gaps}
+
+
+UNIT, SHIFTED = (Fraction(0), Fraction(1)), (Fraction(-3, 8), Fraction(5))
+PINNED_THICKNESS = [
+    ("middle-19/50", (Fraction(19, 50), 10, UNIT), [],
+     "843e23d5c60c7a97946037043e03de59b6145df0884ce040770f067186e63c56"),
+    ("middle-19/50 at 32 bits", (Fraction(19, 50), 10, UNIT), ["--bits", "32"],
+     "0987c5363f8d031b988651687d90e00dfa15fd4a2e94e28edff87b9b56c4579a"),
+    # every endpoint is dyadic, with denominators up to 2^31
+    ("dyadic middle-3/8", (Fraction(3, 8), 7, SHIFTED), [],
+     "db83ccd03fff2edab18096b057ff7041b8295a73eab8baaae970ce679549a76f"),
+]
+
+
+@pytest.mark.parametrize("shape,flags,digest",
+                         [r[1:] for r in PINNED_THICKNESS],
+                         ids=[r[0] for r in PINNED_THICKNESS])
+def test_thickness_stdout_matches_pinned_digest(capsys, tmp_path, shape,
+                                                flags, digest):
+    path = tmp_path / "gaps.json"
+    path.write_text(json.dumps(middle_alpha_gaps(*shape)))
+    code, out, _ = run(capsys, "thickness", "--gaps", str(path), *flags)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

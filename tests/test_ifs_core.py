@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lambdaset.errors import OutOfRange
 from lambdaset.ifs_core import (Member, NotMember, Unresolved, greedy_digits,
@@ -153,7 +154,60 @@ def test_greedy_maximality_for_dyadic_targets():
 
 
 def test_greedy_domain_errors():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(OutOfRange, match=r"^x must lie in \[0, 1\]$"):
         greedy_digits(F(3, 2), F(1, 2))
-    with pytest.raises(OutOfRange):
+    with pytest.raises(OutOfRange, match=r"^lam must lie in \(0, 1/2\]$"):
         greedy_digits(F(1, 4), F(3, 5))
+    with pytest.raises(OutOfRange, match=r"^lam must lie in \(0, 1/2\]$"):
+        greedy_digits(F(1, 4), F(0))
+    with pytest.raises(ValueError, match="^max_steps must be positive$"):
+        greedy_digits(F(1, 4), F(1, 3), 0)
+
+
+def reference_greedy(x: F, lam: F, max_steps: int):
+    """The greedy orbit in Fraction arithmetic, keyed by the state itself."""
+    threshold = 1 - lam
+    y = x
+    seen = {y: 0}
+    digits = []
+    for step in range(1, max_steps + 1):
+        if y >= threshold:
+            digits.append(1)
+            y = (y - threshold) / lam
+        elif y <= lam:
+            digits.append(0)
+            y = y / lam
+        else:
+            return NotMember(step)
+        start = seen.setdefault(y, step)
+        if start != step:
+            return Member(EpSequence(tuple(digits[:start]),
+                                     tuple(digits[start:])))
+    return Unresolved(tuple(digits))
+
+
+@st.composite
+def greedy_cases(draw):
+    """lam = p/q in (0, 1/2]; x is an end of [0, 1] or of a branch image,
+    a rational in [0, 1], or the coding-map value of an eventually periodic
+    sequence (a member with a cycling orbit)."""
+    q = draw(st.integers(2, 400))
+    lam = F(draw(st.integers(1, q // 2)), q)
+    digit_words = st.lists(st.integers(0, 1), max_size=8).map(tuple)
+    x = draw(st.one_of(
+        st.sampled_from((F(0), F(1), lam, 1 - lam)),
+        st.integers(1, 1000).flatmap(
+            lambda d: st.builds(F, st.integers(0, d), st.just(d))),
+        st.builds(lambda pre, per: pi_eval(EpSequence(pre, per + (1,)), lam),
+                  digit_words, digit_words)))
+    return x, lam, draw(st.integers(1, 600))
+
+
+@settings(deadline=None, max_examples=300)
+@given(greedy_cases())
+@example((F(1, 4), F(1, 2), 64))
+@example((F(1, 2), F(1, 2), 8))
+@example((F(1), F(1, 3), 600))
+def test_greedy_matches_fraction_reference(case):
+    # the representation too: the CLI prints preperiod and period as found
+    assert repr(greedy_digits(*case)) == repr(reference_greedy(*case))

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InvalidInput, MalformedSequence, NonpositiveThickness
-from .numerics import Enclosure
+from .numerics import DEFAULT_CONFIG, Enclosure
 
 __all__ = [
     "Interval",
@@ -45,7 +45,8 @@ class DefiningSequence:
     @classmethod
     def from_fractions(cls, hull: tuple[Fraction, Fraction],
                        removals: Iterable[tuple[Fraction, Fraction]],
-                       bits: int = 128) -> "DefiningSequence":
+                       bits: int = DEFAULT_CONFIG.precision_bits
+                       ) -> "DefiningSequence":
         def enc(q) -> Enclosure:
             return Enclosure.from_fraction(Fraction(q), bits)
 

@@ -28,7 +28,7 @@ from typing import Callable
 
 from . import __version__
 from .errors import InvalidInput, LambdasetError
-from .numerics import PrecisionConfig, parse_rational
+from .numerics import DEFAULT_CONFIG, PrecisionConfig, parse_rational
 
 HALF = Fraction(1, 2)
 
@@ -98,6 +98,13 @@ LAMBDA = ("--lambda", dict(dest="lam", type=_fraction, required=True))
 DEPTH = ("--depth", dict(type=int, required=True))
 TARGETS = ("--targets", dict(type=_fraction_list, required=True))
 ELL = ("--ell", dict(type=int, required=True))
+# --bits goes on the commands that round rationals to enclosures or solve
+# roots, --width-bits on those that solve roots
+BITS = ("--bits", dict(type=int, default=DEFAULT_CONFIG.precision_bits,
+                       help="enclosure precision bits (default %(default)s)"))
+WIDTH_BITS = ("--width-bits", dict(
+    type=int, default=DEFAULT_CONFIG.width_bits,
+    help="solver target width 2^-W (default %(default)s)"))
 
 
 def _cover_csv(payload: dict) -> str:
@@ -197,12 +204,14 @@ def _expansion(args, cfg):
             "sequence": str(lib.binary_expansion(args.x))}, 0
 
 
-@command("cover", "cover of the ratio set at a depth", X, DEPTH, csv=_cover_csv)
+@command("cover", "cover of the ratio set at a depth", X, DEPTH, BITS,
+         WIDTH_BITS, csv=_cover_csv)
 def _cover(args, cfg):
     return lib.cover(args.x, args.depth, cfg).to_json(), 0
 
 
-@command("gaps", "gaps of the ratio set at a depth", X, DEPTH, csv=_gaps_csv)
+@command("gaps", "gaps of the ratio set at a depth", X, DEPTH, BITS,
+         WIDTH_BITS, csv=_gaps_csv)
 def _gaps(args, cfg):
     found = lib.gaps(args.x, args.depth, cfg)
     return {"x": str(args.x), "depth": args.depth,
@@ -213,7 +222,7 @@ def _gaps(args, cfg):
          ("--center", dict(type=_fraction, required=True)),
          ("--radius", dict(type=_fraction, required=True)),
          ("--eps-min-exp", dict(type=int, default=8)),
-         ("--eps-max-exp", dict(type=int, default=13)))
+         ("--eps-max-exp", dict(type=int, default=13)), BITS, WIDTH_BITS)
 def _dim(args, cfg):
     ladder = list(range(args.eps_min_exp, args.eps_max_exp + 1))
     window = (args.center - args.radius, args.center + args.radius)
@@ -221,13 +230,14 @@ def _dim(args, cfg):
 
 
 @command("pieces", "endpoints of the k-th piece", X,
-         ("--k", dict(type=int, required=True)))
+         ("--k", dict(type=int, required=True)), BITS, WIDTH_BITS)
 def _pieces(args, cfg):
     return lib.piece_endpoints(args.x, args.k, cfg).to_json(), 0
 
 
 @command("cantor-ds", "defining sequence of a tail construction", X, ELL,
-         ("--kmax", dict(type=int, default=4)), ("--qmax", dict(type=int, default=2)))
+         ("--kmax", dict(type=int, default=4)), ("--qmax", dict(type=int, default=2)),
+         BITS, WIDTH_BITS)
 def _cantor_ds(args, cfg):
     ds = lib.defining_sequence_Cl(args.x, args.ell, args.kmax, args.qmax, cfg)
     payload = ds.to_json()
@@ -239,7 +249,7 @@ def _cantor_ds(args, cfg):
 @command("thickness", "thickness of a defining sequence",
          ("--gaps", dict(required=True, metavar="FILE",
                          help='JSON {"hull":[lo,hi],"gaps":[[lo,hi],...]}; '
-                              "- for stdin")))
+                              "- for stdin")), BITS)
 def _thickness(args, cfg):
     ds = _load_defining_sequence(args.gaps, cfg.precision_bits)
     tau = lib.thickness_of(ds)
@@ -249,7 +259,8 @@ def _thickness(args, cfg):
 
 
 @command("thickness-cl", "truncated thickness report", X, ELL,
-         ("--kmax", dict(type=int, default=5)), ("--qmax", dict(type=int, default=2)))
+         ("--kmax", dict(type=int, default=5)), ("--qmax", dict(type=int, default=2)),
+         BITS, WIDTH_BITS)
 def _thickness_cl(args, cfg):
     report = lib.thickness_Cl(args.x, args.ell, args.kmax, args.qmax, cfg)
     payload = report.to_json()
@@ -262,11 +273,12 @@ def _thickness_cl(args, cfg):
          ("--x", dict(type=_fraction, default=None,
                       help="target for case A (case B is fixed at 1/4)")),
          ("--trials", dict(type=int, default=100)),
-         ("--seed", dict(type=int, default=0)))
+         ("--seed", dict(type=int, default=0)), BITS, WIDTH_BITS)
 def _verify(args, cfg):
+    if (args.x is None) == (args.case == "A"):
+        raise LambdasetError("case A needs --x" if args.case == "A"
+                             else "only case A takes --x")
     if args.case == "A":
-        if args.x is None:
-            raise LambdasetError("case A needs --x")
         ledger = lib.verify_caseA(args.x, args.trials, cfg, args.seed)
     else:
         ledger = lib.verify_caseB(args.trials, cfg, args.seed)
@@ -274,14 +286,14 @@ def _verify(args, cfg):
 
 
 @command("intersect", "outer cover of a common ratio set", TARGETS, DEPTH,
-         schema="cover", csv=_cover_csv)
+         BITS, WIDTH_BITS, schema="cover", csv=_cover_csv)
 def _intersect(args, cfg):
     covers = [lib.cover(y, args.depth, cfg) for y in args.targets]
     return lib.intersect_covers(covers).to_json(), 0
 
 
 @command("common", "common-ratio certificates", TARGETS,
-         ("--depth", dict(type=int, default=8)))
+         ("--depth", dict(type=int, default=8)), BITS)
 def _common(args, cfg):
     certs = lib.find_common(args.targets, args.depth, cfg)
     return {"targets": [str(t) for t in args.targets], "depth": args.depth,
@@ -291,7 +303,8 @@ def _common(args, cfg):
 @command("svg-gaps", "static gap-structure diagram", X,
          ("--ell", dict(type=int, default=1)), ("--kmax", dict(type=int, default=3)),
          ("--qmax", dict(type=int, default=2)),
-         ("--out", dict(default=None, help="output file (default stdout)")))
+         ("--out", dict(default=None, help="output file (default stdout)")),
+         BITS, WIDTH_BITS)
 def _svg_gaps(args, cfg):
     text = lib.svg_gaps(args.x, args.ell, args.kmax, args.qmax, cfg)
     if args.out:
@@ -305,15 +318,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="lambdaset",
                      description="certified ratio-set computations for "
                                  "two-branch self-similar sets")
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--bits", type=int, default=128,
-                        help="enclosure precision bits (default 128)")
-    shared.add_argument("--width-bits", type=int, default=80,
-                        help="solver target width 2^-W (default 80)")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
     for name, entry in COMMANDS.items():
-        p = sub.add_parser(name, parents=[shared], help=entry.help)
+        p = sub.add_parser(name, help=entry.help)
         for flag, kwargs in entry.arguments:
             p.add_argument(flag, **kwargs)
         if entry.csv is not None:
@@ -345,10 +353,9 @@ def main(argv: list[str] | None = None) -> int:
                   if k != "command"}
     notes: dict = {}
     try:
-        if args.width_bits < 0:
-            raise InvalidInput("--width-bits must be nonnegative")
-        cfg = PrecisionConfig(precision_bits=args.bits,
-                              target_width=Fraction(1, 1 << args.width_bits))
+        cfg = PrecisionConfig(
+            getattr(args, "bits", DEFAULT_CONFIG.precision_bits),
+            getattr(args, "width_bits", DEFAULT_CONFIG.width_bits))
         if entry.mirror:
             _mirror_targets(args, notes)
         payload, code = entry.handler(args, cfg)
@@ -367,7 +374,6 @@ def main(argv: list[str] | None = None) -> int:
         "command": args.command,
         "parameters": parameters,
         "notes": notes,
-        "precision_bits": cfg.precision_bits,
         "library_version": __version__,
         "wall_time_ms": round((time.time() - started) * 1000, 3),
         "import_ms": round((_import_seconds - imports_before) * 1000, 3),

@@ -100,7 +100,7 @@ def _separated(x: Fraction, codings: tuple[EpSequence, ...],
             where = (f"piece {k}" if omega is None
                      else f"gap {word_str(omega)} of piece {k}")
             raise Inconclusive(f"endpoints of {where} not separated at target "
-                               f"width {cfg.target_width}")
+                               f"width {Fraction(1, 1 << cfg.width_bits)}")
     return cells
 
 

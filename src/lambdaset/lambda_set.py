@@ -58,6 +58,9 @@ CACHE_SIZE = 4096
 # more and fails at once instead of running on.
 MAX_PREFIXES = 1 << 14
 
+# Longest prefix box_dim_estimate refines a block to.
+MAX_DEPTH = 48
+
 
 @lru_cache(maxsize=CACHE_SIZE)
 def binary_expansion(x: Fraction) -> EpSequence:
@@ -92,7 +95,7 @@ def psi_inverse(x: Fraction, s: EpSequence,
     to `precision_bits`, where lam -> pi_eval(s, lam) is strictly
     increasing. The result is the cell of the midpoint-bisection grid of
     [a, 1/2] that holds the root, at the first level no wider than
-    `target_width`, or the exact point when the root is a grid point up to
+    2^-width_bits, or the exact point when the root is a grid point up to
     that level. Every cell is decided by exact integer signs, so the answer
     does not depend on how it was found.
 
@@ -110,13 +113,9 @@ def psi_inverse(x: Fraction, s: EpSequence,
     a = round_dyadic(x, bits, False)
     n, a_m = a.denominator.bit_length() - 1, a.numerator
     width = (1 << (n - 1)) - a_m
-    target = cfg.target_width
-    # first level whose cells are at most target_width wide; the bit-length
-    # estimate falls short by at most one
-    scaled = width * target.denominator
-    levels = max(0, scaled.bit_length() - target.numerator.bit_length() - n)
-    while scaled > target.numerator << (n + levels):
-        levels += 1
+    # first level k whose cells are no wider than 2^-width_bits:
+    # width <= 2^(n + k - width_bits)
+    levels = max(0, (width - 1).bit_length() + cfg.width_bits - n)
     sign_lo, sign_hi = poly_sign(poly, a_m, n), poly_sign(poly, a_m + width, n)
     if sign_lo > 0 or sign_hi < 0:
         raise AssertionError(f"[x, 1/2] does not bracket the root of {s}")
@@ -242,7 +241,8 @@ class IntervalCover:
             "depth": self.depth,
             "intervals": [iv.to_json() for iv in self.intervals],
             "precision": {"bits": self.precision.precision_bits,
-                          "target_width": str(self.precision.target_width)},
+                          "target_width": str(Fraction(
+                              1, 1 << self.precision.width_bits))},
         }
 
 
@@ -399,8 +399,7 @@ class BoxDimReport:
 
 def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
                      eps_exponents: list[int],
-                     cfg: PrecisionConfig = DEFAULT_CONFIG,
-                     max_depth: int = 48) -> BoxDimReport:
+                     cfg: PrecisionConfig = DEFAULT_CONFIG) -> BoxDimReport:
     """Least-squares box-counting slope of the ratio set inside a window.
 
     The cover is refined adaptively until every surviving block is shorter
@@ -439,8 +438,8 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
         if s_hi - s_lo <= threshold:
             segments.append((max(s_lo, lo_w), min(s_hi, hi_w)))
             continue
-        if len(bits) >= max_depth:
-            raise DepthBudgetExceeded(f"prefix depth {max_depth} reached")
+        if len(bits) >= MAX_DEPTH:
+            raise DepthBudgetExceeded(f"prefix depth {MAX_DEPTH} reached")
         for d in (0, 1):
             if _prefix_admissible(x, bits + (d,)):
                 stack.append(bits + (d,))

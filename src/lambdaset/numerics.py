@@ -110,14 +110,18 @@ class Enclosure:
 
 @dataclass(frozen=True, slots=True)
 class PrecisionConfig:
+    """Precision of a run: `precision_bits` mantissa bits for enclosures and
+    for the origin of the root grid, and `width_bits`, the W of the width
+    2^-W that root solves refine their cells to."""
+
     precision_bits: int = 128
-    target_width: Fraction = Fraction(1, 1 << 80)
+    width_bits: int = 80
 
     def __post_init__(self):
         if self.precision_bits < 32:
             raise ValueError("precision_bits must be at least 32")
-        if self.target_width <= 0:
-            raise ValueError("target_width must be positive")
+        if self.width_bits < 0:
+            raise ValueError("width_bits must be nonnegative")
 
 
 DEFAULT_CONFIG = PrecisionConfig()

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from lambdaset.numerics import PrecisionConfig
@@ -13,4 +11,4 @@ def cfg():
 @pytest.fixture(scope="session")
 def fast_cfg():
     # cheaper solver settings for property sweeps that do many solves
-    return PrecisionConfig(64, target_width=Fraction(1, 1 << 40))
+    return PrecisionConfig(64, width_bits=40)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import signal
 import time
 from fractions import Fraction
@@ -71,14 +72,19 @@ def test_exit_codes(capsys, tmp_path):
         for trials in ("0", "-1"):
             code, out, err = run(capsys, "verify", *case, "--trials", trials)
             assert code == 1 and out == "" and err.startswith("error: ")
+    # case B is fixed at 1/4: an --x would be read by nothing
+    code, out, err = run(capsys, "verify", "--case", "B", "--x", "1/3",
+                         "--trials", "1")
+    assert code == 1 and out == "" and err == "error: only case A takes --x\n"
     code, _, err = run(capsys, "cover", "--x", "1/4", "--depth", "2",
                        "--width-bits", "-3")
-    assert code == 1 and err == "error: --width-bits must be nonnegative\n"
+    assert code == 1 and err == "error: width_bits must be nonnegative\n"
     code, _, err = run(capsys, "dim", "--x", "1/3", "--center", "9/20",
                        "--radius", "1/20", "--eps-min-exp", "-3")
     assert code == 1 and err == "error: grid exponent -3 is negative\n"
     for bits in ("0", "16"):
-        code, out, err = run(capsys, "expansion", "--x", "1/3", "--bits", bits)
+        code, out, err = run(capsys, "common", "--targets", "1/3", "--depth",
+                             "1", "--bits", bits)
         assert code == 1 and out == "" and err.count("\n") == 1
         assert err.startswith("error: ")
     for argv in (["thickness-cl", "--ell", "1", "--qmax", "-1"],
@@ -389,6 +395,36 @@ def test_payloads_validate_against_schemas(capsys, name, argv):
     jsonschema.validate(payload, load_schema(argv[0]))
 
 
+# the precision flags each command reads: --bits where it rounds rationals
+# to enclosures or solves roots, --width-bits where it solves roots
+BOTH = ("--bits", "--width-bits")
+PRECISION_FLAGS = {"code": (), "pi": (), "expansion": (),
+                   "thickness": ("--bits",), "common": ("--bits",),
+                   "cover": BOTH, "gaps": BOTH, "dim": BOTH, "pieces": BOTH,
+                   "cantor-ds": BOTH, "thickness-cl": BOTH, "verify": BOTH,
+                   "intersect": BOTH, "svg-gaps": BOTH}
+# a valid argv of each command that lacks a precision flag
+NARROW_ARGVS = {"code": ["code", "--x", "1/4", "--lambda", "1/2"],
+                "pi": ["pi", "--seq", "(01)", "--lambda", "1/2"],
+                "expansion": ["expansion", "--x", "1/3"],
+                "thickness": ["thickness", "--gaps", "-"],
+                "common": ["common", "--targets", "1/3", "--depth", "1"]}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_commands_take_only_the_precision_flags_they_read(capsys, name):
+    code, out, _ = run(capsys, name, "--help")
+    assert code == 0
+    assert set(re.findall(r"--(?:width-)?bits\b", out)) == set(
+        PRECISION_FLAGS[name])
+    for flag in set(BOTH) - set(PRECISION_FLAGS[name]):
+        code, out, err = run(capsys, *NARROW_ARGVS[name], flag, "40")
+        assert code == 1 and out == ""
+        assert [line for line in err.splitlines()
+                if line.startswith("error:")] == [
+            f"error: unrecognized arguments: {flag} 40"]
+
+
 def test_svg_write_payload_schema(capsys, tmp_path):
     target = tmp_path / "d.svg"
     _, payload, _ = run_json(capsys, "svg-gaps", "--x", "1/3", "--kmax", "2",
@@ -397,9 +433,10 @@ def test_svg_write_payload_schema(capsys, tmp_path):
 
 
 # A small grammar of argv for every subcommand. Each flag takes one of its
-# listed values or, where None is listed, is left out. Depths (at most 6)
-# and the options whose defaults start long runs (dim's grid exponents,
-# verify's trial count) are always given; k is at most 8.
+# listed values or, where None is listed, is left out; a command's precision
+# flags come from PRECISION_FLAGS. Depths (at most 6) and the options whose
+# defaults start long runs (dim's grid exponents, verify's trial count) are
+# always given; k is at most 8.
 RATIONALS = ["1/3", "1/4", "2/7", "2/3", "1/2", "0", "-1/3", "1e-30",
              "0.123456789", "", "abc", "1/0"]
 INTS = ["1", "2", "3", "0", "-1", "x"]
@@ -436,8 +473,8 @@ GRAMMAR = {
     "svg-gaps": (X_FLAG,) + TAIL_FLAGS,
 }
 # mostly left out, so that most draws reach the library
-SHARED_FLAGS = (("--bits", [None] * 6 + ["64", "0", "x"]),
-                ("--width-bits", [None] * 6 + ["40", "3", "-1", "x"]))
+PRECISION_VALUES = {"--bits": [None] * 6 + ["64", "0", "x"],
+                    "--width-bits": [None] * 6 + ["40", "3", "-1", "x"]}
 
 
 class _Hang(BaseException):
@@ -452,10 +489,17 @@ def _raise_hang(signum, frame):
 def cli_argvs(draw):
     name = draw(st.sampled_from(sorted(GRAMMAR)))
     argv = [name]
-    for flag, values in GRAMMAR[name] + SHARED_FLAGS:
+    flags = GRAMMAR[name] + tuple((flag, PRECISION_VALUES[flag])
+                                  for flag in PRECISION_FLAGS[name])
+    for flag, values in flags:
         value = draw(st.sampled_from(values))
         if value is not None:
             argv.append(f"{flag}={value}")   # so that -1/3 is not a flag
+    # now and then a precision flag the command does not take
+    stray = draw(st.sampled_from(
+        [None] * 9 + sorted(set(BOTH) - set(PRECISION_FLAGS[name]))))
+    if stray is not None:
+        argv.append(f"{stray}=40")
     return argv
 
 

@@ -163,10 +163,10 @@ def test_family_bounds_match_the_stated_formulas(cfg):
 
 
 def test_unseparated_endpoints_name_the_width(cfg):
-    coarse = PrecisionConfig(64, target_width=F(1, 1 << 20))
+    coarse = PrecisionConfig(64, width_bits=20)
     with pytest.raises(Inconclusive, match="piece 40 .*width 1/1048576$"):
         piece_endpoints(F(1, 3), 40, coarse)
-    coarser = PrecisionConfig(64, target_width=F(1, 1 << 8))
+    coarser = PrecisionConfig(64, width_bits=8)
     with pytest.raises(Inconclusive, match="gap 01 of piece 1 .*width 1/256$"):
         gap_record(piece_endpoints(F(1, 3), 1, cfg), (0, 1), coarser)
 
@@ -185,7 +185,7 @@ def test_tail_reports_fail_alike(cfg):
 def test_thickness_agrees_across_precisions(cfg):
     """Raising the working precision moves the certified truncated value by
     no more than the solver widths."""
-    high = PrecisionConfig(192, target_width=F(1, 1 << 100))
+    high = PrecisionConfig(192, width_bits=100)
     r_default = thickness_Cl(F(1, 3), 2, 3, 2, cfg)
     r_high = thickness_Cl(F(1, 3), 2, 3, 2, high)
     assert abs(r_default.tau_truncated - r_high.tau_truncated) <= F(1, 1 << 60)

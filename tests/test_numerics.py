@@ -87,7 +87,7 @@ def test_precision_config_validation():
     with pytest.raises(ValueError):
         PrecisionConfig(precision_bits=16)
     with pytest.raises(ValueError):
-        PrecisionConfig(target_width=F(0))
+        PrecisionConfig(width_bits=-1)
 
 
 def test_enclosure_json():

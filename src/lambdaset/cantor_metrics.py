@@ -9,7 +9,7 @@ exactly from the enclosure endpoints that make bridges shortest and gaps
 longest, so the reported value is a certified lower bound.
 
 The enclosure endpoints are dyadic, so the replay puts them all on one grid
-2^-E and runs on integers: one bisection and two list insertions per
+2^-E and runs on integers: one bisection and one slice insertion per
 removal, the running minimum kept as an integer pair, and a single Fraction
 at the end.
 """
@@ -69,9 +69,9 @@ def thickness_of(ds: DefiningSequence) -> Fraction:
     the truncation) the thickness of the set itself.
 
     The replay runs on the finest dyadic grid among the endpoints. The
-    components stay disjoint and sorted, so the only one that can hold a
-    removal is the last whose left end lies certainly below it. An endpoint
-    that is not dyadic raises InvalidInput.
+    components stay disjoint and sorted, so their ends form one sorted list
+    of cuts, and a removal can only sit in the component whose span holds
+    its left end. An endpoint that is not dyadic raises InvalidInput.
     """
     if not ds.removals:
         raise InvalidInput("defining sequence lists no removals")
@@ -85,24 +85,24 @@ def thickness_of(ds: DefiningSequence) -> Fraction:
     top = max(dens).bit_length()
     grid = [v.numerator << (top - den.bit_length())
             for v, den in zip(values, dens)]
-    # component j spans (starts[j], ends[j]): its left end's upper bound and
-    # its right end's lower bound
-    starts, ends = grid[:1], grid[1:2]
+    # component j spans (cuts[2j], cuts[2j + 1]): its left end's upper bound
+    # and its right end's lower bound
+    cuts = grid[:2]
     best_num, best_den = None, 1
     for idx in range(1, len(ds.removals) + 1):
         vl_lo, vl_hi, vr_lo, vr_hi = grid[4 * idx - 2:4 * idx + 2]
         if not vl_hi < vr_lo:
             raise MalformedSequence(f"removal {idx} has no certified length")
-        home = bisect_left(starts, vl_lo) - 1
-        if home < 0 or not vr_hi < ends[home]:
+        # an odd index means vl_lo lies inside component end // 2
+        end = bisect_left(cuts, vl_lo)
+        if end % 2 == 0 or not vr_hi < cuts[end]:
             raise MalformedSequence(
                 f"removal {idx} is not strictly interior to any component")
-        bridge = min(vl_lo - starts[home], ends[home] - vr_hi)
+        bridge = min(vl_lo - cuts[end - 1], cuts[end] - vr_hi)
         gap = vr_hi - vl_lo
         if best_num is None or bridge * best_den < best_num * gap:
             best_num, best_den = bridge, gap
-        starts.insert(home + 1, vr_hi)
-        ends.insert(home, vl_lo)
+        cuts[end:end] = (vl_lo, vr_hi)
     return Fraction(best_num, best_den)
 
 

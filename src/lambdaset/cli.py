@@ -90,7 +90,7 @@ def _fraction(text: str) -> Fraction:
 
 
 def _fraction_list(text: str) -> list[Fraction]:
-    return [parse_rational(part) for part in text.split(",") if part]
+    return [_fraction(part) for part in text.split(",") if part]
 
 
 X = ("--x", dict(type=_fraction, required=True))
@@ -268,20 +268,15 @@ def _thickness_cl(args, cfg):
     return payload, 2 if report.bound_violations else 0
 
 
-@command("verify", "certified inequality ledgers",
-         ("--case", dict(choices=("A", "B"), required=True)),
-         ("--x", dict(type=_fraction, default=None,
-                      help="target for case A (case B is fixed at 1/4)")),
+@command("verify", "certified inequality ledgers", X,
          ("--trials", dict(type=int, default=100)),
          ("--seed", dict(type=int, default=0)), BITS, WIDTH_BITS)
 def _verify(args, cfg):
-    if (args.x is None) == (args.case == "A"):
-        raise LambdasetError("case A needs --x" if args.case == "A"
-                             else "only case A takes --x")
-    if args.case == "A":
-        ledger = lib.verify_caseA(args.x, args.trials, cfg, args.seed)
-    else:
+    # case B is the one target without a digit 1 at an index >= 3
+    if args.x == Fraction(1, 4):
         ledger = lib.verify_caseB(args.trials, cfg, args.seed)
+    else:
+        ledger = lib.verify_caseA(args.x, args.trials, cfg, args.seed)
     return ledger.to_json(), 2 if ledger.violations else 0
 
 
@@ -302,7 +297,7 @@ def _common(args, cfg):
 
 @command("svg-gaps", "static gap-structure diagram", X,
          ("--ell", dict(type=int, default=1)), ("--kmax", dict(type=int, default=3)),
-         ("--qmax", dict(type=int, default=2)),
+         ("--qmax", dict(type=int, choices=(0, 1), default=1)),
          ("--out", dict(default=None, help="output file (default stdout)")),
          BITS, WIDTH_BITS)
 def _svg_gaps(args, cfg):
@@ -349,8 +344,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     started, imports_before = time.time(), _import_seconds
     entry = COMMANDS[args.command]
-    parameters = {k: str(v) for k, v in sorted(vars(args).items())
-                  if k != "command"}
+    parameters = {k: ",".join(map(str, v)) if isinstance(v, list) else str(v)
+                  for k, v in sorted(vars(args).items()) if k != "command"}
     notes: dict = {}
     try:
         cfg = PrecisionConfig(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import (DepthBudgetExceeded, HypothesisUnsatisfiable,
                      Inconclusive, InvalidInput)
@@ -46,6 +46,16 @@ __all__ = [
 HALF = Fraction(1, 2)
 ONE_TAIL = (1,)
 ZERO_TAIL = (0,)
+# indices into _codings: the ends of a word's block, and of its inner gap
+BLOCK, GAP = (0, 3), (1, 2)
+
+
+def _codings(w: tuple[int, ...]) -> tuple[EpSequence, ...]:
+    """w 1^inf, w 1 0^inf, w 0 1^inf and w 0^inf, in ascending order of
+    their ratios: the ends of w's block, and between them the ends of the
+    gap that splits it."""
+    return (EpSequence(w, ONE_TAIL), EpSequence(w + ONE_TAIL, ZERO_TAIL),
+            EpSequence(w + ZERO_TAIL, ONE_TAIL), EpSequence(w, ZERO_TAIL))
 
 
 def _nk(x: Fraction, k: int) -> int:
@@ -114,41 +124,34 @@ def piece_endpoints(x: Fraction, k: int,
     x = Fraction(x)
     xs = binary_expansion(x)
     n_k = _nk(x, k)
-    prefix = xs.prefix(n_k - 1)
-    alpha, beta, alpha_next = _separated(x, (
-        EpSequence(prefix, ONE_TAIL), EpSequence(prefix + ONE_TAIL, ZERO_TAIL),
-        EpSequence(prefix + ZERO_TAIL, ONE_TAIL)), cfg, k)
+    alpha, beta, alpha_next = _separated(
+        x, _codings(xs.prefix(n_k - 1))[:3], cfg, k)
     return PieceEndpoints(x, k, n_k, alpha, beta, alpha_next)
 
 
 @dataclass(frozen=True, slots=True)
 class GapRecord:
-    """One removed gap of a piece with the certified lower bounds of its
-    two bridge-over-gap ratios."""
+    """One removed gap of a piece with the certified lower bound of the
+    smaller of its two bridge-over-gap ratios."""
 
     position: int
     gap: Interval
-    left_ratio_lo: Fraction
-    right_ratio_lo: Fraction
+    ratio_lo: Fraction
 
 
 def gap_record(piece: PieceEndpoints, omega: tuple[int, ...],
                cfg: PrecisionConfig = DEFAULT_CONFIG) -> GapRecord:
     """Solve the four endpoints around the gap of `piece` labelled by `omega`.
 
-    With p the expansion prefix before the piece's switch, the four codings
-    are p 1 w 1^inf, p 1 w 1 0^inf, p 1 w 0 1^inf and p 1 w 0^inf; they
-    bound the left bridge, the gap, and the right bridge in that order.
+    With p the expansion prefix before the piece's switch, these are the
+    four codings of p 1 w; they bound the left bridge, the gap, and the
+    right bridge in that order.
     """
     base = (binary_expansion(piece.x).prefix(piece.n_k - 1) + ONE_TAIL
             + omega)
-    g1, g2, g3, g4 = _separated(piece.x, (
-        EpSequence(base, ONE_TAIL), EpSequence(base + ONE_TAIL, ZERO_TAIL),
-        EpSequence(base + ZERO_TAIL, ONE_TAIL), EpSequence(base, ZERO_TAIL)),
-        cfg, piece.k, omega)
-    gap_hi = g3.hi - g2.lo
-    return GapRecord(n_index(omega), (g2, g3), (g2.lo - g1.hi) / gap_hi,
-                     (g4.lo - g3.hi) / gap_hi)
+    g1, g2, g3, g4 = _separated(piece.x, _codings(base), cfg, piece.k, omega)
+    return GapRecord(n_index(omega), (g2, g3),
+                     min(g2.lo - g1.hi, g4.lo - g3.hi) / (g3.hi - g2.lo))
 
 
 def _tail(x: Fraction, ell: int, k_max: int, q_max: int, cfg: PrecisionConfig
@@ -283,9 +286,7 @@ def thickness_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
     for piece, records in tail:
         bounds = (_family_bounds(piece, m, cfg.precision_bits)
                   if m is None or piece.n_k > m else None)
-        gap_ratio = [({"position": r.position},
-                      min(r.left_ratio_lo, r.right_ratio_lo))
-                     for r in records]
+        gap_ratio = [({"position": r.position}, r.ratio_lo) for r in records]
         piece_gap, half_gap = _piece_ratios(piece)
         for i, ratios in enumerate((gap_ratio, [({}, piece_gap)],
                                     [({}, half_gap)])):
@@ -347,17 +348,20 @@ def _check_trials(trials: int) -> None:
             f"more than {MAX_PREFIXES} trials: {trials}")
 
 
-def _draw(rng: random.Random, xs: EpSequence, q_range: tuple[int, int],
-          shape: Callable[[tuple[int, ...]], tuple[EpSequence, EpSequence]]
-          ) -> tuple[tuple[int, ...], EpSequence, EpSequence]:
-    """Random word w of length in q_range whose two codings shape(w) are
-    both admissible for the target with expansion xs."""
+def _draw(rng: random.Random, x: Fraction, xs: EpSequence,
+          cfg: PrecisionConfig, head: tuple[int, ...],
+          q_range: tuple[int, int], ends: tuple[int, int]
+          ) -> tuple[tuple[int, ...], Enclosure, Enclosure]:
+    """Random word j of length in q_range whose two codings
+    _codings(head + j)[ends] are both admissible for the target x with
+    expansion xs; j with the two solved cells, in ascending order."""
     for _ in range(400):
         q = rng.randint(*q_range)
-        w = tuple(rng.randint(0, 1) for _ in range(q))
-        first, second = shape(w)
+        j = tuple(rng.randint(0, 1) for _ in range(q))
+        codings = _codings(head + j)
+        first, second = codings[ends[0]], codings[ends[1]]
         if admissible(xs, first) and admissible(xs, second):
-            return w, first, second
+            return j, psi_inverse(x, first, cfg), psi_inverse(x, second, cfg)
     raise HypothesisUnsatisfiable(
         f"no admissible draw with q in {q_range} for the expansion {xs}")
 
@@ -366,8 +370,7 @@ def _family_entries(piece: PieceEndpoints, m: Optional[int], bits: int,
                     record: GapRecord, gap_params: dict) -> list[LedgerEntry]:
     """Ledger entries checking one gap record of the piece, and the piece's
     inter-piece gap, against the family bounds."""
-    ratios = (min(record.left_ratio_lo, record.right_ratio_lo),
-              *_piece_ratios(piece))
+    ratios = (record.ratio_lo, *_piece_ratios(piece))
     params = (gap_params, {"k": piece.k}, {"k": piece.k})
     return [LedgerEntry(family, p, str(ratio), str(bound), ratio >= bound)
             for family, p, ratio, bound in
@@ -388,10 +391,7 @@ def verify_caseA(x: Fraction, trials: int,
     entries: list[LedgerEntry] = []
 
     for _ in range(trials):
-        w, hi, lo = _draw(rng, xs, (3, 12), lambda w: (
-            EpSequence(w, ONE_TAIL), EpSequence(w, ZERO_TAIL)))
-        lam1 = psi_inverse(x, hi, cfg)
-        lam2 = psi_inverse(x, lo, cfg)
+        w, lam1, lam2 = _draw(rng, x, xs, cfg, (), (3, 12), BLOCK)
         lhs = lam2.lo - lam1.hi
         rhs = lam2.hi ** len(w) / 4
         entries.append(LedgerEntry("switch_lower", {"word": word_str(w)},
@@ -399,12 +399,8 @@ def verify_caseA(x: Fraction, trials: int,
 
     prefix = xs.prefix(m)
     for _ in range(trials):
-        j, s3, s4 = _draw(rng, xs, (1, 8), lambda j: (
-            EpSequence(prefix + j + ONE_TAIL, ZERO_TAIL),
-            EpSequence(prefix + j + ZERO_TAIL, ONE_TAIL)))
+        j, lam3, lam4 = _draw(rng, x, xs, cfg, prefix, (1, 8), GAP)
         q = len(j)
-        lam3 = psi_inverse(x, s3, cfg)
-        lam4 = psi_inverse(x, s4, cfg)
         lhs = lam4.hi - lam3.lo
         bound1 = 2 * (1 - 2 * lam3.hi) * lam3.lo ** (q + 2)
         bound2 = (2 * (1 - 2 * lam4.hi) * lam4.lo ** (m + q)
@@ -442,11 +438,8 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
     for _ in range(trials):
         mm = rng.randint(1, 6)
         head = (0, 1) + (0,) * mm
-        j, s1, s2 = _draw(rng, xs, (1, 6), lambda j: (
-            EpSequence(head + j, ONE_TAIL), EpSequence(head + j, ZERO_TAIL)))
+        j, lam1, lam2 = _draw(rng, x, xs, cfg, head, (1, 6), BLOCK)
         q = len(j)
-        lam1 = psi_inverse(x, s1, cfg)
-        lam2 = psi_inverse(x, s2, cfg)
         lhs = lam2.lo - lam1.hi
         den = 1 - 2 * lam1.hi + Fraction(mm + 3, 1 << mm)
         rhs = lam2.hi ** (mm + 2 + q) / den
@@ -455,12 +448,8 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
             str(lhs), str(rhs), lhs >= rhs))
 
     for _ in range(trials):
-        j, s3, s4 = _draw(rng, xs, (1, 8), lambda j: (
-            EpSequence((0, 1) + j + ONE_TAIL, ZERO_TAIL),
-            EpSequence((0, 1) + j + ZERO_TAIL, ONE_TAIL)))
+        j, lam3, lam4 = _draw(rng, x, xs, cfg, (0, 1), (1, 8), GAP)
         q = len(j)
-        lam3 = psi_inverse(x, s3, cfg)
-        lam4 = psi_inverse(x, s4, cfg)
         lhs = lam4.hi - lam3.lo
         rhs = lam3.lo ** (2 + q)
         entries.append(LedgerEntry(

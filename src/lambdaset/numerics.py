@@ -36,10 +36,6 @@ def round_dyadic(q: Fraction, bits: int, up: bool) -> Fraction:
     safe side of q: at or above it when `up`, at or below it otherwise.
     A dyadic q that fits is returned unchanged."""
     num, den = q.numerator, q.denominator
-    if den & (den - 1) == 0:
-        odd = num >> ((num & -num).bit_length() - 1) if num else 0
-        if abs(odd).bit_length() <= bits:
-            return q
     shift = max(bits + den.bit_length() - abs(num).bit_length() + 2, 0)
     scaled = num << shift
     mant = -((-scaled) // den) if up else scaled // den

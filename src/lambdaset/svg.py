@@ -30,9 +30,9 @@ def _label(x: float, y: int, text: str) -> str:
 def svg_gaps(x: Fraction, ell: int, k_max: int, q_max: int,
              cfg: PrecisionConfig = DEFAULT_CONFIG) -> str:
     """Render pieces ell..ell+k_max-1 and their first gaps as an SVG string:
-    the first gap word only when q_max is 0, else the first three."""
+    the first gap word when q_max is 0, the first three when it is 1."""
     x = Fraction(x)
-    tail = _tail(x, ell, k_max, min(q_max, 1), cfg)
+    tail = _tail(x, ell, k_max, q_max, cfg)
     n_first = len(tail[0][1])
     lo = float(tail[0][0].alpha.mid_fraction())
     hi = 0.5

@@ -119,6 +119,16 @@ def defining_sequences(draw):
 @settings(deadline=None)
 @given(defining_sequences())
 @example(DefiningSequence.from_fractions((F(0), F(1)), []))
+# a left end on an existing start cut, on an existing end cut, inside an
+# earlier gap, and a hull of one point
+@example(DefiningSequence.from_fractions(
+    (F(0), F(1)), [(F(1, 4), F(1, 2)), (F(1, 2), F(3, 4))]))
+@example(DefiningSequence.from_fractions(
+    (F(0), F(1)), [(F(1, 4), F(1, 2)), (F(1, 4), F(3, 8))]))
+@example(DefiningSequence.from_fractions(
+    (F(0), F(1)), [(F(1, 4), F(3, 4)), (F(3, 8), F(1, 2))]))
+@example(DefiningSequence.from_fractions(
+    (F(1, 2), F(1, 2)), [(F(1, 4), F(3, 4))]))
 def test_integer_replay_matches_fraction_reference(ds):
     # the same Fraction or the same error and message
     assert _outcome(thickness_of, ds) == _outcome(reference_thickness, ds)

@@ -66,16 +66,12 @@ def test_symmetry_reduction(capsys):
 def test_exit_codes(capsys, tmp_path):
     assert run(capsys, "bogus")[0] == 1
     assert run(capsys, "cover", "--x", "1/2", "--depth", "2")[0] == 1
-    assert run(capsys, "verify", "--case", "A", "--trials", "2")[0] == 1
+    assert run(capsys, "verify", "--trials", "2")[0] == 1
     assert run(capsys, "code", "--x", "not-a-number", "--lambda", "1/2")[0] == 1
-    for case in (["--case", "A", "--x", "1/3"], ["--case", "B"]):
+    for x in ("1/3", "1/4"):
         for trials in ("0", "-1"):
-            code, out, err = run(capsys, "verify", *case, "--trials", trials)
+            code, out, err = run(capsys, "verify", "--x", x, "--trials", trials)
             assert code == 1 and out == "" and err.startswith("error: ")
-    # case B is fixed at 1/4: an --x would be read by nothing
-    code, out, err = run(capsys, "verify", "--case", "B", "--x", "1/3",
-                         "--trials", "1")
-    assert code == 1 and out == "" and err == "error: only case A takes --x\n"
     code, _, err = run(capsys, "cover", "--x", "1/4", "--depth", "2",
                        "--width-bits", "-3")
     assert code == 1 and err == "error: width_bits must be nonnegative\n"
@@ -91,8 +87,7 @@ def test_exit_codes(capsys, tmp_path):
                  ["thickness-cl", "--ell", "1", "--kmax", "0"],
                  ["thickness-cl", "--ell", "1", "--qmax", "-2"],
                  ["cantor-ds", "--ell", "0"],
-                 ["svg-gaps", "--kmax", "0"],
-                 ["svg-gaps", "--qmax", "-1"]):
+                 ["svg-gaps", "--kmax", "0"]):
         code, out, err = run(capsys, *argv, "--x", "1/3")
         assert code == 1 and out == "" and err.count("\n") == 1
         assert err.startswith("error: ")
@@ -106,6 +101,44 @@ def test_exit_codes(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+def _usage_error(capsys, *argv) -> str:
+    """The one error line of a run refused by the parser."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    return errors[0]
+
+
+def test_usage_errors(capsys):
+    # verify reads its case from --x, and the diagram draws gap words of
+    # length at most 1
+    for argv in (["verify", "--case", "B", "--trials", "1"],
+                 ["verify", "--case", "A", "--x", "1/3", "--trials", "1"],
+                 ["svg-gaps", "--x", "1/3", "--qmax", "2"],
+                 ["svg-gaps", "--x", "1/3", "--qmax", "-1"]):
+        _usage_error(capsys, *argv)
+    # each --targets entry is parsed on its own and named when it fails
+    assert _usage_error(capsys, "common", "--targets", "1/3,abc") == (
+        "error: argument --targets: not a rational: 'abc'")
+
+
+def test_verify_reads_its_case_from_x(capsys):
+    code, payload, manifest = run_json(capsys, "verify", "--x", "1/5",
+                                       "--trials", "1")
+    assert code == 0 and (payload["case"], payload["x"]) == ("A", "1/5")
+    code, payload, manifest = run_json(capsys, "verify", "--x", "3/4",
+                                       "--trials", "1")
+    assert code == 0 and (payload["case"], payload["x"]) == ("B", "1/4")
+    assert manifest["notes"]["symmetry_reduced_from"] == "3/4"
+
+
+def test_manifest_echoes_targets(capsys):
+    _, _, manifest = run_json(capsys, "common", "--targets", "1/3,1/4",
+                              "--depth", "2")
+    assert manifest["parameters"]["targets"] == "1/3,1/4"
+
+
 def test_prefix_budget_ends_deep_covers(capsys):
     # tail constructions, common-ratio searches, long expansions, high
     # piece indices and trial counts meet the same budget before any root
@@ -115,8 +148,8 @@ def test_prefix_budget_ends_deep_covers(capsys):
                  ["cover", "--x", "1/3", "--depth", "1000000000"],
                  ["common", "--targets", "1/3", "--depth", "1000"],
                  ["common", "--targets", "1/3", "--depth", "34"],
-                 ["verify", "--case", "A", "--x", "1/3", "--trials", "16385"],
-                 ["verify", "--case", "B", "--trials", "1000000000"],
+                 ["verify", "--x", "1/3", "--trials", "16385"],
+                 ["verify", "--x", "1/4", "--trials", "1000000000"],
                  ["thickness-cl", "--x", "1/3", "--ell", "1", "--kmax", "3",
                   "--qmax", "30"],
                  ["cantor-ds", "--x", "1/3", "--ell", "1", "--kmax", "3",
@@ -133,8 +166,8 @@ def test_prefix_budget_ends_deep_covers(capsys):
         assert code == 1 and out == "" and err.count("\n") == 1
         assert err.startswith("error: more than ")
         if argv[0] == "svg-gaps":
-            # the diagram solves gap words of length at most 1 whatever
-            # --qmax is, and its refusal names that truncation
+            # the diagram's default truncation, gap words of length at
+            # most 1, is the one its refusal names
             assert err == ("error: more than 16384 gap records for "
                            "k_max=20000, q_max=1\n")
 
@@ -152,9 +185,9 @@ PINNED_STDOUT = [
      "5641b95f5f959a1fec8130a6dc46f17a689d621d73bf010cc1c1b88be796bb2c"),
     (["thickness-cl", "--x", "2/7", "--ell", "2", "--kmax", "4", "--qmax", "2"],
      "ef185c514439de622db502c067d6208d29fc3c27c34e56dfba520de19c6e8083"),
-    (["verify", "--case", "A", "--x", "1/3", "--trials", "20", "--seed", "3"],
+    (["verify", "--x", "1/3", "--trials", "20", "--seed", "3"],
      "80ee43cc7e2b0f75d8cd66787b8bdf6dd587465e8685f74bed771d8ccfb121c4"),
-    (["verify", "--case", "B", "--trials", "20", "--seed", "3"],
+    (["verify", "--x", "1/4", "--trials", "20", "--seed", "3"],
      "7b861b9075735fe908410863606ec6a6117eea4e0c22c2b69fd9b8b06f20fbaf"),
     (["common", "--targets", "1/3", "--depth", "9"],
      "db4ead4f709aef021c172182c9d26f9b03602a8f57765693367d2116977c346b"),
@@ -253,8 +286,7 @@ def test_bound_violations_exit_2(capsys, monkeypatch):
                for v in violations)
     assert all(v["bound"] == str(1 << 64) for v in violations)
 
-    code, payload, _ = run_json(capsys, "verify", "--case", "A", "--x", "1/3",
-                                "--trials", "2")
+    code, payload, _ = run_json(capsys, "verify", "--x", "1/3", "--trials", "2")
     assert code == 2
     jsonschema.validate(payload, load_schema("verify"))
     violations = payload["violations"]
@@ -270,7 +302,7 @@ def test_wide_target_at_low_precision(capsys):
 
 
 def test_verify_subcommand(capsys):
-    code, payload, _ = run_json(capsys, "verify", "--case", "B", "--trials", "3")
+    code, payload, _ = run_json(capsys, "verify", "--x", "1/4", "--trials", "3")
     assert code == 0
     assert payload["violations"] == []
     assert payload["checked"] == len(payload["entries"])
@@ -346,7 +378,7 @@ MIRROR_RUNS = [
      "1/3", "2/3"),
     (["thickness-cl", "--x", "{}", "--ell", "2", "--kmax", "2", "--qmax", "1"],
      "1/3", "2/3"),
-    (["verify", "--case", "A", "--x", "{}", "--trials", "1"], "1/3", "2/3"),
+    (["verify", "--x", "{}", "--trials", "1"], "1/3", "2/3"),
     (["svg-gaps", "--x", "{}", "--kmax", "2", "--qmax", "1"], "1/3", "2/3"),
     (["intersect", "--targets", "{}", "--depth", "3"], "1/3,1/4", "2/3,3/4"),
     (["common", "--targets", "{}", "--depth", "3"], "1/3,1/4", "1/3,3/4"),
@@ -382,7 +414,7 @@ SCHEMA_RUNS = [
                    "--qmax", "1"]),
     ("thickness-cl", ["thickness-cl", "--x", "1/3", "--ell", "2",
                       "--kmax", "2", "--qmax", "1"]),
-    ("verify", ["verify", "--case", "B", "--trials", "2"]),
+    ("verify", ["verify", "--x", "1/4", "--trials", "2"]),
     ("intersect", ["intersect", "--targets", "1/3,1/4", "--depth", "3"]),
     ("common", ["common", "--targets", "1/3,1/4", "--depth", "3"]),
 ]
@@ -465,7 +497,7 @@ GRAMMAR = {
     "cantor-ds": (X_FLAG,) + TAIL_FLAGS,
     "thickness": (("--gaps", list(GAP_FILES) + ["missing", None]),),
     "thickness-cl": (X_FLAG,) + TAIL_FLAGS,
-    "verify": (("--case", ["A", "B", "C", None]), X_FLAG, ("--trials", INTS),
+    "verify": (X_FLAG, ("--trials", INTS),
                ("--seed", INTS + [None])),
     "intersect": (("--targets", TARGET_LISTS + [None]), ("--depth", DEPTHS),
                   FORMAT_FLAG),

@@ -59,7 +59,7 @@ def test_pieces_separated_and_increasing(cfg):
 def test_gap_record_first_gap(cfg):
     g = gap_record(piece_endpoints(F(1, 3), 1, cfg), (), cfg)
     assert g.position == 1
-    assert g.left_ratio_lo > 0 and g.right_ratio_lo > 0
+    assert g.ratio_lo > 0
     # the gap is a certified open interval
     assert g.gap[0].hi < g.gap[1].lo
 
@@ -72,8 +72,7 @@ def test_gap_record_ratio_bound_caseA(cfg):
         a_hi = piece.alpha.hi
         bound = x ** (m - 1) / (8 * (1 - 2 * a_hi))
         g = gap_record(piece, (0,), cfg)
-        assert g.left_ratio_lo >= bound
-        assert g.right_ratio_lo >= bound
+        assert g.ratio_lo >= bound
 
 
 def test_defining_sequence_Cl_structure(cfg):

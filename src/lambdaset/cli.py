@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
-import io
 import json
 import sys
 import time
@@ -107,24 +106,6 @@ WIDTH_BITS = ("--width-bits", dict(
     help="solver target width 2^-W (default %(default)s)"))
 
 
-def _cover_csv(payload: dict) -> str:
-    out = io.StringIO()
-    out.write("index,lo,hi,low_code,high_code\n")
-    for i, iv in enumerate(payload["intervals"]):
-        out.write(f"{i},{iv['lo']['lo']},{iv['hi']['hi']},"
-                  f"{iv['low_code'] or ''},{iv['high_code'] or ''}\n")
-    return out.getvalue()
-
-
-def _gaps_csv(payload: dict) -> str:
-    out = io.StringIO()
-    out.write("index,left,right,left_code,right_code\n")
-    for i, g in enumerate(payload["gaps"]):
-        out.write(f"{i},{g['left']['hi']},{g['right']['lo']},"
-                  f"{g['left_code']},{g['right_code']}\n")
-    return out.getvalue()
-
-
 def _load_defining_sequence(source: str, bits: int):
     if source == "-":
         raw = json.load(sys.stdin)
@@ -147,15 +128,13 @@ def _load_defining_sequence(source: str, bits: int):
 class Command:
     """One subcommand: its help text and arguments, a handler
     `(args, cfg) -> (payload dict or raw text, exit code)`, the schema its
-    payload follows, an optional CSV writer behind `--format csv`, and
-    whether its `--x`/`--targets` is a ratio-set target, mirrored into
-    (0, 1/2) before the handler runs."""
+    payload follows, and whether its `--x`/`--targets` is a ratio-set
+    target, mirrored into (0, 1/2) before the handler runs."""
 
     help: str
     arguments: tuple[tuple[str, dict], ...]
     handler: Callable
     schema: str
-    csv: Callable[[dict], str] | None
     mirror: bool
 
 
@@ -163,12 +142,11 @@ COMMANDS: dict[str, Command] = {}
 
 
 def command(name: str, help: str, *arguments: tuple[str, dict],
-            schema: str | None = None, csv: Callable[[dict], str] | None = None,
-            mirror: bool = True):
+            schema: str | None = None, mirror: bool = True):
     """Register the decorated handler as subcommand `name`."""
     def register(handler):
         COMMANDS[name] = Command(help, arguments, handler, schema or name,
-                                 csv, mirror)
+                                 mirror)
         return handler
     return register
 
@@ -205,13 +183,13 @@ def _expansion(args, cfg):
 
 
 @command("cover", "cover of the ratio set at a depth", X, DEPTH, BITS,
-         WIDTH_BITS, csv=_cover_csv)
+         WIDTH_BITS)
 def _cover(args, cfg):
     return lib.cover(args.x, args.depth, cfg).to_json(), 0
 
 
 @command("gaps", "gaps of the ratio set at a depth", X, DEPTH, BITS,
-         WIDTH_BITS, csv=_gaps_csv)
+         WIDTH_BITS)
 def _gaps(args, cfg):
     found = lib.gaps(args.x, args.depth, cfg)
     return {"x": str(args.x), "depth": args.depth,
@@ -281,7 +259,7 @@ def _verify(args, cfg):
 
 
 @command("intersect", "outer cover of a common ratio set", TARGETS, DEPTH,
-         BITS, WIDTH_BITS, schema="cover", csv=_cover_csv)
+         BITS, WIDTH_BITS, schema="cover")
 def _intersect(args, cfg):
     covers = [lib.cover(y, args.depth, cfg) for y in args.targets]
     return lib.intersect_covers(covers).to_json(), 0
@@ -298,15 +276,9 @@ def _common(args, cfg):
 @command("svg-gaps", "static gap-structure diagram", X,
          ("--ell", dict(type=int, default=1)), ("--kmax", dict(type=int, default=3)),
          ("--qmax", dict(type=int, choices=(0, 1), default=1)),
-         ("--out", dict(default=None, help="output file (default stdout)")),
          BITS, WIDTH_BITS)
 def _svg_gaps(args, cfg):
-    text = lib.svg_gaps(args.x, args.ell, args.kmax, args.qmax, cfg)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return {"written": args.out, "bytes": len(text)}, 0
-    return text, 0
+    return lib.svg_gaps(args.x, args.ell, args.kmax, args.qmax, cfg), 0
 
 
 def build_parser() -> _Parser:
@@ -319,9 +291,6 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=entry.help)
         for flag, kwargs in entry.arguments:
             p.add_argument(flag, **kwargs)
-        if entry.csv is not None:
-            p.add_argument("--format", choices=("json", "csv"), default="json",
-                           help="payload as JSON (default) or CSV")
     return parser
 
 
@@ -354,16 +323,12 @@ def main(argv: list[str] | None = None) -> int:
         if entry.mirror:
             _mirror_targets(args, notes)
         payload, code = entry.handler(args, cfg)
-    except (LambdasetError, ValueError, OSError, ArithmeticError,
-            KeyError) as exc:
+    except (LambdasetError, ValueError, OSError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    if isinstance(payload, str):
-        body = payload if payload.endswith("\n") else payload + "\n"
-    elif getattr(args, "format", "json") == "csv":
-        body = entry.csv(payload)
-    else:
-        body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, sort_keys=True, indent=2)
+    body = payload + "\n"
     sys.stdout.write(body)
     manifest = {
         "command": args.command,

@@ -4,6 +4,7 @@ import io
 import json
 import re
 import signal
+import sys
 import time
 from fractions import Fraction
 
@@ -111,12 +112,16 @@ def _usage_error(capsys, *argv) -> str:
 
 
 def test_usage_errors(capsys):
-    # verify reads its case from --x, and the diagram draws gap words of
-    # length at most 1
+    # verify reads its case from --x, the diagram draws gap words of
+    # length at most 1, and each command has one output: a JSON payload or
+    # the diagram on stdout
     for argv in (["verify", "--case", "B", "--trials", "1"],
                  ["verify", "--case", "A", "--x", "1/3", "--trials", "1"],
                  ["svg-gaps", "--x", "1/3", "--qmax", "2"],
-                 ["svg-gaps", "--x", "1/3", "--qmax", "-1"]):
+                 ["svg-gaps", "--x", "1/3", "--qmax", "-1"],
+                 ["cover", "--x", "1/3", "--depth", "2", "--format", "csv"],
+                 ["cover", "--x", "1/3", "--depth", "2", "--format", "json"],
+                 ["svg-gaps", "--x", "1/3", "--out", "d.svg"]):
         _usage_error(capsys, *argv)
     # each --targets entry is parsed on its own and named when it fails
     assert _usage_error(capsys, "common", "--targets", "1/3,abc") == (
@@ -308,34 +313,7 @@ def test_verify_subcommand(capsys):
     assert payload["checked"] == len(payload["entries"])
 
 
-def test_csv_formats(capsys):
-    code, out, _ = run(capsys, "cover", "--x", "1/4", "--depth", "3",
-                       "--format", "csv")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "index,lo,hi,low_code,high_code"
-    assert len(lines) == 3
-    code, out, _ = run(capsys, "gaps", "--x", "1/4", "--depth", "3",
-                       "--format", "csv")
-    assert code == 0
-    assert out.startswith("index,left,right")
-    code, out, _ = run(capsys, "intersect", "--targets", "1/3,1/4",
-                       "--depth", "3", "--format", "csv")
-    assert code == 0
-    assert out.startswith("index,lo,hi,low_code,high_code\n")
-    # commands without a CSV writer do not accept --format at all
-    assert run(capsys, "pieces", "--x", "1/4", "--k", "1",
-               "--format", "csv")[0] == 1
-
-
-def test_svg_output(capsys, tmp_path):
-    target = tmp_path / "gaps.svg"
-    code, payload, _ = run_json(capsys, "svg-gaps", "--x", "1/3", "--ell", "1",
-                                "--kmax", "2", "--qmax", "1",
-                                "--out", str(target))
-    assert code == 0 and payload["written"] == str(target)
-    text = target.read_text()
-    assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+def test_svg_output(capsys):
     code, out, _ = run(capsys, "svg-gaps", "--x", "1/3", "--ell", "1",
                        "--kmax", "2", "--qmax", "1")
     assert code == 0 and out.startswith("<svg")
@@ -350,6 +328,15 @@ def test_thickness_from_file(capsys, tmp_path):
     assert code == 0
     assert payload["gaps"] == 3
     assert abs(payload["thickness_float"] - 1.0) < 1e-9
+
+
+def test_thickness_reads_gaps_from_stdin(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "gaps.json"
+    path.write_text(json.dumps(middle_alpha_gaps(Fraction(1, 3), 4, UNIT)))
+    code, out, _ = run(capsys, "thickness", "--gaps", str(path))
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+    assert run(capsys, "thickness", "--gaps", "-")[:2] == (code, out)
 
 
 @pytest.mark.parametrize("doc", [[1, 2], {"hull": [0], "gaps": []},
@@ -396,6 +383,26 @@ def test_targets_above_half_are_mirrored(capsys, argv, low, high):
     assert manifest["notes"]["symmetry_reduced_from"] == high
 
 
+# `thickness --gaps` files, written once per module by gap_dir
+GAP_FILES = {"valid": {"hull": ["0", "1"], "gaps": [["1/3", "2/3"]]},
+             "misshaped": {"hull": [0], "gaps": []},
+             "malformed": {"hull": ["0", "1"], "gaps": [["2", "3"]]}}
+
+
+@pytest.fixture(scope="module")
+def gap_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("gap-files")
+    for name, doc in GAP_FILES.items():
+        (root / name).write_text(json.dumps(doc))
+    return root
+
+
+def _in_gap_dir(gap_dir, argv: list[str]) -> list[str]:
+    """argv with each `--gaps=NAME` read from the file NAME of gap_dir."""
+    return [f"--gaps={gap_dir / a[7:]}" if a.startswith("--gaps=") else a
+            for a in argv]
+
+
 SCHEMA_RUNS = [
     ("code", ["code", "--x", "1/4", "--lambda", "1/2"]),
     ("pi", ["pi", "--seq", "(01)", "--lambda", "1/2"]),
@@ -417,14 +424,26 @@ SCHEMA_RUNS = [
     ("verify", ["verify", "--x", "1/4", "--trials", "2"]),
     ("intersect", ["intersect", "--targets", "1/3,1/4", "--depth", "3"]),
     ("common", ["common", "--targets", "1/3,1/4", "--depth", "3"]),
+    # a file of GAP_FILES
+    ("thickness", ["thickness", "--gaps=valid"]),
 ]
 
 
 @pytest.mark.parametrize("name,argv", SCHEMA_RUNS, ids=[r[0] for r in SCHEMA_RUNS])
-def test_payloads_validate_against_schemas(capsys, name, argv):
-    code, payload, _ = run_json(capsys, *argv)
+def test_payloads_validate_against_schemas(capsys, gap_dir, name, argv):
+    code, payload, _ = run_json(capsys, *_in_gap_dir(gap_dir, argv))
     assert code == 0
     jsonschema.validate(payload, load_schema(argv[0]))
+
+
+def test_schema_runs_span_every_json_command():
+    # svg-gaps prints its diagram as text, and ships no schema
+    json_commands = sorted(set(COMMANDS) - {"svg-gaps"})
+    assert sorted({argv[0] for _, argv in SCHEMA_RUNS}) == json_commands
+    for name in json_commands:
+        assert load_schema(name)["type"] == "object"
+    with pytest.raises(FileNotFoundError):
+        load_schema("svg-gaps")
 
 
 # the precision flags each command reads: --bits where it rounds rationals
@@ -457,18 +476,11 @@ def test_commands_take_only_the_precision_flags_they_read(capsys, name):
             f"error: unrecognized arguments: {flag} 40"]
 
 
-def test_svg_write_payload_schema(capsys, tmp_path):
-    target = tmp_path / "d.svg"
-    _, payload, _ = run_json(capsys, "svg-gaps", "--x", "1/3", "--kmax", "2",
-                             "--qmax", "1", "--out", str(target))
-    jsonschema.validate(payload, load_schema("svg-gaps"))
-
-
 # A small grammar of argv for every subcommand. Each flag takes one of its
 # listed values or, where None is listed, is left out; a command's precision
 # flags come from PRECISION_FLAGS. Depths (at most 6) and the options whose
 # defaults start long runs (dim's grid exponents, verify's trial count) are
-# always given; k is at most 8.
+# always given; k is at most 8. --format and svg-gaps --out are refused.
 RATIONALS = ["1/3", "1/4", "2/7", "2/3", "1/2", "0", "-1/3", "1e-30",
              "0.123456789", "", "abc", "1/0"]
 INTS = ["1", "2", "3", "0", "-1", "x"]
@@ -480,9 +492,6 @@ X_FLAG = ("--x", RATIONALS + [None])
 TAIL_FLAGS = (("--ell", INTS + [None]), ("--kmax", INTS + [None]),
               ("--qmax", INTS + [None]))
 FORMAT_FLAG = ("--format", [None, "csv", "json", "xml"])
-GAP_FILES = {"valid": {"hull": ["0", "1"], "gaps": [["1/3", "2/3"]]},
-             "misshaped": {"hull": [0], "gaps": []},
-             "malformed": {"hull": ["0", "1"], "gaps": [["2", "3"]]}}
 GRAMMAR = {
     "code": (X_FLAG, ("--lambda", RATIONALS + [None]),
              ("--max-steps", INTS + [None])),
@@ -502,7 +511,7 @@ GRAMMAR = {
     "intersect": (("--targets", TARGET_LISTS + [None]), ("--depth", DEPTHS),
                   FORMAT_FLAG),
     "common": (("--targets", TARGET_LISTS + [None]), ("--depth", DEPTHS)),
-    "svg-gaps": (X_FLAG,) + TAIL_FLAGS,
+    "svg-gaps": (X_FLAG,) + TAIL_FLAGS + (("--out", [None, "d.svg"]),),
 }
 # mostly left out, so that most draws reach the library
 PRECISION_VALUES = {"--bits": [None] * 6 + ["64", "0", "x"],
@@ -539,21 +548,12 @@ def test_grammar_spans_every_subcommand():
     assert sorted(GRAMMAR) == sorted(COMMANDS)
 
 
-@pytest.fixture(scope="module")
-def gap_dir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("gap-files")
-    for name, doc in GAP_FILES.items():
-        (root / name).write_text(json.dumps(doc))
-    return root
-
-
 @settings(max_examples=150, deadline=None)
 @given(cli_argvs())
 def test_any_argv_ends_cleanly(gap_dir, argv):
     """Exit 0, 1 or 2 within a few seconds and never a traceback; exit 1
     prints exactly one error line."""
-    argv = [f"--gaps={gap_dir / a[7:]}" if a.startswith("--gaps=") else a
-            for a in argv]
+    argv = _in_gap_dir(gap_dir, argv)
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _raise_hang)
     signal.setitimer(signal.ITIMER_REAL, 5)

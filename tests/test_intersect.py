@@ -120,3 +120,13 @@ def test_probe_stops_at_the_first_non_member(cfg, monkeypatch):
     second = [lam for y, lam, _ in calls if y == F(1, 4)]
     assert second and all(first[lam] for lam in second)
     assert len(second) == sum(first.values()) < len(first)
+
+
+def test_search_stops_at_max_certificates(cfg, monkeypatch):
+    # uncapped the search finds 1/5, 1/4 and 1/2; denominators are probed
+    # in increasing order, so a cap of two keeps 1/4 beside 1/2
+    full = find_common([F(1, 5)], 9, cfg)
+    assert [c.lam_exact for c in full] == [F(1, 5), F(1, 4), F(1, 2)]
+    monkeypatch.setattr(intersect, "MAX_CERTIFICATES", 2)
+    capped = find_common([F(1, 5)], 9, cfg)
+    assert [c.lam_exact for c in capped] == [F(1, 4), F(1, 2)]

@@ -72,8 +72,7 @@ def first_switch_index(x: Fraction) -> int:
     is 010^inf; that case is handled by the dedicated verifier.
     """
     xs = binary_expansion(Fraction(x))
-    c = xs.canonical()
-    digits = c.prefix(len(c.preperiod) + len(c.period) + 2)
+    digits = xs.prefix(len(xs.preperiod) + len(xs.period) + 2)
     if 1 in digits[2:]:
         return digits.index(1, 2) + 1
     raise HypothesisUnsatisfiable(

@@ -106,7 +106,7 @@ def psi_inverse(x: Fraction, s: EpSequence,
     if not admissible(binary_expansion(x), s):
         raise NotAdmissible(f"{s} is outside the admissible window for {x}")
     # Solves s as given: representations of one sequence share an entry
-    # (EpSequence compares canonically), and the first one solved is kept.
+    # (they share one `key`), and the first one solved is kept.
     # Level k of the grid splits [a, 1/2] into cells [m, m + width] / 2^(n+k).
     bits = cfg.precision_bits
     poly = pi_root_poly(s, x)
@@ -156,11 +156,14 @@ def block_codes(xs: EpSequence, w: tuple[int, ...]
                 ) -> tuple[EpSequence, EpSequence]:
     """Extremal admissible codings that start with w, for the target whose
     expansion is xs: the lex-largest (smallest ratio), then the
-    lex-smallest (largest ratio). On a stream tie the low code is w 1^inf
-    and the high code is xs."""
-    low, high = EpSequence(w, (1,)), EpSequence(w, (0,))
-    return (low if low <= SEQ_01INF else SEQ_01INF,
-            xs if high <= xs else high)
+    lex-smallest (largest ratio).
+
+    w must be an admissible word: at least the first |w| digits of xs and
+    at most 0 1^(|w|-1). Then w 1^inf never passes 0 1^inf, and w 0^inf
+    is at most xs only when w is xs's own prefix, where the high code is
+    xs itself."""
+    return (EpSequence(w, (1,)),
+            xs if w == xs.prefix(len(w)) else EpSequence(w, (0,)))
 
 
 def _prefix_range(x: Fraction, depth: int) -> tuple[int, int]:
@@ -344,8 +347,7 @@ def lipschitz_check(x: Fraction, lam: Fraction, samples: int, seed: int = 0,
     attempts = 0
     while len(members) < want and attempts < 40 * want:
         attempts += 1
-        s = _random_admissible_coding(rng, x, xs,
-                                      rng.randint(3, 20)).canonical()
+        s = _random_admissible_coding(rng, x, xs, rng.randint(3, 20))
         if s in members:
             continue
         enc = psi_inverse(x, s, cfg)

@@ -1,15 +1,17 @@
 """Finite binary words and eventually periodic binary sequences.
 
 A finite word is a tuple of digits 0 and 1. A sequence keeps the
-representation it was built with, which is what it prints, while equality,
-hashing and order follow the digit stream it represents; no value-level
-identifications are applied. Everything here is immutable and pure.
+representation it was built with, which is what it prints. Its identity is
+fixed at construction as `key`, the stream's shortest preperiod and
+primitive period: equality and hashing compare keys, and order follows the
+digit stream; no value-level identifications are applied. Everything here
+is immutable and pure.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 
 from .errors import PeriodAllOnes
@@ -47,20 +49,24 @@ def _canonical_bits(u: tuple[int, ...], v: tuple[int, ...]
     return u, v
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True)
 class EpSequence:
     """An eventually periodic sequence preperiod . period^infinity.
 
     The stored period is not forced to be minimal: two representations of
-    the same digit stream are equal, hash alike and compare in stream order.
+    the same digit stream share one `key`, so they are equal, hash alike
+    and compare in stream order.
     """
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    preperiod: tuple[int, ...] = field(compare=False)
+    period: tuple[int, ...] = field(compare=False)
+    key: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.period:
             raise ValueError("period must be nonempty")
+        object.__setattr__(self, "key",
+                           _canonical_bits(self.preperiod, self.period))
 
     @classmethod
     def from_string(cls, text: str) -> "EpSequence":
@@ -77,16 +83,7 @@ class EpSequence:
 
     def canonical(self) -> "EpSequence":
         """Shortest preperiod and primitive period representing this stream."""
-        return EpSequence(*_canonical_bits(self.preperiod, self.period))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EpSequence):
-            return NotImplemented
-        return (_canonical_bits(self.preperiod, self.period)
-                == _canonical_bits(other.preperiod, other.period))
-
-    def __hash__(self) -> int:
-        return hash(_canonical_bits(self.preperiod, self.period))
+        return EpSequence(*self.key)
 
     def __le__(self, other: "EpSequence") -> bool:
         """Lexicographic order of the digit streams, decided on the first

@@ -155,14 +155,26 @@ def test_psi_inverse_rejects_inadmissible(cfg):
 
 
 def test_block_codes_bound_each_prefix_block():
+    """On every admissible word of p/q (q <= 40) at depths 1-8, the codes
+    equal w 1^inf and w 0^inf clamped in stream order to [xs, 0 1^inf],
+    as streams and as printed: payloads print the representation."""
     xs = binary_expansion(F(1, 4))                     # 01(0)
     assert block_codes(xs, (0, 1, 1)) == (S("011(1)"), S("011(0)"))
     assert block_codes(xs, (0, 1, 0)) == (S("010(1)"), S("01(0)"))
-    for w in admissible_prefixes(F(1, 4), 5):
-        low, high = block_codes(xs, w)
-        assert admissible(xs, low) and admissible(xs, high)
-        assert high <= low
     assert not admissible(xs, S("00(1)")) and not admissible(xs, S("1(0)"))
+    targets = {F(p, q) for q in range(3, 41) for p in range(1, (q + 1) // 2)}
+    for x in targets:
+        xs = binary_expansion(x)
+        for depth in range(1, 9):
+            for w in admissible_prefixes(x, depth):
+                low, high = EpSequence(w, (1,)), EpSequence(w, (0,))
+                oracle = (low if low <= SEQ_01INF else SEQ_01INF,
+                          xs if high <= xs else high)
+                codes = block_codes(xs, w)
+                assert codes == oracle
+                assert list(map(str, codes)) == list(map(str, oracle))
+                assert admissible(xs, codes[0]) and admissible(xs, codes[1])
+                assert codes[1] <= codes[0]
 
 
 def test_admissible_prefixes_examples():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from lambdaset import seqcode
 from lambdaset.errors import PeriodAllOnes
 from lambdaset.seqcode import (EpSequence, n_index, word_at_position,
                                zero_indices)
@@ -89,6 +90,22 @@ def test_period_unrolling_invariance(a, b, reps):
                 assert hash(s) == hash(t)
     for short, long in (("0(1)", "011(1)"), ("(01)", "0(10)")):
         assert S(short) == S(long) and hash(S(short)) == hash(S(long))
+
+
+def test_identity_is_computed_once(monkeypatch):
+    """Building a sequence canonicalises it at most once; hashing, equality
+    and dict lookups on sequences that exist already never do."""
+    calls = []
+    canonical_bits = seqcode._canonical_bits
+    monkeypatch.setattr(seqcode, "_canonical_bits",
+                        lambda u, v: calls.append(1) or canonical_bits(u, v))
+    a, b = S("0(10)"), EpSequence((0, 1), (0, 1))
+    assert len(calls) <= 2
+    table = {a: 0}
+    calls.clear()
+    for _ in range(100):
+        assert a == b and hash(a) == hash(b) and table[b] == 0
+    assert not calls
 
 
 def test_n_index_examples():

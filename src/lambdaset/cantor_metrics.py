@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidInput, MalformedSequence, NonpositiveThickness
 from .numerics import DEFAULT_CONFIG, Enclosure
@@ -35,8 +34,7 @@ __all__ = [
 Interval = tuple[Enclosure, Enclosure]   # closed or open interval [lo, hi]
 
 
-@dataclass(frozen=True, slots=True)
-class DefiningSequence:
+class DefiningSequence(NamedTuple):
     """Convex hull plus an ordered list of removed open intervals."""
 
     hull: Interval

@@ -11,6 +11,18 @@ library modules its command uses: handlers read library names as attributes
 of this module (`lib.cover`), and the module `__getattr__` imports a name's
 module on its first read and keeps the name here. Wrappers set on this
 module's names therefore see every call.
+
+From the standard library a run loads what this module imports and what
+its command's modules import (`fractions`, `math`, `random`, `re`,
+`functools`, `bisect`); only `dim` loads `statistics`. Records are
+`typing.NamedTuple` classes, or `__slots__` classes where they check their
+fields, so no record generates and compiles methods at start-up. `hashlib`
+(about 5 ms) stays, because the manifest's SHA-256 `output_digest` is part
+of the manifest's contract. To see what start-up costs, run
+`PYTHONDONTWRITEBYTECODE=1 python -X importtime -m lambdaset.cli ARGS`;
+library modules imported here through `importlib` are missing from that
+listing, and the manifest's `import_ms` is their time. The README lists
+the cost per command.
 """
 
 from __future__ import annotations
@@ -21,9 +33,8 @@ import importlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import InvalidInput, LambdasetError
@@ -124,8 +135,7 @@ def _load_defining_sequence(source: str, bits: int):
     return lib.DefiningSequence.from_fractions(hull, removals, bits)
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One subcommand: its help text and arguments, a handler
     `(args, cfg) -> (payload dict or raw text, exit code)`, the schema its
     payload follows, and whether its `--x`/`--targets` is a ratio-set

@@ -13,11 +13,10 @@ the exceptional target 1/4).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (DepthBudgetExceeded, HypothesisUnsatisfiable,
                      Inconclusive, InvalidInput)
@@ -79,8 +78,7 @@ def first_switch_index(x: Fraction) -> int:
         f"expansion of {x} has no digit 1 at any index >= 3")
 
 
-@dataclass(frozen=True, slots=True)
-class PieceEndpoints:
+class PieceEndpoints(NamedTuple):
     """Convex hull [alpha, beta] of the k-th piece, plus the next piece's
     left endpoint (solved from the same prefix with the switch digit 0)."""
 
@@ -128,8 +126,7 @@ def piece_endpoints(x: Fraction, k: int,
     return PieceEndpoints(x, k, n_k, alpha, beta, alpha_next)
 
 
-@dataclass(frozen=True, slots=True)
-class GapRecord:
+class GapRecord(NamedTuple):
     """One removed gap of a piece with the certified lower bound of the
     smaller of its two bridge-over-gap ratios."""
 
@@ -203,8 +200,7 @@ def defining_sequence_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
     return DefiningSequence((tail[0][0].alpha, half_point), tuple(removals))
 
 
-@dataclass(frozen=True, slots=True)
-class ThicknessReport:
+class ThicknessReport(NamedTuple):
     """Truncated thickness of the tail construction with its three ratio
     families and the per-gap analytic bound checks."""
 
@@ -306,8 +302,7 @@ def thickness_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
 # instance-by-instance verification of the switch inequalities
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     kind: str
     params: dict
     lhs: str
@@ -319,8 +314,7 @@ class LedgerEntry:
                 "lhs": self.lhs, "rhs": self.rhs, "passed": self.passed}
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationLedger:
+class VerificationLedger(NamedTuple):
     case: str
     x: Fraction
     trials: int

@@ -6,10 +6,9 @@ test for rational inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import OutOfRange
 from .seqcode import EpSequence
@@ -30,22 +29,19 @@ __all__ = [
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True, slots=True)
-class Member:
+class Member(NamedTuple):
     """Digit cycle detected; the full eventually periodic coding is known."""
 
     coding: EpSequence
 
 
-@dataclass(frozen=True, slots=True)
-class NotMember:
+class NotMember(NamedTuple):
     """The orbit landed in the central gap at this 1-based step."""
 
     reject_step: int
 
 
-@dataclass(frozen=True, slots=True)
-class Unresolved:
+class Unresolved(NamedTuple):
     """No cycle and no rejection within the step budget."""
 
     digits: tuple[int, ...]

@@ -8,10 +8,9 @@ orbits of every target cycle, so each certificate replays exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd
-from typing import ClassVar
+from typing import NamedTuple
 
 from .errors import DepthBudgetExceeded, InvalidInput, OutOfRange
 from .ifs_core import Member, greedy_digits
@@ -31,8 +30,7 @@ HALF = Fraction(1, 2)
 MAX_CERTIFICATES = 24
 
 
-@dataclass(frozen=True, slots=True)
-class CommonPointCertificate:
+class CommonPointCertificate(NamedTuple):
     """A rational ratio at which every target is a certified member: each
     target's greedy orbit at `lam_exact` cycles, with the eventually
     periodic coding in `per_target_codings`, so the certificate replays
@@ -43,7 +41,7 @@ class CommonPointCertificate:
     lam: Enclosure
     lam_exact: Fraction
     per_target_codings: tuple[EpSequence, ...]
-    status: ClassVar[str] = "Exact"
+    status = "Exact"
 
     def to_json(self) -> dict:
         return {

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import math
 import random
-import statistics
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (DepthBudgetExceeded, InsufficientMembers, InvalidInput,
                      NotAdmissible, OutOfRange)
@@ -201,8 +199,7 @@ def admissible_prefixes(x: Fraction, depth: int) -> list[tuple[int, ...]]:
         f"length {depth} for {x}")
 
 
-@dataclass(frozen=True, slots=True)
-class CoverInterval:
+class CoverInterval(NamedTuple):
     """One ratio interval of a cover, with the codings of its endpoints.
 
     Codes are None for derived covers (e.g. intersections) whose endpoints
@@ -223,8 +220,7 @@ class CoverInterval:
                 "high_code": None if self.high_code is None else str(self.high_code)}
 
 
-@dataclass(frozen=True, slots=True)
-class IntervalCover:
+class IntervalCover(NamedTuple):
     """Finite union of closed ratio intervals containing the whole ratio set."""
 
     x: Fraction
@@ -249,8 +245,7 @@ class IntervalCover:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class LambdaGap:
+class LambdaGap(NamedTuple):
     """A certified open gap of the ratio set with its bounding codings."""
 
     left_end: Enclosure
@@ -309,8 +304,7 @@ def gaps(x: Fraction, depth: int,
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class LipschitzReport:
+class LipschitzReport(NamedTuple):
     x: Fraction
     lam: Fraction
     bound: Fraction            # x (1-2 lam)^2 / lam
@@ -382,8 +376,7 @@ def lipschitz_check(x: Fraction, lam: Fraction, samples: int, seed: int = 0,
     return LipschitzReport(x, lam, bound, min_ratio, pairs, violations)
 
 
-@dataclass(frozen=True, slots=True)
-class BoxDimReport:
+class BoxDimReport(NamedTuple):
     x: Fraction
     window: tuple[Fraction, Fraction]
     slope: float
@@ -410,6 +403,9 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
     DepthBudgetExceeded when the refinement visits more than MAX_PREFIXES
     blocks.
     """
+    # imported here, its one use, so that no other command loads it
+    import statistics
+
     x = Fraction(x)
     a, b = Fraction(window[0]), Fraction(window[1])
     lo_w, hi_w = max(a, x), min(b, HALF)

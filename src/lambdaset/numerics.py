@@ -11,7 +11,6 @@ decimals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -61,19 +60,30 @@ def _decimal(q: Fraction) -> str:
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Enclosure:
     """Certified interval [lo, hi] with dyadic Fraction endpoints at a fixed
-    working precision. Equal only to itself."""
+    working precision. Immutable, and equal only to itself."""
 
+    __slots__ = ("lo", "hi", "bits")
     lo: Fraction
     hi: Fraction
     bits: int
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(
-                f"enclosure endpoints out of order: {self.lo} > {self.hi}")
+    def __init__(self, lo: Fraction, hi: Fraction, bits: int):
+        if lo > hi:
+            raise ValueError(f"enclosure endpoints out of order: {lo} > {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "bits", bits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Enclosure, (self.lo, self.hi, self.bits)
 
     @classmethod
     def point(cls, d: Fraction, bits: int) -> "Enclosure":
@@ -104,20 +114,45 @@ class Enclosure:
                 "bits": self.bits}
 
 
-@dataclass(frozen=True, slots=True)
 class PrecisionConfig:
     """Precision of a run: `precision_bits` mantissa bits for enclosures and
     for the origin of the root grid, and `width_bits`, the W of the width
-    2^-W that root solves refine their cells to."""
+    2^-W that root solves refine their cells to. Immutable, equal and
+    hashed by value: memo tables key on it."""
 
-    precision_bits: int = 128
-    width_bits: int = 80
+    __slots__ = ("precision_bits", "width_bits")
+    precision_bits: int
+    width_bits: int
 
-    def __post_init__(self):
-        if self.precision_bits < 32:
+    def __init__(self, precision_bits: int = 128, width_bits: int = 80):
+        if precision_bits < 32:
             raise ValueError("precision_bits must be at least 32")
-        if self.width_bits < 0:
+        if width_bits < 0:
             raise ValueError("width_bits must be nonnegative")
+        object.__setattr__(self, "precision_bits", precision_bits)
+        object.__setattr__(self, "width_bits", width_bits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return PrecisionConfig, (self.precision_bits, self.width_bits)
+
+    def __eq__(self, other):
+        if other.__class__ is not PrecisionConfig:
+            return NotImplemented
+        return ((self.precision_bits, self.width_bits)
+                == (other.precision_bits, other.width_bits))
+
+    def __hash__(self):
+        return hash((self.precision_bits, self.width_bits))
+
+    def __repr__(self):
+        return (f"PrecisionConfig(precision_bits={self.precision_bits!r}, "
+                f"width_bits={self.width_bits!r})")
 
 
 DEFAULT_CONFIG = PrecisionConfig()

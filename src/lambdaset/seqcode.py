@@ -11,7 +11,6 @@ is immutable and pure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from math import lcm
 
 from .errors import PeriodAllOnes
@@ -49,24 +48,47 @@ def _canonical_bits(u: tuple[int, ...], v: tuple[int, ...]
     return u, v
 
 
-@dataclass(frozen=True, slots=True)
 class EpSequence:
     """An eventually periodic sequence preperiod . period^infinity.
 
     The stored period is not forced to be minimal: two representations of
     the same digit stream share one `key`, so they are equal, hash alike
-    and compare in stream order.
+    and compare in stream order. Immutable: memo tables key on sequences
+    and share them between calls.
     """
 
-    preperiod: tuple[int, ...] = field(compare=False)
-    period: tuple[int, ...] = field(compare=False)
-    key: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, repr=False)
+    __slots__ = ("preperiod", "period", "key")
+    preperiod: tuple[int, ...]
+    period: tuple[int, ...]
+    key: tuple[tuple[int, ...], tuple[int, ...]]
 
-    def __post_init__(self):
-        if not self.period:
+    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]):
+        if not period:
             raise ValueError("period must be nonempty")
-        object.__setattr__(self, "key",
-                           _canonical_bits(self.preperiod, self.period))
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "key", _canonical_bits(preperiod, period))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return EpSequence, (self.preperiod, self.period)
+
+    def __eq__(self, other):
+        if other.__class__ is not EpSequence:
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __repr__(self):
+        return (f"EpSequence(preperiod={self.preperiod!r}, "
+                f"period={self.period!r})")
 
     @classmethod
     def from_string(cls, text: str) -> "EpSequence":

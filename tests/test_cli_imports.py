@@ -1,4 +1,5 @@
-"""Each subcommand imports only the library modules it runs, and the traced
+"""Each subcommand imports only the library modules it runs, loads no
+standard-library module that only some commands need, and the traced
 benchmark still sees the library calls that the CLI makes."""
 
 import json
@@ -11,16 +12,22 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# prints the lambdaset modules loaded after building the parser, or after
-# one in-process run of the argv given on the command line
-FOOTPRINT = """
+# standard-library modules that cost start-up time: `dataclasses` (with
+# `inspect`) is loaded by no command, `statistics` by `dim` alone
+COSTLY = ("dataclasses", "inspect", "statistics")
+
+# prints the lambdaset modules, and those of COSTLY, loaded after building
+# the parser, or after one in-process run of the argv given on the command
+# line
+FOOTPRINT = f"""
 import contextlib, io, json, sys
 from lambdaset.cli import build_parser, main
 build_parser()
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(sys.argv[1:]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("lambdaset"))))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith("lambdaset") or m in {COSTLY})))
 """
 
 
@@ -57,6 +64,24 @@ def test_cover_and_thickness_load_only_their_modules(gap_file):
     thickness = _loaded("thickness", "--gaps", gap_file)
     assert "cantor_metrics" in thickness
     assert not thickness & {"lambda_set", "constructions"}
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["code", "--x", "1/3", "--lambda", "1/5"],
+    ["pi", "--seq", "0(01)", "--lambda", "1/3"],
+    ["expansion", "--x", "1/3"],
+    ["cover", "--x", "1/3", "--depth", "3"],
+    ["thickness", "--gaps", None],
+    ["common", "--targets", "1/3", "--depth", "4"],
+    ["dim", "--x", "1/3", "--center", "9/20", "--radius", "1/20",
+     "--eps-min-exp", "8", "--eps-max-exp", "9"],
+], ids=["parser", "code", "pi", "expansion", "cover", "thickness", "common",
+        "dim"])
+def test_costly_stdlib_modules_load_only_where_needed(argv, gap_file):
+    loaded = _loaded(*(gap_file if a is None else a for a in argv))
+    assert loaded & set(COSTLY) == ({"statistics"} if argv[:1] == ["dim"]
+                                    else set())
 
 
 @pytest.mark.parametrize("argv, layer", [

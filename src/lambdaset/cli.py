@@ -15,14 +15,14 @@ module's names therefore see every call.
 From the standard library a run loads what this module imports and what
 its command's modules import (`fractions`, `math`, `random`, `re`,
 `functools`, `bisect`); only `dim` loads `statistics`. Records are
-`typing.NamedTuple` classes, or `__slots__` classes where they check their
-fields, so no record generates and compiles methods at start-up. `hashlib`
-(about 5 ms) stays, because the manifest's SHA-256 `output_digest` is part
-of the manifest's contract. To see what start-up costs, run
-`PYTHONDONTWRITEBYTECODE=1 python -X importtime -m lambdaset.cli ARGS`;
-library modules imported here through `importlib` are missing from that
-listing, and the manifest's `import_ms` is their time. The README lists
-the cost per command.
+`typing.NamedTuple` classes, `PrecisionConfig` a checked subclass of one,
+and `Enclosure` and `EpSequence` are `__slots__` classes, so no record
+generates and compiles methods at start-up. `hashlib` (about 5 ms) stays,
+because the manifest's SHA-256 `output_digest` is part of the manifest's
+contract. To see what start-up costs, run `PYTHONDONTWRITEBYTECODE=1
+python -X importtime -m lambdaset.cli ARGS`; library modules imported here
+through `importlib` are missing from that listing, and the manifest's
+`import_ms` is their time. The README lists the cost per command.
 """
 
 from __future__ import annotations

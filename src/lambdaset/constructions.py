@@ -45,16 +45,17 @@ __all__ = [
 HALF = Fraction(1, 2)
 ONE_TAIL = (1,)
 ZERO_TAIL = (0,)
-# indices into _codings: the ends of a word's block, and of its inner gap
-BLOCK, GAP = (0, 3), (1, 2)
+# the codings of a word w as (digits after w, repeated tail), in ascending
+# order of their ratios: w 1^inf, w 1 0^inf, w 0 1^inf and w 0^inf are the
+# ends of w's block, and between them the ends of the gap that splits it
+CODINGS = (((), ONE_TAIL), (ONE_TAIL, ZERO_TAIL), (ZERO_TAIL, ONE_TAIL),
+           ((), ZERO_TAIL))
+BLOCK, GAP = CODINGS[::3], CODINGS[1:3]
 
 
-def _codings(w: tuple[int, ...]) -> tuple[EpSequence, ...]:
-    """w 1^inf, w 1 0^inf, w 0 1^inf and w 0^inf, in ascending order of
-    their ratios: the ends of w's block, and between them the ends of the
-    gap that splits it."""
-    return (EpSequence(w, ONE_TAIL), EpSequence(w + ONE_TAIL, ZERO_TAIL),
-            EpSequence(w + ZERO_TAIL, ONE_TAIL), EpSequence(w, ZERO_TAIL))
+def _codings(w: tuple[int, ...], ends=CODINGS) -> list[EpSequence]:
+    """The codings of w named by `ends`, rows of CODINGS, in their order."""
+    return [EpSequence(w + after, tail) for after, tail in ends]
 
 
 def _nk(x: Fraction, k: int) -> int:
@@ -95,7 +96,7 @@ class PieceEndpoints(NamedTuple):
                 "alpha_next": self.alpha_next.to_json()}
 
 
-def _separated(x: Fraction, codings: tuple[EpSequence, ...],
+def _separated(x: Fraction, codings: list[EpSequence],
                cfg: PrecisionConfig, k: int,
                omega: Optional[tuple[int, ...]] = None) -> list[Enclosure]:
     """Solve the codings in order; raise Inconclusive unless each cell lies
@@ -122,7 +123,7 @@ def piece_endpoints(x: Fraction, k: int,
     xs = binary_expansion(x)
     n_k = _nk(x, k)
     alpha, beta, alpha_next = _separated(
-        x, _codings(xs.prefix(n_k - 1))[:3], cfg, k)
+        x, _codings(xs.prefix(n_k - 1), CODINGS[:3]), cfg, k)
     return PieceEndpoints(x, k, n_k, alpha, beta, alpha_next)
 
 
@@ -343,20 +344,20 @@ def _check_trials(trials: int) -> None:
 
 def _draw(rng: random.Random, x: Fraction, xs: EpSequence,
           cfg: PrecisionConfig, head: tuple[int, ...],
-          q_range: tuple[int, int], ends: tuple[int, int]
+          q_range: tuple[int, int], ends: tuple
           ) -> tuple[tuple[int, ...], Enclosure, Enclosure]:
     """Random word j of length in q_range whose two codings
-    _codings(head + j)[ends] are both admissible for the target x with
+    _codings(head + j, ends) are both admissible for the target x with
     expansion xs; j with the two solved cells, in ascending order."""
     for _ in range(400):
         q = rng.randint(*q_range)
         j = tuple(rng.randint(0, 1) for _ in range(q))
-        codings = _codings(head + j)
-        first, second = codings[ends[0]], codings[ends[1]]
+        first, second = _codings(head + j, ends)
         if admissible(xs, first) and admissible(xs, second):
             return j, psi_inverse(x, first, cfg), psi_inverse(x, second, cfg)
     raise HypothesisUnsatisfiable(
-        f"no admissible draw with q in {q_range} for the expansion {xs}")
+        f"the sampler gave up after 400 random words with q in {q_range}: "
+        f"none had both codings admissible for x = {x}")
 
 
 def _family_entries(piece: PieceEndpoints, m: Optional[int], bits: int,

@@ -32,7 +32,7 @@ class NonpositiveThickness(LambdasetError):
 
 
 class InsufficientMembers(LambdasetError):
-    """Fewer than two distinct members found by sampling."""
+    """Sampling found fewer certified distinct member pairs than asked for."""
 
 
 class DepthBudgetExceeded(LambdasetError):
@@ -42,7 +42,7 @@ class DepthBudgetExceeded(LambdasetError):
 
 
 class HypothesisUnsatisfiable(LambdasetError):
-    """No index satisfies the shape required by the verification case."""
+    """No index, or no sampled word, has the shape a verification needs."""
 
 
 class InvalidInput(LambdasetError):

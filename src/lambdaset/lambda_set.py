@@ -15,6 +15,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .errors import (DepthBudgetExceeded, InsufficientMembers, InvalidInput,
@@ -309,7 +310,7 @@ class LipschitzReport(NamedTuple):
     lam: Fraction
     bound: Fraction            # x (1-2 lam)^2 / lam
     min_ratio: Fraction        # certified lower bound over sampled pairs
-    pairs: int
+    pairs: int                 # distinct pairs checked
     violations: int
 
 
@@ -327,10 +328,14 @@ def lipschitz_check(x: Fraction, lam: Fraction, samples: int, seed: int = 0,
                     cfg: PrecisionConfig = DEFAULT_CONFIG) -> LipschitzReport:
     """Sampled verification that the coding-map separation constant holds.
 
-    Draws member pairs lam1 < lam2 of the ratio set below `lam`, evaluates
-    the coding map at the fixed base `lam` exactly, and lower-bounds each
-    difference quotient; all quotients must clear x (1-2 lam)^2 / lam.
+    Collects members of the ratio set below `lam`, then draws `samples`
+    distinct pairs lam1 < lam2 among them whose cells are disjoint, so each
+    pair is certified distinct. It evaluates the coding map at the fixed
+    base `lam` exactly and lower-bounds each difference quotient; all
+    quotients must clear x (1-2 lam)^2 / lam.
     """
+    if samples < 1:
+        raise ValueError("samples must be positive")
     x, lam = Fraction(x), Fraction(lam)
     if not x < lam < HALF:
         raise OutOfRange("need x < lam < 1/2")
@@ -347,33 +352,17 @@ def lipschitz_check(x: Fraction, lam: Fraction, samples: int, seed: int = 0,
         enc = psi_inverse(x, s, cfg)
         if enc.hi <= lam:
             members[s] = (enc, pi_eval(s, lam))
-    if len(members) < 2:
-        raise InsufficientMembers(f"only {len(members)} members found below {lam}")
     pool = sorted(members.values(), key=lambda t: t[0].lo)
+    certified = [(a, b) for a, b in combinations(pool, 2) if a[0].hi < b[0].lo]
+    if len(certified) < samples:
+        raise InsufficientMembers(
+            f"{len(certified)} distinct member pairs below {lam} are "
+            f"certified, fewer than {samples}")
     bound = x * (1 - 2 * lam) ** 2 / lam
-    min_ratio = None
-    pairs = violations = 0
-    budget = 60 * samples
-    while pairs < samples:
-        budget -= 1
-        if budget < 0:
-            raise InsufficientMembers(
-                "could not certify enough distinct member pairs")
-        i, j = rng.randrange(len(pool)), rng.randrange(len(pool))
-        if i == j:
-            continue
-        if i > j:
-            i, j = j, i
-        (e1, v1), (e2, v2) = pool[i], pool[j]
-        if not e1.hi < e2.lo:        # cannot certify distinctness; skip pair
-            continue
-        pairs += 1
-        ratio = abs(v2 - v1) / (e2.hi - e1.lo)
-        if min_ratio is None or ratio < min_ratio:
-            min_ratio = ratio
-        if ratio < bound:
-            violations += 1
-    return LipschitzReport(x, lam, bound, min_ratio, pairs, violations)
+    ratios = [abs(v2 - v1) / (e2.hi - e1.lo)
+              for (e1, v1), (e2, v2) in rng.sample(certified, samples)]
+    return LipschitzReport(x, lam, bound, min(ratios), samples,
+                           sum(ratio < bound for ratio in ratios))
 
 
 class BoxDimReport(NamedTuple):

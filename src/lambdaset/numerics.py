@@ -12,6 +12,7 @@ decimals.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "parse_rational",
@@ -114,45 +115,31 @@ class Enclosure:
                 "bits": self.bits}
 
 
-class PrecisionConfig:
-    """Precision of a run: `precision_bits` mantissa bits for enclosures and
-    for the origin of the root grid, and `width_bits`, the W of the width
-    2^-W that root solves refine their cells to. Immutable, equal and
-    hashed by value: memo tables key on it."""
-
-    __slots__ = ("precision_bits", "width_bits")
+# a NamedTuple class may not define __new__, so the checks go in a subclass
+class _Precision(NamedTuple):
     precision_bits: int
     width_bits: int
 
-    def __init__(self, precision_bits: int = 128, width_bits: int = 80):
+
+class PrecisionConfig(_Precision):
+    """Precision of a run: `precision_bits` mantissa bits for enclosures and
+    for the origin of the root grid, and `width_bits`, the W of the width
+    2^-W that root solves refine their cells to. A tuple, so immutable,
+    equal and hashed by value: memo tables key on it. Every build checks
+    its fields, `_replace` and unpickling included."""
+
+    __slots__ = ()
+
+    def __new__(cls, precision_bits: int = 128, width_bits: int = 80):
         if precision_bits < 32:
             raise ValueError("precision_bits must be at least 32")
         if width_bits < 0:
             raise ValueError("width_bits must be nonnegative")
-        object.__setattr__(self, "precision_bits", precision_bits)
-        object.__setattr__(self, "width_bits", width_bits)
+        return super().__new__(cls, precision_bits, width_bits)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return PrecisionConfig, (self.precision_bits, self.width_bits)
-
-    def __eq__(self, other):
-        if other.__class__ is not PrecisionConfig:
-            return NotImplemented
-        return ((self.precision_bits, self.width_bits)
-                == (other.precision_bits, other.width_bits))
-
-    def __hash__(self):
-        return hash((self.precision_bits, self.width_bits))
-
-    def __repr__(self):
-        return (f"PrecisionConfig(precision_bits={self.precision_bits!r}, "
-                f"width_bits={self.width_bits!r})")
+    @classmethod
+    def _make(cls, iterable) -> "PrecisionConfig":
+        return cls(*iterable)
 
 
 DEFAULT_CONFIG = PrecisionConfig()

@@ -103,10 +103,6 @@ class EpSequence:
         u, v = self.preperiod, self.period
         return (u + v * (n // len(v) + 1))[:n]
 
-    def canonical(self) -> "EpSequence":
-        """Shortest preperiod and primitive period representing this stream."""
-        return EpSequence(*self.key)
-
     def __le__(self, other: "EpSequence") -> bool:
         """Lexicographic order of the digit streams, decided on the first
         |pre a| + |pre b| + lcm(|per a|, |per b|) digits: beyond them both

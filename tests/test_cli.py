@@ -192,6 +192,8 @@ PINNED_STDOUT = [
      "ef185c514439de622db502c067d6208d29fc3c27c34e56dfba520de19c6e8083"),
     (["verify", "--x", "1/3", "--trials", "20", "--seed", "3"],
      "80ee43cc7e2b0f75d8cd66787b8bdf6dd587465e8685f74bed771d8ccfb121c4"),
+    (["verify", "--x", "2/7", "--trials", "20", "--seed", "3"],
+     "548d20d43afb5fc40ca372210ca5caf415de261f96ba6bd310303e898eba84c5"),
     (["verify", "--x", "1/4", "--trials", "20", "--seed", "3"],
      "7b861b9075735fe908410863606ec6a6117eea4e0c22c2b69fd9b8b06f20fbaf"),
     (["common", "--targets", "1/3", "--depth", "9"],

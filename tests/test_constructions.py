@@ -206,6 +206,11 @@ def test_verify_caseA(cfg):
                      "piece_gap", "half_gap"}
     with pytest.raises(HypothesisUnsatisfiable):
         verify_caseA(F(1, 4), 5, cfg)
+    # near 1/2 few random words are admissible; the refusal says the
+    # sampler gave up, and names x rather than its expansion
+    with pytest.raises(HypothesisUnsatisfiable,
+                       match=r"gave up after 400 random words .* x = 16/33$"):
+        verify_caseA(F(16, 33), 5, cfg)
 
 
 def test_caseA_switch_lower_explicit_q5(cfg):

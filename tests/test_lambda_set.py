@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lambdaset import lambda_set
-from lambdaset.errors import (DepthBudgetExceeded, InvalidInput,
-                              NotAdmissible, OutOfRange)
+from lambdaset.errors import (DepthBudgetExceeded, InsufficientMembers,
+                              InvalidInput, NotAdmissible, OutOfRange)
 from lambdaset.ifs_core import membership, pi_eval
 from lambdaset.lambda_set import (admissible, admissible_prefixes,
                                   binary_expansion, block_codes,
@@ -38,7 +38,7 @@ def test_expansion_properties():
         x = F(rng.randint(1, 499), 1000)
         s = binary_expansion(x)
         assert s.prefix(1) == (0,)
-        assert s.canonical().period != (1,)
+        assert s.key[1] != (1,)
         assert pi_eval(s, F(1, 2)) == x
 
 
@@ -322,6 +322,10 @@ def test_lipschitz_check(cfg):
     assert rep.pairs == 60
     with pytest.raises(OutOfRange):
         lipschitz_check(F(1, 3), F(1, 4), 10)
+    # two members below 1667/5000 make one certified pair, which is not
+    # counted ten times
+    with pytest.raises(InsufficientMembers, match="^1 distinct member pairs"):
+        lipschitz_check(F(1, 3), F(1667, 5000), 10, seed=0)
 
 
 def test_box_dim_smoke():

@@ -88,6 +88,9 @@ def test_precision_config_validation():
         PrecisionConfig(precision_bits=16)
     with pytest.raises(ValueError):
         PrecisionConfig(width_bits=-1)
+    # a copy with one field replaced is checked like a fresh build
+    with pytest.raises(ValueError):
+        PrecisionConfig()._replace(width_bits=-1)
 
 
 def test_enclosure_json():

@@ -131,3 +131,5 @@ def test_sequences_order_by_stream_not_by_field():
     # one stream, two representations
     assert EpSequence((0, 1), (0, 1)) == b
     assert hash(EpSequence((0, 1), (0, 1))) == hash(b)
+    # a sequence is not equal to its literal
+    assert (b == "(01)") is False

@@ -3,7 +3,8 @@ deterministic JSON payloads on stdout and a run manifest on stderr.
 
 Payloads carry no timestamps and are emitted with sorted keys, so identical
 invocations produce byte-identical output; the manifest records the wall
-time and a SHA-256 digest of the payload separately.
+time, a SHA-256 digest of the payload and the run's hits and misses in
+each memo table separately.
 
 Every subcommand is one entry of COMMANDS, which the parser, the schema
 lookup, target mirroring and dispatch all read. A run imports only the
@@ -38,7 +39,8 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import InvalidInput, LambdasetError
-from .numerics import DEFAULT_CONFIG, PrecisionConfig, parse_rational
+from .numerics import (DEFAULT_CONFIG, PrecisionConfig, exact_str,
+                       parse_rational)
 
 HALF = Fraction(1, 2)
 
@@ -166,7 +168,7 @@ def command(name: str, help: str, *arguments: tuple[str, dict],
 def _code(args, cfg):
     outcome = lib.greedy_digits(args.x, args.lam, args.max_steps)
     payload = {"coding": None, "reject_step": None, "digits": None,
-               "x": str(args.x), "lambda": str(args.lam),
+               "x": exact_str(args.x), "lambda": exact_str(args.lam),
                "max_steps": args.max_steps}
     if isinstance(outcome, lib.Member):
         payload.update(outcome="member", coding=str(outcome.coding))
@@ -182,13 +184,13 @@ def _code(args, cfg):
          ("--seq", dict(required=True, help="sequence literal PRE(PER)")), LAMBDA)
 def _pi(args, cfg):
     seq = lib.EpSequence.from_string(args.seq)
-    return {"sequence": str(seq), "lambda": str(args.lam),
-            "value": str(lib.pi_eval(seq, args.lam))}, 0
+    return {"sequence": str(seq), "lambda": exact_str(args.lam),
+            "value": exact_str(lib.pi_eval(seq, args.lam))}, 0
 
 
 @command("expansion", "base-1/2 greedy expansion of x", X)
 def _expansion(args, cfg):
-    return {"x": str(args.x),
+    return {"x": exact_str(args.x),
             "sequence": str(lib.binary_expansion(args.x))}, 0
 
 
@@ -202,7 +204,7 @@ def _cover(args, cfg):
          WIDTH_BITS)
 def _gaps(args, cfg):
     found = lib.gaps(args.x, args.depth, cfg)
-    return {"x": str(args.x), "depth": args.depth,
+    return {"x": exact_str(args.x), "depth": args.depth,
             "gaps": [g.to_json() for g in found]}, 0
 
 
@@ -229,7 +231,7 @@ def _pieces(args, cfg):
 def _cantor_ds(args, cfg):
     ds = lib.defining_sequence_Cl(args.x, args.ell, args.kmax, args.qmax, cfg)
     payload = ds.to_json()
-    payload.update({"x": str(args.x), "ell": args.ell,
+    payload.update({"x": exact_str(args.x), "ell": args.ell,
                     "k_max": args.kmax, "q_max": args.qmax})
     return payload, 0
 
@@ -241,7 +243,7 @@ def _cantor_ds(args, cfg):
 def _thickness(args, cfg):
     ds = _load_defining_sequence(args.gaps, cfg.precision_bits)
     tau = lib.thickness_of(ds)
-    return {"thickness": str(tau), "thickness_float": float(tau),
+    return {"thickness": exact_str(tau), "thickness_float": float(tau),
             "newhouse_lower": lib.newhouse_lower(tau),
             "gaps": len(ds.removals)}, 0
 
@@ -279,7 +281,8 @@ def _intersect(args, cfg):
          ("--depth", dict(type=int, default=8)), BITS)
 def _common(args, cfg):
     certs = lib.find_common(args.targets, args.depth, cfg)
-    return {"targets": [str(t) for t in args.targets], "depth": args.depth,
+    return {"targets": [exact_str(t) for t in args.targets],
+            "depth": args.depth,
             "certificates": [c.to_json() for c in certs]}, 0
 
 
@@ -308,12 +311,54 @@ def _mirror_targets(args, notes: dict) -> None:
     """The ratio set of x equals that of 1 - x, so targets above 1/2 are
     replaced by their mirror images and the manifest notes the originals."""
     if getattr(args, "x", None) is not None and HALF < args.x < 1:
-        notes["symmetry_reduced_from"] = str(args.x)
+        notes["symmetry_reduced_from"] = exact_str(args.x)
         args.x = 1 - args.x
     targets = getattr(args, "targets", [])
     if any(HALF < t < 1 for t in targets):
-        notes["symmetry_reduced_from"] = ",".join(str(t) for t in targets)
+        notes["symmetry_reduced_from"] = ",".join(map(exact_str, targets))
         args.targets = [1 - t if HALF < t < 1 else t for t in targets]
+
+
+def _echo(value) -> str:
+    """A parsed argument as the manifest echoes it; rationals exactly."""
+    if isinstance(value, list):
+        return ",".join(map(_echo, value))
+    return exact_str(value) if isinstance(value, Fraction) else str(value)
+
+
+def memo_tables() -> dict[str, Callable]:
+    """Every memo table of a loaded lambdaset module, as "module.function":
+    the module-level functions with `cache_info`, each under the module
+    that defines it. A wrapper set on such a name (`__wrapped__`) is
+    looked through."""
+    tables = {}
+    for name, module in list(sys.modules.items()):
+        if not name.startswith(f"{__package__}."):
+            continue
+        for attr, fn in vars(module).items():
+            if getattr(fn, "__module__", None) != name:
+                continue
+            while not hasattr(fn, "cache_info") and hasattr(fn, "__wrapped__"):
+                fn = fn.__wrapped__
+            if hasattr(fn, "cache_info"):
+                tables[f"{name.removeprefix(__package__ + '.')}.{attr}"] = fn
+    return tables
+
+
+def _memo_counts() -> dict[str, tuple[int, int]]:
+    """(hits, misses) so far of every memo table in a loaded module."""
+    return {name: fn.cache_info()[:2] for name, fn in memo_tables().items()}
+
+
+def _memo_stats(before: dict[str, tuple[int, int]]) -> dict:
+    """Hits and misses of every memo table since the `_memo_counts()`
+    taken as `before`; a table of a module imported since starts at 0."""
+    stats = {}
+    for name, (hits, misses) in _memo_counts().items():
+        hits_before, misses_before = before.get(name, (0, 0))
+        stats[name] = {"hits": hits - hits_before,
+                       "misses": misses - misses_before}
+    return stats
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -322,9 +367,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     started, imports_before = time.time(), _import_seconds
+    counts_before = _memo_counts()
     entry = COMMANDS[args.command]
-    parameters = {k: ",".join(map(str, v)) if isinstance(v, list) else str(v)
-                  for k, v in sorted(vars(args).items()) if k != "command"}
+    parameters = {k: _echo(v) for k, v in sorted(vars(args).items())
+                  if k != "command"}
     notes: dict = {}
     try:
         cfg = PrecisionConfig(
@@ -347,6 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         "library_version": __version__,
         "wall_time_ms": round((time.time() - started) * 1000, 3),
         "import_ms": round((_import_seconds - imports_before) * 1000, 3),
+        "stats": _memo_stats(counts_before),
         "output_digest": hashlib.sha256(body.encode()).hexdigest(),
     }
     sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")

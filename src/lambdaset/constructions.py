@@ -23,7 +23,8 @@ from .errors import (DepthBudgetExceeded, HypothesisUnsatisfiable,
 from .cantor_metrics import DefiningSequence, Interval
 from .lambda_set import (CACHE_SIZE, MAX_PREFIXES, admissible,
                          binary_expansion, psi_inverse)
-from .numerics import DEFAULT_CONFIG, Enclosure, PrecisionConfig, round_dyadic
+from .numerics import (DEFAULT_CONFIG, Enclosure, PrecisionConfig, exact_str,
+                       round_dyadic)
 from .seqcode import (EpSequence, n_index, word_at_position, word_str,
                       zero_indices)
 
@@ -91,7 +92,7 @@ class PieceEndpoints(NamedTuple):
     alpha_next: Enclosure
 
     def to_json(self) -> dict:
-        return {"x": str(self.x), "k": self.k, "n_k": self.n_k,
+        return {"x": exact_str(self.x), "k": self.k, "n_k": self.n_k,
                 "alpha": self.alpha.to_json(), "beta": self.beta.to_json(),
                 "alpha_next": self.alpha_next.to_json()}
 
@@ -107,8 +108,9 @@ def _separated(x: Fraction, codings: list[EpSequence],
         if not left.hi < right.lo:
             where = (f"piece {k}" if omega is None
                      else f"gap {word_str(omega)} of piece {k}")
+            width = exact_str(Fraction(1, 1 << cfg.width_bits))
             raise Inconclusive(f"endpoints of {where} not separated at target "
-                               f"width {Fraction(1, 1 << cfg.width_bits)}")
+                               f"width {width}")
     return cells
 
 
@@ -136,13 +138,15 @@ class GapRecord(NamedTuple):
     ratio_lo: Fraction
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def gap_record(piece: PieceEndpoints, omega: tuple[int, ...],
                cfg: PrecisionConfig = DEFAULT_CONFIG) -> GapRecord:
     """Solve the four endpoints around the gap of `piece` labelled by `omega`.
 
     With p the expansion prefix before the piece's switch, these are the
     four codings of p 1 w; they bound the left bridge, the gap, and the
-    right bridge in that order.
+    right bridge in that order. Memoised: `piece_endpoints` returns one
+    object per piece, so a repeated record is one lookup.
     """
     base = (binary_expansion(piece.x).prefix(piece.n_k - 1) + ONE_TAIL
             + omega)
@@ -214,10 +218,11 @@ class ThicknessReport(NamedTuple):
     bound_violations: tuple
 
     def to_json(self) -> dict:
-        return {"x": str(self.x), "ell": self.ell, "k_max": self.k_max,
-                "q_max": self.q_max, "tau_truncated": str(self.tau_truncated),
+        return {"x": exact_str(self.x), "ell": self.ell, "k_max": self.k_max,
+                "q_max": self.q_max,
+                "tau_truncated": exact_str(self.tau_truncated),
                 "tau_truncated_float": float(self.tau_truncated),
-                "per_family_minima": {k: str(v) for k, v in
+                "per_family_minima": {k: exact_str(v) for k, v in
                                       self.per_family_minima.items()},
                 "bound_violations": list(self.bound_violations),
                 "zero_index_convention": "n >= 2"}
@@ -226,6 +231,9 @@ class ThicknessReport(NamedTuple):
 FAMILIES = ("gap_ratio", "piece_gap", "half_gap")
 
 
+# The per-piece ratios and bounds are memoised like the gap records: a
+# repeated report reads them with one lookup each.
+@lru_cache(maxsize=CACHE_SIZE)
 def _piece_ratios(piece: PieceEndpoints) -> tuple[Fraction, Fraction]:
     """Certified lower bounds of the piece-over-gap and right-tail-over-gap
     ratios at the inter-piece gap (beta_k, alpha_{k+1})."""
@@ -234,6 +242,7 @@ def _piece_ratios(piece: PieceEndpoints) -> tuple[Fraction, Fraction]:
             (HALF - piece.alpha_next.hi) / den)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _family_bounds(piece: PieceEndpoints, m: Optional[int],
                    bits: int) -> tuple[Fraction, Fraction, Fraction]:
     """Upper evaluations, in FAMILIES order, of the analytic lower bounds
@@ -291,8 +300,8 @@ def thickness_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
                     minima[i] = ratio
                 if bounds is not None and ratio < bounds[i]:
                     violations.append({"family": FAMILIES[i], "k": piece.k,
-                                       **where, "ratio": str(ratio),
-                                       "bound": str(bounds[i])})
+                                       **where, "ratio": exact_str(ratio),
+                                       "bound": exact_str(bounds[i])})
     return ThicknessReport(
         x, ell, k_max, q_max, min(minima),
         dict(zip(("bridge_F", "piece_ratios", "bridge_half"), minima)),
@@ -327,7 +336,8 @@ class VerificationLedger(NamedTuple):
         return [e for e in self.entries if not e.passed]
 
     def to_json(self) -> dict:
-        return {"case": self.case, "x": str(self.x), "trials": self.trials,
+        return {"case": self.case, "x": exact_str(self.x),
+                "trials": self.trials,
                 "seed": self.seed, "zero_index_convention": "n >= 2",
                 "checked": len(self.entries),
                 "violations": [e.to_json() for e in self.violations],
@@ -366,7 +376,8 @@ def _family_entries(piece: PieceEndpoints, m: Optional[int], bits: int,
     inter-piece gap, against the family bounds."""
     ratios = (record.ratio_lo, *_piece_ratios(piece))
     params = (gap_params, {"k": piece.k}, {"k": piece.k})
-    return [LedgerEntry(family, p, str(ratio), str(bound), ratio >= bound)
+    return [LedgerEntry(family, p, exact_str(ratio), exact_str(bound),
+                        ratio >= bound)
             for family, p, ratio, bound in
             zip(FAMILIES, params, ratios, _family_bounds(piece, m, bits))]
 
@@ -389,7 +400,7 @@ def verify_caseA(x: Fraction, trials: int,
         lhs = lam2.lo - lam1.hi
         rhs = lam2.hi ** len(w) / 4
         entries.append(LedgerEntry("switch_lower", {"word": word_str(w)},
-                                   str(lhs), str(rhs), lhs >= rhs))
+                                   exact_str(lhs), exact_str(rhs), lhs >= rhs))
 
     prefix = xs.prefix(m)
     for _ in range(trials):
@@ -401,7 +412,8 @@ def verify_caseA(x: Fraction, trials: int,
                   / lam3.hi ** (m - 2))
         rhs = min(bound1, bound2)
         entries.append(LedgerEntry(
-            "switch_upper", {"q": q, "m": m}, str(lhs), str(rhs), lhs <= rhs))
+            "switch_upper", {"q": q, "m": m}, exact_str(lhs), exact_str(rhs),
+            lhs <= rhs))
 
     k0 = 1
     while _nk(x, k0) <= m:
@@ -439,7 +451,7 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
         rhs = lam2.hi ** (mm + 2 + q) / den
         entries.append(LedgerEntry(
             "switch_lower", {"m": mm, "q": q, "word": word_str(j)},
-            str(lhs), str(rhs), lhs >= rhs))
+            exact_str(lhs), exact_str(rhs), lhs >= rhs))
 
     for _ in range(trials):
         j, lam3, lam4 = _draw(rng, x, xs, cfg, (0, 1), (1, 8), GAP)
@@ -448,7 +460,7 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
         rhs = lam3.lo ** (2 + q)
         entries.append(LedgerEntry(
             "switch_upper", {"q": q, "word": word_str(j)},
-            str(lhs), str(rhs), lhs <= rhs))
+            exact_str(lhs), exact_str(rhs), lhs <= rhs))
 
     residual_cap = Fraction(1, 1 << 70)
     for k in range(1, 7):
@@ -462,7 +474,7 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
         magnitude = round_dyadic(max(-res_lo, res_hi), bits, True)
         entries.append(LedgerEntry(
             "square_identity", {"k": k, "n_k": piece.n_k},
-            str(magnitude), str(residual_cap),
+            exact_str(magnitude), exact_str(residual_cap),
             res_lo <= 0 <= res_hi and magnitude <= residual_cap))
         record = gap_record(piece, word_at_position(1 + (k % 7)), cfg)
         entries += _family_entries(piece, None, bits, record, {"k": k})

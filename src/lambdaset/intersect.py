@@ -16,7 +16,7 @@ from .errors import DepthBudgetExceeded, InvalidInput, OutOfRange
 from .ifs_core import Member, greedy_digits
 from .lambda_set import (MAX_PREFIXES, CoverInterval, IntervalCover,
                          binary_expansion)
-from .numerics import DEFAULT_CONFIG, Enclosure, PrecisionConfig
+from .numerics import DEFAULT_CONFIG, Enclosure, PrecisionConfig, exact_str
 from .seqcode import EpSequence
 
 __all__ = [
@@ -45,9 +45,9 @@ class CommonPointCertificate(NamedTuple):
 
     def to_json(self) -> dict:
         return {
-            "targets": [str(t) for t in self.targets],
+            "targets": [exact_str(t) for t in self.targets],
             "lam": self.lam.to_json(),
-            "lam_exact": str(self.lam_exact),
+            "lam_exact": exact_str(self.lam_exact),
             "codings": [str(s) for s in self.per_target_codings],
             "status": self.status,
         }

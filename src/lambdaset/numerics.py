@@ -6,7 +6,9 @@ powers of two, together with a working precision in bits: the cell a root
 solve certifies, or a rational rounded outward once by round_dyadic.
 Enclosures carry no arithmetic; callers compute with the endpoints exactly
 and round outward only the value they store. Endpoints print as exact
-decimals.
+decimals, and every rational a payload holds prints through exact_str,
+which also prints integers past the interpreter's integer-to-string digit
+limit.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import NamedTuple
 
 __all__ = [
     "parse_rational",
+    "exact_str",
     "round_dyadic",
     "Enclosure",
     "PrecisionConfig",
@@ -29,6 +32,30 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
+
+
+# Integers of at most this many bits print with plain str(): about 600
+# digits, under the smallest integer-to-string limit the interpreter accepts
+# (640 digits; the default is 4300).
+_STR_BITS = 2000
+
+
+def exact_str(q: int | Fraction) -> str:
+    """What str() prints for an integer or a Fraction ("p" or "p/q"), also
+    past the interpreter's integer-to-string digit limit: a longer integer
+    is split at a power of ten and its halves are printed the same way."""
+    if isinstance(q, Fraction):
+        num, den = q.numerator, q.denominator
+        return (exact_str(num) if den == 1
+                else f"{exact_str(num)}/{exact_str(den)}")
+    if q.bit_length() <= _STR_BITS:
+        return str(q)
+    if q < 0:
+        return "-" + exact_str(-q)
+    # 10^k has about half of q's bits; low < 10^k is padded to k digits
+    k = q.bit_length() * 3 // 20
+    high, low = divmod(q, 10 ** k)
+    return exact_str(high) + exact_str(low).rjust(k, "0")
 
 
 def round_dyadic(q: Fraction, bits: int, up: bool) -> Fraction:
@@ -54,10 +81,10 @@ def _decimal(q: Fraction) -> str:
         raise ValueError(f"not a dyadic rational: {q}")
     k = den.bit_length() - 1
     if k == 0:
-        return str(q.numerator)
+        return exact_str(q.numerator)
     sign = "-" if q < 0 else ""
     # the numerator is odd, so the digits of num * 5^k end in 5
-    digits = str(abs(q.numerator) * 5 ** k).rjust(k + 1, "0")
+    digits = exact_str(abs(q.numerator) * 5 ** k).rjust(k + 1, "0")
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
 
 

@@ -138,6 +138,46 @@ def test_verify_reads_its_case_from_x(capsys):
     assert manifest["notes"]["symmetry_reduced_from"] == "3/4"
 
 
+def test_manifest_stats_count_this_runs_memo_lookups(capsys):
+    from lambdaset import lambda_set
+    before = lambda_set.psi_inverse.cache_info()
+    _, _, manifest = run_json(capsys, "cover", "--x", "1/3", "--depth", "4")
+    after = lambda_set.psi_inverse.cache_info()
+    assert manifest["stats"]["lambda_set.psi_inverse"] == {
+        "hits": after.hits - before.hits,
+        "misses": after.misses - before.misses}
+    # a repeated report in one process reads its gap records from memory
+    argv = ["thickness-cl", "--x", "1/3", "--ell", "2", "--kmax", "2",
+            "--qmax", "1"]
+    run(capsys, *argv)
+    _, _, manifest = run_json(capsys, *argv)
+    stats = manifest["stats"]
+    assert stats["constructions.gap_record"] == {"hits": 6, "misses": 0}
+    assert stats["lambda_set.psi_inverse"]["misses"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "--x", "1/3", "--depth", "2", "--bits", "4300"],
+    ["cover", "--x", "1/3", "--depth", "2", "--width-bits", "15000"],
+    ["verify", "--x", "1/3", "--trials", "1", "--width-bits", "6000"],
+    # a decimal whose denominator, 10^4300, has 4301 digits
+    ["code", "--x", "0." + "1" * 4300, "--lambda", "1/2"],
+], ids=lambda argv: " ".join(argv)[:50])
+def test_payload_rationals_past_the_digit_limit(capsys, argv):
+    """Rationals with more digits than the interpreter converts by default
+    still print, in the payload and in the manifest."""
+    code, payload, manifest = run_json(capsys, *argv)
+    assert code == 0
+    jsonschema.validate(payload, load_schema(argv[0]))
+    if "15000" in argv:
+        # 2^15000 has 4516 digits
+        assert re.fullmatch(r"1/[1-9][0-9]{4515}",
+                            payload["precision"]["target_width"])
+    if argv[0] == "code":
+        assert payload["x"] == manifest["parameters"]["x"]
+        assert re.fullmatch(r"1{4300}/10{4300}", payload["x"])
+
+
 def test_manifest_echoes_targets(capsys):
     _, _, manifest = run_json(capsys, "common", "--targets", "1/3,1/4",
                               "--depth", "2")

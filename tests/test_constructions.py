@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from lambdaset import constructions, seqcode
 from lambdaset.cantor_metrics import newhouse_lower, thickness_of
+from lambdaset.cli import memo_tables
 from lambdaset.constructions import (_family_bounds, defining_sequence_Cl,
                                      first_switch_index, gap_record,
                                      piece_endpoints, thickness_Cl,
@@ -189,6 +191,52 @@ def test_thickness_agrees_across_precisions(cfg):
     r_high = thickness_Cl(F(1, 3), 2, 3, 2, high)
     assert abs(r_default.tau_truncated - r_high.tau_truncated) <= F(1, 1 << 60)
     assert r_high.bound_violations == ()
+
+
+def _reports(cfg, x, ell, k_max, q_max):
+    return (thickness_Cl(x, ell, k_max, q_max, cfg).to_json(),
+            defining_sequence_Cl(x, ell, k_max, q_max, cfg).to_json())
+
+
+@pytest.mark.parametrize("target", [(F(1, 3), 8, 6, 3), (F(2, 7), 2, 3, 2),
+                                    (F(1, 4), 1, 5, 2)], ids=str)
+def test_warm_reports_equal_cold_ones(cfg, target):
+    """Memoised gap records and per-piece bounds change no payload: after
+    other truncations that share pieces and gap words, and after every memo
+    table is cleared, the reports are the first ones."""
+    x, ell, k_max, q_max = target
+    first = _reports(cfg, *target)
+    for shape in ((ell + 1, k_max - 1, q_max - 1), (ell, 2, q_max + 1),
+                  (max(1, ell - 1), k_max + 1, 1)):
+        _reports(cfg, x, *shape)
+    assert _reports(cfg, *target) == first
+    for table in memo_tables().values():
+        table.cache_clear()
+    assert _reports(cfg, *target) == first
+
+
+def test_warm_report_solves_nothing(cfg, monkeypatch):
+    """A repeated report reads every gap record and bound from the memo
+    tables: no root solve is asked for and no sequence is built."""
+    target = (F(1, 3), 8, 6, 3)
+    thickness_Cl(*target, cfg)
+    counts = {"psi_inverse": 0, "EpSequence": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(constructions, "psi_inverse",
+                        counting("psi_inverse", constructions.psi_inverse))
+    monkeypatch.setattr(seqcode.EpSequence, "__init__",
+                        counting("EpSequence", seqcode.EpSequence.__init__))
+    thickness_Cl(*target, cfg)
+    assert counts == {"psi_inverse": 0, "EpSequence": 0}
+    # the wrappers count: a new width solves one piece and one gap record
+    thickness_Cl(F(1, 3), 8, 1, 0, PrecisionConfig(128, width_bits=79))
+    assert counts == {"psi_inverse": 7, "EpSequence": 7}
 
 
 def test_bound_violations_empty_for_standard_targets(cfg):

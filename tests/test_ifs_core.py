@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lambdaset.errors import OutOfRange
-from lambdaset.ifs_core import (Member, NotMember, Unresolved, greedy_digits,
-                                membership, newton_cell, pi_eval,
-                                pi_root_poly, poly_sign)
+from lambdaset.ifs_core import (GUARD_BITS, Member, NotMember, Unresolved,
+                                exact_sign, greedy_digits, membership,
+                                newton_cell, pi_eval, pi_root_poly, poly_sign)
 from lambdaset.seqcode import EpSequence
 
 F = Fraction
@@ -33,15 +33,45 @@ def test_pi_root_poly_sign_matches_pi_eval():
         k = rng.randint(1, 12)
         m = rng.randint(1, (1 << k) - 1)
         diff = pi_eval(s, F(m, 1 << k)) - x
-        assert poly_sign(pi_root_poly(s, x), m, k) == (diff > 0) - (diff < 0)
+        assert exact_sign(pi_root_poly(s, x), m, k) == (diff > 0) - (diff < 0)
     # roots that are dyadic give an exact zero
-    assert poly_sign(pi_root_poly(S("0(1)"), F(3, 8)), 3, 3) == 0
-    assert poly_sign(pi_root_poly(S("(01)"), F(1, 3)), 1, 1) == 0
+    assert exact_sign(pi_root_poly(S("0(1)"), F(3, 8)), 3, 3) == 0
+    assert exact_sign(pi_root_poly(S("(01)"), F(1, 3)), 1, 1) == 0
+
+
+@st.composite
+def sign_cases(draw):
+    """A coding's root polynomial, a probe m 2^-k anywhere in (0, 1) and a
+    fixed-point precision; in half the cases the polynomial has a root on
+    the probe's grid, at the probe or a few points from it."""
+    pre = tuple(draw(st.lists(st.integers(0, 1), max_size=8)))
+    per = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=6)))
+    s = EpSequence(pre, per)
+    k = draw(st.integers(1, 80))
+    m = draw(st.integers(1, (1 << k) - 1))
+    if draw(st.booleans()):
+        root = min(max(m + draw(st.integers(-2, 2)), 1), (1 << k) - 1)
+        x = pi_eval(s, F(root, 1 << k))
+    else:
+        x = F(draw(st.integers(1, 999)), 1000)
+    return pi_root_poly(s, x), m, k, draw(st.integers(0, 200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sign_cases())
+# R(3/4) = 1/16 for (01) and 2/5: one fraction bit leaves acc = -1
+@example(case=(pi_root_poly(S("(01)"), F(2, 5)), 3, 2, 1))
+# a root at the probe: acc = 0 and only the exact sign says 0
+@example(case=(pi_root_poly(S("0(1)"), F(3, 8)), 3, 3, 0))
+def test_fixed_point_sign_is_the_exact_sign(case):
+    coeffs, m, k, bits = case
+    assert poly_sign(coeffs, m, k, bits) == exact_sign(coeffs, m, k)
 
 
 def test_newton_cell_matches_fraction_step():
-    """The integer Newton step lands in the cell that an exact rational
-    step lam - R(lam) / R'(lam) lands in."""
+    """At k + GUARD_BITS fraction bits the fixed-point Newton step lands
+    within one cell of the cell an exact rational step lam - R(lam) / R'(lam)
+    lands in."""
     rng = random.Random(11)
     for _ in range(300):
         pre = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 8)))
@@ -55,15 +85,22 @@ def test_newton_cell_matches_fraction_step():
         value = sum(c * lam ** i for i, c in enumerate(coeffs))
         slope = sum(i * c * lam ** (i - 1) for i, c in enumerate(coeffs) if i)
         step = lam - value / slope if slope else lam
-        assert newton_cell(coeffs, m, k, base, width) == math.floor(
-            (step * (1 << k) - base) / width)
-    # a linear R is solved in one step
-    assert newton_cell((-3, 8), 1, 1, 0, 1) == 0
-    assert newton_cell((-3, 8), 7, 4, 0, 1) == 6
+        exact = math.floor((step * (1 << k) - base) / width)
+        guess = newton_cell(coeffs, m, k, base, width, k + GUARD_BITS)
+        assert abs(guess - exact) <= 1
+    # a linear R is solved in one step, into its root's cell
+    assert newton_cell((-3, 8), 1, 1, 0, 1, 1 + GUARD_BITS) == 0
+    assert newton_cell((-3, 8), 7, 4, 0, 1, 4 + GUARD_BITS) == 6
+    root = F((1 << 28) + 12345, 1 << 30)
+    for m in (1 << 39, (1 << 40) // 3):
+        j = newton_cell((-root.numerator, root.denominator), m, 40, 0, 1,
+                        40 + GUARD_BITS)
+        assert j == root * (1 << 40)
     # (4 lam - 1)^2 has a zero slope at its double root 1/4: no step is taken
     for k, base, width in ((2, 0, 1), (10, 200, 7), (40, 0, 1 << 30)):
         m = 1 << (k - 2)
-        assert newton_cell((1, -8, 16), m, k, base, width) == (m - base) // width
+        assert newton_cell((1, -8, 16), m, k, base, width,
+                           k + GUARD_BITS) == (m - base) // width
 
 
 def test_greedy_examples():

@@ -5,10 +5,10 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lambdaset import lambda_set
+from lambdaset import ifs_core, lambda_set
 from lambdaset.errors import (DepthBudgetExceeded, InsufficientMembers,
                               InvalidInput, NotAdmissible, OutOfRange)
-from lambdaset.ifs_core import membership, pi_eval
+from lambdaset.ifs_core import membership, pi_eval, pi_root_poly
 from lambdaset.lambda_set import (admissible, admissible_prefixes,
                                   binary_expansion, block_codes,
                                   box_dim_estimate, cover, gaps,
@@ -97,20 +97,29 @@ def test_psi_inverse_matches_fraction_oracle(case, bits, width_bits):
 
 
 def test_psi_inverse_survives_bad_newton_steps(monkeypatch):
-    """A Newton step that lands in the wrong cell costs signs, never a
-    different cell: steps to cell 0, far past the grid, below it, three
-    cells off, or anywhere at random."""
+    """A Newton guess that lands in the wrong cell costs a round, never a
+    different cell: guesses of cell 0, far past the grid, below it, three
+    cells off, anywhere at random, or always two cells from the root's."""
     x = F(2, 7)
     cfg = PrecisionConfig(248, width_bits=200)
     xs = binary_expansion(x)
     codes = [c for w in admissible_prefixes(x, 5) for c in block_codes(xs, w)]
     expected = [lambda_set.psi_inverse.__wrapped__(x, s, cfg) for s in codes]
+    roots = {pi_root_poly(s, x): e.lo for s, e in zip(codes, expected)}
+
+    def wrong(j, coeffs, m, k, base, width, bits):
+        # two cells from the root's, toward the middle of the grid
+        cell = (roots[coeffs] * (1 << k) - base) // width
+        middle = ((1 << (k - 1)) - base) // width // 2
+        return cell + 2 if cell < middle else cell - 2
+
     newton_cell = lambda_set.newton_cell
     rng = random.Random(7)
-    for step in (lambda j: 0, lambda j: 1 << 200, lambda j: -5,
-                 lambda j: j + 3, lambda j: rng.randrange(-4, 1 << 24)):
+    for step in (lambda j, *args: 0, lambda j, *args: 1 << 200,
+                 lambda j, *args: -5, lambda j, *args: j + 3,
+                 lambda j, *args: rng.randrange(-4, 1 << 24), wrong):
         monkeypatch.setattr(lambda_set, "newton_cell",
-                            lambda *args: step(newton_cell(*args)))
+                            lambda *args: step(newton_cell(*args), *args))
         for s, e in zip(codes, expected):
             got = lambda_set.psi_inverse.__wrapped__(x, s, cfg)
             assert (got.lo, got.hi) == (e.lo, e.hi)
@@ -129,7 +138,8 @@ def test_grid_roots_come_back_as_points(cfg, monkeypatch):
 
 def test_deep_solve_work_is_bounded(monkeypatch):
     """A 2^-400 solve of a gap-record coding of 1/3 at piece 32 takes at
-    most 64 polynomial evaluations; bisection alone takes about 360."""
+    most 20 polynomial evaluations, exact fallbacks included; bisection
+    alone takes about 360."""
     x = F(1, 3)
     cfg = PrecisionConfig(448, width_bits=400)
     xs = binary_expansion(x)
@@ -137,14 +147,16 @@ def test_deep_solve_work_is_bounded(monkeypatch):
     # the left-bridge coding of the gap record of word 01 at piece 32
     s = EpSequence(xs.prefix(n_32 - 1) + (1, 0, 1), (1,))
     calls = []
-    for name in ("pi_eval", "poly_sign", "newton_cell"):
-        def counted(*args, f=getattr(lambda_set, name)):
+    for module, name in ((lambda_set, "pi_eval"), (lambda_set, "poly_sign"),
+                         (lambda_set, "newton_cell"),
+                         (ifs_core, "exact_sign")):
+        def counted(*args, f=getattr(module, name)):
             calls.append(f)
             return f(*args)
-        monkeypatch.setattr(lambda_set, name, counted)
+        monkeypatch.setattr(module, name, counted)
     e = lambda_set.psi_inverse.__wrapped__(x, s, cfg)
     assert e.width() <= F(1, 1 << 400)
-    assert len(calls) <= 64
+    assert len(calls) <= 20
 
 
 def test_psi_inverse_rejects_inadmissible(cfg):

@@ -5,13 +5,18 @@ A defining sequence lists the open intervals removed from the convex hull in
 some order; each removal must sit strictly inside one connected component of
 what remains, leaving two bridges of positive length. Thickness over the
 listed removals is the minimum bridge-to-gap length ratio, computed here
-exactly from the enclosure endpoints that make bridges shortest and gaps
+exactly from the cell endpoints that make bridges shortest and gaps
 longest, so the reported value is a certified lower bound.
 
-The enclosure endpoints are dyadic, so the replay puts them all on one grid
-2^-E and runs on integers: one bisection and one slice insertion per
-removal, the running minimum kept as an integer pair, and a single Fraction
-at the end.
+The record is the grid: a DefiningSequence holds every endpoint as a cell
+[lo, hi] of integers in units of one dyadic grid 2^-exponent. Its
+constructors go straight to that grid. `parse` reads the endpoints of a gap
+file and `from_fractions` takes rationals; both round each endpoint outward
+to `bits` mantissa bits exactly as `round_dyadic` does, with one integer
+division, and build no Fraction or Enclosure per endpoint. `from_cells`
+takes solved enclosures, which are dyadic already. The replay then runs on
+those integers: one bisection and one slice insertion per removal, the
+running minimum kept as an integer pair, and a single Fraction at the end.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidInput, MalformedSequence, NonpositiveThickness
-from .numerics import DEFAULT_CONFIG, Enclosure
+from .numerics import DEFAULT_CONFIG, Enclosure, parse_rational
 
 __all__ = [
     "Interval",
@@ -34,61 +40,151 @@ __all__ = [
 Interval = tuple[Enclosure, Enclosure]   # closed or open interval [lo, hi]
 
 
-class DefiningSequence(NamedTuple):
-    """Convex hull plus an ordered list of removed open intervals."""
+def _ratio(value) -> tuple[int, int]:
+    """A gap-file endpoint as (numerator, denominator > 0). A JSON integer,
+    or a string `p/q` or `p` of ASCII digits with an optional minus sign, is
+    read with int(); anything else goes through parse_rational, so the
+    accepted forms and the `not a rational` messages are its own."""
+    if type(value) is int:               # not bool: JSON true is no number
+        return value, 1
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        if ((num[1:] if num[:1] == "-" else num).isdigit()
+                and (den.isdigit() or not slash)):
+            try:
+                q = int(den) if slash else 1
+                if q:
+                    return int(num), q
+            except ValueError:           # past the int-to-string digit limit
+                pass
+    q = parse_rational(str(value))
+    return q.numerator, q.denominator
 
-    hull: Interval
-    removals: tuple[Interval, ...]
+
+class DefiningSequence(NamedTuple):
+    """Convex hull plus an ordered list of removed open intervals, on the
+    dyadic grid 2^-exponent. `hull` and each entry of `removals` hold the
+    cells of their two ends, (left lo, left hi, right lo, right hi), as
+    integer multiples of 2^-exponent; `bits` is the precision the cells
+    were rounded or solved at."""
+
+    hull: tuple[int, int, int, int]
+    removals: tuple[tuple[int, int, int, int], ...]
+    exponent: int
+    bits: int
+
+    @classmethod
+    def parse(cls, hull: list, gaps: list[list],
+              bits: int = DEFAULT_CONFIG.precision_bits) -> "DefiningSequence":
+        """The sequence of a gap file's `hull` and `gaps` lists, whose
+        endpoints are strings or JSON numbers. The first endpoint that is
+        not a rational, hull first, raises ValueError."""
+        return cls._rounded(map(_ratio, chain(hull, *gaps)), bits)
 
     @classmethod
     def from_fractions(cls, hull: tuple[Fraction, Fraction],
                        removals: Iterable[tuple[Fraction, Fraction]],
                        bits: int = DEFAULT_CONFIG.precision_bits
                        ) -> "DefiningSequence":
-        def enc(q) -> Enclosure:
-            return Enclosure.from_fraction(Fraction(q), bits)
+        """The sequence of these rationals, each endpoint rounded outward
+        at `bits` mantissa bits as round_dyadic rounds it."""
+        return cls._rounded(((q.numerator, q.denominator) for q in
+                             map(Fraction, chain(hull, *removals))), bits)
 
-        return cls((enc(hull[0]), enc(hull[1])),
-                   tuple((enc(a), enc(b)) for a, b in removals))
+    @classmethod
+    def from_cells(cls, hull: Interval, removals: Iterable[Interval]
+                   ) -> "DefiningSequence":
+        """The sequence of solved cells, taken as they are. An endpoint
+        that is not dyadic, or a cell at another precision than the hull's
+        left end, raises InvalidInput."""
+        bits = hull[0].bits
+        values, exps = [], []
+        for cell in chain(hull, *removals):
+            if cell.bits != bits:
+                raise InvalidInput("defining sequence mixes precisions")
+            for q in (cell.lo, cell.hi):
+                den = q.denominator
+                if den & (den - 1):
+                    raise InvalidInput("defining sequence has an endpoint "
+                                       "that is not dyadic")
+                values.append(q.numerator)
+                exps.append(den.bit_length() - 1)
+        return cls._on_grid(values, exps, bits)
+
+    @classmethod
+    def _rounded(cls, ratios: Iterable[tuple[int, int]], bits: int
+                 ) -> "DefiningSequence":
+        """Each num/den of `ratios` rounded outward as round_dyadic rounds
+        it: both ends of its cell come from one division at a scale with at
+        least bits + 2 bits of quotient, then drop the same `extra` bits.
+        `extra` is counted on the end nearer zero; the farther end has at
+        most one bit more, and then it is a power of two, which either
+        count of bits shifts exactly. So each end is the value round_dyadic
+        gives, and since that value is the num/den rounded at 2^-(bits -
+        1 - floor(log2 |num/den|)), a fraction in lower terms gives it too."""
+        values, exps = [], []
+        for num, den in ratios:
+            shift = max(bits + den.bit_length() - abs(num).bit_length() + 2,
+                        0)
+            lo, rem = divmod(num << shift, den)
+            hi = lo + 1 if rem else lo
+            extra = (lo if lo > 0 else -hi).bit_length() - bits
+            if extra > 0:
+                lo >>= extra
+                hi = -(-hi >> extra)
+                shift -= extra
+            values += (lo, hi)
+            exps += (shift, shift)
+        return cls._on_grid(values, exps, bits)
+
+    @classmethod
+    def _on_grid(cls, values: list[int], exps: list[int], bits: int
+                 ) -> "DefiningSequence":
+        """The sequence whose endpoint values, hull first and two per cell,
+        are values[i] * 2^-exps[i], shifted onto the finest of those grids
+        (never coarser than the integers)."""
+        top = max(max(exps), 0)
+        ends = iter([v << (top - e) for v, e in zip(values, exps)])
+        cells = zip(ends, ends, ends, ends)
+        return cls(next(cells), tuple(cells), top, bits)
+
+    def intervals(self) -> list[Interval]:
+        """The hull, then each removal, as a pair of Enclosures."""
+        den = 1 << self.exponent
+
+        def enc(lo: int, hi: int) -> Enclosure:
+            return Enclosure(Fraction(lo, den), Fraction(hi, den), self.bits)
+
+        return [(enc(a, b), enc(c, d))
+                for a, b, c, d in (self.hull, *self.removals)]
 
     def to_json(self) -> dict:
+        (left, right), *gaps = self.intervals()
         return {
-            "hull": [self.hull[0].to_json(), self.hull[1].to_json()],
-            "gaps": [[a.to_json(), b.to_json()] for a, b in self.removals],
+            "hull": [left.to_json(), right.to_json()],
+            "gaps": [[a.to_json(), b.to_json()] for a, b in gaps],
         }
 
 
 def thickness_of(ds: DefiningSequence) -> Fraction:
     """Certified lower bound of the thickness restricted to the listed
     removals: min over gaps of min(|L|/|V|, |R|/|V|), with the shortest
-    bridges and the longest gap the enclosures allow.
+    bridges and the longest gap the cells allow.
 
     When the removals are ordered by decreasing length this equals (up to
     the truncation) the thickness of the set itself.
 
-    The replay runs on the finest dyadic grid among the endpoints. The
-    components stay disjoint and sorted, so their ends form one sorted list
-    of cuts, and a removal can only sit in the component whose span holds
-    its left end. An endpoint that is not dyadic raises InvalidInput.
+    The replay reads the grid as it is. The components stay disjoint and
+    sorted, so their ends form one sorted list of cuts, and a removal can
+    only sit in the component whose span holds its left end.
     """
     if not ds.removals:
         raise InvalidInput("defining sequence lists no removals")
-    values = [ds.hull[0].hi, ds.hull[1].lo]
-    for vl, vr in ds.removals:
-        values += (vl.lo, vl.hi, vr.lo, vr.hi)
-    dens = [v.denominator for v in values]
-    if any(den & (den - 1) for den in dens):
-        raise InvalidInput("defining sequence has an endpoint that is not "
-                           "dyadic")
-    top = max(dens).bit_length()
-    grid = [v.numerator << (top - den.bit_length())
-            for v, den in zip(values, dens)]
     # component j spans (cuts[2j], cuts[2j + 1]): its left end's upper bound
     # and its right end's lower bound
-    cuts = grid[:2]
+    cuts = [ds.hull[1], ds.hull[2]]
     best_num, best_den = None, 1
-    for idx in range(1, len(ds.removals) + 1):
-        vl_lo, vl_hi, vr_lo, vr_hi = grid[4 * idx - 2:4 * idx + 2]
+    for idx, (vl_lo, vl_hi, vr_lo, vr_hi) in enumerate(ds.removals, 1):
         if not vl_hi < vr_lo:
             raise MalformedSequence(f"removal {idx} has no certified length")
         # an odd index means vl_lo lies inside component end // 2

@@ -132,10 +132,7 @@ def _load_defining_sequence(source: str, bits: int):
             and all(isinstance(g, list) and len(g) == 2 for g in raw["gaps"])):
         raise InvalidInput(f"{source}: expected "
                            '{"hull": [lo, hi], "gaps": [[lo, hi], ...]}')
-    hull = tuple(parse_rational(str(v)) for v in raw["hull"])
-    removals = [(parse_rational(str(a)), parse_rational(str(b)))
-                for a, b in raw["gaps"]]
-    return lib.DefiningSequence.from_fractions(hull, removals, bits)
+    return lib.DefiningSequence.parse(raw["hull"], raw["gaps"], bits)
 
 
 class Command(NamedTuple):

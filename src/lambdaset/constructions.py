@@ -202,7 +202,8 @@ def defining_sequence_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
         for i in range(max(0, t - k_max), min(t, n_gaps)):
             removals.append(tail[t - 1 - i][1][i].gap)
     half_point = Enclosure.point(HALF, cfg.precision_bits)
-    return DefiningSequence((tail[0][0].alpha, half_point), tuple(removals))
+    return DefiningSequence.from_cells((tail[0][0].alpha, half_point),
+                                       removals)
 
 
 class ThicknessReport(NamedTuple):

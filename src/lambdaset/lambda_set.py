@@ -103,14 +103,16 @@ def psi_inverse(x: Fraction, s: EpSequence,
     1/2) = x defines the expansion.
 
     The solve keeps a bracket of final-level cells whose end signs are
-    certified. Each round runs a Newton chain from the bracket's midpoint,
-    doubling its precision up to the final level and clamping every guess
-    into the bracket; the chain is not certified. Two signs then test the
-    cell it lands in, and one bisection sign halves what is left. A wrong
-    guess costs a round, never a different cell, and a solve ends within
-    `levels + 1` rounds. Signs are poly_sign's: fixed point with an exact
-    fallback, so every cell is decided exactly and the answer does not
-    depend on how it was found.
+    certified. The sign at the end 1/2 is admissibility's, not computed: xs
+    is the lexicographically largest expansion of x, so pi(s, 1/2) > x for
+    every admissible s other than xs. Each round runs a Newton chain from
+    the bracket's midpoint, doubling its precision up to the final level
+    and clamping every guess into the bracket; the chain is not certified.
+    Two signs then test the cell it lands in, and one bisection sign halves
+    what is left. A wrong guess costs a round, never a different cell, and
+    a solve ends within `levels + 1` rounds. Signs are poly_sign's: fixed
+    point with an exact fallback, so every cell is decided exactly and the
+    answer does not depend on how it was found.
 
     Memoised, with the admissibility check inside the cached body, so a hit
     skips it.
@@ -133,16 +135,11 @@ def psi_inverse(x: Fraction, s: EpSequence,
     # first level whose cells are no wider than 2^-width_bits:
     # width <= 2^(n + levels - width_bits)
     levels = max(0, (width - 1).bit_length() + cfg.width_bits - n)
-    # a_m + width is 2^(n-1): the end 1/2 is signed as 1 * 2^-1, so that a
-    # fallback there, which codings sharing a long prefix with xs need,
-    # stays cheap
     sign_lo = poly_sign(poly, a_m, n, GUARD_BITS)
-    sign_hi = poly_sign(poly, 1, 1, GUARD_BITS)
-    if sign_lo > 0 or sign_hi < 0:
+    if sign_lo > 0:
         raise AssertionError(f"[x, 1/2] does not bracket the root of {s}")
-    if sign_lo == 0 or sign_hi == 0:
-        return Enclosure.point(Fraction(a_m if sign_lo == 0 else a_m + width,
-                                        1 << n), bits)
+    if sign_lo == 0:
+        return Enclosure.point(Fraction(a_m, 1 << n), bits)
     # The bracket is final-level cells lo..hi-1, whose points are
     # (base + j width) / 2^k: R < 0 at j = lo and R > 0 at j = hi.
     k, base = n + levels, a_m << levels

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambdaset.cli import COMMANDS, load_schema, main
+from lambdaset.numerics import Enclosure
 
 
 def run(capsys, *argv):
@@ -399,6 +400,24 @@ def test_thickness_from_file(capsys, tmp_path):
     assert code == 0
     assert payload["gaps"] == 3
     assert abs(payload["thickness_float"] - 1.0) < 1e-9
+
+
+def test_thickness_file_builds_no_enclosure(capsys, monkeypatch, tmp_path):
+    """A gap file goes straight to the integer grid: reading and replaying
+    1023 removals builds no Enclosure, where rounding every endpoint to one
+    would build 2048."""
+    built = []
+
+    def counted(self, *args, init=Enclosure.__init__):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Enclosure, "__init__", counted)
+    path = tmp_path / "gaps.json"
+    path.write_text(json.dumps(middle_alpha_gaps(Fraction(37, 100), 10, UNIT)))
+    code, payload, _ = run_json(capsys, "thickness", "--gaps", str(path))
+    assert code == 0 and payload["gaps"] == 1023
+    assert len(built) == 0
 
 
 def test_thickness_reads_gaps_from_stdin(capsys, monkeypatch, tmp_path):

@@ -81,13 +81,13 @@ def test_defining_sequence_Cl_structure(cfg):
     x, ell = F(1, 3), 2
     ds = defining_sequence_Cl(x, ell, 5, 3, cfg)
     piece = piece_endpoints(x, ell, cfg)
+    hull, *removals = ds.intervals()
     # first removal is the inter-piece gap, second is the piece's first gap
-    assert ds.removals[0][0] is piece.beta
-    assert ds.removals[0][1] is piece.alpha_next
+    assert repr(removals[0]) == repr((piece.beta, piece.alpha_next))
     first_gap = gap_record(piece, (), cfg)
-    assert ds.removals[1][0].overlaps(first_gap.gap[0])
-    assert ds.removals[1][1].overlaps(first_gap.gap[1])
-    assert ds.hull[1].contains(F(1, 2))
+    assert removals[1][0].overlaps(first_gap.gap[0])
+    assert removals[1][1].overlaps(first_gap.gap[1])
+    assert hull[1].contains(F(1, 2))
     # count: k_max inter-piece gaps plus k_max * (2^(q_max+1) - 1) piece gaps
     assert len(ds.removals) == 5 + 5 * 15
     # well-formedness: every removal strictly interior to its component

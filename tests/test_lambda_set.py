@@ -126,10 +126,11 @@ def test_psi_inverse_survives_bad_newton_steps(monkeypatch):
 
 
 def test_grid_roots_come_back_as_points(cfg, monkeypatch):
-    # On the grid of [1/4, 1/2]: both ends, its first midpoint 3/8, and a
-    # level-28 point, each the root of a linear R
+    # On the grid of [1/4, 1/2]: its low end, its first midpoint 3/8, and
+    # two level-28 points, the last one below 1/2, each the root of a
+    # linear R. The end 1/2 is a root only for s = xs, which is not solved.
     deep = F((1 << 28) + 12345, 1 << 30)
-    for root in (F(1, 4), F(1, 2), F(3, 8), deep):
+    for root in (F(1, 4), F(3, 8), deep, F((1 << 29) - 1, 1 << 30)):
         monkeypatch.setattr(lambda_set, "pi_root_poly",
                             lambda s, x: (-root.numerator, root.denominator))
         e = lambda_set.psi_inverse.__wrapped__(F(1, 4), S("011(0)"), cfg)
@@ -138,8 +139,9 @@ def test_grid_roots_come_back_as_points(cfg, monkeypatch):
 
 def test_deep_solve_work_is_bounded(monkeypatch):
     """A 2^-400 solve of a gap-record coding of 1/3 at piece 32 takes at
-    most 20 polynomial evaluations, exact fallbacks included; bisection
-    alone takes about 360."""
+    most 13 polynomial evaluations, exact fallbacks included: one sign at
+    the low end, ten Newton steps and two signs. Bisection alone takes
+    about 360."""
     x = F(1, 3)
     cfg = PrecisionConfig(448, width_bits=400)
     xs = binary_expansion(x)
@@ -156,7 +158,27 @@ def test_deep_solve_work_is_bounded(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     e = lambda_set.psi_inverse.__wrapped__(x, s, cfg)
     assert e.width() <= F(1, 1 << 400)
-    assert len(calls) <= 20
+    assert len(calls) <= 13
+
+
+@settings(deadline=None)
+@given(st.integers(3, 300).flatmap(
+           lambda q: st.tuples(st.integers(1, (q - 1) // 2), st.just(q))),
+       st.integers(0, 40), st.lists(st.integers(0, 1), max_size=8),
+       st.lists(st.integers(0, 1), min_size=1, max_size=8))
+@example((1, 4), 0, [], [0])
+@example((1, 3), 0, [], [1])
+def test_admissible_codings_lie_above_x_at_one_half(pq, pick, pre, per):
+    """pi(s, 1/2) > x for every admissible s other than xs, so psi_inverse
+    takes the sign of its bracket's end 1/2 from admissibility. Such an s
+    is xs with a digit 0 at some index n >= 2 switched to 1, followed by
+    any tail."""
+    x = F(*pq)
+    xs = binary_expansion(x)
+    n = zero_indices(xs, pick + 1)[pick]
+    s = EpSequence(xs.prefix(n - 1) + (1, *pre), tuple(per))
+    assert admissible(xs, s) and s != xs
+    assert pi_eval(s, F(1, 2)) > x
 
 
 def test_psi_inverse_rejects_inadmissible(cfg):

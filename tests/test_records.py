@@ -64,8 +64,9 @@ RECORDS = [
     (CommonPointCertificate, lambda: {"targets": (F(1, 3),), "lam": CELL,
                                       "lam_exact": F(1, 3),
                                       "per_target_codings": (_seq(),)}),
-    (DefiningSequence, lambda: {"hull": (CELL, CELL),
-                                "removals": ((CELL, CELL),)}),
+    (DefiningSequence, lambda: {"hull": (0, 1, 7, 8),
+                                "removals": ((2, 3, 4, 5),), "exponent": 3,
+                                "bits": 64}),
     (Command, lambda: {"help": "h", "arguments": (("--x", {}),),
                        "handler": _handler, "schema": "cover",
                        "mirror": True}),

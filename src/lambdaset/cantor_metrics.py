@@ -28,7 +28,7 @@ from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidInput, MalformedSequence, NonpositiveThickness
-from .numerics import DEFAULT_CONFIG, Enclosure, parse_rational
+from .numerics import DEFAULT_CONFIG, Enclosure, exact_str, parse_rational
 
 __all__ = [
     "Interval",
@@ -202,8 +202,15 @@ def thickness_of(ds: DefiningSequence) -> Fraction:
 
 def newhouse_lower(tau) -> float:
     """Dimension lower bound log 2 / log(2 + 1/tau) for a Cantor set of
-    thickness tau."""
-    tau = float(tau)
+    thickness tau. The sign is tested on the exact value, and a tau too
+    small for 1/tau to be a finite float is read from its integers."""
     if tau <= 0:
-        raise NonpositiveThickness(f"thickness must be positive: {tau}")
-    return math.log(2) / math.log(2 + 1 / tau)
+        raise NonpositiveThickness(
+            f"thickness must be positive: {exact_str(Fraction(tau))}")
+    t = float(tau)
+    if t > 0 and math.isfinite(1 / t):
+        return math.log(2) / math.log(2 + 1 / t)
+    # log(2 + 1/tau) = log(2p + q) - log(p) for tau = p/q; math.log reads
+    # integers of any size
+    p, q = Fraction(tau).as_integer_ratio()
+    return math.log(2) / (math.log(2 * p + q) - math.log(p))

@@ -3,9 +3,10 @@ deterministic JSON payloads on stdout and a run manifest on stderr.
 
 Payloads carry no timestamps and are emitted with sorted keys, so identical
 invocations produce byte-identical output; the manifest records the wall
-time, a SHA-256 digest of the payload, the run's hits and misses in each
-memo table separately, and the root solver's signs, Newton steps and exact
-fallbacks.
+time, a SHA-256 digest of the payload, and under "stats" the run's share of
+what the modules it loaded register in numerics: the hits and misses of
+each memo table, and each counter group, such as the root solver's signs,
+Newton steps and exact fallbacks.
 
 Every subcommand is one entry of COMMANDS, which the parser, the schema
 lookup, target mirroring and dispatch all read. A run imports only the
@@ -40,8 +41,8 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import InvalidInput, LambdasetError
-from .numerics import (DEFAULT_CONFIG, PrecisionConfig, exact_str,
-                       parse_rational)
+from .numerics import (COUNTERS, DEFAULT_CONFIG, MEMO_TABLES, PrecisionConfig,
+                       exact_str, parse_rational)
 
 HALF = Fraction(1, 2)
 
@@ -324,46 +325,14 @@ def _echo(value) -> str:
     return exact_str(value) if isinstance(value, Fraction) else str(value)
 
 
-def memo_tables() -> dict[str, Callable]:
-    """Every memo table of a loaded lambdaset module, as "module.function":
-    the module-level functions with `cache_info`, each under the module
-    that defines it. A wrapper set on such a name (`__wrapped__`) is
-    looked through."""
-    tables = {}
-    for name, module in list(sys.modules.items()):
-        if not name.startswith(f"{__package__}."):
-            continue
-        for attr, fn in vars(module).items():
-            if getattr(fn, "__module__", None) != name:
-                continue
-            while not hasattr(fn, "cache_info") and hasattr(fn, "__wrapped__"):
-                fn = fn.__wrapped__
-            if hasattr(fn, "cache_info"):
-                tables[f"{name.removeprefix(__package__ + '.')}.{attr}"] = fn
-    return tables
-
-
-def _memo_counts() -> dict[str, tuple[int, int]]:
-    """(hits, misses) so far of every memo table in a loaded module."""
-    return {name: fn.cache_info()[:2] for name, fn in memo_tables().items()}
-
-
-def _memo_stats(before: dict[str, tuple[int, int]]) -> dict:
-    """Hits and misses of every memo table since the `_memo_counts()`
-    taken as `before`; a table of a module imported since starts at 0."""
-    stats = {}
-    for name, (hits, misses) in _memo_counts().items():
-        hits_before, misses_before = before.get(name, (0, 0))
-        stats[name] = {"hits": hits - hits_before,
-                       "misses": misses - misses_before}
-    return stats
-
-
-def _solver_work() -> dict[str, int]:
-    """The root solver's work so far (`ifs_core.WORK`), or nothing before
-    its module is loaded."""
-    return dict(getattr(sys.modules.get(f"{__package__}.ifs_core"), "WORK",
-                        {}))
+def _counts() -> dict[str, dict[str, int]]:
+    """Everything a run counts, so far in this process: the hits and misses
+    of each memo table of numerics.MEMO_TABLES, and each counter group of
+    numerics.COUNTERS."""
+    counts = {name: dict(zip(("hits", "misses"), table.cache_info()))
+              for name, table in MEMO_TABLES.items()}
+    counts.update((name, dict(group)) for name, group in COUNTERS.items())
+    return counts
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -372,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     started, imports_before = time.time(), _import_seconds
-    counts_before, work_before = _memo_counts(), _solver_work()
+    counts_before = _counts()
     entry = COMMANDS[args.command]
     parameters = {k: _echo(v) for k, v in sorted(vars(args).items())
                   if k != "command"}
@@ -398,9 +367,10 @@ def main(argv: list[str] | None = None) -> int:
         "library_version": __version__,
         "wall_time_ms": round((time.time() - started) * 1000, 3),
         "import_ms": round((_import_seconds - imports_before) * 1000, 3),
-        "stats": dict(_memo_stats(counts_before), root_solver={
-            name: count - work_before.get(name, 0)
-            for name, count in _solver_work().items()}),
+        # a table or counter of a module imported during the run starts at 0
+        "stats": {name: {key: count - counts_before.get(name, {}).get(key, 0)
+                         for key, count in group.items()}
+                  for name, group in _counts().items()},
         "output_digest": hashlib.sha256(body.encode()).hexdigest(),
     }
     sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")

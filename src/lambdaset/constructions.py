@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple, Optional
 
 from .errors import (DepthBudgetExceeded, HypothesisUnsatisfiable,
                      Inconclusive, InvalidInput)
 from .cantor_metrics import DefiningSequence, Interval
-from .lambda_set import (CACHE_SIZE, MAX_PREFIXES, admissible,
-                         binary_expansion, psi_inverse)
+from .lambda_set import (MAX_PREFIXES, admissible, binary_expansion,
+                         psi_inverse)
 from .numerics import (DEFAULT_CONFIG, Enclosure, PrecisionConfig, exact_str,
-                       round_dyadic)
+                       memo, round_dyadic)
 from .seqcode import (EpSequence, n_index, word_at_position, word_str,
                       zero_indices)
 
@@ -77,7 +76,7 @@ def first_switch_index(x: Fraction) -> int:
     if 1 in digits[2:]:
         return digits.index(1, 2) + 1
     raise HypothesisUnsatisfiable(
-        f"expansion of {x} has no digit 1 at any index >= 3")
+        f"expansion of {exact_str(x)} has no digit 1 at any index >= 3")
 
 
 class PieceEndpoints(NamedTuple):
@@ -114,7 +113,7 @@ def _separated(x: Fraction, codings: list[EpSequence],
     return cells
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@memo
 def piece_endpoints(x: Fraction, k: int,
                     cfg: PrecisionConfig = DEFAULT_CONFIG) -> PieceEndpoints:
     """Solve alpha_k, beta_k and alpha_{k+1} for the k-th piece. Memoised,
@@ -138,7 +137,7 @@ class GapRecord(NamedTuple):
     ratio_lo: Fraction
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@memo
 def gap_record(piece: PieceEndpoints, omega: tuple[int, ...],
                cfg: PrecisionConfig = DEFAULT_CONFIG) -> GapRecord:
     """Solve the four endpoints around the gap of `piece` labelled by `omega`.
@@ -234,7 +233,7 @@ FAMILIES = ("gap_ratio", "piece_gap", "half_gap")
 
 # The per-piece ratios and bounds are memoised like the gap records: a
 # repeated report reads them with one lookup each.
-@lru_cache(maxsize=CACHE_SIZE)
+@memo
 def _piece_ratios(piece: PieceEndpoints) -> tuple[Fraction, Fraction]:
     """Certified lower bounds of the piece-over-gap and right-tail-over-gap
     ratios at the inter-piece gap (beta_k, alpha_{k+1})."""
@@ -243,7 +242,7 @@ def _piece_ratios(piece: PieceEndpoints) -> tuple[Fraction, Fraction]:
             (HALF - piece.alpha_next.hi) / den)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@memo
 def _family_bounds(piece: PieceEndpoints, m: Optional[int],
                    bits: int) -> tuple[Fraction, Fraction, Fraction]:
     """Upper evaluations, in FAMILIES order, of the analytic lower bounds
@@ -368,7 +367,7 @@ def _draw(rng: random.Random, x: Fraction, xs: EpSequence,
             return j, psi_inverse(x, first, cfg), psi_inverse(x, second, cfg)
     raise HypothesisUnsatisfiable(
         f"the sampler gave up after 400 random words with q in {q_range}: "
-        f"none had both codings admissible for x = {x}")
+        f"none had both codings admissible for x = {exact_str(x)}")
 
 
 def _family_entries(piece: PieceEndpoints, m: Optional[int], bits: int,

@@ -18,6 +18,7 @@ from math import gcd
 from typing import NamedTuple, Union
 
 from .errors import OutOfRange
+from .numerics import COUNTERS
 from .seqcode import EpSequence
 
 __all__ = [
@@ -108,8 +109,9 @@ def pi_root_poly(s: EpSequence, x: Fraction) -> tuple[int, ...]:
 
 # Root-solver work so far in this process: calls of poly_sign and
 # newton_cell, and the signs among them that fell back to exact_sign. The
-# CLI manifest reports each run's share under "stats".
-WORK = {"signs": 0, "newton_steps": 0, "exact_fallbacks": 0}
+# CLI manifest reports each run's share as "stats.root_solver".
+WORK = COUNTERS["root_solver"] = {"signs": 0, "newton_steps": 0,
+                                  "exact_fallbacks": 0}
 
 # Fraction bits that poly_sign and newton_cell keep beyond the level of the
 # grid they probe: a root solve asks for signs and steps at level k with k +

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -24,7 +23,7 @@ from .errors import (DepthBudgetExceeded, InsufficientMembers, InvalidInput,
 from .ifs_core import (GUARD_BITS, Member, greedy_digits, newton_cell,
                        pi_eval, pi_root_poly, poly_sign)
 from .numerics import (DEFAULT_CONFIG, Enclosure, PrecisionConfig, exact_str,
-                       round_dyadic)
+                       memo, round_dyadic)
 from .seqcode import SEQ_01INF, EpSequence, n_index, word_at_position
 
 __all__ = [
@@ -46,13 +45,6 @@ __all__ = [
 
 HALF = Fraction(1, 2)
 
-# Bound of every memo table in the package: expansions, root solves,
-# pieces, gap records and per-piece ratios and bounds. The 200 calls of the
-# seed-1 session-ledger benchmark leave 835 root solves, 140 gap records,
-# 19 pieces (and 19 per-piece ratio pairs) and 16 bound triples, so nothing
-# is evicted there; a long-lived process stays bounded.
-CACHE_SIZE = 4096
-
 # Most words admissible_prefixes returns (a cover solves two roots per word),
 # most gap records a tail construction lists (four solves each), most digits
 # of a target's expansion (preperiod plus period, the degree of every root
@@ -65,7 +57,7 @@ MAX_PREFIXES = 1 << 14
 MAX_DEPTH = 48
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@memo
 def binary_expansion(x: Fraction) -> EpSequence:
     """Greedy base-1/2 coding of x; starts with 0, never ends in 1^inf.
 
@@ -74,11 +66,12 @@ def binary_expansion(x: Fraction) -> EpSequence:
     """
     x = Fraction(x)
     if not 0 < x < HALF:
-        raise OutOfRange(f"x must lie in (0, 1/2): {x}")
+        raise OutOfRange(f"x must lie in (0, 1/2): {exact_str(x)}")
     outcome = greedy_digits(x, HALF, max_steps=MAX_PREFIXES)
     if not isinstance(outcome, Member):
         raise DepthBudgetExceeded(
-            f"more than {MAX_PREFIXES} digits in the binary expansion of {x}")
+            f"more than {MAX_PREFIXES} digits in the binary expansion of "
+            f"{exact_str(x)}")
     return outcome.coding
 
 
@@ -88,7 +81,7 @@ def admissible(xs: EpSequence, s: EpSequence) -> bool:
     return xs <= s <= SEQ_01INF
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@memo
 def psi_inverse(x: Fraction, s: EpSequence,
                 cfg: PrecisionConfig = DEFAULT_CONFIG) -> Enclosure:
     """Certified enclosure of the unique ratio whose coding of x equals s.
@@ -123,7 +116,8 @@ def psi_inverse(x: Fraction, s: EpSequence,
     if s == xs:
         return Enclosure.point(HALF, bits)
     if not admissible(xs, s):
-        raise NotAdmissible(f"{s} is outside the admissible window for {x}")
+        raise NotAdmissible(
+            f"{s} is outside the admissible window for {exact_str(x)}")
     # Solves s as given: representations of one sequence share an entry
     # (they share one `key`), and the first one solved is kept.
     # Level l of the grid splits [a, 1/2] into 2^l cells [m, m + width] /
@@ -211,7 +205,7 @@ def admissible_prefixes(x: Fraction, depth: int) -> list[tuple[int, ...]]:
                     for m in range(high, low - 1, -1)]
     raise DepthBudgetExceeded(
         f"more than {MAX_PREFIXES} admissible prefixes of "
-        f"length {depth} for {x}")
+        f"length {depth} for {exact_str(x)}")
 
 
 class CoverInterval(NamedTuple):
@@ -370,8 +364,8 @@ def lipschitz_check(x: Fraction, lam: Fraction, samples: int, seed: int = 0,
     certified = [(a, b) for a, b in combinations(pool, 2) if a[0].hi < b[0].lo]
     if len(certified) < samples:
         raise InsufficientMembers(
-            f"{len(certified)} distinct member pairs below {lam} are "
-            f"certified, fewer than {samples}")
+            f"{len(certified)} distinct member pairs below "
+            f"{exact_str(lam)} are certified, fewer than {samples}")
     bound = x * (1 - 2 * lam) ** 2 / lam
     ratios = [abs(v2 - v1) / (e2.hi - e1.lo)
               for (e1, v1), (e2, v2) in rng.sample(certified, samples)]
@@ -415,7 +409,8 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
     a, b = Fraction(window[0]), Fraction(window[1])
     lo_w, hi_w = max(a, x), min(b, HALF)
     if lo_w >= hi_w:
-        raise InvalidInput(f"window ({a}, {b}) misses [{x}, 1/2]")
+        raise InvalidInput(f"window ({exact_str(a)}, {exact_str(b)}) misses "
+                           f"[{exact_str(x)}, 1/2]")
     exponents = set(eps_exponents)
     if len(exponents) < 2:
         raise InvalidInput("need at least two distinct grid sizes")
@@ -432,7 +427,8 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
         if nodes > MAX_PREFIXES:
             raise DepthBudgetExceeded(
                 f"more than {MAX_PREFIXES} refinement blocks in the window "
-                f"({a}, {b}) at grid size 2^-{max(exponents)}")
+                f"({exact_str(a)}, {exact_str(b)}) at grid size "
+                f"2^-{max(exponents)}")
         bits = stack.pop()
         iv = _prefix_interval(x, bits, xs, cfg)
         s_lo, s_hi = iv.lo.lo, iv.hi.hi

@@ -6,17 +6,26 @@ powers of two, together with a working precision in bits: the cell a root
 solve certifies, or a rational rounded outward once by round_dyadic.
 Enclosures carry no arithmetic; callers compute with the endpoints exactly
 and round outward only the value they store. Endpoints print as exact
-decimals, and every rational a payload holds prints through exact_str,
-which also prints integers past the interpreter's integer-to-string digit
-limit.
+decimals, and every rational a payload or an error message holds prints
+through exact_str, which also prints integers past the interpreter's
+integer-to-string digit limit.
+
+It also holds the registry the CLI manifest reads: `memo`, the one way to
+memoise, lists each table in MEMO_TABLES, and a module adds counters to
+COUNTERS.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 __all__ = [
+    "CACHE_SIZE",
+    "MEMO_TABLES",
+    "COUNTERS",
+    "memo",
     "parse_rational",
     "exact_str",
     "round_dyadic",
@@ -26,9 +35,43 @@ __all__ = [
 ]
 
 
+# Bound of every memo table in the package: expansions, root solves,
+# pieces, gap records and per-piece ratios and bounds. The 200 calls of the
+# seed-1 session-ledger benchmark leave 835 root solves, 140 gap records,
+# 19 pieces (and 19 per-piece ratio pairs) and 16 bound triples, so nothing
+# is evicted there; a long-lived process stays bounded.
+CACHE_SIZE = 4096
+
+# Every memo table of a loaded module, as "module.function", and every
+# group of counters, as name -> {counter: count so far in this process}.
+MEMO_TABLES: dict[str, Callable] = {}
+COUNTERS: dict[str, dict[str, int]] = {}
+
+
+def memo(fn: Callable) -> Callable:
+    """`lru_cache(maxsize=CACHE_SIZE)` of fn, listed in MEMO_TABLES."""
+    table = lru_cache(maxsize=CACHE_SIZE)(fn)
+    module = fn.__module__.removeprefix(f"{__package__}.")
+    MEMO_TABLES[f"{module}.{fn.__name__}"] = table
+    return table
+
+
+# Largest exponent magnitude a decimal may have: the interpreter's default
+# integer-to-string digit limit, so that a decimal names no more digits
+# than a `p/q` may. Fraction computes 10^|e| before anything else, which
+# for |e| = 10^7 takes seconds.
+MAX_EXPONENT = 4300
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse `p/q`, a decimal string (exactly), or an integer literal."""
+    """Parse `p/q`, a decimal string (exactly), or an integer literal. A
+    decimal exponent above MAX_EXPONENT in magnitude is refused."""
     try:
+        _, e, exponent = text.lower().partition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "")
+        if e and (len(digits) > MAX_EXPONENT
+                  or digits.isdecimal() and int(digits) > MAX_EXPONENT):
+            raise ValueError("exponent out of range")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
@@ -78,7 +121,7 @@ def _decimal(q: Fraction) -> str:
     """Exact decimal string of a dyadic rational."""
     den = q.denominator
     if den & (den - 1):
-        raise ValueError(f"not a dyadic rational: {q}")
+        raise ValueError(f"not a dyadic rational: {exact_str(q)}")
     k = den.bit_length() - 1
     if k == 0:
         return exact_str(q.numerator)
@@ -99,7 +142,8 @@ class Enclosure:
 
     def __init__(self, lo: Fraction, hi: Fraction, bits: int):
         if lo > hi:
-            raise ValueError(f"enclosure endpoints out of order: {lo} > {hi}")
+            raise ValueError("enclosure endpoints out of order: "
+                             f"{exact_str(lo)} > {exact_str(hi)}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "bits", bits)

@@ -341,6 +341,17 @@ def test_newhouse_examples():
         newhouse_lower(-2)
 
 
+def test_newhouse_lower_below_float_range():
+    """A positive thickness too small for 1/tau to be a finite float keeps
+    a positive bound, log 2 / log(2 + 1/tau), read from its integers."""
+    assert newhouse_lower(F(1, 10 ** 400)) == pytest.approx(
+        math.log(2) / (400 * math.log(10)), rel=1e-12)
+    assert newhouse_lower(F(1, 1 << 1070)) == pytest.approx(1 / 1070,
+                                                            rel=1e-12)
+    with pytest.raises(NonpositiveThickness, match="positive: -1/10{400}$"):
+        newhouse_lower(F(-1, 10 ** 400))
+
+
 def test_newhouse_monotone_bounded():
     values = [newhouse_lower(F(n, 7)) for n in range(1, 60)]
     assert all(a < b for a, b in zip(values, values[1:]))

@@ -160,8 +160,8 @@ def test_manifest_stats_count_this_runs_memo_lookups(capsys):
 def _cold_solver_work(capsys, *argv):
     """The manifest's root-solver counts of a run with every memo table
     cleared first, so its solves are all made again."""
-    from lambdaset.cli import memo_tables
-    for table in memo_tables().values():
+    from lambdaset.numerics import MEMO_TABLES
+    for table in MEMO_TABLES.values():
         table.cache_clear()
     _, _, manifest = run_json(capsys, *argv)
     return manifest["stats"]["root_solver"]
@@ -402,6 +402,18 @@ def test_thickness_from_file(capsys, tmp_path):
     assert abs(payload["thickness_float"] - 1.0) < 1e-9
 
 
+def test_thickness_below_float_range(capsys, tmp_path):
+    """A certified thickness of about 2e-400 is positive, though its float
+    is 0: the run keeps it and reports a positive Newhouse bound."""
+    path = tmp_path / "gaps.json"
+    path.write_text(json.dumps({"hull": ["0", "1"],
+                                "gaps": [["1e-400", "1/2"]]}))
+    code, payload, _ = run_json(capsys, "thickness", "--gaps", str(path))
+    assert code == 0 and payload["thickness_float"] == 0.0
+    assert 0 < Fraction(payload["thickness"]) < Fraction(1, 10 ** 399)
+    assert 0 < payload["newhouse_lower"] < 0.001
+
+
 def test_thickness_file_builds_no_enclosure(capsys, monkeypatch, tmp_path):
     """A gap file goes straight to the integer grid: reading and replaying
     1023 removals builds no Enclosure, where rounding every endpoint to one
@@ -439,6 +451,41 @@ def test_thickness_rejects_misshaped_gap_files(capsys, tmp_path, doc):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["expansion", "--x", "1e-100000000"],
+    ["cover", "--x", "1e-1_000_000", "--depth", "2"],
+], ids=lambda argv: argv[0])
+def test_huge_decimal_exponents_are_refused_at_once(capsys, argv):
+    """Fraction would compute 10^|e| first, for seconds or longer."""
+    started = time.perf_counter()
+    assert _usage_error(capsys, *argv) == (
+        f"error: argument --x: not a rational: {argv[2]!r}")
+    assert time.perf_counter() - started < 1
+
+
+def test_gap_file_with_a_huge_exponent_is_refused_at_once(capsys, tmp_path):
+    path = tmp_path / "gaps.json"
+    path.write_text(json.dumps({"hull": ["0", "1"],
+                                "gaps": [["1e-10000000", "1/2"]]}))
+    started = time.perf_counter()
+    assert run(capsys, "thickness", "--gaps", str(path)) == (
+        1, "", "error: not a rational: '1e-10000000'\n")
+    assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["expansion", "--x", "1e-4300"],
+     "more than 16384 digits in the binary expansion of 1/1" + "0" * 4300),
+    (["cover", "--x", "1e4300", "--depth", "2"],
+     "x must lie in (0, 1/2): 1" + "0" * 4300),
+], ids=["expansion", "cover"])
+def test_error_messages_print_rationals_past_the_digit_limit(capsys, argv,
+                                                             message):
+    """A refusal names its rational in full, not the interpreter's
+    integer-to-string limit."""
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 # every command whose --x/--targets is a ratio-set target: (argv, target

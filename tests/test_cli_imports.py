@@ -102,3 +102,26 @@ def test_tracing_sees_calls_made_by_the_cli(argv, layer, gap_file, tmp_path):
                    capture_output=True, check=True, timeout=60)
     names = {span[2] for span in json.loads(out.read_text())}
     assert {"cli.main", layer} <= names
+
+
+def _stats(*argv: str) -> dict:
+    """The manifest's `stats` of one fresh process running argv."""
+    done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=_env(),
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    return json.loads(done.stderr.splitlines()[-1])["stats"]
+
+
+def test_tracing_hides_no_memo_table(gap_file, tmp_path):
+    """The registry holds the memo tables themselves, so a traced run,
+    whose library names are wrappers, counts what an untraced one counts;
+    the tables of the modules only the tracer loads count nothing. A run
+    that loads no module with a table or a counter counts nothing."""
+    argv = ("cover", "--x", "1/3", "--depth", "4")
+    traced = _stats(str(ROOT / "bench" / "tracing.py"),
+                    str(tmp_path / "spans.json"), "0", *argv)
+    untraced = _stats("-m", "lambdaset.cli", *argv)
+    assert untraced["lambda_set.psi_inverse"]["misses"] > 0
+    assert {name: traced.pop(name) for name in untraced} == untraced
+    assert all(set(counts.values()) == {0} for counts in traced.values())
+    assert _stats("-m", "lambdaset.cli", "thickness", "--gaps", gap_file) == {}

@@ -4,14 +4,13 @@ import pytest
 
 from lambdaset import constructions, seqcode
 from lambdaset.cantor_metrics import newhouse_lower, thickness_of
-from lambdaset.cli import memo_tables
 from lambdaset.constructions import (_family_bounds, defining_sequence_Cl,
                                      first_switch_index, gap_record,
                                      piece_endpoints, thickness_Cl,
                                      verify_caseA, verify_caseB)
 from lambdaset.errors import HypothesisUnsatisfiable, Inconclusive
 from lambdaset.lambda_set import psi_inverse
-from lambdaset.numerics import PrecisionConfig
+from lambdaset.numerics import MEMO_TABLES, PrecisionConfig
 from lambdaset.seqcode import EpSequence
 
 F = Fraction
@@ -210,7 +209,7 @@ def test_warm_reports_equal_cold_ones(cfg, target):
                   (max(1, ell - 1), k_max + 1, 1)):
         _reports(cfg, x, *shape)
     assert _reports(cfg, *target) == first
-    for table in memo_tables().values():
+    for table in MEMO_TABLES.values():
         table.cache_clear()
     assert _reports(cfg, *target) == first
 

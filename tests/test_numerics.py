@@ -19,6 +19,20 @@ def test_parse_rational():
         parse_rational("x/y")
 
 
+def test_parse_rational_bounds_decimal_exponents():
+    """An exponent of magnitude up to 4300, the default integer-to-string
+    digit limit, is read; a larger one is refused before Fraction builds
+    10^|e|, whatever its case, sign, leading zeros or underscores."""
+    assert parse_rational("1e-4300") == F(1, 10 ** 4300)
+    assert parse_rational("1E+0_4300") == 10 ** 4300
+    assert parse_rational(" 2.5e-0004300 ") == F(25, 10 ** 4301)
+    for text in ("1e4301", "1E-4301", "1e-1_000_000", "1e-10000000",
+                 " 3.5E+00043010 ", "1e" + "0" * 5000 + "1"):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"not a rational: {text!r}")):
+            parse_rational(text)
+
+
 def test_dyadic_decimal_exact():
     assert _decimal(F(5, 2**3)) == "0.625"
     assert _decimal(F(-5, 2**3)) == "-0.625"

@@ -105,7 +105,8 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
-# the package's memo tables, all `functools.lru_cache(maxsize=CACHE_SIZE)`
+# the package's memo tables, each made by `numerics.memo`: a
+# `functools.lru_cache(maxsize=CACHE_SIZE)`
 MEMO_TABLES = {"lambda_set.binary_expansion", "lambda_set.psi_inverse",
                "constructions.piece_endpoints", "constructions.gap_record",
                "constructions._piece_ratios", "constructions._family_bounds"}
@@ -114,9 +115,9 @@ MEMO_TABLES = {"lambda_set.binary_expansion", "lambda_set.psi_inverse",
 def test_memo_tables_are_the_listed_bounded_caches():
     """Every module-level function with `cache_info` is a listed memo table
     bounded by CACHE_SIZE, so an unbounded `functools.cache` or an unlisted
-    memo fails here; the manifest's discovery finds the same tables."""
-    from lambdaset.cli import memo_tables
-    from lambdaset.lambda_set import CACHE_SIZE
+    memo fails here; the registry the manifest reads holds the same
+    tables."""
+    from lambdaset import numerics
 
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
@@ -127,5 +128,5 @@ def test_memo_tables_are_the_listed_bounded_caches():
                 found[f"{path.stem}.{name}"] = value
     assert set(found) == MEMO_TABLES
     assert {name: fn.cache_info().maxsize for name, fn in found.items()} == {
-        name: CACHE_SIZE for name in MEMO_TABLES}
-    assert memo_tables() == found
+        name: numerics.CACHE_SIZE for name in MEMO_TABLES}
+    assert numerics.MEMO_TABLES == found

@@ -273,21 +273,18 @@ def _family_bounds(piece: PieceEndpoints, m: Optional[int],
     return a_hi / den, b_hi / den, half
 
 
-def thickness_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
-                 cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThicknessReport:
-    """Truncated thickness of the tail construction starting at piece ell.
-
-    The reported value is the minimum, over the truncation, of the three
-    ratio families (within-piece gap ratios, piece-over-gap ratios, and
-    right-tail-over-gap ratios); each certified ratio is also checked
-    against the analytic lower bound that holds for every gap of its
-    family, and any failure is recorded as a violation.
-    """
-    x = Fraction(x)
+@memo
+def _thickness_values(x: Fraction, ell: int, k_max: int, q_max: int,
+                      cfg: PrecisionConfig
+                      ) -> tuple[Fraction, tuple, tuple[tuple, ...]]:
+    """The values of a thickness report: tau, the three minima in FAMILIES
+    order, and each violation as the (key, value) pairs of its dict.
+    Memoised, and only immutable data, so a cached value is never shared
+    with a caller: thickness_Cl builds every record around it afresh."""
     tail = _tail(x, ell, k_max, q_max, cfg)
     m = None if x == Fraction(1, 4) else first_switch_index(x)
     minima: list[Optional[Fraction]] = [None, None, None]
-    violations: list[dict] = []
+    violations: list[tuple] = []
     for piece, records in tail:
         bounds = (_family_bounds(piece, m, cfg.precision_bits)
                   if m is None or piece.n_k > m else None)
@@ -299,13 +296,31 @@ def thickness_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
                 if minima[i] is None or ratio < minima[i]:
                     minima[i] = ratio
                 if bounds is not None and ratio < bounds[i]:
-                    violations.append({"family": FAMILIES[i], "k": piece.k,
-                                       **where, "ratio": exact_str(ratio),
-                                       "bound": exact_str(bounds[i])})
+                    violations.append(tuple({
+                        "family": FAMILIES[i], "k": piece.k, **where,
+                        "ratio": exact_str(ratio),
+                        "bound": exact_str(bounds[i])}.items()))
+    return min(minima), tuple(minima), tuple(violations)
+
+
+def thickness_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
+                 cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThicknessReport:
+    """Truncated thickness of the tail construction starting at piece ell.
+
+    The reported value is the minimum, over the truncation, of the three
+    ratio families (within-piece gap ratios, piece-over-gap ratios, and
+    right-tail-over-gap ratios); each certified ratio is also checked
+    against the analytic lower bound that holds for every gap of its
+    family, and any failure is recorded as a violation. A repeated report
+    is one lookup of its values; the record, its minima dict and its
+    violation dicts are new on every call.
+    """
+    x = Fraction(x)
+    tau, minima, violations = _thickness_values(x, ell, k_max, q_max, cfg)
     return ThicknessReport(
-        x, ell, k_max, q_max, min(minima),
+        x, ell, k_max, q_max, tau,
         dict(zip(("bridge_F", "piece_ratios", "bridge_half"), minima)),
-        tuple(violations))
+        tuple(dict(v) for v in violations))
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +373,18 @@ def _draw(rng: random.Random, x: Fraction, xs: EpSequence,
           ) -> tuple[tuple[int, ...], Enclosure, Enclosure]:
     """Random word j of length in q_range whose two codings
     _codings(head + j, ends) are both admissible for the target x with
-    expansion xs; j with the two solved cells, in ascending order."""
+    expansion xs; j with the two solved cells, in ascending order.
+
+    A coding that starts with w lies in [xs, 0 1^inf] only if w lies
+    between the first |w| digits of xs and 0 1^(|w|-1), so a word outside
+    them is rejected before any sequence is built."""
     for _ in range(400):
         q = rng.randint(*q_range)
         j = tuple(rng.randint(0, 1) for _ in range(q))
-        first, second = _codings(head + j, ends)
+        w = head + j
+        if not xs.prefix(len(w)) <= w <= (0,) + (1,) * (len(w) - 1):
+            continue
+        first, second = _codings(w, ends)
         if admissible(xs, first) and admissible(xs, second):
             return j, psi_inverse(x, first, cfg), psi_inverse(x, second, cfg)
     raise HypothesisUnsatisfiable(
@@ -382,6 +404,33 @@ def _family_entries(piece: PieceEndpoints, m: Optional[int], bits: int,
             zip(FAMILIES, params, ratios, _family_bounds(piece, m, bits))]
 
 
+def _switch_upper_rhs(lam3: Enclosure, lam4: Enclosure, q: int,
+                      m: int) -> Fraction:
+    """min(bound1, bound2) for the switch_upper check, where
+
+        bound1 = 2 (1 - 2 lam3.hi) lam3.lo^(q+2),
+        bound2 = 2 (1 - 2 lam4.hi) lam4.lo^(m+q) / lam3.hi^(m-2).
+
+    On the cells' common dyadic grid 2^-k, with a, b, c, d the integers of
+    lam3.lo, lam3.hi, lam4.lo and lam4.hi and E = 2^(k(q+3)),
+
+        bound1 = n1 / E,  n1 = 2 (2^k - 2b) a^(q+2),
+        bound2 = n2 / (E b^(m-2)),  n2 = 2 (2^k - 2d) c^(m+q),
+
+    so bound1 is the smaller (or equal) exactly when n1 b^(m-2) <= n2: one
+    integer comparison picks it, and one Fraction is built."""
+    ends = (lam3.lo, lam3.hi, lam4.lo, lam4.hi)
+    k = max(e.denominator.bit_length() for e in ends) - 1
+    a, b, c, d = (e.numerator << (k + 1 - e.denominator.bit_length())
+                  for e in ends)
+    n1 = 2 * ((1 << k) - 2 * b) * a ** (q + 2)
+    n2 = 2 * ((1 << k) - 2 * d) * c ** (m + q)
+    power = b ** (m - 2)
+    if n1 * power <= n2:
+        return Fraction(n1, 1 << k * (q + 3))
+    return Fraction(n2, power << k * (q + 3))
+
+
 def verify_caseA(x: Fraction, trials: int,
                  cfg: PrecisionConfig = DEFAULT_CONFIG,
                  seed: int = 0) -> VerificationLedger:
@@ -398,7 +447,9 @@ def verify_caseA(x: Fraction, trials: int,
     for _ in range(trials):
         w, lam1, lam2 = _draw(rng, x, xs, cfg, (), (3, 12), BLOCK)
         lhs = lam2.lo - lam1.hi
-        rhs = lam2.hi ** len(w) / 4
+        # lam2.hi^|w| / 4 as one Fraction
+        rhs = Fraction(lam2.hi.numerator ** len(w),
+                       lam2.hi.denominator ** len(w) << 2)
         entries.append(LedgerEntry("switch_lower", {"word": word_str(w)},
                                    exact_str(lhs), exact_str(rhs), lhs >= rhs))
 
@@ -407,10 +458,7 @@ def verify_caseA(x: Fraction, trials: int,
         j, lam3, lam4 = _draw(rng, x, xs, cfg, prefix, (1, 8), GAP)
         q = len(j)
         lhs = lam4.hi - lam3.lo
-        bound1 = 2 * (1 - 2 * lam3.hi) * lam3.lo ** (q + 2)
-        bound2 = (2 * (1 - 2 * lam4.hi) * lam4.lo ** (m + q)
-                  / lam3.hi ** (m - 2))
-        rhs = min(bound1, bound2)
+        rhs = _switch_upper_rhs(lam3, lam4, q, m)
         entries.append(LedgerEntry(
             "switch_upper", {"q": q, "m": m}, exact_str(lhs), exact_str(rhs),
             lhs <= rhs))

@@ -67,7 +67,13 @@ def binary_expansion(x: Fraction) -> EpSequence:
     x = Fraction(x)
     if not 0 < x < HALF:
         raise OutOfRange(f"x must lie in (0, 1/2): {exact_str(x)}")
-    outcome = greedy_digits(x, HALF, max_steps=MAX_PREFIXES)
+    # A stream of a preperiod digits and then a period of p digits is an
+    # integer over 2^a (2^p - 1) < 2^(a+p), so if the run closes its period
+    # within MAX_PREFIXES digits, x's denominator is below 2^MAX_PREFIXES.
+    # A longer denominator, which every x below 2^-MAX_PREFIXES has, is
+    # refused by one comparison instead of after MAX_PREFIXES greedy steps.
+    outcome = (greedy_digits(x, HALF, max_steps=MAX_PREFIXES)
+               if x.denominator.bit_length() <= MAX_PREFIXES else None)
     if not isinstance(outcome, Member):
         raise DepthBudgetExceeded(
             f"more than {MAX_PREFIXES} digits in the binary expansion of "

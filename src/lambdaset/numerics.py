@@ -36,10 +36,12 @@ __all__ = [
 
 
 # Bound of every memo table in the package: expansions, root solves,
-# pieces, gap records and per-piece ratios and bounds. The 200 calls of the
-# seed-1 session-ledger benchmark leave 835 root solves, 140 gap records,
-# 19 pieces (and 19 per-piece ratio pairs) and 16 bound triples, so nothing
-# is evicted there; a long-lived process stays bounded.
+# pieces, gap records, per-piece ratios and bounds, and the values of
+# thickness reports. The 200 calls of the seed-1 session-ledger benchmark
+# leave 835 root solves, 140 gap records, 19 pieces (and 19 per-piece ratio
+# pairs), 16 bound triples and 26 report values (its 134 reports have 26
+# distinct truncations), so nothing is evicted there; a long-lived process
+# stays bounded.
 CACHE_SIZE = 4096
 
 # Every memo table of a loaded module, as "module.function", and every

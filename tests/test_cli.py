@@ -147,22 +147,29 @@ def test_manifest_stats_count_this_runs_memo_lookups(capsys):
     assert manifest["stats"]["lambda_set.psi_inverse"] == {
         "hits": after.hits - before.hits,
         "misses": after.misses - before.misses}
-    # a repeated report in one process reads its gap records from memory
+    # a repeated report in one process is one lookup of its values: no gap
+    # record is looked up and no root solved
     argv = ["thickness-cl", "--x", "1/3", "--ell", "2", "--kmax", "2",
             "--qmax", "1"]
     run(capsys, *argv)
     _, _, manifest = run_json(capsys, *argv)
     stats = manifest["stats"]
-    assert stats["constructions.gap_record"] == {"hits": 6, "misses": 0}
-    assert stats["lambda_set.psi_inverse"]["misses"] == 0
+    assert stats["constructions._thickness_values"] == {"hits": 1,
+                                                        "misses": 0}
+    assert stats["constructions.gap_record"] == {"hits": 0, "misses": 0}
+    assert stats["lambda_set.psi_inverse"] == {"hits": 0, "misses": 0}
+
+
+def _clear_memo_tables():
+    from lambdaset.numerics import MEMO_TABLES
+    for table in MEMO_TABLES.values():
+        table.cache_clear()
 
 
 def _cold_solver_work(capsys, *argv):
     """The manifest's root-solver counts of a run with every memo table
     cleared first, so its solves are all made again."""
-    from lambdaset.numerics import MEMO_TABLES
-    for table in MEMO_TABLES.values():
-        table.cache_clear()
+    _clear_memo_tables()
     _, _, manifest = run_json(capsys, *argv)
     return manifest["stats"]["root_solver"]
 
@@ -343,10 +350,29 @@ def test_deep_multi_target_common_is_quick(capsys):
     assert {c["status"] for c in payload["certificates"]} == {"Exact"}
 
 
-def test_bound_violations_exit_2(capsys, monkeypatch):
+def test_targets_below_the_digit_budget_are_refused_at_once(capsys):
+    """10^-8600 lies below 2^-16384: its first 16384 digits are 0, so it
+    has no expansion within the budget, and the denominator says so before
+    any digit is computed."""
+    tiny = "0." + "0" * 4299 + "1e-4300"
+    for argv in (["expansion", "--x", tiny],
+                 ["cover", "--x", tiny, "--depth", "2"]):
+        started = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - started < 0.5
+        assert (code, out) == (1, "")
+        assert err == ("error: more than 16384 digits in the binary "
+                       f"expansion of 1/1{'0' * 8600}\n")
+
+
+def test_bound_violations_exit_2(capsys, monkeypatch, request):
     """Bounds above every ratio turn each checked ratio into a violation;
-    the payload is still printed and still valid."""
+    the payload is still printed and still valid. The memo tables are
+    cleared first, so the report is computed with these bounds whatever
+    ran before, and after, so no later test reads a report made with them."""
     from lambdaset import constructions
+    _clear_memo_tables()
+    request.addfinalizer(_clear_memo_tables)
     above = (Fraction(1 << 64),) * 3
     monkeypatch.setattr(constructions, "_family_bounds",
                         lambda piece, m, bits: above)

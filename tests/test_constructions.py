@@ -1,16 +1,19 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lambdaset import constructions, seqcode
 from lambdaset.cantor_metrics import newhouse_lower, thickness_of
-from lambdaset.constructions import (_family_bounds, defining_sequence_Cl,
+from lambdaset.constructions import (CODINGS, _codings, _family_bounds,
+                                     _switch_upper_rhs, defining_sequence_Cl,
                                      first_switch_index, gap_record,
                                      piece_endpoints, thickness_Cl,
                                      verify_caseA, verify_caseB)
 from lambdaset.errors import HypothesisUnsatisfiable, Inconclusive
-from lambdaset.lambda_set import psi_inverse
-from lambdaset.numerics import MEMO_TABLES, PrecisionConfig
+from lambdaset.lambda_set import admissible, binary_expansion, psi_inverse
+from lambdaset.numerics import MEMO_TABLES, Enclosure, PrecisionConfig
 from lambdaset.seqcode import EpSequence
 
 F = Fraction
@@ -192,6 +195,11 @@ def test_thickness_agrees_across_precisions(cfg):
     assert r_high.bound_violations == ()
 
 
+def _clear_memo_tables():
+    for table in MEMO_TABLES.values():
+        table.cache_clear()
+
+
 def _reports(cfg, x, ell, k_max, q_max):
     return (thickness_Cl(x, ell, k_max, q_max, cfg).to_json(),
             defining_sequence_Cl(x, ell, k_max, q_max, cfg).to_json())
@@ -209,8 +217,7 @@ def test_warm_reports_equal_cold_ones(cfg, target):
                   (max(1, ell - 1), k_max + 1, 1)):
         _reports(cfg, x, *shape)
     assert _reports(cfg, *target) == first
-    for table in MEMO_TABLES.values():
-        table.cache_clear()
+    _clear_memo_tables()
     assert _reports(cfg, *target) == first
 
 
@@ -236,6 +243,52 @@ def test_warm_report_solves_nothing(cfg, monkeypatch):
     # the wrappers count: a new width solves one piece and one gap record
     thickness_Cl(F(1, 3), 8, 1, 0, PrecisionConfig(128, width_bits=79))
     assert counts == {"psi_inverse": 7, "EpSequence": 7}
+
+
+def test_warm_report_is_one_lookup(cfg):
+    """A repeated report reads its values from their own table and looks
+    up no gap record, per-piece ratio pair or bound triple."""
+    target = (F(1, 3), 8, 6, 3)
+    tables = ("_thickness_values", "gap_record", "_piece_ratios",
+              "_family_bounds")
+
+    def lookups():
+        return {name: getattr(constructions, name).cache_info()[:2]
+                for name in tables}
+
+    # with its values dropped, the report looks every record up again
+    constructions._thickness_values.cache_clear()
+    before = lookups()
+    thickness_Cl(*target, cfg)
+    after = lookups()
+    assert all(after[name] != before[name] for name in tables)
+    thickness_Cl(*target, cfg)
+    warm = lookups()
+    assert {name: (warm[name][0] - after[name][0],
+                   warm[name][1] - after[name][1]) for name in tables} == {
+        "_thickness_values": (1, 0), "gap_record": (0, 0),
+        "_piece_ratios": (0, 0), "_family_bounds": (0, 0)}
+
+
+def test_reports_share_no_mutable_record(cfg, monkeypatch, request):
+    """Changing a report's minima dict or one of its violation dicts
+    leaves the next report of the same truncation unchanged. Bounds above
+    every ratio give the report violations; the memo tables are cleared
+    before and after, so the values are computed with these bounds and no
+    other test reads them."""
+    _clear_memo_tables()
+    request.addfinalizer(_clear_memo_tables)
+    monkeypatch.setattr(constructions, "_family_bounds",
+                        lambda piece, m, bits: (F(1 << 64),) * 3)
+    target = (F(1, 3), 2, 2, 1)
+    report = thickness_Cl(*target, cfg)
+    expected = json.dumps(report.to_json())
+    assert report.bound_violations
+    report.per_family_minima["bridge_F"] = F(0)
+    del report.per_family_minima["bridge_half"]
+    report.bound_violations[0]["ratio"] = "0"
+    report.bound_violations[-1].clear()
+    assert json.dumps(thickness_Cl(*target, cfg).to_json()) == expected
 
 
 def test_bound_violations_empty_for_standard_targets(cfg):
@@ -290,3 +343,64 @@ def test_verify_caseB(cfg):
     squares = [e for e in ledger.entries if e.kind == "square_identity"]
     assert len(squares) == 6
     assert all(e.passed for e in squares)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([F(1, 3), F(2, 7), F(3, 10), F(5, 13), F(1, 4)]),
+       st.lists(st.integers(0, 1), min_size=1, max_size=14))
+def test_rejected_draw_words_have_no_admissible_coding(x, w):
+    """_draw rejects a word w outside [first |w| digits of xs, 0 1^(|w|-1)]
+    before building its codings: then none of them is admissible."""
+    xs, w = binary_expansion(x), tuple(w)
+    if not xs.prefix(len(w)) <= w <= (0,) + (1,) * (len(w) - 1):
+        assert not any(admissible(xs, s) for s in _codings(w, CODINGS))
+
+
+def _cell(e, lo, extra):
+    return Enclosure(F(lo, 1 << e), F(min(lo + extra, 1 << (e - 1)), 1 << e),
+                     128)
+
+
+# cells [lo, hi] with dyadic ends in (0, 1/2], at most 8 grid steps wide
+DYADIC_CELLS = st.integers(2, 140).flatmap(lambda e: st.builds(
+    _cell, st.just(e), st.integers(1, 1 << (e - 1)), st.integers(0, 8)))
+
+
+def _switch_upper_by_fractions(lam3, lam4, q, m):
+    """The switch_upper right side by Fraction arithmetic, as verify_caseA
+    computed it before its integer form, and whether bound1 is the
+    minimum."""
+    bound1 = 2 * (1 - 2 * lam3.hi) * lam3.lo ** (q + 2)
+    bound2 = (2 * (1 - 2 * lam4.hi) * lam4.lo ** (m + q)
+              / lam3.hi ** (m - 2))
+    return min(bound1, bound2), bound1 <= bound2
+
+
+def _point(q):
+    return Enclosure.point(q, 128)
+
+
+@pytest.mark.parametrize("lam3,lam4,first", [
+    # cells in ascending order, as verify_caseA draws them: bound1 is the
+    # minimum for lam4 well above lam3, bound2 for both close below 1/2
+    (Enclosure(F(1, 4), F(17, 64), 128), Enclosure(F(5, 16), F(21, 64), 128),
+     True),
+    (Enclosure(F(7, 16), F(29, 64), 128), Enclosure(F(15, 32), F(31, 64), 128),
+     False),
+    # equal bounds, and a cell at 1/2 whose bound1 is 0
+    (_point(F(1, 4)), _point(F(1, 4)), True),
+    (_point(F(1, 2)), _point(F(1, 4)), True),
+], ids=["bound1", "bound2", "tie", "zero"])
+def test_switch_upper_rhs_takes_either_bound(lam3, lam4, first):
+    for q, m in ((1, 3), (8, 12)):
+        rhs, first_is_min = _switch_upper_by_fractions(lam3, lam4, q, m)
+        assert first_is_min == first
+        assert _switch_upper_rhs(lam3, lam4, q, m) == rhs
+
+
+@settings(deadline=None, max_examples=300)
+@given(DYADIC_CELLS, DYADIC_CELLS, st.integers(1, 8),
+       st.integers(3, 12))
+def test_switch_upper_rhs_matches_fraction_formula(lam3, lam4, q, m):
+    assert (_switch_upper_rhs(lam3, lam4, q, m)
+            == _switch_upper_by_fractions(lam3, lam4, q, m)[0])

@@ -32,6 +32,34 @@ def test_binary_expansion_examples():
             binary_expansion(bad)
 
 
+def test_expansion_refuses_long_denominators_before_the_run(monkeypatch):
+    """A stream that closes its period within MAX_PREFIXES digits is an
+    integer over less than 2^MAX_PREFIXES, so a longer denominator is
+    refused before any greedy step, with the message the run would end
+    in; a denominator of MAX_PREFIXES bits runs as before."""
+    runs = []
+    greedy = lambda_set.greedy_digits
+    monkeypatch.setattr(lambda_set, "greedy_digits",
+                        lambda *args, **kw: runs.append(args[0])
+                        or greedy(*args, **kw))
+    monkeypatch.setattr(lambda_set, "MAX_PREFIXES", 40)
+    # the memo table is bypassed, so it keeps no entry made at this budget
+    expand = binary_expansion.__wrapped__
+    # 2^-40 has 40 digits before its period 0, and 2^-60 more
+    for x in (F(1, 1 << 40), F(1, 1 << 60), F(1, 3 << 40)):
+        with pytest.raises(DepthBudgetExceeded) as err:
+            expand(x)
+        assert str(err.value) == (
+            f"more than 40 digits in the binary expansion of {x}")
+    assert runs == []
+    # 2^-39: 39 digits and then the period 0, within the budget
+    assert expand(F(1, 1 << 39)) == EpSequence((0,) * 38 + (1,), (0,))
+    # 2^39 + 1 has 40 bits, but 2 has order 78 modulo it: the run refuses
+    with pytest.raises(DepthBudgetExceeded, match="more than 40 digits"):
+        expand(F(1, (1 << 39) + 1))
+    assert runs == [F(1, 1 << 39), F(1, (1 << 39) + 1)]
+
+
 def test_expansion_properties():
     rng = random.Random(5)
     for _ in range(50):

@@ -109,7 +109,8 @@ def test_every_imported_name_is_used():
 # `functools.lru_cache(maxsize=CACHE_SIZE)`
 MEMO_TABLES = {"lambda_set.binary_expansion", "lambda_set.psi_inverse",
                "constructions.piece_endpoints", "constructions.gap_record",
-               "constructions._piece_ratios", "constructions._family_bounds"}
+               "constructions._piece_ratios", "constructions._family_bounds",
+               "constructions._thickness_values"}
 
 
 def test_memo_tables_are_the_listed_bounded_caches():

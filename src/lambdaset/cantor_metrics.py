@@ -9,14 +9,10 @@ exactly from the cell endpoints that make bridges shortest and gaps
 longest, so the reported value is a certified lower bound.
 
 The record is the grid: a DefiningSequence holds every endpoint as a cell
-[lo, hi] of integers in units of one dyadic grid 2^-exponent. Its
-constructors go straight to that grid. `parse` reads the endpoints of a gap
-file and `from_fractions` takes rationals; both round each endpoint outward
-to `bits` mantissa bits exactly as `round_dyadic` does, with one integer
-division, and build no Fraction or Enclosure per endpoint. `from_cells`
-takes solved enclosures, which are dyadic already. The replay then runs on
-those integers: one bisection and one slice insertion per removal, the
-running minimum kept as an integer pair, and a single Fraction at the end.
+[lo, hi] of integers in units of one dyadic grid 2^-exponent, built with
+the integer primitives of `numerics`. The replay runs on those integers:
+one bisection and one slice insertion per removal, the running minimum
+kept as an integer pair, and a single Fraction at the end.
 """
 
 from __future__ import annotations
@@ -25,10 +21,11 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidInput, MalformedSequence, NonpositiveThickness
-from .numerics import DEFAULT_CONFIG, Enclosure, exact_str, parse_rational
+from .numerics import (DEFAULT_CONFIG, Enclosure, dyadic_parts, exact_str,
+                       on_grid, parse_rational, round_outward)
 
 __all__ = [
     "Interval",
@@ -87,64 +84,44 @@ class DefiningSequence(NamedTuple):
                        bits: int = DEFAULT_CONFIG.precision_bits
                        ) -> "DefiningSequence":
         """The sequence of these rationals, each endpoint rounded outward
-        at `bits` mantissa bits as round_dyadic rounds it."""
-        return cls._rounded(((q.numerator, q.denominator) for q in
-                             map(Fraction, chain(hull, *removals))), bits)
+        to `bits` significant bits as round_dyadic rounds it."""
+        return cls._rounded((Fraction(q).as_integer_ratio()
+                             for q in chain(hull, *removals)), bits)
 
     @classmethod
     def from_cells(cls, hull: Interval, removals: Iterable[Interval]
                    ) -> "DefiningSequence":
-        """The sequence of solved cells, taken as they are. An endpoint
-        that is not dyadic, or a cell at another precision than the hull's
-        left end, raises InvalidInput."""
+        """The sequence of solved cells, taken as they are. A cell at
+        another precision than the hull's left end, and then an endpoint
+        that is not dyadic, raises InvalidInput."""
         bits = hull[0].bits
-        values, exps = [], []
-        for cell in chain(hull, *removals):
-            if cell.bits != bits:
-                raise InvalidInput("defining sequence mixes precisions")
-            for q in (cell.lo, cell.hi):
-                den = q.denominator
-                if den & (den - 1):
-                    raise InvalidInput("defining sequence has an endpoint "
-                                       "that is not dyadic")
-                values.append(q.numerator)
-                exps.append(den.bit_length() - 1)
-        return cls._on_grid(values, exps, bits)
+        cells = [*hull, *chain(*removals)]
+        if any(cell.bits != bits for cell in cells):
+            raise InvalidInput("defining sequence mixes precisions")
+        try:
+            pairs = [dyadic_parts(q) for c in cells for q in (c.lo, c.hi)]
+        except ValueError:
+            raise InvalidInput("defining sequence has an endpoint that "
+                               "is not dyadic") from None
+        return cls._on_grid(*zip(*pairs), bits)
 
     @classmethod
     def _rounded(cls, ratios: Iterable[tuple[int, int]], bits: int
                  ) -> "DefiningSequence":
-        """Each num/den of `ratios` rounded outward as round_dyadic rounds
-        it: both ends of its cell come from one division at a scale with at
-        least bits + 2 bits of quotient, then drop the same `extra` bits.
-        `extra` is counted on the end nearer zero; the farther end has at
-        most one bit more, and then it is a power of two, which either
-        count of bits shifts exactly. So each end is the value round_dyadic
-        gives, and since that value is the num/den rounded at 2^-(bits -
-        1 - floor(log2 |num/den|)), a fraction in lower terms gives it too."""
+        """The sequence of the num/den `ratios`, each rounded outward."""
         values, exps = [], []
         for num, den in ratios:
-            shift = max(bits + den.bit_length() - abs(num).bit_length() + 2,
-                        0)
-            lo, rem = divmod(num << shift, den)
-            hi = lo + 1 if rem else lo
-            extra = (lo if lo > 0 else -hi).bit_length() - bits
-            if extra > 0:
-                lo >>= extra
-                hi = -(-hi >> extra)
-                shift -= extra
+            lo, hi, e = round_outward(num, den, bits)
             values += (lo, hi)
-            exps += (shift, shift)
+            exps += (e, e)
         return cls._on_grid(values, exps, bits)
 
     @classmethod
-    def _on_grid(cls, values: list[int], exps: list[int], bits: int
+    def _on_grid(cls, values: Sequence[int], exps: Sequence[int], bits: int
                  ) -> "DefiningSequence":
-        """The sequence whose endpoint values, hull first and two per cell,
-        are values[i] * 2^-exps[i], shifted onto the finest of those grids
-        (never coarser than the integers)."""
-        top = max(max(exps), 0)
-        ends = iter([v << (top - e) for v, e in zip(values, exps)])
+        """The sequence of the endpoints values[i] 2^-exps[i], hull first."""
+        grid, top = on_grid(values, exps)
+        ends = iter(grid)
         cells = zip(ends, ends, ends, ends)
         return cls(next(cells), tuple(cells), top, bits)
 

@@ -20,10 +20,10 @@ from typing import NamedTuple, Optional
 from .errors import (DepthBudgetExceeded, HypothesisUnsatisfiable,
                      Inconclusive, InvalidInput)
 from .cantor_metrics import DefiningSequence, Interval
-from .lambda_set import (MAX_PREFIXES, admissible, binary_expansion,
-                         psi_inverse)
-from .numerics import (DEFAULT_CONFIG, Enclosure, PrecisionConfig, exact_str,
-                       memo, round_dyadic)
+from .lambda_set import (MAX_PREFIXES, admissible, admissible_word,
+                         binary_expansion, psi_inverse)
+from .numerics import (DEFAULT_CONFIG, Enclosure, PrecisionConfig,
+                       dyadic_parts, exact_str, memo, on_grid, round_dyadic)
 from .seqcode import (EpSequence, n_index, word_at_position, word_str,
                       zero_indices)
 
@@ -224,7 +224,7 @@ class ThicknessReport(NamedTuple):
                 "tau_truncated_float": float(self.tau_truncated),
                 "per_family_minima": {k: exact_str(v) for k, v in
                                       self.per_family_minima.items()},
-                "bound_violations": list(self.bound_violations),
+                "bound_violations": [dict(v) for v in self.bound_violations],
                 "zero_index_convention": "n >= 2"}
 
 
@@ -373,16 +373,14 @@ def _draw(rng: random.Random, x: Fraction, xs: EpSequence,
           ) -> tuple[tuple[int, ...], Enclosure, Enclosure]:
     """Random word j of length in q_range whose two codings
     _codings(head + j, ends) are both admissible for the target x with
-    expansion xs; j with the two solved cells, in ascending order.
-
-    A coding that starts with w lies in [xs, 0 1^inf] only if w lies
-    between the first |w| digits of xs and 0 1^(|w|-1), so a word outside
-    them is rejected before any sequence is built."""
+    expansion xs; j with the two solved cells, in ascending order. A word
+    that starts no admissible coding is rejected before any sequence is
+    built."""
     for _ in range(400):
         q = rng.randint(*q_range)
         j = tuple(rng.randint(0, 1) for _ in range(q))
         w = head + j
-        if not xs.prefix(len(w)) <= w <= (0,) + (1,) * (len(w) - 1):
+        if not admissible_word(xs, w):
             continue
         first, second = _codings(w, ends)
         if admissible(xs, first) and admissible(xs, second):
@@ -420,9 +418,7 @@ def _switch_upper_rhs(lam3: Enclosure, lam4: Enclosure, q: int,
     so bound1 is the smaller (or equal) exactly when n1 b^(m-2) <= n2: one
     integer comparison picks it, and one Fraction is built."""
     ends = (lam3.lo, lam3.hi, lam4.lo, lam4.hi)
-    k = max(e.denominator.bit_length() for e in ends) - 1
-    a, b, c, d = (e.numerator << (k + 1 - e.denominator.bit_length())
-                  for e in ends)
+    (a, b, c, d), k = on_grid(*zip(*map(dyadic_parts, ends)))
     n1 = 2 * ((1 << k) - 2 * b) * a ** (q + 2)
     n2 = 2 * ((1 << k) - 2 * d) * c ** (m + q)
     power = b ** (m - 2)

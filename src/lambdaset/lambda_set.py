@@ -20,11 +20,11 @@ from typing import Iterable, NamedTuple
 
 from .errors import (DepthBudgetExceeded, InsufficientMembers, InvalidInput,
                      NotAdmissible, OutOfRange)
-from .ifs_core import (GUARD_BITS, Member, greedy_digits, newton_cell,
-                       pi_eval, pi_root_poly, poly_sign)
+from .ifs_core import (GUARD_BITS, newton_cell, pi_eval, pi_root_poly,
+                       poly_sign)
 from .numerics import (DEFAULT_CONFIG, Enclosure, PrecisionConfig, exact_str,
-                       memo, round_dyadic)
-from .seqcode import SEQ_01INF, EpSequence, n_index, word_at_position
+                       memo, round_outward)
+from .seqcode import SEQ_01INF, EpSequence, word_at_position, word_str
 
 __all__ = [
     "CoverInterval",
@@ -34,6 +34,7 @@ __all__ = [
     "BoxDimReport",
     "binary_expansion",
     "admissible",
+    "admissible_word",
     "block_codes",
     "psi_inverse",
     "admissible_prefixes",
@@ -67,24 +68,33 @@ def binary_expansion(x: Fraction) -> EpSequence:
     x = Fraction(x)
     if not 0 < x < HALF:
         raise OutOfRange(f"x must lie in (0, 1/2): {exact_str(x)}")
-    # A stream of a preperiod digits and then a period of p digits is an
-    # integer over 2^a (2^p - 1) < 2^(a+p), so if the run closes its period
-    # within MAX_PREFIXES digits, x's denominator is below 2^MAX_PREFIXES.
-    # A longer denominator, which every x below 2^-MAX_PREFIXES has, is
-    # refused by one comparison instead of after MAX_PREFIXES greedy steps.
-    outcome = (greedy_digits(x, HALF, max_steps=MAX_PREFIXES)
-               if x.denominator.bit_length() <= MAX_PREFIXES else None)
-    if not isinstance(outcome, Member):
-        raise DepthBudgetExceeded(
-            f"more than {MAX_PREFIXES} digits in the binary expansion of "
-            f"{exact_str(x)}")
-    return outcome.coding
+    # For x = p/q in lowest terms, q = 2^a q', step n leaves the state
+    # (p 2^n mod q) / q, whose numerator has n factors 2 while n < a; from
+    # step a on it cycles with the order of 2 modulo q' (1 if q' = 1). So a
+    # coding in budget has a + order <= MAX_PREFIXES, and q < 2^(a + order).
+    p, q = x.numerator, x.denominator
+    a = (q & -q).bit_length() - 1
+    if q.bit_length() <= MAX_PREFIXES:
+        start = r = (p << a) % q
+        for n in range(a + 1, MAX_PREFIXES + 1):
+            r = (r << 1) % q
+            if r == start:
+                digits = tuple(map(int, format((p << n) // q, f"0{n}b")))
+                return EpSequence(digits[:a], digits[a:])
+    raise DepthBudgetExceeded(
+        f"more than {MAX_PREFIXES} digits in the binary expansion of "
+        f"{exact_str(x)}")
 
 
 def admissible(xs: EpSequence, s: EpSequence) -> bool:
     """Whether s lies in the admissible window [xs, 0 1^inf] of the target
     whose base-1/2 expansion is xs."""
     return xs <= s <= SEQ_01INF
+
+
+def admissible_word(xs: EpSequence, w: tuple[int, ...]) -> bool:
+    """Whether w starts an admissible coding: xs[:|w|] <= w <= 0 1^(|w|-1)."""
+    return xs.prefix(len(w)) <= w <= (0,) + (1,) * (len(w) - 1)
 
 
 @memo
@@ -126,11 +136,10 @@ def psi_inverse(x: Fraction, s: EpSequence,
             f"{s} is outside the admissible window for {exact_str(x)}")
     # Solves s as given: representations of one sequence share an entry
     # (they share one `key`), and the first one solved is kept.
-    # Level l of the grid splits [a, 1/2] into 2^l cells [m, m + width] /
-    # 2^(n + l).
+    # Level l of the grid splits [a, 1/2], a = a_m / 2^n, into 2^l cells
+    # [m, m + width] / 2^(n + l).
     poly = pi_root_poly(s, x)
-    a = round_dyadic(x, bits, False)
-    n, a_m = a.denominator.bit_length() - 1, a.numerator
+    a_m, _, n = round_outward(x.numerator, x.denominator, bits)
     width = (1 << (n - 1)) - a_m
     # first level whose cells are no wider than 2^-width_bits:
     # width <= 2^(n + levels - width_bits)
@@ -171,24 +180,13 @@ def block_codes(xs: EpSequence, w: tuple[int, ...]
     expansion is xs: the lex-largest (smallest ratio), then the
     lex-smallest (largest ratio).
 
-    w must be an admissible word: at least the first |w| digits of xs and
-    at most 0 1^(|w|-1). Then w 1^inf never passes 0 1^inf, and w 0^inf
-    is at most xs only when w is xs's own prefix, where the high code is
-    xs itself."""
+    w must be an admissible word (admissible_word), or NotAdmissible is
+    raised. Then w 1^inf never passes 0 1^inf, and w 0^inf is at most xs
+    only when w is xs's own prefix, where the high code is xs itself."""
+    if not admissible_word(xs, w):
+        raise NotAdmissible(f"{word_str(w)} is no admissible word for {xs}")
     return (EpSequence(w, (1,)),
             xs if w == xs.prefix(len(w)) else EpSequence(w, (0,)))
-
-
-def _prefix_range(x: Fraction, depth: int) -> tuple[int, int]:
-    """Read as binary integers, the words of length `depth` that extend
-    to an admissible coding for x run from the first `depth` digits of x,
-    floor(2^depth x), up to 0 1^(depth-1)."""
-    return math.floor(x * (1 << depth)), (1 << (depth - 1)) - 1
-
-
-def _prefix_admissible(x: Fraction, bits: tuple[int, ...]) -> bool:
-    low, high = _prefix_range(x, len(bits))
-    return low <= n_index(bits) - (1 << len(bits)) <= high
 
 
 def admissible_prefixes(x: Fraction, depth: int) -> list[tuple[int, ...]]:
@@ -205,7 +203,8 @@ def admissible_prefixes(x: Fraction, depth: int) -> list[tuple[int, ...]]:
     # 1/2 - x >= 1/(2q) for x = p/q, so beyond this depth there are more
     # than 2^16 words: refuse without building 2^depth
     if depth <= x.denominator.bit_length() + 16:
-        low, high = _prefix_range(x, depth)
+        # as integers, the words run from x's first digits to 0 1^(depth-1)
+        low, high = math.floor(x * (1 << depth)), (1 << (depth - 1)) - 1
         if high - low + 1 <= MAX_PREFIXES:
             return [word_at_position((1 << depth) | m)
                     for m in range(high, low - 1, -1)]
@@ -328,11 +327,11 @@ class LipschitzReport(NamedTuple):
     violations: int
 
 
-def _random_admissible_coding(rng: random.Random, x: Fraction,
-                              xs: EpSequence, length: int) -> EpSequence:
+def _random_admissible_coding(rng: random.Random, xs: EpSequence,
+                              length: int) -> EpSequence:
     bits: tuple[int, ...] = ()
     for _ in range(length):
-        choices = [d for d in (0, 1) if _prefix_admissible(x, bits + (d,))]
+        choices = [d for d in (0, 1) if admissible_word(xs, bits + (d,))]
         bits = bits + (rng.choice(choices),)
     low, high = block_codes(xs, bits)
     return low if rng.random() < 0.5 else high
@@ -360,7 +359,7 @@ def lipschitz_check(x: Fraction, lam: Fraction, samples: int, seed: int = 0,
     attempts = 0
     while len(members) < want and attempts < 40 * want:
         attempts += 1
-        s = _random_admissible_coding(rng, x, xs, rng.randint(3, 20))
+        s = _random_admissible_coding(rng, xs, rng.randint(3, 20))
         if s in members:
             continue
         enc = psi_inverse(x, s, cfg)
@@ -446,7 +445,7 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
         if len(bits) >= MAX_DEPTH:
             raise DepthBudgetExceeded(f"prefix depth {MAX_DEPTH} reached")
         for d in (0, 1):
-            if _prefix_admissible(x, bits + (d,)):
+            if admissible_word(xs, bits + (d,)):
                 stack.append(bits + (d,))
     points = []
     for eps in eps_list:

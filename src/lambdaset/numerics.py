@@ -1,14 +1,17 @@
 """Exact rationals, certified dyadic cells, and the precision settings of
 root solving.
 
-An Enclosure is a pair [lo, hi] of exact Fractions whose denominators are
-powers of two, together with a working precision in bits: the cell a root
-solve certifies, or a rational rounded outward once by round_dyadic.
-Enclosures carry no arithmetic; callers compute with the endpoints exactly
-and round outward only the value they store. Endpoints print as exact
-decimals, and every rational a payload or an error message holds prints
-through exact_str, which also prints integers past the interpreter's
+An Enclosure is a pair [lo, hi] of dyadic Fractions with a working
+precision in bits: the cell a root solve certifies, or a rational rounded
+outward once. Enclosures carry no arithmetic; callers compute with the
+endpoints exactly and round outward only the value they store. Endpoints
+print as exact decimals, and every rational a payload or an error message
+holds prints through exact_str, also past the interpreter's
 integer-to-string digit limit.
+
+Only this module knows that endpoints are dyadic. It writes m 2^-e as the
+integer pair (m, e): round_outward rounds num/den outward, dyadic_parts
+decodes a Fraction, and on_grid shifts mantissas onto their finest grid.
 
 It also holds the registry the CLI manifest reads: `memo`, the one way to
 memoise, lists each table in MEMO_TABLES, and a module adds counters to
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 __all__ = [
     "CACHE_SIZE",
@@ -28,6 +31,9 @@ __all__ = [
     "memo",
     "parse_rational",
     "exact_str",
+    "round_outward",
+    "dyadic_parts",
+    "on_grid",
     "round_dyadic",
     "Enclosure",
     "PrecisionConfig",
@@ -103,33 +109,54 @@ def exact_str(q: int | Fraction) -> str:
     return exact_str(high) + exact_str(low).rjust(k, "0")
 
 
-def round_dyadic(q: Fraction, bits: int, up: bool) -> Fraction:
-    """Nearest dyadic rational with at most `bits` mantissa bits on the
-    safe side of q: at or above it when `up`, at or below it otherwise.
-    A dyadic q that fits is returned unchanged."""
-    num, den = q.numerator, q.denominator
+def round_outward(num: int, den: int, bits: int) -> tuple[int, int, int]:
+    """num/den (den > 0) rounded outward to `bits` significant bits: (lo,
+    hi, e) with e >= 0, lo 2^-e the largest such value <= num/den and hi
+    2^-e the smallest >= it. One division gives both ends; they drop the
+    `extra` bits of the end nearer zero, which the farther end, at most
+    one bit longer and then a power of two, also drops exactly."""
     shift = max(bits + den.bit_length() - abs(num).bit_length() + 2, 0)
-    scaled = num << shift
-    mant = -((-scaled) // den) if up else scaled // den
-    # round the mantissa itself to `bits` bits, toward the same side
-    extra = abs(mant).bit_length() - bits
+    lo, rem = divmod(num << shift, den)
+    hi = lo + 1 if rem else lo
+    extra = (lo if lo > 0 else -hi).bit_length() - bits
     if extra > 0:
-        mant = -((-mant) >> extra) if up else mant >> extra
-        shift -= extra
-    return Fraction(mant << -shift) if shift < 0 else Fraction(mant, 1 << shift)
+        lo, hi, shift = lo >> extra, -(-hi >> extra), shift - extra
+        if shift < 0:            # ends of 2^bits or more are integers
+            lo, hi, shift = lo << -shift, hi << -shift, 0
+    return lo, hi, shift
+
+
+def dyadic_parts(q: Fraction) -> tuple[int, int]:
+    """(m, e) with q = m 2^-e and e >= 0 least, or ValueError."""
+    den = q.denominator
+    if den & (den - 1):
+        raise ValueError(f"not a dyadic rational: {exact_str(q)}")
+    return q.numerator, den.bit_length() - 1
+
+
+def on_grid(values: Sequence[int], exps: Sequence[int]
+            ) -> tuple[list[int], int]:
+    """The values[i] 2^-exps[i] as multiples of 2^-top, top the finest of
+    the exponents and at least 0: (multiples, top)."""
+    top = max(0, max(exps))
+    return [v << (top - e) for v, e in zip(values, exps)], top
+
+
+def round_dyadic(q: Fraction, bits: int, up: bool) -> Fraction:
+    """The end of q's outward-rounded cell on the safe side: at or above q
+    when `up`, at or below it otherwise."""
+    lo, hi, e = round_outward(q.numerator, q.denominator, bits)
+    return Fraction(hi if up else lo, 1 << e)
 
 
 def _decimal(q: Fraction) -> str:
     """Exact decimal string of a dyadic rational."""
-    den = q.denominator
-    if den & (den - 1):
-        raise ValueError(f"not a dyadic rational: {exact_str(q)}")
-    k = den.bit_length() - 1
+    m, k = dyadic_parts(q)
     if k == 0:
-        return exact_str(q.numerator)
-    sign = "-" if q < 0 else ""
-    # the numerator is odd, so the digits of num * 5^k end in 5
-    digits = exact_str(abs(q.numerator) * 5 ** k).rjust(k + 1, "0")
+        return exact_str(m)
+    sign = "-" if m < 0 else ""
+    # m is odd, so the digits of m * 5^k end in 5
+    digits = exact_str(abs(m) * 5 ** k).rjust(k + 1, "0")
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
 
 
@@ -165,8 +192,8 @@ class Enclosure:
 
     @classmethod
     def from_fraction(cls, q: Fraction, bits: int) -> "Enclosure":
-        return cls(round_dyadic(q, bits, False), round_dyadic(q, bits, True),
-                   bits)
+        lo, hi, e = round_outward(q.numerator, q.denominator, bits)
+        return cls(Fraction(lo, 1 << e), Fraction(hi, 1 << e), bits)
 
     def width(self) -> Fraction:
         return self.hi - self.lo

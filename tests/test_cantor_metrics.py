@@ -188,13 +188,33 @@ def test_non_dyadic_endpoint_is_refused():
 @example((1 << 200) + 1, 3, 1, 32)
 @example(0, 7, 5, 32)
 def test_grid_cells_are_round_dyadic_cells(num, den, k, bits):
-    """An endpoint `p/q` of a gap file lands on the cell that round_dyadic
-    gives p/q, in lower terms or not, and an integer on its own cell."""
+    """An endpoint `p/q` of a gap file lands on the cell the rounding
+    contract names for p/q, in lower terms or not, and an integer on its
+    own cell; round_dyadic and Enclosure.from_fraction give those ends."""
     ds = DefiningSequence.parse([f"{num * k}/{den * k}", num], [], bits)
     [cells] = ds.intervals()
     for cell, q in zip(cells, (F(num, den), F(num))):
-        assert (cell.lo, cell.hi) == (round_dyadic(q, bits, False),
-                                      round_dyadic(q, bits, True))
+        expected = _outward(q, bits)
+        assert (cell.lo, cell.hi) == expected
+        assert (round_dyadic(q, bits, False),
+                round_dyadic(q, bits, True)) == expected
+        enclosure = Enclosure.from_fraction(q, bits)
+        assert (enclosure.lo, enclosure.hi) == expected
+
+
+def _outward(q: F, bits: int) -> tuple[F, F]:
+    """The largest value at or below q and the smallest at or above it
+    that have at most `bits` significant bits; 0 rounds to itself."""
+    if q <= 0:
+        lo, hi = _outward(-q, bits) if q else (q, q)
+        return -hi, -lo
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    if F(2) ** e > q:
+        e -= 1
+    # 2^e <= q < 2^(e+1), and the values in [2^e, 2^(e+1)] with at most
+    # `bits` significant bits are the multiples of 2^(e+1-bits) there
+    unit = F(2) ** (e + 1 - bits)
+    return math.floor(q / unit) * unit, math.ceil(q / unit) * unit
 
 
 # endpoints a gap file may hold that are no rational, or that only

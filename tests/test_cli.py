@@ -514,6 +514,14 @@ def test_error_messages_print_rationals_past_the_digit_limit(capsys, argv,
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
+def test_expansion_of_a_tiny_target_is_refused_at_once(capsys):
+    """10^-4300 has a denominator of fewer than 16384 bits, but 2 has a
+    huge order modulo 5^4300: the refusal takes no greedy run."""
+    started = time.perf_counter()
+    assert run(capsys, "expansion", "--x", "1e-4300")[0] == 1
+    assert time.perf_counter() - started < 0.3
+
+
 # every command whose --x/--targets is a ratio-set target: (argv, target
 # at or below 1/2, its mirror image above 1/2)
 MIRROR_RUNS = [

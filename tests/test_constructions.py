@@ -272,10 +272,11 @@ def test_warm_report_is_one_lookup(cfg):
 
 def test_reports_share_no_mutable_record(cfg, monkeypatch, request):
     """Changing a report's minima dict or one of its violation dicts
-    leaves the next report of the same truncation unchanged. Bounds above
-    every ratio give the report violations; the memo tables are cleared
-    before and after, so the values are computed with these bounds and no
-    other test reads them."""
+    leaves the next report of the same truncation unchanged, and changing
+    a violation in a report's payload leaves the report's next payload
+    unchanged. Bounds above every ratio give the report violations; the
+    memo tables are cleared before and after, so the values are computed
+    with these bounds and no other test reads them."""
     _clear_memo_tables()
     request.addfinalizer(_clear_memo_tables)
     monkeypatch.setattr(constructions, "_family_bounds",
@@ -284,6 +285,8 @@ def test_reports_share_no_mutable_record(cfg, monkeypatch, request):
     report = thickness_Cl(*target, cfg)
     expected = json.dumps(report.to_json())
     assert report.bound_violations
+    report.to_json()["bound_violations"][0]["ratio"] = "0"
+    assert json.dumps(report.to_json()) == expected
     report.per_family_minima["bridge_F"] = F(0)
     del report.per_family_minima["bridge_half"]
     report.bound_violations[0]["ratio"] = "0"

@@ -10,8 +10,8 @@ from lambdaset.errors import (DepthBudgetExceeded, InsufficientMembers,
                               InvalidInput, NotAdmissible, OutOfRange)
 from lambdaset.ifs_core import membership, pi_eval, pi_root_poly
 from lambdaset.lambda_set import (admissible, admissible_prefixes,
-                                  binary_expansion, block_codes,
-                                  box_dim_estimate, cover, gaps,
+                                  admissible_word, binary_expansion,
+                                  block_codes, box_dim_estimate, cover, gaps,
                                   lipschitz_check, psi_inverse)
 from lambdaset.numerics import PrecisionConfig, round_dyadic
 from lambdaset.seqcode import SEQ_01INF, EpSequence, word_str, zero_indices
@@ -35,13 +35,8 @@ def test_binary_expansion_examples():
 def test_expansion_refuses_long_denominators_before_the_run(monkeypatch):
     """A stream that closes its period within MAX_PREFIXES digits is an
     integer over less than 2^MAX_PREFIXES, so a longer denominator is
-    refused before any greedy step, with the message the run would end
-    in; a denominator of MAX_PREFIXES bits runs as before."""
-    runs = []
-    greedy = lambda_set.greedy_digits
-    monkeypatch.setattr(lambda_set, "greedy_digits",
-                        lambda *args, **kw: runs.append(args[0])
-                        or greedy(*args, **kw))
+    refused with the message the run would end in; a shorter one is
+    refused when 2 has too large an order modulo its odd part."""
     monkeypatch.setattr(lambda_set, "MAX_PREFIXES", 40)
     # the memo table is bypassed, so it keeps no entry made at this budget
     expand = binary_expansion.__wrapped__
@@ -51,13 +46,36 @@ def test_expansion_refuses_long_denominators_before_the_run(monkeypatch):
             expand(x)
         assert str(err.value) == (
             f"more than 40 digits in the binary expansion of {x}")
-    assert runs == []
     # 2^-39: 39 digits and then the period 0, within the budget
     assert expand(F(1, 1 << 39)) == EpSequence((0,) * 38 + (1,), (0,))
-    # 2^39 + 1 has 40 bits, but 2 has order 78 modulo it: the run refuses
+    # 2^39 + 1 has 40 bits, but 2 has order 78 modulo it: refused
     with pytest.raises(DepthBudgetExceeded, match="more than 40 digits"):
         expand(F(1, (1 << 39) + 1))
-    assert runs == [F(1, 1 << 39), F(1, (1 << 39) + 1)]
+
+
+@pytest.mark.parametrize("a", [0, 1, 2, 7000, 16381])
+def test_expansion_budget_is_preperiod_plus_period(a):
+    """1/(2^a (2^p - 1)) has a preperiod of a digits and a period of p: it
+    is expanded when a + p = MAX_PREFIXES and refused at one more digit."""
+    expand = binary_expansion.__wrapped__
+    p = lambda_set.MAX_PREFIXES - a
+    s = expand(F(1, ((1 << p) - 1) << a))
+    assert (len(s.preperiod), len(s.period)) == (a, p)
+    assert s.period[-1] == 1 and 1 not in s.preperiod + s.period[:-1]
+    with pytest.raises(DepthBudgetExceeded, match="more than 16384 digits"):
+        expand(F(1, ((1 << (p + 1)) - 1) << a))
+
+
+@settings(deadline=None)
+@given(st.integers(3, 3000).flatmap(
+    lambda q: st.tuples(st.integers(1, (q - 1) // 2), st.just(q))))
+def test_expansion_is_the_greedy_orbit(pq):
+    """The expansion read by long division is the coding greedy_digits
+    finds at 1/2, with the same preperiod and period as printed."""
+    x = F(*pq)
+    greedy = ifs_core.greedy_digits(x, F(1, 2), lambda_set.MAX_PREFIXES)
+    assert str(binary_expansion(x)) == str(greedy.coding)
+    assert binary_expansion(x).preperiod == greedy.coding.preperiod
 
 
 def test_expansion_properties():
@@ -224,6 +242,10 @@ def test_block_codes_bound_each_prefix_block():
     assert block_codes(xs, (0, 1, 1)) == (S("011(1)"), S("011(0)"))
     assert block_codes(xs, (0, 1, 0)) == (S("010(1)"), S("01(0)"))
     assert not admissible(xs, S("00(1)")) and not admissible(xs, S("1(0)"))
+    # a word outside [first |w| digits of xs, 0 1^(|w|-1)] has no codes
+    for word in ((0, 0, 1), (1,), (1, 0, 0)):
+        with pytest.raises(NotAdmissible, match="no admissible word"):
+            block_codes(xs, word)
     targets = {F(p, q) for q in range(3, 41) for p in range(1, (q + 1) // 2)}
     for x in targets:
         xs = binary_expansion(x)
@@ -262,8 +284,8 @@ def test_admissible_prefixes_match_brute_force():
                     admissible(xs, EpSequence(w + s.preperiod, s.period))
                     for s in (S("(0)"), S("(1)"), EpSequence(tail, xs.period)))]
                 assert admissible_prefixes(x, d) == expected
-                assert [w for w in words if lambda_set._prefix_admissible(
-                    x, w)] == expected
+                assert [w for w in words
+                        if admissible_word(xs, w)] == expected
 
 
 def test_cover_examples(cfg):

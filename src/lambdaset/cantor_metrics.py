@@ -84,7 +84,7 @@ class DefiningSequence(NamedTuple):
                        bits: int = DEFAULT_CONFIG.precision_bits
                        ) -> "DefiningSequence":
         """The sequence of these rationals, each endpoint rounded outward
-        to `bits` significant bits as round_dyadic rounds it."""
+        to `bits` significant bits as Enclosure.from_fraction rounds it."""
         return cls._rounded((Fraction(q).as_integer_ratio()
                              for q in chain(hull, *removals)), bits)
 

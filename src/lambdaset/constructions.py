@@ -23,7 +23,7 @@ from .cantor_metrics import DefiningSequence, Interval
 from .lambda_set import (MAX_PREFIXES, admissible, admissible_word,
                          binary_expansion, psi_inverse)
 from .numerics import (DEFAULT_CONFIG, Enclosure, PrecisionConfig,
-                       dyadic_parts, exact_str, memo, on_grid, round_dyadic)
+                       dyadic_parts, exact_str, memo, on_grid)
 from .seqcode import (EpSequence, n_index, word_at_position, word_str,
                       zero_indices)
 
@@ -515,7 +515,7 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
         a_hi = piece.alpha_next.hi
         res_lo = (HALF - a_hi) ** 2 - a_hi ** piece.n_k
         res_hi = (HALF - a_lo) ** 2 - a_lo ** piece.n_k
-        magnitude = round_dyadic(max(-res_lo, res_hi), bits, True)
+        magnitude = Enclosure.from_fraction(max(-res_lo, res_hi), bits).hi
         entries.append(LedgerEntry(
             "square_identity", {"k": k, "n_k": piece.n_k},
             exact_str(magnitude), exact_str(residual_cap),

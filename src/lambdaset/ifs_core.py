@@ -3,12 +3,13 @@ the integer polynomial whose signs and Newton steps locate its roots in the
 ratio, and the greedy digit algorithm used as an exact membership test for
 rational inputs.
 
-Signs and Newton steps run Horner's rule in fixed point, with a stated
-number of fraction bits, so their cost follows the precision asked for and
-not the polynomial's exact value at a deep dyadic point, an integer of
-about k * deg bits. A sign the fixed-point pass cannot decide falls back to
-exact_sign, the one exact evaluation. A Newton step is only a guess, so it
-has no fallback.
+root_cell is the one root solver: it finds the cell of a dyadic grid that
+holds the root. Its signs and Newton steps run Horner's rule in fixed
+point, with a stated number of fraction bits, so their cost follows the
+precision asked for and not the polynomial's exact value at a deep dyadic
+point, an integer of about k * deg bits. A sign the fixed-point pass cannot
+decide falls back to exact_sign, the one exact evaluation. A Newton step is
+only a guess, so it has no fallback.
 """
 
 from __future__ import annotations
@@ -28,11 +29,9 @@ __all__ = [
     "GreedyOutcome",
     "pi_eval",
     "pi_root_poly",
-    "GUARD_BITS",
     "WORK",
     "exact_sign",
-    "poly_sign",
-    "newton_cell",
+    "root_cell",
     "greedy_digits",
     "membership",
 ]
@@ -114,15 +113,15 @@ WORK = COUNTERS["root_solver"] = {"signs": 0, "newton_steps": 0,
                                   "exact_fallbacks": 0}
 
 # Fraction bits that poly_sign and newton_cell keep beyond the level of the
-# grid they probe: a root solve asks for signs and steps at level k with k +
+# grid they probe: root_cell asks for signs and steps at level k with k +
 # GUARD_BITS bits. The pass errs by less than len(coeffs) units of its last
 # bit whatever the guard (see poly_sign), so the guard never makes a sign
 # wrong; it sets how often the exact fallback runs. Near a simple root r,
 # |R(lam)| is about |R'(r)| |lam - r|, so a sign is left undecided only at a
-# probe within about len(coeffs) 2^-(k + 64) / |R'(r)| of r, while the
-# grid's cells are 2^-k (1/2 - a) wide. On the seed-1 session-ledger
-# benchmark run, 3 of 3332 signs fell back: two at an end of [a, 1/2]
-# within 2^-128 of the root, and one at a root on the grid.
+# probe within about len(coeffs) 2^-(k + 64) / |R'(r)| of r, a root on the
+# grid included, while the grid's cells are 2^-k wide. In the first 200
+# calls of the seed-1 session-ledger benchmark, none of 1666 signs fell
+# back.
 GUARD_BITS = 64
 
 
@@ -180,6 +179,53 @@ def newton_cell(coeffs: tuple[int, ...], m: int, k: int, base: int,
     if not slope:
         return (m - base) // width
     return ((m - base) * slope - (acc << k)) // (slope * width)
+
+
+def root_cell(coeffs: tuple[int, ...], a_m: int, n: int, width_bits: int
+              ) -> tuple[int, int, int]:
+    """The cell [lo, hi] * 2^-k of the midpoint-bisection grid of [a, 1/2],
+    a = a_m 2^-n < 1/2, that holds the polynomial's root, at the first
+    level whose cells are no wider than 2^-width_bits: (lo, hi, k), with
+    lo == hi when the root is a grid point up to that level.
+
+    The caller guarantees R(a) < 0 < R(1/2), so no sign is computed at
+    either end. The solve keeps a bracket of final-level cells whose end
+    signs are certified. Each round runs a Newton chain from the bracket's
+    midpoint, doubling its precision up to the final level and clamping
+    every guess into the bracket; the chain is not certified. Two signs
+    then test the cell it lands in, and one bisection sign halves what is
+    left. A wrong guess costs a round, never a different cell, and a solve
+    ends within `levels + 1` rounds. Signs are poly_sign's: fixed point
+    with an exact fallback, so every cell is decided exactly and the answer
+    does not depend on how it was found.
+    """
+    # Level l of the grid splits [a, 1/2] into 2^l cells [m, m + width] /
+    # 2^(n + l); the first level no wider than 2^-width_bits has
+    # width <= 2^(n + levels - width_bits).
+    width = (1 << (n - 1)) - a_m
+    levels = max(0, (width - 1).bit_length() + width_bits - n)
+    # The bracket is final-level cells lo..hi-1, whose points are
+    # (base + j width) / 2^k: R < 0 at j = lo and R > 0 at j = hi.
+    k, base = n + levels, a_m << levels
+    lo, hi = 0, 1 << levels
+    while hi - lo > 1:
+        j, aim = (lo + hi) // 2, levels - (hi - lo).bit_length()
+        while aim < levels:
+            aim = min(levels, max(1, 2 * aim))
+            j = newton_cell(coeffs, base + j * width, k, base, width,
+                            aim + GUARD_BITS)
+            j = min(max(j, lo), hi - 1)
+        # two signs test the landing cell, and one halves what is left
+        for p in (j, j + 1, None):
+            if p is None:
+                p = (lo + hi) // 2
+            if lo < p < hi:
+                m = base + p * width
+                sign = poly_sign(coeffs, m, k, levels + GUARD_BITS)
+                if sign == 0:
+                    return m, m, k
+                lo, hi = (lo, p) if sign > 0 else (p, hi)
+    return base + lo * width, base + hi * width, k
 
 
 def greedy_digits(x: Fraction, lam: Fraction, max_steps: int = 256) -> GreedyOutcome:

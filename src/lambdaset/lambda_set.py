@@ -5,9 +5,8 @@ box-counting dimension estimation.
 For x in (0, 1/2) the valid ratios form a Cantor set between x and 1/2. Its
 codings are exactly the sequences between the base-1/2 expansion of x and
 0 1^inf, and the map from codings to ratios is a decreasing homeomorphism,
-realized here by Newton guesses on a dyadic grid whose cells are certified
-by signs of the coding map minus x: fixed-point signs, with an exact
-fallback wherever the fixed point cannot decide.
+realized here by ifs_core.root_cell: Newton guesses on a dyadic grid whose
+cells are certified by signs of the coding map minus x.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import (DepthBudgetExceeded, InsufficientMembers, InvalidInput,
                      NotAdmissible, OutOfRange)
-from .ifs_core import (GUARD_BITS, newton_cell, pi_eval, pi_root_poly,
-                       poly_sign)
+from .ifs_core import pi_eval, pi_root_poly, root_cell
 from .numerics import (DEFAULT_CONFIG, Enclosure, PrecisionConfig, exact_str,
                        memo, round_outward)
 from .seqcode import SEQ_01INF, EpSequence, word_at_position, word_str
@@ -105,23 +103,16 @@ def psi_inverse(x: Fraction, s: EpSequence,
     Requires s to be admissible for x, i.e. between the base-1/2 expansion
     xs of x and 0 1^inf; the root then lies in [a, 1/2], a being x rounded
     down to `precision_bits`, where lam -> pi_eval(s, lam) is strictly
-    increasing. The result is the cell of the midpoint-bisection grid of
-    [a, 1/2] that holds the root, at the first level no wider than
-    2^-width_bits, or the exact point when the root is a grid point up to
-    that level. For s = xs that point is 1/2, with no sign computed: pi(xs,
-    1/2) = x defines the expansion.
+    increasing. The result is root_cell's cell of its grid on [a, 1/2],
+    no wider than 2^-width_bits, or a point.
 
-    The solve keeps a bracket of final-level cells whose end signs are
-    certified. The sign at the end 1/2 is admissibility's, not computed: xs
-    is the lexicographically largest expansion of x, so pi(s, 1/2) > x for
-    every admissible s other than xs. Each round runs a Newton chain from
-    the bracket's midpoint, doubling its precision up to the final level
-    and clamping every guess into the bracket; the chain is not certified.
-    Two signs then test the cell it lands in, and one bisection sign halves
-    what is left. A wrong guess costs a round, never a different cell, and
-    a solve ends within `levels + 1` rounds. Signs are poly_sign's: fixed
-    point with an exact fallback, so every cell is decided exactly and the
-    answer does not depend on how it was found.
+    Admissibility gives the signs of pi(s, lam) - x at both ends, so none
+    is computed. At 1/2: xs is the lexicographically largest expansion of
+    x, so pi(s, 1/2) > x for every admissible s other than xs, and pi(xs,
+    1/2) = x makes the point 1/2 the answer for s = xs. At a: every
+    admissible s starts with 0, so pi(s, a) <= a <= x, with equality only
+    for s = 0 1^inf, whose coding map is lam -> lam, when x is a itself;
+    the answer is then the point x.
 
     Memoised, with the admissibility check inside the cached body, so a hit
     skips it.
@@ -134,44 +125,13 @@ def psi_inverse(x: Fraction, s: EpSequence,
     if not admissible(xs, s):
         raise NotAdmissible(
             f"{s} is outside the admissible window for {exact_str(x)}")
+    a_m, a_hi, n = round_outward(x.numerator, x.denominator, bits)
+    if s == SEQ_01INF and a_m == a_hi:
+        return Enclosure.point(x, bits)
     # Solves s as given: representations of one sequence share an entry
     # (they share one `key`), and the first one solved is kept.
-    # Level l of the grid splits [a, 1/2], a = a_m / 2^n, into 2^l cells
-    # [m, m + width] / 2^(n + l).
-    poly = pi_root_poly(s, x)
-    a_m, _, n = round_outward(x.numerator, x.denominator, bits)
-    width = (1 << (n - 1)) - a_m
-    # first level whose cells are no wider than 2^-width_bits:
-    # width <= 2^(n + levels - width_bits)
-    levels = max(0, (width - 1).bit_length() + cfg.width_bits - n)
-    sign_lo = poly_sign(poly, a_m, n, GUARD_BITS)
-    if sign_lo > 0:
-        raise AssertionError(f"[x, 1/2] does not bracket the root of {s}")
-    if sign_lo == 0:
-        return Enclosure.point(Fraction(a_m, 1 << n), bits)
-    # The bracket is final-level cells lo..hi-1, whose points are
-    # (base + j width) / 2^k: R < 0 at j = lo and R > 0 at j = hi.
-    k, base = n + levels, a_m << levels
-    lo, hi = 0, 1 << levels
-    while hi - lo > 1:
-        j, aim = (lo + hi) // 2, levels - (hi - lo).bit_length()
-        while aim < levels:
-            aim = min(levels, max(1, 2 * aim))
-            j = newton_cell(poly, base + j * width, k, base, width,
-                            aim + GUARD_BITS)
-            j = min(max(j, lo), hi - 1)
-        # two signs test the landing cell, and one halves what is left
-        for p in (j, j + 1, None):
-            if p is None:
-                p = (lo + hi) // 2
-            if lo < p < hi:
-                m = base + p * width
-                sign = poly_sign(poly, m, k, levels + GUARD_BITS)
-                if sign == 0:
-                    return Enclosure.point(Fraction(m, 1 << k), bits)
-                lo, hi = (lo, p) if sign > 0 else (p, hi)
-    return Enclosure(Fraction(base + lo * width, 1 << k),
-                     Fraction(base + hi * width, 1 << k), bits)
+    lo, hi, k = root_cell(pi_root_poly(s, x), a_m, n, cfg.width_bits)
+    return Enclosure(Fraction(lo, 1 << k), Fraction(hi, 1 << k), bits)
 
 
 def block_codes(xs: EpSequence, w: tuple[int, ...]
@@ -244,9 +204,6 @@ class IntervalCover(NamedTuple):
 
     def covers(self, lam: Fraction) -> bool:
         return any(iv.covers(lam) for iv in self.intervals)
-
-    def total_length(self) -> Fraction:
-        return sum(iv.hi.hi - iv.lo.lo for iv in self.intervals)
 
     def to_json(self) -> dict:
         return {

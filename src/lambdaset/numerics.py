@@ -34,7 +34,6 @@ __all__ = [
     "round_outward",
     "dyadic_parts",
     "on_grid",
-    "round_dyadic",
     "Enclosure",
     "PrecisionConfig",
     "DEFAULT_CONFIG",
@@ -112,10 +111,12 @@ def exact_str(q: int | Fraction) -> str:
 def round_outward(num: int, den: int, bits: int) -> tuple[int, int, int]:
     """num/den (den > 0) rounded outward to `bits` significant bits: (lo,
     hi, e) with e >= 0, lo 2^-e the largest such value <= num/den and hi
-    2^-e the smallest >= it. One division gives both ends; they drop the
-    `extra` bits of the end nearer zero, which the farther end, at most
-    one bit longer and then a power of two, also drops exactly."""
-    shift = max(bits + den.bit_length() - abs(num).bit_length() + 2, 0)
+    2^-e the smallest >= it. One division gives both ends. For num != 0,
+    |num| 2^shift / den lies in (2^(bits - 1), 2^(bits + 1)) unless shift
+    is held at 0, so the end nearer zero has `extra` = 0 or 1 bits past
+    `bits`. Both ends drop them: the farther end, at most one bit longer
+    and then a power of two, drops them exactly."""
+    shift = max(bits + den.bit_length() - abs(num).bit_length(), 0)
     lo, rem = divmod(num << shift, den)
     hi = lo + 1 if rem else lo
     extra = (lo if lo > 0 else -hi).bit_length() - bits
@@ -140,13 +141,6 @@ def on_grid(values: Sequence[int], exps: Sequence[int]
     the exponents and at least 0: (multiples, top)."""
     top = max(0, max(exps))
     return [v << (top - e) for v, e in zip(values, exps)], top
-
-
-def round_dyadic(q: Fraction, bits: int, up: bool) -> Fraction:
-    """The end of q's outward-rounded cell on the safe side: at or above q
-    when `up`, at or below it otherwise."""
-    lo, hi, e = round_outward(q.numerator, q.denominator, bits)
-    return Fraction(hi if up else lo, 1 << e)
 
 
 def _decimal(q: Fraction) -> str:
@@ -203,9 +197,6 @@ class Enclosure:
 
     def contains(self, q: Fraction) -> bool:
         return self.lo <= q <= self.hi
-
-    def overlaps(self, other: "Enclosure") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
     def __repr__(self):
         return f"Enclosure[{_decimal(self.lo)}, {_decimal(self.hi)}]@{self.bits}"

@@ -15,8 +15,7 @@ from lambdaset.cantor_metrics import (DefiningSequence, newhouse_lower,
 from lambdaset.cli import main
 from lambdaset.errors import (InvalidInput, MalformedSequence,
                               NonpositiveThickness)
-from lambdaset.numerics import (Enclosure, exact_str, parse_rational,
-                                round_dyadic)
+from lambdaset.numerics import Enclosure, exact_str, parse_rational
 
 F = Fraction
 TOL = F(1, 1 << 40)
@@ -187,17 +186,17 @@ def test_non_dyadic_endpoint_is_refused():
 @example((1 << 130) - 1, 1 << 130, 3, 128)
 @example((1 << 200) + 1, 3, 1, 32)
 @example(0, 7, 5, 32)
+# the scaled quotient 2^33 / 3 has 32 bits already: no bit is dropped
+@example(1, 3, 1, 32)
 def test_grid_cells_are_round_dyadic_cells(num, den, k, bits):
     """An endpoint `p/q` of a gap file lands on the cell the rounding
     contract names for p/q, in lower terms or not, and an integer on its
-    own cell; round_dyadic and Enclosure.from_fraction give those ends."""
+    own cell; Enclosure.from_fraction gives those ends."""
     ds = DefiningSequence.parse([f"{num * k}/{den * k}", num], [], bits)
     [cells] = ds.intervals()
     for cell, q in zip(cells, (F(num, den), F(num))):
         expected = _outward(q, bits)
         assert (cell.lo, cell.hi) == expected
-        assert (round_dyadic(q, bits, False),
-                round_dyadic(q, bits, True)) == expected
         enclosure = Enclosure.from_fraction(q, bits)
         assert (enclosure.lo, enclosure.hi) == expected
 
@@ -277,7 +276,7 @@ def gap_documents(draw):
 
 def reference_cli(doc: dict, bits: int) -> tuple[int, str]:
     """What `thickness --gaps` answers for doc, from the definitions: every
-    endpoint through parse_rational, then round_dyadic both ways, then the
+    endpoint through parse_rational, then Enclosure.from_fraction, then the
     linear Fraction replay. (0, the exact thickness) or (1, the error
     line)."""
     try:
@@ -285,8 +284,7 @@ def reference_cli(doc: dict, bits: int) -> tuple[int, str]:
                   for v in chain(doc["hull"], *doc["gaps"])]
     except ValueError as exc:
         return 1, f"error: {exc}"
-    cells = [Enclosure(round_dyadic(q, bits, False),
-                       round_dyadic(q, bits, True), bits) for q in values]
+    cells = [Enclosure.from_fraction(q, bits) for q in values]
     hull, *removals = zip(cells[::2], cells[1::2])
     try:
         return 0, exact_str(reference_thickness(hull, removals))

@@ -176,9 +176,12 @@ def _cold_solver_work(capsys, *argv):
 
 def test_manifest_counts_the_root_solvers_work(capsys, monkeypatch):
     """Signs, Newton steps and exact fallbacks repeat exactly for one argv,
-    and the fallbacks are the exact evaluations the run made."""
+    and the fallbacks are the exact evaluations the run made: here one, at
+    the root of 0 1^inf, x = 2^-2 + 2^-42, a point of the level-40 grid of
+    [1/4, 1/2] since x rounds down to 1/4 at 32 bits."""
     from lambdaset import ifs_core
-    argv = ("cover", "--x", "1/3", "--depth", "6")
+    argv = ("cover", "--x", "1099511627777/4398046511104", "--depth", "4",
+            "--bits", "32", "--width-bits", "60")
     first = _cold_solver_work(capsys, *argv)
     assert first == _cold_solver_work(capsys, *argv)
     assert first["signs"] > 0 and first["newton_steps"] > 0
@@ -254,8 +257,8 @@ def test_prefix_budget_ends_deep_covers(capsys):
                            "k_max=20000, q_max=1\n")
 
 
-# stdout digests of runs that list a tail construction, solve gap records
-# or search common ratios
+# stdout digests of runs that list a tail construction, solve gap records,
+# search common ratios or solve covers
 PINNED_STDOUT = [
     (["cantor-ds", "--x", "1/3", "--ell", "2", "--kmax", "4", "--qmax", "2"],
      "f505a2792a94462d6069166738dc21176d75a70ac7e6cb7040bb07dc4f5c998d"),
@@ -291,6 +294,17 @@ PINNED_STDOUT = [
     # period 2052
     (["expansion", "--x", "1/2053"],
      "7d5ad63ad86e85dd838d07a856af9001a38395552ce98998ebd59558406c65f2"),
+    # covers and gaps of dyadic targets, where 0 1^inf has the exact root x,
+    # and the pieces and intersections they are built into
+    (["cover", "--x", "1/4", "--depth", "6"],
+     "660e6f1bf08241a902a2997ccd03f238396aac760f92fbcbcefadb9e0f2da962"),
+    (["gaps", "--x", "5/16", "--depth", "7", "--bits", "64",
+      "--width-bits", "40"],
+     "bd9414a89498d4f193075155669bb639f1ace3346f536036b2fa3330b164723f"),
+    (["pieces", "--x", "1/3", "--k", "5"],
+     "6f9b50c004a1a76c715c7f843cae3d842eaec5008253463ba6b88a63020e497a"),
+    (["intersect", "--targets", "1/4,5/16", "--depth", "6"],
+     "077a0d46b94281d7d63e2eadca60c2a1c52337be0b49a62124013d879aad04e3"),
 ]
 
 

@@ -23,6 +23,10 @@ BETA1_QUARTER = F("0.269594436405444558262937951349")
 ALPHA2_QUARTER = F("0.319448459735676311182676718920")
 
 
+def overlap(a: Enclosure, b: Enclosure) -> bool:
+    return a.lo <= b.hi and b.lo <= a.hi
+
+
 def test_first_switch_index():
     assert first_switch_index(F(1, 3)) == 4
     assert first_switch_index(F(1, 5)) == 3
@@ -44,7 +48,7 @@ def test_piece_endpoints_quarter(cfg):
     assert abs(p1.alpha_next.mid_fraction() - ALPHA2_QUARTER) < F(1, 10 ** 24)
     p2 = piece_endpoints(F(1, 4), 2, cfg)
     assert p2.n_k == 4
-    assert p1.alpha_next.overlaps(p2.alpha)
+    assert overlap(p1.alpha_next, p2.alpha)
 
 
 def test_pieces_separated_and_increasing(cfg):
@@ -57,7 +61,7 @@ def test_pieces_separated_and_increasing(cfg):
             if last_alpha is not None:
                 assert p.alpha.lo > last_alpha.hi     # min of pieces increases
             last_alpha = p.alpha
-            assert piece_endpoints(x, k + 1, cfg).alpha.overlaps(p.alpha_next)
+            assert overlap(piece_endpoints(x, k + 1, cfg).alpha, p.alpha_next)
 
 
 def test_gap_record_first_gap(cfg):
@@ -87,8 +91,8 @@ def test_defining_sequence_Cl_structure(cfg):
     # first removal is the inter-piece gap, second is the piece's first gap
     assert repr(removals[0]) == repr((piece.beta, piece.alpha_next))
     first_gap = gap_record(piece, (), cfg)
-    assert removals[1][0].overlaps(first_gap.gap[0])
-    assert removals[1][1].overlaps(first_gap.gap[1])
+    assert overlap(removals[1][0], first_gap.gap[0])
+    assert overlap(removals[1][1], first_gap.gap[1])
     assert hull[1].contains(F(1, 2))
     # count: k_max inter-piece gaps plus k_max * (2^(q_max+1) - 1) piece gaps
     assert len(ds.removals) == 5 + 5 * 15

@@ -13,7 +13,7 @@ from lambdaset.lambda_set import (admissible, admissible_prefixes,
                                   admissible_word, binary_expansion,
                                   block_codes, box_dim_estimate, cover, gaps,
                                   lipschitz_check, psi_inverse)
-from lambdaset.numerics import PrecisionConfig, round_dyadic
+from lambdaset.numerics import Enclosure, PrecisionConfig, round_outward
 from lambdaset.seqcode import SEQ_01INF, EpSequence, word_str, zero_indices
 
 F = Fraction
@@ -103,7 +103,7 @@ def grid_oracle(s, x, cfg):
     """Plain bisection in exact Fractions on the solver's grid: the halving
     of [x rounded down, 1/2] until cells are at most 2^-width_bits wide, and
     a point wherever the coding map meets x exactly."""
-    lo = round_dyadic(x, cfg.precision_bits, False)
+    lo = Enclosure.from_fraction(x, cfg.precision_bits).lo
     hi = F(1, 2)
     for end in (lo, hi):
         if pi_eval(s, end) == x:
@@ -133,6 +133,10 @@ def targets_and_codings(draw):
        st.sampled_from([0, 1, 3, 16, 40, 80, 200, 400]))
 @example(case=(F(1, 4), S("011(0)")), bits=32, width_bits=16)
 @example(case=(F(3, 8), S("0111(0)")), bits=64, width_bits=3)
+# pi(0 1^inf, lam) = lam: the root x is the grid's low end when x is exact
+# at `bits`, and inside its first cell otherwise
+@example(case=(F(1, 4), S("0(1)")), bits=32, width_bits=40)
+@example(case=(F(1, 3), S("0(1)")), bits=32, width_bits=40)
 def test_psi_inverse_matches_fraction_oracle(case, bits, width_bits):
     x, s = case
     cfg = PrecisionConfig(bits, width_bits)
@@ -159,12 +163,12 @@ def test_psi_inverse_survives_bad_newton_steps(monkeypatch):
         middle = ((1 << (k - 1)) - base) // width // 2
         return cell + 2 if cell < middle else cell - 2
 
-    newton_cell = lambda_set.newton_cell
+    newton_cell = ifs_core.newton_cell
     rng = random.Random(7)
     for step in (lambda j, *args: 0, lambda j, *args: 1 << 200,
                  lambda j, *args: -5, lambda j, *args: j + 3,
                  lambda j, *args: rng.randrange(-4, 1 << 24), wrong):
-        monkeypatch.setattr(lambda_set, "newton_cell",
+        monkeypatch.setattr(ifs_core, "newton_cell",
                             lambda *args: step(newton_cell(*args), *args))
         for s, e in zip(codes, expected):
             got = lambda_set.psi_inverse.__wrapped__(x, s, cfg)
@@ -172,22 +176,27 @@ def test_psi_inverse_survives_bad_newton_steps(monkeypatch):
 
 
 def test_grid_roots_come_back_as_points(cfg, monkeypatch):
-    # On the grid of [1/4, 1/2]: its low end, its first midpoint 3/8, and
-    # two level-28 points, the last one below 1/2, each the root of a
-    # linear R. The end 1/2 is a root only for s = xs, which is not solved.
+    # On the grid of [1/4, 1/2]: its first midpoint 3/8, and two level-28
+    # points, the last one below 1/2, each the root of a linear R.
     deep = F((1 << 28) + 12345, 1 << 30)
-    for root in (F(1, 4), F(3, 8), deep, F((1 << 29) - 1, 1 << 30)):
+    for root in (F(3, 8), deep, F((1 << 29) - 1, 1 << 30)):
         monkeypatch.setattr(lambda_set, "pi_root_poly",
                             lambda s, x: (-root.numerator, root.denominator))
         e = lambda_set.psi_inverse.__wrapped__(F(1, 4), S("011(0)"), cfg)
+        assert e.lo == e.hi == root
+    # The ends are roots only for s = xs (1/2) and for s = 0 1^inf at an
+    # exact x (x itself), and both are answered without a solve.
+    monkeypatch.setattr(lambda_set, "root_cell", None)
+    for s, root in ((S("01(0)"), F(1, 2)), (S("0(1)"), F(1, 4))):
+        e = lambda_set.psi_inverse.__wrapped__(F(1, 4), s, cfg)
         assert e.lo == e.hi == root
 
 
 def test_deep_solve_work_is_bounded(monkeypatch):
     """A 2^-400 solve of a gap-record coding of 1/3 at piece 32 takes at
-    most 13 polynomial evaluations, exact fallbacks included: one sign at
-    the low end, ten Newton steps and two signs. Bisection alone takes
-    about 360."""
+    most 12 polynomial evaluations, exact fallbacks included: ten Newton
+    steps and two signs, none at an end of the bracket. Bisection alone
+    takes about 360."""
     x = F(1, 3)
     cfg = PrecisionConfig(448, width_bits=400)
     xs = binary_expansion(x)
@@ -195,8 +204,8 @@ def test_deep_solve_work_is_bounded(monkeypatch):
     # the left-bridge coding of the gap record of word 01 at piece 32
     s = EpSequence(xs.prefix(n_32 - 1) + (1, 0, 1), (1,))
     calls = []
-    for module, name in ((lambda_set, "pi_eval"), (lambda_set, "poly_sign"),
-                         (lambda_set, "newton_cell"),
+    for module, name in ((lambda_set, "pi_eval"), (ifs_core, "poly_sign"),
+                         (ifs_core, "newton_cell"),
                          (ifs_core, "exact_sign")):
         def counted(*args, f=getattr(module, name)):
             calls.append(f)
@@ -204,7 +213,7 @@ def test_deep_solve_work_is_bounded(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     e = lambda_set.psi_inverse.__wrapped__(x, s, cfg)
     assert e.width() <= F(1, 1 << 400)
-    assert len(calls) <= 13
+    assert len(calls) <= 12
 
 
 @settings(deadline=None)
@@ -225,6 +234,35 @@ def test_admissible_codings_lie_above_x_at_one_half(pq, pick, pre, per):
     s = EpSequence(xs.prefix(n - 1) + (1, *pre), tuple(per))
     assert admissible(xs, s) and s != xs
     assert pi_eval(s, F(1, 2)) > x
+
+
+@settings(deadline=None)
+@given(st.integers(3, 300).flatmap(
+           lambda q: st.tuples(st.integers(1, (q - 1) // 2), st.just(q))),
+       st.integers(0, 40), st.lists(st.integers(0, 1), max_size=8),
+       st.lists(st.integers(0, 1), min_size=1, max_size=8),
+       st.sampled_from([32, 64, 128]))
+# s = 0 1^inf at a target exact at 32 bits, and one that is not
+@example((1, 4), 0, [], [1], 32)
+@example((12345, 65536), 0, [], [1], 32)
+@example(((1 << 40) + 1, 1 << 42), 0, [], [1], 32)
+@example((1, 4), 0, [], [0], 32)
+@example((12345, 65536), 1, [0], [0, 1], 32)
+def test_admissible_codings_lie_below_x_at_the_grid_origin(pq, pick, pre,
+                                                           per, bits):
+    """R(a) < 0 at the grid's low end a, x rounded down to `bits`, for
+    every admissible s other than xs: s starts with 0, so pi(s, a) <= a <=
+    x. The one exception is R(a) == 0 for s = 0 1^inf, whose coding map is
+    lam -> lam, when a == x; psi_inverse answers that case itself and takes
+    the sign at a from admissibility otherwise."""
+    x = F(*pq)
+    xs = binary_expansion(x)
+    n = zero_indices(xs, pick + 1)[pick]
+    s = EpSequence(xs.prefix(n - 1) + (1, *pre), tuple(per))
+    assert admissible(xs, s) and s != xs
+    a_m, a_hi, e = round_outward(x.numerator, x.denominator, bits)
+    sign = ifs_core.exact_sign(pi_root_poly(s, x), a_m, e)
+    assert sign == (0 if s == SEQ_01INF and a_m == a_hi else -1)
 
 
 def test_psi_inverse_rejects_inadmissible(cfg):
@@ -313,7 +351,8 @@ def test_cover_examples(cfg):
 def test_gaps_examples(cfg):
     g = gaps(F(1, 4), 3, cfg)
     assert len(g) == 1
-    assert g[0].left_end.overlaps(cover(F(1, 4), 3, cfg).intervals[0].hi)
+    right = cover(F(1, 4), 3, cfg).intervals[0].hi
+    assert g[0].left_end.lo <= right.hi and right.lo <= g[0].left_end.hi
     assert gaps(F(1, 3), 2, cfg) == []
     assert gaps(F(2, 7), 1, cfg) == []
 
@@ -354,7 +393,7 @@ def test_order_reversal(fast_cfg):
         if not s <= t:
             s, t = t, s
         es, et = psi_inverse(x, s, fast_cfg), psi_inverse(x, t, fast_cfg)
-        if es.overlaps(et):
+        if es.lo <= et.hi and et.lo <= es.hi:
             continue   # separation below solver width; cannot certify order
         assert es.lo >= et.hi
         done += 1

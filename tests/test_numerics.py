@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lambdaset.numerics import (Enclosure, PrecisionConfig, _decimal,
-                                exact_str, parse_rational, round_dyadic)
+                                exact_str, parse_rational)
 
 F = Fraction
 
@@ -82,13 +82,12 @@ def test_exact_str_prints_past_the_digit_limit():
 
 def test_from_fraction_directed():
     for q in (F(1, 3), F(2, 7), F(-5, 11), F(355, 113)):
-        lo = round_dyadic(q, 64, False)
-        hi = round_dyadic(q, 64, True)
-        assert lo <= q <= hi
-        assert hi - lo <= abs(q) * F(1, 1 << 60)
+        e = Enclosure.from_fraction(q, 64)
+        assert e.lo <= q <= e.hi
+        assert e.width() <= abs(q) * F(1, 1 << 60)
     # dyadic inputs convert exactly
-    assert round_dyadic(F(3, 8), 64, False) == F(3, 8)
-    assert round_dyadic(F(3, 8), 64, True) == F(3, 8)
+    e = Enclosure.from_fraction(F(3, 8), 64)
+    assert e.lo == e.hi == F(3, 8)
 
 
 def _mantissa_bits(d: Fraction) -> int:
@@ -103,8 +102,9 @@ dyadics = st.builds(lambda m, e: F(m) * F(2) ** e,
 
 
 @given(rationals, st.integers(1, 160))
-def test_round_dyadic_brackets_with_few_bits(q, bits):
-    lo, hi = round_dyadic(q, bits, False), round_dyadic(q, bits, True)
+def test_from_fraction_brackets_with_few_bits(q, bits):
+    e = Enclosure.from_fraction(q, bits)
+    lo, hi = e.lo, e.hi
     assert lo <= q <= hi
     for d in (lo, hi):
         assert d.denominator & (d.denominator - 1) == 0
@@ -114,9 +114,10 @@ def test_round_dyadic_brackets_with_few_bits(q, bits):
 
 
 @given(dyadics, st.integers(1, 160))
-def test_round_dyadic_keeps_dyadics_that_fit(d, bits):
+def test_from_fraction_keeps_dyadics_that_fit(d, bits):
     if _mantissa_bits(d) <= bits:
-        assert round_dyadic(d, bits, False) == d == round_dyadic(d, bits, True)
+        e = Enclosure.from_fraction(d, bits)
+        assert e.lo == d == e.hi
 
 
 @given(dyadics)

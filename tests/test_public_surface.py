@@ -1,7 +1,7 @@
-"""Every name a module exports or defines is used: by another part of the
-library, by the benchmark, or by the acceptance suite, and every name a
-module imports is used in that module. Dead surface cannot grow back
-unnoticed."""
+"""Every name a module exports or defines, and every public member of its
+classes, is used: by another part of the library, by the benchmark, or by
+the acceptance suite, and every name a module imports is used in that
+module. Dead surface cannot grow back unnoticed."""
 
 import ast
 import importlib
@@ -55,6 +55,38 @@ def test_every_exported_name_has_a_caller():
             if name in refs or re.search(rf"\b{re.escape(name)}\b", outside):
                 continue
             unused.append(f"{path.stem}.{name}")
+    assert unused == []
+
+
+def test_every_public_member_has_a_caller():
+    """Each public method, classmethod or property of a package class is
+    read as `.name` outside its own body: in the library, the benchmark or
+    the acceptance suite. An override of a base-class attribute, such as
+    an argparse hook, is called by the base class and is exempt."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    attributes: dict[str, list[ast.Attribute]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes.setdefault(node.attr, []).append(node)
+    outside = _outside_text()
+    unused = []
+    for stem, tree in trees.items():
+        module = importlib.import_module(f"lambdaset.{stem}")
+        for cls in (s for s in tree.body if isinstance(s, ast.ClassDef)):
+            bases = getattr(module, cls.name).__mro__[1:]
+            for fn in cls.body:
+                if (not isinstance(fn, ast.FunctionDef)
+                        or fn.name.startswith("_")
+                        or any(hasattr(base, fn.name) for base in bases)):
+                    continue
+                own = set(map(id, ast.walk(fn)))
+                if any(id(node) not in own
+                       for node in attributes.get(fn.name, ())):
+                    continue
+                if not re.search(rf"\.{re.escape(fn.name)}\b", outside):
+                    unused.append(f"{stem}.{cls.name}.{fn.name}")
     assert unused == []
 
 

@@ -17,9 +17,8 @@ module's names therefore see every call.
 
 From the standard library a run loads what this module imports and what
 its command's modules import (`fractions`, `math`, `random`, `re`,
-`functools`, `bisect`); only `dim` loads `statistics`. Records are
-`typing.NamedTuple` classes, `PrecisionConfig` a checked subclass of one,
-and `Enclosure` and `EpSequence` are `__slots__` classes, so no record
+`functools`, `bisect`). Records are `typing.NamedTuple` classes,
+`PrecisionConfig` a checked subclass of one, and `Enclosure` and `EpSequence` are `__slots__` classes, so no record
 generates and compiles methods at start-up. `hashlib` (about 5 ms) stays,
 because the manifest's SHA-256 `output_digest` is part of the manifest's
 contract. To see what start-up costs, run `PYTHONDONTWRITEBYTECODE=1

@@ -207,15 +207,18 @@ def defining_sequence_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
 
 class ThicknessReport(NamedTuple):
     """Truncated thickness of the tail construction with its three ratio
-    families and the per-gap analytic bound checks."""
+    families and the per-gap analytic bound checks. Immutable, so one
+    memoised report is shared by every caller: the minima are (name,
+    value) pairs and each violation is its (key, value) pairs, both in
+    payload order."""
 
     x: Fraction
     ell: int
     k_max: int
     q_max: int
     tau_truncated: Fraction
-    per_family_minima: dict
-    bound_violations: tuple
+    per_family_minima: tuple[tuple[str, Fraction], ...]
+    bound_violations: tuple[tuple[tuple[str, object], ...], ...]
 
     def to_json(self) -> dict:
         return {"x": exact_str(self.x), "ell": self.ell, "k_max": self.k_max,
@@ -223,7 +226,7 @@ class ThicknessReport(NamedTuple):
                 "tau_truncated": exact_str(self.tau_truncated),
                 "tau_truncated_float": float(self.tau_truncated),
                 "per_family_minima": {k: exact_str(v) for k, v in
-                                      self.per_family_minima.items()},
+                                      self.per_family_minima},
                 "bound_violations": [dict(v) for v in self.bound_violations],
                 "zero_index_convention": "n >= 2"}
 
@@ -232,7 +235,8 @@ FAMILIES = ("gap_ratio", "piece_gap", "half_gap")
 
 
 # The per-piece ratios and bounds are memoised like the gap records: a
-# repeated report reads them with one lookup each.
+# report or ledger that shares a piece with an earlier one reads them with
+# one lookup each.
 @memo
 def _piece_ratios(piece: PieceEndpoints) -> tuple[Fraction, Fraction]:
     """Certified lower bounds of the piece-over-gap and right-tail-over-gap
@@ -274,13 +278,18 @@ def _family_bounds(piece: PieceEndpoints, m: Optional[int],
 
 
 @memo
-def _thickness_values(x: Fraction, ell: int, k_max: int, q_max: int,
-                      cfg: PrecisionConfig
-                      ) -> tuple[Fraction, tuple, tuple[tuple, ...]]:
-    """The values of a thickness report: tau, the three minima in FAMILIES
-    order, and each violation as the (key, value) pairs of its dict.
-    Memoised, and only immutable data, so a cached value is never shared
-    with a caller: thickness_Cl builds every record around it afresh."""
+def thickness_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
+                 cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThicknessReport:
+    """Truncated thickness of the tail construction starting at piece ell.
+
+    The reported value is the minimum, over the truncation, of the three
+    ratio families (within-piece gap ratios, piece-over-gap ratios, and
+    right-tail-over-gap ratios); each certified ratio is also checked
+    against the analytic lower bound that holds for every gap of its
+    family, and any failure is recorded as a violation. Memoised: a
+    repeated report is one lookup and returns the same record.
+    """
+    x = Fraction(x)
     tail = _tail(x, ell, k_max, q_max, cfg)
     m = None if x == Fraction(1, 4) else first_switch_index(x)
     minima: list[Optional[Fraction]] = [None, None, None]
@@ -300,27 +309,10 @@ def _thickness_values(x: Fraction, ell: int, k_max: int, q_max: int,
                         "family": FAMILIES[i], "k": piece.k, **where,
                         "ratio": exact_str(ratio),
                         "bound": exact_str(bounds[i])}.items()))
-    return min(minima), tuple(minima), tuple(violations)
-
-
-def thickness_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
-                 cfg: PrecisionConfig = DEFAULT_CONFIG) -> ThicknessReport:
-    """Truncated thickness of the tail construction starting at piece ell.
-
-    The reported value is the minimum, over the truncation, of the three
-    ratio families (within-piece gap ratios, piece-over-gap ratios, and
-    right-tail-over-gap ratios); each certified ratio is also checked
-    against the analytic lower bound that holds for every gap of its
-    family, and any failure is recorded as a violation. A repeated report
-    is one lookup of its values; the record, its minima dict and its
-    violation dicts are new on every call.
-    """
-    x = Fraction(x)
-    tau, minima, violations = _thickness_values(x, ell, k_max, q_max, cfg)
     return ThicknessReport(
-        x, ell, k_max, q_max, tau,
-        dict(zip(("bridge_F", "piece_ratios", "bridge_half"), minima)),
-        tuple(dict(v) for v in violations))
+        x, ell, k_max, q_max, min(minima),
+        tuple(zip(("bridge_F", "piece_ratios", "bridge_half"), minima)),
+        tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +327,7 @@ class LedgerEntry(NamedTuple):
     passed: bool
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "params": self.params,
+        return {"kind": self.kind, "params": dict(self.params),
                 "lhs": self.lhs, "rhs": self.rhs, "passed": self.passed}
 
 

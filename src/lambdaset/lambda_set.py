@@ -364,9 +364,6 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
     DepthBudgetExceeded when the refinement visits more than MAX_PREFIXES
     blocks.
     """
-    # imported here, its one use, so that no other command loads it
-    import statistics
-
     x = Fraction(x)
     a, b = Fraction(window[0]), Fraction(window[1])
     lo_w, hi_w = max(a, x), min(b, HALF)
@@ -412,12 +409,18 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
         points.append((eps, len(boxes)))
     xs_log = [math.log(1 / float(e)) for e, _ in points]
     ys_log = [math.log(c) for _, c in points]
-    fit = statistics.linear_regression(xs_log, ys_log)
     n = len(points)
+    # the least-squares fit with correctly rounded sums, so the slope does
+    # not depend on the interpreter's float `sum`
+    x_bar, y_bar = math.fsum(xs_log) / n, math.fsum(ys_log) / n
+    slope = (math.fsum((v - x_bar) * (y - y_bar)
+                       for v, y in zip(xs_log, ys_log))
+             / math.fsum((v - x_bar) * (v - x_bar) for v in xs_log))
+    intercept = y_bar - slope * x_bar
     mean_x = sum(xs_log) / n
     sxx = sum((v - mean_x) ** 2 for v in xs_log)
-    rss = sum((y - (fit.slope * v + fit.intercept)) ** 2
+    rss = sum((y - (slope * v + intercept)) ** 2
               for v, y in zip(xs_log, ys_log))
     stderr = math.sqrt(rss / (n - 2) / sxx) if n > 2 else None
-    return BoxDimReport(x, (a, b), fit.slope, stderr, tuple(points),
+    return BoxDimReport(x, (a, b), slope, stderr, tuple(points),
                         len(segments))

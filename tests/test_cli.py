@@ -147,15 +147,14 @@ def test_manifest_stats_count_this_runs_memo_lookups(capsys):
     assert manifest["stats"]["lambda_set.psi_inverse"] == {
         "hits": after.hits - before.hits,
         "misses": after.misses - before.misses}
-    # a repeated report in one process is one lookup of its values: no gap
-    # record is looked up and no root solved
+    # a repeated report in one process is one lookup: no gap record is
+    # looked up and no root solved
     argv = ["thickness-cl", "--x", "1/3", "--ell", "2", "--kmax", "2",
             "--qmax", "1"]
     run(capsys, *argv)
     _, _, manifest = run_json(capsys, *argv)
     stats = manifest["stats"]
-    assert stats["constructions._thickness_values"] == {"hits": 1,
-                                                        "misses": 0}
+    assert stats["constructions.thickness_Cl"] == {"hits": 1, "misses": 0}
     assert stats["constructions.gap_record"] == {"hits": 0, "misses": 0}
     assert stats["lambda_set.psi_inverse"] == {"hits": 0, "misses": 0}
 
@@ -305,6 +304,10 @@ PINNED_STDOUT = [
      "6f9b50c004a1a76c715c7f843cae3d842eaec5008253463ba6b88a63020e497a"),
     (["intersect", "--targets", "1/4,5/16", "--depth", "6"],
      "077a0d46b94281d7d63e2eadca60c2a1c52337be0b49a62124013d879aad04e3"),
+    # a least-squares slope whose last bit a compensated float `sum` changes
+    (["dim", "--x", "3/7", "--center", "13/28", "--radius", "729/28000",
+      "--eps-min-exp", "4", "--eps-max-exp", "6"],
+     "f4443b19b4c44031bb1b6634f28f04a4f79c9c01e7fa1b1165c88b0e739945ac"),
 ]
 
 

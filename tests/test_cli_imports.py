@@ -12,8 +12,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# standard-library modules that cost start-up time: `dataclasses` (with
-# `inspect`) is loaded by no command, `statistics` by `dim` alone
+# standard-library modules that cost start-up time, loaded by no command:
+# `dataclasses` (with `inspect`), and `statistics`, whose fit `dim` computes
+# itself
 COSTLY = ("dataclasses", "inspect", "statistics")
 
 # prints the lambdaset modules, and those of COSTLY, loaded after building
@@ -80,8 +81,7 @@ def test_cover_and_thickness_load_only_their_modules(gap_file):
         "dim"])
 def test_costly_stdlib_modules_load_only_where_needed(argv, gap_file):
     loaded = _loaded(*(gap_file if a is None else a for a in argv))
-    assert loaded & set(COSTLY) == ({"statistics"} if argv[:1] == ["dim"]
-                                    else set())
+    assert loaded & set(COSTLY) == set()
 
 
 @pytest.mark.parametrize("argv, layer", [

@@ -1,4 +1,5 @@
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -106,9 +107,9 @@ def test_thickness_report_trend(cfg):
     assert r2.bound_violations == () and r3.bound_violations == ()
     assert r3.tau_truncated >= r2.tau_truncated - F(1, 1 << 20)
     assert newhouse_lower(r2.tau_truncated) > 0.8
-    assert set(r2.per_family_minima) == {"bridge_F", "piece_ratios",
-                                         "bridge_half"}
-    assert r2.tau_truncated == min(r2.per_family_minima.values())
+    assert [name for name, _ in r2.per_family_minima] == [
+        "bridge_F", "piece_ratios", "bridge_half"]
+    assert r2.tau_truncated == min(v for _, v in r2.per_family_minima)
 
 
 def test_thickness_report_equals_defining_sequence_thickness(cfg):
@@ -250,37 +251,38 @@ def test_warm_report_solves_nothing(cfg, monkeypatch):
 
 
 def test_warm_report_is_one_lookup(cfg):
-    """A repeated report reads its values from their own table and looks
-    up no gap record, per-piece ratio pair or bound triple."""
+    """A repeated report is one lookup in its own table, returns the same
+    record and looks up no gap record, per-piece ratio pair or bound
+    triple."""
     target = (F(1, 3), 8, 6, 3)
-    tables = ("_thickness_values", "gap_record", "_piece_ratios",
+    tables = ("thickness_Cl", "gap_record", "_piece_ratios",
               "_family_bounds")
 
     def lookups():
         return {name: getattr(constructions, name).cache_info()[:2]
                 for name in tables}
 
-    # with its values dropped, the report looks every record up again
-    constructions._thickness_values.cache_clear()
+    # with its reports dropped, the report looks every record up again
+    thickness_Cl.cache_clear()
     before = lookups()
-    thickness_Cl(*target, cfg)
+    report = thickness_Cl(*target, cfg)
     after = lookups()
     assert all(after[name] != before[name] for name in tables)
-    thickness_Cl(*target, cfg)
+    assert thickness_Cl(*target, cfg) is report
     warm = lookups()
     assert {name: (warm[name][0] - after[name][0],
                    warm[name][1] - after[name][1]) for name in tables} == {
-        "_thickness_values": (1, 0), "gap_record": (0, 0),
+        "thickness_Cl": (1, 0), "gap_record": (0, 0),
         "_piece_ratios": (0, 0), "_family_bounds": (0, 0)}
 
 
 def test_reports_share_no_mutable_record(cfg, monkeypatch, request):
-    """Changing a report's minima dict or one of its violation dicts
-    leaves the next report of the same truncation unchanged, and changing
-    a violation in a report's payload leaves the report's next payload
-    unchanged. Bounds above every ratio give the report violations; the
-    memo tables are cleared before and after, so the values are computed
-    with these bounds and no other test reads them."""
+    """A report is an immutable value, so a caller cannot change a later
+    report: it hashes and pickles like any tuple, a repeated call returns
+    the same record, and changing a violation in a report's payload leaves
+    the report's next payload unchanged. Bounds above every ratio give the
+    report violations; the memo tables are cleared before and after, so
+    the report is computed with these bounds and no other test reads it."""
     _clear_memo_tables()
     request.addfinalizer(_clear_memo_tables)
     monkeypatch.setattr(constructions, "_family_bounds",
@@ -289,13 +291,23 @@ def test_reports_share_no_mutable_record(cfg, monkeypatch, request):
     report = thickness_Cl(*target, cfg)
     expected = json.dumps(report.to_json())
     assert report.bound_violations
+    assert hash(report) == hash(pickle.loads(pickle.dumps(report)))
+    assert pickle.loads(pickle.dumps(report)) == report
     report.to_json()["bound_violations"][0]["ratio"] = "0"
+    report.to_json()["per_family_minima"]["bridge_F"] = "0"
     assert json.dumps(report.to_json()) == expected
-    report.per_family_minima["bridge_F"] = F(0)
-    del report.per_family_minima["bridge_half"]
-    report.bound_violations[0]["ratio"] = "0"
-    report.bound_violations[-1].clear()
-    assert json.dumps(thickness_Cl(*target, cfg).to_json()) == expected
+    assert thickness_Cl(*target, cfg) is report
+
+
+def test_ledger_payload_shares_no_dict_with_the_ledger(cfg):
+    """Changing an entry's params in a ledger's payload leaves the ledger
+    and its next payload unchanged."""
+    ledger = verify_caseA(F(1, 3), 1, cfg)
+    expected = json.dumps(ledger.to_json())
+    params = dict(ledger.entries[0].params)
+    ledger.to_json()["entries"][0]["params"]["word"] = "edited"
+    assert ledger.entries[0].params == params
+    assert json.dumps(ledger.to_json()) == expected
 
 
 def test_bound_violations_empty_for_standard_targets(cfg):

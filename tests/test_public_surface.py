@@ -142,7 +142,7 @@ def test_every_imported_name_is_used():
 MEMO_TABLES = {"lambda_set.binary_expansion", "lambda_set.psi_inverse",
                "constructions.piece_endpoints", "constructions.gap_record",
                "constructions._piece_ratios", "constructions._family_bounds",
-               "constructions._thickness_values"}
+               "constructions.thickness_Cl"}
 
 
 def test_memo_tables_are_the_listed_bounded_caches():

@@ -1,7 +1,8 @@
 """The value records of the package: immutable, keyword-constructible,
 equal and hashed by value (an Enclosure only to itself), printed as
-`Name(field=value, ...)`. Cached sequences, enclosures and pieces are shared
-between calls, so none of them may be changed after construction."""
+`Name(field=value, ...)`. Cached sequences, enclosures, pieces and
+thickness reports are shared between calls, so none of them may be changed
+after construction."""
 
 import pickle
 from fractions import Fraction as F
@@ -55,8 +56,9 @@ RECORDS = [
                          "ratio_lo": F(1, 5)}),
     (ThicknessReport, lambda: {"x": F(1, 3), "ell": 1, "k_max": 2, "q_max": 1,
                                "tau_truncated": F(1, 7),
-                               "per_family_minima": {"bridge_F": F(1, 7)},
-                               "bound_violations": ()}),
+                               "per_family_minima": (("bridge_F", F(1, 7)),),
+                               "bound_violations": (
+                                   (("family", "gap_ratio"), ("k", 1)),)}),
     (LedgerEntry, lambda: {"kind": "switch_lower", "params": {"q": 2},
                            "lhs": "1/3", "rhs": "1/4", "passed": True}),
     (VerificationLedger, lambda: {"case": "A", "x": F(2, 7), "trials": 1,

@@ -424,7 +424,9 @@ def verify_caseA(x: Fraction, trials: int,
                  seed: int = 0) -> VerificationLedger:
     """Certified spot checks of the switch inequalities for targets other
     than 1/4, plus the derived per-gap ratio bounds; `trials` instances of
-    each shape."""
+    each shape. A switch_lower entry fails only when its violation is
+    certified; one whose cells are too wide to decide it raises
+    Inconclusive."""
     _check_trials(trials)
     x = Fraction(x)
     m = first_switch_index(x)     # raises for x = 1/4
@@ -435,11 +437,21 @@ def verify_caseA(x: Fraction, trials: int,
     for _ in range(trials):
         w, lam1, lam2 = _draw(rng, x, xs, cfg, (), (3, 12), BLOCK)
         lhs = lam2.lo - lam1.hi
-        # lam2.hi^|w| / 4 as one Fraction
-        rhs = Fraction(lam2.hi.numerator ** len(w),
-                       lam2.hi.denominator ** len(w) << 2)
+        # lam2.hi^|w| / 4 = num / den: lam2.hi has an odd numerator and a
+        # power-of-two denominator, so num / den is in lowest terms
+        num = lam2.hi.numerator ** len(w)
+        den = lam2.hi.denominator ** len(w) << 2
+        passed = lhs.numerator * den >= num * lhs.denominator
+        # a failure is a violation only when certified: the widest the
+        # block can be lies below the least the right side can be
+        if not passed and lam2.hi - lam1.lo >= lam2.lo ** len(w) / 4:
+            width = exact_str(Fraction(1, 1 << cfg.width_bits))
+            raise Inconclusive(f"switch_lower of word {word_str(w)} not "
+                               f"decided at target width {width}")
         entries.append(LedgerEntry("switch_lower", {"word": word_str(w)},
-                                   exact_str(lhs), exact_str(rhs), lhs >= rhs))
+                                   exact_str(lhs),
+                                   f"{exact_str(num)}/{exact_str(den)}",
+                                   passed))
 
     prefix = xs.prefix(m)
     for _ in range(trials):

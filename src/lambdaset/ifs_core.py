@@ -4,18 +4,21 @@ ratio, and the greedy digit algorithm used as an exact membership test for
 rational inputs.
 
 root_cell is the one root solver: it finds the cell of a dyadic grid that
-holds the root. Its signs and Newton steps run Horner's rule in fixed
-point, with a stated number of fraction bits, so their cost follows the
-precision asked for and not the polynomial's exact value at a deep dyadic
-point, an integer of about k * deg bits. A sign the fixed-point pass cannot
-decide falls back to exact_sign, the one exact evaluation. A Newton step is
-only a guess, so it has no fallback.
+holds the root. It starts from float_guess, Newton's iteration in double
+precision, which supplies up to about 50 bits of the root for the cost
+of a few passes in floats. Its signs and Newton steps in integers run
+Horner's rule in fixed point, with a stated number of fraction bits, so
+their cost follows the precision asked for and not the polynomial's exact
+value at a deep dyadic point, an integer of about k * deg bits. A sign the
+fixed-point pass cannot decide falls back to exact_sign, the one exact
+evaluation. A Newton step or a double-precision guess is only a guess, so
+it has no fallback.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import frexp, gcd, inf, isfinite
 from typing import NamedTuple, Union
 
 from .errors import OutOfRange
@@ -82,35 +85,28 @@ def pi_eval(s: EpSequence, lam: Fraction) -> Fraction:
 
 
 def pi_root_poly(s: EpSequence, x: Fraction) -> tuple[int, ...]:
-    """Integer coefficients, constant term first, of a polynomial R with
-    sign R(lam) = sign(pi_eval(s, lam) - x) for every lam in (0, 1).
+    """Integer coefficients, constant term first, of a polynomial Q with
+    sign Q(lam) = sign(pi_eval(s, lam) - x) for every lam in (0, 1).
 
-    For x = p/q this is the closed form of pi_eval - x times q (1 - lam^|v|):
-    R = q (1-lam) [P_u (1 - lam^|v|) + lam^|u| P_v] - p (1 - lam^|v|).
+    For x = p/q this is the closed form of pi_eval - x times the positive
+    q (1 - lam^|v|) / (1 - lam):
+    Q = q [P_u (1 - lam^|v|) + lam^|u| P_v] - p (1 + lam + ... + lam^(|v|-1)),
+    with |u| + |v| coefficients.
     """
     u, v = s.preperiod, s.period
-    x = Fraction(x)
     p, q = x.numerator, x.denominator
-    inner = [0] * (len(u) + len(v))        # P_u (1 - lam^|v|) + lam^|u| P_v
-    for i, d in enumerate(u):
-        inner[i] += d
-        inner[i + len(v)] -= d
-    for i, d in enumerate(v):
-        inner[len(u) + i] += d
-    coeffs = [0] * (len(inner) + 1)
-    for i, c in enumerate(inner):
-        coeffs[i] += q * c
-        coeffs[i + 1] -= q * c
-    coeffs[0] -= p
-    coeffs[len(v)] += p
-    return tuple(coeffs)
+    zu, zv = (0,) * len(u), (0,) * len(v)
+    # P_u - lam^|v| P_u + lam^|u| P_v, and 1 + lam + ... + lam^(|v|-1)
+    return tuple(q * (a - b + c) - d for a, b, c, d in
+                 zip(u + zv, zv + u, zu + v, (p,) * len(v) + zu))
 
 
-# Root-solver work so far in this process: calls of poly_sign and
-# newton_cell, and the signs among them that fell back to exact_sign. The
-# CLI manifest reports each run's share as "stats.root_solver".
-WORK = COUNTERS["root_solver"] = {"signs": 0, "newton_steps": 0,
-                                  "exact_fallbacks": 0}
+# Root-solver work so far in this process: float_guess's iterations in
+# doubles, calls of poly_sign and newton_cell, and the signs among them that
+# fell back to exact_sign. The CLI manifest reports each run's share as
+# "stats.root_solver".
+WORK = COUNTERS["root_solver"] = {"float_steps": 0, "signs": 0,
+                                  "newton_steps": 0, "exact_fallbacks": 0}
 
 # Fraction bits that poly_sign and newton_cell keep beyond the level of the
 # grid they probe: root_cell asks for signs and steps at level k with k +
@@ -120,8 +116,8 @@ WORK = COUNTERS["root_solver"] = {"signs": 0, "newton_steps": 0,
 # |R(lam)| is about |R'(r)| |lam - r|, so a sign is left undecided only at a
 # probe within about len(coeffs) 2^-(k + 64) / |R'(r)| of r, a root on the
 # grid included, while the grid's cells are 2^-k wide. In the first 200
-# calls of the seed-1 session-ledger benchmark, none of 1666 signs fell
-# back.
+# calls of the seed-1 session-ledger benchmark, 833 solves take 1664 signs
+# and 833 Newton steps, and no sign falls back.
 GUARD_BITS = 64
 
 
@@ -181,6 +177,45 @@ def newton_cell(coeffs: tuple[int, ...], m: int, k: int, base: int,
     return ((m - base) * slope - (acc << k)) // (slope * width)
 
 
+def float_guess(coeffs: tuple[int, ...], lo: float) -> tuple[float, int]:
+    """A guess at the polynomial's root in [lo, 1/2] by Newton's iteration
+    in double precision, with the bits it has earned: (lam, bits), lam
+    believed within 2^-bits of the root.
+
+    The coefficients are scaled by one power of two so that the largest has
+    at most 53 bits, so neither a long denominator nor a high degree
+    overflows, and Horner's rule errs by about len(coeffs) units of the
+    largest one's last bit. So a guess claims at most cap = 52 -
+    len(coeffs).bit_length() bits: all of them once a step moves it by at
+    most 2^-cap, and otherwise as many as its last step's size. A step
+    that leaves the bracket of the signs seen so far bisects it instead, so
+    the iteration stays in [lo, 1/2]; it takes at most cap steps. Only a
+    guess: its signs are not certified, and root_cell certifies the cell.
+    """
+    cap = 52 - len(coeffs).bit_length()
+    shift = max(max(map(abs, coeffs)).bit_length() - 53, 0)
+    scaled = [float(c >> shift) for c in reversed(coeffs)]
+    hi, lam = 0.5, (lo + 0.5) / 2
+    tol = 2.0 ** -cap
+    for steps in range(1, cap + 1):
+        value = slope = 0.0
+        for c in scaled:
+            slope = slope * lam + value
+            value = value * lam + c
+        if value < 0:
+            lo = lam
+        elif value > 0:
+            hi = lam
+        new = lam - value / slope if slope else inf
+        if not lo <= new <= hi:      # off the bracket, no slope, or NaN
+            new = (lo + hi) / 2
+        step, lam = abs(new - lam), new
+        if step <= tol:
+            break
+    WORK["float_steps"] += steps
+    return lam, (cap if step <= tol else -frexp(step)[1])
+
+
 def root_cell(coeffs: tuple[int, ...], a_m: int, n: int, width_bits: int
               ) -> tuple[int, int, int]:
     """The cell [lo, hi] * 2^-k of the midpoint-bisection grid of [a, 1/2],
@@ -190,10 +225,13 @@ def root_cell(coeffs: tuple[int, ...], a_m: int, n: int, width_bits: int
 
     The caller guarantees R(a) < 0 < R(1/2), so no sign is computed at
     either end. The solve keeps a bracket of final-level cells whose end
-    signs are certified. Each round runs a Newton chain from the bracket's
-    midpoint, doubling its precision up to the final level and clamping
-    every guess into the bracket; the chain is not certified. Two signs
-    then test the cell it lands in, and one bisection sign halves what is
+    signs are certified. Each round runs a Newton chain, doubling its
+    precision up to the final level and clamping every guess into the
+    bracket; the chain is not certified. The first round's chain starts
+    from float_guess's root, landed on the final grid, at the level its
+    bits have earned, so at the default width it takes one step; every
+    later round's starts from the bracket's midpoint. Two signs then test
+    the cell the chain lands in, and one bisection sign halves what is
     left. A wrong guess costs a round, never a different cell, and a solve
     ends within `levels + 1` rounds. Signs are poly_sign's: fixed point
     with an exact fallback, so every cell is decided exactly and the answer
@@ -208,8 +246,16 @@ def root_cell(coeffs: tuple[int, ...], a_m: int, n: int, width_bits: int
     # (base + j width) / 2^k: R < 0 at j = lo and R > 0 at j = hi.
     k, base = n + levels, a_m << levels
     lo, hi = 0, 1 << levels
+    # the first round starts from the double-precision guess, unless it is
+    # not finite, and every other round from the bracket's midpoint
+    j, aim = hi // 2, levels - hi.bit_length()
+    guess, bits = float_guess(coeffs, a_m / (1 << n))
+    if isfinite(guess):
+        # cells of level l are width / 2^(n + l) >= 2^-bits wide for l <= aim
+        num, den = guess.as_integer_ratio()
+        j = min(max(((num << k) // den - base) // width, lo), hi - 1)
+        aim = bits + width.bit_length() - 1 - n
     while hi - lo > 1:
-        j, aim = (lo + hi) // 2, levels - (hi - lo).bit_length()
         while aim < levels:
             aim = min(levels, max(1, 2 * aim))
             j = newton_cell(coeffs, base + j * width, k, base, width,
@@ -225,6 +271,7 @@ def root_cell(coeffs: tuple[int, ...], a_m: int, n: int, width_bits: int
                 if sign == 0:
                     return m, m, k
                 lo, hi = (lo, p) if sign > 0 else (p, hi)
+        j, aim = (lo + hi) // 2, levels - (hi - lo).bit_length()
     return base + lo * width, base + hi * width, k
 
 

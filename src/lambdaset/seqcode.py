@@ -11,7 +11,6 @@ is immutable and pure.
 from __future__ import annotations
 
 import re
-from math import lcm
 
 from .errors import PeriodAllOnes
 
@@ -99,19 +98,30 @@ class EpSequence:
         return cls(*(tuple(map(int, g)) for g in m.groups()))
 
     def prefix(self, n: int) -> tuple[int, ...]:
-        """The first n digits."""
+        """The first n digits, in O(n) whatever the period's length."""
         u, v = self.preperiod, self.period
-        return (u + v * (n // len(v) + 1))[:n]
+        if n <= len(u):
+            return u[:n]
+        reps, rest = divmod(n - len(u), len(v))
+        return u + v * reps + v[:rest]
 
     def __le__(self, other: "EpSequence") -> bool:
-        """Lexicographic order of the digit streams, decided on the first
-        |pre a| + |pre b| + lcm(|per a|, |per b|) digits: beyond them both
-        streams are jointly periodic."""
+        """Lexicographic order of the digit streams, decided at their first
+        difference: prefixes of doubling length, from one digit past the
+        longer preperiod, are compared until they differ. Streams with
+        different keys differ within |pre a| + |pre b| + lcm(|per a|,
+        |per b|) digits, so the work follows the first difference and
+        never the lcm."""
         if not isinstance(other, EpSequence):
             return NotImplemented
-        n = (len(self.preperiod) + len(other.preperiod)
-             + lcm(len(self.period), len(other.period)))
-        return self.prefix(n) <= other.prefix(n)
+        m = max(len(self.preperiod), len(other.preperiod)) + 1
+        while True:
+            a, b = self.prefix(m), other.prefix(m)
+            if a != b:
+                return a < b
+            if self.key == other.key:
+                return True
+            m *= 2
 
     def __str__(self) -> str:
         return f"{word_str(self.preperiod)}({word_str(self.period)})"

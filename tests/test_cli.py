@@ -129,6 +129,30 @@ def test_usage_errors(capsys):
         "error: argument --targets: not a rational: 'abc'")
 
 
+def test_verify_tells_a_shortfall_from_a_violation(capsys, monkeypatch):
+    """A switch_lower entry whose 2^-80 cells overlap decides nothing:
+    `verify` ends Inconclusive with exit 1 and one line naming the word and
+    the width, and a narrower width decides it. Exit 2 means a certified
+    violation: here every draw's two cells are one point, so the block
+    has length 0."""
+    code, out, err = run(capsys, "verify", "--x", "1/1000", "--trials", "5")
+    assert code == 1 and out == ""
+    assert re.fullmatch(r"error: switch_lower of word [01]{3,12} not decided "
+                        r"at target width 1/1208925819614629174706176\n", err)
+    code, payload, _ = run_json(capsys, "verify", "--x", "1/1000",
+                                "--trials", "5", "--width-bits", "200")
+    assert code == 0 and payload["violations"] == []
+    from lambdaset import constructions
+    point = Enclosure.point(Fraction(3, 8), 128)
+    monkeypatch.setattr(constructions, "_draw",
+                        lambda *args: ((0, 1, 1), point, point))
+    code, payload, _ = run_json(capsys, "verify", "--x", "1/3",
+                                "--trials", "2")
+    assert code == 2
+    assert [(e["kind"], e["lhs"], e["rhs"]) for e in payload["violations"]
+            ] == [("switch_lower", "0", "27/2048")] * 2
+
+
 def test_verify_reads_its_case_from_x(capsys):
     code, payload, manifest = run_json(capsys, "verify", "--x", "1/5",
                                        "--trials", "1")

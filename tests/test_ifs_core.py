@@ -39,6 +39,44 @@ def test_pi_root_poly_sign_matches_pi_eval():
     assert exact_sign(pi_root_poly(S("(01)"), F(1, 3)), 1, 1) == 0
 
 
+def unreduced_root_poly(s, x):
+    """The root polynomial in its unreduced closed form, pi_eval - x times
+    q (1 - lam^|v|): R = q (1-lam) [P_u (1 - lam^|v|) + lam^|u| P_v] - p
+    (1 - lam^|v|), with one coefficient more than pi_root_poly's."""
+    u, v = s.preperiod, s.period
+    p, q = x.numerator, x.denominator
+    inner = [0] * (len(u) + len(v))        # P_u (1 - lam^|v|) + lam^|u| P_v
+    for i, d in enumerate(u):
+        inner[i] += d
+        inner[i + len(v)] -= d
+    for i, d in enumerate(v):
+        inner[len(u) + i] += d
+    coeffs = [0] * (len(inner) + 1)
+    for i, c in enumerate(inner):
+        coeffs[i] += q * c
+        coeffs[i + 1] -= q * c
+    coeffs[0] -= p
+    coeffs[len(v)] += p
+    return tuple(coeffs)
+
+
+def test_pi_root_poly_is_the_unreduced_form_over_one_minus_lam():
+    """R = (1 - lam) Q on random codings and targets, so Q has R's sign and
+    roots on (0, 1)."""
+    rng = random.Random(17)
+    for _ in range(3000):
+        pre = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 9)))
+        per = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 7)))
+        s = EpSequence(pre, per)
+        x = F(rng.randint(1, 999), rng.randint(1000, 3000))
+        reduced = pi_root_poly(s, x)
+        times_one_minus_lam = [0] * (len(reduced) + 1)
+        for i, c in enumerate(reduced):
+            times_one_minus_lam[i] += c
+            times_one_minus_lam[i + 1] -= c
+        assert tuple(times_one_minus_lam) == unreduced_root_poly(s, x)
+
+
 @st.composite
 def sign_cases(draw):
     """A coding's root polynomial, a probe m 2^-k anywhere in (0, 1) and a

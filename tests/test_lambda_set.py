@@ -1,11 +1,14 @@
+import importlib
+import math
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lambdaset import ifs_core, lambda_set
+from lambdaset import constructions, ifs_core, lambda_set
 from lambdaset.errors import (DepthBudgetExceeded, InsufficientMembers,
                               InvalidInput, NotAdmissible, OutOfRange)
 from lambdaset.ifs_core import membership, pi_eval, pi_root_poly
@@ -13,11 +16,13 @@ from lambdaset.lambda_set import (admissible, admissible_prefixes,
                                   admissible_word, binary_expansion,
                                   block_codes, box_dim_estimate, cover, gaps,
                                   lipschitz_check, psi_inverse)
-from lambdaset.numerics import Enclosure, PrecisionConfig, round_outward
+from lambdaset.numerics import (MEMO_TABLES, Enclosure, PrecisionConfig,
+                                round_outward)
 from lambdaset.seqcode import SEQ_01INF, EpSequence, word_str, zero_indices
 
 F = Fraction
 S = EpSequence.from_string
+ROOT = Path(__file__).resolve().parents[1]
 
 BETA1_QUARTER = F("0.269594436405444558262937951349")   # root of l - l^3 = 1/4
 ALPHA2_QUARTER = F("0.319448459735676311182676718920")  # root of l - l^2 + l^3 = 1/4
@@ -149,7 +154,11 @@ def test_psi_inverse_matches_fraction_oracle(case, bits, width_bits):
 def test_psi_inverse_survives_bad_newton_steps(monkeypatch):
     """A Newton guess that lands in the wrong cell costs a round, never a
     different cell: guesses of cell 0, far past the grid, below it, three
-    cells off, anywhere at random, or always two cells from the root's."""
+    cells off, anywhere at random, or always two cells from the root's.
+    The same holds for the double-precision guess the first round starts
+    from: at the grid's low end, past its high end, NaN, infinite or at
+    random, claiming no bits, a double's bits or more bits than the grid
+    has levels."""
     x = F(2, 7)
     cfg = PrecisionConfig(248, width_bits=200)
     xs = binary_expansion(x)
@@ -163,6 +172,11 @@ def test_psi_inverse_survives_bad_newton_steps(monkeypatch):
         middle = ((1 << (k - 1)) - base) // width // 2
         return cell + 2 if cell < middle else cell - 2
 
+    def solves_unchanged():
+        for s, e in zip(codes, expected):
+            got = lambda_set.psi_inverse.__wrapped__(x, s, cfg)
+            assert (got.lo, got.hi) == (e.lo, e.hi)
+
     newton_cell = ifs_core.newton_cell
     rng = random.Random(7)
     for step in (lambda j, *args: 0, lambda j, *args: 1 << 200,
@@ -170,9 +184,54 @@ def test_psi_inverse_survives_bad_newton_steps(monkeypatch):
                  lambda j, *args: rng.randrange(-4, 1 << 24), wrong):
         monkeypatch.setattr(ifs_core, "newton_cell",
                             lambda *args: step(newton_cell(*args), *args))
-        for s, e in zip(codes, expected):
-            got = lambda_set.psi_inverse.__wrapped__(x, s, cfg)
-            assert (got.lo, got.hi) == (e.lo, e.hi)
+        solves_unchanged()
+    monkeypatch.setattr(ifs_core, "newton_cell", newton_cell)
+    for guess in (lambda lo: lo, lambda lo: 1.0, lambda lo: 2.0 ** 600,
+                  lambda lo: math.nan, lambda lo: math.inf,
+                  lambda lo: -math.inf, lambda lo: rng.uniform(-1, 2)):
+        for bits in (0, 52, 1000):
+            monkeypatch.setattr(ifs_core, "float_guess",
+                                lambda coeffs, lo: (guess(lo), bits))
+            solves_unchanged()
+
+
+def test_float_guess_earns_its_bits():
+    """The double-precision guess lies within 2^-bits of the certified root
+    for both block codes of every admissible word of length 6 of several
+    targets, and claims at least 20 and at most 52 -
+    len(coeffs).bit_length() bits."""
+    cfg = PrecisionConfig()
+    for x in (F(1, 3), F(2, 7), F(3, 10), F(1, 100), F(49, 100)):
+        xs = binary_expansion(x)
+        a = Enclosure.from_fraction(x, cfg.precision_bits).lo
+        for w in admissible_prefixes(x, 6):
+            for s in block_codes(xs, w):
+                if s == xs:
+                    continue
+                coeffs = pi_root_poly(s, x)
+                guess, bits = ifs_core.float_guess(coeffs, float(a))
+                root = lambda_set.psi_inverse(x, s, cfg).lo
+                assert 20 <= bits <= 52 - len(coeffs).bit_length()
+                assert abs(F(guess) - root) <= F(1, 1 << bits)
+
+
+@pytest.mark.parametrize("x", [F(3, 8) + F(1, 1 << 1100),
+                               F(1, 3) + F(1, 3 << 1100)])
+def test_solve_past_a_doubles_range(x):
+    """Targets whose denominators have more than 1024 bits give root
+    polynomials whose coefficients no double holds; the guess scales them
+    by one power of two, and every cell is the exact bisection's."""
+    cfg = PrecisionConfig()
+    xs = binary_expansion(x)
+    a = Enclosure.from_fraction(x, cfg.precision_bits).lo
+    for w in admissible_prefixes(x, 4):
+        for s in block_codes(xs, w):
+            coeffs = pi_root_poly(s, x)
+            assert max(abs(c) for c in coeffs).bit_length() > 1100
+            guess, bits = ifs_core.float_guess(coeffs, float(a))
+            assert math.isfinite(guess) and bits > 0
+            e = lambda_set.psi_inverse.__wrapped__(x, s, cfg)
+            assert (e.lo, e.hi) == grid_oracle(s, x, cfg)
 
 
 def test_grid_roots_come_back_as_points(cfg, monkeypatch):
@@ -194,9 +253,12 @@ def test_grid_roots_come_back_as_points(cfg, monkeypatch):
 
 def test_deep_solve_work_is_bounded(monkeypatch):
     """A 2^-400 solve of a gap-record coding of 1/3 at piece 32 takes at
-    most 12 polynomial evaluations, exact fallbacks included: ten Newton
-    steps and two signs, none at an end of the bracket. Bisection alone
-    takes about 360."""
+    most 6 polynomial evaluations in integers, exact fallbacks included:
+    four Newton steps, doubling the 45 bits of the double-precision guess
+    up to the final level, and two signs, none at an end of the bracket.
+    The guess takes at most 6 iterations in doubles. From the bracket's
+    midpoint the chain takes ten Newton steps, and bisection alone about
+    360 signs."""
     x = F(1, 3)
     cfg = PrecisionConfig(448, width_bits=400)
     xs = binary_expansion(x)
@@ -211,9 +273,46 @@ def test_deep_solve_work_is_bounded(monkeypatch):
             calls.append(f)
             return f(*args)
         monkeypatch.setattr(module, name, counted)
+    float_steps = ifs_core.WORK["float_steps"]
     e = lambda_set.psi_inverse.__wrapped__(x, s, cfg)
     assert e.width() <= F(1, 1 << 400)
-    assert len(calls) <= 12
+    assert len(calls) <= 6
+    assert ifs_core.WORK["float_steps"] - float_steps <= 6
+
+
+def test_session_solves_take_one_newton_step(monkeypatch):
+    """The first 200 calls of the seed-1 session-ledger benchmark, from
+    cold memo tables: its 835 psi_inverse misses (833 of them solves) take
+    at most 1.5 integer Newton steps and 2 signs each, with no exact
+    fallback."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    # the session's requests take no gap files, so none is written
+    stream = workloads.session_ledger(1, None)
+    requests = []
+    while len(requests) < 200:
+        requests += next(stream)
+    cfg = PrecisionConfig()
+    calls = {
+        "thickness_Cl": lambda r: constructions.thickness_Cl(
+            F(r["x"]), r["ell"], r["k_max"], r["q_max"], cfg),
+        "verify_caseA": lambda r: constructions.verify_caseA(
+            F(r["x"]), r["trials"], cfg, r["seed"]),
+        "verify_caseB": lambda r: constructions.verify_caseB(
+            r["trials"], cfg, r["seed"]),
+    }
+    for table in MEMO_TABLES.values():
+        table.cache_clear()
+    before = dict(ifs_core.WORK)
+    solves = lambda_set.psi_inverse.cache_info().misses
+    for r in requests[:200]:
+        calls[r["call"]](r)
+    solves = lambda_set.psi_inverse.cache_info().misses - solves
+    work = {k: v - before[k] for k, v in ifs_core.WORK.items()}
+    assert solves > 800
+    assert work["newton_steps"] <= 1.5 * solves
+    assert work["signs"] <= 2 * solves
+    assert work["exact_fallbacks"] == 0
 
 
 @settings(deadline=None)

@@ -1,3 +1,5 @@
+from math import lcm
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -90,6 +92,47 @@ def test_period_unrolling_invariance(a, b, reps):
                 assert hash(s) == hash(t)
     for short, long in (("0(1)", "011(1)"), ("(01)", "0(10)")):
         assert S(short) == S(long) and hash(S(short)) == hash(S(long))
+
+
+def full_prefix_le(a, b):
+    """The order decided on |pre a| + |pre b| + lcm(|per a|, |per b|)
+    digits, past which both streams are jointly periodic: the reference for
+    the comparison that stops at the first difference."""
+    n = len(a.preperiod) + len(b.preperiod) + lcm(len(a.period),
+                                                  len(b.period))
+    return stream(a, n) <= stream(b, n)
+
+
+long_sequences = st.builds(
+    EpSequence,
+    bits(20),
+    st.lists(st.integers(0, 1), min_size=1, max_size=12).map(tuple),
+)
+
+
+@given(long_sequences, long_sequences, st.integers(0, 40), st.booleans())
+def test_order_matches_full_prefix_order(a, b, shared, swap):
+    """Also when b repeats the first `shared` digits of a, so the first
+    difference lies past several doublings of the compared prefix."""
+    b = EpSequence(a.prefix(shared) + b.preperiod, b.period)
+    if swap:
+        a, b = b, a
+    assert (a <= b) == full_prefix_le(a, b)
+    assert (b <= a) == full_prefix_le(b, a)
+
+
+def test_order_stops_at_the_first_difference(monkeypatch):
+    """Periods of 1009 and 1013 digits have a joint period of over 10^6
+    digits, but streams that differ at their third digit are ordered from
+    prefixes of at most 4 digits."""
+    a = EpSequence((), (0, 1, 0) + (1,) * 1006)
+    b = EpSequence((), (0, 1, 1) + (0,) * 1010)
+    lengths = []
+    prefix = EpSequence.prefix
+    monkeypatch.setattr(EpSequence, "prefix",
+                        lambda s, n: lengths.append(n) or prefix(s, n))
+    assert a <= b and not b <= a
+    assert max(lengths) <= 4
 
 
 def test_identity_is_computed_once(monkeypatch):

@@ -21,11 +21,11 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidInput, MalformedSequence, NonpositiveThickness
-from .numerics import (DEFAULT_CONFIG, Enclosure, dyadic_parts, exact_str,
-                       on_grid, parse_rational, round_outward)
+from .numerics import (DEFAULT_CONFIG, Cell, Enclosure, exact_str, on_grid,
+                       parse_rational, round_outward)
 
 __all__ = [
     "Interval",
@@ -76,7 +76,8 @@ class DefiningSequence(NamedTuple):
         """The sequence of a gap file's `hull` and `gaps` lists, whose
         endpoints are strings or JSON numbers. The first endpoint that is
         not a rational, hull first, raises ValueError."""
-        return cls._rounded(map(_ratio, chain(hull, *gaps)), bits)
+        return cls._on_grid([round_outward(*_ratio(q), bits)
+                             for q in chain(hull, *gaps)], bits)
 
     @classmethod
     def from_fractions(cls, hull: tuple[Fraction, Fraction],
@@ -85,54 +86,33 @@ class DefiningSequence(NamedTuple):
                        ) -> "DefiningSequence":
         """The sequence of these rationals, each endpoint rounded outward
         to `bits` significant bits as Enclosure.from_fraction rounds it."""
-        return cls._rounded((Fraction(q).as_integer_ratio()
-                             for q in chain(hull, *removals)), bits)
+        return cls._on_grid([round_outward(*Fraction(q).as_integer_ratio(),
+                                           bits)
+                             for q in chain(hull, *removals)], bits)
 
     @classmethod
     def from_cells(cls, hull: Interval, removals: Iterable[Interval]
                    ) -> "DefiningSequence":
         """The sequence of solved cells, taken as they are. A cell at
-        another precision than the hull's left end, and then an endpoint
-        that is not dyadic, raises InvalidInput."""
+        another precision than the hull's left end raises InvalidInput."""
         bits = hull[0].bits
         cells = [*hull, *chain(*removals)]
         if any(cell.bits != bits for cell in cells):
             raise InvalidInput("defining sequence mixes precisions")
-        try:
-            pairs = [dyadic_parts(q) for c in cells for q in (c.lo, c.hi)]
-        except ValueError:
-            raise InvalidInput("defining sequence has an endpoint that "
-                               "is not dyadic") from None
-        return cls._on_grid(*zip(*pairs), bits)
+        return cls._on_grid([c.cell for c in cells], bits)
 
     @classmethod
-    def _rounded(cls, ratios: Iterable[tuple[int, int]], bits: int
-                 ) -> "DefiningSequence":
-        """The sequence of the num/den `ratios`, each rounded outward."""
-        values, exps = [], []
-        for num, den in ratios:
-            lo, hi, e = round_outward(num, den, bits)
-            values += (lo, hi)
-            exps += (e, e)
-        return cls._on_grid(values, exps, bits)
-
-    @classmethod
-    def _on_grid(cls, values: Sequence[int], exps: Sequence[int], bits: int
-                 ) -> "DefiningSequence":
-        """The sequence of the endpoints values[i] 2^-exps[i], hull first."""
-        grid, top = on_grid(values, exps)
+    def _on_grid(cls, cells: list[Cell], bits: int) -> "DefiningSequence":
+        """The sequence of the endpoint cells, hull first."""
+        grid, top = on_grid(cells)
         ends = iter(grid)
         cells = zip(ends, ends, ends, ends)
         return cls(next(cells), tuple(cells), top, bits)
 
     def intervals(self) -> list[Interval]:
         """The hull, then each removal, as a pair of Enclosures."""
-        den = 1 << self.exponent
-
-        def enc(lo: int, hi: int) -> Enclosure:
-            return Enclosure(Fraction(lo, den), Fraction(hi, den), self.bits)
-
-        return [(enc(a, b), enc(c, d))
+        e, bits = self.exponent, self.bits
+        return [(Enclosure((a, b, e), bits), Enclosure((c, d, e), bits))
                 for a, b, c, d in (self.hull, *self.removals)]
 
     def to_json(self) -> dict:

@@ -23,7 +23,7 @@ from .cantor_metrics import DefiningSequence, Interval
 from .lambda_set import (MAX_PREFIXES, admissible, admissible_word,
                          binary_expansion, psi_inverse)
 from .numerics import (DEFAULT_CONFIG, Enclosure, PrecisionConfig,
-                       dyadic_parts, exact_str, memo, on_grid)
+                       dyadic_str, exact_str, memo, on_grid, round_outward)
 from .seqcode import (EpSequence, n_index, word_at_position, word_str,
                       zero_indices)
 
@@ -42,7 +42,6 @@ __all__ = [
     "verify_caseB",
 ]
 
-HALF = Fraction(1, 2)
 ONE_TAIL = (1,)
 ZERO_TAIL = (0,)
 # the codings of a word w as (digits after w, repeated tail), in ascending
@@ -98,19 +97,19 @@ class PieceEndpoints(NamedTuple):
 
 def _separated(x: Fraction, codings: list[EpSequence],
                cfg: PrecisionConfig, k: int,
-               omega: Optional[tuple[int, ...]] = None) -> list[Enclosure]:
+               omega: Optional[tuple[int, ...]] = None
+               ) -> tuple[list[Enclosure], list[int]]:
     """Solve the codings in order; raise Inconclusive unless each cell lies
     strictly below the next. `k` and `omega` name the piece, or the gap of
-    the piece, in the message."""
+    the piece, in the message. The cells, with their ends on one grid."""
     cells = [psi_inverse(x, s, cfg) for s in codings]
-    for left, right in zip(cells, cells[1:]):
-        if not left.hi < right.lo:
-            where = (f"piece {k}" if omega is None
-                     else f"gap {word_str(omega)} of piece {k}")
-            width = exact_str(Fraction(1, 1 << cfg.width_bits))
-            raise Inconclusive(f"endpoints of {where} not separated at target "
-                               f"width {width}")
-    return cells
+    ends, _ = on_grid([c.cell for c in cells])
+    if any(hi >= lo for hi, lo in zip(ends[1:-1:2], ends[2::2])):
+        where = (f"piece {k}" if omega is None
+                 else f"gap {word_str(omega)} of piece {k}")
+        raise Inconclusive(f"endpoints of {where} not separated at target "
+                           f"width 2^-{cfg.width_bits}")
+    return cells, ends
 
 
 @memo
@@ -123,7 +122,7 @@ def piece_endpoints(x: Fraction, k: int,
     x = Fraction(x)
     xs = binary_expansion(x)
     n_k = _nk(x, k)
-    alpha, beta, alpha_next = _separated(
+    (alpha, beta, alpha_next), _ = _separated(
         x, _codings(xs.prefix(n_k - 1), CODINGS[:3]), cfg, k)
     return PieceEndpoints(x, k, n_k, alpha, beta, alpha_next)
 
@@ -149,9 +148,10 @@ def gap_record(piece: PieceEndpoints, omega: tuple[int, ...],
     """
     base = (binary_expansion(piece.x).prefix(piece.n_k - 1) + ONE_TAIL
             + omega)
-    g1, g2, g3, g4 = _separated(piece.x, _codings(base), cfg, piece.k, omega)
+    (_, g2, g3, _), (_, h1, l2, _, _, h3, l4, _) = _separated(
+        piece.x, _codings(base), cfg, piece.k, omega)
     return GapRecord(n_index(omega), (g2, g3),
-                     min(g2.lo - g1.hi, g4.lo - g3.hi) / (g3.hi - g2.lo))
+                     Fraction(min(l2 - h1, l4 - h3), h3 - l2))
 
 
 def _tail(x: Fraction, ell: int, k_max: int, q_max: int, cfg: PrecisionConfig
@@ -200,9 +200,8 @@ def defining_sequence_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
             removals.append((piece.beta, piece.alpha_next))
         for i in range(max(0, t - k_max), min(t, n_gaps)):
             removals.append(tail[t - 1 - i][1][i].gap)
-    half_point = Enclosure.point(HALF, cfg.precision_bits)
-    return DefiningSequence.from_cells((tail[0][0].alpha, half_point),
-                                       removals)
+    return DefiningSequence.from_cells(
+        (tail[0][0].alpha, Enclosure((1, 1, 1), cfg.precision_bits)), removals)
 
 
 class ThicknessReport(NamedTuple):
@@ -241,9 +240,9 @@ FAMILIES = ("gap_ratio", "piece_gap", "half_gap")
 def _piece_ratios(piece: PieceEndpoints) -> tuple[Fraction, Fraction]:
     """Certified lower bounds of the piece-over-gap and right-tail-over-gap
     ratios at the inter-piece gap (beta_k, alpha_{k+1})."""
-    den = piece.alpha_next.hi - piece.beta.lo
-    return ((piece.beta.lo - piece.alpha.hi) / den,
-            (HALF - piece.alpha_next.hi) / den)
+    (_, a, b, _, _, c), k = on_grid(
+        [piece.alpha.cell, piece.beta.cell, piece.alpha_next.cell])
+    return Fraction(b - a, c - b), Fraction((1 << k - 1) - c, c - b)
 
 
 @memo
@@ -382,41 +381,100 @@ def _draw(rng: random.Random, x: Fraction, xs: EpSequence,
         f"none had both codings admissible for x = {exact_str(x)}")
 
 
+@memo
+def _family_verdicts(piece: PieceEndpoints, m: Optional[int], bits: int,
+                     record: GapRecord) -> tuple[Verdict, ...]:
+    """(lhs, rhs, passed) of each family, in FAMILIES order, for one gap
+    record and the piece's inter-piece gap; a repeated one is one lookup."""
+    ratios = (record.ratio_lo, *_piece_ratios(piece))
+    return tuple((exact_str(ratio), exact_str(bound), ratio >= bound) for
+                 ratio, bound in zip(ratios, _family_bounds(piece, m, bits)))
+
+
 def _family_entries(piece: PieceEndpoints, m: Optional[int], bits: int,
                     record: GapRecord, gap_params: dict) -> list[LedgerEntry]:
     """Ledger entries checking one gap record of the piece, and the piece's
     inter-piece gap, against the family bounds."""
-    ratios = (record.ratio_lo, *_piece_ratios(piece))
     params = (gap_params, {"k": piece.k}, {"k": piece.k})
-    return [LedgerEntry(family, p, exact_str(ratio), exact_str(bound),
-                        ratio >= bound)
-            for family, p, ratio, bound in
-            zip(FAMILIES, params, ratios, _family_bounds(piece, m, bits))]
+    return [LedgerEntry(family, p, *verdict) for family, p, verdict in
+            zip(FAMILIES, params, _family_verdicts(piece, m, bits, record))]
 
 
-def _switch_upper_rhs(lam3: Enclosure, lam4: Enclosure, q: int,
-                      m: int) -> Fraction:
-    """min(bound1, bound2) for the switch_upper check, where
+# A check's (lhs, rhs, passed), computed from the integers of its cells'
+# common grid: passed is True when its inequality is certified, False when
+# the opposite one is, and None when neither is.
+Verdict = tuple[str, str, Optional[bool]]
 
-        bound1 = 2 (1 - 2 lam3.hi) lam3.lo^(q+2),
-        bound2 = 2 (1 - 2 lam4.hi) lam4.lo^(m+q) / lam3.hi^(m-2).
 
-    On the cells' common dyadic grid 2^-k, with a, b, c, d the integers of
-    lam3.lo, lam3.hi, lam4.lo and lam4.hi and E = 2^(k(q+3)),
+def _sides(lhs: int, k: int, num: int, s: int, den: int = 1,
+           at_least: bool = True) -> Verdict:
+    """lhs 2^-k and num / (den 2^s), den > 0, printed by dyadic_str, and
+    whether lhs >= rhs (at_least) or lhs <= rhs."""
+    left, right = lhs * den << s, num << k
+    return (dyadic_str(lhs, k), dyadic_str(num, s, den),
+            left >= right if at_least else left <= right)
 
-        bound1 = n1 / E,  n1 = 2 (2^k - 2b) a^(q+2),
-        bound2 = n2 / (E b^(m-2)),  n2 = 2 (2^k - 2d) c^(m+q),
 
-    so bound1 is the smaller (or equal) exactly when n1 b^(m-2) <= n2: one
-    integer comparison picks it, and one Fraction is built."""
-    ends = (lam3.lo, lam3.hi, lam4.lo, lam4.hi)
-    (a, b, c, d), k = on_grid(*zip(*map(dyadic_parts, ends)))
+def _switch_lower_caseA(lam1: Enclosure, lam2: Enclosure, p: int) -> Verdict:
+    """lam2.lo - lam1.hi >= lam2.hi^p / 4; it fails only when even lam2.hi
+    - lam1.lo lies below lam2.lo^p / 4."""
+    (a_lo, a, b, c), k = on_grid((lam1.cell, lam2.cell))
+    lhs, rhs, passed = _sides(b - a, k, c ** p, k * p + 2)
+    if not passed and _sides(c - a_lo, k, b ** p, k * p + 2)[2]:
+        passed = None
+    return lhs, rhs, passed
+
+
+def _switch_upper_caseA(lam3: Enclosure, lam4: Enclosure, q: int,
+                        m: int) -> Verdict:
+    """lam4.hi - lam3.lo <= min(bound1, bound2), where, with a, b, c, d the
+    ends of lam3 and lam4 on the grid and E = 2^(k(q+3)),
+        bound1 = 2 (1 - 2 lam3.hi) lam3.lo^(q+2) = 2 (2^k - 2b) a^(q+2) / E,
+        bound2 = 2 (1 - 2 lam4.hi) lam4.lo^(m+q) / lam3.hi^(m-2)
+               = 2 (2^k - 2d) c^(m+q) / (E b^(m-2)):
+    one integer comparison picks the minimum, and only bound2 needs a gcd,
+    against b^(m-2), to print."""
+    (a, b, c, d), k = on_grid((lam3.cell, lam4.cell))
     n1 = 2 * ((1 << k) - 2 * b) * a ** (q + 2)
     n2 = 2 * ((1 << k) - 2 * d) * c ** (m + q)
     power = b ** (m - 2)
-    if n1 * power <= n2:
-        return Fraction(n1, 1 << k * (q + 3))
-    return Fraction(n2, power << k * (q + 3))
+    num, den = (n1, 1) if n1 * power <= n2 else (n2, power)
+    return _sides(d - a, k, num, k * (q + 3), den, at_least=False)
+
+
+def _switch_lower_caseB(lam1: Enclosure, lam2: Enclosure, mm: int,
+                        q: int) -> Verdict:
+    """lam2.lo - lam1.hi >= lam2.hi^p / (1 - 2 lam1.hi + (mm + 3) / 2^mm)
+    for p = mm + 2 + q: with a, b, c the ends on the grid, the right side
+    is c^p / (D 2^(k(p-1) - mm)), D = (2^k - 2a) 2^mm + (mm + 3) 2^k > 0,
+    and k(p-1) - mm > 0 as k >= 1 and p >= mm + 3."""
+    (_, a, b, c), k = on_grid((lam1.cell, lam2.cell))
+    p = mm + 2 + q
+    den = ((1 << k) - 2 * a << mm) + (mm + 3 << k)
+    return _sides(b - a, k, c ** p, k * (p - 1) - mm, den)
+
+
+def _switch_upper_caseB(lam3: Enclosure, lam4: Enclosure, q: int) -> Verdict:
+    """lam4.hi - lam3.lo <= lam3.lo^(q+2)."""
+    (a, _, _, d), k = on_grid((lam3.cell, lam4.cell))
+    return _sides(d - a, k, a ** (q + 2), k * (q + 2), at_least=False)
+
+
+@memo
+def _square_identity(piece: PieceEndpoints, bits: int) -> Verdict:
+    """(1/2 - alpha_{k+1})^2 = alpha_{k+1}^(n_k): the residual's largest
+    magnitude over alpha_{k+1}'s cell, rounded up to `bits`, against 2^-70.
+    It fails when the residual's range excludes 0, and is undecided when
+    the range holds 0 but the magnitude tops the cap."""
+    lo, hi, e = piece.alpha_next.cell
+    n = piece.n_k
+    # the residual at a 2^-e is res(a) 2^-(en), falling as a rises in
+    # [0, 2^(e-1)], so over the cell it ranges over [res(hi), res(lo)]
+    res_lo, res_hi = ((((1 << e - 1) - a) ** 2 << e * (n - 2)) - a ** n
+                      for a in (hi, lo))
+    _, mag, f = round_outward(max(-res_lo, res_hi), 1 << e * n, bits)
+    lhs, rhs, capped = _sides(mag, f, 1, 70, at_least=False)
+    return lhs, rhs, res_lo <= 0 <= res_hi and (capped or None)
 
 
 def verify_caseA(x: Fraction, trials: int,
@@ -436,32 +494,19 @@ def verify_caseA(x: Fraction, trials: int,
 
     for _ in range(trials):
         w, lam1, lam2 = _draw(rng, x, xs, cfg, (), (3, 12), BLOCK)
-        lhs = lam2.lo - lam1.hi
-        # lam2.hi^|w| / 4 = num / den: lam2.hi has an odd numerator and a
-        # power-of-two denominator, so num / den is in lowest terms
-        num = lam2.hi.numerator ** len(w)
-        den = lam2.hi.denominator ** len(w) << 2
-        passed = lhs.numerator * den >= num * lhs.denominator
-        # a failure is a violation only when certified: the widest the
-        # block can be lies below the least the right side can be
-        if not passed and lam2.hi - lam1.lo >= lam2.lo ** len(w) / 4:
-            width = exact_str(Fraction(1, 1 << cfg.width_bits))
+        lhs, rhs, passed = _switch_lower_caseA(lam1, lam2, len(w))
+        if passed is None:
             raise Inconclusive(f"switch_lower of word {word_str(w)} not "
-                               f"decided at target width {width}")
+                               f"decided at target width 2^-{cfg.width_bits}")
         entries.append(LedgerEntry("switch_lower", {"word": word_str(w)},
-                                   exact_str(lhs),
-                                   f"{exact_str(num)}/{exact_str(den)}",
-                                   passed))
+                                   lhs, rhs, passed))
 
     prefix = xs.prefix(m)
     for _ in range(trials):
         j, lam3, lam4 = _draw(rng, x, xs, cfg, prefix, (1, 8), GAP)
-        q = len(j)
-        lhs = lam4.hi - lam3.lo
-        rhs = _switch_upper_rhs(lam3, lam4, q, m)
         entries.append(LedgerEntry(
-            "switch_upper", {"q": q, "m": m}, exact_str(lhs), exact_str(rhs),
-            lhs <= rhs))
+            "switch_upper", {"q": len(j), "m": m},
+            *_switch_upper_caseA(lam3, lam4, len(j), m)))
 
     k0 = 1
     while _nk(x, k0) <= m:
@@ -480,7 +525,8 @@ def verify_caseA(x: Fraction, trials: int,
 def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
                  seed: int = 0) -> VerificationLedger:
     """Certified spot checks for the exceptional target 1/4, including the
-    exact square identity (1/2 - alpha_{k+1})^2 = alpha_{k+1}^(n_k)."""
+    exact square identity (1/2 - alpha_{k+1})^2 = alpha_{k+1}^(n_k); a
+    cell too wide to decide that identity raises Inconclusive."""
     _check_trials(trials)
     x = Fraction(1, 4)
     rng = random.Random(seed)
@@ -493,37 +539,24 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
         mm = rng.randint(1, 6)
         head = (0, 1) + (0,) * mm
         j, lam1, lam2 = _draw(rng, x, xs, cfg, head, (1, 6), BLOCK)
-        q = len(j)
-        lhs = lam2.lo - lam1.hi
-        den = 1 - 2 * lam1.hi + Fraction(mm + 3, 1 << mm)
-        rhs = lam2.hi ** (mm + 2 + q) / den
         entries.append(LedgerEntry(
-            "switch_lower", {"m": mm, "q": q, "word": word_str(j)},
-            exact_str(lhs), exact_str(rhs), lhs >= rhs))
+            "switch_lower", {"m": mm, "q": len(j), "word": word_str(j)},
+            *_switch_lower_caseB(lam1, lam2, mm, len(j))))
 
     for _ in range(trials):
         j, lam3, lam4 = _draw(rng, x, xs, cfg, (0, 1), (1, 8), GAP)
-        q = len(j)
-        lhs = lam4.hi - lam3.lo
-        rhs = lam3.lo ** (2 + q)
         entries.append(LedgerEntry(
-            "switch_upper", {"q": q, "word": word_str(j)},
-            exact_str(lhs), exact_str(rhs), lhs <= rhs))
+            "switch_upper", {"q": len(j), "word": word_str(j)},
+            *_switch_upper_caseB(lam3, lam4, len(j))))
 
-    residual_cap = Fraction(1, 1 << 70)
     for k in range(1, 7):
         piece = piece_endpoints(x, k, cfg)
-        # the residual falls as alpha rises in [0, 1/2], so its exact range
-        # over the cell [a_lo, a_hi] is [res(a_hi), res(a_lo)]
-        a_lo = piece.alpha_next.lo
-        a_hi = piece.alpha_next.hi
-        res_lo = (HALF - a_hi) ** 2 - a_hi ** piece.n_k
-        res_hi = (HALF - a_lo) ** 2 - a_lo ** piece.n_k
-        magnitude = Enclosure.from_fraction(max(-res_lo, res_hi), bits).hi
+        lhs, rhs, passed = _square_identity(piece, bits)
+        if passed is None:
+            raise Inconclusive(f"square_identity of piece {k} not decided "
+                               f"at target width 2^-{cfg.width_bits}")
         entries.append(LedgerEntry(
-            "square_identity", {"k": k, "n_k": piece.n_k},
-            exact_str(magnitude), exact_str(residual_cap),
-            res_lo <= 0 <= res_hi and magnitude <= residual_cap))
+            "square_identity", {"k": k, "n_k": piece.n_k}, lhs, rhs, passed))
         record = gap_record(piece, word_at_position(1 + (k % 7)), cfg)
         entries += _family_entries(piece, None, bits, record, {"k": k})
 

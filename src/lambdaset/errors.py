@@ -6,9 +6,9 @@ class LambdasetError(Exception):
 
 
 class Inconclusive(LambdasetError):
-    """Solved cells of neighbouring endpoints are not separated; the
-    message names the piece or gap and the target width they were solved
-    at, and a narrower target width may separate them."""
+    """Solved cells are too wide to separate neighbouring endpoints or to
+    decide a ledger entry; the message names the piece, gap or entry and
+    the target width, and a narrower target width may settle it."""
 
 
 class PeriodAllOnes(LambdasetError):

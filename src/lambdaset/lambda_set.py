@@ -20,8 +20,8 @@ from typing import Iterable, NamedTuple
 from .errors import (DepthBudgetExceeded, InsufficientMembers, InvalidInput,
                      NotAdmissible, OutOfRange)
 from .ifs_core import pi_eval, pi_root_poly, root_cell
-from .numerics import (DEFAULT_CONFIG, Enclosure, PrecisionConfig, exact_str,
-                       memo, round_outward)
+from .numerics import (DEFAULT_CONFIG, Cell, Enclosure, PrecisionConfig,
+                       exact_str, memo, round_outward)
 from .seqcode import SEQ_01INF, EpSequence, word_at_position, word_str
 
 __all__ = [
@@ -96,6 +96,14 @@ def admissible_word(xs: EpSequence, w: tuple[int, ...]) -> bool:
 
 
 @memo
+def _target(x: Fraction, bits: int) -> tuple[Fraction, EpSequence, Cell]:
+    """x as a Fraction, its expansion, and its cell at `bits` precision."""
+    x = Fraction(x)
+    return x, binary_expansion(x), round_outward(x.numerator, x.denominator,
+                                                 bits)
+
+
+@memo
 def psi_inverse(x: Fraction, s: EpSequence,
                 cfg: PrecisionConfig = DEFAULT_CONFIG) -> Enclosure:
     """Certified enclosure of the unique ratio whose coding of x equals s.
@@ -115,23 +123,21 @@ def psi_inverse(x: Fraction, s: EpSequence,
     the answer is then the point x.
 
     Memoised, with the admissibility check inside the cached body, so a hit
-    skips it.
+    skips it; a miss builds no Fraction.
     """
-    x = Fraction(x)
-    xs = binary_expansion(x)
     bits = cfg.precision_bits
+    x, xs, (a_m, a_hi, n) = _target(x, bits)
     if s == xs:
-        return Enclosure.point(HALF, bits)
+        return Enclosure((1, 1, 1), bits)
     if not admissible(xs, s):
         raise NotAdmissible(
             f"{s} is outside the admissible window for {exact_str(x)}")
-    a_m, a_hi, n = round_outward(x.numerator, x.denominator, bits)
     if s == SEQ_01INF and a_m == a_hi:
-        return Enclosure.point(x, bits)
+        return Enclosure((a_m, a_m, n), bits)
     # Solves s as given: representations of one sequence share an entry
     # (they share one `key`), and the first one solved is kept.
-    lo, hi, k = root_cell(pi_root_poly(s, x), a_m, n, cfg.width_bits)
-    return Enclosure(Fraction(lo, 1 << k), Fraction(hi, 1 << k), bits)
+    return Enclosure(root_cell(pi_root_poly(s, x), a_m, n, cfg.width_bits),
+                     bits)
 
 
 def block_codes(xs: EpSequence, w: tuple[int, ...]

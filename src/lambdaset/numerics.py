@@ -1,17 +1,14 @@
 """Exact rationals, certified dyadic cells, and the precision settings of
 root solving.
 
-An Enclosure is a pair [lo, hi] of dyadic Fractions with a working
-precision in bits: the cell a root solve certifies, or a rational rounded
-outward once. Enclosures carry no arithmetic; callers compute with the
-endpoints exactly and round outward only the value they store. Endpoints
-print as exact decimals, and every rational a payload or an error message
-holds prints through exact_str, also past the interpreter's
-integer-to-string digit limit.
-
-Only this module knows that endpoints are dyadic. It writes m 2^-e as the
-integer pair (m, e): round_outward rounds num/den outward, dyadic_parts
-decodes a Fraction, and on_grid shifts mantissas onto their finest grid.
+An Enclosure is a dyadic cell [lo, hi] 2^-e, held as the integers (lo, hi,
+e) that a root solve or an outward rounding returns, with a working
+precision in bits. Callers compare cells on their common grid (on_grid),
+or compute exactly with the Fraction view of the ends, and round outward
+(round_outward) only the value they store. Cells print as exact decimals,
+and every rational a payload or an error message holds prints exactly
+(exact_str, dyadic_str), also past the interpreter's integer-to-string
+digit limit. Only this module knows how a cell is encoded.
 
 It also holds the registry the CLI manifest reads: `memo`, the one way to
 memoise, lists each table in MEMO_TABLES, and a module adds counters to
@@ -22,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Callable, NamedTuple, Sequence
 
 __all__ = [
@@ -31,8 +29,8 @@ __all__ = [
     "memo",
     "parse_rational",
     "exact_str",
+    "dyadic_str",
     "round_outward",
-    "dyadic_parts",
     "on_grid",
     "Enclosure",
     "PrecisionConfig",
@@ -40,13 +38,13 @@ __all__ = [
 ]
 
 
-# Bound of every memo table in the package: expansions, root solves,
-# pieces, gap records, per-piece ratios and bounds, and the values of
-# thickness reports. The 200 calls of the seed-1 session-ledger benchmark
-# leave 835 root solves, 140 gap records, 19 pieces (and 19 per-piece ratio
-# pairs), 16 bound triples and 26 report values (its 134 reports have 26
-# distinct truncations), so nothing is evicted there; a long-lived process
-# stays bounded.
+# Bound of every memo table in the package: expansions and targets, root
+# solves, pieces, gap records, per-piece ratios, bounds and ledger verdicts,
+# and the values of thickness reports. The 200 calls of the seed-1
+# session-ledger benchmark leave 3 targets, 835 root solves, 140 gap records,
+# 19 pieces (and 19 ratio pairs), 16 bound triples, 108 family verdicts, 6
+# square identities and 26 report values (its 134 reports have 26 distinct
+# truncations), so nothing is evicted there; a long process stays bounded.
 CACHE_SIZE = 4096
 
 # Every memo table of a loaded module, as "module.function", and every
@@ -127,25 +125,34 @@ def round_outward(num: int, den: int, bits: int) -> tuple[int, int, int]:
     return lo, hi, shift
 
 
-def dyadic_parts(q: Fraction) -> tuple[int, int]:
-    """(m, e) with q = m 2^-e and e >= 0 least, or ValueError."""
-    den = q.denominator
-    if den & (den - 1):
-        raise ValueError(f"not a dyadic rational: {exact_str(q)}")
-    return q.numerator, den.bit_length() - 1
+Cell = tuple[int, int, int]
 
 
-def on_grid(values: Sequence[int], exps: Sequence[int]
-            ) -> tuple[list[int], int]:
-    """The values[i] 2^-exps[i] as multiples of 2^-top, top the finest of
-    the exponents and at least 0: (multiples, top)."""
-    top = max(0, max(exps))
-    return [v << (top - e) for v, e in zip(values, exps)], top
+def on_grid(cells: Sequence[Cell]) -> tuple[list[int], int]:
+    """The ends of the cells (lo, hi, e) as multiples of 2^-top, top the
+    finest of the exponents: ([lo, hi, lo, hi, ...], top)."""
+    top = max(e for _, _, e in cells)
+    return [v << (top - e) for lo, hi, e in cells for v in (lo, hi)], top
 
 
-def _decimal(q: Fraction) -> str:
-    """Exact decimal string of a dyadic rational."""
-    m, k = dyadic_parts(q)
+def _lowest(m: int, e: int) -> tuple[int, int]:
+    """m 2^-e as m' 2^-e' with e' >= 0 least."""
+    z = min((m & -m).bit_length() - 1, e) if m else e
+    return m >> z, e - z
+
+
+def dyadic_str(num: int, e: int, den: int = 1) -> str:
+    """exact_str of the Fraction num / (den 2^e), den > 0: a gcd against
+    den only, and the powers of two cancelled by a shift."""
+    g = gcd(num, den)
+    num, e = _lowest(num // g, e)
+    den = den // g << e
+    return f"{exact_str(num)}/{exact_str(den)}" if den > 1 else exact_str(num)
+
+
+def _decimal(m: int, e: int) -> str:
+    """Exact decimal string of m 2^-e."""
+    m, k = _lowest(m, e)
     if k == 0:
         return exact_str(m)
     sign = "-" if m < 0 else ""
@@ -155,21 +162,31 @@ def _decimal(q: Fraction) -> str:
 
 
 class Enclosure:
-    """Certified interval [lo, hi] with dyadic Fraction endpoints at a fixed
-    working precision. Immutable, and equal only to itself."""
+    """Certified interval, the integer `cell` (lo, hi, e) for [lo, hi] 2^-e
+    with e >= 0, at a working precision `bits`; `lo` and `hi` are its ends
+    as Fractions, built on first read. Immutable, equal only to itself."""
 
-    __slots__ = ("lo", "hi", "bits")
+    __slots__ = ("cell", "bits", "lo", "hi")
+    cell: Cell
+    bits: int
     lo: Fraction
     hi: Fraction
-    bits: int
 
-    def __init__(self, lo: Fraction, hi: Fraction, bits: int):
+    def __init__(self, cell: Cell, bits: int):
+        lo, hi, e = cell
         if lo > hi:
             raise ValueError("enclosure endpoints out of order: "
-                             f"{exact_str(lo)} > {exact_str(hi)}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+                             f"{_decimal(lo, e)} > {_decimal(hi, e)}")
+        object.__setattr__(self, "cell", (lo, hi, e))
         object.__setattr__(self, "bits", bits)
+
+    def __getattr__(self, name):     # reached only while a slot is unset
+        if name not in ("lo", "hi"):
+            raise AttributeError(name)
+        lo, hi, e = self.cell
+        object.__setattr__(self, "lo", Fraction(lo, 1 << e))
+        object.__setattr__(self, "hi", Fraction(hi, 1 << e))
+        return getattr(self, name)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -178,16 +195,19 @@ class Enclosure:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return Enclosure, (self.lo, self.hi, self.bits)
+        return Enclosure, (self.cell, self.bits)
 
     @classmethod
     def point(cls, d: Fraction, bits: int) -> "Enclosure":
-        return cls(d, d, bits)
+        """The cell [d, d] of a dyadic rational d, or ValueError."""
+        m, den = d.numerator, d.denominator
+        if den & (den - 1):
+            raise ValueError(f"not a dyadic rational: {exact_str(d)}")
+        return cls((m, m, den.bit_length() - 1), bits)
 
     @classmethod
     def from_fraction(cls, q: Fraction, bits: int) -> "Enclosure":
-        lo, hi, e = round_outward(q.numerator, q.denominator, bits)
-        return cls(Fraction(lo, 1 << e), Fraction(hi, 1 << e), bits)
+        return cls(round_outward(q.numerator, q.denominator, bits), bits)
 
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -199,10 +219,12 @@ class Enclosure:
         return self.lo <= q <= self.hi
 
     def __repr__(self):
-        return f"Enclosure[{_decimal(self.lo)}, {_decimal(self.hi)}]@{self.bits}"
+        lo, hi, e = self.cell
+        return f"Enclosure[{_decimal(lo, e)}, {_decimal(hi, e)}]@{self.bits}"
 
     def to_json(self) -> dict:
-        return {"lo": _decimal(self.lo), "hi": _decimal(self.hi),
+        lo, hi, e = self.cell
+        return {"lo": _decimal(lo, e), "hi": _decimal(hi, e),
                 "bits": self.bits}
 
 

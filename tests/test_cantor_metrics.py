@@ -164,11 +164,10 @@ def test_mixed_grid_exponents():
 
 
 def test_non_dyadic_endpoint_is_refused():
+    # an Enclosure is a dyadic cell, so a third never reaches the sequence
     hull = (Enclosure.point(F(0), 8), Enclosure.point(F(1), 8))
-    third = Enclosure.point(F(1, 3), 8)
-    with pytest.raises(InvalidInput, match="not dyadic"):
-        DefiningSequence.from_cells(
-            hull, ((third, Enclosure.point(F(1, 2), 8)),))
+    with pytest.raises(ValueError, match="not a dyadic rational: 1/3"):
+        Enclosure.point(F(1, 3), 8)
     # the payload prints one precision for every cell
     with pytest.raises(InvalidInput, match="mixes precisions"):
         DefiningSequence.from_cells(hull, ((Enclosure.point(F(1, 4), 8),

@@ -138,7 +138,7 @@ def test_verify_tells_a_shortfall_from_a_violation(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--x", "1/1000", "--trials", "5")
     assert code == 1 and out == ""
     assert re.fullmatch(r"error: switch_lower of word [01]{3,12} not decided "
-                        r"at target width 1/1208925819614629174706176\n", err)
+                        r"at target width 2\^-80\n", err)
     code, payload, _ = run_json(capsys, "verify", "--x", "1/1000",
                                 "--trials", "5", "--width-bits", "200")
     assert code == 0 and payload["violations"] == []
@@ -151,6 +151,35 @@ def test_verify_tells_a_shortfall_from_a_violation(capsys, monkeypatch):
     assert code == 2
     assert [(e["kind"], e["lhs"], e["rhs"]) for e in payload["violations"]
             ] == [("switch_lower", "0", "27/2048")] * 2
+
+
+def test_case_b_tells_a_shortfall_from_a_violation(capsys, monkeypatch):
+    """A square_identity entry whose residual range holds 0 but whose
+    magnitude bound misses the 2^-70 cap is undecided: exit 1 at width
+    2^-64, naming the piece and the width, and exit 0 at 2^-80. Exit 2
+    needs a residual range that excludes 0, here from pieces whose
+    alpha_{k+1} cell is moved off its root."""
+    argv = ["verify", "--x", "1/4", "--trials", "5", "--width-bits"]
+    code, out, err = run(capsys, *argv, "64")
+    assert (code, out) == (1, "")
+    assert err == ("error: square_identity of piece 1 not decided at "
+                   "target width 2^-64\n")
+    code, payload, _ = run_json(capsys, *argv, "80")
+    assert code == 0 and payload["violations"] == []
+    from lambdaset import constructions
+    solve = constructions.piece_endpoints
+
+    def moved(x, k, cfg):
+        piece = solve(x, k, cfg)
+        lo, hi, e = piece.alpha_next.cell
+        return piece._replace(alpha_next=Enclosure(
+            (lo + (1 << e - 40), hi + (1 << e - 40), e), cfg.precision_bits))
+
+    monkeypatch.setattr(constructions, "piece_endpoints", moved)
+    code, payload, _ = run_json(capsys, *argv, "80")
+    squares = [e for e in payload["entries"] if e["kind"] == "square_identity"]
+    assert code == 2 and len(squares) == 6
+    assert not any(e["passed"] for e in squares)
 
 
 def test_verify_reads_its_case_from_x(capsys):
@@ -299,6 +328,13 @@ PINNED_STDOUT = [
      "548d20d43afb5fc40ca372210ca5caf415de261f96ba6bd310303e898eba84c5"),
     (["verify", "--x", "1/4", "--trials", "20", "--seed", "3"],
      "7b861b9075735fe908410863606ec6a6117eea4e0c22c2b69fd9b8b06f20fbaf"),
+    # ledgers at the coarse and fine precisions of the benchmark's covers
+    (["verify", "--x", "1/3", "--trials", "50", "--seed", "7", "--bits", "96",
+      "--width-bits", "48"],
+     "0fa736210e9796b8568fd7664e0ca6ac5171bbc211a7a1113f55326dcc9fbc53"),
+    (["verify", "--x", "1/4", "--trials", "50", "--seed", "7", "--bits",
+      "176", "--width-bits", "112"],
+     "caf192d8ea6b2f833600949a3eb3b515ec765032c5d691cabee36d3653393a1f"),
     (["common", "--targets", "1/3", "--depth", "9"],
      "db4ead4f709aef021c172182c9d26f9b03602a8f57765693367d2116977c346b"),
     (["common", "--targets", "2/7", "--depth", "9"],

@@ -7,14 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from lambdaset import constructions, seqcode
 from lambdaset.cantor_metrics import newhouse_lower, thickness_of
-from lambdaset.constructions import (CODINGS, _codings, _family_bounds,
-                                     _switch_upper_rhs, defining_sequence_Cl,
-                                     first_switch_index, gap_record,
-                                     piece_endpoints, thickness_Cl,
+from lambdaset.constructions import (CODINGS, PieceEndpoints, _codings,
+                                     _family_bounds, _square_identity,
+                                     _switch_lower_caseA, _switch_lower_caseB,
+                                     _switch_upper_caseA, _switch_upper_caseB,
+                                     defining_sequence_Cl, first_switch_index,
+                                     gap_record, piece_endpoints, thickness_Cl,
                                      verify_caseA, verify_caseB)
 from lambdaset.errors import HypothesisUnsatisfiable, Inconclusive
 from lambdaset.lambda_set import admissible, binary_expansion, psi_inverse
-from lambdaset.numerics import MEMO_TABLES, Enclosure, PrecisionConfig
+from lambdaset.numerics import (MEMO_TABLES, Enclosure, PrecisionConfig,
+                                exact_str)
 from lambdaset.seqcode import EpSequence
 
 F = Fraction
@@ -172,11 +175,39 @@ def test_family_bounds_match_the_stated_formulas(cfg):
 
 def test_unseparated_endpoints_name_the_width(cfg):
     coarse = PrecisionConfig(64, width_bits=20)
-    with pytest.raises(Inconclusive, match="piece 40 .*width 1/1048576$"):
+    with pytest.raises(Inconclusive, match=r"piece 40 .*width 2\^-20$"):
         piece_endpoints(F(1, 3), 40, coarse)
     coarser = PrecisionConfig(64, width_bits=8)
-    with pytest.raises(Inconclusive, match="gap 01 of piece 1 .*width 1/256$"):
+    with pytest.raises(Inconclusive, match=r"gap 01 of piece 1 .*width 2\^-8$"):
         gap_record(piece_endpoints(F(1, 3), 1, cfg), (0, 1), coarser)
+
+
+def test_separation_compares_cells_on_one_grid(cfg, monkeypatch):
+    """Cells on different grids are compared by value: 3/8 at 2^-3 lies
+    below the point 1/2 at 2^-1, though its integer is larger."""
+    low, half = Enclosure((3, 3, 3), 128), Enclosure((1, 1, 1), 128)
+    for cells, separated in (((low, half), True), ((half, low), False)):
+        solved = iter(cells)
+        monkeypatch.setattr(constructions, "psi_inverse",
+                            lambda x, s, c: next(solved))
+        if separated:
+            assert constructions._separated(F(1, 3), [None] * 2, cfg, 1)[0]
+        else:
+            with pytest.raises(Inconclusive, match="piece 1 "):
+                constructions._separated(F(1, 3), [None] * 2, cfg, 1)
+
+
+def test_verdict_memos_key_on_the_precision(cfg):
+    """The memoised family verdicts and square identity of one piece differ
+    by precision: the odd-n_k half-gap bound of 1/4 and the residual
+    magnitude are rounded to `bits`."""
+    piece = piece_endpoints(F(1, 4), 1, cfg)
+    assert piece.n_k % 2 == 1
+    record = gap_record(piece, (0,), cfg)
+    for check in (lambda bits: constructions._family_verdicts(
+                      piece, None, bits, record)[2][1],
+                  lambda bits: _square_identity(piece, bits)[0]):
+        assert len({check(64), check(200), check(64)}) == 2
 
 
 def test_tail_reports_fail_alike(cfg):
@@ -376,8 +407,17 @@ def test_rejected_draw_words_have_no_admissible_coding(x, w):
 
 
 def _cell(e, lo, extra):
-    return Enclosure(F(lo, 1 << e), F(min(lo + extra, 1 << (e - 1)), 1 << e),
-                     128)
+    return Enclosure((lo, min(lo + extra, 1 << (e - 1)), e), 128)
+
+
+def _interval(lo, hi):
+    """The cell [lo, hi] of two dyadic Fractions."""
+    e = max(lo.denominator, hi.denominator).bit_length() - 1
+    return Enclosure((int(lo * (1 << e)), int(hi * (1 << e)), e), 128)
+
+
+def _point(q):
+    return Enclosure.point(q, 128)
 
 
 # cells [lo, hi] with dyadic ends in (0, 1/2], at most 8 grid steps wide
@@ -385,41 +425,102 @@ DYADIC_CELLS = st.integers(2, 140).flatmap(lambda e: st.builds(
     _cell, st.just(e), st.integers(1, 1 << (e - 1)), st.integers(0, 8)))
 
 
-def _switch_upper_by_fractions(lam3, lam4, q, m):
-    """The switch_upper right side by Fraction arithmetic, as verify_caseA
-    computed it before its integer form, and whether bound1 is the
-    minimum."""
+# The switch checks by Fraction arithmetic, as verify computed them before
+# their integer forms: (lhs, rhs, passed) printed by exact_str.
+
+def _switch_lower_caseA_by_fractions(lam1, lam2, p):
+    lhs, rhs = lam2.lo - lam1.hi, lam2.hi ** p / 4
+    passed = lhs >= rhs
+    if not passed and lam2.hi - lam1.lo >= lam2.lo ** p / 4:
+        passed = None
+    return exact_str(lhs), exact_str(rhs), passed
+
+
+def _switch_upper_caseA_by_fractions(lam3, lam4, q, m):
+    """The entry, and whether bound1 is the minimum."""
+    lhs = lam4.hi - lam3.lo
     bound1 = 2 * (1 - 2 * lam3.hi) * lam3.lo ** (q + 2)
     bound2 = (2 * (1 - 2 * lam4.hi) * lam4.lo ** (m + q)
               / lam3.hi ** (m - 2))
-    return min(bound1, bound2), bound1 <= bound2
+    rhs = min(bound1, bound2)
+    return (exact_str(lhs), exact_str(rhs), lhs <= rhs), bound1 <= bound2
 
 
-def _point(q):
-    return Enclosure.point(q, 128)
+def _switch_lower_caseB_by_fractions(lam1, lam2, mm, q):
+    lhs = lam2.lo - lam1.hi
+    rhs = lam2.hi ** (mm + 2 + q) / (1 - 2 * lam1.hi + F(mm + 3, 1 << mm))
+    return exact_str(lhs), exact_str(rhs), lhs >= rhs
+
+
+def _switch_upper_caseB_by_fractions(lam3, lam4, q):
+    lhs, rhs = lam4.hi - lam3.lo, lam3.lo ** (2 + q)
+    return exact_str(lhs), exact_str(rhs), lhs <= rhs
+
+
+def _square_identity_by_fractions(piece, bits):
+    """passed is False when the residual range excludes 0, and None when it
+    holds 0 but the magnitude exceeds the cap."""
+    a_lo, a_hi, n = piece.alpha_next.lo, piece.alpha_next.hi, piece.n_k
+    res_lo = (F(1, 2) - a_hi) ** 2 - a_hi ** n
+    res_hi = (F(1, 2) - a_lo) ** 2 - a_lo ** n
+    magnitude = Enclosure.from_fraction(max(-res_lo, res_hi), bits).hi
+    cap = F(1, 1 << 70)
+    passed = (res_lo <= 0 <= res_hi) and (magnitude <= cap or None)
+    return exact_str(magnitude), exact_str(cap), passed
 
 
 @pytest.mark.parametrize("lam3,lam4,first", [
     # cells in ascending order, as verify_caseA draws them: bound1 is the
     # minimum for lam4 well above lam3, bound2 for both close below 1/2
-    (Enclosure(F(1, 4), F(17, 64), 128), Enclosure(F(5, 16), F(21, 64), 128),
-     True),
-    (Enclosure(F(7, 16), F(29, 64), 128), Enclosure(F(15, 32), F(31, 64), 128),
-     False),
+    (_interval(F(1, 4), F(17, 64)), _interval(F(5, 16), F(21, 64)), True),
+    (_interval(F(7, 16), F(29, 64)), _interval(F(15, 32), F(31, 64)), False),
     # equal bounds, and a cell at 1/2 whose bound1 is 0
     (_point(F(1, 4)), _point(F(1, 4)), True),
     (_point(F(1, 2)), _point(F(1, 4)), True),
 ], ids=["bound1", "bound2", "tie", "zero"])
 def test_switch_upper_rhs_takes_either_bound(lam3, lam4, first):
     for q, m in ((1, 3), (8, 12)):
-        rhs, first_is_min = _switch_upper_by_fractions(lam3, lam4, q, m)
+        entry, first_is_min = _switch_upper_caseA_by_fractions(lam3, lam4,
+                                                               q, m)
         assert first_is_min == first
-        assert _switch_upper_rhs(lam3, lam4, q, m) == rhs
+        assert _switch_upper_caseA(lam3, lam4, q, m) == entry
 
 
 @settings(deadline=None, max_examples=300)
 @given(DYADIC_CELLS, DYADIC_CELLS, st.integers(1, 8),
        st.integers(3, 12))
 def test_switch_upper_rhs_matches_fraction_formula(lam3, lam4, q, m):
-    assert (_switch_upper_rhs(lam3, lam4, q, m)
-            == _switch_upper_by_fractions(lam3, lam4, q, m)[0])
+    """Both branches of the minimum: the random cells take each often."""
+    assert (_switch_upper_caseA(lam3, lam4, q, m)
+            == _switch_upper_caseA_by_fractions(lam3, lam4, q, m)[0])
+
+
+@settings(deadline=None, max_examples=300)
+@given(DYADIC_CELLS, DYADIC_CELLS, st.integers(1, 12), st.integers(1, 6),
+       st.integers(1, 8))
+def test_switch_entries_match_fraction_formulas(lam1, lam2, p, mm, q):
+    """The integer lhs, rhs and verdict of every other switch check, in
+    both cases, are what the Fraction formulas print and decide."""
+    assert (_switch_lower_caseA(lam1, lam2, p)
+            == _switch_lower_caseA_by_fractions(lam1, lam2, p))
+    assert (_switch_lower_caseB(lam1, lam2, mm, q)
+            == _switch_lower_caseB_by_fractions(lam1, lam2, mm, q))
+    assert (_switch_upper_caseB(lam1, lam2, q)
+            == _switch_upper_caseB_by_fractions(lam1, lam2, q))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 4), st.integers(-1, 1), st.integers(0, 150),
+       st.integers(0, 150), st.integers(0, 2), st.sampled_from((64, 128, 200)))
+def test_square_identity_matches_fraction_formula(cfg, k, sign, shift, wider,
+                                                  n_offset, bits):
+    """The residual check on integers prints and decides as the Fraction
+    formula, for cells around a solved alpha_{k+1} that hold the root,
+    miss it or are too wide for the cap, and at other exponents n."""
+    piece = piece_endpoints(F(1, 4), k, cfg)
+    lo, hi, e = piece.alpha_next.cell
+    cell = Enclosure((lo + (sign << shift), hi + (sign << shift)
+                      + (1 << wider) - 1, e), bits)
+    piece = piece._replace(n_k=piece.n_k + n_offset, alpha_next=cell)
+    verdict = _square_identity_by_fractions(piece, bits)
+    assert _square_identity(piece, bits) == verdict

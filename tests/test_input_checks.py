@@ -22,7 +22,7 @@ BAD_CALLS = [
     ("ratio 1", lambda: pi_eval(SEQ, F(1)), OutOfRange),
     ("position 0", lambda: word_at_position(0), ValueError),
     ("zero count 0", lambda: zero_indices(SEQ, 0), ValueError),
-    ("reversed cell", lambda: Enclosure(F(1, 2), F(1, 4), 64), ValueError),
+    ("reversed cell", lambda: Enclosure((2, 1, 2), 64), ValueError),
     ("sequence <= int", lambda: SEQ <= 1, TypeError),
     ("no pairs asked for", lambda: lipschitz_check(F(1, 3), F(45, 100), 0),
      ValueError),

@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -249,6 +250,35 @@ def test_grid_roots_come_back_as_points(cfg, monkeypatch):
     for s, root in ((S("01(0)"), F(1, 2)), (S("0(1)"), F(1, 4))):
         e = lambda_set.psi_inverse.__wrapped__(F(1, 4), s, cfg)
         assert e.lo == e.hi == root
+
+
+def test_psi_inverse_miss_builds_no_fraction(cfg):
+    """A solve's cell is root_cell's integers: once its target has been
+    seen, a psi_inverse miss builds no Fraction, and the Fraction view of
+    a cell's ends is built when it is first read."""
+    x = F(2, 7)
+    xs = binary_expansion(x)
+    codes = [c for w in admissible_prefixes(x, 5) for c in block_codes(xs, w)]
+    lambda_set.psi_inverse.__wrapped__(x, codes[0], cfg)
+    # every Fraction is made by __new__, or on 3.12 and later by arithmetic
+    # through _from_coprime_ints
+    makers = {F.__new__.__code__}
+    if hasattr(F, "_from_coprime_ints"):
+        makers.add(F._from_coprime_ints.__func__.__code__)
+    built = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in makers:
+            built.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        cells = [lambda_set.psi_inverse.__wrapped__(x, s, cfg) for s in codes]
+        solved = len(built)
+        assert cells[0].lo < cells[0].hi
+    finally:
+        sys.setprofile(None)
+    assert (len(codes), solved, len(built)) == (14, 0, 2)
 
 
 def test_deep_solve_work_is_bounded(monkeypatch):

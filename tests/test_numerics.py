@@ -6,9 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lambdaset.numerics import (Enclosure, PrecisionConfig, _decimal,
-                                exact_str, parse_rational)
+                                dyadic_str, exact_str, on_grid, parse_rational)
 
 F = Fraction
+
+
+def decimal(q: Fraction) -> str:
+    """The decimal that an Enclosure prints for the dyadic end q."""
+    _, m, e = Enclosure.point(q, 8).cell
+    return _decimal(m, e)
 
 
 def test_parse_rational():
@@ -34,16 +40,19 @@ def test_parse_rational_bounds_decimal_exponents():
 
 
 def test_dyadic_decimal_exact():
-    assert _decimal(F(5, 2**3)) == "0.625"
-    assert _decimal(F(-5, 2**3)) == "-0.625"
-    assert _decimal(F(3 * 2**2)) == "12"
-    assert _decimal(F(0)) == "0"
-    assert _decimal(F(1, 2**10)) == "0.0009765625"
+    assert decimal(F(5, 2**3)) == "0.625"
+    assert decimal(F(-5, 2**3)) == "-0.625"
+    assert decimal(F(3 * 2**2)) == "12"
+    assert decimal(F(0)) == "0"
+    assert decimal(F(1, 2**10)) == "0.0009765625"
+    # a cell end need not be in lowest terms
+    assert _decimal(5 << 9, 12) == _decimal(-(-5 << 9), 12) == "0.625"
+    assert _decimal(3 << 7, 5) == "12" and _decimal(0, 9) == "0"
     # decimal string parses back to the same value
     d = F(12345677, 2**27)
-    assert F(_decimal(d)) == d
+    assert F(decimal(d)) == d
     with pytest.raises(ValueError):
-        _decimal(F(1, 3))
+        decimal(F(1, 3))
 
 
 def _rebuild(text: str) -> int:
@@ -74,7 +83,7 @@ def test_exact_str_prints_past_the_digit_limit():
         assert Fraction(_rebuild(num), _rebuild(den)) == q
         assert exact_str(Fraction(-n)) == exact_str(-n)
     # 3 / 2^15000 has 15000 decimal places and over 10000 significant digits
-    whole, places = _decimal(Fraction(3, 1 << 15000)).split(".")
+    whole, places = decimal(Fraction(3, 1 << 15000)).split(".")
     assert whole == "0" and len(places) == 15000
     assert (Fraction(_rebuild(places.lstrip("0")), 10 ** 15000)
             == Fraction(3, 1 << 15000))
@@ -122,16 +131,16 @@ def test_from_fraction_keeps_dyadics_that_fit(d, bits):
 
 @given(dyadics)
 def test_decimal_is_exact(d):
-    assert F(_decimal(d)) == d
+    assert F(decimal(d)) == d
 
 
 @given(rationals)
 def test_decimal_rejects_non_dyadics(q):
     if q.denominator & (q.denominator - 1):
         with pytest.raises(ValueError):
-            _decimal(q)
+            decimal(q)
     else:
-        assert F(_decimal(q)) == q
+        assert F(decimal(q)) == q
 
 
 def test_precision_config_validation():
@@ -145,7 +154,37 @@ def test_precision_config_validation():
 
 
 def test_enclosure_json():
-    e = Enclosure(F(5, 2**3), F(3, 2**2), 64)
+    e = Enclosure((5, 6, 3), 64)
     js = e.to_json()
     assert js == {"lo": "0.625", "hi": "0.75", "bits": 64}
     assert F(js["lo"]) == e.lo
+
+
+def test_enclosure_views_its_integer_cell():
+    """An Enclosure holds the integers it is given, and its Fraction ends
+    are built once, on first read."""
+    e = Enclosure((40, 48, 6), 64)
+    assert e.cell == (40, 48, 6) and repr(e) == "Enclosure[0.625, 0.75]@64"
+    assert (e.lo, e.hi, e.width(), e.mid_fraction()) == (
+        F(5, 8), F(3, 4), F(1, 8), F(11, 16))
+    assert e.lo is e.lo and e.contains(F(2, 3)) and not e.contains(F(1, 2))
+    assert Enclosure.point(F(3, 8), 64).cell == (3, 3, 3)
+    with pytest.raises(ValueError, match="not a dyadic rational: 1/3"):
+        Enclosure.point(F(1, 3), 64)
+
+
+@given(st.lists(st.tuples(st.integers(-2**70, 2**70), st.integers(0, 2**8),
+                          st.integers(0, 90)), min_size=1, max_size=5))
+def test_on_grid_keeps_every_value(cells):
+    cells = [(lo, lo + extra, e) for lo, extra, e in cells]
+    ends, top = on_grid(cells)
+    assert top == max(e for _, _, e in cells)
+    assert [F(v, 1 << top) for v in ends] == [
+        F(v, 1 << e) for lo, hi, e in cells for v in (lo, hi)]
+
+
+@given(st.integers(-2**300, 2**300), st.integers(0, 400),
+       st.integers(1, 2**80))
+def test_dyadic_str_prints_the_fraction(num, e, den):
+    assert dyadic_str(num, e, den) == exact_str(F(num, den << e))
+    assert dyadic_str(num, e) == exact_str(F(num, 1 << e))

@@ -139,10 +139,11 @@ def test_every_imported_name_is_used():
 
 # the package's memo tables, each made by `numerics.memo`: a
 # `functools.lru_cache(maxsize=CACHE_SIZE)`
-MEMO_TABLES = {"lambda_set.binary_expansion", "lambda_set.psi_inverse",
-               "constructions.piece_endpoints", "constructions.gap_record",
-               "constructions._piece_ratios", "constructions._family_bounds",
-               "constructions.thickness_Cl"}
+MEMO_TABLES = {"lambda_set.binary_expansion", "lambda_set._target",
+               "lambda_set.psi_inverse", "constructions.piece_endpoints",
+               "constructions.gap_record", "constructions._piece_ratios",
+               "constructions._family_bounds", "constructions._family_verdicts",
+               "constructions._square_identity", "constructions.thickness_Cl"}
 
 
 def test_memo_tables_are_the_listed_bounded_caches():

@@ -22,7 +22,7 @@ from lambdaset.seqcode import EpSequence
 
 # one enclosure shared by both builds of a record, since an Enclosure is
 # equal only to itself
-CELL = Enclosure(F(1, 4), F(3, 8), 64)
+CELL = Enclosure((2, 3, 3), 64)
 
 
 def _seq():
@@ -72,7 +72,7 @@ RECORDS = [
     (Command, lambda: {"help": "h", "arguments": (("--x", {}),),
                        "handler": _handler, "schema": "cover",
                        "mirror": True}),
-    (Enclosure, lambda: {"lo": F(1, 4), "hi": F(3, 8), "bits": 64}),
+    (Enclosure, lambda: {"cell": (2, 3, 3), "bits": 64}),
     (PrecisionConfig, lambda: {"precision_bits": 96, "width_bits": 40}),
     (EpSequence, lambda: {"preperiod": (0,), "period": (1, 0)}),
 ]

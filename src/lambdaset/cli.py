@@ -17,11 +17,12 @@ module's names therefore see every call.
 
 From the standard library a run loads what this module imports and what
 its command's modules import (`fractions`, `math`, `random`, `re`,
-`functools`, `bisect`). Records are `typing.NamedTuple` classes,
-`PrecisionConfig` a checked subclass of one, and `Enclosure` and `EpSequence` are `__slots__` classes, so no record
-generates and compiles methods at start-up. `hashlib` (about 5 ms) stays,
-because the manifest's SHA-256 `output_digest` is part of the manifest's
-contract. To see what start-up costs, run `PYTHONDONTWRITEBYTECODE=1
+`functools`, `bisect`). Records are `typing.NamedTuple` classes
+(`PrecisionConfig` and `Enclosure` checked subclasses of one) and
+`EpSequence` a `__slots__` class, so no record needs `dataclasses`, whose
+import and generated methods cost start-up time. `hashlib` (about 5 ms)
+stays, because the manifest's SHA-256 `output_digest` is part of the
+manifest's contract. To see what start-up costs, run `PYTHONDONTWRITEBYTECODE=1
 python -X importtime -m lambdaset.cli ARGS`; library modules imported here
 through `importlib` are missing from that listing, and the manifest's
 `import_ms` is their time. The README lists the cost per command.

@@ -20,8 +20,8 @@ from typing import NamedTuple, Optional
 from .errors import (DepthBudgetExceeded, HypothesisUnsatisfiable,
                      Inconclusive, InvalidInput)
 from .cantor_metrics import DefiningSequence, Interval
-from .lambda_set import (MAX_PREFIXES, admissible, admissible_word,
-                         binary_expansion, psi_inverse)
+from .lambda_set import (MAX_PREFIXES, admissible_word, binary_expansion,
+                         psi_inverse)
 from .numerics import (DEFAULT_CONFIG, Enclosure, PrecisionConfig,
                        dyadic_str, exact_str, memo, on_grid, round_outward)
 from .seqcode import (EpSequence, n_index, word_at_position, word_str,
@@ -319,8 +319,10 @@ def thickness_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
 
 
 class LedgerEntry(NamedTuple):
+    """One check; `params` are its (key, value) pairs in payload order."""
+
     kind: str
-    params: dict
+    params: tuple[tuple[str, object], ...]
     lhs: str
     rhs: str
     passed: bool
@@ -366,15 +368,16 @@ def _draw(rng: random.Random, x: Fraction, xs: EpSequence,
     _codings(head + j, ends) are both admissible for the target x with
     expansion xs; j with the two solved cells, in ascending order. A word
     that starts no admissible coding is rejected before any sequence is
-    built."""
+    built. One that starts one has both codings at most 0 1^inf, so only
+    their lower bound xs is left to compare."""
     for _ in range(400):
         q = rng.randint(*q_range)
-        j = tuple(rng.randint(0, 1) for _ in range(q))
+        j = tuple(rng.choice((0, 1)) for _ in range(q))
         w = head + j
         if not admissible_word(xs, w):
             continue
         first, second = _codings(w, ends)
-        if admissible(xs, first) and admissible(xs, second):
+        if xs <= first and xs <= second:
             return j, psi_inverse(x, first, cfg), psi_inverse(x, second, cfg)
     raise HypothesisUnsatisfiable(
         f"the sampler gave up after 400 random words with q in {q_range}: "
@@ -382,22 +385,17 @@ def _draw(rng: random.Random, x: Fraction, xs: EpSequence,
 
 
 @memo
-def _family_verdicts(piece: PieceEndpoints, m: Optional[int], bits: int,
-                     record: GapRecord) -> tuple[Verdict, ...]:
-    """(lhs, rhs, passed) of each family, in FAMILIES order, for one gap
-    record and the piece's inter-piece gap; a repeated one is one lookup."""
-    ratios = (record.ratio_lo, *_piece_ratios(piece))
-    return tuple((exact_str(ratio), exact_str(bound), ratio >= bound) for
-                 ratio, bound in zip(ratios, _family_bounds(piece, m, bits)))
-
-
 def _family_entries(piece: PieceEndpoints, m: Optional[int], bits: int,
-                    record: GapRecord, gap_params: dict) -> list[LedgerEntry]:
-    """Ledger entries checking one gap record of the piece, and the piece's
-    inter-piece gap, against the family bounds."""
-    params = (gap_params, {"k": piece.k}, {"k": piece.k})
-    return [LedgerEntry(family, p, *verdict) for family, p, verdict in
-            zip(FAMILIES, params, _family_verdicts(piece, m, bits, record))]
+                    record: GapRecord, gap_params: tuple
+                    ) -> tuple[LedgerEntry, ...]:
+    """Ledger entries, in FAMILIES order, checking one gap record of the
+    piece, and the piece's inter-piece gap, against the family bounds; a
+    repeated one is one lookup."""
+    ratios = (record.ratio_lo, *_piece_ratios(piece))
+    params = (gap_params, (("k", piece.k),), (("k", piece.k),))
+    bounds = _family_bounds(piece, m, bits)
+    return tuple(LedgerEntry(family, p, exact_str(r), exact_str(b), r >= b)
+                 for family, p, r, b in zip(FAMILIES, params, ratios, bounds))
 
 
 # A check's (lhs, rhs, passed), computed from the integers of its cells'
@@ -498,14 +496,14 @@ def verify_caseA(x: Fraction, trials: int,
         if passed is None:
             raise Inconclusive(f"switch_lower of word {word_str(w)} not "
                                f"decided at target width 2^-{cfg.width_bits}")
-        entries.append(LedgerEntry("switch_lower", {"word": word_str(w)},
+        entries.append(LedgerEntry("switch_lower", (("word", word_str(w)),),
                                    lhs, rhs, passed))
 
     prefix = xs.prefix(m)
     for _ in range(trials):
         j, lam3, lam4 = _draw(rng, x, xs, cfg, prefix, (1, 8), GAP)
         entries.append(LedgerEntry(
-            "switch_upper", {"q": len(j), "m": m},
+            "switch_upper", (("q", len(j)), ("m", m)),
             *_switch_upper_caseA(lam3, lam4, len(j), m)))
 
     k0 = 1
@@ -517,7 +515,7 @@ def verify_caseA(x: Fraction, trials: int,
         omega = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 3)))
         record = gap_record(piece, omega, cfg)
         entries += _family_entries(piece, m, cfg.precision_bits, record,
-                                   {"k": k, "omega": word_str(omega)})
+                                   (("k", k), ("omega", word_str(omega))))
 
     return VerificationLedger("A", x, trials, seed, tuple(entries))
 
@@ -540,13 +538,13 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
         head = (0, 1) + (0,) * mm
         j, lam1, lam2 = _draw(rng, x, xs, cfg, head, (1, 6), BLOCK)
         entries.append(LedgerEntry(
-            "switch_lower", {"m": mm, "q": len(j), "word": word_str(j)},
+            "switch_lower", (("m", mm), ("q", len(j)), ("word", word_str(j))),
             *_switch_lower_caseB(lam1, lam2, mm, len(j))))
 
     for _ in range(trials):
         j, lam3, lam4 = _draw(rng, x, xs, cfg, (0, 1), (1, 8), GAP)
         entries.append(LedgerEntry(
-            "switch_upper", {"q": len(j), "word": word_str(j)},
+            "switch_upper", (("q", len(j)), ("word", word_str(j))),
             *_switch_upper_caseB(lam3, lam4, len(j))))
 
     for k in range(1, 7):
@@ -556,8 +554,9 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
             raise Inconclusive(f"square_identity of piece {k} not decided "
                                f"at target width 2^-{cfg.width_bits}")
         entries.append(LedgerEntry(
-            "square_identity", {"k": k, "n_k": piece.n_k}, lhs, rhs, passed))
+            "square_identity", (("k", k), ("n_k", piece.n_k)), lhs, rhs,
+            passed))
         record = gap_record(piece, word_at_position(1 + (k % 7)), cfg)
-        entries += _family_entries(piece, None, bits, record, {"k": k})
+        entries += _family_entries(piece, None, bits, record, (("k", k),))
 
     return VerificationLedger("B", x, trials, seed, tuple(entries))

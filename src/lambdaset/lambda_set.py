@@ -328,15 +328,17 @@ def lipschitz_check(x: Fraction, lam: Fraction, samples: int, seed: int = 0,
         enc = psi_inverse(x, s, cfg)
         if enc.hi <= lam:
             members[s] = (enc, pi_eval(s, lam))
-    pool = sorted(members.values(), key=lambda t: t[0].lo)
-    certified = [(a, b) for a, b in combinations(pool, 2) if a[0].hi < b[0].lo]
+    # each end read once: every read of an end builds its Fraction
+    pool = sorted(((enc.lo, enc.hi, v) for enc, v in members.values()),
+                  key=lambda t: t[0])
+    certified = [(a, b) for a, b in combinations(pool, 2) if a[1] < b[0]]
     if len(certified) < samples:
         raise InsufficientMembers(
             f"{len(certified)} distinct member pairs below "
             f"{exact_str(lam)} are certified, fewer than {samples}")
     bound = x * (1 - 2 * lam) ** 2 / lam
-    ratios = [abs(v2 - v1) / (e2.hi - e1.lo)
-              for (e1, v1), (e2, v2) in rng.sample(certified, samples)]
+    ratios = [abs(v2 - v1) / (hi2 - lo1)
+              for (lo1, _, v1), (_, hi2, v2) in rng.sample(certified, samples)]
     return LipschitzReport(x, lam, bound, min(ratios), samples,
                            sum(ratio < bound for ratio in ratios))
 
@@ -416,17 +418,15 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
     xs_log = [math.log(1 / float(e)) for e, _ in points]
     ys_log = [math.log(c) for _, c in points]
     n = len(points)
-    # the least-squares fit with correctly rounded sums, so the slope does
-    # not depend on the interpreter's float `sum`
+    # the least-squares fit with correctly rounded sums, so neither the
+    # slope nor its error depends on the interpreter's float `sum`
     x_bar, y_bar = math.fsum(xs_log) / n, math.fsum(ys_log) / n
-    slope = (math.fsum((v - x_bar) * (y - y_bar)
-                       for v, y in zip(xs_log, ys_log))
-             / math.fsum((v - x_bar) * (v - x_bar) for v in xs_log))
+    sxx = math.fsum((v - x_bar) * (v - x_bar) for v in xs_log)
+    slope = math.fsum((v - x_bar) * (y - y_bar)
+                      for v, y in zip(xs_log, ys_log)) / sxx
     intercept = y_bar - slope * x_bar
-    mean_x = sum(xs_log) / n
-    sxx = sum((v - mean_x) ** 2 for v in xs_log)
-    rss = sum((y - (slope * v + intercept)) ** 2
-              for v, y in zip(xs_log, ys_log))
+    rss = math.fsum((y - (slope * v + intercept)) ** 2
+                    for v, y in zip(xs_log, ys_log))
     stderr = math.sqrt(rss / (n - 2) / sxx) if n > 2 else None
     return BoxDimReport(x, (a, b), slope, stderr, tuple(points),
                         len(segments))

@@ -3,12 +3,13 @@ root solving.
 
 An Enclosure is a dyadic cell [lo, hi] 2^-e, held as the integers (lo, hi,
 e) that a root solve or an outward rounding returns, with a working
-precision in bits. Callers compare cells on their common grid (on_grid),
-or compute exactly with the Fraction view of the ends, and round outward
-(round_outward) only the value they store. Cells print as exact decimals,
-and every rational a payload or an error message holds prints exactly
-(exact_str, dyadic_str), also past the interpreter's integer-to-string
-digit limit. Only this module knows how a cell is encoded.
+precision in bits: a value, equal and hashed by its cell and precision.
+Callers compare cells on their common grid (on_grid), or compute exactly
+with the ends as Fractions, which each read computes from the cell, and
+round outward (round_outward) only the value they store. Cells print as
+exact decimals, and every rational a payload or an error message holds
+prints exactly (exact_str, dyadic_str), also past the interpreter's
+integer-to-string digit limit. Only this module knows how a cell is encoded.
 
 It also holds the registry the CLI manifest reads: `memo`, the one way to
 memoise, lists each table in MEMO_TABLES, and a module adds counters to
@@ -39,12 +40,13 @@ __all__ = [
 
 
 # Bound of every memo table in the package: expansions and targets, root
-# solves, pieces, gap records, per-piece ratios, bounds and ledger verdicts,
+# solves, pieces, gap records, per-piece ratios, bounds and ledger entries,
 # and the values of thickness reports. The 200 calls of the seed-1
 # session-ledger benchmark leave 3 targets, 835 root solves, 140 gap records,
-# 19 pieces (and 19 ratio pairs), 16 bound triples, 108 family verdicts, 6
-# square identities and 26 report values (its 134 reports have 26 distinct
-# truncations), so nothing is evicted there; a long process stays bounded.
+# 19 pieces (and 19 ratio pairs), 16 bound triples, 108 family entry
+# triples, 6 square identities and 26 report values (its 134 reports have
+# 26 distinct truncations), so nothing is evicted there; a long process
+# stays bounded.
 CACHE_SIZE = 4096
 
 # Every memo table of a loaded module, as "module.function", and every
@@ -161,41 +163,39 @@ def _decimal(m: int, e: int) -> str:
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
 
 
-class Enclosure:
-    """Certified interval, the integer `cell` (lo, hi, e) for [lo, hi] 2^-e
-    with e >= 0, at a working precision `bits`; `lo` and `hi` are its ends
-    as Fractions, built on first read. Immutable, equal only to itself."""
-
-    __slots__ = ("cell", "bits", "lo", "hi")
+# a NamedTuple class may not define __new__, so the checks go in a subclass
+class _Enclosure(NamedTuple):
     cell: Cell
     bits: int
-    lo: Fraction
-    hi: Fraction
 
-    def __init__(self, cell: Cell, bits: int):
+
+class Enclosure(_Enclosure):
+    """Certified interval, the integer `cell` (lo, hi, e) for [lo, hi] 2^-e
+    with e >= 0, at a working precision `bits`; `lo` and `hi` are its ends
+    as Fractions, computed on each read. A tuple, so immutable, equal and
+    hashed by its cell and precision. Every build checks the order of the
+    ends, `_replace` and unpickling included."""
+
+    __slots__ = ()
+
+    def __new__(cls, cell: Cell, bits: int):
         lo, hi, e = cell
         if lo > hi:
             raise ValueError("enclosure endpoints out of order: "
                              f"{_decimal(lo, e)} > {_decimal(hi, e)}")
-        object.__setattr__(self, "cell", (lo, hi, e))
-        object.__setattr__(self, "bits", bits)
+        return super().__new__(cls, (lo, hi, e), bits)
 
-    def __getattr__(self, name):     # reached only while a slot is unset
-        if name not in ("lo", "hi"):
-            raise AttributeError(name)
-        lo, hi, e = self.cell
-        object.__setattr__(self, "lo", Fraction(lo, 1 << e))
-        object.__setattr__(self, "hi", Fraction(hi, 1 << e))
-        return getattr(self, name)
+    @classmethod
+    def _make(cls, iterable) -> "Enclosure":
+        return cls(*iterable)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.cell[0], 1 << self.cell[2])
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Enclosure, (self.cell, self.bits)
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.cell[1], 1 << self.cell[2])
 
     @classmethod
     def point(cls, d: Fraction, bits: int) -> "Enclosure":
@@ -228,7 +228,6 @@ class Enclosure:
                 "bits": self.bits}
 
 
-# a NamedTuple class may not define __new__, so the checks go in a subclass
 class _Precision(NamedTuple):
     precision_bits: int
     width_bits: int

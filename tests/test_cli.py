@@ -368,6 +368,10 @@ PINNED_STDOUT = [
     (["dim", "--x", "3/7", "--center", "13/28", "--radius", "729/28000",
       "--eps-min-exp", "4", "--eps-max-exp", "6"],
      "f4443b19b4c44031bb1b6634f28f04a4f79c9c01e7fa1b1165c88b0e739945ac"),
+    # one whose stderr a float `sum` printed one digit shorter on 3.10/3.11
+    (["dim", "--x", "1/3", "--center", "445551/945473", "--radius",
+      "10064/813097", "--eps-min-exp", "5", "--eps-max-exp", "7"],
+     "2e9582db71a4e671c7fc5bccb0843310a57cdff386ff0ed6fecf38e5c531b63c"),
 ]
 
 

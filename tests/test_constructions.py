@@ -1,3 +1,4 @@
+import itertools
 import json
 import pickle
 from fractions import Fraction
@@ -15,7 +16,8 @@ from lambdaset.constructions import (CODINGS, PieceEndpoints, _codings,
                                      gap_record, piece_endpoints, thickness_Cl,
                                      verify_caseA, verify_caseB)
 from lambdaset.errors import HypothesisUnsatisfiable, Inconclusive
-from lambdaset.lambda_set import admissible, binary_expansion, psi_inverse
+from lambdaset.lambda_set import (admissible, admissible_word,
+                                  binary_expansion, psi_inverse)
 from lambdaset.numerics import (MEMO_TABLES, Enclosure, PrecisionConfig,
                                 exact_str)
 from lambdaset.seqcode import EpSequence
@@ -198,14 +200,14 @@ def test_separation_compares_cells_on_one_grid(cfg, monkeypatch):
 
 
 def test_verdict_memos_key_on_the_precision(cfg):
-    """The memoised family verdicts and square identity of one piece differ
+    """The memoised family entries and square identity of one piece differ
     by precision: the odd-n_k half-gap bound of 1/4 and the residual
     magnitude are rounded to `bits`."""
     piece = piece_endpoints(F(1, 4), 1, cfg)
     assert piece.n_k % 2 == 1
     record = gap_record(piece, (0,), cfg)
-    for check in (lambda bits: constructions._family_verdicts(
-                      piece, None, bits, record)[2][1],
+    for check in (lambda bits: constructions._family_entries(
+                      piece, None, bits, record, (("k", 1),))[2].rhs,
                   lambda bits: _square_identity(piece, bits)[0]):
         assert len({check(64), check(200), check(64)}) == 2
 
@@ -337,7 +339,7 @@ def test_ledger_payload_shares_no_dict_with_the_ledger(cfg):
     expected = json.dumps(ledger.to_json())
     params = dict(ledger.entries[0].params)
     ledger.to_json()["entries"][0]["params"]["word"] = "edited"
-    assert ledger.entries[0].params == params
+    assert dict(ledger.entries[0].params) == params
     assert json.dumps(ledger.to_json()) == expected
 
 
@@ -404,6 +406,20 @@ def test_rejected_draw_words_have_no_admissible_coding(x, w):
     xs, w = binary_expansion(x), tuple(w)
     if not xs.prefix(len(w)) <= w <= (0,) + (1,) * (len(w) - 1):
         assert not any(admissible(xs, s) for s in _codings(w, CODINGS))
+
+
+def test_kept_draw_words_need_only_the_lower_test():
+    """Once a word w starts an admissible coding, each of its codings is at
+    most 0 1^inf, so _draw compares them with xs only: checked for every
+    target p/q < 1/2 with q < 24 and every word of length at most 9."""
+    targets = {F(p, q) for q in range(3, 24) for p in range(1, (q + 1) // 2)}
+    for x in sorted(targets):
+        xs = binary_expansion(x)
+        for n in range(1, 10):
+            for w in itertools.product((0, 1), repeat=n):
+                if admissible_word(xs, w):
+                    for s in _codings(w, CODINGS):
+                        assert admissible(xs, s) == (xs <= s), (x, w, s)
 
 
 def _cell(e, lo, extra):

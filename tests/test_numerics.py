@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -153,6 +154,23 @@ def test_precision_config_validation():
         PrecisionConfig()._replace(width_bits=-1)
 
 
+def test_enclosure_checks_every_build():
+    """A copy of an Enclosure, with a field replaced, built from an
+    iterable or unpickled, is checked like a fresh build; it keeps no
+    per-instance attributes."""
+    e = Enclosure((1, 2, 3), 64)
+    reversed_cell = (2, 1, 3)
+    with pytest.raises(ValueError, match="out of order: 0.25 > 0.125"):
+        e._replace(cell=reversed_cell)
+    with pytest.raises(ValueError, match="out of order"):
+        Enclosure._make((reversed_cell, 64))
+    unchecked = tuple.__new__(Enclosure, (reversed_cell, 64))
+    with pytest.raises(ValueError, match="out of order"):
+        pickle.loads(pickle.dumps(unchecked))
+    assert pickle.loads(pickle.dumps(e)) == e
+    assert not hasattr(e, "__dict__")
+
+
 def test_enclosure_json():
     e = Enclosure((5, 6, 3), 64)
     js = e.to_json()
@@ -162,12 +180,12 @@ def test_enclosure_json():
 
 def test_enclosure_views_its_integer_cell():
     """An Enclosure holds the integers it is given, and its Fraction ends
-    are built once, on first read."""
+    are computed from them on each read."""
     e = Enclosure((40, 48, 6), 64)
     assert e.cell == (40, 48, 6) and repr(e) == "Enclosure[0.625, 0.75]@64"
     assert (e.lo, e.hi, e.width(), e.mid_fraction()) == (
         F(5, 8), F(3, 4), F(1, 8), F(11, 16))
-    assert e.lo is e.lo and e.contains(F(2, 3)) and not e.contains(F(1, 2))
+    assert e.lo == e.lo and e.contains(F(2, 3)) and not e.contains(F(1, 2))
     assert Enclosure.point(F(3, 8), 64).cell == (3, 3, 3)
     with pytest.raises(ValueError, match="not a dyadic rational: 1/3"):
         Enclosure.point(F(1, 3), 64)

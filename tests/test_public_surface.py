@@ -142,7 +142,7 @@ def test_every_imported_name_is_used():
 MEMO_TABLES = {"lambda_set.binary_expansion", "lambda_set._target",
                "lambda_set.psi_inverse", "constructions.piece_endpoints",
                "constructions.gap_record", "constructions._piece_ratios",
-               "constructions._family_bounds", "constructions._family_verdicts",
+               "constructions._family_bounds", "constructions._family_entries",
                "constructions._square_identity", "constructions.thickness_Cl"}
 
 

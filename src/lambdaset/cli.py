@@ -213,7 +213,7 @@ def _gaps(args, cfg):
          ("--eps-min-exp", dict(type=int, default=8)),
          ("--eps-max-exp", dict(type=int, default=13)), BITS, WIDTH_BITS)
 def _dim(args, cfg):
-    ladder = list(range(args.eps_min_exp, args.eps_max_exp + 1))
+    ladder = range(args.eps_min_exp, args.eps_max_exp + 1)
     window = (args.center - args.radius, args.center + args.radius)
     return lib.box_dim_estimate(args.x, window, ladder, cfg).to_json(), 0
 

@@ -7,7 +7,8 @@ the point 1/2 they form nested Cantor subsets whose truncated thickness is
 evaluated here gap by gap. The module also verifies, instance by instance,
 the analytic gap inequalities that control every gap beyond the truncation
 (one family for targets whose expansion has a 1 at some index >= 3, one for
-the exceptional target 1/4).
+the exceptional target 1/4). A piece carries the precision it was solved
+at, so each per-piece value is memoised on the piece (and a gap word).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "verify_caseB",
 ]
 
+QUARTER = Fraction(1, 4)
 ONE_TAIL = (1,)
 ZERO_TAIL = (0,)
 # the codings of a word w as (digits after w, repeated tail), in ascending
@@ -80,7 +82,8 @@ def first_switch_index(x: Fraction) -> int:
 
 class PieceEndpoints(NamedTuple):
     """Convex hull [alpha, beta] of the k-th piece, plus the next piece's
-    left endpoint (solved from the same prefix with the switch digit 0)."""
+    left endpoint (solved from the same prefix with the switch digit 0),
+    and the precision they were solved at: the key of each per-piece memo."""
 
     x: Fraction
     k: int
@@ -88,6 +91,7 @@ class PieceEndpoints(NamedTuple):
     alpha: Enclosure
     beta: Enclosure
     alpha_next: Enclosure
+    precision: PrecisionConfig
 
     def to_json(self) -> dict:
         return {"x": exact_str(self.x), "k": self.k, "n_k": self.n_k,
@@ -124,7 +128,7 @@ def piece_endpoints(x: Fraction, k: int,
     n_k = _nk(x, k)
     (alpha, beta, alpha_next), _ = _separated(
         x, _codings(xs.prefix(n_k - 1), CODINGS[:3]), cfg, k)
-    return PieceEndpoints(x, k, n_k, alpha, beta, alpha_next)
+    return PieceEndpoints(x, k, n_k, alpha, beta, alpha_next, cfg)
 
 
 class GapRecord(NamedTuple):
@@ -137,9 +141,9 @@ class GapRecord(NamedTuple):
 
 
 @memo
-def gap_record(piece: PieceEndpoints, omega: tuple[int, ...],
-               cfg: PrecisionConfig = DEFAULT_CONFIG) -> GapRecord:
-    """Solve the four endpoints around the gap of `piece` labelled by `omega`.
+def gap_record(piece: PieceEndpoints, omega: tuple[int, ...]) -> GapRecord:
+    """Solve the four endpoints around the gap of `piece` labelled by
+    `omega`, at the piece's precision.
 
     With p the expansion prefix before the piece's switch, these are the
     four codings of p 1 w; they bound the left bridge, the gap, and the
@@ -149,7 +153,7 @@ def gap_record(piece: PieceEndpoints, omega: tuple[int, ...],
     base = (binary_expansion(piece.x).prefix(piece.n_k - 1) + ONE_TAIL
             + omega)
     (_, g2, g3, _), (_, h1, l2, _, _, h3, l4, _) = _separated(
-        piece.x, _codings(base), cfg, piece.k, omega)
+        piece.x, _codings(base), piece.precision, piece.k, omega)
     return GapRecord(n_index(omega), (g2, g3),
                      Fraction(min(l2 - h1, l4 - h3), h3 - l2))
 
@@ -176,7 +180,7 @@ def _tail(x: Fraction, ell: int, k_max: int, q_max: int, cfg: PrecisionConfig
     tail = []
     for k in range(ell, ell + k_max):
         piece = piece_endpoints(x, k, cfg)
-        tail.append((piece, [gap_record(piece, w, cfg) for w in words]))
+        tail.append((piece, [gap_record(piece, w) for w in words]))
     return tail
 
 
@@ -233,24 +237,14 @@ class ThicknessReport(NamedTuple):
 FAMILIES = ("gap_ratio", "piece_gap", "half_gap")
 
 
-# The per-piece ratios and bounds are memoised like the gap records: a
-# report or ledger that shares a piece with an earlier one reads them with
-# one lookup each.
 @memo
-def _piece_ratios(piece: PieceEndpoints) -> tuple[Fraction, Fraction]:
-    """Certified lower bounds of the piece-over-gap and right-tail-over-gap
-    ratios at the inter-piece gap (beta_k, alpha_{k+1})."""
-    (_, a, b, _, _, c), k = on_grid(
-        [piece.alpha.cell, piece.beta.cell, piece.alpha_next.cell])
-    return Fraction(b - a, c - b), Fraction((1 << k - 1) - c, c - b)
-
-
-@memo
-def _family_bounds(piece: PieceEndpoints, m: Optional[int],
-                   bits: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Upper evaluations, in FAMILIES order, of the analytic lower bounds
-    that hold for every gap of each family of the k-th piece; `m` is the
-    first switch index, or None for the exceptional target 1/4.
+def _piece_families(piece: PieceEndpoints) -> tuple[
+        tuple[Fraction, Fraction], Optional[tuple[Fraction, ...]]]:
+    """The piece's ratios, certified lower bounds of the piece-over-gap and
+    right-tail-over-gap ratios at the inter-piece gap (beta_k, alpha_{k+1}),
+    and its bounds: upper evaluations at its precision, in FAMILIES order,
+    of the analytic lower bounds on every gap of each family. The bounds
+    are None when n_k <= m, m the first switch index (1/4 has none).
 
     With a = alpha_k, b = beta_k, c = alpha_{k+1} and n = n_k they are,
     for a switch index m,
@@ -258,22 +252,27 @@ def _family_bounds(piece: PieceEndpoints, m: Optional[int],
     and for 1/4, with d = 1 - 2a + n 2^(3-n),
         a / d,  b / d,  1 / c^(n/2 - 1).
     """
+    (_, a, b, _, _, c), e = on_grid(
+        [piece.alpha.cell, piece.beta.cell, piece.alpha_next.cell])
+    ratios = Fraction(b - a, c - b), Fraction((1 << e - 1) - c, c - b)
     a_hi, b_hi, c_lo, n_k = (piece.alpha.hi, piece.beta.hi,
                              piece.alpha_next.lo, piece.n_k)
-    if m is not None:
-        return (a_hi ** (m - 1) / (8 * (1 - 2 * a_hi)),
-                piece.x ** (m - 1) / (8 * (1 - 2 * b_hi)),
-                b_hi ** (m - 2) / (4 * c_lo ** (n_k - 1)))
+    if piece.x != QUARTER:
+        m = first_switch_index(piece.x)
+        return ratios, None if n_k <= m else (
+            a_hi ** (m - 1) / (8 * (1 - 2 * a_hi)),
+            piece.x ** (m - 1) / (8 * (1 - 2 * b_hi)),
+            b_hi ** (m - 2) / (4 * c_lo ** (n_k - 1)))
     den = 1 - 2 * a_hi + Fraction(n_k, 1 << (n_k - 3))
     if n_k % 2 == 0:
         # integer exponent, exact
         half = 1 / c_lo ** (n_k // 2 - 1)
     else:
         # 1 / sqrt(P) <= 2^bits / isqrt(floor(P 4^bits)) for P = c^(n_k - 2)
-        power = c_lo ** (n_k - 2)
+        bits, power = piece.precision.precision_bits, c_lo ** (n_k - 2)
         half = Fraction(1 << bits,
                         isqrt((power.numerator << 2 * bits) // power.denominator))
-    return a_hi / den, b_hi / den, half
+    return ratios, (a_hi / den, b_hi / den, half)
 
 
 @memo
@@ -290,14 +289,11 @@ def thickness_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
     """
     x = Fraction(x)
     tail = _tail(x, ell, k_max, q_max, cfg)
-    m = None if x == Fraction(1, 4) else first_switch_index(x)
     minima: list[Optional[Fraction]] = [None, None, None]
     violations: list[tuple] = []
     for piece, records in tail:
-        bounds = (_family_bounds(piece, m, cfg.precision_bits)
-                  if m is None or piece.n_k > m else None)
+        (piece_gap, half_gap), bounds = _piece_families(piece)
         gap_ratio = [({"position": r.position}, r.ratio_lo) for r in records]
-        piece_gap, half_gap = _piece_ratios(piece)
         for i, ratios in enumerate((gap_ratio, [({}, piece_gap)],
                                     [({}, half_gap)])):
             for where, ratio in ratios:
@@ -385,15 +381,17 @@ def _draw(rng: random.Random, x: Fraction, xs: EpSequence,
 
 
 @memo
-def _family_entries(piece: PieceEndpoints, m: Optional[int], bits: int,
-                    record: GapRecord, gap_params: tuple
+def _family_entries(piece: PieceEndpoints, omega: tuple[int, ...]
                     ) -> tuple[LedgerEntry, ...]:
-    """Ledger entries, in FAMILIES order, checking one gap record of the
-    piece, and the piece's inter-piece gap, against the family bounds; a
-    repeated one is one lookup."""
-    ratios = (record.ratio_lo, *_piece_ratios(piece))
-    params = (gap_params, (("k", piece.k),), (("k", piece.k),))
-    bounds = _family_bounds(piece, m, bits)
+    """Ledger entries, in FAMILIES order, checking the piece's gap labelled
+    by `omega`, and its inter-piece gap, against the family bounds, which
+    must apply to the piece. The gap entry names k and, but for 1/4, omega.
+    A repeated one is one lookup, with no gap record looked up."""
+    (piece_gap, half_gap), bounds = _piece_families(piece)
+    k = (("k", piece.k),)
+    params = (k if piece.x == QUARTER else k + (("omega", word_str(omega)),),
+              k, k)
+    ratios = (gap_record(piece, omega).ratio_lo, piece_gap, half_gap)
     return tuple(LedgerEntry(family, p, exact_str(r), exact_str(b), r >= b)
                  for family, p, r, b in zip(FAMILIES, params, ratios, bounds))
 
@@ -459,13 +457,13 @@ def _switch_upper_caseB(lam3: Enclosure, lam4: Enclosure, q: int) -> Verdict:
 
 
 @memo
-def _square_identity(piece: PieceEndpoints, bits: int) -> Verdict:
+def _square_identity(piece: PieceEndpoints) -> Verdict:
     """(1/2 - alpha_{k+1})^2 = alpha_{k+1}^(n_k): the residual's largest
-    magnitude over alpha_{k+1}'s cell, rounded up to `bits`, against 2^-70.
-    It fails when the residual's range excludes 0, and is undecided when
-    the range holds 0 but the magnitude tops the cap."""
+    magnitude over alpha_{k+1}'s cell, rounded up to the piece's precision,
+    against 2^-70. It fails when the residual's range excludes 0, and is
+    undecided when the range holds 0 but the magnitude tops the cap."""
     lo, hi, e = piece.alpha_next.cell
-    n = piece.n_k
+    n, bits = piece.n_k, piece.precision.precision_bits
     # the residual at a 2^-e is res(a) 2^-(en), falling as a rises in
     # [0, 2^(e-1)], so over the cell it ranges over [res(hi), res(lo)]
     res_lo, res_hi = ((((1 << e - 1) - a) ** 2 << e * (n - 2)) - a ** n
@@ -513,9 +511,7 @@ def verify_caseA(x: Fraction, trials: int,
         k = rng.randint(k0, k0 + 4)
         piece = piece_endpoints(x, k, cfg)
         omega = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 3)))
-        record = gap_record(piece, omega, cfg)
-        entries += _family_entries(piece, m, cfg.precision_bits, record,
-                                   (("k", k), ("omega", word_str(omega))))
+        entries += _family_entries(piece, omega)
 
     return VerificationLedger("A", x, trials, seed, tuple(entries))
 
@@ -526,11 +522,10 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
     exact square identity (1/2 - alpha_{k+1})^2 = alpha_{k+1}^(n_k); a
     cell too wide to decide that identity raises Inconclusive."""
     _check_trials(trials)
-    x = Fraction(1, 4)
+    x = QUARTER
     rng = random.Random(seed)
     xs = binary_expansion(x)
     entries: list[LedgerEntry] = []
-    bits = cfg.precision_bits
 
     # every coding that starts 01 is admissible for 1/4: no draw is rejected
     for _ in range(trials):
@@ -549,14 +544,13 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
 
     for k in range(1, 7):
         piece = piece_endpoints(x, k, cfg)
-        lhs, rhs, passed = _square_identity(piece, bits)
+        lhs, rhs, passed = _square_identity(piece)
         if passed is None:
             raise Inconclusive(f"square_identity of piece {k} not decided "
                                f"at target width 2^-{cfg.width_bits}")
         entries.append(LedgerEntry(
             "square_identity", (("k", k), ("n_k", piece.n_k)), lhs, rhs,
             passed))
-        record = gap_record(piece, word_at_position(1 + (k % 7)), cfg)
-        entries += _family_entries(piece, None, bits, record, (("k", k),))
+        entries += _family_entries(piece, word_at_position(1 + (k % 7)))
 
     return VerificationLedger("B", x, trials, seed, tuple(entries))

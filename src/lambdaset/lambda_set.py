@@ -15,7 +15,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (DepthBudgetExceeded, InsufficientMembers, InvalidInput,
                      NotAdmissible, OutOfRange)
@@ -362,7 +362,7 @@ class BoxDimReport(NamedTuple):
 
 
 def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
-                     eps_exponents: list[int],
+                     eps_exponents: Sequence[int],
                      cfg: PrecisionConfig = DEFAULT_CONFIG) -> BoxDimReport:
     """Least-squares box-counting slope of the ratio set inside a window.
 
@@ -370,8 +370,11 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
     than a quarter of the smallest grid size, which keeps each count within
     a constant factor of the count against the true cover. Raises
     DepthBudgetExceeded when the refinement visits more than MAX_PREFIXES
-    blocks.
+    blocks, and at once for a size below 2^-MAX_PREFIXES or more sizes.
     """
+    if len(eps_exponents) > MAX_PREFIXES + 1:
+        raise DepthBudgetExceeded(
+            f"more than {MAX_PREFIXES + 1} grid sizes: {len(eps_exponents)}")
     x = Fraction(x)
     a, b = Fraction(window[0]), Fraction(window[1])
     lo_w, hi_w = max(a, x), min(b, HALF)
@@ -383,6 +386,9 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
         raise InvalidInput("need at least two distinct grid sizes")
     if min(exponents) < 0:
         raise InvalidInput(f"grid exponent {min(exponents)} is negative")
+    if max(exponents) > MAX_PREFIXES:
+        raise DepthBudgetExceeded(
+            f"grid exponent {max(exponents)} is above {MAX_PREFIXES}")
     eps_list = sorted((Fraction(1, 1 << e) for e in exponents), reverse=True)
     threshold = eps_list[-1] / 4
     xs = binary_expansion(x)

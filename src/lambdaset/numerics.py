@@ -40,13 +40,12 @@ __all__ = [
 
 
 # Bound of every memo table in the package: expansions and targets, root
-# solves, pieces, gap records, per-piece ratios, bounds and ledger entries,
+# solves, pieces, gap records, per-piece ratios and bounds, ledger entries,
 # and the values of thickness reports. The 200 calls of the seed-1
 # session-ledger benchmark leave 3 targets, 835 root solves, 140 gap records,
-# 19 pieces (and 19 ratio pairs), 16 bound triples, 108 family entry
-# triples, 6 square identities and 26 report values (its 134 reports have
-# 26 distinct truncations), so nothing is evicted there; a long process
-# stays bounded.
+# 19 pieces (and 19 ratio and bound pairs), 108 family entry triples, 6
+# square identities and 26 report values (its 134 reports have 26 distinct
+# truncations), so nothing is evicted there; a long process stays bounded.
 CACHE_SIZE = 4096
 
 # Every memo table of a loaded module, as "module.function", and every

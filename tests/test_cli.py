@@ -455,8 +455,9 @@ def test_bound_violations_exit_2(capsys, monkeypatch, request):
     _clear_memo_tables()
     request.addfinalizer(_clear_memo_tables)
     above = (Fraction(1 << 64),) * 3
-    monkeypatch.setattr(constructions, "_family_bounds",
-                        lambda piece, m, bits: above)
+    families = constructions._piece_families
+    monkeypatch.setattr(constructions, "_piece_families",
+                        lambda piece: (families(piece)[0], above))
     code, payload, _ = run_json(capsys, "thickness-cl", "--x", "1/3",
                                 "--ell", "2", "--kmax", "2", "--qmax", "1")
     assert code == 2
@@ -601,6 +602,23 @@ def test_expansion_of_a_tiny_target_is_refused_at_once(capsys):
     started = time.perf_counter()
     assert run(capsys, "expansion", "--x", "1e-4300")[0] == 1
     assert time.perf_counter() - started < 0.3
+
+
+@pytest.mark.parametrize("low,high,message", [
+    ("16383", "16385", "grid exponent 16385 is above 16384"),
+    ("4", "100000000000", "more than 16385 grid sizes: 99999999997"),
+    ("9999999999", "10000000000", "grid exponent 10000000000 is above 16384"),
+], ids=["just-past", "long-ladder", "huge-exponent"])
+def test_dim_refuses_huge_grid_exponents_at_once(capsys, low, high, message):
+    """A box below 2^-16384, past the expansion digit budget, or a ladder
+    of more sizes than that budget allows, is refused before any ladder or
+    box size is built: a billion-element list or a 2^(10^10) denominator
+    would exhaust memory first."""
+    started = time.perf_counter()
+    assert run(capsys, "dim", "--x", "1/3", "--center", "9/20", "--radius",
+               "1/20", "--eps-min-exp", low, "--eps-max-exp", high) == (
+        1, "", f"error: {message}\n")
+    assert time.perf_counter() - started < 1
 
 
 # every command whose --x/--targets is a ratio-set target: (argv, target

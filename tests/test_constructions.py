@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lambdaset import constructions, seqcode
 from lambdaset.cantor_metrics import newhouse_lower, thickness_of
 from lambdaset.constructions import (CODINGS, PieceEndpoints, _codings,
-                                     _family_bounds, _square_identity,
+                                     _piece_families, _square_identity,
                                      _switch_lower_caseA, _switch_lower_caseB,
                                      _switch_upper_caseA, _switch_upper_caseB,
                                      defining_sequence_Cl, first_switch_index,
@@ -71,7 +71,7 @@ def test_pieces_separated_and_increasing(cfg):
 
 
 def test_gap_record_first_gap(cfg):
-    g = gap_record(piece_endpoints(F(1, 3), 1, cfg), (), cfg)
+    g = gap_record(piece_endpoints(F(1, 3), 1, cfg), ())
     assert g.position == 1
     assert g.ratio_lo > 0
     # the gap is a certified open interval
@@ -85,7 +85,7 @@ def test_gap_record_ratio_bound_caseA(cfg):
         assert piece.n_k > m
         a_hi = piece.alpha.hi
         bound = x ** (m - 1) / (8 * (1 - 2 * a_hi))
-        g = gap_record(piece, (0,), cfg)
+        g = gap_record(piece, (0,))
         assert g.ratio_lo >= bound
 
 
@@ -96,7 +96,7 @@ def test_defining_sequence_Cl_structure(cfg):
     hull, *removals = ds.intervals()
     # first removal is the inter-piece gap, second is the piece's first gap
     assert repr(removals[0]) == repr((piece.beta, piece.alpha_next))
-    first_gap = gap_record(piece, (), cfg)
+    first_gap = gap_record(piece, ())
     assert overlap(removals[1][0], first_gap.gap[0])
     assert overlap(removals[1][1], first_gap.gap[1])
     assert hull[1].contains(F(1, 2))
@@ -146,15 +146,18 @@ def test_right_tail_ratio_bound_exceptional_target(cfg):
 def test_family_bounds_match_the_stated_formulas(cfg):
     """Each bound equals its formula, evaluated at the cell ends that make
     it largest, so lowering any one of them fails here even when every
-    certified ratio would still clear it."""
+    certified ratio would still clear it. A piece with n_k <= m, to which
+    the bounds do not apply, has none."""
     for x in (F(1, 3), F(2, 7), F(1, 5), F(2, 5)):
         m = first_switch_index(x)
         k0 = next(k for k in range(1, 20)
                   if piece_endpoints(x, k, cfg).n_k > m)
+        for k in range(1, k0):
+            assert _piece_families(piece_endpoints(x, k, cfg))[1] is None
         for k in range(k0, k0 + 3):
             p = piece_endpoints(x, k, cfg)
             a, b, c = p.alpha.hi, p.beta.hi, p.alpha_next.lo
-            assert _family_bounds(p, m, 128) == (
+            assert _piece_families(p)[1] == (
                 a ** (m - 1) / (8 * (1 - 2 * a)),
                 x ** (m - 1) / (8 * (1 - 2 * b)),
                 b ** (m - 2) / (4 * c ** (p.n_k - 1))), (x, k)
@@ -162,7 +165,7 @@ def test_family_bounds_match_the_stated_formulas(cfg):
     for k in range(1, 9):
         p = piece_endpoints(F(1, 4), k, cfg)
         a, b, c, n = p.alpha.hi, p.beta.hi, p.alpha_next.lo, p.n_k
-        gap, piece, half = _family_bounds(p, None, 128)
+        gap, piece, half = _piece_families(p)[1]
         den = 1 - 2 * a + n * F(8, 2 ** n)
         assert (gap, piece) == (a / den, b / den), k
         if n % 2 == 0:
@@ -181,7 +184,7 @@ def test_unseparated_endpoints_name_the_width(cfg):
         piece_endpoints(F(1, 3), 40, coarse)
     coarser = PrecisionConfig(64, width_bits=8)
     with pytest.raises(Inconclusive, match=r"gap 01 of piece 1 .*width 2\^-8$"):
-        gap_record(piece_endpoints(F(1, 3), 1, cfg), (0, 1), coarser)
+        gap_record(piece_endpoints(F(1, 3), 1, coarser), (0, 1))
 
 
 def test_separation_compares_cells_on_one_grid(cfg, monkeypatch):
@@ -199,17 +202,27 @@ def test_separation_compares_cells_on_one_grid(cfg, monkeypatch):
                 constructions._separated(F(1, 3), [None] * 2, cfg, 1)
 
 
-def test_verdict_memos_key_on_the_precision(cfg):
-    """The memoised family entries and square identity of one piece differ
-    by precision: the odd-n_k half-gap bound of 1/4 and the residual
-    magnitude are rounded to `bits`."""
-    piece = piece_endpoints(F(1, 4), 1, cfg)
-    assert piece.n_k % 2 == 1
-    record = gap_record(piece, (0,), cfg)
-    for check in (lambda bits: constructions._family_entries(
-                      piece, None, bits, record, (("k", 1),))[2].rhs,
-                  lambda bits: _square_identity(piece, bits)[0]):
-        assert len({check(64), check(200), check(64)}) == 2
+def test_verdict_memos_key_on_the_precision():
+    """The memoised family entries and square identity of one piece solved
+    at two precisions differ: the odd-n_k half-gap bound of 1/4 and the
+    residual magnitude are rounded to the piece's precision."""
+    pieces = [piece_endpoints(F(1, 4), 1, PrecisionConfig(bits))
+              for bits in (64, 200, 64)]
+    assert pieces[0].n_k % 2 == 1
+    for check in (lambda p: constructions._family_entries(p, (0,))[2].rhs,
+                  lambda p: _square_identity(p)[0]):
+        assert len({check(p) for p in pieces}) == 2
+
+
+def test_gap_records_are_solved_at_the_piece_precision():
+    """A gap record's cells carry the precision of its piece."""
+    for x in (F(1, 3), F(1, 4)):
+        for bits in (64, 200):
+            piece = piece_endpoints(x, 2, PrecisionConfig(bits))
+            assert piece.precision.precision_bits == bits
+            for omega in ((), (1, 0)):
+                gap = gap_record(piece, omega).gap
+                assert {end.bits for end in gap} == {bits}, (x, bits, omega)
 
 
 def test_tail_reports_fail_alike(cfg):
@@ -285,11 +298,9 @@ def test_warm_report_solves_nothing(cfg, monkeypatch):
 
 def test_warm_report_is_one_lookup(cfg):
     """A repeated report is one lookup in its own table, returns the same
-    record and looks up no gap record, per-piece ratio pair or bound
-    triple."""
+    record and looks up no gap record or per-piece ratios and bounds."""
     target = (F(1, 3), 8, 6, 3)
-    tables = ("thickness_Cl", "gap_record", "_piece_ratios",
-              "_family_bounds")
+    tables = ("thickness_Cl", "gap_record", "_piece_families")
 
     def lookups():
         return {name: getattr(constructions, name).cache_info()[:2]
@@ -306,7 +317,18 @@ def test_warm_report_is_one_lookup(cfg):
     assert {name: (warm[name][0] - after[name][0],
                    warm[name][1] - after[name][1]) for name in tables} == {
         "thickness_Cl": (1, 0), "gap_record": (0, 0),
-        "_piece_ratios": (0, 0), "_family_bounds": (0, 0)}
+        "_piece_families": (0, 0)}
+
+
+def test_warm_ledgers_look_up_no_gap_record(cfg):
+    """A repeated ledger reads each piece's family entries with one lookup,
+    which looks up no gap record."""
+    for verify in (lambda: verify_caseA(F(1, 3), 5, cfg, seed=11),
+                   lambda: verify_caseB(5, cfg, seed=11)):
+        first = verify()
+        before = gap_record.cache_info()[:2]
+        assert verify() == first
+        assert gap_record.cache_info()[:2] == before
 
 
 def test_reports_share_no_mutable_record(cfg, monkeypatch, request):
@@ -318,8 +340,9 @@ def test_reports_share_no_mutable_record(cfg, monkeypatch, request):
     the report is computed with these bounds and no other test reads it."""
     _clear_memo_tables()
     request.addfinalizer(_clear_memo_tables)
-    monkeypatch.setattr(constructions, "_family_bounds",
-                        lambda piece, m, bits: (F(1 << 64),) * 3)
+    families = constructions._piece_families
+    monkeypatch.setattr(constructions, "_piece_families",
+                        lambda piece: (families(piece)[0], (F(1 << 64),) * 3))
     target = (F(1, 3), 2, 2, 1)
     report = thickness_Cl(*target, cfg)
     expected = json.dumps(report.to_json())
@@ -537,6 +560,7 @@ def test_square_identity_matches_fraction_formula(cfg, k, sign, shift, wider,
     lo, hi, e = piece.alpha_next.cell
     cell = Enclosure((lo + (sign << shift), hi + (sign << shift)
                       + (1 << wider) - 1, e), bits)
-    piece = piece._replace(n_k=piece.n_k + n_offset, alpha_next=cell)
+    piece = piece._replace(n_k=piece.n_k + n_offset, alpha_next=cell,
+                           precision=PrecisionConfig(bits))
     verdict = _square_identity_by_fractions(piece, bits)
-    assert _square_identity(piece, bits) == verdict
+    assert _square_identity(piece) == verdict

@@ -141,8 +141,8 @@ def test_every_imported_name_is_used():
 # `functools.lru_cache(maxsize=CACHE_SIZE)`
 MEMO_TABLES = {"lambda_set.binary_expansion", "lambda_set._target",
                "lambda_set.psi_inverse", "constructions.piece_endpoints",
-               "constructions.gap_record", "constructions._piece_ratios",
-               "constructions._family_bounds", "constructions._family_entries",
+               "constructions.gap_record", "constructions._piece_families",
+               "constructions._family_entries",
                "constructions._square_identity", "constructions.thickness_Cl"}
 
 

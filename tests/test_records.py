@@ -51,7 +51,8 @@ RECORDS = [
                             "slope": 0.5, "stderr": None,
                             "points": ((F(1, 256), 7),), "segments": 9}),
     (PieceEndpoints, lambda: {"x": F(1, 3), "k": 1, "n_k": 3, "alpha": _cell(),
-                              "beta": _cell(), "alpha_next": _cell()}),
+                              "beta": _cell(), "alpha_next": _cell(),
+                              "precision": PrecisionConfig()}),
     (GapRecord, lambda: {"position": 2, "gap": (_cell(), _cell()),
                          "ratio_lo": F(1, 5)}),
     (ThicknessReport, lambda: {"x": F(1, 3), "ell": 1, "k_max": 2, "q_max": 1,

@@ -7,8 +7,11 @@ the point 1/2 they form nested Cantor subsets whose truncated thickness is
 evaluated here gap by gap. The module also verifies, instance by instance,
 the analytic gap inequalities that control every gap beyond the truncation
 (one family for targets whose expansion has a 1 at some index >= 3, one for
-the exceptional target 1/4). A piece carries the precision it was solved
-at, so each per-piece value is memoised on the piece (and a gap word).
+the exceptional target 1/4). One walker draws, decides and records each
+case's table of checks; an undecided entry of any kind (today only case
+A's switch_lower or case B's square_identity) ends the ledger
+Inconclusive. A piece carries the precision it was solved at, so each
+per-piece value is memoised on the piece (and a gap word).
 """
 
 from __future__ import annotations
@@ -57,13 +60,6 @@ BLOCK, GAP = CODINGS[::3], CODINGS[1:3]
 def _codings(w: tuple[int, ...], ends=CODINGS) -> list[EpSequence]:
     """The codings of w named by `ends`, rows of CODINGS, in their order."""
     return [EpSequence(w + after, tail) for after, tail in ends]
-
-
-def _nk(x: Fraction, k: int) -> int:
-    """The k-th zero index of the expansion of x; k is at most MAX_PREFIXES."""
-    if k > MAX_PREFIXES:
-        raise DepthBudgetExceeded(f"more than {MAX_PREFIXES} pieces: k={k}")
-    return zero_indices(binary_expansion(x), k)[k - 1]
 
 
 def first_switch_index(x: Fraction) -> int:
@@ -125,7 +121,9 @@ def piece_endpoints(x: Fraction, k: int,
         raise ValueError("k must be positive")
     x = Fraction(x)
     xs = binary_expansion(x)
-    n_k = _nk(x, k)
+    if k > MAX_PREFIXES:
+        raise DepthBudgetExceeded(f"more than {MAX_PREFIXES} pieces: k={k}")
+    n_k = zero_indices(xs, k)[k - 1]
     (alpha, beta, alpha_next), _ = _separated(
         x, _codings(xs.prefix(n_k - 1), CODINGS[:3]), cfg, k)
     return PieceEndpoints(x, k, n_k, alpha, beta, alpha_next, cfg)
@@ -396,14 +394,14 @@ def _family_entries(piece: PieceEndpoints, omega: tuple[int, ...]
                  for family, p, r, b in zip(FAMILIES, params, ratios, bounds))
 
 
-# A check's (lhs, rhs, passed), computed from the integers of its cells'
+# A switch check's (params, lhs, rhs, passed), lhs and rhs on its cells'
 # common grid: passed is True when its inequality is certified, False when
 # the opposite one is, and None when neither is.
-Verdict = tuple[str, str, Optional[bool]]
+Check = tuple[tuple[tuple[str, object], ...], str, str, Optional[bool]]
 
 
 def _sides(lhs: int, k: int, num: int, s: int, den: int = 1,
-           at_least: bool = True) -> Verdict:
+           at_least: bool = True) -> tuple[str, str, bool]:
     """lhs 2^-k and num / (den 2^s), den > 0, printed by dyadic_str, and
     whether lhs >= rhs (at_least) or lhs <= rhs."""
     left, right = lhs * den << s, num << k
@@ -411,53 +409,64 @@ def _sides(lhs: int, k: int, num: int, s: int, den: int = 1,
             left >= right if at_least else left <= right)
 
 
-def _switch_lower_caseA(lam1: Enclosure, lam2: Enclosure, p: int) -> Verdict:
-    """lam2.lo - lam1.hi >= lam2.hi^p / 4; it fails only when even lam2.hi
-    - lam1.lo lies below lam2.lo^p / 4."""
+def _switch_lower_caseA(lam1: Enclosure, lam2: Enclosure,
+                        head: tuple[int, ...], j: tuple[int, ...]) -> Check:
+    """lam2.lo - lam1.hi >= lam2.hi^p / 4 for the word w = head j of length
+    p; it fails only when even lam2.hi - lam1.lo lies below lam2.lo^p / 4."""
+    w = head + j
+    p = len(w)
     (a_lo, a, b, c), k = on_grid((lam1.cell, lam2.cell))
     lhs, rhs, passed = _sides(b - a, k, c ** p, k * p + 2)
     if not passed and _sides(c - a_lo, k, b ** p, k * p + 2)[2]:
         passed = None
-    return lhs, rhs, passed
+    return (("word", word_str(w)),), lhs, rhs, passed
 
 
-def _switch_upper_caseA(lam3: Enclosure, lam4: Enclosure, q: int,
-                        m: int) -> Verdict:
-    """lam4.hi - lam3.lo <= min(bound1, bound2), where, with a, b, c, d the
-    ends of lam3 and lam4 on the grid and E = 2^(k(q+3)),
+def _switch_upper_caseA(lam3: Enclosure, lam4: Enclosure,
+                        head: tuple[int, ...], j: tuple[int, ...]) -> Check:
+    """lam4.hi - lam3.lo <= min(bound1, bound2) for the first m = |head|
+    digits of the expansion and q = |j|, where, with a, b, c, d the ends of
+    lam3 and lam4 on the grid and E = 2^(k(q+3)),
         bound1 = 2 (1 - 2 lam3.hi) lam3.lo^(q+2) = 2 (2^k - 2b) a^(q+2) / E,
         bound2 = 2 (1 - 2 lam4.hi) lam4.lo^(m+q) / lam3.hi^(m-2)
                = 2 (2^k - 2d) c^(m+q) / (E b^(m-2)):
     one integer comparison picks the minimum, and only bound2 needs a gcd,
     against b^(m-2), to print."""
+    q, m = len(j), len(head)
     (a, b, c, d), k = on_grid((lam3.cell, lam4.cell))
     n1 = 2 * ((1 << k) - 2 * b) * a ** (q + 2)
     n2 = 2 * ((1 << k) - 2 * d) * c ** (m + q)
     power = b ** (m - 2)
     num, den = (n1, 1) if n1 * power <= n2 else (n2, power)
-    return _sides(d - a, k, num, k * (q + 3), den, at_least=False)
+    return ((("q", q), ("m", m)),
+            *_sides(d - a, k, num, k * (q + 3), den, at_least=False))
 
 
-def _switch_lower_caseB(lam1: Enclosure, lam2: Enclosure, mm: int,
-                        q: int) -> Verdict:
+def _switch_lower_caseB(lam1: Enclosure, lam2: Enclosure,
+                        head: tuple[int, ...], j: tuple[int, ...]) -> Check:
     """lam2.lo - lam1.hi >= lam2.hi^p / (1 - 2 lam1.hi + (mm + 3) / 2^mm)
-    for p = mm + 2 + q: with a, b, c the ends on the grid, the right side
-    is c^p / (D 2^(k(p-1) - mm)), D = (2^k - 2a) 2^mm + (mm + 3) 2^k > 0,
-    and k(p-1) - mm > 0 as k >= 1 and p >= mm + 3."""
+    for the head 0 1 0^mm and p = mm + 2 + |j|: with a, b, c the ends on
+    the grid, the right side is c^p / (D 2^(k(p-1) - mm)), D = (2^k - 2a)
+    2^mm + (mm + 3) 2^k > 0, and k(p-1) - mm > 0 as k >= 1 and p >= mm + 3."""
+    mm, q = len(head) - 2, len(j)
     (_, a, b, c), k = on_grid((lam1.cell, lam2.cell))
     p = mm + 2 + q
     den = ((1 << k) - 2 * a << mm) + (mm + 3 << k)
-    return _sides(b - a, k, c ** p, k * (p - 1) - mm, den)
+    return ((("m", mm), ("q", q), ("word", word_str(j))),
+            *_sides(b - a, k, c ** p, k * (p - 1) - mm, den))
 
 
-def _switch_upper_caseB(lam3: Enclosure, lam4: Enclosure, q: int) -> Verdict:
-    """lam4.hi - lam3.lo <= lam3.lo^(q+2)."""
+def _switch_upper_caseB(lam3: Enclosure, lam4: Enclosure,
+                        head: tuple[int, ...], j: tuple[int, ...]) -> Check:
+    """lam4.hi - lam3.lo <= lam3.lo^(q+2), q = |j|."""
+    q = len(j)
     (a, _, _, d), k = on_grid((lam3.cell, lam4.cell))
-    return _sides(d - a, k, a ** (q + 2), k * (q + 2), at_least=False)
+    return ((("q", q), ("word", word_str(j))),
+            *_sides(d - a, k, a ** (q + 2), k * (q + 2), at_least=False))
 
 
 @memo
-def _square_identity(piece: PieceEndpoints) -> Verdict:
+def _square_identity(piece: PieceEndpoints) -> LedgerEntry:
     """(1/2 - alpha_{k+1})^2 = alpha_{k+1}^(n_k): the residual's largest
     magnitude over alpha_{k+1}'s cell, rounded up to the piece's precision,
     against 2^-70. It fails when the residual's range excludes 0, and is
@@ -470,7 +479,42 @@ def _square_identity(piece: PieceEndpoints) -> Verdict:
                       for a in (hi, lo))
     _, mag, f = round_outward(max(-res_lo, res_hi), 1 << e * n, bits)
     lhs, rhs, capped = _sides(mag, f, 1, 70, at_least=False)
-    return lhs, rhs, res_lo <= 0 <= res_hi and (capped or None)
+    return LedgerEntry("square_identity", (("k", piece.k), ("n_k", n)), lhs,
+                       rhs, res_lo <= 0 <= res_hi and (capped or None))
+
+
+def _ledger(case: str, x: Fraction, trials: int, cfg: PrecisionConfig,
+            seed: int, switches: tuple, pieces) -> VerificationLedger:
+    """One case's ledger from its table: `trials` entries of each switch
+    row (kind, head, q_range, ends, check), the word head(rng) + j that
+    _draw completes judged by check(cell, cell, head, j); then, for each
+    (k, omega) of pieces(rng), case B's square identity of piece k and the
+    family entries of its gap omega. An undecided entry raises Inconclusive
+    naming its kind, its word or piece, and the width."""
+    rng = random.Random(seed)
+    xs = binary_expansion(x)
+    entries: list[LedgerEntry] = []
+
+    def undecided(entry: LedgerEntry, where: str) -> Inconclusive:
+        return Inconclusive(f"{entry.kind} of {where} not decided at target "
+                            f"width 2^-{cfg.width_bits}")
+
+    for kind, head, q_range, ends, check in switches:
+        for _ in range(trials):
+            h = head(rng)
+            j, lo, hi = _draw(rng, x, xs, cfg, h, q_range, ends)
+            entry = LedgerEntry(kind, *check(lo, hi, h, j))
+            if entry.passed is None:
+                raise undecided(entry, f"word {word_str(h + j)}")
+            entries.append(entry)
+    for k, omega in pieces(rng):
+        piece = piece_endpoints(x, k, cfg)
+        square = (_square_identity(piece),) if case == "B" else ()
+        for entry in square + _family_entries(piece, omega):
+            if entry.passed is None:
+                raise undecided(entry, f"piece {k}")
+            entries.append(entry)
+    return VerificationLedger(case, x, trials, seed, tuple(entries))
 
 
 def verify_caseA(x: Fraction, trials: int,
@@ -478,79 +522,33 @@ def verify_caseA(x: Fraction, trials: int,
                  seed: int = 0) -> VerificationLedger:
     """Certified spot checks of the switch inequalities for targets other
     than 1/4, plus the derived per-gap ratio bounds; `trials` instances of
-    each shape. A switch_lower entry fails only when its violation is
-    certified; one whose cells are too wide to decide it raises
-    Inconclusive."""
+    each shape, the pieces drawn from the first five the bounds apply to."""
     _check_trials(trials)
     x = Fraction(x)
     m = first_switch_index(x)     # raises for x = 1/4
-    rng = random.Random(seed)
-    xs = binary_expansion(x)
-    entries: list[LedgerEntry] = []
+    prefix = binary_expansion(x).prefix(m)
+    k0 = 1 + prefix[1:].count(0)     # the first piece with n_k > m
 
-    for _ in range(trials):
-        w, lam1, lam2 = _draw(rng, x, xs, cfg, (), (3, 12), BLOCK)
-        lhs, rhs, passed = _switch_lower_caseA(lam1, lam2, len(w))
-        if passed is None:
-            raise Inconclusive(f"switch_lower of word {word_str(w)} not "
-                               f"decided at target width 2^-{cfg.width_bits}")
-        entries.append(LedgerEntry("switch_lower", (("word", word_str(w)),),
-                                   lhs, rhs, passed))
+    def pieces(rng):
+        for _ in range(trials):
+            k = rng.randint(k0, k0 + 4)
+            yield k, tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 3)))
 
-    prefix = xs.prefix(m)
-    for _ in range(trials):
-        j, lam3, lam4 = _draw(rng, x, xs, cfg, prefix, (1, 8), GAP)
-        entries.append(LedgerEntry(
-            "switch_upper", (("q", len(j)), ("m", m)),
-            *_switch_upper_caseA(lam3, lam4, len(j), m)))
-
-    k0 = 1
-    while _nk(x, k0) <= m:
-        k0 += 1
-    for _ in range(trials):
-        k = rng.randint(k0, k0 + 4)
-        piece = piece_endpoints(x, k, cfg)
-        omega = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 3)))
-        entries += _family_entries(piece, omega)
-
-    return VerificationLedger("A", x, trials, seed, tuple(entries))
+    return _ledger("A", x, trials, cfg, seed, (
+        ("switch_lower", lambda rng: (), (3, 12), BLOCK, _switch_lower_caseA),
+        ("switch_upper", lambda rng: prefix, (1, 8), GAP, _switch_upper_caseA),
+    ), pieces)
 
 
 def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
                  seed: int = 0) -> VerificationLedger:
     """Certified spot checks for the exceptional target 1/4, including the
-    exact square identity (1/2 - alpha_{k+1})^2 = alpha_{k+1}^(n_k); a
-    cell too wide to decide that identity raises Inconclusive."""
+    exact square identity (1/2 - alpha_{k+1})^2 = alpha_{k+1}^(n_k) of
+    pieces 1 to 6."""
     _check_trials(trials)
-    x = QUARTER
-    rng = random.Random(seed)
-    xs = binary_expansion(x)
-    entries: list[LedgerEntry] = []
-
     # every coding that starts 01 is admissible for 1/4: no draw is rejected
-    for _ in range(trials):
-        mm = rng.randint(1, 6)
-        head = (0, 1) + (0,) * mm
-        j, lam1, lam2 = _draw(rng, x, xs, cfg, head, (1, 6), BLOCK)
-        entries.append(LedgerEntry(
-            "switch_lower", (("m", mm), ("q", len(j)), ("word", word_str(j))),
-            *_switch_lower_caseB(lam1, lam2, mm, len(j))))
-
-    for _ in range(trials):
-        j, lam3, lam4 = _draw(rng, x, xs, cfg, (0, 1), (1, 8), GAP)
-        entries.append(LedgerEntry(
-            "switch_upper", (("q", len(j)), ("word", word_str(j))),
-            *_switch_upper_caseB(lam3, lam4, len(j))))
-
-    for k in range(1, 7):
-        piece = piece_endpoints(x, k, cfg)
-        lhs, rhs, passed = _square_identity(piece)
-        if passed is None:
-            raise Inconclusive(f"square_identity of piece {k} not decided "
-                               f"at target width 2^-{cfg.width_bits}")
-        entries.append(LedgerEntry(
-            "square_identity", (("k", k), ("n_k", piece.n_k)), lhs, rhs,
-            passed))
-        entries += _family_entries(piece, word_at_position(1 + (k % 7)))
-
-    return VerificationLedger("B", x, trials, seed, tuple(entries))
+    return _ledger("B", QUARTER, trials, cfg, seed, (
+        ("switch_lower", lambda rng: (0, 1) + (0,) * rng.randint(1, 6),
+         (1, 6), BLOCK, _switch_lower_caseB),
+        ("switch_upper", lambda rng: (0, 1), (1, 8), GAP, _switch_upper_caseB),
+    ), lambda rng: ((k, word_at_position(1 + k % 7)) for k in range(1, 7)))

@@ -182,6 +182,43 @@ def test_case_b_tells_a_shortfall_from_a_violation(capsys, monkeypatch):
     assert not any(e["passed"] for e in squares)
 
 
+UNDECIDED = [("1/3", "switch_lower", "_switch_lower_caseA"),
+             ("1/3", "switch_upper", "_switch_upper_caseA"),
+             ("1/4", "switch_lower", "_switch_lower_caseB"),
+             ("1/4", "switch_upper", "_switch_upper_caseB"),
+             ("1/4", "square_identity", "_square_identity")] + [
+    (x, family, "_family_entries") for x in ("1/3", "1/4")
+    for family in ("gap_ratio", "piece_gap", "half_gap")]
+
+
+@pytest.mark.parametrize("x,kind,check", UNDECIDED,
+                         ids=[" ".join(r[:2]) for r in UNDECIDED])
+def test_an_undecided_entry_of_any_kind_exits_1(capsys, monkeypatch, x,
+                                                kind, check):
+    """Whatever the kind of an entry that its cells leave undecided,
+    `verify` ends Inconclusive: exit 1 and one line naming the kind, the
+    entry's word or piece, and the width. Here the check of one kind is
+    patched to decide none of its entries."""
+    from lambdaset import constructions
+    decide = getattr(constructions, check)
+
+    def undecided(*args):
+        verdict = decide(*args)
+        if check == "_family_entries":
+            return tuple(e._replace(passed=None) if e.kind == kind else e
+                         for e in verdict)
+        if check == "_square_identity":
+            return verdict._replace(passed=None)
+        return (*verdict[:3], None)
+
+    monkeypatch.setattr(constructions, check, undecided)
+    code, out, err = run(capsys, "verify", "--x", x, "--trials", "2")
+    assert (code, out) == (1, "")
+    where = r"word [01]+" if kind.startswith("switch_") else r"piece \d+"
+    assert re.fullmatch(rf"error: {kind} of {where} not decided at target "
+                        r"width 2\^-80\n", err), err
+
+
 def test_verify_reads_its_case_from_x(capsys):
     code, payload, manifest = run_json(capsys, "verify", "--x", "1/5",
                                        "--trials", "1")

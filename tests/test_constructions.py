@@ -41,6 +41,27 @@ def test_first_switch_index():
         first_switch_index(F(1, 4))
 
 
+class _Least:
+    """An rng whose every draw is the least value it may take."""
+
+    def randint(self, low, high):
+        return low
+
+
+def test_caseA_draws_its_pieces_from_the_first_bounded_one(monkeypatch):
+    """The least piece a case-A ledger may draw is the first piece with
+    n_k > m, m the first switch index, as found by stepping k through the
+    zero indices: for every target p/q < 1/2 with q < 200 but 1/4."""
+    monkeypatch.setattr(constructions, "_ledger", lambda *args: args[-1])
+    targets = {F(p, q) for q in range(3, 200) for p in range(1, (q + 1) // 2)}
+    for x in sorted(targets - {F(1, 4)}):
+        xs, m = binary_expansion(x), first_switch_index(x)
+        k0 = 1
+        while seqcode.zero_indices(xs, k0)[k0 - 1] <= m:
+            k0 += 1
+        assert next(verify_caseA(x, 1)(_Least())) == (k0, ()), x
+
+
 def test_piece_endpoints_quarter(cfg):
     p1 = piece_endpoints(F(1, 4), 1, cfg)
     assert p1.n_k == 3
@@ -210,7 +231,7 @@ def test_verdict_memos_key_on_the_precision():
               for bits in (64, 200, 64)]
     assert pieces[0].n_k % 2 == 1
     for check in (lambda p: constructions._family_entries(p, (0,))[2].rhs,
-                  lambda p: _square_identity(p)[0]):
+                  lambda p: _square_identity(p).lhs):
         assert len({check(p) for p in pieces}) == 2
 
 
@@ -388,6 +409,25 @@ def test_verify_caseA(cfg):
         verify_caseA(F(16, 33), 5, cfg)
 
 
+def test_switch_entries_measure_positive_lengths(cfg):
+    """Every switch entry's lhs is a length between two cells solved in
+    ascending order, so it is positive: a row whose two coding ends were
+    swapped would measure a negative one, and its upper-bound check would
+    then pass vacuously."""
+    ledgers = [verify_caseA(x, 20, cfg, seed) for x in (F(1, 3), F(2, 7),
+                                                        F(3, 10))
+               for seed in (1, 5)]
+    ledgers += [verify_caseB(20, cfg, seed) for seed in (1, 5)]
+    seen = set()
+    for ledger in ledgers:
+        for e in ledger.entries:
+            if e.kind.startswith("switch_"):
+                assert F(e.lhs) > 0, (ledger.case, ledger.seed, e)
+                seen.add((ledger.case, e.kind))
+    assert seen == {(case, kind) for case in "AB"
+                    for kind in ("switch_lower", "switch_upper")}
+
+
 def test_caseA_switch_lower_explicit_q5(cfg):
     """One pinned instance: switching the tail after 01101 moves the ratio
     by at least a quarter of its fifth power."""
@@ -465,47 +505,62 @@ DYADIC_CELLS = st.integers(2, 140).flatmap(lambda e: st.builds(
 
 
 # The switch checks by Fraction arithmetic, as verify computed them before
-# their integer forms: (lhs, rhs, passed) printed by exact_str.
+# their integer forms: the entry's params, then (lhs, rhs, passed) printed
+# by exact_str. Each takes the two cells, the word's head and its rest j.
 
-def _switch_lower_caseA_by_fractions(lam1, lam2, p):
-    lhs, rhs = lam2.lo - lam1.hi, lam2.hi ** p / 4
+def _switch_lower_caseA_by_fractions(lam1, lam2, head, j):
+    w = head + j
+    lhs, rhs = lam2.lo - lam1.hi, lam2.hi ** len(w) / 4
     passed = lhs >= rhs
-    if not passed and lam2.hi - lam1.lo >= lam2.lo ** p / 4:
+    if not passed and lam2.hi - lam1.lo >= lam2.lo ** len(w) / 4:
         passed = None
-    return exact_str(lhs), exact_str(rhs), passed
+    return ((("word", seqcode.word_str(w)),), exact_str(lhs), exact_str(rhs),
+            passed)
 
 
-def _switch_upper_caseA_by_fractions(lam3, lam4, q, m):
+def _switch_upper_caseA_by_fractions(lam3, lam4, head, j):
     """The entry, and whether bound1 is the minimum."""
+    q, m = len(j), len(head)
     lhs = lam4.hi - lam3.lo
     bound1 = 2 * (1 - 2 * lam3.hi) * lam3.lo ** (q + 2)
     bound2 = (2 * (1 - 2 * lam4.hi) * lam4.lo ** (m + q)
               / lam3.hi ** (m - 2))
     rhs = min(bound1, bound2)
-    return (exact_str(lhs), exact_str(rhs), lhs <= rhs), bound1 <= bound2
+    return ((("q", q), ("m", m)), exact_str(lhs), exact_str(rhs),
+            lhs <= rhs), bound1 <= bound2
 
 
-def _switch_lower_caseB_by_fractions(lam1, lam2, mm, q):
+def _switch_lower_caseB_by_fractions(lam1, lam2, head, j):
+    mm, q = len(head) - 2, len(j)
     lhs = lam2.lo - lam1.hi
     rhs = lam2.hi ** (mm + 2 + q) / (1 - 2 * lam1.hi + F(mm + 3, 1 << mm))
-    return exact_str(lhs), exact_str(rhs), lhs >= rhs
+    return ((("m", mm), ("q", q), ("word", seqcode.word_str(j))),
+            exact_str(lhs), exact_str(rhs), lhs >= rhs)
 
 
-def _switch_upper_caseB_by_fractions(lam3, lam4, q):
-    lhs, rhs = lam4.hi - lam3.lo, lam3.lo ** (2 + q)
-    return exact_str(lhs), exact_str(rhs), lhs <= rhs
+def _switch_upper_caseB_by_fractions(lam3, lam4, head, j):
+    lhs, rhs = lam4.hi - lam3.lo, lam3.lo ** (2 + len(j))
+    return ((("q", len(j)), ("word", seqcode.word_str(j))), exact_str(lhs),
+            exact_str(rhs), lhs <= rhs)
 
 
 def _square_identity_by_fractions(piece, bits):
-    """passed is False when the residual range excludes 0, and None when it
-    holds 0 but the magnitude exceeds the cap."""
+    """The entry: passed is False when the residual range excludes 0, and
+    None when it holds 0 but the magnitude exceeds the cap."""
     a_lo, a_hi, n = piece.alpha_next.lo, piece.alpha_next.hi, piece.n_k
     res_lo = (F(1, 2) - a_hi) ** 2 - a_hi ** n
     res_hi = (F(1, 2) - a_lo) ** 2 - a_lo ** n
     magnitude = Enclosure.from_fraction(max(-res_lo, res_hi), bits).hi
     cap = F(1, 1 << 70)
     passed = (res_lo <= 0 <= res_hi) and (magnitude <= cap or None)
-    return exact_str(magnitude), exact_str(cap), passed
+    return ("square_identity", (("k", piece.k), ("n_k", n)),
+            exact_str(magnitude), exact_str(cap), passed)
+
+
+# words of 0s and 1s with lengths in [low, high]
+def _words(low, high):
+    return st.lists(st.integers(0, 1), min_size=low,
+                    max_size=high).map(tuple)
 
 
 @pytest.mark.parametrize("lam3,lam4,first", [
@@ -518,34 +573,35 @@ def _square_identity_by_fractions(piece, bits):
     (_point(F(1, 2)), _point(F(1, 4)), True),
 ], ids=["bound1", "bound2", "tie", "zero"])
 def test_switch_upper_rhs_takes_either_bound(lam3, lam4, first):
-    for q, m in ((1, 3), (8, 12)):
+    for j, head in (((1,), (0, 1, 1)), ((0, 1) * 4, (0, 0, 1) * 4)):
         entry, first_is_min = _switch_upper_caseA_by_fractions(lam3, lam4,
-                                                               q, m)
+                                                               head, j)
         assert first_is_min == first
-        assert _switch_upper_caseA(lam3, lam4, q, m) == entry
+        assert _switch_upper_caseA(lam3, lam4, head, j) == entry
 
 
 @settings(deadline=None, max_examples=300)
-@given(DYADIC_CELLS, DYADIC_CELLS, st.integers(1, 8),
-       st.integers(3, 12))
-def test_switch_upper_rhs_matches_fraction_formula(lam3, lam4, q, m):
+@given(DYADIC_CELLS, DYADIC_CELLS, _words(1, 8), _words(3, 12))
+def test_switch_upper_rhs_matches_fraction_formula(lam3, lam4, j, head):
     """Both branches of the minimum: the random cells take each often."""
-    assert (_switch_upper_caseA(lam3, lam4, q, m)
-            == _switch_upper_caseA_by_fractions(lam3, lam4, q, m)[0])
+    assert (_switch_upper_caseA(lam3, lam4, head, j)
+            == _switch_upper_caseA_by_fractions(lam3, lam4, head, j)[0])
 
 
 @settings(deadline=None, max_examples=300)
-@given(DYADIC_CELLS, DYADIC_CELLS, st.integers(1, 12), st.integers(1, 6),
-       st.integers(1, 8))
-def test_switch_entries_match_fraction_formulas(lam1, lam2, p, mm, q):
+@given(DYADIC_CELLS, DYADIC_CELLS, _words(1, 12), st.integers(1, 6),
+       _words(1, 8))
+def test_switch_entries_match_fraction_formulas(lam1, lam2, w, mm, j):
     """The integer lhs, rhs and verdict of every other switch check, in
-    both cases, are what the Fraction formulas print and decide."""
-    assert (_switch_lower_caseA(lam1, lam2, p)
-            == _switch_lower_caseA_by_fractions(lam1, lam2, p))
-    assert (_switch_lower_caseB(lam1, lam2, mm, q)
-            == _switch_lower_caseB_by_fractions(lam1, lam2, mm, q))
-    assert (_switch_upper_caseB(lam1, lam2, q)
-            == _switch_upper_caseB_by_fractions(lam1, lam2, q))
+    both cases, are what the Fraction formulas print and decide, with the
+    params each entry prints."""
+    head = (0, 1) + (0,) * mm
+    assert (_switch_lower_caseA(lam1, lam2, (), w)
+            == _switch_lower_caseA_by_fractions(lam1, lam2, (), w))
+    assert (_switch_lower_caseB(lam1, lam2, head, j)
+            == _switch_lower_caseB_by_fractions(lam1, lam2, head, j))
+    assert (_switch_upper_caseB(lam1, lam2, (0, 1), j)
+            == _switch_upper_caseB_by_fractions(lam1, lam2, (0, 1), j))
 
 
 @settings(deadline=None, max_examples=200)

@@ -244,33 +244,35 @@ def _piece_families(piece: PieceEndpoints) -> tuple[
     of the analytic lower bounds on every gap of each family. The bounds
     are None when n_k <= m, m the first switch index (1/4 has none).
 
-    With a = alpha_k, b = beta_k, c = alpha_{k+1} and n = n_k they are,
-    for a switch index m,
+    With a and b the high ends of alpha_k and beta_k, c the low end of
+    alpha_{k+1} and n = n_k, they are, for a switch index m,
         a^(m-1) / (8 (1 - 2a)),  x^(m-1) / (8 (1 - 2b)),  b^(m-2) / (4 c^(n-1)),
     and for 1/4, with d = 1 - 2a + n 2^(3-n),
         a / d,  b / d,  1 / c^(n/2 - 1).
     """
-    (_, a, b, _, _, c), e = on_grid(
+    (_, a_hi, b_lo, b_hi, c_lo, c_hi), e = on_grid(
         [piece.alpha.cell, piece.beta.cell, piece.alpha_next.cell])
-    ratios = Fraction(b - a, c - b), Fraction((1 << e - 1) - c, c - b)
-    a_hi, b_hi, c_lo, n_k = (piece.alpha.hi, piece.beta.hi,
-                             piece.alpha_next.lo, piece.n_k)
+    ratios = (Fraction(b_lo - a_hi, c_hi - b_lo),
+              Fraction((1 << e - 1) - c_hi, c_hi - b_lo))
+    n = piece.n_k
     if piece.x != QUARTER:
         m = first_switch_index(piece.x)
-        return ratios, None if n_k <= m else (
-            a_hi ** (m - 1) / (8 * (1 - 2 * a_hi)),
-            piece.x ** (m - 1) / (8 * (1 - 2 * b_hi)),
-            b_hi ** (m - 2) / (4 * c_lo ** (n_k - 1)))
-    den = 1 - 2 * a_hi + Fraction(n_k, 1 << (n_k - 3))
-    if n_k % 2 == 0:
+        p, q = piece.x.numerator, piece.x.denominator
+        return ratios, None if n <= m else (
+            Fraction(a_hi ** (m - 1), 8 * ((1 << e) - 2 * a_hi) << e * (m - 2)),
+            Fraction(p ** (m - 1) << e, 8 * q ** (m - 1) * ((1 << e) - 2 * b_hi)),
+            Fraction(b_hi ** (m - 2) << e * (n - m + 1), 4 * c_lo ** (n - 1)))
+    den = ((1 << e) - 2 * a_hi << n - 3) + (n << e)   # d 2^(e + n - 3)
+    if n % 2 == 0:
         # integer exponent, exact
-        half = 1 / c_lo ** (n_k // 2 - 1)
+        half = Fraction(1 << e * (n // 2 - 1), c_lo ** (n // 2 - 1))
     else:
         # 1 / sqrt(P) <= 2^bits / isqrt(floor(P 4^bits)) for P = c^(n_k - 2)
-        bits, power = piece.precision.precision_bits, c_lo ** (n_k - 2)
+        bits = piece.precision.precision_bits
         half = Fraction(1 << bits,
-                        isqrt((power.numerator << 2 * bits) // power.denominator))
-    return ratios, (a_hi / den, b_hi / den, half)
+                        isqrt(c_lo ** (n - 2) << 2 * bits >> e * (n - 2)))
+    return ratios, (Fraction(a_hi << n - 3, den),
+                    Fraction(b_hi << n - 3, den), half)
 
 
 @memo

@@ -63,25 +63,16 @@ class Unresolved(NamedTuple):
 GreedyOutcome = Union[Member, NotMember, Unresolved]
 
 
-def _poly_fraction(bits: tuple[int, ...], lam: Fraction) -> Fraction:
-    """sum of bits[n-1] * lam^(n-1), via Horner."""
-    acc = 0
-    for b in reversed(bits):
-        acc = acc * lam + b
-    return acc
-
-
 def pi_eval(s: EpSequence, lam: Fraction) -> Fraction:
-    """Exact value of the coding map at an eventually periodic sequence.
-
-    Uses the closed form (1-lam) * [P_u(lam) + lam^|u| * P_v(lam) / (1 - lam^|v|)]
-    with u the preperiod and v the period.
-    """
-    u, v = s.preperiod, s.period
+    """Exact value of the coding map at an eventually periodic sequence:
+    (1 - lam) Q(lam) / (1 - lam^|v|), v the period and Q = pi_root_poly(s,
+    0), by Horner's rule."""
     if not 0 <= lam < 1:
         raise OutOfRange("contraction ratio must lie in [0, 1)")
-    per = _poly_fraction(v, lam) / (1 - lam ** len(v))
-    return (1 - lam) * (_poly_fraction(u, lam) + lam ** len(u) * per)
+    acc = 0
+    for c in reversed(pi_root_poly(s, 0)):
+        acc = acc * lam + c
+    return (1 - lam) * acc / (1 - lam ** len(s.period))
 
 
 def pi_root_poly(s: EpSequence, x: Fraction) -> tuple[int, ...]:

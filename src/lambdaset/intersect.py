@@ -16,7 +16,8 @@ from .errors import DepthBudgetExceeded, InvalidInput, OutOfRange
 from .ifs_core import Member, greedy_digits
 from .lambda_set import (MAX_PREFIXES, CoverInterval, IntervalCover,
                          binary_expansion)
-from .numerics import DEFAULT_CONFIG, Enclosure, PrecisionConfig, exact_str
+from .numerics import (DEFAULT_CONFIG, Enclosure, PrecisionConfig, exact_str,
+                       on_grid)
 from .seqcode import EpSequence
 
 __all__ = [
@@ -58,13 +59,14 @@ def _intersect_pair(a: IntervalCover, b: IntervalCover,
     out: list[CoverInterval] = []
     i = j = 0
     while i < len(a.intervals) and j < len(b.intervals):
-        alo, ahi = a.intervals[i].lo.lo, a.intervals[i].hi.hi
-        blo, bhi = b.intervals[j].lo.lo, b.intervals[j].hi.hi
+        ia, ib = a.intervals[i], b.intervals[j]
+        (alo, _, _, ahi, blo, _, _, bhi), e = on_grid(
+            (ia.lo.cell, ia.hi.cell, ib.lo.cell, ib.hi.cell))
         lo, hi = max(alo, blo), min(ahi, bhi)
         if lo <= hi:
             # exact dyadic endpoints from the inputs; no re-rounding
-            out.append(CoverInterval(Enclosure.point(lo, bits),
-                                     Enclosure.point(hi, bits), None, None))
+            out.append(CoverInterval(Enclosure((lo, lo, e), bits),
+                                     Enclosure((hi, hi, e), bits), None, None))
         if ahi < bhi:
             i += 1
         else:
@@ -118,7 +120,7 @@ def find_common(targets: list[Fraction], search_depth: int,
             f"depth {search_depth}")
     bits = cfg.precision_bits
     certs: list[CommonPointCertificate] = [CommonPointCertificate(
-        tuple(targets), Enclosure.point(HALF, bits), HALF,
+        tuple(targets), Enclosure((1, 1, 1), bits), HALF,
         tuple(binary_expansion(y) for y in targets))]
 
     # each p/q in lowest terms, once, in [floor_lam, 1/2)

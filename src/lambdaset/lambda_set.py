@@ -15,13 +15,13 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (DepthBudgetExceeded, InsufficientMembers, InvalidInput,
                      NotAdmissible, OutOfRange)
 from .ifs_core import pi_eval, pi_root_poly, root_cell
 from .numerics import (DEFAULT_CONFIG, Cell, Enclosure, PrecisionConfig,
-                       exact_str, memo, round_outward)
+                       exact_str, memo, on_grid, round_outward)
 from .seqcode import SEQ_01INF, EpSequence, word_at_position, word_str
 
 __all__ = [
@@ -246,12 +246,12 @@ def _prefix_interval(x: Fraction, w: tuple[int, ...], xs: EpSequence,
                          low_code, high_code)
 
 
-def _merge_touching(raw: Iterable[CoverInterval]) -> tuple[CoverInterval, ...]:
-    merged: list[CoverInterval] = []
-    for iv in raw:
-        if merged and iv.lo.lo <= merged[-1].hi.hi:
-            prev = merged[-1]
-            merged[-1] = CoverInterval(prev.lo, iv.hi, prev.low_code, iv.high_code)
+def _merge_touching(raw: Sequence[CoverInterval]) -> tuple[CoverInterval, ...]:
+    merged = [raw[0]]
+    for iv in raw[1:]:
+        (lo, _, _, hi), _ = on_grid((iv.lo.cell, merged[-1].hi.cell))
+        if lo <= hi:
+            merged[-1] = merged[-1]._replace(hi=iv.hi, high_code=iv.high_code)
         else:
             merged.append(iv)
     return tuple(merged)
@@ -386,13 +386,13 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
         raise InvalidInput("need at least two distinct grid sizes")
     if min(exponents) < 0:
         raise InvalidInput(f"grid exponent {min(exponents)} is negative")
-    if max(exponents) > MAX_PREFIXES:
-        raise DepthBudgetExceeded(
-            f"grid exponent {max(exponents)} is above {MAX_PREFIXES}")
-    eps_list = sorted((Fraction(1, 1 << e) for e in exponents), reverse=True)
-    threshold = eps_list[-1] / 4
+    finest = max(exponents)
+    if finest > MAX_PREFIXES:
+        raise DepthBudgetExceeded(f"grid exponent {finest} is above {MAX_PREFIXES}")
+    (p_lo, q_lo), (p_hi, q_hi) = lo_w.as_integer_ratio(), hi_w.as_integer_ratio()
     xs = binary_expansion(x)
-    segments: list[tuple[Fraction, Fraction]] = []
+    # blocks [lo, hi] 2^-k meeting the window, no wider than 2^-(finest + 2)
+    segments: list[tuple[int, int, int]] = []
     stack: list[tuple[int, ...]] = [(0,)]
     nodes = 0
     while stack:
@@ -401,14 +401,14 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
             raise DepthBudgetExceeded(
                 f"more than {MAX_PREFIXES} refinement blocks in the window "
                 f"({exact_str(a)}, {exact_str(b)}) at grid size "
-                f"2^-{max(exponents)}")
+                f"2^-{finest}")
         bits = stack.pop()
         iv = _prefix_interval(x, bits, xs, cfg)
-        s_lo, s_hi = iv.lo.lo, iv.hi.hi
-        if s_hi < lo_w or s_lo > hi_w:
+        (s_lo, _, _, s_hi), k = on_grid((iv.lo.cell, iv.hi.cell))
+        if s_hi * q_lo < p_lo << k or s_lo * q_hi > p_hi << k:
             continue
-        if s_hi - s_lo <= threshold:
-            segments.append((max(s_lo, lo_w), min(s_hi, hi_w)))
+        if (s_hi - s_lo) << finest + 2 <= 1 << k:
+            segments.append((s_lo, s_hi, k))
             continue
         if len(bits) >= MAX_DEPTH:
             raise DepthBudgetExceeded(f"prefix depth {MAX_DEPTH} reached")
@@ -416,11 +416,15 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
             if admissible_word(xs, bits + (d,)):
                 stack.append(bits + (d,))
     points = []
-    for eps in eps_list:
+    for e in sorted(exponents):
+        # boxes of size 2^-e: floor is monotone, so clipping a block's box
+        # indices to the window's is clipping the block to the window
+        w_lo, w_hi = (p_lo << e) // q_lo, (p_hi << e) // q_hi
         boxes: set[int] = set()
-        for s_lo, s_hi in segments:
-            boxes.update(range(math.floor(s_lo / eps), math.floor(s_hi / eps) + 1))
-        points.append((eps, len(boxes)))
+        for s_lo, s_hi, k in segments:
+            boxes.update(range(max(s_lo << e >> k, w_lo),
+                               min(s_hi << e >> k, w_hi) + 1))
+        points.append((Fraction(1, 1 << e), len(boxes)))
     xs_log = [math.log(1 / float(e)) for e, _ in points]
     ys_log = [math.log(c) for _, c in points]
     n = len(points)

@@ -4,12 +4,12 @@ root solving.
 An Enclosure is a dyadic cell [lo, hi] 2^-e, held as the integers (lo, hi,
 e) that a root solve or an outward rounding returns, with a working
 precision in bits: a value, equal and hashed by its cell and precision.
-Callers compare cells on their common grid (on_grid), or compute exactly
-with the ends as Fractions, which each read computes from the cell, and
-round outward (round_outward) only the value they store. Cells print as
-exact decimals, and every rational a payload or an error message holds
-prints exactly (exact_str, dyadic_str), also past the interpreter's
-integer-to-string digit limit. Only this module knows how a cell is encoded.
+Library code compares cells on their common grid (on_grid), and rounds
+outward (round_outward) only what it stores; the Fraction ends, computed
+on each read, are for public readers. Cells print as exact decimals, and
+every rational a payload or an error message holds prints exactly
+(exact_str, dyadic_str), also past the interpreter's integer-to-string
+digit limit. Only this module knows how a cell is encoded.
 
 It also holds the registry the CLI manifest reads: `memo`, the one way to
 memoise, lists each table in MEMO_TABLES, and a module adds counters to
@@ -197,14 +197,6 @@ class Enclosure(_Enclosure):
         return Fraction(self.cell[1], 1 << self.cell[2])
 
     @classmethod
-    def point(cls, d: Fraction, bits: int) -> "Enclosure":
-        """The cell [d, d] of a dyadic rational d, or ValueError."""
-        m, den = d.numerator, d.denominator
-        if den & (den - 1):
-            raise ValueError(f"not a dyadic rational: {exact_str(d)}")
-        return cls((m, m, den.bit_length() - 1), bits)
-
-    @classmethod
     def from_fraction(cls, q: Fraction, bits: int) -> "Enclosure":
         return cls(round_outward(q.numerator, q.denominator, bits), bits)
 
@@ -232,12 +224,17 @@ class _Precision(NamedTuple):
     width_bits: int
 
 
+# Largest precision_bits and width_bits: it caps the length of a cell's
+# integers, not the work, which also grows with the polynomials' degrees.
+MAX_BITS = 1 << 14
+
+
 class PrecisionConfig(_Precision):
     """Precision of a run: `precision_bits` mantissa bits for enclosures and
     for the origin of the root grid, and `width_bits`, the W of the width
-    2^-W that root solves refine their cells to. A tuple, so immutable,
-    equal and hashed by value: memo tables key on it. Every build checks
-    its fields, `_replace` and unpickling included."""
+    2^-W that root solves refine their cells to, each at most MAX_BITS. A
+    tuple, so immutable, equal and hashed by value: memo tables key on it.
+    Every build checks its fields, `_replace` and unpickling included."""
 
     __slots__ = ()
 
@@ -246,6 +243,10 @@ class PrecisionConfig(_Precision):
             raise ValueError("precision_bits must be at least 32")
         if width_bits < 0:
             raise ValueError("width_bits must be nonnegative")
+        if precision_bits > MAX_BITS:
+            raise ValueError(f"precision_bits must be at most {MAX_BITS}")
+        if width_bits > MAX_BITS:
+            raise ValueError(f"width_bits must be at most {MAX_BITS}")
         return super().__new__(cls, precision_bits, width_bits)
 
     @classmethod

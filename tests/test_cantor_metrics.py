@@ -21,6 +21,13 @@ F = Fraction
 TOL = F(1, 1 << 40)
 
 
+def _point(q: F, bits: int) -> Enclosure:
+    """The cell [q, q] of a dyadic rational q."""
+    e = q.denominator.bit_length() - 1
+    assert q.denominator == 1 << e
+    return Enclosure((q.numerator, q.numerator, e), bits)
+
+
 def middle_alpha(alpha: F, levels: int, hull=(F(0), F(1))) -> DefiningSequence:
     """Size-ordered defining sequence of the middle-alpha Cantor set."""
     gaps = []
@@ -147,31 +154,32 @@ def test_mixed_grid_exponents():
     """Endpoints at 2^-3 and at 2^-700 share one sequence: each is shifted
     onto the finest grid before any comparison."""
     fine = F(1, 1 << 700)
-    hull = (Enclosure.point(F(0), 8), Enclosure.point(F(1), 8))
-    removals = ((Enclosure.point(F(3, 8), 8), Enclosure.point(F(5, 8), 8)),
-                (Enclosure.point(fine, 8), Enclosure.point(F(1, 8), 8)),
-                (Enclosure.point(F(3, 4) - fine, 8),
-                 Enclosure.point(F(7, 8), 8)))
+    hull = (_point(F(0), 8), _point(F(1), 8))
+    removals = ((_point(F(3, 8), 8), _point(F(5, 8), 8)),
+                (_point(fine, 8), _point(F(1, 8), 8)),
+                (_point(F(3, 4) - fine, 8),
+                 _point(F(7, 8), 8)))
     ds = DefiningSequence.from_cells(hull, removals)
     assert (thickness_of(ds) == reference_thickness(hull, removals)
             == fine / (F(1, 8) - fine))
     # a removal that straddles the left end of the second gap
     misplaced = DefiningSequence.from_cells(hull, removals + (
-        (Enclosure.point(fine / 2, 8), Enclosure.point(2 * fine, 8)),))
+        (_point(fine / 2, 8), _point(2 * fine, 8)),))
     with pytest.raises(MalformedSequence,
                        match="removal 4 is not strictly interior"):
         thickness_of(misplaced)
 
 
 def test_non_dyadic_endpoint_is_refused():
-    # an Enclosure is a dyadic cell, so a third never reaches the sequence
-    hull = (Enclosure.point(F(0), 8), Enclosure.point(F(1), 8))
-    with pytest.raises(ValueError, match="not a dyadic rational: 1/3"):
-        Enclosure.point(F(1, 3), 8)
+    # an Enclosure is a dyadic cell, so a third reaches a sequence only
+    # rounded outward, as a cell around it
+    hull = (_point(F(0), 8), _point(F(1), 8))
+    third = Enclosure.from_fraction(F(1, 3), 8)
+    assert third.lo < F(1, 3) < third.hi
     # the payload prints one precision for every cell
     with pytest.raises(InvalidInput, match="mixes precisions"):
-        DefiningSequence.from_cells(hull, ((Enclosure.point(F(1, 4), 8),
-                                            Enclosure.point(F(1, 2), 9)),))
+        DefiningSequence.from_cells(hull, ((_point(F(1, 4), 8),
+                                            _point(F(1, 2), 9)),))
 
 
 @settings(deadline=None)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambdaset.cli import COMMANDS, load_schema, main
-from lambdaset.numerics import Enclosure
+from lambdaset.numerics import MEMO_TABLES, Enclosure
 
 
 def run(capsys, *argv):
@@ -143,7 +143,7 @@ def test_verify_tells_a_shortfall_from_a_violation(capsys, monkeypatch):
                                 "--trials", "5", "--width-bits", "200")
     assert code == 0 and payload["violations"] == []
     from lambdaset import constructions
-    point = Enclosure.point(Fraction(3, 8), 128)
+    point = Enclosure((3, 3, 3), 128)
     monkeypatch.setattr(constructions, "_draw",
                         lambda *args: ((0, 1, 1), point, point))
     code, payload, _ = run_json(capsys, "verify", "--x", "1/3",
@@ -305,6 +305,33 @@ def test_payload_rationals_past_the_digit_limit(capsys, argv):
     if argv[0] == "code":
         assert payload["x"] == manifest["parameters"]["x"]
         assert re.fullmatch(r"1{4300}/10{4300}", payload["x"])
+
+
+def test_precision_flags_are_capped(capsys, monkeypatch):
+    """A precision or a width past 16384 bits is refused before any work:
+    exit 1 at once with one line, and `thickness` before it reads its gap
+    file from stdin."""
+    class Unread(io.StringIO):
+        def read(self, *args):
+            raise AssertionError("stdin was read")
+
+    monkeypatch.setattr(sys, "stdin", Unread())
+    for argv, name in (
+            (["cover", "--x", "1/3", "--depth", "2", "--bits", "1000000"],
+             "precision_bits"),
+            (["cover", "--x", "1/3", "--depth", "2", "--width-bits",
+              "1000000"], "width_bits"),
+            (["thickness", "--gaps", "-", "--bits", "100000000"],
+             "precision_bits")):
+        started = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - started < 1
+        assert (code, out, err) == (
+            1, "", f"error: {name} must be at most 16384\n")
+    # the largest precision and width are accepted
+    code, _, _ = run(capsys, "cover", "--x", "1/4", "--depth", "1",
+                     "--bits", "16384", "--width-bits", "16384")
+    assert code == 0
 
 
 def test_manifest_echoes_targets(capsys):
@@ -741,6 +768,36 @@ def test_payloads_validate_against_schemas(capsys, gap_dir, name, argv):
     code, payload, _ = run_json(capsys, *_in_gap_dir(gap_dir, argv))
     assert code == 0
     jsonschema.validate(payload, load_schema(argv[0]))
+
+
+# every run that prints JSON, each with its pinned digest if it has one
+JSON_RUNS = ([(argv, digest) for argv, digest in PINNED_STDOUT
+              if argv[0] != "svg-gaps"]
+             + [(argv, None) for _, argv in SCHEMA_RUNS])
+
+
+@pytest.mark.parametrize("argv,digest", JSON_RUNS,
+                         ids=[" ".join(r[0]) for r in JSON_RUNS])
+def test_no_json_run_reads_a_fraction_view(capsys, gap_dir, monkeypatch,
+                                           argv, digest):
+    """Every JSON command compares and prints cells as integers: with the
+    Fraction views of Enclosure raising, and every memo table cold, each
+    run prints the bytes it prints with them. (svg-gaps reads them for its
+    display floats.)"""
+    argv = _in_gap_dir(gap_dir, argv)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    if digest is not None:
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def view(self):
+        raise AssertionError(f"a Fraction view of {self!r} was read")
+
+    monkeypatch.setattr(Enclosure, "lo", property(view))
+    monkeypatch.setattr(Enclosure, "hi", property(view))
+    for table in MEMO_TABLES.values():
+        table.cache_clear()
+    assert run(capsys, *argv)[:2] == (code, out)
 
 
 def test_schema_runs_span_every_json_command():

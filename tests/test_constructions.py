@@ -496,7 +496,7 @@ def _interval(lo, hi):
 
 
 def _point(q):
-    return Enclosure.point(q, 128)
+    return _interval(q, q)
 
 
 # cells [lo, hi] with dyadic ends in (0, 1/2], at most 8 grid steps wide

@@ -6,7 +6,9 @@ from lambdaset import intersect
 from lambdaset.errors import InvalidInput, OutOfRange
 from lambdaset.ifs_core import Member, greedy_digits, membership
 from lambdaset.intersect import find_common, intersect_covers
-from lambdaset.lambda_set import binary_expansion, cover
+from lambdaset.lambda_set import (CoverInterval, IntervalCover,
+                                  binary_expansion, cover)
+from lambdaset.numerics import Enclosure, PrecisionConfig
 
 F = Fraction
 
@@ -35,6 +37,28 @@ def test_intersection_shrinks(cfg):
     def length(c):
         return sum(iv.hi.hi - iv.lo.lo for iv in c.intervals)
     assert length(inter) < min(length(a), length(b))
+
+
+def test_intersection_compares_cells_on_one_grid():
+    """Cells on different grids are intersected by value: 3/8 at 2^-3
+    lies below the point 1/2 at 2^-1, though its integer is larger."""
+    def point(m, e):
+        return Enclosure((m, m, e), 128)
+
+    def one_block(lo, hi):
+        return IntervalCover(F(1, 5), 1, (CoverInterval(lo, hi, None, None),),
+                             PrecisionConfig())
+
+    for a, b, outline in (
+            # [3/8, 7/8] and [1/4, 1/2] share [3/8, 1/2]
+            ((point(3, 3), point(7, 3)), (point(1, 2), point(1, 1)),
+             [(F(3, 8), F(1, 2))]),
+            # [3/8, 7/16] lies below [1/2, 3/4]
+            ((point(3, 3), point(7, 4)), (point(1, 1), point(3, 2)), [])):
+        for first, second in ((a, b), (b, a)):
+            out = intersect._intersect_pair(one_block(*first),
+                                            one_block(*second), 128)
+            assert [(iv.lo.lo, iv.hi.hi) for iv in out] == outline
 
 
 def test_intersection_commutative_associative(cfg):

@@ -503,6 +503,21 @@ def test_cover_merges_overlapping_blocks():
                    for lo, hi in outline)
 
 
+def test_cover_merge_compares_cells_on_one_grid():
+    """Cells on different grids are merged by value: 3/8 at 2^-3 lies
+    below the point 1/2 at 2^-1, though its integer is larger."""
+    eighth, three_eighths = Enclosure((1, 1, 3), 128), Enclosure((3, 3, 3), 128)
+    half, five_eighths = Enclosure((1, 1, 1), 128), Enclosure((5, 5, 3), 128)
+    apart = (lambda_set.CoverInterval(eighth, three_eighths, None, None),
+             lambda_set.CoverInterval(half, five_eighths, None, None))
+    assert lambda_set._merge_touching(apart) == apart
+    overlapping = (lambda_set.CoverInterval(eighth, half, None, None),
+                   lambda_set.CoverInterval(three_eighths, five_eighths,
+                                            None, None))
+    assert lambda_set._merge_touching(overlapping) == (
+        lambda_set.CoverInterval(eighth, five_eighths, None, None),)
+
+
 def test_order_reversal(fast_cfg):
     """Lex-smaller admissible coding maps to a larger ratio; 1000 pairs."""
     rng = random.Random(99)
@@ -587,6 +602,51 @@ def test_box_dim_smoke():
     assert 0.6 < r.slope < 1.1
     assert r.segments > 0
     assert len(r.points) == 4
+
+
+def fraction_box_counts(x, window, exponents, cfg):
+    """Box counts of the blocks box_dim_estimate keeps, each clipped to the
+    window in Fractions and counted with floor: the walk's own order and
+    size test, read through the Fraction views of the cells."""
+    lo_w, hi_w = max(window[0], x), min(window[1], F(1, 2))
+    threshold = F(1, 1 << max(exponents) + 2)
+    xs, stack, segments = binary_expansion(x), [(0,)], []
+    while stack:
+        bits = stack.pop()
+        iv = lambda_set._prefix_interval(x, bits, xs, cfg)
+        s_lo, s_hi = iv.lo.lo, iv.hi.hi
+        if s_hi < lo_w or s_lo > hi_w:
+            continue
+        if s_hi - s_lo <= threshold:
+            segments.append((max(s_lo, lo_w), min(s_hi, hi_w)))
+            continue
+        stack += [bits + (d,) for d in (0, 1)
+                  if admissible_word(xs, bits + (d,))]
+    return [(F(1, 1 << e), len({n for a, b in segments for n in range(
+                math.floor(a * (1 << e)), math.floor(b * (1 << e)) + 1)}))
+            for e in sorted(exponents)], len(segments)
+
+
+@pytest.mark.parametrize("x,window,exponents,bits", [
+    # both window ends inside the set's hull, neither dyadic
+    (F(1, 5), (F(2, 5), F(1, 2)), (6, 7, 8, 9), (96, 48)),
+    (F(1, 3), (F(445551, 945473) - F(10064, 813097),
+               F(445551, 945473) + F(10064, 813097)), (5, 6, 7), (128, 80)),
+    (F(3, 7), (F(13, 28) - F(729, 28000), F(13, 28) + F(729, 28000)),
+     (4, 5, 6), (128, 80)),
+    # the window runs past 1/2 and below x: clipped to [x, 1/2]
+    (F(2, 7), (F(1, 4), F(3, 5)), (3, 5, 6), (64, 30)),
+    # each end 10^-6 inside a box edge at 2^-7 that a block crosses, so
+    # leaving either end unclipped adds a box
+    (F(1, 3), (F(25, 64) + F(1, 10 ** 6), F(29, 64) - F(1, 10 ** 6)),
+     (4, 5, 7), (64, 30))])
+def test_box_counts_match_fraction_clipping(x, window, exponents, bits):
+    """Every count of the integer walk equals the count of its blocks
+    clipped to the window in Fractions."""
+    cfg = PrecisionConfig(*bits)
+    report = box_dim_estimate(x, window, exponents, cfg)
+    assert (list(report.points), report.segments) == fraction_box_counts(
+        x, window, exponents, cfg)
 
 
 def test_box_dim_errors(cfg, monkeypatch):

@@ -13,9 +13,12 @@ F = Fraction
 
 
 def decimal(q: Fraction) -> str:
-    """The decimal that an Enclosure prints for the dyadic end q."""
-    _, m, e = Enclosure.point(q, 8).cell
-    return _decimal(m, e)
+    """The decimal that an Enclosure prints for the dyadic end q, or
+    ValueError for a q that is not dyadic."""
+    m, den = q.numerator, q.denominator
+    if den & (den - 1):
+        raise ValueError(f"not a dyadic rational: {exact_str(q)}")
+    return _decimal(m, den.bit_length() - 1)
 
 
 def test_parse_rational():
@@ -186,9 +189,6 @@ def test_enclosure_views_its_integer_cell():
     assert (e.lo, e.hi, e.width(), e.mid_fraction()) == (
         F(5, 8), F(3, 4), F(1, 8), F(11, 16))
     assert e.lo == e.lo and e.contains(F(2, 3)) and not e.contains(F(1, 2))
-    assert Enclosure.point(F(3, 8), 64).cell == (3, 3, 3)
-    with pytest.raises(ValueError, match="not a dyadic rational: 1/3"):
-        Enclosure.point(F(1, 3), 64)
 
 
 @given(st.lists(st.tuples(st.integers(-2**70, 2**70), st.integers(0, 2**8),

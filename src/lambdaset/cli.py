@@ -41,10 +41,8 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import InvalidInput, LambdasetError
-from .numerics import (COUNTERS, DEFAULT_CONFIG, MEMO_TABLES, PrecisionConfig,
-                       exact_str, parse_rational)
-
-HALF = Fraction(1, 2)
+from .numerics import (COUNTERS, DEFAULT_CONFIG, HALF, MEMO_TABLES,
+                       PrecisionConfig, exact_str, parse_rational)
 
 # library module -> the names the handlers read from it
 LIBRARY = {

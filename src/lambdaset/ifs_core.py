@@ -22,7 +22,7 @@ from math import frexp, gcd, inf, isfinite
 from typing import NamedTuple, Union
 
 from .errors import OutOfRange
-from .numerics import COUNTERS
+from .numerics import COUNTERS, HALF
 from .seqcode import EpSequence
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "greedy_digits",
     "membership",
 ]
-
-HALF = Fraction(1, 2)
 
 
 class Member(NamedTuple):

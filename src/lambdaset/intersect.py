@@ -16,8 +16,8 @@ from .errors import DepthBudgetExceeded, InvalidInput, OutOfRange
 from .ifs_core import Member, greedy_digits
 from .lambda_set import (MAX_PREFIXES, CoverInterval, IntervalCover,
                          binary_expansion)
-from .numerics import (DEFAULT_CONFIG, Enclosure, PrecisionConfig, exact_str,
-                       on_grid)
+from .numerics import (DEFAULT_CONFIG, HALF, Enclosure, PrecisionConfig,
+                       exact_str, on_grid)
 from .seqcode import EpSequence
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "find_common",
 ]
 
-HALF = Fraction(1, 2)
 # a search stops once it holds this many certificates
 MAX_CERTIFICATES = 24
 

@@ -20,8 +20,8 @@ from typing import NamedTuple, Sequence
 from .errors import (DepthBudgetExceeded, InsufficientMembers, InvalidInput,
                      NotAdmissible, OutOfRange)
 from .ifs_core import pi_eval, pi_root_poly, root_cell
-from .numerics import (DEFAULT_CONFIG, Cell, Enclosure, PrecisionConfig,
-                       exact_str, memo, on_grid, round_outward)
+from .numerics import (DEFAULT_CONFIG, HALF, Cell, Enclosure, PrecisionConfig,
+                       dyadic_str, exact_str, memo, on_grid, round_outward)
 from .seqcode import SEQ_01INF, EpSequence, word_at_position, word_str
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
     "lipschitz_check",
     "box_dim_estimate",
 ]
-
-HALF = Fraction(1, 2)
 
 # Most words admissible_prefixes returns (a cover solves two roots per word),
 # most gap records a tail construction lists (four solves each), most digits
@@ -217,8 +215,8 @@ class IntervalCover(NamedTuple):
             "depth": self.depth,
             "intervals": [iv.to_json() for iv in self.intervals],
             "precision": {"bits": self.precision.precision_bits,
-                          "target_width": exact_str(Fraction(
-                              1, 1 << self.precision.width_bits))},
+                          "target_width": dyadic_str(
+                              1, self.precision.width_bits)},
         }
 
 

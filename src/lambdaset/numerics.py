@@ -24,6 +24,7 @@ from math import gcd
 from typing import Callable, NamedTuple, Sequence
 
 __all__ = [
+    "HALF",
     "CACHE_SIZE",
     "MEMO_TABLES",
     "COUNTERS",
@@ -37,6 +38,8 @@ __all__ = [
     "PrecisionConfig",
     "DEFAULT_CONFIG",
 ]
+
+HALF = Fraction(1, 2)
 
 
 # Bound of every memo table in the package: expansions and targets, root

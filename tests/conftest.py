@@ -1,6 +1,6 @@
 import pytest
 
-from lambdaset.numerics import PrecisionConfig
+from lambdaset.numerics import MEMO_TABLES, PrecisionConfig
 
 
 @pytest.fixture(scope="session")
@@ -12,3 +12,13 @@ def cfg():
 def fast_cfg():
     # cheaper solver settings for property sweeps that do many solves
     return PrecisionConfig(64, width_bits=40)
+
+
+@pytest.fixture
+def clear_memo_tables():
+    """The function that empties every memo table of numerics.MEMO_TABLES
+    and zeroes its counts, so the next run solves and counts anew."""
+    def clear():
+        for table in MEMO_TABLES.values():
+            table.cache_clear()
+    return clear

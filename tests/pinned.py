@@ -1,0 +1,287 @@
+"""The pinned runs of the `lambdaset` CLI. A `PINNED` run exits 0 and
+prints the stdout of a recorded sha256; a `REFUSED` one exits 1 with an
+empty stdout and one recorded `error:` line. Adding either is one row.
+
+tests/test_cli.py checks every row in process. Run this file (it imports
+only the standard library) to replay every row through the `lambdaset`
+script on PATH, under any interpreter the package is installed into: 10 s
+for a pinned run, 2 s for a refusal, and exit 1 on any mismatch.
+
+    python tests/pinned.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import subprocess
+import sys
+from fractions import Fraction
+from typing import NamedTuple
+
+
+def middle_alpha_gaps(alpha: Fraction, levels: int,
+                      hull=(Fraction(0), Fraction(1))) -> str:
+    """The `thickness --gaps` document of the middle-alpha Cantor set on
+    hull: 2^levels - 1 removals, level by level."""
+    side = (1 - alpha) / 2
+    components, gaps = [hull], []
+    for _ in range(levels):
+        nxt = []
+        for lo, hi in components:
+            a, b = lo + side * (hi - lo), hi - side * (hi - lo)
+            gaps.append([str(a), str(b)])
+            nxt += [(lo, a), (b, hi)]
+        components = nxt
+    return json.dumps({"hull": [str(v) for v in hull], "gaps": gaps})
+
+
+class Pinned(NamedTuple):
+    """`lambdaset` with these space-separated arguments exits 0 and prints
+    the stdout whose sha256 is digest, reading stdin if it is given."""
+
+    command: str
+    digest: str
+    stdin: str | None = None
+
+
+PINNED = [
+    Pinned("cantor-ds --x 1/3 --ell 2 --kmax 4 --qmax 2",
+           "f505a2792a94462d6069166738dc21176d75a70ac7e6cb7040bb07dc4f5c998d"),
+    Pinned("svg-gaps --x 1/3 --ell 1 --kmax 3",
+           "a9e09de10e5c15082a6d31e271e3d791703d06ba06ae09db42a360c28894ef7a"),
+    Pinned("svg-gaps --x 1/4 --ell 2 --kmax 2 --qmax 0",
+           "d3ac04798052103837d664ed8bef1226aefb6b58cd29ebb1e4947f084f0958e7"),
+    Pinned("thickness-cl --x 1/4 --ell 1 --kmax 5 --qmax 2",
+           "5641b95f5f959a1fec8130a6dc46f17a689d621d73bf010cc1c1b88be796bb2c"),
+    Pinned("thickness-cl --x 2/7 --ell 2 --kmax 4 --qmax 2",
+           "ef185c514439de622db502c067d6208d29fc3c27c34e56dfba520de19c6e8083"),
+    Pinned("verify --x 1/3 --trials 20 --seed 3",
+           "80ee43cc7e2b0f75d8cd66787b8bdf6dd587465e8685f74bed771d8ccfb121c4"),
+    Pinned("verify --x 2/7 --trials 20 --seed 3",
+           "548d20d43afb5fc40ca372210ca5caf415de261f96ba6bd310303e898eba84c5"),
+    Pinned("verify --x 1/4 --trials 20 --seed 3",
+           "7b861b9075735fe908410863606ec6a6117eea4e0c22c2b69fd9b8b06f20fbaf"),
+    # ledgers at the coarse and fine precisions of the benchmark's covers:
+    # every switch entry printed from integer cells
+    Pinned("verify --x 1/3 --trials 50 --seed 7 --bits 96 --width-bits 48",
+           "0fa736210e9796b8568fd7664e0ca6ac5171bbc211a7a1113f55326dcc9fbc53"),
+    Pinned("verify --x 1/4 --trials 50 --seed 7 --bits 176 --width-bits 112",
+           "caf192d8ea6b2f833600949a3eb3b515ec765032c5d691cabee36d3653393a1f"),
+    Pinned("common --targets 1/3 --depth 9",
+           "db4ead4f709aef021c172182c9d26f9b03602a8f57765693367d2116977c346b"),
+    Pinned("common --targets 2/7 --depth 9",
+           "f19cf39d137c36f35e16a8ff6b691952977f86bd1b8aefb810a21b1e213c82a3"),
+    Pinned("common --targets 1/3,1/4 --depth 3",
+           "c2382cb4af9f73ee704ed027fa2d7bf3a4ab536a88a3f806be430084da6a2b9a"),
+    Pinned("common --targets 1/3,1/4 --depth 8",
+           "fe96310366e309305587deef8cf85ecd774a43badd25ffc423c8b221af4691fb"),
+    # one run per greedy outcome: member, rejected at step 551, unresolved
+    Pinned("code --x 11759701296083149/16837617944622401 --lambda 7/17",
+           "c258370b2298d6f8216bce8c8574c339865e50c63dce32f28d6be574dfe1eb1c"),
+    Pinned("code --x 153/250 --lambda 185/371 --max-steps 600",
+           "fb84d80aa27ccff97c4e27fb04d83d904c9285731cbd1d28804220e008a49b19"),
+    Pinned("code --x 153/250 --lambda 185/371 --max-steps 500",
+           "5a4038cbc57973771eea31254df20617696f452faef6c073c3da999c162aaff7"),
+    # period 2052
+    Pinned("expansion --x 1/2053",
+           "7d5ad63ad86e85dd838d07a856af9001a38395552ce98998ebd59558406c65f2"),
+    # dyadic targets, where 0 1^inf has the exact root x, in each use
+    Pinned("cover --x 1/4 --depth 6",
+           "660e6f1bf08241a902a2997ccd03f238396aac760f92fbcbcefadb9e0f2da962"),
+    Pinned("gaps --x 5/16 --depth 7 --bits 64 --width-bits 40",
+           "bd9414a89498d4f193075155669bb639f1ace3346f536036b2fa3330b164723f"),
+    Pinned("pieces --x 1/3 --k 5",
+           "6f9b50c004a1a76c715c7f843cae3d842eaec5008253463ba6b88a63020e497a"),
+    Pinned("intersect --targets 1/4,5/16 --depth 6",
+           "077a0d46b94281d7d63e2eadca60c2a1c52337be0b49a62124013d879aad04e3"),
+    # slopes and errors summed with math.fsum, the same on every interpreter
+    # (with `sum` the second's error lost a digit on 3.10 and 3.11)
+    Pinned("dim --x 3/7 --center 13/28 --radius 729/28000 --eps-min-exp 4 "
+           "--eps-max-exp 6",
+           "f4443b19b4c44031bb1b6634f28f04a4f79c9c01e7fa1b1165c88b0e739945ac"),
+    Pinned("dim --x 1/3 --center 445551/945473 --radius 10064/813097 "
+           "--eps-min-exp 5 --eps-max-exp 7",
+           "2e9582db71a4e671c7fc5bccb0843310a57cdff386ff0ed6fecf38e5c531b63c"),
+    # middle-alpha gap files, the third with dyadic ends down to 2^-31
+    Pinned("thickness --gaps -",
+           "843e23d5c60c7a97946037043e03de59b6145df0884ce040770f067186e63c56",
+           middle_alpha_gaps(Fraction(19, 50), 10)),
+    Pinned("thickness --gaps - --bits 32",
+           "0987c5363f8d031b988651687d90e00dfa15fd4a2e94e28edff87b9b56c4579a",
+           middle_alpha_gaps(Fraction(19, 50), 10)),
+    Pinned("thickness --gaps -",
+           "db83ccd03fff2edab18096b057ff7041b8295a73eab8baaae970ce679549a76f",
+           middle_alpha_gaps(Fraction(3, 8), 7, (Fraction(-3, 8), 5))),
+    # the middle-third set's first 2047 removals
+    Pinned("thickness --gaps -",
+           "bceaaed9954c382fc2b3d22c610a54c06dfee1e31281f28bdaa22282f0ea1a75",
+           middle_alpha_gaps(Fraction(1, 3), 11)),
+    # p/q, integers (a JSON number among them), a decimal, an exponent and
+    # negated values: the digest is that of the Fraction path
+    Pinned("thickness --gaps -",
+           "59d49e8f4ebedb5bf22aa4ede3d72c9bf3dac6d02e0c7474b72b70818fa924a5",
+           '{"hull": ["-1", 2], "gaps": [["1/3", "2/3"], ["-1/2", "1e-1"], '
+           '[0.25, "3/10"], [1, "3/2"]]}'),
+    Pinned("cover --x 1/3 --depth 4",
+           "c780ce32e99713278147dde0b21900079ac24dc28273dc55ef4dc159d7581eaf"),
+    # the largest precision and width, other grid origins, degree-200 root
+    # polynomials, and solved cells through a defining sequence's grid and
+    # back to decimals
+    Pinned("cover --x 1/4 --depth 1 --bits 16384 --width-bits 16384",
+           "11740d051770bc2c365088993981cfb22e9c64c9f816ed412889f2f5d48d6274"),
+    Pinned("cover --x 1/3 --depth 8 --bits 200 --width-bits 150",
+           "9384c587b3c5577fa2675784bfe2fb93a0403eaf3a52ced1a74313218cd9e416"),
+    Pinned("pieces --x 1/3 --k 100 --width-bits 640",
+           "613ea5948af9a40f4f87308e74a5fe994739f372ed26b60f28f67c01f350cc6e"),
+    Pinned("cantor-ds --x 2/7 --ell 3 --kmax 4 --qmax 2 --bits 160 "
+           "--width-bits 100",
+           "c8ce2a6fab883e121e7ccb0fc29121b21f293be3fd25b9d6d24cea8abe31e31b"),
+    # the root x of 0 1^inf: the grid's low end for x exact at 32 bits (no
+    # solve), a level-40 grid point for x = 2^-2 + 2^-42, rounded to 1/4
+    Pinned("cover --x 12345/65536 --depth 4 --bits 32 --width-bits 60",
+           "8f602a84022fb0966ca6312983b510d3afb5461b77305eff4cedd6b3f960c70d"),
+    Pinned("cover --x 1099511627777/4398046511104 --depth 4 --bits 32 "
+           "--width-bits 60",
+           "56f1750c7d349de7b19b33555be482cdcd2796922521f7f53c4dff7fe9513fe3"),
+    # 3/4 mirrors to 1/4, case B, and prints 1/4's long seeded ledger
+    Pinned("verify --x 3/4 --trials 200 --seed 5",
+           "d4e4f5c59a2e42e39e3e8fb576c5ee27fa9f72f07e6cfdf7886b1717d7a60776"),
+    # long seeded ledgers: many rejected draws, and each branch of the
+    # switch_upper minimum (1/3 takes both, 3/10 always the second)
+    Pinned("verify --x 1/3 --trials 200 --seed 5",
+           "4a32ab530d54a60ea0ff22d3e434b8349996116d45a20a0a70dceb10f5d85ce7"),
+    Pinned("verify --x 3/10 --trials 200 --seed 5",
+           "f077f4978ad96235d12e491f4d8095fcf65400dcc62d0c2b62fa6122a13dddf3"),
+    # a multi-target search that builds covers would take over 30 s
+    Pinned("common --targets 1/3,1/4 --depth 16",
+           "f28a83fe43f177e6e2ef8a09605e9dd518eeedf18fb92065c3bf0a185c4a4d07"),
+    # box counts on fine grids, clipped to a window with non-dyadic ends
+    Pinned("dim --x 1/5 --center 9/20 --radius 1/20 --eps-min-exp 6 "
+           "--eps-max-exp 9 --bits 96 --width-bits 48",
+           "ed7e24e7ffb1229407677d6a8703b37a981798a2adc4aa68d6bc51af4817e960"),
+    # three covers intersected, their cells on the grids 2^-145 and 2^-143
+    Pinned("intersect --targets 1/5,1/3,2/7 --depth 8 --bits 96 --width-bits "
+           "48",
+           "5de8753295c591e9e3009d7a8bc5e0edc07a4275f4a47f7f8830a2b130328091"),
+    # deep tails: cells at 2^-200, piece 32 at 2^-400, and degree-130 root
+    # polynomials at 2^-800, where a double's first guess is weakest
+    Pinned("thickness-cl --x 1/3 --ell 16 --kmax 6 --qmax 3 --bits 248 "
+           "--width-bits 200",
+           "0d231f133d0e140a6f39bf962a4fd5eb040a49f1f938d714ccae3ce4a7c1e2c2"),
+    Pinned("thickness-cl --x 1/3 --ell 32 --kmax 6 --qmax 3 --width-bits 400",
+           "6d8ecb216ea9d06f02ed896ddfdce2045a8193e4e2d12078d4105e7c5367983f"),
+    Pinned("thickness-cl --x 1/3 --ell 64 --kmax 6 --qmax 3 --width-bits 800",
+           "bef05db226a98b212af45114ea26b65163908db066f34d9dc0ce483435e64efb"),
+]
+
+# 10^-8600 lies below 2^-16384, and its denominator says so before any
+# of its 16384 zero digits is computed
+TINY = "0." + "0" * 4299 + "1e-4300"
+DIM = "dim --x 1/3 --center 9/20 --radius 1/20 --eps-min-exp"
+EXPANSION = "error: more than 16384 digits in the binary expansion of 1/1"
+
+# (command, its one error line)
+REFUSED = [
+    # verify reads its case from --x, the diagram draws gap words of length
+    # at most 1, and each command has one output and its own flags
+    ("verify --case B --trials 1",
+     "error: the following arguments are required: --x"),
+    ("verify --case A --x 1/3 --trials 1",
+     "error: unrecognized arguments: --case A"),
+    ("svg-gaps --x 1/3 --qmax 2",
+     "error: argument --qmax: invalid choice: 2 (choose from 0, 1)"),
+    ("svg-gaps --x 1/3 --qmax -1",
+     "error: argument --qmax: invalid choice: -1 (choose from 0, 1)"),
+    ("cover --x 1/3 --depth 2 --format csv",
+     "error: unrecognized arguments: --format csv"),
+    ("cover --x 1/3 --depth 2 --format json",
+     "error: unrecognized arguments: --format json"),
+    ("svg-gaps --x 1/3 --out d.svg",
+     "error: unrecognized arguments: --out d.svg"),
+    ("code --x 1/4 --lambda 1/2 --bits 64",
+     "error: unrecognized arguments: --bits 64"),
+    ("common --targets 1/3,abc",
+     "error: argument --targets: not a rational: 'abc'"),
+    # huge decimal exponents, refused before Fraction computes 10^|e|
+    ("expansion --x 1e-100000000",
+     "error: argument --x: not a rational: '1e-100000000'"),
+    ("cover --x 1e-1_000_000 --depth 2",
+     "error: argument --x: not a rational: '1e-1_000_000'"),
+    # 10^-4300's period is far past the budget: no greedy run. Rationals
+    # print in full, past the integer-to-string digit limit.
+    ("expansion --x 1e-4300", EXPANSION + "0" * 4300),
+    ("cover --x 1e4300 --depth 2",
+     "error: x must lie in (0, 1/2): 1" + "0" * 4300),
+    (f"expansion --x {TINY}", EXPANSION + "0" * 8600),
+    (f"cover --x {TINY} --depth 2", EXPANSION + "0" * 8600),
+    # a box below 2^-16384, a ladder of more sizes than the digit budget, or
+    # a precision or a width past 16384 bits, is refused before any work
+    (f"{DIM} 16383 --eps-max-exp 16385",
+     "error: grid exponent 16385 is above 16384"),
+    (f"{DIM} 4 --eps-max-exp 100000000000",
+     "error: more than 16385 grid sizes: 99999999997"),
+    (f"{DIM} 9999999999 --eps-max-exp 10000000000",
+     "error: grid exponent 10000000000 is above 16384"),
+    ("cover --x 1/3 --depth 2 --bits 1000000",
+     "error: precision_bits must be at most 16384"),
+    ("cover --x 1/3 --depth 2 --width-bits 1000000",
+     "error: width_bits must be at most 16384"),
+    # overlapping 2^-80 switch_lower cells, and a 2^-64 square_identity cell
+    # whose residual misses the cap, are undecided, not violated
+    ("verify --x 1/1000 --trials 5",
+     "error: switch_lower of word 01001010011 not decided at target width "
+     "2^-80"),
+    ("verify --x 1/4 --trials 5 --width-bits 64",
+     "error: square_identity of piece 1 not decided at target width 2^-64"),
+]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def refused_as_pinned(code: int, out: str, err: str, line: str) -> bool:
+    """Exit 1, an empty stdout, and `line` as the one `error:` line of
+    stderr: its only line for a refusal of the library, after the usage
+    for a refusal of the parser."""
+    *usage, last = err.splitlines() or [""]
+    return ((code, out, last) == (1, "", line)
+            and (not usage or usage[0].startswith("usage: "))
+            and not any(text.startswith("error:") for text in usage))
+
+
+def _replay(command: str, stdin: str | None, timeout: int):
+    """Exit code, stdout and stderr of the `lambdaset` script on PATH, or
+    None if it is still running after `timeout` seconds."""
+    try:
+        done = subprocess.run(["lambdaset", *command.split()],
+                              input=stdin or "", capture_output=True,
+                              text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return None
+    return done.returncode, done.stdout, done.stderr
+
+
+def main() -> int:
+    failed = []
+    for command, digest, stdin in PINNED:
+        run = _replay(command, stdin, 10)
+        if run is None or run[0] != 0 or sha256(run[1]) != digest:
+            failed.append((command, run))
+    for command, line in REFUSED:
+        run = _replay(command, None, 2)
+        if run is None or not refused_as_pinned(*run, line):
+            failed.append((command, run))
+    for command, run in failed:
+        print(f"FAIL lambdaset {command[:100]}: " + (
+            "timed out" if run is None else f"exit {run[0]}, stdout sha256 "
+            f"{sha256(run[1])}, stderr ending {run[2][-200:]!r}"))
+    total = len(PINNED) + len(REFUSED)
+    print(f"{total - len(failed)} of {total} pinned runs and refusals "
+          "as recorded")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

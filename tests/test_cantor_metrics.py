@@ -16,6 +16,7 @@ from lambdaset.cli import main
 from lambdaset.errors import (InvalidInput, MalformedSequence,
                               NonpositiveThickness)
 from lambdaset.numerics import Enclosure, exact_str, parse_rational
+from pinned import middle_alpha_gaps
 
 F = Fraction
 TOL = F(1, 1 << 40)
@@ -30,18 +31,8 @@ def _point(q: F, bits: int) -> Enclosure:
 
 def middle_alpha(alpha: F, levels: int, hull=(F(0), F(1))) -> DefiningSequence:
     """Size-ordered defining sequence of the middle-alpha Cantor set."""
-    gaps = []
-    comps = [hull]
-    for _ in range(levels):
-        nxt = []
-        for a, b in comps:
-            length = b - a
-            gl = a + (1 - alpha) / 2 * length
-            gr = b - (1 - alpha) / 2 * length
-            gaps.append((gl, gr))
-            nxt += [(a, gl), (gr, b)]
-        comps = nxt
-    return DefiningSequence.from_fractions(hull, gaps)
+    return DefiningSequence.parse(
+        **json.loads(middle_alpha_gaps(alpha, levels, hull)))
 
 
 def test_malformed_removals():

@@ -1,5 +1,5 @@
 import contextlib
-import hashlib
+import importlib
 import io
 import json
 import re
@@ -7,13 +7,16 @@ import signal
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambdaset.cli import COMMANDS, load_schema, main
-from lambdaset.numerics import MEMO_TABLES, Enclosure
+from lambdaset.numerics import Enclosure
+from pinned import (PINNED, REFUSED, Pinned, middle_alpha_gaps,
+                    refused_as_pinned, sha256)
 
 
 def run(capsys, *argv):
@@ -103,42 +106,12 @@ def test_exit_codes(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
-def _usage_error(capsys, *argv) -> str:
-    """The one error line of a run refused by the parser."""
-    code, out, err = run(capsys, *argv)
-    assert code == 1 and out == ""
-    errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1
-    return errors[0]
-
-
-def test_usage_errors(capsys):
-    # verify reads its case from --x, the diagram draws gap words of
-    # length at most 1, and each command has one output: a JSON payload or
-    # the diagram on stdout
-    for argv in (["verify", "--case", "B", "--trials", "1"],
-                 ["verify", "--case", "A", "--x", "1/3", "--trials", "1"],
-                 ["svg-gaps", "--x", "1/3", "--qmax", "2"],
-                 ["svg-gaps", "--x", "1/3", "--qmax", "-1"],
-                 ["cover", "--x", "1/3", "--depth", "2", "--format", "csv"],
-                 ["cover", "--x", "1/3", "--depth", "2", "--format", "json"],
-                 ["svg-gaps", "--x", "1/3", "--out", "d.svg"]):
-        _usage_error(capsys, *argv)
-    # each --targets entry is parsed on its own and named when it fails
-    assert _usage_error(capsys, "common", "--targets", "1/3,abc") == (
-        "error: argument --targets: not a rational: 'abc'")
-
-
 def test_verify_tells_a_shortfall_from_a_violation(capsys, monkeypatch):
     """A switch_lower entry whose 2^-80 cells overlap decides nothing:
-    `verify` ends Inconclusive with exit 1 and one line naming the word and
-    the width, and a narrower width decides it. Exit 2 means a certified
-    violation: here every draw's two cells are one point, so the block
-    has length 0."""
-    code, out, err = run(capsys, "verify", "--x", "1/1000", "--trials", "5")
-    assert code == 1 and out == ""
-    assert re.fullmatch(r"error: switch_lower of word [01]{3,12} not decided "
-                        r"at target width 2\^-80\n", err)
+    `verify --x 1/1000 --trials 5` ends Inconclusive (a row of REFUSED),
+    and a narrower width decides it. Exit 2 means a certified violation:
+    here every draw's two cells are one point, so the block has length
+    0."""
     code, payload, _ = run_json(capsys, "verify", "--x", "1/1000",
                                 "--trials", "5", "--width-bits", "200")
     assert code == 0 and payload["violations"] == []
@@ -156,14 +129,10 @@ def test_verify_tells_a_shortfall_from_a_violation(capsys, monkeypatch):
 def test_case_b_tells_a_shortfall_from_a_violation(capsys, monkeypatch):
     """A square_identity entry whose residual range holds 0 but whose
     magnitude bound misses the 2^-70 cap is undecided: exit 1 at width
-    2^-64, naming the piece and the width, and exit 0 at 2^-80. Exit 2
-    needs a residual range that excludes 0, here from pieces whose
-    alpha_{k+1} cell is moved off its root."""
+    2^-64 (a row of REFUSED), and exit 0 at 2^-80. Exit 2 needs a residual
+    range that excludes 0, here from pieces whose alpha_{k+1} cell is moved
+    off its root."""
     argv = ["verify", "--x", "1/4", "--trials", "5", "--width-bits"]
-    code, out, err = run(capsys, *argv, "64")
-    assert (code, out) == (1, "")
-    assert err == ("error: square_identity of piece 1 not decided at "
-                   "target width 2^-64\n")
     code, payload, _ = run_json(capsys, *argv, "80")
     assert code == 0 and payload["violations"] == []
     from lambdaset import constructions
@@ -249,21 +218,8 @@ def test_manifest_stats_count_this_runs_memo_lookups(capsys):
     assert stats["lambda_set.psi_inverse"] == {"hits": 0, "misses": 0}
 
 
-def _clear_memo_tables():
-    from lambdaset.numerics import MEMO_TABLES
-    for table in MEMO_TABLES.values():
-        table.cache_clear()
-
-
-def _cold_solver_work(capsys, *argv):
-    """The manifest's root-solver counts of a run with every memo table
-    cleared first, so its solves are all made again."""
-    _clear_memo_tables()
-    _, _, manifest = run_json(capsys, *argv)
-    return manifest["stats"]["root_solver"]
-
-
-def test_manifest_counts_the_root_solvers_work(capsys, monkeypatch):
+def test_manifest_counts_the_root_solvers_work(capsys, monkeypatch,
+                                               clear_memo_tables):
     """Signs, Newton steps and exact fallbacks repeat exactly for one argv,
     and the fallbacks are the exact evaluations the run made: here one, at
     the root of 0 1^inf, x = 2^-2 + 2^-42, a point of the level-40 grid of
@@ -271,14 +227,21 @@ def test_manifest_counts_the_root_solvers_work(capsys, monkeypatch):
     from lambdaset import ifs_core
     argv = ("cover", "--x", "1099511627777/4398046511104", "--depth", "4",
             "--bits", "32", "--width-bits", "60")
-    first = _cold_solver_work(capsys, *argv)
-    assert first == _cold_solver_work(capsys, *argv)
+
+    def cold_solver_work():
+        """The manifest's root-solver counts of a run with every memo
+        table cleared first, so its solves are all made again."""
+        clear_memo_tables()
+        return run_json(capsys, *argv)[2]["stats"]["root_solver"]
+
+    first = cold_solver_work()
+    assert first == cold_solver_work()
     assert first["signs"] > 0 and first["newton_steps"] > 0
     exact = []
     exact_sign = ifs_core.exact_sign
     monkeypatch.setattr(ifs_core, "exact_sign",
                         lambda *args: exact.append(args) or exact_sign(*args))
-    work = _cold_solver_work(capsys, *argv)
+    work = cold_solver_work()
     assert work["exact_fallbacks"] == len(exact) > 0
     # a warm run makes no solve, so it counts nothing
     _, _, manifest = run_json(capsys, *argv)
@@ -308,30 +271,18 @@ def test_payload_rationals_past_the_digit_limit(capsys, argv):
 
 
 def test_precision_flags_are_capped(capsys, monkeypatch):
-    """A precision or a width past 16384 bits is refused before any work:
-    exit 1 at once with one line, and `thickness` before it reads its gap
-    file from stdin."""
+    """A precision or a width past 16384 bits is refused before any work
+    (REFUSED holds two such runs, PINNED one at 16384), and `thickness`
+    refuses it before it reads its gap file from stdin."""
     class Unread(io.StringIO):
         def read(self, *args):
             raise AssertionError("stdin was read")
 
     monkeypatch.setattr(sys, "stdin", Unread())
-    for argv, name in (
-            (["cover", "--x", "1/3", "--depth", "2", "--bits", "1000000"],
-             "precision_bits"),
-            (["cover", "--x", "1/3", "--depth", "2", "--width-bits",
-              "1000000"], "width_bits"),
-            (["thickness", "--gaps", "-", "--bits", "100000000"],
-             "precision_bits")):
-        started = time.monotonic()
-        code, out, err = run(capsys, *argv)
-        assert time.monotonic() - started < 1
-        assert (code, out, err) == (
-            1, "", f"error: {name} must be at most 16384\n")
-    # the largest precision and width are accepted
-    code, _, _ = run(capsys, "cover", "--x", "1/4", "--depth", "1",
-                     "--bits", "16384", "--width-bits", "16384")
-    assert code == 0
+    started = time.monotonic()
+    assert run(capsys, "thickness", "--gaps", "-", "--bits", "100000000") == (
+        1, "", "error: precision_bits must be at most 16384\n")
+    assert time.monotonic() - started < 1
 
 
 def test_manifest_echoes_targets(capsys):
@@ -373,151 +324,89 @@ def test_prefix_budget_ends_deep_covers(capsys):
                            "k_max=20000, q_max=1\n")
 
 
-# stdout digests of runs that list a tail construction, solve gap records,
-# search common ratios or solve covers
-PINNED_STDOUT = [
-    (["cantor-ds", "--x", "1/3", "--ell", "2", "--kmax", "4", "--qmax", "2"],
-     "f505a2792a94462d6069166738dc21176d75a70ac7e6cb7040bb07dc4f5c998d"),
-    (["svg-gaps", "--x", "1/3", "--ell", "1", "--kmax", "3"],
-     "a9e09de10e5c15082a6d31e271e3d791703d06ba06ae09db42a360c28894ef7a"),
-    (["svg-gaps", "--x", "1/4", "--ell", "2", "--kmax", "2", "--qmax", "0"],
-     "d3ac04798052103837d664ed8bef1226aefb6b58cd29ebb1e4947f084f0958e7"),
-    (["thickness-cl", "--x", "1/4", "--ell", "1", "--kmax", "5", "--qmax", "2"],
-     "5641b95f5f959a1fec8130a6dc46f17a689d621d73bf010cc1c1b88be796bb2c"),
-    (["thickness-cl", "--x", "2/7", "--ell", "2", "--kmax", "4", "--qmax", "2"],
-     "ef185c514439de622db502c067d6208d29fc3c27c34e56dfba520de19c6e8083"),
-    (["verify", "--x", "1/3", "--trials", "20", "--seed", "3"],
-     "80ee43cc7e2b0f75d8cd66787b8bdf6dd587465e8685f74bed771d8ccfb121c4"),
-    (["verify", "--x", "2/7", "--trials", "20", "--seed", "3"],
-     "548d20d43afb5fc40ca372210ca5caf415de261f96ba6bd310303e898eba84c5"),
-    (["verify", "--x", "1/4", "--trials", "20", "--seed", "3"],
-     "7b861b9075735fe908410863606ec6a6117eea4e0c22c2b69fd9b8b06f20fbaf"),
-    # ledgers at the coarse and fine precisions of the benchmark's covers
-    (["verify", "--x", "1/3", "--trials", "50", "--seed", "7", "--bits", "96",
-      "--width-bits", "48"],
-     "0fa736210e9796b8568fd7664e0ca6ac5171bbc211a7a1113f55326dcc9fbc53"),
-    (["verify", "--x", "1/4", "--trials", "50", "--seed", "7", "--bits",
-      "176", "--width-bits", "112"],
-     "caf192d8ea6b2f833600949a3eb3b515ec765032c5d691cabee36d3653393a1f"),
-    (["common", "--targets", "1/3", "--depth", "9"],
-     "db4ead4f709aef021c172182c9d26f9b03602a8f57765693367d2116977c346b"),
-    (["common", "--targets", "2/7", "--depth", "9"],
-     "f19cf39d137c36f35e16a8ff6b691952977f86bd1b8aefb810a21b1e213c82a3"),
-    (["common", "--targets", "1/3,1/4", "--depth", "3"],
-     "c2382cb4af9f73ee704ed027fa2d7bf3a4ab536a88a3f806be430084da6a2b9a"),
-    (["common", "--targets", "1/3,1/4", "--depth", "8"],
-     "fe96310366e309305587deef8cf85ecd774a43badd25ffc423c8b221af4691fb"),
-    # one run per greedy outcome: member, rejected at step 551, unresolved
-    (["code", "--x", "11759701296083149/16837617944622401", "--lambda", "7/17"],
-     "c258370b2298d6f8216bce8c8574c339865e50c63dce32f28d6be574dfe1eb1c"),
-    (["code", "--x", "153/250", "--lambda", "185/371", "--max-steps", "600"],
-     "fb84d80aa27ccff97c4e27fb04d83d904c9285731cbd1d28804220e008a49b19"),
-    (["code", "--x", "153/250", "--lambda", "185/371", "--max-steps", "500"],
-     "5a4038cbc57973771eea31254df20617696f452faef6c073c3da999c162aaff7"),
-    # period 2052
-    (["expansion", "--x", "1/2053"],
-     "7d5ad63ad86e85dd838d07a856af9001a38395552ce98998ebd59558406c65f2"),
-    # covers and gaps of dyadic targets, where 0 1^inf has the exact root x,
-    # and the pieces and intersections they are built into
-    (["cover", "--x", "1/4", "--depth", "6"],
-     "660e6f1bf08241a902a2997ccd03f238396aac760f92fbcbcefadb9e0f2da962"),
-    (["gaps", "--x", "5/16", "--depth", "7", "--bits", "64",
-      "--width-bits", "40"],
-     "bd9414a89498d4f193075155669bb639f1ace3346f536036b2fa3330b164723f"),
-    (["pieces", "--x", "1/3", "--k", "5"],
-     "6f9b50c004a1a76c715c7f843cae3d842eaec5008253463ba6b88a63020e497a"),
-    (["intersect", "--targets", "1/4,5/16", "--depth", "6"],
-     "077a0d46b94281d7d63e2eadca60c2a1c52337be0b49a62124013d879aad04e3"),
-    # a least-squares slope whose last bit a compensated float `sum` changes
-    (["dim", "--x", "3/7", "--center", "13/28", "--radius", "729/28000",
-      "--eps-min-exp", "4", "--eps-max-exp", "6"],
-     "f4443b19b4c44031bb1b6634f28f04a4f79c9c01e7fa1b1165c88b0e739945ac"),
-    # one whose stderr a float `sum` printed one digit shorter on 3.10/3.11
-    (["dim", "--x", "1/3", "--center", "445551/945473", "--radius",
-      "10064/813097", "--eps-min-exp", "5", "--eps-max-exp", "7"],
-     "2e9582db71a4e671c7fc5bccb0843310a57cdff386ff0ed6fecf38e5c531b63c"),
-]
+def _run_id(command: str, stdin: str | None = None) -> str:
+    """A run as a test id: its command, with an argument of 100 characters
+    or more shown by its length, and the size of what it reads from stdin."""
+    name = " ".join(a if len(a) < 100 else f"<{len(a)} chars>"
+                    for a in command.split())
+    return name if stdin is None else f"{name} <{len(stdin)} bytes"
 
 
-@pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
-                         ids=[" ".join(r[0]) for r in PINNED_STDOUT])
-def test_stdout_matches_pinned_digest(capsys, argv, digest):
-    code, out, _ = run(capsys, *argv)
+@pytest.mark.parametrize("row", PINNED,
+                         ids=[_run_id(r.command, r.stdin) for r in PINNED])
+def test_stdout_matches_pinned_digest(capsys, monkeypatch, row):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(row.stdin or ""))
+    code, out, _ = run(capsys, *row.command.split())
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert sha256(out) == row.digest
 
 
-def middle_alpha_gaps(alpha: Fraction, levels: int, hull: tuple) -> dict:
-    """`thickness --gaps` input for the middle-alpha Cantor set on hull:
-    2^levels - 1 removals, level by level."""
-    side = (1 - alpha) / 2
-    components, gaps = [hull], []
-    for _ in range(levels):
-        nxt = []
-        for lo, hi in components:
-            a, b = lo + side * (hi - lo), hi - side * (hi - lo)
-            gaps.append([str(a), str(b)])
-            nxt += [(lo, a), (b, hi)]
-        components = nxt
-    return {"hull": [str(v) for v in hull], "gaps": gaps}
+@pytest.mark.parametrize("command,line", REFUSED,
+                         ids=[_run_id(command) for command, _ in REFUSED])
+def test_refusal_prints_its_one_error_line_at_once(capsys, command, line):
+    """Exit 1 within 0.3 s, an empty stdout and the row's `error:` line:
+    stderr's only line when the library refuses the run, after the usage
+    when the parser does."""
+    started = time.perf_counter()
+    code, out, err = run(capsys, *command.split())
+    assert time.perf_counter() - started < 0.3
+    assert refused_as_pinned(code, out, err, line), (code, out, err[-300:])
 
 
-UNIT, SHIFTED = (Fraction(0), Fraction(1)), (Fraction(-3, 8), Fraction(5))
-PINNED_THICKNESS = [
-    ("middle-19/50", (Fraction(19, 50), 10, UNIT), [],
-     "843e23d5c60c7a97946037043e03de59b6145df0884ce040770f067186e63c56"),
-    ("middle-19/50 at 32 bits", (Fraction(19, 50), 10, UNIT), ["--bits", "32"],
-     "0987c5363f8d031b988651687d90e00dfa15fd4a2e94e28edff87b9b56c4579a"),
-    # every endpoint is dyadic, with denominators up to 2^31
-    ("dyadic middle-3/8", (Fraction(3, 8), 7, SHIFTED), [],
-     "db83ccd03fff2edab18096b057ff7041b8295a73eab8baaae970ce679549a76f"),
-]
+
+@pytest.mark.parametrize("argv, message", [
+    (["expansion", "--x", "1e-4300"],
+     "more than 16384 digits in the binary expansion of 1/1" + "0" * 4300),
+    (["cover", "--x", "1e4300", "--depth", "2"],
+     "x must lie in (0, 1/2): 1" + "0" * 4300),
+], ids=["expansion", "cover"])
+def test_error_messages_print_rationals_past_the_digit_limit(capsys, argv,
+                                                             message):
+    """A refusal names its rational in full, not the interpreter's
+    integer-to-string limit."""
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("shape,flags,digest",
-                         [r[1:] for r in PINNED_THICKNESS],
-                         ids=[r[0] for r in PINNED_THICKNESS])
-def test_thickness_stdout_matches_pinned_digest(capsys, tmp_path, shape,
-                                                flags, digest):
-    path = tmp_path / "gaps.json"
-    path.write_text(json.dumps(middle_alpha_gaps(*shape)))
-    code, out, _ = run(capsys, "thickness", "--gaps", str(path), *flags)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def test_expansion_of_a_tiny_target_is_refused_at_once(capsys):
+    """10^-4300 has a denominator of fewer than 16384 bits, but 2 has a
+    huge order modulo 5^4300: the refusal takes no greedy run."""
+    started = time.perf_counter()
+    assert run(capsys, "expansion", "--x", "1e-4300")[0] == 1
+    assert time.perf_counter() - started < 0.3
 
+
+@pytest.mark.parametrize("low,high,message", [
+    ("16383", "16385", "grid exponent 16385 is above 16384"),
+    ("4", "100000000000", "more than 16385 grid sizes: 99999999997"),
+    ("9999999999", "10000000000", "grid exponent 10000000000 is above 16384"),
+], ids=["just-past", "long-ladder", "huge-exponent"])
+def test_dim_refuses_huge_grid_exponents_at_once(capsys, low, high, message):
+    """A box below 2^-16384, past the expansion digit budget, or a ladder
+    of more sizes than that budget allows, is refused before any ladder or
+    box size is built: a billion-element list or a 2^(10^10) denominator
+    would exhaust memory first."""
+    started = time.perf_counter()
+    assert run(capsys, "dim", "--x", "1/3", "--center", "9/20", "--radius",
+               "1/20", "--eps-min-exp", low, "--eps-max-exp", high) == (
+        1, "", f"error: {message}\n")
+    assert time.perf_counter() - started < 1
 
 def test_deep_multi_target_common_is_quick(capsys):
+    # PINNED holds its payload
     started = time.monotonic()
-    code, payload, _ = run_json(capsys, "common", "--targets", "1/3,1/4",
-                                "--depth", "16")
+    assert run(capsys, *"common --targets 1/3,1/4 --depth 16".split())[0] == 0
     assert time.monotonic() - started < 5
-    assert code == 0
-    assert {c["status"] for c in payload["certificates"]} == {"Exact"}
 
 
-def test_targets_below_the_digit_budget_are_refused_at_once(capsys):
-    """10^-8600 lies below 2^-16384: its first 16384 digits are 0, so it
-    has no expansion within the budget, and the denominator says so before
-    any digit is computed."""
-    tiny = "0." + "0" * 4299 + "1e-4300"
-    for argv in (["expansion", "--x", tiny],
-                 ["cover", "--x", tiny, "--depth", "2"]):
-        started = time.monotonic()
-        code, out, err = run(capsys, *argv)
-        assert time.monotonic() - started < 0.5
-        assert (code, out) == (1, "")
-        assert err == ("error: more than 16384 digits in the binary "
-                       f"expansion of 1/1{'0' * 8600}\n")
-
-
-def test_bound_violations_exit_2(capsys, monkeypatch, request):
+def test_bound_violations_exit_2(capsys, monkeypatch, request,
+                                 clear_memo_tables):
     """Bounds above every ratio turn each checked ratio into a violation;
     the payload is still printed and still valid. The memo tables are
     cleared first, so the report is computed with these bounds whatever
     ran before, and after, so no later test reads a report made with them."""
     from lambdaset import constructions
-    _clear_memo_tables()
-    request.addfinalizer(_clear_memo_tables)
+    clear_memo_tables()
+    request.addfinalizer(clear_memo_tables)
     above = (Fraction(1 << 64),) * 3
     families = constructions._piece_families
     monkeypatch.setattr(constructions, "_piece_families",
@@ -598,7 +487,7 @@ def test_thickness_file_builds_no_enclosure(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(Enclosure, "__init__", counted)
     path = tmp_path / "gaps.json"
-    path.write_text(json.dumps(middle_alpha_gaps(Fraction(37, 100), 10, UNIT)))
+    path.write_text(middle_alpha_gaps(Fraction(37, 100), 10))
     code, payload, _ = run_json(capsys, "thickness", "--gaps", str(path))
     assert code == 0 and payload["gaps"] == 1023
     assert len(built) == 0
@@ -606,7 +495,7 @@ def test_thickness_file_builds_no_enclosure(capsys, monkeypatch, tmp_path):
 
 def test_thickness_reads_gaps_from_stdin(capsys, monkeypatch, tmp_path):
     path = tmp_path / "gaps.json"
-    path.write_text(json.dumps(middle_alpha_gaps(Fraction(1, 3), 4, UNIT)))
+    path.write_text(middle_alpha_gaps(Fraction(1, 3), 4))
     code, out, _ = run(capsys, "thickness", "--gaps", str(path))
     assert code == 0
     monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
@@ -625,18 +514,6 @@ def test_thickness_rejects_misshaped_gap_files(capsys, tmp_path, doc):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["expansion", "--x", "1e-100000000"],
-    ["cover", "--x", "1e-1_000_000", "--depth", "2"],
-], ids=lambda argv: argv[0])
-def test_huge_decimal_exponents_are_refused_at_once(capsys, argv):
-    """Fraction would compute 10^|e| first, for seconds or longer."""
-    started = time.perf_counter()
-    assert _usage_error(capsys, *argv) == (
-        f"error: argument --x: not a rational: {argv[2]!r}")
-    assert time.perf_counter() - started < 1
-
-
 def test_gap_file_with_a_huge_exponent_is_refused_at_once(capsys, tmp_path):
     path = tmp_path / "gaps.json"
     path.write_text(json.dumps({"hull": ["0", "1"],
@@ -647,42 +524,27 @@ def test_gap_file_with_a_huge_exponent_is_refused_at_once(capsys, tmp_path):
     assert time.perf_counter() - started < 1
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["expansion", "--x", "1e-4300"],
-     "more than 16384 digits in the binary expansion of 1/1" + "0" * 4300),
-    (["cover", "--x", "1e4300", "--depth", "2"],
-     "x must lie in (0, 1/2): 1" + "0" * 4300),
-], ids=["expansion", "cover"])
-def test_error_messages_print_rationals_past_the_digit_limit(capsys, argv,
-                                                             message):
-    """A refusal names its rational in full, not the interpreter's
-    integer-to-string limit."""
-    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
-
-
-def test_expansion_of_a_tiny_target_is_refused_at_once(capsys):
-    """10^-4300 has a denominator of fewer than 16384 bits, but 2 has a
-    huge order modulo 5^4300: the refusal takes no greedy run."""
-    started = time.perf_counter()
-    assert run(capsys, "expansion", "--x", "1e-4300")[0] == 1
-    assert time.perf_counter() - started < 0.3
-
-
-@pytest.mark.parametrize("low,high,message", [
-    ("16383", "16385", "grid exponent 16385 is above 16384"),
-    ("4", "100000000000", "more than 16385 grid sizes: 99999999997"),
-    ("9999999999", "10000000000", "grid exponent 10000000000 is above 16384"),
-], ids=["just-past", "long-ladder", "huge-exponent"])
-def test_dim_refuses_huge_grid_exponents_at_once(capsys, low, high, message):
-    """A box below 2^-16384, past the expansion digit budget, or a ladder
-    of more sizes than that budget allows, is refused before any ladder or
-    box size is built: a billion-element list or a 2^(10^10) denominator
-    would exhaust memory first."""
-    started = time.perf_counter()
-    assert run(capsys, "dim", "--x", "1/3", "--center", "9/20", "--radius",
-               "1/20", "--eps-min-exp", low, "--eps-max-exp", high) == (
-        1, "", f"error: {message}\n")
-    assert time.perf_counter() - started < 1
+@pytest.mark.parametrize("name,digest", [
+    ("cli-cover",
+     "a5330965d8df881a7058af4242b1bddac08ffb0bbb260bce64dc757327a90a33"),
+    ("cli-exact",
+     "ffc4f579282318c725863c63489fff307a6a971cd3112a6d823d65ed375782d1"),
+], ids=["cli-cover", "cli-exact"])
+def test_benchmark_traffic_prints_its_pinned_bytes(capsys, monkeypatch,
+                                                   tmp_path, clear_memo_tables,
+                                                   name, digest):
+    """The first three seed-1 blocks of a CLI workload of the benchmark,
+    run in order in process, each request from cold memo tables as a fresh
+    process runs it: every one exits 0, and their stdout is pinned."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    stream = importlib.import_module("workloads").WORKLOADS[name](1, tmp_path)
+    outs = []
+    for request in [*next(stream), *next(stream), *next(stream)]:
+        clear_memo_tables()
+        code, out, _ = run(capsys, *request["argv"])
+        assert code == 0, request["argv"]
+        outs.append(out)
+    assert sha256("".join(outs)) == digest
 
 
 # every command whose --x/--targets is a ratio-set target: (argv, target
@@ -771,33 +633,34 @@ def test_payloads_validate_against_schemas(capsys, gap_dir, name, argv):
 
 
 # every run that prints JSON, each with its pinned digest if it has one
-JSON_RUNS = ([(argv, digest) for argv, digest in PINNED_STDOUT
-              if argv[0] != "svg-gaps"]
-             + [(argv, None) for _, argv in SCHEMA_RUNS])
+JSON_RUNS = ([row for row in PINNED if not row.command.startswith("svg-gaps")]
+             + [Pinned(" ".join(argv), None) for _, argv in SCHEMA_RUNS])
 
 
-@pytest.mark.parametrize("argv,digest", JSON_RUNS,
-                         ids=[" ".join(r[0]) for r in JSON_RUNS])
+@pytest.mark.parametrize("row", JSON_RUNS,
+                         ids=[_run_id(r.command, r.stdin) for r in JSON_RUNS])
 def test_no_json_run_reads_a_fraction_view(capsys, gap_dir, monkeypatch,
-                                           argv, digest):
+                                           clear_memo_tables, row):
     """Every JSON command compares and prints cells as integers: with the
     Fraction views of Enclosure raising, and every memo table cold, each
-    run prints the bytes it prints with them. (svg-gaps reads them for its
-    display floats.)"""
-    argv = _in_gap_dir(gap_dir, argv)
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    if digest is not None:
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    run prints the bytes it prints with them, its pinned digest if it has
+    one. (svg-gaps reads them for its display floats.)"""
+    argv, digest = _in_gap_dir(gap_dir, row.command.split()), row.digest
+    if digest is None:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        digest = sha256(out)
 
     def view(self):
         raise AssertionError(f"a Fraction view of {self!r} was read")
 
     monkeypatch.setattr(Enclosure, "lo", property(view))
     monkeypatch.setattr(Enclosure, "hi", property(view))
-    for table in MEMO_TABLES.values():
-        table.cache_clear()
-    assert run(capsys, *argv)[:2] == (code, out)
+    clear_memo_tables()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(row.stdin or ""))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert sha256(out) == digest
 
 
 def test_schema_runs_span_every_json_command():

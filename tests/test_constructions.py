@@ -18,8 +18,7 @@ from lambdaset.constructions import (CODINGS, PieceEndpoints, _codings,
 from lambdaset.errors import HypothesisUnsatisfiable, Inconclusive
 from lambdaset.lambda_set import (admissible, admissible_word,
                                   binary_expansion, psi_inverse)
-from lambdaset.numerics import (MEMO_TABLES, Enclosure, PrecisionConfig,
-                                exact_str)
+from lambdaset.numerics import Enclosure, PrecisionConfig, exact_str
 from lambdaset.seqcode import EpSequence
 
 F = Fraction
@@ -267,11 +266,6 @@ def test_thickness_agrees_across_precisions(cfg):
     assert r_high.bound_violations == ()
 
 
-def _clear_memo_tables():
-    for table in MEMO_TABLES.values():
-        table.cache_clear()
-
-
 def _reports(cfg, x, ell, k_max, q_max):
     return (thickness_Cl(x, ell, k_max, q_max, cfg).to_json(),
             defining_sequence_Cl(x, ell, k_max, q_max, cfg).to_json())
@@ -279,7 +273,7 @@ def _reports(cfg, x, ell, k_max, q_max):
 
 @pytest.mark.parametrize("target", [(F(1, 3), 8, 6, 3), (F(2, 7), 2, 3, 2),
                                     (F(1, 4), 1, 5, 2)], ids=str)
-def test_warm_reports_equal_cold_ones(cfg, target):
+def test_warm_reports_equal_cold_ones(cfg, clear_memo_tables, target):
     """Memoised gap records and per-piece bounds change no payload: after
     other truncations that share pieces and gap words, and after every memo
     table is cleared, the reports are the first ones."""
@@ -289,7 +283,7 @@ def test_warm_reports_equal_cold_ones(cfg, target):
                   (max(1, ell - 1), k_max + 1, 1)):
         _reports(cfg, x, *shape)
     assert _reports(cfg, *target) == first
-    _clear_memo_tables()
+    clear_memo_tables()
     assert _reports(cfg, *target) == first
 
 
@@ -352,15 +346,16 @@ def test_warm_ledgers_look_up_no_gap_record(cfg):
         assert gap_record.cache_info()[:2] == before
 
 
-def test_reports_share_no_mutable_record(cfg, monkeypatch, request):
+def test_reports_share_no_mutable_record(cfg, monkeypatch, request,
+                                         clear_memo_tables):
     """A report is an immutable value, so a caller cannot change a later
     report: it hashes and pickles like any tuple, a repeated call returns
     the same record, and changing a violation in a report's payload leaves
     the report's next payload unchanged. Bounds above every ratio give the
     report violations; the memo tables are cleared before and after, so
     the report is computed with these bounds and no other test reads it."""
-    _clear_memo_tables()
-    request.addfinalizer(_clear_memo_tables)
+    clear_memo_tables()
+    request.addfinalizer(clear_memo_tables)
     families = constructions._piece_families
     monkeypatch.setattr(constructions, "_piece_families",
                         lambda piece: (families(piece)[0], (F(1 << 64),) * 3))

@@ -1,15 +1,17 @@
 import importlib
+import io
+import json
 import math
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import chain, islice, product
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lambdaset import constructions, ifs_core, lambda_set
+from lambdaset import ifs_core, lambda_set
 from lambdaset.errors import (DepthBudgetExceeded, InsufficientMembers,
                               InvalidInput, NotAdmissible, OutOfRange)
 from lambdaset.ifs_core import membership, pi_eval, pi_root_poly
@@ -20,6 +22,7 @@ from lambdaset.lambda_set import (admissible, admissible_prefixes,
 from lambdaset.numerics import (MEMO_TABLES, Enclosure, PrecisionConfig,
                                 round_outward)
 from lambdaset.seqcode import SEQ_01INF, EpSequence, word_str, zero_indices
+from pinned import sha256
 
 F = Fraction
 S = EpSequence.from_string
@@ -310,39 +313,64 @@ def test_deep_solve_work_is_bounded(monkeypatch):
     assert ifs_core.WORK["float_steps"] - float_steps <= 6
 
 
-def test_session_solves_take_one_newton_step(monkeypatch):
-    """The first 200 calls of the seed-1 session-ledger benchmark, from
-    cold memo tables: its 835 psi_inverse misses (833 of them solves) take
-    at most 1.5 integer Newton steps and 2 signs each, with no exact
-    fallback."""
+# the first 200 session-ledger calls of each seed, from cold memo tables:
+# the sha256 of the replies, each table's hits and misses, solver counters
+SESSION_REPLIES = {
+    1: "43a0bce7091fe64a8d4695fcc9d5bcb517ba886d2229e4189f1f4c6707c67fb1",
+    2: "96796ccb0e1b243c0b7e3489f584e4260638febebfe85e3e89b6dfefd301d1a6",
+    3: "15e3acdffa88c9b8f8edfb7c32d75da617e3a0b09f46dc95dc3fa3a11c5c82b1",
+    54: "fbace6761571c996c5c2799306cad6653973c3a90bc51086d566e38cf847b5f7"}
+SESSION_MEMO = {   # by table name, without its module
+    "binary_expansion": ((326, 3), (321, 3), (330, 3), (326, 3)),
+    "_target": ((832, 3), (867, 3), (857, 3), (877, 3)),
+    "psi_inverse": ((1102, 835), (1047, 870), (1093, 860), (1057, 880)),
+    "piece_endpoints": ((403, 19),) * 4,
+    "gap_record": ((338, 140), (343, 135), (338, 144), (344, 140)),
+    "_piece_families": ((159, 19), (159, 19), (163, 19), (165, 19)),
+    "thickness_Cl": ((108, 26),) * 4,
+    "_family_entries": ((244, 108), (244, 108), (240, 112), (238, 114)),
+    "_square_identity": ((126, 6),) * 4,
+}
+SESSION_WORK = {"float_steps": (4161, 4365, 4304, 4407),
+                "signs": (1664, 1734, 1714, 1754),
+                "newton_steps": (833, 868, 858, 878),
+                "exact_fallbacks": (0, 0, 0, 0)}
+
+
+def test_session_solves_take_one_newton_step(capsys, monkeypatch,
+                                             clear_memo_tables):
+    """The first 200 calls of the session-ledger benchmark of each seed,
+    answered by bench/session_worker.py in process from cold memo tables:
+    its reply lines, memo hits and misses and root-solver counters are the
+    pinned ones. Each seed's psi_inverse misses (833 solves of 835 for
+    seed 1) take at most 1.5 integer Newton steps and 2 signs each, with no
+    exact fallback."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     workloads = importlib.import_module("workloads")
-    # the session's requests take no gap files, so none is written
-    stream = workloads.session_ledger(1, None)
-    requests = []
-    while len(requests) < 200:
-        requests += next(stream)
-    cfg = PrecisionConfig()
-    calls = {
-        "thickness_Cl": lambda r: constructions.thickness_Cl(
-            F(r["x"]), r["ell"], r["k_max"], r["q_max"], cfg),
-        "verify_caseA": lambda r: constructions.verify_caseA(
-            F(r["x"]), r["trials"], cfg, r["seed"]),
-        "verify_caseB": lambda r: constructions.verify_caseB(
-            r["trials"], cfg, r["seed"]),
-    }
-    for table in MEMO_TABLES.values():
-        table.cache_clear()
-    before = dict(ifs_core.WORK)
-    solves = lambda_set.psi_inverse.cache_info().misses
-    for r in requests[:200]:
-        calls[r["call"]](r)
-    solves = lambda_set.psi_inverse.cache_info().misses - solves
-    work = {k: v - before[k] for k, v in ifs_core.WORK.items()}
-    assert solves > 800
-    assert work["newton_steps"] <= 1.5 * solves
-    assert work["signs"] <= 2 * solves
-    assert work["exact_fallbacks"] == 0
+    worker = importlib.import_module("session_worker")
+    monkeypatch.setattr(sys, "argv", ["session_worker.py"])    # untraced
+    for i, (seed, digest) in enumerate(SESSION_REPLIES.items()):
+        # the session's requests take no gap files, so none is written
+        calls = chain.from_iterable(workloads.session_ledger(seed, None))
+        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(
+            json.dumps(r) + "\n" for r in islice(calls, 200)) + "\n"))
+        clear_memo_tables()
+        before = dict(ifs_core.WORK)
+        capsys.readouterr()
+        worker.main()
+        # the lines between the ready line and the peak-RSS line
+        replies = capsys.readouterr().out.splitlines(keepends=True)[1:-1]
+        assert sha256("".join(replies)) == digest, seed
+        assert {name.partition(".")[2]: tuple(table.cache_info()[:2])
+                for name, table in MEMO_TABLES.items()} == {
+            name: counts[i] for name, counts in SESSION_MEMO.items()}, seed
+        work = {k: v - before[k] for k, v in ifs_core.WORK.items()}
+        assert work == {k: v[i] for k, v in SESSION_WORK.items()}, seed
+        solves = lambda_set.psi_inverse.cache_info().misses
+        assert solves > 800
+        assert work["newton_steps"] <= 1.5 * solves
+        assert work["signs"] <= 2 * solves
+        assert work["exact_fallbacks"] == 0
 
 
 @settings(deadline=None)

@@ -86,7 +86,17 @@ def load_schema(command: str) -> dict:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on usage errors; this tool reserves 2 for
-    verification failures, so usage errors exit 1."""
+    verification failures, so usage errors exit 1. A subcommand's parser
+    adds its `pending` arguments when it first parses, so a run builds the
+    arguments of the one command it runs."""
+
+    pending: tuple[tuple[str, dict], ...] = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        for flag, kwargs in self.pending:
+            self.add_argument(flag, **kwargs)
+        self.pending = ()
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -298,9 +308,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
     for name, entry in COMMANDS.items():
-        p = sub.add_parser(name, help=entry.help)
-        for flag, kwargs in entry.arguments:
-            p.add_argument(flag, **kwargs)
+        sub.add_parser(name, help=entry.help).pending = entry.arguments
     return parser
 
 

@@ -1,7 +1,8 @@
 """The coding map of the two-branch IFS {t -> lam*t, t -> lam*t + 1 - lam},
 the integer polynomial whose signs and Newton steps locate its roots in the
 ratio, and the greedy digit algorithm used as an exact membership test for
-rational inputs.
+rational inputs, with greedy_cycle, its probe that only asks whether an
+orbit cycles.
 
 root_cell is the one root solver: it finds the cell of a dyadic grid that
 holds the root. It starts from float_guess, Newton's iteration in double
@@ -36,6 +37,7 @@ __all__ = [
     "exact_sign",
     "root_cell",
     "greedy_digits",
+    "greedy_cycle",
     "membership",
 ]
 
@@ -96,6 +98,13 @@ def pi_root_poly(s: EpSequence, x: Fraction) -> tuple[int, ...]:
 # "stats.root_solver".
 WORK = COUNTERS["root_solver"] = {"float_steps": 0, "signs": 0,
                                   "newton_steps": 0, "exact_fallbacks": 0}
+
+# Common-ratio search work so far in this process: greedy_cycle's probes,
+# the orbit steps they took, and the probes that a prime of the ratio's
+# numerator in a state's denominator ended. The CLI manifest reports each
+# run's share as "stats.common_search".
+SEARCH = COUNTERS["common_search"] = {"probes": 0, "orbit_steps": 0,
+                                      "denominator_exits": 0}
 
 # Fraction bits that poly_sign and newton_cell keep beyond the level of the
 # grid they probe: root_cell asks for signs and steps at level k with k +
@@ -304,6 +313,59 @@ def greedy_digits(x: Fraction, lam: Fraction, max_steps: int = 256) -> GreedyOut
             return Member(EpSequence(tuple(digits[:start]),
                                      tuple(digits[start:])))
     return Unresolved(tuple(digits))
+
+
+def greedy_cycle(y: Fraction, p: int, q: int, max_steps: int
+                 ) -> EpSequence | None:
+    """The coding of y in base lam = p/q if greedy_digits(y, lam, max_steps)
+    finds that its orbit cycles, else None. Unchecked: y lies in [0, 1],
+    p/q in (0, 1/2] is in lowest terms and max_steps is positive.
+
+    The probe ends as soon as the orbit is proven not eventually periodic.
+    Take the state a/b in lowest terms. One step gives
+    (q a - d (q - p) b) / (p b), d the digit. If a prime r divides both p
+    and b, then r divides neither a nor q, so not the new numerator, which
+    is q a mod r: the power of r in the reduced denominator grows at this
+    step, and at every later one, so no state repeats. While gcd(b, p) = 1,
+    the new state's reduced denominator divides b when p divides the new
+    numerator, and holds a prime of p otherwise. So the probe tests
+    gcd(b, p) once for y's own denominator b, keeps every state as n/b, and
+    ends at the first step whose numerator p does not divide. Its integers
+    stay about q b in size, and a cycling orbit visits at most the b + 1
+    states n/b. Steps, digits and cycle are greedy_digits', so the coding
+    is the one greedy_digits returns.
+    """
+    SEARCH["probes"] += 1
+    b = y.denominator
+    if gcd(b, p) != 1:
+        SEARCH["denominator_exits"] += 1
+        return None
+    # the state n/b is at most lam when q n <= low, at least 1 - lam when
+    # q n >= cut
+    low, cut = p * b, (q - p) * b
+    n = y.numerator
+    seen = {n: 0}
+    digits: list[int] = []
+    coding = None
+    for step in range(1, max_steps + 1):
+        scaled = n * q
+        if scaled >= cut:
+            digits.append(1)
+            scaled -= cut
+        elif scaled <= low:
+            digits.append(0)
+        else:
+            break                     # in the central gap
+        n, left = divmod(scaled, p)
+        if left:                      # a prime of p in the denominator
+            SEARCH["denominator_exits"] += 1
+            break
+        start = seen.setdefault(n, step)
+        if start != step:
+            coding = EpSequence(tuple(digits[:start]), tuple(digits[start:]))
+            break
+    SEARCH["orbit_steps"] += step
+    return coding
 
 
 def membership(x: Fraction, lam: Fraction, max_steps: int = 256) -> bool | None:

@@ -13,7 +13,7 @@ from math import ceil, gcd
 from typing import NamedTuple
 
 from .errors import DepthBudgetExceeded, InvalidInput, OutOfRange
-from .ifs_core import Member, greedy_digits
+from .ifs_core import greedy_cycle
 from .lambda_set import (MAX_PREFIXES, CoverInterval, IntervalCover,
                          binary_expansion)
 from .numerics import (DEFAULT_CONFIG, HALF, Enclosure, PrecisionConfig,
@@ -129,15 +129,16 @@ def find_common(targets: list[Fraction], search_depth: int,
         for p in range(ceil(floor_lam * q), (q + 1) // 2):
             if gcd(p, q) != 1:
                 continue
-            lam = Fraction(p, q)
             codings = []
-            # one non-member rules lam out: probe no further target
+            # one orbit that does not cycle rules p/q out: probe no further
+            # target
             for y in targets:
-                outcome = greedy_digits(y, lam, 600)
-                if not isinstance(outcome, Member):
+                coding = greedy_cycle(y, p, q, 600)
+                if coding is None:
                     break
-                codings.append(outcome.coding)
+                codings.append(coding)
             else:
+                lam = Fraction(p, q)
                 certs.append(CommonPointCertificate(
                     tuple(targets), Enclosure.from_fraction(lam, bits), lam,
                     tuple(codings)))

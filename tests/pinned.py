@@ -156,6 +156,10 @@ PINNED = [
     # a multi-target search that builds covers would take over 30 s
     Pinned("common --targets 1/3,1/4 --depth 16",
            "f28a83fe43f177e6e2ef8a09605e9dd518eeedf18fb92065c3bf0a185c4a4d07"),
+    # 9641 probes up to q = 436, all but 1/3's ended by a prime of p in a
+    # state's denominator
+    Pinned("common --targets 1/3 --depth 33",
+           "84cbd9e1ff081b184bfc596d76b64ee3c69d250e592af0155991480129cbc37c"),
     # box counts on fine grids, clipped to a window with non-dyadic ends
     Pinned("dim --x 1/5 --center 9/20 --radius 1/20 --eps-min-exp 6 "
            "--eps-max-exp 9 --bits 96 --width-bits 48",

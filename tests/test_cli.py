@@ -248,6 +248,39 @@ def test_manifest_counts_the_root_solvers_work(capsys, monkeypatch,
     assert set(manifest["stats"]["root_solver"].values()) == {0}
 
 
+def test_manifest_counts_the_common_search(capsys, monkeypatch):
+    """`common --targets 1/3 --depth 9` probes 1111 ratios p/q, and a prime
+    of p in a state's denominator ends every probe but the one at 1/3: 834
+    orbit steps in all, where greedy_digits takes 16 729 to decide the same
+    ratios. The counts are deterministic, so this guards the cut without
+    timing it."""
+    from lambdaset import intersect
+    from lambdaset.ifs_core import Member, NotMember, greedy_digits
+    argv = ("common", "--targets", "1/3", "--depth", "9")
+    search = run_json(capsys, *argv)[2]["stats"]["common_search"]
+    assert search == {"probes": 1111, "orbit_steps": 834,
+                      "denominator_exits": 1110}
+    # the steps greedy_digits takes over the same candidates
+    steps = []
+    greedy_cycle = intersect.greedy_cycle
+
+    def beside_greedy_digits(y, p, q, max_steps):
+        outcome = greedy_digits(y, Fraction(p, q), max_steps)
+        if isinstance(outcome, Member):
+            steps.append(len(outcome.coding.preperiod)
+                         + len(outcome.coding.period))
+        elif isinstance(outcome, NotMember):
+            steps.append(outcome.reject_step)
+        else:
+            steps.append(len(outcome.digits))
+        return greedy_cycle(y, p, q, max_steps)
+
+    monkeypatch.setattr(intersect, "greedy_cycle", beside_greedy_digits)
+    assert run_json(capsys, *argv)[2]["stats"]["common_search"] == search
+    assert len(steps) == search["probes"] and sum(steps) == 16729
+    assert sum(steps) >= 10 * search["orbit_steps"]
+
+
 @pytest.mark.parametrize("argv", [
     ["cover", "--x", "1/3", "--depth", "2", "--bits", "4300"],
     ["cover", "--x", "1/3", "--depth", "2", "--width-bits", "15000"],

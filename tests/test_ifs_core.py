@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lambdaset.errors import OutOfRange
-from lambdaset.ifs_core import (GUARD_BITS, Member, NotMember, Unresolved,
-                                exact_sign, greedy_digits, membership,
-                                newton_cell, pi_eval, pi_root_poly, poly_sign)
+from lambdaset.ifs_core import (GUARD_BITS, SEARCH, Member, NotMember,
+                                Unresolved, exact_sign, greedy_cycle,
+                                greedy_digits, membership, newton_cell,
+                                pi_eval, pi_root_poly, poly_sign)
 from lambdaset.seqcode import EpSequence
 
 F = Fraction
@@ -286,3 +287,89 @@ def greedy_cases(draw):
 def test_greedy_matches_fraction_reference(case):
     # the representation too: the CLI prints preperiod and period as found
     assert repr(greedy_digits(*case)) == repr(reference_greedy(*case))
+
+
+def probe(x: F, lam: F, max_steps: int = 600):
+    """greedy_cycle's coding of x at lam, and the search counts it added."""
+    before = dict(SEARCH)
+    coding = greedy_cycle(x, lam.numerator, lam.denominator, max_steps)
+    return coding, {key: SEARCH[key] - before[key] for key in SEARCH}
+
+
+@settings(deadline=None, max_examples=500)
+@given(greedy_cases())
+@example((F(5, 14), F(2, 5), 600))
+@example((F(2, 7), F(2, 5), 600))
+@example((F(6, 13), F(6, 13), 600))
+@example((F(1230, 3679), F(6, 13), 600))
+@example((F(1, 5), F(6, 13), 600))
+@example((F(5410, 15771), F(10, 21), 600))
+@example((F(1, 3), F(10, 21), 600))
+@example((F(1), F(1, 3), 600))
+def test_probe_matches_greedy_digits(case):
+    """The probe is greedy_digits' membership test: a coding exactly when
+    the orbit cycles within the budget, with the same preperiod and
+    period, and None when greedy_digits rejects or leaves it unresolved."""
+    x, lam, max_steps = case
+    outcome = greedy_digits(x, lam, max_steps)
+    expected = outcome.coding if isinstance(outcome, Member) else None
+    assert repr(probe(x, lam, max_steps)[0]) == repr(expected)
+
+
+def test_probe_examples():
+    # 2 divides 14 and the numerator of 2/5: no step is taken
+    assert probe(F(5, 14), F(2, 5)) == (None, {"probes": 1, "orbit_steps": 0,
+                                                "denominator_exits": 1})
+    assert isinstance(greedy_digits(F(5, 14), F(2, 5), 600), NotMember)
+    coding, counts = probe(F(2, 7), F(2, 5))
+    assert repr(coding) == repr(EpSequence((), (0, 1)))
+    assert counts == {"probes": 1, "orbit_steps": 2, "denominator_exits": 0}
+    # composite numerators: one prime of 6 or 10 in a denominator suffices,
+    # at step 0 (3 | 6) or after the first step, long before greedy_digits
+    # rejects the orbit (at step 66 for 1/5 at 6/13)
+    for x, lam, steps in ((F(1, 3), F(6, 13), 0), (F(3, 8), F(6, 13), 0),
+                          (F(1, 5), F(6, 13), 1), (F(1, 5), F(10, 21), 0),
+                          (F(1, 3), F(10, 21), 1)):
+        assert probe(x, lam) == (None, {"probes": 1, "orbit_steps": steps,
+                                        "denominator_exits": 1})
+        assert greedy_digits(x, lam, 600).reject_step > steps
+    for lam in (F(6, 13), F(10, 21)):
+        for word in ("(01)", "1(001)", "01(011)", "(0010111)", "0(1)"):
+            x = pi_eval(S(word), lam)
+            coding, counts = probe(x, lam)
+            assert repr(coding) == repr(greedy_digits(x, lam, 600).coding)
+            assert counts["denominator_exits"] == 0
+            assert counts["orbit_steps"] == len(coding.preperiod) + len(
+                coding.period)
+
+
+@st.composite
+def member_cases(draw):
+    """lam = p/q in (0, 1/2] and the coding-map value there of an
+    eventually periodic sequence, whose greedy orbit cycles."""
+    q = draw(st.integers(2, 400))
+    lam = F(draw(st.integers(1, q // 2)), q)
+    digit_words = st.lists(st.integers(0, 1), max_size=8).map(tuple)
+    pre, per = draw(digit_words), draw(digit_words)
+    return pi_eval(EpSequence(pre, per + (1,)), lam), lam
+
+
+@settings(deadline=None, max_examples=300)
+@given(member_cases())
+@example((F(2, 7), F(2, 5)))
+@example((F(1230, 3679), F(6, 13)))
+def test_a_cycling_orbit_never_grows_its_denominator(case):
+    """Along a cycling orbit each reduced denominator divides the one
+    before and shares no prime with the ratio's numerator, the two facts
+    the probe's early exit rests on."""
+    x, lam = case
+    outcome = greedy_digits(x, lam, 600)
+    assert isinstance(outcome, Member)
+    coding = outcome.coding
+    y = x
+    assert math.gcd(y.denominator, lam.numerator) == 1
+    for digit in coding.prefix(len(coding.preperiod) + len(coding.period)):
+        before = y.denominator
+        y = (y - (1 - lam) * digit) / lam
+        assert before % y.denominator == 0
+        assert math.gcd(y.denominator, lam.numerator) == 1

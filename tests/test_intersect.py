@@ -4,7 +4,7 @@ import pytest
 
 from lambdaset import intersect
 from lambdaset.errors import InvalidInput, OutOfRange
-from lambdaset.ifs_core import Member, greedy_digits, membership
+from lambdaset.ifs_core import greedy_cycle, greedy_digits, membership
 from lambdaset.intersect import find_common, intersect_covers
 from lambdaset.lambda_set import (CoverInterval, IntervalCover,
                                   binary_expansion, cover)
@@ -135,12 +135,12 @@ def test_common_certificates_are_exact_and_replay(cfg, targets, depth):
 def test_probe_stops_at_the_first_non_member(cfg, monkeypatch):
     calls = []
 
-    def recording(y, lam, max_steps):
-        outcome = greedy_digits(y, lam, max_steps)
-        calls.append((y, lam, isinstance(outcome, Member)))
-        return outcome
+    def recording(y, p, q, max_steps):
+        coding = greedy_cycle(y, p, q, max_steps)
+        calls.append((y, F(p, q), coding is not None))
+        return coding
 
-    monkeypatch.setattr(intersect, "greedy_digits", recording)
+    monkeypatch.setattr(intersect, "greedy_cycle", recording)
     find_common([F(1, 3), F(1, 4)], 4, cfg)
     first = {lam: member for y, lam, member in calls if y == F(1, 3)}
     second = [lam for y, lam, _ in calls if y == F(1, 4)]

@@ -20,24 +20,31 @@ its command's modules import (`fractions`, `math`, `random`, `re`,
 `functools`, `bisect`). Records are `typing.NamedTuple` classes
 (`PrecisionConfig` and `Enclosure` checked subclasses of one) and
 `EpSequence` a `__slots__` class, so no record needs `dataclasses`, whose
-import and generated methods cost start-up time. `hashlib` (about 5 ms)
-stays, because the manifest's SHA-256 `output_digest` is part of the
-manifest's contract. To see what start-up costs, run `PYTHONDONTWRITEBYTECODE=1
-python -X importtime -m lambdaset.cli ARGS`; library modules imported here
-through `importlib` are missing from that listing, and the manifest's
-`import_ms` is their time. The README lists the cost per command.
+import and generated methods cost start-up time. The SHA-256 of
+`output_digest` is the interpreter's own, not `hashlib`'s OpenSSL, and a
+named command builds only its subparser. To see start-up costs, run
+`PYTHONDONTWRITEBYTECODE=1 python -X importtime -m lambdaset.cli ARGS`;
+modules imported here through `importlib` are missing from that listing,
+and the manifest's `import_ms` is their time (README lists each command's).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib
 import json
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
+
+try:
+    from _sha2 import sha256            # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256      # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .errors import InvalidInput, LambdasetError
@@ -46,10 +53,10 @@ from .numerics import (COUNTERS, DEFAULT_CONFIG, HALF, MEMO_TABLES,
 
 # library module -> the names the handlers read from it
 LIBRARY = {
-    "lambda_set": ("binary_expansion", "box_dim_estimate", "cover", "gaps"),
+    "lambda_set": ("box_dim_estimate", "cover", "gaps"),
     "cantor_metrics": ("DefiningSequence", "newhouse_lower", "thickness_of"),
     "ifs_core": ("Member", "NotMember", "greedy_digits", "pi_eval"),
-    "seqcode": ("EpSequence", "word_str"),
+    "seqcode": ("EpSequence", "binary_expansion", "word_str"),
     "intersect": ("find_common", "intersect_covers"),
     "constructions": ("defining_sequence_Cl", "piece_endpoints",
                       "thickness_Cl", "verify_caseA", "verify_caseB"),
@@ -301,13 +308,19 @@ def _svg_gaps(args, cfg):
     return lib.svg_gaps(args.x, args.ell, args.kmax, args.qmax, cfg), 0
 
 
-def build_parser() -> _Parser:
+def build_parser(argv: Sequence[str] = ()) -> _Parser:
+    """Every subparser, or only argv's first token's, whose metavar then keeps
+    the usage line (a set metavar would stand for `command` in errors)."""
     parser = _Parser(prog="lambdaset",
                      description="certified ratio-set computations for "
                                  "two-branch self-similar sets")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    for name, entry in COMMANDS.items():
+    names = list(COMMANDS)
+    if argv and argv[0] in COMMANDS:
+        names, sub.metavar = [argv[0]], "{" + ",".join(COMMANDS) + "}"
+    for name in names:
+        entry = COMMANDS[name]
         sub.add_parser(name, help=entry.help).pending = entry.arguments
     return parser
 
@@ -342,8 +355,9 @@ def _counts() -> dict[str, dict[str, int]]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     started, imports_before = time.time(), _import_seconds
@@ -377,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
         "stats": {name: {key: count - counts_before.get(name, {}).get(key, 0)
                          for key, count in group.items()}
                   for name, group in _counts().items()},
-        "output_digest": hashlib.sha256(body.encode()).hexdigest(),
+        "output_digest": sha256(body.encode()).hexdigest(),
     }
     sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")
     return code

@@ -22,7 +22,8 @@ from .errors import (DepthBudgetExceeded, InsufficientMembers, InvalidInput,
 from .ifs_core import pi_eval, pi_root_poly, root_cell
 from .numerics import (DEFAULT_CONFIG, HALF, Cell, Enclosure, PrecisionConfig,
                        dyadic_str, exact_str, memo, on_grid, round_outward)
-from .seqcode import SEQ_01INF, EpSequence, word_at_position, word_str
+from .seqcode import (SEQ_01INF, EpSequence, binary_expansion,
+                      word_at_position, word_str)
 
 __all__ = [
     "CoverInterval",
@@ -43,43 +44,14 @@ __all__ = [
 ]
 
 # Most words admissible_prefixes returns (a cover solves two roots per word),
-# most gap records a tail construction lists (four solves each), most digits
-# of a target's expansion (preperiod plus period, the degree of every root
-# polynomial), and the highest piece index. Depth 10, the deepest cover the
-# tests and benchmark ask for, has at most 308 words; 1/3 at depth 60 has far
-# more and fails at once instead of running on.
+# most gap records a tail construction lists (four solves each), and the
+# highest piece index. Depth 10, the deepest cover the tests and benchmark
+# ask for, has at most 308 words; 1/3 at depth 60 has far more and fails at
+# once instead of running on.
 MAX_PREFIXES = 1 << 14
 
 # Longest prefix box_dim_estimate refines a block to.
 MAX_DEPTH = 48
-
-
-@memo
-def binary_expansion(x: Fraction) -> EpSequence:
-    """Greedy base-1/2 coding of x; starts with 0, never ends in 1^inf.
-
-    Raises DepthBudgetExceeded when the coding has more than MAX_PREFIXES
-    digits before its period closes.
-    """
-    x = Fraction(x)
-    if not 0 < x < HALF:
-        raise OutOfRange(f"x must lie in (0, 1/2): {exact_str(x)}")
-    # For x = p/q in lowest terms, q = 2^a q', step n leaves the state
-    # (p 2^n mod q) / q, whose numerator has n factors 2 while n < a; from
-    # step a on it cycles with the order of 2 modulo q' (1 if q' = 1). So a
-    # coding in budget has a + order <= MAX_PREFIXES, and q < 2^(a + order).
-    p, q = x.numerator, x.denominator
-    a = (q & -q).bit_length() - 1
-    if q.bit_length() <= MAX_PREFIXES:
-        start = r = (p << a) % q
-        for n in range(a + 1, MAX_PREFIXES + 1):
-            r = (r << 1) % q
-            if r == start:
-                digits = tuple(map(int, format((p << n) // q, f"0{n}b")))
-                return EpSequence(digits[:a], digits[a:])
-    raise DepthBudgetExceeded(
-        f"more than {MAX_PREFIXES} digits in the binary expansion of "
-        f"{exact_str(x)}")
 
 
 def admissible(xs: EpSequence, s: EpSequence) -> bool:

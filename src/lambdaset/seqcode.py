@@ -11,11 +11,14 @@ is immutable and pure.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
-from .errors import PeriodAllOnes
+from .errors import DepthBudgetExceeded, OutOfRange, PeriodAllOnes
+from .numerics import HALF, exact_str, memo
 
 __all__ = [
     "EpSequence",
+    "binary_expansion",
     "word_str",
     "n_index",
     "word_at_position",
@@ -128,6 +131,37 @@ class EpSequence:
 
 
 SEQ_01INF = EpSequence((0,), (1,))
+
+# Most digits of an expansion, preperiod plus period: a root's degree.
+MAX_DIGITS = 1 << 14
+
+
+@memo
+def binary_expansion(x: Fraction) -> EpSequence:
+    """Greedy base-1/2 coding of x; starts with 0, never ends in 1^inf.
+
+    Raises DepthBudgetExceeded when the coding has more than MAX_DIGITS
+    digits before its period closes.
+    """
+    x = Fraction(x)
+    if not 0 < x < HALF:
+        raise OutOfRange(f"x must lie in (0, 1/2): {exact_str(x)}")
+    # For x = p/q in lowest terms, q = 2^a q', step n leaves the state
+    # (p 2^n mod q) / q, whose numerator has n factors 2 while n < a; from
+    # step a on it cycles with the order of 2 modulo q' (1 if q' = 1). So a
+    # coding in budget has a + order <= MAX_DIGITS, and q < 2^(a + order).
+    p, q = x.numerator, x.denominator
+    a = (q & -q).bit_length() - 1
+    if q.bit_length() <= MAX_DIGITS:
+        start = r = (p << a) % q
+        for n in range(a + 1, MAX_DIGITS + 1):
+            r = (r << 1) % q
+            if r == start:
+                digits = tuple(map(int, format((p << n) // q, f"0{n}b")))
+                return EpSequence(digits[:a], digits[a:])
+    raise DepthBudgetExceeded(
+        f"more than {MAX_DIGITS} digits in the binary expansion of "
+        f"{exact_str(x)}")
 
 
 def n_index(word: tuple[int, ...]) -> int:

@@ -1,6 +1,7 @@
 """The pinned runs of the `lambdaset` CLI. A `PINNED` run exits 0 and
-prints the stdout of a recorded sha256; a `REFUSED` one exits 1 with an
-empty stdout and one recorded `error:` line. Adding either is one row.
+prints the stdout of a recorded sha256, which its manifest's
+`output_digest` repeats; a `REFUSED` one exits 1 with an empty stdout and
+one recorded `error:` line. Adding either is one row.
 
 tests/test_cli.py checks every row in process. Run this file (it imports
 only the standard library) to replay every row through the `lambdaset`
@@ -245,6 +246,15 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def manifest_digest(err: str) -> str | None:
+    """The `output_digest` of the manifest that ends stderr, if there is
+    one."""
+    try:
+        return json.loads(err.splitlines()[-1])["output_digest"]
+    except (IndexError, KeyError, TypeError, ValueError):
+        return None
+
+
 def refused_as_pinned(code: int, out: str, err: str, line: str) -> bool:
     """Exit 1, an empty stdout, and `line` as the one `error:` line of
     stderr: its only line for a refusal of the library, after the usage
@@ -271,7 +281,8 @@ def main() -> int:
     failed = []
     for command, digest, stdin in PINNED:
         run = _replay(command, stdin, 10)
-        if run is None or run[0] != 0 or sha256(run[1]) != digest:
+        if run is None or run[0] != 0 or {
+                sha256(run[1]), manifest_digest(run[2])} != {digest}:
             failed.append((command, run))
     for command, line in REFUSED:
         run = _replay(command, None, 2)
@@ -280,7 +291,8 @@ def main() -> int:
     for command, run in failed:
         print(f"FAIL lambdaset {command[:100]}: " + (
             "timed out" if run is None else f"exit {run[0]}, stdout sha256 "
-            f"{sha256(run[1])}, stderr ending {run[2][-200:]!r}"))
+            f"{sha256(run[1])}, manifest digest {manifest_digest(run[2])}, "
+            f"stderr ending {run[2][-200:]!r}"))
     total = len(PINNED) + len(REFUSED)
     print(f"{total - len(failed)} of {total} pinned runs and refusals "
           "as recorded")

@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from lambdaset.cli import COMMANDS, load_schema, main
 from lambdaset.numerics import Enclosure
-from pinned import (PINNED, REFUSED, Pinned, middle_alpha_gaps,
-                    refused_as_pinned, sha256)
+from pinned import (PINNED, REFUSED, Pinned, manifest_digest,
+                    middle_alpha_gaps, refused_as_pinned, sha256)
 
 
 def run(capsys, *argv):
@@ -70,6 +70,8 @@ def test_symmetry_reduction(capsys):
 
 def test_exit_codes(capsys, tmp_path):
     assert run(capsys, "bogus")[0] == 1
+    assert run(capsys)[2].endswith(
+        "error: the following arguments are required: command\n")
     assert run(capsys, "cover", "--x", "1/2", "--depth", "2")[0] == 1
     assert run(capsys, "verify", "--trials", "2")[0] == 1
     assert run(capsys, "code", "--x", "not-a-number", "--lambda", "1/2")[0] == 1
@@ -104,6 +106,23 @@ def test_exit_codes(capsys, tmp_path):
                          "--gaps", str(path))
     assert code == 1 and out == "" and err.count("\n") == 1
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["--x", "1/3"], ["cover", "-h"],
+    ["cover", "--x", "1/3", "--depth", "3", "--bogus"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_one_subparser_prints_what_the_whole_parser_prints(capsys,
+                                                          monkeypatch, argv):
+    """A run that names its command builds that subparser alone; its help,
+    usage and errors, and those of a run that names none, are those of a
+    parser built with every subparser."""
+    from lambdaset import cli
+
+    alone = run(capsys, *argv)
+    whole = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: whole())
+    assert alone == run(capsys, *argv)
 
 
 def test_verify_tells_a_shortfall_from_a_violation(capsys, monkeypatch):
@@ -369,9 +388,10 @@ def _run_id(command: str, stdin: str | None = None) -> str:
                          ids=[_run_id(r.command, r.stdin) for r in PINNED])
 def test_stdout_matches_pinned_digest(capsys, monkeypatch, row):
     monkeypatch.setattr(sys, "stdin", io.StringIO(row.stdin or ""))
-    code, out, _ = run(capsys, *row.command.split())
+    code, out, err = run(capsys, *row.command.split())
     assert code == 0
     assert sha256(out) == row.digest
+    assert manifest_digest(err) == row.digest
 
 
 @pytest.mark.parametrize("command,line", REFUSED,

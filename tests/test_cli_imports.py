@@ -13,9 +13,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 # standard-library modules that cost start-up time, loaded by no command:
-# `dataclasses` (with `inspect`), and `statistics`, whose fit `dim` computes
-# itself
-COSTLY = ("dataclasses", "inspect", "statistics")
+# `dataclasses` (with `inspect`), `statistics`, whose fit `dim` computes
+# itself, and `hashlib` with OpenSSL's `_hashlib` (3-4 ms and about 3.6 MB
+# of RSS), whose SHA-256 the interpreter also builds in
+COSTLY = ("dataclasses", "inspect", "statistics", "hashlib", "_hashlib")
 
 # prints the lambdaset modules, and those of COSTLY, loaded after building
 # the parser, or after one in-process run of the argv given on the command
@@ -67,6 +68,11 @@ def test_cover_and_thickness_load_only_their_modules(gap_file):
     assert not thickness & {"lambda_set", "constructions"}
 
 
+def test_expansion_loads_no_root_solver():
+    assert _loaded("expansion", "--x", "1/3") == {
+        "lambdaset", "cli", "errors", "numerics", "seqcode"}
+
+
 @pytest.mark.parametrize("argv", [
     [],
     ["code", "--x", "1/3", "--lambda", "1/5"],
@@ -77,8 +83,9 @@ def test_cover_and_thickness_load_only_their_modules(gap_file):
     ["common", "--targets", "1/3", "--depth", "4"],
     ["dim", "--x", "1/3", "--center", "9/20", "--radius", "1/20",
      "--eps-min-exp", "8", "--eps-max-exp", "9"],
+    ["verify", "--x", "1/3", "--trials", "3"],
 ], ids=["parser", "code", "pi", "expansion", "cover", "thickness", "common",
-        "dim"])
+        "dim", "verify"])
 def test_costly_stdlib_modules_load_only_where_needed(argv, gap_file):
     loaded = _loaded(*(gap_file if a is None else a for a in argv))
     assert loaded & set(COSTLY) == set()

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lambdaset import ifs_core, lambda_set
+from lambdaset import ifs_core, lambda_set, seqcode
 from lambdaset.errors import (DepthBudgetExceeded, InsufficientMembers,
                               InvalidInput, NotAdmissible, OutOfRange)
 from lambdaset.ifs_core import membership, pi_eval, pi_root_poly
@@ -42,11 +42,11 @@ def test_binary_expansion_examples():
 
 
 def test_expansion_refuses_long_denominators_before_the_run(monkeypatch):
-    """A stream that closes its period within MAX_PREFIXES digits is an
-    integer over less than 2^MAX_PREFIXES, so a longer denominator is
+    """A stream that closes its period within MAX_DIGITS digits is an
+    integer over less than 2^MAX_DIGITS, so a longer denominator is
     refused with the message the run would end in; a shorter one is
     refused when 2 has too large an order modulo its odd part."""
-    monkeypatch.setattr(lambda_set, "MAX_PREFIXES", 40)
+    monkeypatch.setattr(seqcode, "MAX_DIGITS", 40)
     # the memo table is bypassed, so it keeps no entry made at this budget
     expand = binary_expansion.__wrapped__
     # 2^-40 has 40 digits before its period 0, and 2^-60 more
@@ -65,9 +65,9 @@ def test_expansion_refuses_long_denominators_before_the_run(monkeypatch):
 @pytest.mark.parametrize("a", [0, 1, 2, 7000, 16381])
 def test_expansion_budget_is_preperiod_plus_period(a):
     """1/(2^a (2^p - 1)) has a preperiod of a digits and a period of p: it
-    is expanded when a + p = MAX_PREFIXES and refused at one more digit."""
+    is expanded when a + p = MAX_DIGITS and refused at one more digit."""
     expand = binary_expansion.__wrapped__
-    p = lambda_set.MAX_PREFIXES - a
+    p = seqcode.MAX_DIGITS - a
     s = expand(F(1, ((1 << p) - 1) << a))
     assert (len(s.preperiod), len(s.period)) == (a, p)
     assert s.period[-1] == 1 and 1 not in s.preperiod + s.period[:-1]
@@ -82,7 +82,7 @@ def test_expansion_is_the_greedy_orbit(pq):
     """The expansion read by long division is the coding greedy_digits
     finds at 1/2, with the same preperiod and period as printed."""
     x = F(*pq)
-    greedy = ifs_core.greedy_digits(x, F(1, 2), lambda_set.MAX_PREFIXES)
+    greedy = ifs_core.greedy_digits(x, F(1, 2), seqcode.MAX_DIGITS)
     assert str(binary_expansion(x)) == str(greedy.coding)
     assert binary_expansion(x).preperiod == greedy.coding.preperiod
 

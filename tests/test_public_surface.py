@@ -139,7 +139,7 @@ def test_every_imported_name_is_used():
 
 # the package's memo tables, each made by `numerics.memo`: a
 # `functools.lru_cache(maxsize=CACHE_SIZE)`
-MEMO_TABLES = {"lambda_set.binary_expansion", "lambda_set._target",
+MEMO_TABLES = {"seqcode.binary_expansion", "lambda_set._target",
                "lambda_set.psi_inverse", "constructions.piece_endpoints",
                "constructions.gap_record", "constructions._piece_families",
                "constructions._family_entries",

@@ -24,12 +24,11 @@ from typing import NamedTuple, Optional
 from .errors import (DepthBudgetExceeded, HypothesisUnsatisfiable,
                      Inconclusive, InvalidInput)
 from .cantor_metrics import DefiningSequence, Interval
-from .lambda_set import (MAX_PREFIXES, admissible_word, binary_expansion,
-                         psi_inverse)
-from .numerics import (DEFAULT_CONFIG, Enclosure, PrecisionConfig,
+from .lambda_set import MAX_PREFIXES, admissible_word, psi_inverse
+from .numerics import (DEFAULT_CONFIG, HALF_CELL, Enclosure, PrecisionConfig,
                        dyadic_str, exact_str, memo, on_grid, round_outward)
-from .seqcode import (EpSequence, n_index, word_at_position, word_str,
-                      zero_indices)
+from .seqcode import (EpSequence, binary_expansion, n_index, word_at_position,
+                      word_str, zero_indices)
 
 __all__ = [
     "PieceEndpoints",
@@ -203,7 +202,7 @@ def defining_sequence_Cl(x: Fraction, ell: int, k_max: int, q_max: int,
         for i in range(max(0, t - k_max), min(t, n_gaps)):
             removals.append(tail[t - 1 - i][1][i].gap)
     return DefiningSequence.from_cells(
-        (tail[0][0].alpha, Enclosure((1, 1, 1), cfg.precision_bits)), removals)
+        (tail[0][0].alpha, Enclosure(HALF_CELL, cfg.precision_bits)), removals)
 
 
 class ThicknessReport(NamedTuple):

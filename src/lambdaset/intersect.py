@@ -14,11 +14,10 @@ from typing import NamedTuple
 
 from .errors import DepthBudgetExceeded, InvalidInput, OutOfRange
 from .ifs_core import greedy_cycle
-from .lambda_set import (MAX_PREFIXES, CoverInterval, IntervalCover,
-                         binary_expansion)
-from .numerics import (DEFAULT_CONFIG, HALF, Enclosure, PrecisionConfig,
-                       exact_str, on_grid)
-from .seqcode import EpSequence
+from .lambda_set import MAX_PREFIXES, CoverInterval, IntervalCover
+from .numerics import (DEFAULT_CONFIG, HALF, HALF_CELL, Enclosure,
+                       PrecisionConfig, exact_str, on_grid)
+from .seqcode import EpSequence, binary_expansion
 
 __all__ = [
     "CommonPointCertificate",
@@ -119,7 +118,7 @@ def find_common(targets: list[Fraction], search_depth: int,
             f"depth {search_depth}")
     bits = cfg.precision_bits
     certs: list[CommonPointCertificate] = [CommonPointCertificate(
-        tuple(targets), Enclosure((1, 1, 1), bits), HALF,
+        tuple(targets), Enclosure(HALF_CELL, bits), HALF,
         tuple(binary_expansion(y) for y in targets))]
 
     # each p/q in lowest terms, once, in [floor_lam, 1/2)

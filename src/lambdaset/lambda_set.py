@@ -20,8 +20,9 @@ from typing import NamedTuple, Sequence
 from .errors import (DepthBudgetExceeded, InsufficientMembers, InvalidInput,
                      NotAdmissible, OutOfRange)
 from .ifs_core import pi_eval, pi_root_poly, root_cell
-from .numerics import (DEFAULT_CONFIG, HALF, Cell, Enclosure, PrecisionConfig,
-                       dyadic_str, exact_str, memo, on_grid, round_outward)
+from .numerics import (DEFAULT_CONFIG, HALF, HALF_CELL, Cell, Enclosure,
+                       PrecisionConfig, dyadic_str, exact_str, memo, on_grid,
+                       round_outward)
 from .seqcode import (SEQ_01INF, EpSequence, binary_expansion,
                       word_at_position, word_str)
 
@@ -31,7 +32,6 @@ __all__ = [
     "LambdaGap",
     "LipschitzReport",
     "BoxDimReport",
-    "binary_expansion",
     "admissible",
     "admissible_word",
     "block_codes",
@@ -98,7 +98,7 @@ def psi_inverse(x: Fraction, s: EpSequence,
     bits = cfg.precision_bits
     x, xs, (a_m, a_hi, n) = _target(x, bits)
     if s == xs:
-        return Enclosure((1, 1, 1), bits)
+        return Enclosure(HALF_CELL, bits)
     if not admissible(xs, s):
         raise NotAdmissible(
             f"{s} is outside the admissible window for {exact_str(x)}")

@@ -130,6 +130,8 @@ def round_outward(num: int, den: int, bits: int) -> tuple[int, int, int]:
 
 
 Cell = tuple[int, int, int]
+# the half point, 1/2, as the cell [1, 1] 2^-1
+HALF_CELL: Cell = (1, 1, 1)
 
 
 def on_grid(cells: Sequence[Cell]) -> tuple[list[int], int]:

@@ -1,9 +1,11 @@
 """The pinned runs of the `lambdaset` CLI. A `PINNED` run exits 0 and
 prints the stdout of a recorded sha256, which its manifest's
 `output_digest` repeats; a `REFUSED` one exits 1 with an empty stdout and
-one recorded `error:` line. Adding either is one row.
+one recorded `error:` line. Either may read stdin. Adding either is one
+row, and no two rows run the same arguments on the same stdin.
 
-tests/test_cli.py checks every row in process. Run this file (it imports
+tests/test_cli.py checks every row in process, and each JSON payload
+against its command's schema. Run this file (it imports
 only the standard library) to replay every row through the `lambdaset`
 script on PATH, under any interpreter the package is installed into: 10 s
 for a pinned run, 2 s for a refusal, and exit 1 on any mismatch.
@@ -178,67 +180,179 @@ PINNED = [
            "6d8ecb216ea9d06f02ed896ddfdce2045a8193e4e2d12078d4105e7c5367983f"),
     Pinned("thickness-cl --x 1/3 --ell 64 --kmax 6 --qmax 3 --width-bits 800",
            "bef05db226a98b212af45114ea26b65163908db066f34d9dc0ce483435e64efb"),
+    # a small run of each JSON command: `pi`, a decimal `dim` center, and
+    # two grid sizes, which leave the slope no error (`stderr` is null)
+    Pinned("code --x 1/4 --lambda 1/2",
+           "4344bab2b5c6136d1c3e41fc2bcf0a58575b7a49086d657e6f69262cad656d4a"),
+    Pinned("pi --seq (01) --lambda 1/2",
+           "e6f933dc9295f9bc27bf434c92cbd48fc0f3d13778425944780d8ef1fd3d64d8"),
+    Pinned("expansion --x 1/3",
+           "3c1df1ecab37b3aa8db2fd4ff0244c4380049a0a55ace79974c381d9d1fd5b4c"),
+    Pinned("cover --x 1/4 --depth 3",
+           "e72fe28a49ea106ab10784015a76b37c36d91cd0482249a45c19fb7225bdf19c"),
+    Pinned("gaps --x 1/4 --depth 3",
+           "46d965a8766cff6845d1d302d245012b6d55de505a52e79beba4138375636c69"),
+    Pinned("dim --x 1/3 --center 0.46 --radius 1/16 --eps-min-exp 7 "
+           "--eps-max-exp 9 --bits 64 --width-bits 20",
+           "429761723d6f2d36c0f1cd4e41f7dcd2caeb05feaff0c5829125aed9c90e1e53"),
+    Pinned("dim --x 1/3 --center 9/20 --radius 1/20 --eps-min-exp 8 "
+           "--eps-max-exp 9",
+           "435cd74ce02494b7a7d9ac806fbaf3c131c8f0e152d78e2b58d01a015ffeb31c"),
+    Pinned("pieces --x 1/4 --k 1",
+           "92d61922ff97d8494e88058ae3df99a1fec20789a51b603975721726a0bd343d"),
+    Pinned("cantor-ds --x 1/3 --ell 2 --kmax 2 --qmax 1",
+           "b4185e5006fa2bff8d34d324e5b4e678b1c4172034bdc45097d03bc5e2c5d2c8"),
+    Pinned("thickness-cl --x 1/3 --ell 2 --kmax 2 --qmax 1",
+           "6e423e01d8dd0aa02bebe678ce880911b648a2fa3b44a3e10546a58b51a6918a"),
+    Pinned("verify --x 1/4 --trials 2",
+           "dcd21d38e676fbeb2446e4faabfc04a107bec68bac18f6cec31f868cf4266b80"),
+    Pinned("intersect --targets 1/3,1/4 --depth 3",
+           "e0f41f5e812ef649f380ae9ab3562b2f198cbf4b052fdf647f3a09e98f73343d"),
 ]
+
+
+class Refused(NamedTuple):
+    """`lambdaset` with these space-separated arguments exits 1 with an
+    empty stdout and the one `error:` line `line`, reading stdin if it is
+    given."""
+
+    command: str
+    line: str
+    stdin: str | None = None
+
 
 # 10^-8600 lies below 2^-16384, and its denominator says so before any
 # of its 16384 zero digits is computed
 TINY = "0." + "0" * 4299 + "1e-4300"
 DIM = "dim --x 1/3 --center 9/20 --radius 1/20 --eps-min-exp"
 EXPANSION = "error: more than 16384 digits in the binary expansion of 1/1"
+TAIL = "error: ell, k_max must be positive and q_max nonnegative"
+TRIALS = "error: trials must be positive, got "
+MIN_BITS = "error: precision_bits must be at least 32"
+GAP_FILE = 'error: -: expected {"hull": [lo, hi], "gaps": [[lo, hi], ...]}'
 
-# (command, its one error line)
 REFUSED = [
+    # no command, an unknown one, a missing flag, and a value not rational
+    Refused("", "error: the following arguments are required: command"),
+    Refused("bogus", "error: argument command: invalid choice: 'bogus' "
+            "(choose from 'code', 'pi', 'expansion', 'cover', 'gaps', 'dim', "
+            "'pieces', 'cantor-ds', 'thickness', 'thickness-cl', 'verify', "
+            "'intersect', 'common', 'svg-gaps')"),
+    Refused("verify --trials 2",
+            "error: the following arguments are required: --x"),
+    Refused("code --x not-a-number --lambda 1/2",
+            "error: argument --x: not a rational: 'not-a-number'"),
     # verify reads its case from --x, the diagram draws gap words of length
     # at most 1, and each command has one output and its own flags
-    ("verify --case B --trials 1",
-     "error: the following arguments are required: --x"),
-    ("verify --case A --x 1/3 --trials 1",
-     "error: unrecognized arguments: --case A"),
-    ("svg-gaps --x 1/3 --qmax 2",
-     "error: argument --qmax: invalid choice: 2 (choose from 0, 1)"),
-    ("svg-gaps --x 1/3 --qmax -1",
-     "error: argument --qmax: invalid choice: -1 (choose from 0, 1)"),
-    ("cover --x 1/3 --depth 2 --format csv",
-     "error: unrecognized arguments: --format csv"),
-    ("cover --x 1/3 --depth 2 --format json",
-     "error: unrecognized arguments: --format json"),
-    ("svg-gaps --x 1/3 --out d.svg",
-     "error: unrecognized arguments: --out d.svg"),
-    ("code --x 1/4 --lambda 1/2 --bits 64",
-     "error: unrecognized arguments: --bits 64"),
-    ("common --targets 1/3,abc",
-     "error: argument --targets: not a rational: 'abc'"),
+    Refused("verify --case B --trials 1",
+            "error: the following arguments are required: --x"),
+    Refused("verify --case A --x 1/3 --trials 1",
+            "error: unrecognized arguments: --case A"),
+    Refused("svg-gaps --x 1/3 --qmax 2",
+            "error: argument --qmax: invalid choice: 2 (choose from 0, 1)"),
+    Refused("svg-gaps --x 1/3 --qmax -1",
+            "error: argument --qmax: invalid choice: -1 (choose from 0, 1)"),
+    Refused("cover --x 1/3 --depth 2 --format csv",
+            "error: unrecognized arguments: --format csv"),
+    Refused("cover --x 1/3 --depth 2 --format json",
+            "error: unrecognized arguments: --format json"),
+    Refused("svg-gaps --x 1/3 --out d.svg",
+            "error: unrecognized arguments: --out d.svg"),
+    Refused("code --x 1/4 --lambda 1/2 --bits 64",
+            "error: unrecognized arguments: --bits 64"),
+    Refused("common --targets 1/3,abc",
+            "error: argument --targets: not a rational: 'abc'"),
+    # values out of range, refused before any work
+    Refused("cover --x 1/2 --depth 2", "error: x must lie in (0, 1/2): 1/2"),
+    Refused("verify --x 1/3 --trials 0", TRIALS + "0"),
+    Refused("verify --x 1/3 --trials -1", TRIALS + "-1"),
+    Refused("verify --x 1/4 --trials 0", TRIALS + "0"),
+    Refused("verify --x 1/4 --trials -1", TRIALS + "-1"),
+    Refused("cover --x 1/4 --depth 2 --width-bits -3",
+            "error: width_bits must be nonnegative"),
+    Refused(f"{DIM} -3", "error: grid exponent -3 is negative"),
+    Refused("common --targets 1/3 --depth 1 --bits 0", MIN_BITS),
+    Refused("common --targets 1/3 --depth 1 --bits 16", MIN_BITS),
+    Refused("thickness-cl --ell 1 --qmax -1 --x 1/3", TAIL),
+    Refused("thickness-cl --ell 1 --kmax 0 --x 1/3", TAIL),
+    Refused("thickness-cl --ell 1 --qmax -2 --x 1/3", TAIL),
+    Refused("cantor-ds --ell 0 --x 1/3", TAIL),
+    Refused("svg-gaps --kmax 0 --x 1/3", TAIL),
     # huge decimal exponents, refused before Fraction computes 10^|e|
-    ("expansion --x 1e-100000000",
-     "error: argument --x: not a rational: '1e-100000000'"),
-    ("cover --x 1e-1_000_000 --depth 2",
-     "error: argument --x: not a rational: '1e-1_000_000'"),
+    Refused("expansion --x 1e-100000000",
+            "error: argument --x: not a rational: '1e-100000000'"),
+    Refused("cover --x 1e-1_000_000 --depth 2",
+            "error: argument --x: not a rational: '1e-1_000_000'"),
+    Refused("thickness --gaps -", "error: not a rational: '1e-10000000'",
+            '{"hull": ["0", "1"], "gaps": [["1e-10000000", "1/2"]]}'),
+    # gap files of the wrong shape
+    Refused("thickness --gaps -", GAP_FILE, "[1, 2]"),
+    Refused("thickness --gaps -", GAP_FILE, '{"hull": [0], "gaps": []}'),
+    Refused("thickness --gaps -", GAP_FILE, '{"hull": [0, 1], "gaps": 5}'),
+    # a thickness of about 2^1099, past the float range of `thickness_float`
+    Refused("thickness --gaps - --bits 2000",
+            "error: integer division result too large for a float",
+            json.dumps({"hull": ["0", "1"], "gaps": [
+                ["1/2", str(Fraction(1, 2) + Fraction(1, 1 << 1100))]]})),
     # 10^-4300's period is far past the budget: no greedy run. Rationals
     # print in full, past the integer-to-string digit limit.
-    ("expansion --x 1e-4300", EXPANSION + "0" * 4300),
-    ("cover --x 1e4300 --depth 2",
-     "error: x must lie in (0, 1/2): 1" + "0" * 4300),
-    (f"expansion --x {TINY}", EXPANSION + "0" * 8600),
-    (f"cover --x {TINY} --depth 2", EXPANSION + "0" * 8600),
+    Refused("expansion --x 1e-4300", EXPANSION + "0" * 4300),
+    Refused("cover --x 1e4300 --depth 2",
+            "error: x must lie in (0, 1/2): 1" + "0" * 4300),
+    Refused(f"expansion --x {TINY}", EXPANSION + "0" * 8600),
+    Refused(f"cover --x {TINY} --depth 2", EXPANSION + "0" * 8600),
     # a box below 2^-16384, a ladder of more sizes than the digit budget, or
     # a precision or a width past 16384 bits, is refused before any work
-    (f"{DIM} 16383 --eps-max-exp 16385",
-     "error: grid exponent 16385 is above 16384"),
-    (f"{DIM} 4 --eps-max-exp 100000000000",
-     "error: more than 16385 grid sizes: 99999999997"),
-    (f"{DIM} 9999999999 --eps-max-exp 10000000000",
-     "error: grid exponent 10000000000 is above 16384"),
-    ("cover --x 1/3 --depth 2 --bits 1000000",
-     "error: precision_bits must be at most 16384"),
-    ("cover --x 1/3 --depth 2 --width-bits 1000000",
-     "error: width_bits must be at most 16384"),
+    Refused(f"{DIM} 16383 --eps-max-exp 16385",
+            "error: grid exponent 16385 is above 16384"),
+    Refused(f"{DIM} 4 --eps-max-exp 100000000000",
+            "error: more than 16385 grid sizes: 99999999997"),
+    Refused(f"{DIM} 9999999999 --eps-max-exp 10000000000",
+            "error: grid exponent 10000000000 is above 16384"),
+    Refused("cover --x 1/3 --depth 2 --bits 1000000",
+            "error: precision_bits must be at most 16384"),
+    Refused("cover --x 1/3 --depth 2 --width-bits 1000000",
+            "error: width_bits must be at most 16384"),
+    # deep covers, common-ratio searches, long expansions, high piece
+    # indices, trial counts and gap records meet the same budget before any
+    # root is solved; the diagram's refusal names its default q_max of 1
+    Refused("cover --x 1/3 --depth 60",
+            "error: more than 16384 admissible prefixes of length 60 for 1/3"),
+    Refused("cover --x 1/3 --depth 2000", "error: more than 16384 "
+            "admissible prefixes of length 2000 for 1/3"),
+    Refused("cover --x 1/3 --depth 1000000000", "error: more than 16384 "
+            "admissible prefixes of length 1000000000 for 1/3"),
+    Refused("common --targets 1/3 --depth 1000", "error: more than 16384 "
+            "denominators or candidate ratios for depth 1000"),
+    Refused("common --targets 1/3 --depth 34", "error: more than 16384 "
+            "denominators or candidate ratios for depth 34"),
+    Refused("common --targets 1/3,1/4 --depth 40", "error: more than 16384 "
+            "denominators or candidate ratios for depth 40"),
+    Refused("cover --x 0.1234567 --depth 4", "error: more than 16384 digits "
+            "in the binary expansion of 1234567/10000000"),
+    Refused("expansion --x 0.123456789", "error: more than 16384 digits in "
+            "the binary expansion of 123456789/1000000000"),
+    Refused("cover --x 1e-30 --depth 3", EXPANSION + "0" * 30),
+    Refused("pieces --x 1/3 --k 100000",
+            "error: more than 16384 pieces: k=100000"),
+    Refused("verify --x 1/3 --trials 16385",
+            "error: more than 16384 trials: 16385"),
+    Refused("verify --x 1/4 --trials 1000000000",
+            "error: more than 16384 trials: 1000000000"),
+    Refused("thickness-cl --x 1/3 --ell 1 --kmax 3 --qmax 30",
+            "error: more than 16384 gap records for k_max=3, q_max=30"),
+    Refused("cantor-ds --x 1/3 --ell 1 --kmax 3 --qmax 30",
+            "error: more than 16384 gap records for k_max=3, q_max=30"),
+    Refused("svg-gaps --x 1/3 --ell 1 --kmax 20000",
+            "error: more than 16384 gap records for k_max=20000, q_max=1"),
     # overlapping 2^-80 switch_lower cells, and a 2^-64 square_identity cell
     # whose residual misses the cap, are undecided, not violated
-    ("verify --x 1/1000 --trials 5",
-     "error: switch_lower of word 01001010011 not decided at target width "
-     "2^-80"),
-    ("verify --x 1/4 --trials 5 --width-bits 64",
-     "error: square_identity of piece 1 not decided at target width 2^-64"),
+    Refused("verify --x 1/1000 --trials 5",
+            "error: switch_lower of word 01001010011 not decided at target "
+            "width 2^-80"),
+    Refused("verify --x 1/4 --trials 5 --width-bits 64",
+            "error: square_identity of piece 1 not decided at target width "
+            "2^-64"),
 ]
 
 
@@ -284,8 +398,8 @@ def main() -> int:
         if run is None or run[0] != 0 or {
                 sha256(run[1]), manifest_digest(run[2])} != {digest}:
             failed.append((command, run))
-    for command, line in REFUSED:
-        run = _replay(command, None, 2)
+    for command, line, stdin in REFUSED:
+        run = _replay(command, stdin, 2)
         if run is None or not refused_as_pinned(*run, line):
             failed.append((command, run))
     for command, run in failed:

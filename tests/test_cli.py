@@ -6,6 +6,7 @@ import re
 import signal
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from lambdaset.cli import COMMANDS, load_schema, main
 from lambdaset.numerics import Enclosure
-from pinned import (PINNED, REFUSED, Pinned, manifest_digest,
-                    middle_alpha_gaps, refused_as_pinned, sha256)
+from pinned import (PINNED, REFUSED, manifest_digest, middle_alpha_gaps,
+                    refused_as_pinned, sha256)
 
 
 def run(capsys, *argv):
@@ -53,12 +54,6 @@ def test_pi_and_expansion(capsys):
     assert code == 0 and payload["sequence"] == "01(0)"
 
 
-def test_determinism(capsys):
-    _, out1, _ = run(capsys, "cover", "--x", "1/4", "--depth", "4")
-    _, out2, _ = run(capsys, "cover", "--x", "1/4", "--depth", "4")
-    assert out1 == out2
-
-
 def test_symmetry_reduction(capsys):
     code, out_high, err = run(capsys, "cover", "--x", "3/4", "--depth", "3")
     assert code == 0
@@ -66,46 +61,6 @@ def test_symmetry_reduction(capsys):
     assert manifest["notes"]["symmetry_reduced_from"] == "3/4"
     _, out_low, _ = run(capsys, "cover", "--x", "1/4", "--depth", "3")
     assert out_high == out_low
-
-
-def test_exit_codes(capsys, tmp_path):
-    assert run(capsys, "bogus")[0] == 1
-    assert run(capsys)[2].endswith(
-        "error: the following arguments are required: command\n")
-    assert run(capsys, "cover", "--x", "1/2", "--depth", "2")[0] == 1
-    assert run(capsys, "verify", "--trials", "2")[0] == 1
-    assert run(capsys, "code", "--x", "not-a-number", "--lambda", "1/2")[0] == 1
-    for x in ("1/3", "1/4"):
-        for trials in ("0", "-1"):
-            code, out, err = run(capsys, "verify", "--x", x, "--trials", trials)
-            assert code == 1 and out == "" and err.startswith("error: ")
-    code, _, err = run(capsys, "cover", "--x", "1/4", "--depth", "2",
-                       "--width-bits", "-3")
-    assert code == 1 and err == "error: width_bits must be nonnegative\n"
-    code, _, err = run(capsys, "dim", "--x", "1/3", "--center", "9/20",
-                       "--radius", "1/20", "--eps-min-exp", "-3")
-    assert code == 1 and err == "error: grid exponent -3 is negative\n"
-    for bits in ("0", "16"):
-        code, out, err = run(capsys, "common", "--targets", "1/3", "--depth",
-                             "1", "--bits", bits)
-        assert code == 1 and out == "" and err.count("\n") == 1
-        assert err.startswith("error: ")
-    for argv in (["thickness-cl", "--ell", "1", "--qmax", "-1"],
-                 ["thickness-cl", "--ell", "1", "--kmax", "0"],
-                 ["thickness-cl", "--ell", "1", "--qmax", "-2"],
-                 ["cantor-ds", "--ell", "0"],
-                 ["svg-gaps", "--kmax", "0"]):
-        code, out, err = run(capsys, *argv, "--x", "1/3")
-        assert code == 1 and out == "" and err.count("\n") == 1
-        assert err.startswith("error: ")
-    # a thickness beyond the float range
-    path = tmp_path / "gaps.json"
-    path.write_text(json.dumps({"hull": ["0", "1"], "gaps": [
-        ["1/2", str(Fraction(1, 2) + Fraction(1, 1 << 1100))]]}))
-    code, out, err = run(capsys, "thickness", "--bits", "2000",
-                         "--gaps", str(path))
-    assert code == 1 and out == "" and err.count("\n") == 1
-    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -343,68 +298,42 @@ def test_manifest_echoes_targets(capsys):
     assert manifest["parameters"]["targets"] == "1/3,1/4"
 
 
-def test_prefix_budget_ends_deep_covers(capsys):
-    # tail constructions, common-ratio searches, long expansions, high
-    # piece indices and trial counts meet the same budget before any root
-    # is solved
-    for argv in (["cover", "--x", "1/3", "--depth", "60"],
-                 ["cover", "--x", "1/3", "--depth", "2000"],
-                 ["cover", "--x", "1/3", "--depth", "1000000000"],
-                 ["common", "--targets", "1/3", "--depth", "1000"],
-                 ["common", "--targets", "1/3", "--depth", "34"],
-                 ["verify", "--x", "1/3", "--trials", "16385"],
-                 ["verify", "--x", "1/4", "--trials", "1000000000"],
-                 ["thickness-cl", "--x", "1/3", "--ell", "1", "--kmax", "3",
-                  "--qmax", "30"],
-                 ["cantor-ds", "--x", "1/3", "--ell", "1", "--kmax", "3",
-                  "--qmax", "30"],
-                 ["common", "--targets", "1/3,1/4", "--depth", "40"],
-                 ["cover", "--x", "0.1234567", "--depth", "4"],
-                 ["expansion", "--x", "0.123456789"],
-                 ["cover", "--x", "1e-30", "--depth", "3"],
-                 ["pieces", "--x", "1/3", "--k", "100000"],
-                 ["svg-gaps", "--x", "1/3", "--ell", "1", "--kmax", "20000"]):
-        started = time.monotonic()
-        code, out, err = run(capsys, *argv)
-        assert time.monotonic() - started < 2
-        assert code == 1 and out == "" and err.count("\n") == 1
-        assert err.startswith("error: more than ")
-        if argv[0] == "svg-gaps":
-            # the diagram's default truncation, gap words of length at
-            # most 1, is the one its refusal names
-            assert err == ("error: more than 16384 gap records for "
-                           "k_max=20000, q_max=1\n")
-
-
 def _run_id(command: str, stdin: str | None = None) -> str:
     """A run as a test id: its command, with an argument of 100 characters
     or more shown by its length, and the size of what it reads from stdin."""
     name = " ".join(a if len(a) < 100 else f"<{len(a)} chars>"
-                    for a in command.split())
+                    for a in command.split()) or "no-arguments"
     return name if stdin is None else f"{name} <{len(stdin)} bytes"
 
 
 @pytest.mark.parametrize("row", PINNED,
                          ids=[_run_id(r.command, r.stdin) for r in PINNED])
 def test_stdout_matches_pinned_digest(capsys, monkeypatch, row):
+    """The row's stdout, which for every command but svg-gaps is a strict
+    JSON payload that validates against the command's schema."""
     monkeypatch.setattr(sys, "stdin", io.StringIO(row.stdin or ""))
     code, out, err = run(capsys, *row.command.split())
     assert code == 0
     assert sha256(out) == row.digest
     assert manifest_digest(err) == row.digest
+    name = row.command.split()[0]
+    if name != "svg-gaps":
+        jsonschema.validate(json.loads(out, parse_constant=_no_constant),
+                            load_schema(name))
 
 
-@pytest.mark.parametrize("command,line", REFUSED,
-                         ids=[_run_id(command) for command, _ in REFUSED])
-def test_refusal_prints_its_one_error_line_at_once(capsys, command, line):
+@pytest.mark.parametrize("row", REFUSED,
+                         ids=[_run_id(r.command, r.stdin) for r in REFUSED])
+def test_refusal_prints_its_one_error_line_at_once(capsys, monkeypatch, row):
     """Exit 1 within 0.3 s, an empty stdout and the row's `error:` line:
     stderr's only line when the library refuses the run, after the usage
     when the parser does."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(row.stdin or ""))
     started = time.perf_counter()
-    code, out, err = run(capsys, *command.split())
+    code, out, err = run(capsys, *row.command.split())
     assert time.perf_counter() - started < 0.3
-    assert refused_as_pinned(code, out, err, line), (code, out, err[-300:])
-
+    assert refused_as_pinned(code, out, err, row.line), (
+        code, out, err[-300:])
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -443,6 +372,26 @@ def test_dim_refuses_huge_grid_exponents_at_once(capsys, low, high, message):
                "1/20", "--eps-min-exp", low, "--eps-max-exp", high) == (
         1, "", f"error: {message}\n")
     assert time.perf_counter() - started < 1
+
+
+def test_no_two_rows_run_alike():
+    """No two rows of PINNED and REFUSED run the same arguments on the
+    same stdin, so a row is never checked twice under two names."""
+    runs = Counter((tuple(r.command.split()), r.stdin)
+                   for r in [*PINNED, *REFUSED])
+    assert [row for row, count in runs.items() if count > 1] == []
+
+
+def test_pinned_runs_span_every_command():
+    """PINNED runs every command, and every command but svg-gaps, which
+    prints its diagram as text, ships a schema."""
+    assert {r.command.split()[0] for r in PINNED} == set(COMMANDS)
+    for name in set(COMMANDS) - {"svg-gaps"}:
+        assert load_schema(name)["type"] == "object"
+    with pytest.raises(FileNotFoundError):
+        load_schema("svg-gaps")
+
+
 
 def test_deep_multi_target_common_is_quick(capsys):
     # PINNED holds its payload
@@ -555,28 +504,6 @@ def test_thickness_reads_gaps_from_stdin(capsys, monkeypatch, tmp_path):
     assert run(capsys, "thickness", "--gaps", "-")[:2] == (code, out)
 
 
-@pytest.mark.parametrize("doc", [[1, 2], {"hull": [0], "gaps": []},
-                                 {"hull": [0, 1], "gaps": 5}],
-                         ids=["list", "short-hull", "gaps-not-list"])
-def test_thickness_rejects_misshaped_gap_files(capsys, tmp_path, doc):
-    path = tmp_path / "gaps.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "thickness", "--gaps", str(path))
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
-
-
-def test_gap_file_with_a_huge_exponent_is_refused_at_once(capsys, tmp_path):
-    path = tmp_path / "gaps.json"
-    path.write_text(json.dumps({"hull": ["0", "1"],
-                                "gaps": [["1e-10000000", "1/2"]]}))
-    started = time.perf_counter()
-    assert run(capsys, "thickness", "--gaps", str(path)) == (
-        1, "", "error: not a rational: '1e-10000000'\n")
-    assert time.perf_counter() - started < 1
-
-
 @pytest.mark.parametrize("name,digest", [
     ("cli-cover",
      "a5330965d8df881a7058af4242b1bddac08ffb0bbb260bce64dc757327a90a33"),
@@ -652,78 +579,50 @@ def _in_gap_dir(gap_dir, argv: list[str]) -> list[str]:
             for a in argv]
 
 
-SCHEMA_RUNS = [
-    ("code", ["code", "--x", "1/4", "--lambda", "1/2"]),
-    ("pi", ["pi", "--seq", "(01)", "--lambda", "1/2"]),
-    ("expansion", ["expansion", "--x", "1/3"]),
-    ("cover", ["cover", "--x", "1/4", "--depth", "3"]),
-    ("gaps", ["gaps", "--x", "1/4", "--depth", "3"]),
-    ("dim", ["dim", "--x", "1/3", "--center", "0.46", "--radius", "1/16",
-             "--eps-min-exp", "7", "--eps-max-exp", "9", "--bits", "64",
-             "--width-bits", "20"]),
-    # two grid sizes leave no residual degrees of freedom: stderr is null
-    ("dim-two-point", ["dim", "--x", "1/3", "--center", "9/20",
-                       "--radius", "1/20", "--eps-min-exp", "8",
-                       "--eps-max-exp", "9"]),
-    ("pieces", ["pieces", "--x", "1/4", "--k", "1"]),
-    ("cantor-ds", ["cantor-ds", "--x", "1/3", "--ell", "2", "--kmax", "2",
-                   "--qmax", "1"]),
-    ("thickness-cl", ["thickness-cl", "--x", "1/3", "--ell", "2",
-                      "--kmax", "2", "--qmax", "1"]),
-    ("verify", ["verify", "--x", "1/4", "--trials", "2"]),
-    ("intersect", ["intersect", "--targets", "1/3,1/4", "--depth", "3"]),
-    ("common", ["common", "--targets", "1/3,1/4", "--depth", "3"]),
-    # a file of GAP_FILES
-    ("thickness", ["thickness", "--gaps=valid"]),
-]
-
-
-@pytest.mark.parametrize("name,argv", SCHEMA_RUNS, ids=[r[0] for r in SCHEMA_RUNS])
-def test_payloads_validate_against_schemas(capsys, gap_dir, name, argv):
+@pytest.mark.parametrize("argv", [
+    ["common", "--targets", "1/3,1/4,2/7", "--depth", "4"],
+    ["thickness", "--gaps=valid"],
+], ids=["common", "thickness"])
+def test_payloads_validate_against_schemas(capsys, gap_dir, argv):
+    """Runs no PINNED row makes, PINNED's payloads being validated by the
+    digest test: three common targets, and a gap file read by its path."""
     code, payload, _ = run_json(capsys, *_in_gap_dir(gap_dir, argv))
     assert code == 0
     jsonschema.validate(payload, load_schema(argv[0]))
 
 
-# every run that prints JSON, each with its pinned digest if it has one
-JSON_RUNS = ([row for row in PINNED if not row.command.startswith("svg-gaps")]
-             + [Pinned(" ".join(argv), None) for _, argv in SCHEMA_RUNS])
+# every pinned run that prints JSON, on cold memo tables; and the common
+# row once more, on the memo tables its own unpatched run has just warmed
+JSON_RUNS = [(row, False) for row in PINNED
+             if not row.command.startswith("svg-gaps")]
+JSON_RUNS.append((next(row for row in PINNED
+                       if row.command == "common --targets 1/3,1/4 --depth 3"),
+                  True))
 
 
-@pytest.mark.parametrize("row", JSON_RUNS,
-                         ids=[_run_id(r.command, r.stdin) for r in JSON_RUNS])
-def test_no_json_run_reads_a_fraction_view(capsys, gap_dir, monkeypatch,
-                                           clear_memo_tables, row):
+@pytest.mark.parametrize("row,warm", JSON_RUNS,
+                         ids=[_run_id(r.command, r.stdin) for r, _ in JSON_RUNS])
+def test_no_json_run_reads_a_fraction_view(capsys, monkeypatch,
+                                           clear_memo_tables, row, warm):
     """Every JSON command compares and prints cells as integers: with the
-    Fraction views of Enclosure raising, and every memo table cold, each
-    run prints the bytes it prints with them, its pinned digest if it has
-    one. (svg-gaps reads them for its display floats.)"""
-    argv, digest = _in_gap_dir(gap_dir, row.command.split()), row.digest
-    if digest is None:
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        digest = sha256(out)
-
+    Fraction views of Enclosure raising, and every memo table cold (or,
+    for a warm run, filled by the same run without them), each pinned run
+    prints its pinned bytes. (svg-gaps reads them for its display
+    floats.)"""
     def view(self):
         raise AssertionError(f"a Fraction view of {self!r} was read")
 
+    clear_memo_tables()
+    if warm:
+        code, out, _ = run(capsys, *row.command.split())
+        assert code == 0
+        assert sha256(out) == row.digest
     monkeypatch.setattr(Enclosure, "lo", property(view))
     monkeypatch.setattr(Enclosure, "hi", property(view))
-    clear_memo_tables()
     monkeypatch.setattr(sys, "stdin", io.StringIO(row.stdin or ""))
-    code, out, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *row.command.split())
     assert code == 0
-    assert sha256(out) == digest
-
-
-def test_schema_runs_span_every_json_command():
-    # svg-gaps prints its diagram as text, and ships no schema
-    json_commands = sorted(set(COMMANDS) - {"svg-gaps"})
-    assert sorted({argv[0] for _, argv in SCHEMA_RUNS}) == json_commands
-    for name in json_commands:
-        assert load_schema(name)["type"] == "object"
-    with pytest.raises(FileNotFoundError):
-        load_schema("svg-gaps")
+    assert sha256(out) == row.digest
 
 
 # the precision flags each command reads: --bits where it rounds rationals

@@ -16,10 +16,9 @@ from lambdaset.constructions import (CODINGS, PieceEndpoints, _codings,
                                      gap_record, piece_endpoints, thickness_Cl,
                                      verify_caseA, verify_caseB)
 from lambdaset.errors import HypothesisUnsatisfiable, Inconclusive
-from lambdaset.lambda_set import (admissible, admissible_word,
-                                  binary_expansion, psi_inverse)
+from lambdaset.lambda_set import admissible, admissible_word, psi_inverse
 from lambdaset.numerics import Enclosure, PrecisionConfig, exact_str
-from lambdaset.seqcode import EpSequence
+from lambdaset.seqcode import EpSequence, binary_expansion
 
 F = Fraction
 S = EpSequence.from_string

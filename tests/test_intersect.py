@@ -6,9 +6,9 @@ from lambdaset import intersect
 from lambdaset.errors import InvalidInput, OutOfRange
 from lambdaset.ifs_core import greedy_cycle, greedy_digits, membership
 from lambdaset.intersect import find_common, intersect_covers
-from lambdaset.lambda_set import (CoverInterval, IntervalCover,
-                                  binary_expansion, cover)
+from lambdaset.lambda_set import CoverInterval, IntervalCover, cover
 from lambdaset.numerics import Enclosure, PrecisionConfig
+from lambdaset.seqcode import binary_expansion
 
 F = Fraction
 

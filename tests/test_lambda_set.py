@@ -16,12 +16,13 @@ from lambdaset.errors import (DepthBudgetExceeded, InsufficientMembers,
                               InvalidInput, NotAdmissible, OutOfRange)
 from lambdaset.ifs_core import membership, pi_eval, pi_root_poly
 from lambdaset.lambda_set import (admissible, admissible_prefixes,
-                                  admissible_word, binary_expansion,
-                                  block_codes, box_dim_estimate, cover, gaps,
+                                  admissible_word, block_codes,
+                                  box_dim_estimate, cover, gaps,
                                   lipschitz_check, psi_inverse)
 from lambdaset.numerics import (MEMO_TABLES, Enclosure, PrecisionConfig,
                                 round_outward)
-from lambdaset.seqcode import SEQ_01INF, EpSequence, word_str, zero_indices
+from lambdaset.seqcode import (SEQ_01INF, EpSequence, binary_expansion,
+                               word_str, zero_indices)
 from pinned import sha256
 
 F = Fraction

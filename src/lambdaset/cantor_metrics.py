@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, NamedTuple
 
-from .errors import InvalidInput, MalformedSequence, NonpositiveThickness
+from .errors import InvalidInput
 from .numerics import (DEFAULT_CONFIG, Cell, Enclosure, exact_str, on_grid,
                        parse_rational, round_outward)
 
@@ -75,7 +75,7 @@ class DefiningSequence(NamedTuple):
               bits: int = DEFAULT_CONFIG.precision_bits) -> "DefiningSequence":
         """The sequence of a gap file's `hull` and `gaps` lists, whose
         endpoints are strings or JSON numbers. The first endpoint that is
-        not a rational, hull first, raises ValueError."""
+        not a rational, hull first, raises InvalidInput."""
         return cls._on_grid([round_outward(*_ratio(q), bits)
                              for q in chain(hull, *gaps)], bits)
 
@@ -143,11 +143,11 @@ def thickness_of(ds: DefiningSequence) -> Fraction:
     best_num, best_den = None, 1
     for idx, (vl_lo, vl_hi, vr_lo, vr_hi) in enumerate(ds.removals, 1):
         if not vl_hi < vr_lo:
-            raise MalformedSequence(f"removal {idx} has no certified length")
+            raise InvalidInput(f"removal {idx} has no certified length")
         # an odd index means vl_lo lies inside component end // 2
         end = bisect_left(cuts, vl_lo)
         if end % 2 == 0 or not vr_hi < cuts[end]:
-            raise MalformedSequence(
+            raise InvalidInput(
                 f"removal {idx} is not strictly interior to any component")
         bridge = min(vl_lo - cuts[end - 1], cuts[end] - vr_hi)
         gap = vr_hi - vl_lo
@@ -162,7 +162,7 @@ def newhouse_lower(tau) -> float:
     thickness tau. The sign is tested on the exact value, and a tau too
     small for 1/tau to be a finite float is read from its integers."""
     if tau <= 0:
-        raise NonpositiveThickness(
+        raise InvalidInput(
             f"thickness must be positive: {exact_str(Fraction(tau))}")
     t = float(tau)
     if t > 0 and math.isfinite(1 / t):

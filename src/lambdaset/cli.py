@@ -93,17 +93,7 @@ def load_schema(command: str) -> dict:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on usage errors; this tool reserves 2 for
-    verification failures, so usage errors exit 1. A subcommand's parser
-    adds its `pending` arguments when it first parses, so a run builds the
-    arguments of the one command it runs."""
-
-    pending: tuple[tuple[str, dict], ...] = ()
-
-    def parse_known_args(self, args=None, namespace=None):
-        for flag, kwargs in self.pending:
-            self.add_argument(flag, **kwargs)
-        self.pending = ()
-        return super().parse_known_args(args, namespace)
+    verification failures, so usage errors exit 1."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -138,7 +128,7 @@ WIDTH_BITS = ("--width-bits", dict(
 
 def _load_defining_sequence(source: str, bits: int):
     if source == "-":
-        raw = json.load(sys.stdin)
+        raw, source = json.load(sys.stdin), "<stdin>"
     else:
         with open(source, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -309,8 +299,10 @@ def _svg_gaps(args, cfg):
 
 
 def build_parser(argv: Sequence[str] = ()) -> _Parser:
-    """Every subparser, or only argv's first token's, whose metavar then keeps
-    the usage line (a set metavar would stand for `command` in errors)."""
+    """Only the subparser of argv's first token if it names a command, whose
+    metavar then keeps the usage line (a set metavar would stand for
+    `command` in errors); else every subparser, as argparse may still reach
+    one (Python 3.13 reads `-- cover ...` as `cover ...`)."""
     parser = _Parser(prog="lambdaset",
                      description="certified ratio-set computations for "
                                  "two-branch self-similar sets")
@@ -321,7 +313,9 @@ def build_parser(argv: Sequence[str] = ()) -> _Parser:
         names, sub.metavar = [argv[0]], "{" + ",".join(COMMANDS) + "}"
     for name in names:
         entry = COMMANDS[name]
-        sub.add_parser(name, help=entry.help).pending = entry.arguments
+        subparser = sub.add_parser(name, help=entry.help)
+        for flag, kwargs in entry.arguments:
+            subparser.add_argument(flag, **kwargs)
     return parser
 
 

@@ -117,7 +117,7 @@ def piece_endpoints(x: Fraction, k: int,
     """Solve alpha_k, beta_k and alpha_{k+1} for the k-th piece. Memoised,
     with the checks inside the cached body."""
     if k < 1:
-        raise ValueError("k must be positive")
+        raise InvalidInput("k must be positive")
     x = Fraction(x)
     xs = binary_expansion(x)
     if k > MAX_PREFIXES:
@@ -161,12 +161,12 @@ def _tail(x: Fraction, ell: int, k_max: int, q_max: int, cfg: PrecisionConfig
     ell+k_max-1, in order, each with the records of its first
     2^(q_max+1) - 1 gap words.
 
-    Before any root is solved, raise ValueError for a truncation with no
+    Before any root is solved, raise InvalidInput for a truncation with no
     pieces or a negative gap-word length, and DepthBudgetExceeded when it
     needs more than MAX_PREFIXES gap records (four root solves each).
     """
     if ell < 1 or k_max < 1 or q_max < 0:
-        raise ValueError("ell, k_max must be positive and q_max nonnegative")
+        raise InvalidInput("ell, k_max must be positive and q_max nonnegative")
     # the first test keeps a huge q_max from building a huge integer
     if (q_max >= MAX_PREFIXES.bit_length()
             or k_max * ((1 << (q_max + 1)) - 1) > MAX_PREFIXES):

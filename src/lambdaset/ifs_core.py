@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import frexp, gcd, inf, isfinite
 from typing import NamedTuple, Union
 
-from .errors import OutOfRange
+from .errors import InvalidInput
 from .numerics import COUNTERS, HALF
 from .seqcode import EpSequence
 
@@ -68,7 +68,7 @@ def pi_eval(s: EpSequence, lam: Fraction) -> Fraction:
     (1 - lam) Q(lam) / (1 - lam^|v|), v the period and Q = pi_root_poly(s,
     0), by Horner's rule."""
     if not 0 <= lam < 1:
-        raise OutOfRange("contraction ratio must lie in [0, 1)")
+        raise InvalidInput("contraction ratio must lie in [0, 1)")
     acc = 0
     for c in reversed(pi_root_poly(s, 0)):
         acc = acc * lam + c
@@ -284,11 +284,11 @@ def greedy_digits(x: Fraction, lam: Fraction, max_steps: int = 256) -> GreedyOut
     """
     x, lam = Fraction(x), Fraction(lam)
     if not 0 <= x <= 1:
-        raise OutOfRange("x must lie in [0, 1]")
+        raise InvalidInput("x must lie in [0, 1]")
     if not 0 < lam <= HALF:
-        raise OutOfRange("lam must lie in (0, 1/2]")
+        raise InvalidInput("lam must lie in (0, 1/2]")
     if max_steps < 1:
-        raise ValueError("max_steps must be positive")
+        raise InvalidInput("max_steps must be positive")
     # the state y = num/den in lowest terms, with lam = p/q and 1 - lam =
     # rest/q; the states are keyed by that pair
     p, q = lam.numerator, lam.denominator

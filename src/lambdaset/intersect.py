@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import ceil, gcd
 from typing import NamedTuple
 
-from .errors import DepthBudgetExceeded, InvalidInput, OutOfRange
+from .errors import DepthBudgetExceeded, InvalidInput
 from .ifs_core import greedy_cycle
 from .lambda_set import MAX_PREFIXES, CoverInterval, IntervalCover
 from .numerics import (DEFAULT_CONFIG, HALF, HALF_CELL, Enclosure,
@@ -103,9 +103,9 @@ def find_common(targets: list[Fraction], search_depth: int,
     if not targets:
         raise InvalidInput("no targets given")
     if any(not 0 < t < HALF for t in targets):
-        raise OutOfRange("targets must lie in (0, 1/2)")
+        raise InvalidInput("targets must lie in (0, 1/2)")
     if search_depth < 1:
-        raise ValueError("search_depth must be positive")
+        raise InvalidInput("search_depth must be positive")
     floor_lam = max(targets)
     q_cap = 40 + 12 * search_depth
     # the denominators are tested first, so a huge depth is refused before

@@ -17,8 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .errors import (DepthBudgetExceeded, InsufficientMembers, InvalidInput,
-                     NotAdmissible, OutOfRange)
+from .errors import DepthBudgetExceeded, HypothesisUnsatisfiable, InvalidInput
 from .ifs_core import pi_eval, pi_root_poly, root_cell
 from .numerics import (DEFAULT_CONFIG, HALF, HALF_CELL, Cell, Enclosure,
                        PrecisionConfig, dyadic_str, exact_str, memo, on_grid,
@@ -100,7 +99,7 @@ def psi_inverse(x: Fraction, s: EpSequence,
     if s == xs:
         return Enclosure(HALF_CELL, bits)
     if not admissible(xs, s):
-        raise NotAdmissible(
+        raise InvalidInput(
             f"{s} is outside the admissible window for {exact_str(x)}")
     if s == SEQ_01INF and a_m == a_hi:
         return Enclosure((a_m, a_m, n), bits)
@@ -116,11 +115,11 @@ def block_codes(xs: EpSequence, w: tuple[int, ...]
     expansion is xs: the lex-largest (smallest ratio), then the
     lex-smallest (largest ratio).
 
-    w must be an admissible word (admissible_word), or NotAdmissible is
+    w must be an admissible word (admissible_word), or InvalidInput is
     raised. Then w 1^inf never passes 0 1^inf, and w 0^inf is at most xs
     only when w is xs's own prefix, where the high code is xs itself."""
     if not admissible_word(xs, w):
-        raise NotAdmissible(f"{word_str(w)} is no admissible word for {xs}")
+        raise InvalidInput(f"{word_str(w)} is no admissible word for {xs}")
     return (EpSequence(w, (1,)),
             xs if w == xs.prefix(len(w)) else EpSequence(w, (0,)))
 
@@ -133,7 +132,7 @@ def admissible_prefixes(x: Fraction, depth: int) -> list[tuple[int, ...]]:
     more than MAX_PREFIXES of them.
     """
     if depth < 1:
-        raise ValueError("depth must be positive")
+        raise InvalidInput("depth must be positive")
     x = Fraction(x)
     binary_expansion(x)  # range check
     # 1/2 - x >= 1/(2q) for x = p/q, so beyond this depth there are more
@@ -281,10 +280,10 @@ def lipschitz_check(x: Fraction, lam: Fraction, samples: int, seed: int = 0,
     quotients must clear x (1-2 lam)^2 / lam.
     """
     if samples < 1:
-        raise ValueError("samples must be positive")
+        raise InvalidInput("samples must be positive")
     x, lam = Fraction(x), Fraction(lam)
     if not x < lam < HALF:
-        raise OutOfRange("need x < lam < 1/2")
+        raise InvalidInput("need x < lam < 1/2")
     rng = random.Random(seed)
     xs = binary_expansion(x)
     members: dict[EpSequence, tuple[Enclosure, Fraction]] = {}
@@ -303,7 +302,7 @@ def lipschitz_check(x: Fraction, lam: Fraction, samples: int, seed: int = 0,
                   key=lambda t: t[0])
     certified = [(a, b) for a, b in combinations(pool, 2) if a[1] < b[0]]
     if len(certified) < samples:
-        raise InsufficientMembers(
+        raise HypothesisUnsatisfiable(
             f"{len(certified)} distinct member pairs below "
             f"{exact_str(lam)} are certified, fewer than {samples}")
     bound = x * (1 - 2 * lam) ** 2 / lam

@@ -9,7 +9,9 @@ outward (round_outward) only what it stores; the Fraction ends, computed
 on each read, are for public readers. Cells print as exact decimals, and
 every rational a payload or an error message holds prints exactly
 (exact_str, dyadic_str), also past the interpreter's integer-to-string
-digit limit. Only this module knows how a cell is encoded.
+digit limit. The root solver, covers, ledgers and replays read the (lo,
+hi, e) integers of a cell; this module owns the outward rounding, the
+common grid and the printing.
 
 It also holds the registry the CLI manifest reads: `memo`, the one way to
 memoise, lists each table in MEMO_TABLES, and a module adds counters to
@@ -22,6 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Callable, NamedTuple, Sequence
+
+from .errors import InvalidInput
 
 __all__ = [
     "HALF",
@@ -80,10 +84,10 @@ def parse_rational(text: str) -> Fraction:
         digits = exponent.strip().lstrip("+-").replace("_", "")
         if e and (len(digits) > MAX_EXPONENT
                   or digits.isdecimal() and int(digits) > MAX_EXPONENT):
-            raise ValueError("exponent out of range")
+            raise InvalidInput("exponent out of range")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+        raise InvalidInput(f"not a rational: {text!r}") from exc
 
 
 # Integers of at most this many bits print with plain str(): about 600
@@ -185,8 +189,8 @@ class Enclosure(_Enclosure):
     def __new__(cls, cell: Cell, bits: int):
         lo, hi, e = cell
         if lo > hi:
-            raise ValueError("enclosure endpoints out of order: "
-                             f"{_decimal(lo, e)} > {_decimal(hi, e)}")
+            raise InvalidInput("enclosure endpoints out of order: "
+                               f"{_decimal(lo, e)} > {_decimal(hi, e)}")
         return super().__new__(cls, (lo, hi, e), bits)
 
     @classmethod
@@ -245,13 +249,13 @@ class PrecisionConfig(_Precision):
 
     def __new__(cls, precision_bits: int = 128, width_bits: int = 80):
         if precision_bits < 32:
-            raise ValueError("precision_bits must be at least 32")
+            raise InvalidInput("precision_bits must be at least 32")
         if width_bits < 0:
-            raise ValueError("width_bits must be nonnegative")
+            raise InvalidInput("width_bits must be nonnegative")
         if precision_bits > MAX_BITS:
-            raise ValueError(f"precision_bits must be at most {MAX_BITS}")
+            raise InvalidInput(f"precision_bits must be at most {MAX_BITS}")
         if width_bits > MAX_BITS:
-            raise ValueError(f"width_bits must be at most {MAX_BITS}")
+            raise InvalidInput(f"width_bits must be at most {MAX_BITS}")
         return super().__new__(cls, precision_bits, width_bits)
 
     @classmethod

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import DepthBudgetExceeded, OutOfRange, PeriodAllOnes
+from .errors import DepthBudgetExceeded, InvalidInput
 from .numerics import HALF, exact_str, memo
 
 __all__ = [
@@ -66,7 +66,7 @@ class EpSequence:
 
     def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]):
         if not period:
-            raise ValueError("period must be nonempty")
+            raise InvalidInput("period must be nonempty")
         object.__setattr__(self, "preperiod", preperiod)
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "key", _canonical_bits(preperiod, period))
@@ -97,7 +97,7 @@ class EpSequence:
         """Parse the `PRE(PER)` syntax, e.g. `01(0)`, `(01)`, `0(1)`."""
         m = _SEQ_RE.fullmatch(text.strip())
         if m is None:
-            raise ValueError(f"not a sequence literal: {text!r}")
+            raise InvalidInput(f"not a sequence literal: {text!r}")
         return cls(*(tuple(map(int, g)) for g in m.groups()))
 
     def prefix(self, n: int) -> tuple[int, ...]:
@@ -145,7 +145,7 @@ def binary_expansion(x: Fraction) -> EpSequence:
     """
     x = Fraction(x)
     if not 0 < x < HALF:
-        raise OutOfRange(f"x must lie in (0, 1/2): {exact_str(x)}")
+        raise InvalidInput(f"x must lie in (0, 1/2): {exact_str(x)}")
     # For x = p/q in lowest terms, q = 2^a q', step n leaves the state
     # (p 2^n mod q) / q, whose numerator has n factors 2 while n < a; from
     # step a on it cycles with the order of 2 modulo q' (1 if q' = 1). So a
@@ -180,7 +180,7 @@ def n_index(word: tuple[int, ...]) -> int:
 def word_at_position(position: int) -> tuple[int, ...]:
     """Inverse of n_index."""
     if position < 1:
-        raise ValueError("positions start at 1")
+        raise InvalidInput("positions start at 1")
     return tuple(map(int, bin(position)[3:]))
 
 
@@ -192,7 +192,7 @@ def zero_indices(s: EpSequence, count: int) -> list[int]:
     sequence to stay below 0 1^inf, which fails at n = 1.
     """
     if count < 1:
-        raise ValueError("count must be positive")
+        raise InvalidInput("count must be positive")
     # each period supplies `zeros` zeros, one period more covers index 1;
     # with no zero in the period only the preperiod can supply them
     zeros = s.period.count(0)
@@ -200,5 +200,5 @@ def zero_indices(s: EpSequence, count: int) -> list[int]:
     digits = s.prefix(len(s.preperiod) + len(s.period) * periods)
     out = [n for n, d in enumerate(digits[1:], 2) if d == 0][:count]
     if len(out) < count:
-        raise PeriodAllOnes(f"{s} has fewer than {count} zeros at n >= 2")
+        raise InvalidInput(f"{s} has fewer than {count} zeros at n >= 2")
     return out

@@ -229,7 +229,8 @@ EXPANSION = "error: more than 16384 digits in the binary expansion of 1/1"
 TAIL = "error: ell, k_max must be positive and q_max nonnegative"
 TRIALS = "error: trials must be positive, got "
 MIN_BITS = "error: precision_bits must be at least 32"
-GAP_FILE = 'error: -: expected {"hull": [lo, hi], "gaps": [[lo, hi], ...]}'
+GAP_FILE = ('error: <stdin>: expected '
+            '{"hull": [lo, hi], "gaps": [[lo, hi], ...]}')
 
 REFUSED = [
     # no command, an unknown one, a missing flag, and a value not rational

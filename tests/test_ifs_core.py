@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lambdaset.errors import OutOfRange
+from lambdaset.errors import InvalidInput
 from lambdaset.ifs_core import (GUARD_BITS, SEARCH, Member, NotMember,
                                 Unresolved, exact_sign, greedy_cycle,
                                 greedy_digits, membership, newton_cell,
@@ -230,13 +230,13 @@ def test_greedy_maximality_for_dyadic_targets():
 
 
 def test_greedy_domain_errors():
-    with pytest.raises(OutOfRange, match=r"^x must lie in \[0, 1\]$"):
+    with pytest.raises(InvalidInput, match=r"^x must lie in \[0, 1\]$"):
         greedy_digits(F(3, 2), F(1, 2))
-    with pytest.raises(OutOfRange, match=r"^lam must lie in \(0, 1/2\]$"):
+    with pytest.raises(InvalidInput, match=r"^lam must lie in \(0, 1/2\]$"):
         greedy_digits(F(1, 4), F(3, 5))
-    with pytest.raises(OutOfRange, match=r"^lam must lie in \(0, 1/2\]$"):
+    with pytest.raises(InvalidInput, match=r"^lam must lie in \(0, 1/2\]$"):
         greedy_digits(F(1, 4), F(0))
-    with pytest.raises(ValueError, match="^max_steps must be positive$"):
+    with pytest.raises(InvalidInput, match="^max_steps must be positive$"):
         greedy_digits(F(1, 4), F(1, 3), 0)
 
 

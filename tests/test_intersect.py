@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from lambdaset import intersect
-from lambdaset.errors import InvalidInput, OutOfRange
+from lambdaset.errors import InvalidInput
 from lambdaset.ifs_core import greedy_cycle, greedy_digits, membership
 from lambdaset.intersect import find_common, intersect_covers
 from lambdaset.lambda_set import CoverInterval, IntervalCover, cover
@@ -111,9 +111,10 @@ def test_find_common_extreme_targets(cfg):
 
 
 def test_find_common_validation(cfg):
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="^no targets given$"):
         find_common([], 4, cfg)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InvalidInput,
+                       match=r"^targets must lie in \(0, 1/2\)$"):
         find_common([F(3, 4)], 4, cfg)
 
 

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lambdaset import ifs_core, lambda_set, seqcode
-from lambdaset.errors import (DepthBudgetExceeded, InsufficientMembers,
-                              InvalidInput, NotAdmissible, OutOfRange)
+from lambdaset.errors import (DepthBudgetExceeded, HypothesisUnsatisfiable,
+                              InvalidInput)
 from lambdaset.ifs_core import membership, pi_eval, pi_root_poly
 from lambdaset.lambda_set import (admissible, admissible_prefixes,
                                   admissible_word, block_codes,
@@ -38,7 +38,8 @@ def test_binary_expansion_examples():
     assert binary_expansion(F(1, 3)) == S("(01)")
     assert binary_expansion(F(7, 16)) == S("0111(0)")
     for bad in (F(0), F(1, 2), F(3, 4), F(-1, 4)):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidInput,
+                           match=rf"^x must lie in \(0, 1/2\): {bad}$"):
             binary_expansion(bad)
 
 
@@ -424,9 +425,10 @@ def test_admissible_codings_lie_below_x_at_the_grid_origin(pq, pick, pre,
 
 
 def test_psi_inverse_rejects_inadmissible(cfg):
-    with pytest.raises(NotAdmissible):
+    outside = "is outside the admissible window for 1/3$"
+    with pytest.raises(InvalidInput, match=rf"^00\(1\) {outside}"):
         psi_inverse(F(1, 3), S("00(1)"), cfg)          # below the expansion
-    with pytest.raises(NotAdmissible):
+    with pytest.raises(InvalidInput, match=rf"^1\(0\) {outside}"):
         psi_inverse(F(1, 3), S("1(0)"), cfg)           # above 0 1^inf
 
 
@@ -440,7 +442,7 @@ def test_block_codes_bound_each_prefix_block():
     assert not admissible(xs, S("00(1)")) and not admissible(xs, S("1(0)"))
     # a word outside [first |w| digits of xs, 0 1^(|w|-1)] has no codes
     for word in ((0, 0, 1), (1,), (1, 0, 0)):
-        with pytest.raises(NotAdmissible, match="no admissible word"):
+        with pytest.raises(InvalidInput, match="no admissible word"):
             block_codes(xs, word)
     targets = {F(p, q) for q in range(3, 41) for p in range(1, (q + 1) // 2)}
     for x in targets:
@@ -616,11 +618,12 @@ def test_lipschitz_check(cfg):
     assert rep.violations == 0
     assert rep.min_ratio >= rep.bound
     assert rep.pairs == 60
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InvalidInput, match="^need x < lam < 1/2$"):
         lipschitz_check(F(1, 3), F(1, 4), 10)
     # two members below 1667/5000 make one certified pair, which is not
     # counted ten times
-    with pytest.raises(InsufficientMembers, match="^1 distinct member pairs"):
+    with pytest.raises(HypothesisUnsatisfiable,
+                       match="^1 distinct member pairs"):
         lipschitz_check(F(1, 3), F(1667, 5000), 10, seed=0)
 
 

@@ -137,6 +137,24 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def test_every_error_class_is_raised():
+    """Every class of `errors` but the base class is raised by name in the
+    library. An imported class that nothing raises passes the checks
+    above, yet no caller can ever catch it."""
+    from lambdaset import errors
+
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and value.__module__ == errors.__name__}
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert sorted(classes - raised - {"LambdasetError"}) == []
+
+
 # the package's memo tables, each made by `numerics.memo`: a
 # `functools.lru_cache(maxsize=CACHE_SIZE)`
 MEMO_TABLES = {"seqcode.binary_expansion", "lambda_set._target",

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lambdaset import seqcode
-from lambdaset.errors import PeriodAllOnes
+from lambdaset.errors import InvalidInput
 from lambdaset.seqcode import (EpSequence, n_index, word_at_position,
                                zero_indices)
 
@@ -43,9 +43,9 @@ def test_parse_and_str_roundtrip():
         assert str(S(text)) == text
     # a sequence prints the representation it was built with
     assert str(EpSequence((0, 1, 1), (1, 1))) == "011(11)"
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="^not a sequence literal: '01'$"):
         S("01")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="^period must be nonempty$"):
         EpSequence((0,), ())
 
 
@@ -178,9 +178,11 @@ def test_zero_indices_examples():
     assert zero_indices(S("010(0)"), 4) == [3, 4, 5, 6]
     assert zero_indices(S("(01)"), 3) == [3, 5, 7]
     assert zero_indices(S("00(1)"), 1) == [2]
-    with pytest.raises(PeriodAllOnes):
+    with pytest.raises(InvalidInput,
+                       match=r"^00\(1\) has fewer than 2 zeros at n >= 2$"):
         zero_indices(S("00(1)"), 2)
-    with pytest.raises(PeriodAllOnes):
+    with pytest.raises(InvalidInput,
+                       match=r"^0\(1\) has fewer than 1 zeros at n >= 2$"):
         zero_indices(S("0(1)"), 1)
 
 

@@ -128,10 +128,14 @@ WIDTH_BITS = ("--width-bits", dict(
 
 def _load_defining_sequence(source: str, bits: int):
     if source == "-":
-        raw, source = json.load(sys.stdin), "<stdin>"
+        text, source = sys.stdin.read(), "<stdin>"
     else:
         with open(source, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            text = fh.read()
+    try:  # integers stay digit strings, which _ratio reads or refuses itself
+        raw = json.loads(text, parse_int=str)
+    except ValueError as exc:
+        raise InvalidInput(f"{source}: not JSON: {exc}") from None
     if not (isinstance(raw, dict)
             and isinstance(raw.get("hull"), list) and len(raw["hull"]) == 2
             and isinstance(raw.get("gaps"), list)
@@ -292,7 +296,7 @@ def _common(args, cfg):
 
 @command("svg-gaps", "static gap-structure diagram", X,
          ("--ell", dict(type=int, default=1)), ("--kmax", dict(type=int, default=3)),
-         ("--qmax", dict(type=int, choices=(0, 1), default=1)),
+         ("--qmax", dict(type=int, default=1)),
          BITS, WIDTH_BITS)
 def _svg_gaps(args, cfg):
     return lib.svg_gaps(args.x, args.ell, args.kmax, args.qmax, cfg), 0

@@ -8,6 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .constructions import _tail
+from .errors import InvalidInput
 from .numerics import DEFAULT_CONFIG, PrecisionConfig
 
 __all__ = ["svg_gaps"]
@@ -29,8 +30,9 @@ def _label(x: float, y: int, text: str) -> str:
 
 def svg_gaps(x: Fraction, ell: int, k_max: int, q_max: int,
              cfg: PrecisionConfig = DEFAULT_CONFIG) -> str:
-    """Render pieces ell..ell+k_max-1 and their first gaps as an SVG string:
-    the first gap word when q_max is 0, the first three when it is 1."""
+    """Pieces ell..ell+k_max-1 and their first 2^(q_max+1)-1 gaps, as SVG."""
+    if q_max not in (0, 1):
+        raise InvalidInput(f"q_max must be 0 or 1, got {q_max}")
     x = Fraction(x)
     tail = _tail(x, ell, k_max, q_max, cfg)
     n_first = len(tail[0][1])

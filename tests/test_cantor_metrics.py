@@ -327,12 +327,6 @@ def test_thickness_examples():
     assert abs(thickness_of(single) - 1) <= TOL
 
 
-def test_middle_alpha_formula():
-    for alpha in (F(1, 3), F(1, 2), F(3, 5)):
-        tau = thickness_of(middle_alpha(alpha, 4))
-        assert abs(tau - (1 - alpha) / (2 * alpha)) <= TOL
-
-
 def test_thickness_affine_invariance():
     for scale, shift in ((F(3, 7), F(2)), (F(5), F(-1, 3)), (F(1, 9), F(0))):
         plain = middle_alpha(F(1, 2), 3)

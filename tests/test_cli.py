@@ -54,15 +54,6 @@ def test_pi_and_expansion(capsys):
     assert code == 0 and payload["sequence"] == "01(0)"
 
 
-def test_symmetry_reduction(capsys):
-    code, out_high, err = run(capsys, "cover", "--x", "3/4", "--depth", "3")
-    assert code == 0
-    manifest = json.loads(err.strip().splitlines()[-1])
-    assert manifest["notes"]["symmetry_reduced_from"] == "3/4"
-    _, out_low, _ = run(capsys, "cover", "--x", "1/4", "--depth", "3")
-    assert out_high == out_low
-
-
 def _whole_parser(description: str):
     """Every subparser with all its arguments, built from COMMANDS."""
     from lambdaset import cli
@@ -328,17 +319,43 @@ def _run_id(command: str, stdin: str | None = None) -> str:
 @pytest.mark.parametrize("row", PINNED,
                          ids=[_run_id(r.command, r.stdin) for r in PINNED])
 def test_stdout_matches_pinned_digest(capsys, monkeypatch, row):
-    """The row's stdout, which for every command but svg-gaps is a strict
-    JSON payload that validates against the command's schema."""
+    """The row exits 0 and prints the stdout of its digest, which the
+    manifest repeats; for every command but svg-gaps a strict JSON payload
+    valid under the command's schema."""
     monkeypatch.setattr(sys, "stdin", io.StringIO(row.stdin or ""))
     code, out, err = run(capsys, *row.command.split())
     assert code == 0
-    assert sha256(out) == row.digest
-    assert manifest_digest(err) == row.digest
+    assert sha256(out) == manifest_digest(err) == row.digest
     name = row.command.split()[0]
     if name != "svg-gaps":
         jsonschema.validate(json.loads(out, parse_constant=_no_constant),
                             load_schema(name))
+
+
+# every pinned run that prints JSON (svg-gaps reads the Fraction views of
+# Enclosure for its display floats)
+JSON_RUNS = [row for row in PINNED if not row.command.startswith("svg-gaps")]
+
+
+@pytest.mark.parametrize("row", JSON_RUNS,
+                         ids=[_run_id(r.command, r.stdin) for r in JSON_RUNS])
+def test_no_json_run_reads_a_fraction_view(capsys, monkeypatch,
+                                           clear_memo_tables, row):
+    """Every JSON command compares and prints cells as integers: with the
+    Fraction views of Enclosure raising, each pinned run prints its pinned
+    bytes from cold memo tables, then again on the tables that run
+    filled."""
+    def view(self):
+        raise AssertionError(f"a Fraction view of {self!r} was read")
+
+    monkeypatch.setattr(Enclosure, "lo", property(view))
+    monkeypatch.setattr(Enclosure, "hi", property(view))
+    clear_memo_tables()
+    for _ in ("cold", "warm"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(row.stdin or ""))
+        code, out, _ = run(capsys, *row.command.split())
+        assert code == 0
+        assert sha256(out) == row.digest
 
 
 @pytest.mark.parametrize("row", REFUSED,
@@ -353,44 +370,6 @@ def test_refusal_prints_its_one_error_line_at_once(capsys, monkeypatch, row):
     assert time.perf_counter() - started < 0.3
     assert refused_as_pinned(code, out, err, row.line), (
         code, out, err[-300:])
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["expansion", "--x", "1e-4300"],
-     "more than 16384 digits in the binary expansion of 1/1" + "0" * 4300),
-    (["cover", "--x", "1e4300", "--depth", "2"],
-     "x must lie in (0, 1/2): 1" + "0" * 4300),
-], ids=["expansion", "cover"])
-def test_error_messages_print_rationals_past_the_digit_limit(capsys, argv,
-                                                             message):
-    """A refusal names its rational in full, not the interpreter's
-    integer-to-string limit."""
-    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
-
-
-def test_expansion_of_a_tiny_target_is_refused_at_once(capsys):
-    """10^-4300 has a denominator of fewer than 16384 bits, but 2 has a
-    huge order modulo 5^4300: the refusal takes no greedy run."""
-    started = time.perf_counter()
-    assert run(capsys, "expansion", "--x", "1e-4300")[0] == 1
-    assert time.perf_counter() - started < 0.3
-
-
-@pytest.mark.parametrize("low,high,message", [
-    ("16383", "16385", "grid exponent 16385 is above 16384"),
-    ("4", "100000000000", "more than 16385 grid sizes: 99999999997"),
-    ("9999999999", "10000000000", "grid exponent 10000000000 is above 16384"),
-], ids=["just-past", "long-ladder", "huge-exponent"])
-def test_dim_refuses_huge_grid_exponents_at_once(capsys, low, high, message):
-    """A box below 2^-16384, past the expansion digit budget, or a ladder
-    of more sizes than that budget allows, is refused before any ladder or
-    box size is built: a billion-element list or a 2^(10^10) denominator
-    would exhaust memory first."""
-    started = time.perf_counter()
-    assert run(capsys, "dim", "--x", "1/3", "--center", "9/20", "--radius",
-               "1/20", "--eps-min-exp", low, "--eps-max-exp", high) == (
-        1, "", f"error: {message}\n")
-    assert time.perf_counter() - started < 1
 
 
 def test_no_two_rows_run_alike():
@@ -465,12 +444,6 @@ def test_verify_subcommand(capsys):
     assert code == 0
     assert payload["violations"] == []
     assert payload["checked"] == len(payload["entries"])
-
-
-def test_svg_output(capsys):
-    code, out, _ = run(capsys, "svg-gaps", "--x", "1/3", "--ell", "1",
-                       "--kmax", "2", "--qmax", "1")
-    assert code == 0 and out.startswith("<svg")
 
 
 def test_thickness_from_file(capsys, tmp_path):
@@ -608,40 +581,6 @@ def test_payloads_validate_against_schemas(capsys, gap_dir, argv):
     code, payload, _ = run_json(capsys, *_in_gap_dir(gap_dir, argv))
     assert code == 0
     jsonschema.validate(payload, load_schema(argv[0]))
-
-
-# every pinned run that prints JSON, on cold memo tables; and the common
-# row once more, on the memo tables its own unpatched run has just warmed
-JSON_RUNS = [(row, False) for row in PINNED
-             if not row.command.startswith("svg-gaps")]
-JSON_RUNS.append((next(row for row in PINNED
-                       if row.command == "common --targets 1/3,1/4 --depth 3"),
-                  True))
-
-
-@pytest.mark.parametrize("row,warm", JSON_RUNS,
-                         ids=[_run_id(r.command, r.stdin) for r, _ in JSON_RUNS])
-def test_no_json_run_reads_a_fraction_view(capsys, monkeypatch,
-                                           clear_memo_tables, row, warm):
-    """Every JSON command compares and prints cells as integers: with the
-    Fraction views of Enclosure raising, and every memo table cold (or,
-    for a warm run, filled by the same run without them), each pinned run
-    prints its pinned bytes. (svg-gaps reads them for its display
-    floats.)"""
-    def view(self):
-        raise AssertionError(f"a Fraction view of {self!r} was read")
-
-    clear_memo_tables()
-    if warm:
-        code, out, _ = run(capsys, *row.command.split())
-        assert code == 0
-        assert sha256(out) == row.digest
-    monkeypatch.setattr(Enclosure, "lo", property(view))
-    monkeypatch.setattr(Enclosure, "hi", property(view))
-    monkeypatch.setattr(sys, "stdin", io.StringIO(row.stdin or ""))
-    code, out, _ = run(capsys, *row.command.split())
-    assert code == 0
-    assert sha256(out) == row.digest
 
 
 # the precision flags each command reads: --bits where it rounds rationals

@@ -18,6 +18,7 @@ from lambdaset.numerics import (MAX_BITS, Enclosure, PrecisionConfig,
                                 parse_rational)
 from lambdaset.seqcode import (EpSequence, binary_expansion,
                                word_at_position, zero_indices)
+from lambdaset.svg import svg_gaps
 
 SEQ = EpSequence((0,), (1,))
 HULL = (F(0), F(1))
@@ -64,6 +65,7 @@ BAD_CALLS = [
      lambda: thickness_of(DefiningSequence.from_fractions(
          HULL, [(F(2), F(3))])), InvalidInput),
     ("thickness 0", lambda: newhouse_lower(0), InvalidInput),
+    ("diagram q_max 2", lambda: svg_gaps(F(1, 3), 1, 1, 2), InvalidInput),
 ]
 
 

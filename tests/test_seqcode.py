@@ -55,18 +55,6 @@ def test_lex_examples():
     assert S("(0)") <= S("(0)") and S("(0)") == S("(0)")
 
 
-@given(sequences, sequences)
-def test_lex_antisymmetric(a, b):
-    assert a <= b or b <= a
-    assert (a <= b and b <= a) == (a == b)
-
-
-@given(sequences, sequences, sequences)
-def test_lex_transitive(a, b, c):
-    if a <= b and b <= c:
-        assert a <= c
-
-
 @given(bits(6), sequences, sequences)
 def test_prefix_invariance(w, s, t):
     ws = EpSequence(w + s.preperiod, s.period)

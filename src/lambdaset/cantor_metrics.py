@@ -80,17 +80,6 @@ class DefiningSequence(NamedTuple):
                              for q in chain(hull, *gaps)], bits)
 
     @classmethod
-    def from_fractions(cls, hull: tuple[Fraction, Fraction],
-                       removals: Iterable[tuple[Fraction, Fraction]],
-                       bits: int = DEFAULT_CONFIG.precision_bits
-                       ) -> "DefiningSequence":
-        """The sequence of these rationals, each endpoint rounded outward
-        to `bits` significant bits as Enclosure.from_fraction rounds it."""
-        return cls._on_grid([round_outward(*Fraction(q).as_integer_ratio(),
-                                           bits)
-                             for q in chain(hull, *removals)], bits)
-
-    @classmethod
     def from_cells(cls, hull: Interval, removals: Iterable[Interval]
                    ) -> "DefiningSequence":
         """The sequence of solved cells, taken as they are. A cell at

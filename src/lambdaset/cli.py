@@ -136,6 +136,8 @@ def _load_defining_sequence(source: str, bits: int):
         raw = json.loads(text, parse_int=str)
     except ValueError as exc:
         raise InvalidInput(f"{source}: not JSON: {exc}") from None
+    except RecursionError:   # the decoder's own message varies by build
+        raise InvalidInput(f"{source}: JSON nested too deeply") from None
     if not (isinstance(raw, dict)
             and isinstance(raw.get("hull"), list) and len(raw["hull"]) == 2
             and isinstance(raw.get("gaps"), list)

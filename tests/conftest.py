@@ -1,6 +1,12 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from lambdaset.numerics import MEMO_TABLES, PrecisionConfig
+
+# the benchmark's modules, `exact` among them: tier-1's one exact reference
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 
 @pytest.fixture(scope="session")

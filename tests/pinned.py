@@ -225,6 +225,8 @@ class Refused(NamedTuple):
 # 10^-8600 lies below 2^-16384, and its denominator says so before any
 # of its 16384 zero digits is computed
 TINY = "0." + "0" * 4299 + "1e-4300"
+# deeper than any interpreter's default recursion limit: refused in about 2 ms
+NESTED = "[" * 100000 + "]" * 100000
 DIM = "dim --x 1/3 --center 9/20 --radius 1/20 --eps-min-exp"
 EXPANSION = "error: more than 16384 digits in the binary expansion of 1/1"
 TAIL = "error: ell, k_max must be positive and q_max nonnegative"
@@ -296,6 +298,8 @@ REFUSED = [
     Refused("thickness --gaps -", GAP_FILE, "[1, 2]"),
     Refused("thickness --gaps -", GAP_FILE, '{"hull": [0], "gaps": []}'),
     Refused("thickness --gaps -", GAP_FILE, '{"hull": [0, 1], "gaps": 5}'),
+    Refused("thickness --gaps -", "error: <stdin>: JSON nested too deeply",
+            NESTED),
     # a thickness of about 2^1099, past the float range of `thickness_float`
     Refused("thickness --gaps - --bits 2000",
             "error: integer division result too large for a float",

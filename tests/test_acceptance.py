@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 complete. Tolerances are pinned here and nowhere else.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -13,10 +14,12 @@ from lambdaset.cantor_metrics import (DefiningSequence, newhouse_lower,
 from lambdaset.constructions import thickness_Cl, verify_caseA, verify_caseB
 from lambdaset.ifs_core import Member, greedy_digits, membership, pi_eval
 from lambdaset.intersect import find_common
-from lambdaset.lambda_set import (box_dim_estimate, cover, gaps,
+from lambdaset.lambda_set import (admissible, admissible_prefixes,
+                                  box_dim_estimate, cover, gaps,
                                   lipschitz_check, psi_inverse)
 from lambdaset.numerics import PrecisionConfig
-from lambdaset.seqcode import EpSequence
+from lambdaset.seqcode import EpSequence, binary_expansion
+from pinned import middle_alpha_gaps
 
 F = Fraction
 CFG = PrecisionConfig()
@@ -134,25 +137,12 @@ def test_criterion_08_intersection_witness():
                    f"{len(below)} below-1/2 certificate(s) at width <= 2^-60")
 
 
-def _middle_alpha(alpha: F, levels: int) -> DefiningSequence:
-    hull, comps, removed = (F(0), F(1)), [(F(0), F(1))], []
-    for _ in range(levels):
-        nxt = []
-        for a, b in comps:
-            length = b - a
-            gl = a + (1 - alpha) / 2 * length
-            gr = b - (1 - alpha) / 2 * length
-            removed.append((gl, gr))
-            nxt += [(a, gl), (gr, b)]
-        comps = nxt
-    return DefiningSequence.from_fractions(hull, removed)
-
-
 def test_criterion_09_thickness_oracle():
     tol = F(1, 1 << 40)
     ok = True
     for alpha in (F(1, 3), F(1, 2), F(3, 5)):
-        tau = thickness_of(_middle_alpha(alpha, 4))
+        doc = json.loads(middle_alpha_gaps(alpha, 4))
+        tau = thickness_of(DefiningSequence.parse(**doc))
         ok &= abs(tau - (1 - alpha) / (2 * alpha)) <= tol
     ok &= abs(F(newhouse_lower(1)) - LOG2_OVER_LOG3) <= tol
     _report(9, ok, "middle-alpha thickness matches (1-a)/(2a) to 2^-40 "
@@ -165,13 +155,19 @@ def test_criterion_10_cover_soundness_suite():
     for x in (F(1, 4), F(1, 3)):
         c = cover(x, 8, CFG)
         gap_list = gaps(x, 8, CFG)
-        for _ in range(500):
-            lam = x + (F(1, 2) - x) * F(rng.randint(0, 4000), 4000)
-            verdict = membership(x, lam, 300)
-            if verdict is True:
-                ok &= c.covers(lam)
-            if any(g.interior_contains(lam) for g in gap_list):
-                ok &= verdict is not True
+        xs, words = binary_expansion(x), admissible_prefixes(x, 12)
+        cells = 0
+        while cells < 250:
+            # an admissible coding s, so psi_inverse(x, s) holds a member
+            s = EpSequence(rng.choice(words), tuple(
+                rng.randint(0, 1) for _ in range(rng.randint(1, 4))))
+            if not admissible(xs, s):
+                continue
+            cells += 1
+            cell = psi_inverse(x, s, CFG)
+            for end in (cell.lo, cell.hi):
+                ok &= c.covers(end)
+                ok &= not any(g.interior_contains(end) for g in gap_list)
         slack = F(1, 1 << 70)
         previous = None
         for depth in range(1, 9):
@@ -184,5 +180,6 @@ def test_criterion_10_cover_soundness_suite():
                               and chi <= p.hi.hi + slack
                               for p in previous.intervals)
             previous = current
-    _report(10, ok, "1000 membership queries consistent with covers and "
-                    "gaps at depth 8; covers nest across depths 1..8")
+    _report(10, ok, "both ends of 500 member cells lie in the depth-8 cover "
+                    "and in no depth-8 gap's interior; covers nest across "
+                    "depths 1..8")

@@ -35,25 +35,25 @@ def middle_alpha(alpha: F, levels: int, hull=(F(0), F(1))) -> DefiningSequence:
 
 
 def test_malformed_removals():
-    touching = DefiningSequence.from_fractions((F(0), F(1)), [(F(0), F(1, 3))])
+    touching = DefiningSequence.parse((F(0), F(1)), [(F(0), F(1, 3))])
     with pytest.raises(InvalidInput,
                        match="^removal 1 is not strictly interior to any"):
         thickness_of(touching)
-    outside = DefiningSequence.from_fractions((F(0), F(1)), [(F(2), F(3))])
+    outside = DefiningSequence.parse((F(0), F(1)), [(F(2), F(3))])
     with pytest.raises(InvalidInput,
                        match="^removal 1 is not strictly interior to any"):
         thickness_of(outside)
-    overlapping = DefiningSequence.from_fractions(
+    overlapping = DefiningSequence.parse(
         (F(0), F(1)), [(F(1, 3), F(2, 3)), (F(1, 2), F(3, 4))])
     with pytest.raises(InvalidInput,
                        match="^removal 2 is not strictly interior to any"):
         thickness_of(overlapping)
-    empty_gap = DefiningSequence.from_fractions((F(0), F(1)), [(F(1, 2), F(1, 2))])
+    empty_gap = DefiningSequence.parse((F(0), F(1)), [(F(1, 2), F(1, 2))])
     with pytest.raises(InvalidInput,
                        match="^removal 1 has no certified length$"):
         thickness_of(empty_gap)
     with pytest.raises(InvalidInput, match="^defining sequence lists no "):
-        thickness_of(DefiningSequence.from_fractions((F(0), F(1)), []))
+        thickness_of(DefiningSequence.parse((F(0), F(1)), []))
 
 
 def linear_replay(hull, removals):
@@ -135,7 +135,7 @@ def defining_sequences(draw):
 @example(((F(1, 2), F(1, 2)), [(F(1, 4), F(3, 4))], 128))
 def test_integer_replay_matches_fraction_reference(sequence):
     hull, removals, bits = sequence
-    ds = DefiningSequence.from_fractions(hull, removals, bits)
+    ds = DefiningSequence.parse(hull, removals, bits)
     hull, *removals = [(Enclosure.from_fraction(a, bits),
                         Enclosure.from_fraction(b, bits))
                        for a, b in (hull, *removals)]
@@ -323,7 +323,7 @@ def test_thickness_cli_matches_the_definitions(doc, bits):
 def test_thickness_examples():
     assert abs(thickness_of(middle_alpha(F(1, 3), 3)) - 1) <= TOL
     assert abs(thickness_of(middle_alpha(F(1, 2), 3)) - F(1, 2)) <= TOL
-    single = DefiningSequence.from_fractions((F(0), F(1)), [(F(1, 4), F(1, 2))])
+    single = DefiningSequence.parse((F(0), F(1)), [(F(1, 4), F(1, 2))])
     assert abs(thickness_of(single) - 1) <= TOL
 
 

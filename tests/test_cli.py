@@ -1,5 +1,4 @@
 import contextlib
-import importlib
 import io
 import json
 import re
@@ -8,7 +7,6 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import jsonschema
 import pytest
@@ -18,6 +16,7 @@ from lambdaset.cli import COMMANDS, load_schema, main
 from lambdaset.numerics import Enclosure
 from pinned import (PINNED, REFUSED, manifest_digest, middle_alpha_gaps,
                     refused_as_pinned, sha256)
+from workloads import WORKLOADS
 
 
 def run(capsys, *argv):
@@ -508,8 +507,7 @@ def test_benchmark_traffic_prints_its_pinned_bytes(capsys, monkeypatch,
     """The first three seed-1 blocks of a CLI workload of the benchmark,
     run in order in process, each request from cold memo tables as a fresh
     process runs it: every one exits 0, and their stdout is pinned."""
-    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
-    stream = importlib.import_module("workloads").WORKLOADS[name](1, tmp_path)
+    stream = WORKLOADS[name](1, tmp_path)
     outs = []
     for request in [*next(stream), *next(stream), *next(stream)]:
         clear_memo_tables()

@@ -55,46 +55,41 @@ def gap_file(tmp_path):
     return str(path)
 
 
-def test_parser_loads_no_library_module():
-    assert _loaded() == {"lambdaset", "cli", "errors", "numerics"}
+# the lambdaset modules that building the parser loads, and those that one
+# run of each command loads besides: no more, and no module of COSTLY
+PARSER = {"lambdaset", "cli", "errors", "numerics"}
+GREEDY = {"seqcode", "ifs_core"}
+SOLVER = GREEDY | {"lambda_set"}
+LEDGER = SOLVER | {"cantor_metrics", "constructions"}
+DIM = ("dim", "--x", "1/3", "--center", "9/20", "--radius", "1/20",
+       "--eps-min-exp", "8", "--eps-max-exp", "9")
+FOOTPRINTS = {
+    "parser": ((), set()),
+    "code": (("code", "--x", "1/3", "--lambda", "1/5"), GREEDY),
+    "pi": (("pi", "--seq", "0(01)", "--lambda", "1/3"), GREEDY),
+    "expansion": (("expansion", "--x", "1/3"), {"seqcode"}),
+    "cover": (("cover", "--x", "1/3", "--depth", "3"), SOLVER),
+    "thickness": (("thickness", "--gaps", None), {"cantor_metrics"}),
+    "common": (("common", "--targets", "1/3", "--depth", "4"),
+               SOLVER | {"intersect"}),
+    "dim": (DIM, SOLVER),
+    "verify": (("verify", "--x", "1/3", "--trials", "3"), LEDGER),
+    "svg-gaps": (("svg-gaps", "--x", "1/3", "--ell", "1", "--kmax", "2"),
+                 LEDGER | {"svg"}),
+}
 
 
-def test_cover_and_thickness_load_only_their_modules(gap_file):
-    cover = _loaded("cover", "--x", "1/3", "--depth", "3")
-    assert "lambda_set" in cover
-    assert not cover & {"constructions", "intersect", "svg", "cantor_metrics"}
-    thickness = _loaded("thickness", "--gaps", gap_file)
-    assert "cantor_metrics" in thickness
-    assert not thickness & {"lambda_set", "constructions"}
-
-
-def test_expansion_loads_no_root_solver():
-    assert _loaded("expansion", "--x", "1/3") == {
-        "lambdaset", "cli", "errors", "numerics", "seqcode"}
-
-
-@pytest.mark.parametrize("argv", [
-    [],
-    ["code", "--x", "1/3", "--lambda", "1/5"],
-    ["pi", "--seq", "0(01)", "--lambda", "1/3"],
-    ["expansion", "--x", "1/3"],
-    ["cover", "--x", "1/3", "--depth", "3"],
-    ["thickness", "--gaps", None],
-    ["common", "--targets", "1/3", "--depth", "4"],
-    ["dim", "--x", "1/3", "--center", "9/20", "--radius", "1/20",
-     "--eps-min-exp", "8", "--eps-max-exp", "9"],
-    ["verify", "--x", "1/3", "--trials", "3"],
-], ids=["parser", "code", "pi", "expansion", "cover", "thickness", "common",
-        "dim", "verify"])
-def test_costly_stdlib_modules_load_only_where_needed(argv, gap_file):
+@pytest.mark.parametrize("name", FOOTPRINTS)
+def test_costly_stdlib_modules_load_only_where_needed(name, gap_file):
+    """Each command loads exactly the modules of its FOOTPRINTS row, so
+    none of COSTLY either."""
+    argv, modules = FOOTPRINTS[name]
     loaded = _loaded(*(gap_file if a is None else a for a in argv))
-    assert loaded & set(COSTLY) == set()
+    assert loaded == PARSER | modules
 
 
 @pytest.mark.parametrize("argv, layer", [
-    (["dim", "--x", "1/3", "--center", "9/20", "--radius", "1/20",
-      "--eps-min-exp", "8", "--eps-max-exp", "9"],
-     "lambda_set.box_dim_estimate"),
+    (DIM, "lambda_set.box_dim_estimate"),
     (["thickness", "--gaps", None], "cantor_metrics.thickness_of"),
     (["common", "--targets", "1/3", "--depth", "4"], "intersect.find_common"),
     (["pi", "--seq", "0(01)", "--lambda", "1/3"], "ifs_core.pi_eval"),

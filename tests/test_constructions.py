@@ -1,4 +1,3 @@
-import itertools
 import json
 import pickle
 from fractions import Fraction
@@ -16,9 +15,10 @@ from lambdaset.constructions import (CODINGS, PieceEndpoints, _codings,
                                      gap_record, piece_endpoints, thickness_Cl,
                                      verify_caseA, verify_caseB)
 from lambdaset.errors import HypothesisUnsatisfiable, Inconclusive
-from lambdaset.lambda_set import admissible, admissible_word, psi_inverse
+from lambdaset.lambda_set import admissible, psi_inverse
 from lambdaset.numerics import Enclosure, PrecisionConfig, exact_str
 from lambdaset.seqcode import EpSequence, binary_expansion
+import exact
 
 F = Fraction
 S = EpSequence.from_string
@@ -451,9 +451,10 @@ def test_verify_caseB(cfg):
        st.lists(st.integers(0, 1), min_size=1, max_size=14))
 def test_rejected_draw_words_have_no_admissible_coding(x, w):
     """_draw rejects a word w outside [first |w| digits of xs, 0 1^(|w|-1)]
-    before building its codings: then none of them is admissible."""
+    before building its codings: then none of them is admissible. The
+    words with no admissible extension are exact.admissible's."""
     xs, w = binary_expansion(x), tuple(w)
-    if not xs.prefix(len(w)) <= w <= (0,) + (1,) * (len(w) - 1):
+    if not exact.admissible(xs.key, w):
         assert not any(admissible(xs, s) for s in _codings(w, CODINGS))
 
 
@@ -465,10 +466,9 @@ def test_kept_draw_words_need_only_the_lower_test():
     for x in sorted(targets):
         xs = binary_expansion(x)
         for n in range(1, 10):
-            for w in itertools.product((0, 1), repeat=n):
-                if admissible_word(xs, w):
-                    for s in _codings(w, CODINGS):
-                        assert admissible(xs, s) == (xs <= s), (x, w, s)
+            for w in exact.admissible_prefixes(x, n):
+                for s in _codings(w, CODINGS):
+                    assert admissible(xs, s) == (xs <= s), (x, w, s)
 
 
 def _cell(e, lo, extra):

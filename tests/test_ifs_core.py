@@ -11,6 +11,7 @@ from lambdaset.ifs_core import (GUARD_BITS, SEARCH, Member, NotMember,
                                 greedy_digits, membership, newton_cell,
                                 pi_eval, pi_root_poly, poly_sign)
 from lambdaset.seqcode import EpSequence
+import exact
 
 F = Fraction
 S = EpSequence.from_string
@@ -24,7 +25,7 @@ def test_pi_eval_examples():
 
 def test_pi_root_poly_sign_matches_pi_eval():
     """The integer polynomial's exact sign at a dyadic ratio is the sign of
-    the exact coding map value minus the target."""
+    exact.pi's coding map value minus the target."""
     rng = random.Random(7)
     for _ in range(300):
         pre = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 6)))
@@ -33,49 +34,11 @@ def test_pi_root_poly_sign_matches_pi_eval():
         x = F(rng.randint(1, 99), rng.randint(100, 200))
         k = rng.randint(1, 12)
         m = rng.randint(1, (1 << k) - 1)
-        diff = pi_eval(s, F(m, 1 << k)) - x
+        diff = exact.pi((pre, per), F(m, 1 << k)) - x
         assert exact_sign(pi_root_poly(s, x), m, k) == (diff > 0) - (diff < 0)
     # roots that are dyadic give an exact zero
     assert exact_sign(pi_root_poly(S("0(1)"), F(3, 8)), 3, 3) == 0
     assert exact_sign(pi_root_poly(S("(01)"), F(1, 3)), 1, 1) == 0
-
-
-def unreduced_root_poly(s, x):
-    """The root polynomial in its unreduced closed form, pi_eval - x times
-    q (1 - lam^|v|): R = q (1-lam) [P_u (1 - lam^|v|) + lam^|u| P_v] - p
-    (1 - lam^|v|), with one coefficient more than pi_root_poly's."""
-    u, v = s.preperiod, s.period
-    p, q = x.numerator, x.denominator
-    inner = [0] * (len(u) + len(v))        # P_u (1 - lam^|v|) + lam^|u| P_v
-    for i, d in enumerate(u):
-        inner[i] += d
-        inner[i + len(v)] -= d
-    for i, d in enumerate(v):
-        inner[len(u) + i] += d
-    coeffs = [0] * (len(inner) + 1)
-    for i, c in enumerate(inner):
-        coeffs[i] += q * c
-        coeffs[i + 1] -= q * c
-    coeffs[0] -= p
-    coeffs[len(v)] += p
-    return tuple(coeffs)
-
-
-def test_pi_root_poly_is_the_unreduced_form_over_one_minus_lam():
-    """R = (1 - lam) Q on random codings and targets, so Q has R's sign and
-    roots on (0, 1)."""
-    rng = random.Random(17)
-    for _ in range(3000):
-        pre = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 9)))
-        per = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 7)))
-        s = EpSequence(pre, per)
-        x = F(rng.randint(1, 999), rng.randint(1000, 3000))
-        reduced = pi_root_poly(s, x)
-        times_one_minus_lam = [0] * (len(reduced) + 1)
-        for i, c in enumerate(reduced):
-            times_one_minus_lam[i] += c
-            times_one_minus_lam[i + 1] -= c
-        assert tuple(times_one_minus_lam) == unreduced_root_poly(s, x)
 
 
 @st.composite
@@ -223,25 +186,11 @@ def test_greedy_domain_errors():
 
 
 def reference_greedy(x: F, lam: F, max_steps: int):
-    """The greedy orbit in Fraction arithmetic, keyed by the state itself."""
-    threshold = 1 - lam
-    y = x
-    seen = {y: 0}
-    digits = []
-    for step in range(1, max_steps + 1):
-        if y >= threshold:
-            digits.append(1)
-            y = (y - threshold) / lam
-        elif y <= lam:
-            digits.append(0)
-            y = y / lam
-        else:
-            return NotMember(step)
-        start = seen.setdefault(y, step)
-        if start != step:
-            return Member(EpSequence(tuple(digits[:start]),
-                                     tuple(digits[start:])))
-    return Unresolved(tuple(digits))
+    """exact.greedy's outcome as the library's outcome value."""
+    kind, *found = exact.greedy(x, lam, max_steps)
+    if kind == "member":
+        return Member(EpSequence(*found))
+    return (NotMember if kind == "not_member" else Unresolved)(*found)
 
 
 @st.composite

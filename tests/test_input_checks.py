@@ -59,10 +59,10 @@ BAD_CALLS = [
      InvalidInput),
     ("greedy steps 0", lambda: greedy_digits(F(1, 4), F(1, 3), 0),
      InvalidInput),
-    ("empty removal", lambda: thickness_of(DefiningSequence.from_fractions(
+    ("empty removal", lambda: thickness_of(DefiningSequence.parse(
         HULL, [(F(1, 2), F(1, 2))])), InvalidInput),
     ("removal outside hull",
-     lambda: thickness_of(DefiningSequence.from_fractions(
+     lambda: thickness_of(DefiningSequence.parse(
          HULL, [(F(2), F(3))])), InvalidInput),
     ("thickness 0", lambda: newhouse_lower(0), InvalidInput),
     ("diagram q_max 2", lambda: svg_gaps(F(1, 3), 1, 1, 2), InvalidInput),

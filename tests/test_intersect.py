@@ -4,11 +4,12 @@ import pytest
 
 from lambdaset import intersect
 from lambdaset.errors import InvalidInput
-from lambdaset.ifs_core import greedy_cycle, greedy_digits, membership
+from lambdaset.ifs_core import greedy_cycle
 from lambdaset.intersect import find_common, intersect_covers
 from lambdaset.lambda_set import CoverInterval, IntervalCover, cover
 from lambdaset.numerics import Enclosure, PrecisionConfig
-from lambdaset.seqcode import binary_expansion
+from lambdaset.seqcode import EpSequence, binary_expansion
+import exact
 
 F = Fraction
 
@@ -91,13 +92,13 @@ def test_find_common_single_target(cfg):
 
 def test_find_common_pair(cfg):
     certs = find_common([F(1, 3), F(1, 4)], 6, cfg)
-    exact = [c.lam_exact for c in certs]
-    assert exact == sorted(exact)
-    assert F(1, 2) in exact
-    assert F(1, 3) in exact               # 1/4 and 1/3 both lie in K_{1/3}
+    ratios = [c.lam_exact for c in certs]
+    assert ratios == sorted(ratios)
+    assert F(1, 2) in ratios
+    assert F(1, 3) in ratios              # 1/4 and 1/3 both lie in K_{1/3}
     # the target order orders only the codings
     backward = find_common([F(1, 4), F(1, 3)], 6, cfg)
-    assert [c.lam_exact for c in backward] == exact
+    assert [c.lam_exact for c in backward] == ratios
     assert [c.per_target_codings[::-1] for c in backward] == [
         c.per_target_codings for c in certs]
     # ratio lower bound: never below the largest target
@@ -127,10 +128,11 @@ def test_common_certificates_are_exact_and_replay(cfg, targets, depth):
         assert c.status == "Exact" and c.to_json()["status"] == "Exact"
         assert c.targets == targets and c.lam.contains(c.lam_exact)
         # each target's coding is its greedy orbit at the ratio, which cycles
-        assert all(membership(y, c.lam_exact, 600) is True for y in targets)
+        orbits = [exact.greedy(y, c.lam_exact) for y in targets]
+        assert all(kind == "member" for kind, *_ in orbits)
         if c.lam_exact != F(1, 2):
             assert c.per_target_codings == tuple(
-                greedy_digits(y, c.lam_exact, 600).coding for y in targets)
+                EpSequence(*coding) for _, *coding in orbits)
 
 
 def test_probe_stops_at_the_first_non_member(cfg, monkeypatch):

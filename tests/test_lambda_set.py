@@ -1,4 +1,3 @@
-import importlib
 import io
 import json
 import math
@@ -6,7 +5,6 @@ import random
 import sys
 from fractions import Fraction
 from itertools import chain, islice, product
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from lambdaset import ifs_core, lambda_set, seqcode
 from lambdaset.errors import (DepthBudgetExceeded, HypothesisUnsatisfiable,
                               InvalidInput)
-from lambdaset.ifs_core import pi_eval, pi_root_poly
+from lambdaset.ifs_core import pi_root_poly
 from lambdaset.lambda_set import (admissible, admissible_prefixes,
                                   admissible_word, block_codes,
                                   box_dim_estimate, cover, gaps,
@@ -23,11 +21,13 @@ from lambdaset.numerics import (MEMO_TABLES, Enclosure, PrecisionConfig,
                                 round_outward)
 from lambdaset.seqcode import (SEQ_01INF, EpSequence, binary_expansion,
                                word_str, zero_indices)
+import exact
+import session_worker
+import workloads
 from pinned import sha256
 
 F = Fraction
 S = EpSequence.from_string
-ROOT = Path(__file__).resolve().parents[1]
 
 BETA1_QUARTER = F("0.269594436405444558262937951349")   # root of l - l^3 = 1/4
 ALPHA2_QUARTER = F("0.319448459735676311182676718920")  # root of l - l^2 + l^3 = 1/4
@@ -81,12 +81,10 @@ def test_expansion_budget_is_preperiod_plus_period(a):
 @given(st.integers(3, 3000).flatmap(
     lambda q: st.tuples(st.integers(1, (q - 1) // 2), st.just(q))))
 def test_expansion_is_the_greedy_orbit(pq):
-    """The expansion read by long division is the coding greedy_digits
-    finds at 1/2, with the same preperiod and period as printed."""
-    x = F(*pq)
-    greedy = ifs_core.greedy_digits(x, F(1, 2), seqcode.MAX_DIGITS)
-    assert str(binary_expansion(x)) == str(greedy.coding)
-    assert binary_expansion(x).preperiod == greedy.coding.preperiod
+    """The expansion read by long division is the greedy orbit at 1/2,
+    with the same preperiod and period."""
+    s = binary_expansion(F(*pq))
+    assert (s.preperiod, s.period) == exact.binary_expansion(F(*pq))
 
 
 def test_expansion_properties():
@@ -96,7 +94,7 @@ def test_expansion_properties():
         s = binary_expansion(x)
         assert s.prefix(1) == (0,)
         assert s.key[1] != (1,)
-        assert pi_eval(s, F(1, 2)) == x
+        assert exact.pi(s.key, F(1, 2)) == x
 
 
 def test_psi_inverse_examples(cfg):
@@ -117,11 +115,11 @@ def grid_oracle(s, x, cfg):
     lo = Enclosure.from_fraction(x, cfg.precision_bits).lo
     hi = F(1, 2)
     for end in (lo, hi):
-        if pi_eval(s, end) == x:
+        if exact.pi(s.key, end) == x:
             return end, end
     while hi - lo > F(1, 1 << cfg.width_bits):
         mid = (lo + hi) / 2
-        value = pi_eval(s, mid)
+        value = exact.pi(s.key, mid)
         if value == x:
             return mid, mid
         lo, hi = (mid, hi) if value < x else (lo, mid)
@@ -154,7 +152,7 @@ def test_psi_inverse_matches_fraction_oracle(case, bits, width_bits):
     e = psi_inverse(x, s, cfg)
     lo, hi = e.lo, e.hi
     assert (lo, hi) == grid_oracle(s, x, cfg)
-    assert pi_eval(s, lo) <= x <= pi_eval(s, hi)
+    assert exact.pi(s.key, lo) <= x <= exact.pi(s.key, hi)
 
 
 def test_psi_inverse_survives_bad_newton_steps(monkeypatch):
@@ -347,9 +345,6 @@ def test_session_solves_take_one_newton_step(capsys, monkeypatch,
     pinned ones. Each seed's psi_inverse misses (833 solves of 835 for
     seed 1) take at most 1.5 integer Newton steps and 2 signs each, with no
     exact fallback."""
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    workloads = importlib.import_module("workloads")
-    worker = importlib.import_module("session_worker")
     monkeypatch.setattr(sys, "argv", ["session_worker.py"])    # untraced
     for i, (seed, digest) in enumerate(SESSION_REPLIES.items()):
         # the session's requests take no gap files, so none is written
@@ -359,7 +354,7 @@ def test_session_solves_take_one_newton_step(capsys, monkeypatch,
         clear_memo_tables()
         before = dict(ifs_core.WORK)
         capsys.readouterr()
-        worker.main()
+        session_worker.main()
         # the lines between the ready line and the peak-RSS line
         replies = capsys.readouterr().out.splitlines(keepends=True)[1:-1]
         assert sha256("".join(replies)) == digest, seed
@@ -392,7 +387,7 @@ def test_admissible_codings_lie_above_x_at_one_half(pq, pick, pre, per):
     n = zero_indices(xs, pick + 1)[pick]
     s = EpSequence(xs.prefix(n - 1) + (1, *pre), tuple(per))
     assert admissible(xs, s) and s != xs
-    assert pi_eval(s, F(1, 2)) > x
+    assert exact.pi(s.key, F(1, 2)) > x
 
 
 @settings(deadline=None)
@@ -434,8 +429,9 @@ def test_psi_inverse_rejects_inadmissible(cfg):
 
 def test_block_codes_bound_each_prefix_block():
     """On every admissible word of p/q (q <= 40) at depths 1-8, the codes
-    equal w 1^inf and w 0^inf clamped in stream order to [xs, 0 1^inf],
-    as streams and as printed: payloads print the representation."""
+    are exact.block_codes' streams, w 1^inf and w 0^inf clamped to [xs, 0
+    1^inf], and print as w(1) and as w(0) or, clamped, as xs prints:
+    payloads print the representation."""
     xs = binary_expansion(F(1, 4))                     # 01(0)
     assert block_codes(xs, (0, 1, 1)) == (S("011(1)"), S("011(0)"))
     assert block_codes(xs, (0, 1, 0)) == (S("010(1)"), S("01(0)"))
@@ -449,12 +445,13 @@ def test_block_codes_bound_each_prefix_block():
         xs = binary_expansion(x)
         for depth in range(1, 9):
             for w in admissible_prefixes(x, depth):
-                low, high = EpSequence(w, (1,)), EpSequence(w, (0,))
-                oracle = (low if low <= SEQ_01INF else SEQ_01INF,
-                          xs if high <= xs else high)
+                low, high = exact.block_codes(xs.key, w)
                 codes = block_codes(xs, w)
-                assert codes == oracle
-                assert list(map(str, codes)) == list(map(str, oracle))
+                assert [exact.lex_cmp(c.key, o) for c, o in zip(
+                    codes, (low, high))] == [0, 0]
+                printed = (EpSequence(*low), xs if exact.lex_cmp(
+                    high, xs.key) == 0 else EpSequence(*high))
+                assert list(map(str, codes)) == list(map(str, printed))
                 assert admissible(xs, codes[0]) and admissible(xs, codes[1])
                 assert codes[1] <= codes[0]
 
@@ -467,22 +464,17 @@ def test_admissible_prefixes_examples():
 
 
 def test_admissible_prefixes_match_brute_force():
-    """Every word of length d <= 8 with an admissible extension, found by
-    testing the extensions w 0^inf, w 1^inf and w followed by the tail of
-    the target's expansion; the per-word predicate agrees on every word."""
+    """Every word of length d <= 8 with an admissible extension, in
+    descending order: the words that exact.admissible_prefixes grows digit
+    by digit, reversed. The per-word predicate agrees on every word."""
     for q in range(3, 13):
         for p in range(1, (q + 1) // 2):
             x = F(p, q)
             xs = binary_expansion(x)
             for d in range(1, 9):
-                words = list(product((1, 0), repeat=d))
-                # the digits of xs after the first d, then its period
-                tail = (xs.preperiod + xs.period * d)[d:]
-                expected = [w for w in words if any(
-                    admissible(xs, EpSequence(w + s.preperiod, s.period))
-                    for s in (S("(0)"), S("(1)"), EpSequence(tail, xs.period)))]
+                expected = exact.admissible_prefixes(x, d)[::-1]
                 assert admissible_prefixes(x, d) == expected
-                assert [w for w in words
+                assert [w for w in product((1, 0), repeat=d)
                         if admissible_word(xs, w)] == expected
 
 

@@ -1,7 +1,8 @@
 """Every name a module exports or defines, and every public member of its
 classes, is used: by another part of the library, by the benchmark, or by
 the acceptance suite, and every name a module imports is used in that
-module. Dead surface cannot grow back unnoticed."""
+module. Dead surface cannot grow back unnoticed. The benchmark's exact
+reference imports no code of the library."""
 
 import ast
 import importlib
@@ -135,6 +136,19 @@ def test_every_imported_name_is_used():
                 if isinstance(node, ast.Name)}
         unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_the_exact_reference_imports_only_arithmetic():
+    """bench/exact.py, which tier-1 and the benchmark check the library
+    against, shares no code with it: it imports only these modules."""
+    tree = ast.parse((ROOT / "bench" / "exact.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported <= {"__future__", "fractions", "math"}
 
 
 def test_every_error_class_is_raised():

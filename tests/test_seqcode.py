@@ -1,5 +1,3 @@
-from math import lcm
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +5,7 @@ from lambdaset import seqcode
 from lambdaset.errors import InvalidInput
 from lambdaset.seqcode import (EpSequence, n_index, word_at_position,
                                zero_indices)
+import exact
 
 S = EpSequence.from_string
 
@@ -23,11 +22,10 @@ sequences = st.builds(
 
 
 def stream(s, n):
-    """The first n digits of s, one at a time: the reference for order,
-    equality and prefixes."""
-    u, v = s.preperiod, s.period
-    return tuple(u[i] if i < len(u) else v[(i - len(u)) % len(v)]
-                 for i in range(n))
+    """The first n digits of s, read one at a time by exact.digit: the
+    reference for order, equality and prefixes."""
+    return tuple(exact.digit((s.preperiod, s.period), i)
+                 for i in range(1, n + 1))
 
 
 def variants(s, reps):
@@ -82,15 +80,6 @@ def test_period_unrolling_invariance(a, b, reps):
         assert S(short) == S(long) and hash(S(short)) == hash(S(long))
 
 
-def full_prefix_le(a, b):
-    """The order decided on |pre a| + |pre b| + lcm(|per a|, |per b|)
-    digits, past which both streams are jointly periodic: the reference for
-    the comparison that stops at the first difference."""
-    n = len(a.preperiod) + len(b.preperiod) + lcm(len(a.period),
-                                                  len(b.period))
-    return stream(a, n) <= stream(b, n)
-
-
 long_sequences = st.builds(
     EpSequence,
     bits(20),
@@ -100,13 +89,14 @@ long_sequences = st.builds(
 
 @given(long_sequences, long_sequences, st.integers(0, 40), st.booleans())
 def test_order_matches_full_prefix_order(a, b, shared, swap):
-    """Also when b repeats the first `shared` digits of a, so the first
-    difference lies past several doublings of the compared prefix."""
+    """The order of exact.lex_cmp, which reads both streams to their joint
+    period; also when b repeats the first `shared` digits of a, so the
+    first difference lies past several doublings of the compared prefix."""
     b = EpSequence(a.prefix(shared) + b.preperiod, b.period)
     if swap:
         a, b = b, a
-    assert (a <= b) == full_prefix_le(a, b)
-    assert (b <= a) == full_prefix_le(b, a)
+    order = exact.lex_cmp((a.preperiod, a.period), (b.preperiod, b.period))
+    assert (a <= b, b <= a) == (order <= 0, order >= 0)
 
 
 def test_order_stops_at_the_first_difference(monkeypatch):

@@ -346,6 +346,9 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
             f"more than {MAX_PREFIXES + 1} grid sizes: {len(eps_exponents)}")
     x = Fraction(x)
     a, b = Fraction(window[0]), Fraction(window[1])
+    if a >= b:
+        raise InvalidInput(f"window ({exact_str(a)}, {exact_str(b)}) has no "
+                           "positive length")
     lo_w, hi_w = max(a, x), min(b, HALF)
     if lo_w >= hi_w:
         raise InvalidInput(f"window ({exact_str(a)}, {exact_str(b)}) misses "

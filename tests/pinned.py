@@ -5,8 +5,13 @@ one recorded `error:` line. Either may read stdin. Adding either is one
 row, and no two rows run the same arguments on the same stdin.
 
 tests/test_cli.py checks every row in process, a pinned one from cold
-memo tables and again warm, and each JSON payload against its command's
-schema. Run this file (it imports only the standard library) to replay
+memo tables and again warm. It hands each pinned payload to
+`bench/checks.py`, which validates it against its command's schema and
+replays its claims exactly with `bench/exact.py`. Four commands are left
+out: `cantor-ds` and `pieces` have no check yet, and the `thickness`
+check needs the gap file's alpha and assumes 128-bit rounding, so their
+payloads are validated against the schema alone; `svg-gaps` prints a
+drawing. Run this file (it imports only the standard library) to replay
 every row through the `lambdaset` script on PATH, under any interpreter
 the package is installed into: 10 s for a pinned run, 2 s for a refusal,
 and exit 1 on any mismatch.
@@ -209,6 +214,16 @@ PINNED = [
            "dcd21d38e676fbeb2446e4faabfc04a107bec68bac18f6cec31f868cf4266b80"),
     Pinned("intersect --targets 1/3,1/4 --depth 3",
            "e0f41f5e812ef649f380ae9ab3562b2f198cbf4b052fdf647f3a09e98f73343d"),
+    # a 2^-100 grid at 40 bits: only exact signs decide every midpoint
+    Pinned("cover --x 1/3 --depth 2 --bits 40 --width-bits 100",
+           "40f8fa969298cacdd576de16b0ae761ff4b27d4ef28b3913a14e1a5ee843bec0"),
+    # a target 1/100 from 1/2, alone and beside one near 0, and three targets
+    Pinned("cover --x 49/100 --depth 4",
+           "849c0fcea1c6744515d3815d58b4e07ba772150755d187c29aa9cb9190c0abd4"),
+    Pinned("common --targets 49/100,1/100 --depth 3",
+           "43d1dfc0af671605982752c84243314a0735b84b183196833770eabf055b8151"),
+    Pinned("common --targets 1/3,1/4,2/7 --depth 4",
+           "792c7fd51d1d483ef56df1a6cc552ded45c41eeeb1775a1d1e1a484195a8faad"),
 ]
 
 
@@ -269,6 +284,10 @@ REFUSED = [
     Refused("cover --x 1/4 --depth 2 --width-bits -3",
             "error: width_bits must be nonnegative"),
     Refused(f"{DIM} -3", "error: grid exponent -3 is negative"),
+    # a window of no length lies inside [x, 1/2] but holds no box
+    Refused("dim --x 1/3 --center 2/5 --radius 0 --eps-min-exp 4 "
+            "--eps-max-exp 6",
+            "error: window (2/5, 2/5) has no positive length"),
     Refused("common --targets 1/3 --depth 1 --bits 0", MIN_BITS),
     Refused("common --targets 1/3 --depth 1 --bits 16", MIN_BITS),
     Refused("thickness-cl --ell 1 --qmax -1 --x 1/3", TAIL),

@@ -12,7 +12,8 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lambdaset.cli import COMMANDS, load_schema, main
+import checks
+from lambdaset.cli import COMMANDS, build_parser, load_schema, main
 from lambdaset.numerics import Enclosure
 from pinned import (PINNED, REFUSED, manifest_digest, middle_alpha_gaps,
                     refused_as_pinned, sha256)
@@ -34,23 +35,6 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, *(json.loads(text, parse_constant=_no_constant)
                    for text in (out, err.strip().splitlines()[-1]))
-
-
-def test_code_example(capsys):
-    code, payload, manifest = run_json(capsys, "code", "--x", "1/4",
-                                       "--lambda", "1/2")
-    assert code == 0
-    assert payload["outcome"] == "member"
-    assert payload["coding"] == "01(0)"
-    assert manifest["command"] == "code"
-    assert manifest["output_digest"]
-
-
-def test_pi_and_expansion(capsys):
-    code, payload, _ = run_json(capsys, "pi", "--seq", "(01)", "--lambda", "1/2")
-    assert code == 0 and payload["value"] == "1/3"
-    code, payload, _ = run_json(capsys, "expansion", "--x", "0.25")
-    assert code == 0 and payload["sequence"] == "01(0)"
 
 
 def _whole_parser(description: str):
@@ -169,16 +153,6 @@ def test_an_undecided_entry_of_any_kind_exits_1(capsys, monkeypatch, x,
     where = r"word [01]+" if kind.startswith("switch_") else r"piece \d+"
     assert re.fullmatch(rf"error: {kind} of {where} not decided at target "
                         r"width 2\^-80\n", err), err
-
-
-def test_verify_reads_its_case_from_x(capsys):
-    code, payload, manifest = run_json(capsys, "verify", "--x", "1/5",
-                                       "--trials", "1")
-    assert code == 0 and (payload["case"], payload["x"]) == ("A", "1/5")
-    code, payload, manifest = run_json(capsys, "verify", "--x", "3/4",
-                                       "--trials", "1")
-    assert code == 0 and (payload["case"], payload["x"]) == ("B", "1/4")
-    assert manifest["notes"]["symmetry_reduced_from"] == "3/4"
 
 
 def test_manifest_stats_count_this_runs_memo_lookups(capsys):
@@ -315,20 +289,74 @@ def _run_id(command: str, stdin: str | None = None) -> str:
     return name if stdin is None else f"{name} <{len(stdin)} bytes"
 
 
+# The commands whose payloads bench/checks.py re-checks from the argv, and
+# those it re-checks as the library call the run makes. The rest are left
+# unchecked: cantor-ds and pieces have no check, and svg-gaps prints a
+# drawing. The thickness check needs the gap file's alpha, and its 2^-64
+# tightness slack assumes 128-bit rounding, so at --bits 32 it calls a
+# correct bound "not tight"; criterion 09 and
+# test_thickness_cli_matches_the_definitions check thickness instead.
+ARGV_CHECKED = {"cover", "gaps", "intersect", "dim", "common", "code", "pi",
+                "expansion"}
+CALL_CHECKED = {"verify", "thickness-cl"}
+
+
+@contextlib.contextmanager
+def _no_int_digit_limit():
+    """No limit on the digits of an integer printed in decimal, where the
+    interpreter has one: bench/checks.py prints the target width 2^-16384
+    with str(). The run itself prints its rationals under the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _problems(argv: list[str], out: str, payload: dict) -> list[str]:
+    """What bench/checks.py finds wrong with a checked run's stdout. A
+    library call's arguments are the parsed argv's, its target mirrored
+    into (0, 1/2]; verify's case is B exactly for the target 1/4."""
+    if argv[0] in ARGV_CHECKED:
+        with _no_int_digit_limit():
+            return checks.check_cli({"argv": argv}, 0, out.encode())
+    args = build_parser(argv).parse_args(argv)
+    x = min(args.x, 1 - args.x)
+    if argv[0] == "verify":
+        request = {"call": "verify_caseB" if x == Fraction(1, 4)
+                   else "verify_caseA", "trials": args.trials,
+                   "seed": args.seed}
+    else:
+        request = {"call": "thickness_Cl", "x": str(x), "ell": args.ell,
+                   "k_max": args.kmax, "q_max": args.qmax}
+    return checks.check_call(request, {"ok": True, "payload": payload})
+
+
 @pytest.mark.parametrize("row", PINNED,
                          ids=[_run_id(r.command, r.stdin) for r in PINNED])
 def test_stdout_matches_pinned_digest(capsys, monkeypatch, row):
     """The row exits 0 and prints the stdout of its digest, which the
-    manifest repeats; for every command but svg-gaps a strict JSON payload
-    valid under the command's schema."""
+    manifest repeats beside the command's name. Every command but svg-gaps
+    prints a strict JSON payload: one bench/checks.py finds no problem
+    with, where it has a check, and else one valid under the command's
+    schema."""
     monkeypatch.setattr(sys, "stdin", io.StringIO(row.stdin or ""))
-    code, out, err = run(capsys, *row.command.split())
+    argv = row.command.split()
+    code, out, err = run(capsys, *argv)
     assert code == 0
     assert sha256(out) == manifest_digest(err) == row.digest
-    name = row.command.split()[0]
-    if name != "svg-gaps":
-        jsonschema.validate(json.loads(out, parse_constant=_no_constant),
-                            load_schema(name))
+    assert json.loads(err.splitlines()[-1])["command"] == argv[0]
+    if argv[0] == "svg-gaps":
+        return
+    payload = json.loads(out, parse_constant=_no_constant)
+    if argv[0] in ARGV_CHECKED | CALL_CHECKED:
+        assert _problems(argv, out, payload) == []
+    else:
+        jsonschema.validate(payload, load_schema(argv[0]))
 
 
 # every pinned run that prints JSON (svg-gaps reads the Fraction views of
@@ -431,31 +459,6 @@ def test_bound_violations_exit_2(capsys, monkeypatch, request,
     assert violations == [e for e in payload["entries"] if not e["passed"]]
 
 
-def test_wide_target_at_low_precision(capsys):
-    # a 2^-100 grid at 40 bits: only exact signs decide every midpoint
-    code, payload, _ = run_json(capsys, "cover", "--x", "1/3", "--depth", "2",
-                                "--bits", "40", "--width-bits", "100")
-    assert code == 0 and len(payload["intervals"]) == 1
-
-
-def test_verify_subcommand(capsys):
-    code, payload, _ = run_json(capsys, "verify", "--x", "1/4", "--trials", "3")
-    assert code == 0
-    assert payload["violations"] == []
-    assert payload["checked"] == len(payload["entries"])
-
-
-def test_thickness_from_file(capsys, tmp_path):
-    gaps_doc = {"hull": ["0", "1"],
-            "gaps": [["1/3", "2/3"], ["1/9", "2/9"], ["7/9", "8/9"]]}
-    path = tmp_path / "gaps.json"
-    path.write_text(json.dumps(gaps_doc))
-    code, payload, _ = run_json(capsys, "thickness", "--gaps", str(path))
-    assert code == 0
-    assert payload["gaps"] == 3
-    assert abs(payload["thickness_float"] - 1.0) < 1e-9
-
-
 def test_thickness_below_float_range(capsys, tmp_path):
     """A certified thickness of about 2e-400 is positive, though its float
     is 0: the run keeps it and reports a positive Newhouse bound."""
@@ -487,10 +490,15 @@ def test_thickness_file_builds_no_enclosure(capsys, monkeypatch, tmp_path):
 
 
 def test_thickness_reads_gaps_from_stdin(capsys, monkeypatch, tmp_path):
+    """A gap file read by its path prints a valid payload, whose float is
+    its thickness's, and the bytes it prints when read from stdin."""
     path = tmp_path / "gaps.json"
     path.write_text(middle_alpha_gaps(Fraction(1, 3), 4))
     code, out, _ = run(capsys, "thickness", "--gaps", str(path))
     assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, load_schema("thickness"))
+    assert payload["thickness_float"] == float(Fraction(payload["thickness"]))
     monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
     assert run(capsys, "thickness", "--gaps", "-")[:2] == (code, out)
 
@@ -567,18 +575,6 @@ def _in_gap_dir(gap_dir, argv: list[str]) -> list[str]:
     """argv with each `--gaps=NAME` read from the file NAME of gap_dir."""
     return [f"--gaps={gap_dir / a[7:]}" if a.startswith("--gaps=") else a
             for a in argv]
-
-
-@pytest.mark.parametrize("argv", [
-    ["common", "--targets", "1/3,1/4,2/7", "--depth", "4"],
-    ["thickness", "--gaps=valid"],
-], ids=["common", "thickness"])
-def test_payloads_validate_against_schemas(capsys, gap_dir, argv):
-    """Runs no PINNED row makes, PINNED's payloads being validated by the
-    digest test: three common targets, and a gap file read by its path."""
-    code, payload, _ = run_json(capsys, *_in_gap_dir(gap_dir, argv))
-    assert code == 0
-    jsonschema.validate(payload, load_schema(argv[0]))
 
 
 # the precision flags each command reads: --bits where it rounds rationals

@@ -7,21 +7,20 @@ from hypothesis import given, settings, strategies as st
 
 from lambdaset import constructions, seqcode
 from lambdaset.cantor_metrics import thickness_of
-from lambdaset.constructions import (CODINGS, PieceEndpoints, _codings,
-                                     _piece_families, _square_identity,
-                                     _switch_lower_caseA, _switch_lower_caseB,
-                                     _switch_upper_caseA, _switch_upper_caseB,
-                                     defining_sequence_Cl, first_switch_index,
-                                     gap_record, piece_endpoints, thickness_Cl,
+from lambdaset.constructions import (CODINGS, _codings, _piece_families,
+                                     _square_identity, _switch_lower_caseA,
+                                     _switch_lower_caseB, _switch_upper_caseA,
+                                     _switch_upper_caseB, defining_sequence_Cl,
+                                     first_switch_index, gap_record,
+                                     piece_endpoints, thickness_Cl,
                                      verify_caseA, verify_caseB)
 from lambdaset.errors import HypothesisUnsatisfiable, Inconclusive
-from lambdaset.lambda_set import admissible, psi_inverse
+from lambdaset.lambda_set import admissible
 from lambdaset.numerics import Enclosure, PrecisionConfig, exact_str
-from lambdaset.seqcode import EpSequence, binary_expansion
+from lambdaset.seqcode import binary_expansion
 import exact
 
 F = Fraction
-S = EpSequence.from_string
 
 BETA1_QUARTER = F("0.269594436405444558262937951349")
 ALPHA2_QUARTER = F("0.319448459735676311182676718920")
@@ -412,38 +411,6 @@ def test_switch_entries_measure_positive_lengths(cfg):
                 seen.add((ledger.case, e.kind))
     assert seen == {(case, kind) for case in "AB"
                     for kind in ("switch_lower", "switch_upper")}
-
-
-def test_caseA_switch_lower_explicit_q5(cfg):
-    """One pinned instance: switching the tail after 01101 moves the ratio
-    by at least a quarter of its fifth power."""
-    x = F(1, 3)
-    word = (0, 1, 1, 0, 1)
-    lam1 = psi_inverse(x, EpSequence(word, (1,)), cfg)
-    lam2 = psi_inverse(x, EpSequence(word, (0,)), cfg)
-    lhs = lam2.lo - lam1.hi
-    assert lhs >= lam2.hi ** 5 / 4
-
-
-def test_caseB_switch_upper_explicit_q3(cfg):
-    """Pinned instance for 1/4: switching after 01 j1 j2 j3 narrows the gap
-    to at most the smaller ratio to the fifth power."""
-    x, j = F(1, 4), (1, 0, 1)
-    lam3 = psi_inverse(x, EpSequence((0, 1) + j + (1,), (0,)), cfg)
-    lam4 = psi_inverse(x, EpSequence((0, 1) + j + (0,), (1,)), cfg)
-    lhs = lam4.hi - lam3.lo
-    assert lhs <= lam3.lo ** 5
-
-
-def test_verify_caseB(cfg):
-    ledger = verify_caseB(10, cfg, seed=2)
-    assert ledger.violations == []
-    kinds = {e.kind for e in ledger.entries}
-    assert kinds == {"switch_lower", "switch_upper", "square_identity",
-                     "gap_ratio", "piece_gap", "half_gap"}
-    squares = [e for e in ledger.entries if e.kind == "square_identity"]
-    assert len(squares) == 6
-    assert all(e.passed for e in squares)
 
 
 @settings(deadline=None)

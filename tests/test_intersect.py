@@ -8,8 +8,6 @@ from lambdaset.ifs_core import greedy_cycle
 from lambdaset.intersect import find_common, intersect_covers
 from lambdaset.lambda_set import CoverInterval, IntervalCover, cover
 from lambdaset.numerics import Enclosure, PrecisionConfig
-from lambdaset.seqcode import EpSequence, binary_expansion
-import exact
 
 F = Fraction
 
@@ -23,12 +21,6 @@ def test_intersect_with_full_interval_clips(cfg):
         for got, expect in zip(both.intervals, base.intervals):
             assert got.lo.lo == expect.lo.lo
             assert got.hi.hi == expect.hi.hi
-
-
-def test_intersection_contains_half(cfg):
-    inter = intersect_covers([cover(F(1, 3), 5, cfg), cover(F(1, 4), 5, cfg),
-                              cover(F(2, 5), 5, cfg)])
-    assert inter.covers(F(1, 2))
 
 
 def test_intersection_shrinks(cfg):
@@ -82,14 +74,6 @@ def test_intersection_commutative_associative(cfg):
         intersect_covers([])
 
 
-def test_find_common_single_target(cfg):
-    certs = find_common([F(1, 3)], 4, cfg)
-    top = [c for c in certs if c.lam_exact == F(1, 2)]
-    assert len(top) == 1
-    assert top[0].status == "Exact"
-    assert top[0].per_target_codings[0] == binary_expansion(F(1, 3))
-
-
 def test_find_common_pair(cfg):
     certs = find_common([F(1, 3), F(1, 4)], 6, cfg)
     ratios = [c.lam_exact for c in certs]
@@ -105,34 +89,12 @@ def test_find_common_pair(cfg):
     assert all(c.lam.hi >= F(1, 3) for c in certs)
 
 
-def test_find_common_extreme_targets(cfg):
-    certs = find_common([F(49, 100), F(1, 100)], 3, cfg)
-    assert any(c.lam_exact == F(1, 2) for c in certs)
-    assert all(c.lam.hi >= F(49, 100) for c in certs)
-
-
 def test_find_common_validation(cfg):
     with pytest.raises(InvalidInput, match="^no targets given$"):
         find_common([], 4, cfg)
     with pytest.raises(InvalidInput,
                        match=r"^targets must lie in \(0, 1/2\)$"):
         find_common([F(3, 4)], 4, cfg)
-
-
-@pytest.mark.parametrize("targets,depth", [((F(1, 3), F(1, 4)), 6),
-                                           ((F(1, 5), F(1, 4)), 7)])
-def test_common_certificates_are_exact_and_replay(cfg, targets, depth):
-    certs = find_common(list(targets), depth, cfg)
-    assert len(certs) > 1
-    for c in certs:
-        assert c.status == "Exact" and c.to_json()["status"] == "Exact"
-        assert c.targets == targets and c.lam.contains(c.lam_exact)
-        # each target's coding is its greedy orbit at the ratio, which cycles
-        orbits = [exact.greedy(y, c.lam_exact) for y in targets]
-        assert all(kind == "member" for kind, *_ in orbits)
-        if c.lam_exact != F(1, 2):
-            assert c.per_target_codings == tuple(
-                EpSequence(*coding) for _, *coding in orbits)
 
 
 def test_probe_stops_at_the_first_non_member(cfg, monkeypatch):

@@ -490,14 +490,13 @@ def test_thickness_file_builds_no_enclosure(capsys, monkeypatch, tmp_path):
 
 
 def test_thickness_reads_gaps_from_stdin(capsys, monkeypatch, tmp_path):
-    """A gap file read by its path prints a valid payload, whose float is
-    its thickness's, and the bytes it prints when read from stdin."""
+    """A gap file read by its path prints a float equal to its thickness,
+    and the bytes it prints when read from stdin."""
     path = tmp_path / "gaps.json"
     path.write_text(middle_alpha_gaps(Fraction(1, 3), 4))
     code, out, _ = run(capsys, "thickness", "--gaps", str(path))
     assert code == 0
     payload = json.loads(out)
-    jsonschema.validate(payload, load_schema("thickness"))
     assert payload["thickness_float"] == float(Fraction(payload["thickness"]))
     monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
     assert run(capsys, "thickness", "--gaps", "-")[:2] == (code, out)
@@ -575,6 +574,16 @@ def _in_gap_dir(gap_dir, argv: list[str]) -> list[str]:
     """argv with each `--gaps=NAME` read from the file NAME of gap_dir."""
     return [f"--gaps={gap_dir / a[7:]}" if a.startswith("--gaps=") else a
             for a in argv]
+
+
+@pytest.mark.parametrize("argv", [["thickness", "--gaps=valid"]],
+                         ids=["thickness"])
+def test_payloads_validate_against_schemas(capsys, gap_dir, argv):
+    """A run no PINNED row makes, PINNED's payloads being checked by the
+    digest test: a gap file read by its path."""
+    code, payload, _ = run_json(capsys, *_in_gap_dir(gap_dir, argv))
+    assert code == 0
+    jsonschema.validate(payload, load_schema(argv[0]))
 
 
 # the precision flags each command reads: --bits where it rounds rationals

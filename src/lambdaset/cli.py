@@ -6,7 +6,7 @@ invocations produce byte-identical output; the manifest records the wall
 time, a SHA-256 digest of the payload, and under "stats" the run's share of
 what the modules it loaded register in numerics: the hits and misses of
 each memo table, and each counter group, such as the root solver's signs,
-Newton steps and exact fallbacks.
+Newton steps and guard doublings.
 
 Every subcommand is one entry of COMMANDS, which the parser, the schema
 lookup, target mirroring and dispatch all read. A run imports only the

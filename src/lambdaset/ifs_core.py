@@ -6,14 +6,14 @@ orbit cycles.
 
 root_cell is the one root solver: it finds the cell of a dyadic grid that
 holds the root. It starts from float_guess, Newton's iteration in double
-precision, which supplies up to about 50 bits of the root for the cost
-of a few passes in floats. Its signs and Newton steps in integers run
-Horner's rule in fixed point, with a stated number of fraction bits, so
-their cost follows the precision asked for and not the polynomial's exact
-value at a deep dyadic point, an integer of about k * deg bits. A sign the
-fixed-point pass cannot decide falls back to exact_sign, the one exact
-evaluation. A Newton step or a double-precision guess is only a guess, so
-it has no fallback.
+precision, which supplies up to about 50 bits of the root for the cost of
+a few passes in floats. Its signs and Newton steps in integers run Horner's
+rule in fixed point, with a stated number of fraction bits, so their cost
+follows the precision asked for and not the polynomial's exact value at a
+deep dyadic point, an integer of about k * deg bits. poly_sign, the one
+evaluator of a sign, doubles its fraction bits until it decides, and its
+pass is exact at k' * deg bits, k' the probe's level in lowest terms. A
+Newton step or a double-precision guess is only a guess, never retried.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "pi_eval",
     "pi_root_poly",
     "WORK",
-    "exact_sign",
     "root_cell",
     "greedy_digits",
     "greedy_cycle",
@@ -93,11 +92,11 @@ def pi_root_poly(s: EpSequence, x: Fraction) -> tuple[int, ...]:
 
 
 # Root-solver work so far in this process: float_guess's iterations in
-# doubles, calls of poly_sign and newton_cell, and the signs among them that
-# fell back to exact_sign. The CLI manifest reports each run's share as
-# "stats.root_solver".
+# doubles, calls of poly_sign and newton_cell, and the passes poly_sign ran
+# again with its bits doubled (exact at k' * deg bits). The CLI manifest
+# reports each run's share as "stats.root_solver".
 WORK = COUNTERS["root_solver"] = {"float_steps": 0, "signs": 0,
-                                  "newton_steps": 0, "exact_fallbacks": 0}
+                                  "newton_steps": 0, "guard_doublings": 0}
 
 # Common-ratio search work so far in this process: greedy_cycle's probes,
 # the orbit steps they took, and the probes that a prime of the ratio's
@@ -106,50 +105,50 @@ WORK = COUNTERS["root_solver"] = {"float_steps": 0, "signs": 0,
 SEARCH = COUNTERS["common_search"] = {"probes": 0, "orbit_steps": 0,
                                       "denominator_exits": 0}
 
-# Fraction bits that poly_sign and newton_cell keep beyond the level of the
-# grid they probe: root_cell asks for signs and steps at level k with k +
-# GUARD_BITS bits. The pass errs by less than len(coeffs) units of its last
-# bit whatever the guard (see poly_sign), so the guard never makes a sign
-# wrong; it sets how often the exact fallback runs. Near a simple root r,
-# |R(lam)| is about |R'(r)| |lam - r|, so a sign is left undecided only at a
-# probe within about len(coeffs) 2^-(k + 64) / |R'(r)| of r, a root on the
-# grid included, while the grid's cells are 2^-k wide. In the first 200
-# calls of the seed-1 session-ledger benchmark, 833 solves take 1664 signs
-# and 833 Newton steps, and no sign falls back.
+# Fraction bits that poly_sign and newton_cell keep beyond the level k of
+# the grid they probe, the starting guard of a sign. The pass errs by less
+# than len(coeffs) units of its last bit whatever the guard (see
+# poly_sign), so the guard only sets how often a sign doubles its bits.
+# Near a simple root r, |R(lam)| is about |R'(r)| |lam - r|, so a sign is
+# left undecided only within about len(coeffs) 2^-(k + 64) / |R'(r)| of r,
+# a root on the grid included, while the grid's cells are 2^-k wide.
 GUARD_BITS = 64
 
 
-def exact_sign(coeffs: tuple[int, ...], m: int, k: int) -> int:
-    """Exact sign (-1, 0 or 1) of a polynomial at the dyadic m * 2^-k, from a
-    homogenised Horner evaluation of 2^(k deg) * R(m * 2^-k) in integers."""
-    deg = len(coeffs) - 1
-    acc = 0
-    for i in range(deg, -1, -1):
-        acc *= m
-        if coeffs[i]:
-            acc += coeffs[i] << (k * (deg - i))
-    return (acc > 0) - (acc < 0)
-
-
 def poly_sign(coeffs: tuple[int, ...], m: int, k: int, bits: int) -> int:
-    """Sign (-1, 0 or 1) of a polynomial at lam = m * 2^-k in [0, 1).
+    """Sign (-1, 0 or 1) of a polynomial R at lam = m * 2^-k in [0, 1).
 
-    First a Horner pass in fixed point with `bits` fraction bits: acc <-
-    floor(acc * lam) + c_i 2^bits. Each floor loses under one unit and the
-    loss carried so far is scaled by lam < 1, so R(lam) 2^bits lies in
-    [acc, acc + len(coeffs)). That decides the sign when acc > 0 or acc <=
-    -len(coeffs); otherwise, and at every root, exact_sign decides it.
+    A Horner pass in fixed point with `bits` fraction bits, acc <-
+    floor(acc * m / 2^k) + c_i 2^bits, leaves R(lam) 2^bits in [acc, acc +
+    len(coeffs)): each floor loses under one unit, and the loss carried so
+    far is scaled by lam < 1. So acc > 0 or acc <= -len(coeffs) decides.
+    Otherwise the pass runs again at bits = min(max(2 bits, 1), k' deg), deg
+    = len(coeffs) - 1 and lam = m' 2^-k' in lowest terms (m' odd, or k' = 0).
+    Each acc lam that a step floors is 2^bits lam T(lam), T an integer
+    polynomial of degree below deg, so at k' deg bits no floor loses
+    anything and acc = R(lam) 2^bits has R's sign, 0 included. A root m'
+    2^-k' needs 2^k' to divide R's top nonzero coefficient (the rational
+    root theorem), so there, or if R is 0, the retry goes to k' deg at once.
     """
     WORK["signs"] += 1
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * m >> k) + (c << bits)
-    if acc > 0:
-        return 1
-    if acc <= -len(coeffs):
-        return -1
-    WORK["exact_fallbacks"] += 1
-    return exact_sign(coeffs, m, k)
+    exact = None
+    while True:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * m >> k) + (c << bits)
+        if acc > 0:
+            return 1
+        if acc <= -len(coeffs):
+            return -1
+        if exact is None:
+            v = (m & -m).bit_length() - 1 if m else k
+            m, k = m >> v, k - v
+            exact = k * (len(coeffs) - 1)
+            root = not next((c for c in reversed(coeffs) if c), 0) % (1 << k)
+        if bits >= exact:
+            return -1 if acc else 0
+        bits = exact if root else min(2 * bits or 1, exact)
+        WORK["guard_doublings"] += 1
 
 
 def newton_cell(coeffs: tuple[int, ...], m: int, k: int, base: int,
@@ -161,7 +160,7 @@ def newton_cell(coeffs: tuple[int, ...], m: int, k: int, base: int,
     The same fixed-point Horner pass as poly_sign's, with `bits` fraction
     bits, gives V ~ R(m 2^-k) 2^bits and D ~ R'(m 2^-k) 2^bits, each within
     len(coeffs) units, so the step lands at (m - 2^k V/D) * 2^-k. At a zero
-    slope no step is taken. Only a guess, with no fallback: with bits = k +
+    slope no step is taken. Only a guess, never retried: with bits = k +
     GUARD_BITS it is within a cell of the exact step unless the slope is
     tiny, and callers certify the cell.
     """
@@ -232,8 +231,8 @@ def root_cell(coeffs: tuple[int, ...], a_m: int, n: int, width_bits: int
     the cell the chain lands in, and one bisection sign halves what is
     left. A wrong guess costs a round, never a different cell, and a solve
     ends within `levels + 1` rounds. Signs are poly_sign's: fixed point
-    with an exact fallback, so every cell is decided exactly and the answer
-    does not depend on how it was found.
+    with its bits doubled until decided, so every cell is decided exactly
+    and the answer does not depend on how it was found.
     """
     # Level l of the grid splits [a, 1/2] into 2^l cells [m, m + width] /
     # 2^(n + l); the first level no wider than 2^-width_bits has

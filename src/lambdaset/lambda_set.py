@@ -338,8 +338,9 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
     The cover is refined adaptively until every surviving block is shorter
     than a quarter of the smallest grid size, which keeps each count within
     a constant factor of the count against the true cover. Raises
-    DepthBudgetExceeded when the refinement visits more than MAX_PREFIXES
-    blocks, and at once for a size below 2^-MAX_PREFIXES or more sizes.
+    InvalidInput when no block meets the window, and DepthBudgetExceeded
+    when the refinement visits more than MAX_PREFIXES blocks, and at once
+    for a size below 2^-MAX_PREFIXES or more sizes.
     """
     if len(eps_exponents) > MAX_PREFIXES + 1:
         raise DepthBudgetExceeded(
@@ -387,6 +388,9 @@ def box_dim_estimate(x: Fraction, window: tuple[Fraction, Fraction],
         for d in (0, 1):
             if admissible_word(xs, bits + (d,)):
                 stack.append(bits + (d,))
+    if not segments:
+        raise InvalidInput(f"window ({exact_str(a)}, {exact_str(b)}) holds "
+                           "no point of the cover")
     points = []
     for e in sorted(exponents):
         # boxes of size 2^-e: floor is monotone, so clipping a block's box

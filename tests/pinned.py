@@ -288,6 +288,10 @@ REFUSED = [
     Refused("dim --x 1/3 --center 2/5 --radius 0 --eps-min-exp 4 "
             "--eps-max-exp 6",
             "error: window (2/5, 2/5) has no positive length"),
+    # a window inside a gap of Lambda(2/35): no block meets it, so no box
+    Refused("dim --x 2/35 --center 1/3 --radius 1/32 --eps-min-exp 4 "
+            "--eps-max-exp 6",
+            "error: window (29/96, 35/96) holds no point of the cover"),
     Refused("common --targets 1/3 --depth 1 --bits 0", MIN_BITS),
     Refused("common --targets 1/3 --depth 1 --bits 16", MIN_BITS),
     Refused("thickness-cl --ell 1 --qmax -1 --x 1/3", TAIL),

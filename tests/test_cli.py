@@ -175,13 +175,12 @@ def test_manifest_stats_count_this_runs_memo_lookups(capsys):
     assert stats["lambda_set.psi_inverse"] == {"hits": 0, "misses": 0}
 
 
-def test_manifest_counts_the_root_solvers_work(capsys, monkeypatch,
-                                               clear_memo_tables):
-    """Signs, Newton steps and exact fallbacks repeat exactly for one argv,
-    and the fallbacks are the exact evaluations the run made: here one, at
-    the root of 0 1^inf, x = 2^-2 + 2^-42, a point of the level-40 grid of
-    [1/4, 1/2] since x rounds down to 1/4 at 32 bits."""
-    from lambdaset import ifs_core
+def test_manifest_counts_the_root_solvers_work(capsys, clear_memo_tables):
+    """Signs, Newton steps and repeated sign passes repeat exactly for one
+    argv. Here one sign repeats its pass, at the root of 0 1^inf, x = 2^-2
+    + 2^-42, a point of the level-40 grid of [1/4, 1/2] since x rounds down
+    to 1/4 at 32 bits: its fixed-point pass leaves acc = 0, and the retry
+    goes straight to the exact 42 * deg bits."""
     argv = ("cover", "--x", "1099511627777/4398046511104", "--depth", "4",
             "--bits", "32", "--width-bits", "60")
 
@@ -194,15 +193,32 @@ def test_manifest_counts_the_root_solvers_work(capsys, monkeypatch,
     first = cold_solver_work()
     assert first == cold_solver_work()
     assert first["signs"] > 0 and first["newton_steps"] > 0
-    exact = []
-    exact_sign = ifs_core.exact_sign
-    monkeypatch.setattr(ifs_core, "exact_sign",
-                        lambda *args: exact.append(args) or exact_sign(*args))
-    work = cold_solver_work()
-    assert work["exact_fallbacks"] == len(exact) > 0
+    assert first["guard_doublings"] == 1
     # a warm run makes no solve, so it counts nothing
     _, _, manifest = run_json(capsys, *argv)
     assert set(manifest["stats"]["root_solver"].values()) == {0}
+
+
+def test_deep_refusal_doubles_its_signs_bits(capsys, clear_memo_tables):
+    """`pieces --x 1/3 --k 1000 --width-bits 2560` cannot separate the
+    endpoints of piece 1000 and exits 1 with one error line. Three of its
+    signs, on polynomials of about 2000 coefficients at level 2687, are
+    undecided at 2622 fraction bits and decided at 5244: one repeated pass
+    each, where an exact pass at k' * deg bits builds integers of about
+    5.3 million bits and takes about 12 s."""
+    from lambdaset import ifs_core
+    clear_memo_tables()
+    before = dict(ifs_core.WORK)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pieces", "--x", "1/3", "--k", "1000",
+                         "--width-bits", "2560")
+    seconds = time.perf_counter() - start
+    assert (code, out, err) == (1, "", "error: endpoints of piece 1000 not "
+                                "separated at target width 2^-2560\n")
+    work = {k: v - before[k] for k, v in ifs_core.WORK.items()}
+    assert work == {"float_steps": 15, "signs": 6, "newton_steps": 21,
+                    "guard_doublings": 3}
+    assert seconds < 5
 
 
 def test_manifest_counts_the_common_search(capsys, monkeypatch):

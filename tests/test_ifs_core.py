@@ -7,9 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from lambdaset.errors import InvalidInput
 from lambdaset.ifs_core import (GUARD_BITS, SEARCH, Member, NotMember,
-                                Unresolved, exact_sign, greedy_cycle,
-                                greedy_digits, membership, newton_cell,
-                                pi_eval, pi_root_poly, poly_sign)
+                                Unresolved, greedy_cycle, greedy_digits,
+                                membership, newton_cell, pi_eval,
+                                pi_root_poly, poly_sign)
 from lambdaset.seqcode import EpSequence
 import exact
 
@@ -24,8 +24,9 @@ def test_pi_eval_examples():
 
 
 def test_pi_root_poly_sign_matches_pi_eval():
-    """The integer polynomial's exact sign at a dyadic ratio is the sign of
-    exact.pi's coding map value minus the target."""
+    """The integer polynomial's sign at a dyadic ratio, from any number of
+    fraction bits, is the sign of exact.pi's coding map value minus the
+    target."""
     rng = random.Random(7)
     for _ in range(300):
         pre = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 6)))
@@ -35,10 +36,12 @@ def test_pi_root_poly_sign_matches_pi_eval():
         k = rng.randint(1, 12)
         m = rng.randint(1, (1 << k) - 1)
         diff = exact.pi((pre, per), F(m, 1 << k)) - x
-        assert exact_sign(pi_root_poly(s, x), m, k) == (diff > 0) - (diff < 0)
+        bits = rng.randint(0, 80)
+        assert (poly_sign(pi_root_poly(s, x), m, k, bits)
+                == (diff > 0) - (diff < 0))
     # roots that are dyadic give an exact zero
-    assert exact_sign(pi_root_poly(S("0(1)"), F(3, 8)), 3, 3) == 0
-    assert exact_sign(pi_root_poly(S("(01)"), F(1, 3)), 1, 1) == 0
+    assert poly_sign(pi_root_poly(S("0(1)"), F(3, 8)), 3, 3, 64) == 0
+    assert poly_sign(pi_root_poly(S("(01)"), F(1, 3)), 1, 1, 64) == 0
 
 
 @st.composite
@@ -61,13 +64,25 @@ def sign_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(sign_cases())
-# R(3/4) = 1/16 for (01) and 2/5: one fraction bit leaves acc = -1
+# R(3/4) = 1/4 for (01) and 2/5: one fraction bit leaves acc = 0
 @example(case=(pi_root_poly(S("(01)"), F(2, 5)), 3, 2, 1))
-# a root at the probe: acc = 0 and only the exact sign says 0
+# a root at the probe, 8 lam - 3 at 3/8: 2^3 divides the top coefficient,
+# so the retry goes from 0 bits straight to the exact 3 * 1
 @example(case=(pi_root_poly(S("0(1)"), F(3, 8)), 3, 3, 0))
+# 2 lam^2 - 1 just past 1/sqrt(2), about 2^-17.6: from 0 bits the pass
+# doubles six times, to 32 bits, below the exact 20 * 2
+@example(case=((-1, 0, 2), 741457, 20, 0))
+# the zero polynomial has no top coefficient: it may vanish, so the retry
+# goes from 0 bits to the exact 4 * 2; lam = 0 is exact at 0 bits
+@example(case=((0, 0, 0), 5, 4, 0))
+@example(case=((0, 1, -1), 0, 7, 0))
 def test_fixed_point_sign_is_the_exact_sign(case):
+    """poly_sign's sign, whatever its starting bits, is the sign of R's
+    exact value as a sum of Fractions."""
     coeffs, m, k, bits = case
-    assert poly_sign(coeffs, m, k, bits) == exact_sign(coeffs, m, k)
+    lam = F(m, 1 << k)
+    value = sum(c * lam ** i for i, c in enumerate(coeffs))
+    assert poly_sign(coeffs, m, k, bits) == (value > 0) - (value < 0)
 
 
 def test_newton_cell_matches_fraction_step():

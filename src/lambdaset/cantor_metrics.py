@@ -38,12 +38,9 @@ Interval = tuple[Enclosure, Enclosure]   # closed or open interval [lo, hi]
 
 
 def _ratio(value) -> tuple[int, int]:
-    """A gap-file endpoint as (numerator, denominator > 0). A JSON integer,
-    or a string `p/q` or `p` of ASCII digits with an optional minus sign, is
-    read with int(); anything else goes through parse_rational, so the
-    accepted forms and the `not a rational` messages are its own."""
-    if type(value) is int:               # not bool: JSON true is no number
-        return value, 1
+    """A gap-file endpoint as (numerator, denominator > 0). A string `p/q`
+    or `p` of ASCII digits and an optional minus sign is read with int(),
+    anything else by parse_rational, its forms and refusals included."""
     if type(value) is str and value.isascii():
         num, slash, den = value.partition("/")
         if ((num[1:] if num[:1] == "-" else num).isdigit()
@@ -56,6 +53,20 @@ def _ratio(value) -> tuple[int, int]:
                 pass
     q = parse_rational(str(value))
     return q.numerator, q.denominator
+
+
+def _on_grid(hull, gaps, cell) -> tuple:
+    """A DefiningSequence's hull, removals and exponent, from the cell
+    cell(end) of each end, hull first. A hull or gap that is not a pair of
+    ends raises InvalidInput before any end is read."""
+    pairs = [hull, *gaps] if isinstance(gaps, (list, tuple)) else [()]
+    if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
+        raise InvalidInput(
+            'expected {"hull": [lo, hi], "gaps": [[lo, hi], ...]}')
+    grid, top = on_grid([cell(end) for end in chain(*pairs)])
+    ends = iter(grid)
+    cells = zip(ends, ends, ends, ends)
+    return next(cells), tuple(cells), top
 
 
 class DefiningSequence(NamedTuple):
@@ -73,30 +84,23 @@ class DefiningSequence(NamedTuple):
     @classmethod
     def parse(cls, hull: list, gaps: list[list],
               bits: int = DEFAULT_CONFIG.precision_bits) -> "DefiningSequence":
-        """The sequence of a gap file's `hull` and `gaps` lists, whose
-        endpoints are strings or JSON numbers. The first endpoint that is
-        not a rational, hull first, raises InvalidInput."""
-        return cls._on_grid([round_outward(*_ratio(q), bits)
-                             for q in chain(hull, *gaps)], bits)
+        """The sequence of a gap file's `hull` and `gaps`, each endpoint a
+        string or a number read as its str(). A hull or gap that is not a
+        pair, then the first endpoint not a rational, raises InvalidInput."""
+        return cls(*_on_grid(hull, gaps,
+                             lambda q: round_outward(*_ratio(q), bits)), bits)
 
     @classmethod
     def from_cells(cls, hull: Interval, removals: Iterable[Interval]
                    ) -> "DefiningSequence":
-        """The sequence of solved cells, taken as they are. A cell at
-        another precision than the hull's left end raises InvalidInput."""
-        bits = hull[0].bits
-        cells = [*hull, *chain(*removals)]
-        if any(cell.bits != bits for cell in cells):
-            raise InvalidInput("defining sequence mixes precisions")
-        return cls._on_grid([c.cell for c in cells], bits)
-
-    @classmethod
-    def _on_grid(cls, cells: list[Cell], bits: int) -> "DefiningSequence":
-        """The sequence of the endpoint cells, hull first."""
-        grid, top = on_grid(cells)
-        ends = iter(grid)
-        cells = zip(ends, ends, ends, ends)
-        return cls(next(cells), tuple(cells), top, bits)
+        """The sequence of solved cells, taken as they are. A hull or removal
+        not a pair, then a cell at another precision than the hull's left
+        end, raises InvalidInput."""
+        def cell(end: Enclosure) -> Cell:
+            if end.bits != hull[0].bits:
+                raise InvalidInput("defining sequence mixes precisions")
+            return end.cell
+        return cls(*_on_grid(hull, list(removals), cell), hull[0].bits)
 
     def intervals(self) -> list[Interval]:
         """The hull, then each removal, as a pair of Enclosures."""
@@ -148,14 +152,17 @@ def thickness_of(ds: DefiningSequence) -> Fraction:
 
 def newhouse_lower(tau) -> float:
     """Dimension lower bound log 2 / log(2 + 1/tau) for a Cantor set of
-    thickness tau. The sign is tested on the exact value, and a tau too
-    small for 1/tau to be a finite float is read from its integers."""
+    thickness tau. The sign is tested on the exact value, and a tau past
+    float range, or whose 1/tau is, is read from its integers."""
     if tau <= 0:
         raise InvalidInput(
             f"thickness must be positive: {exact_str(Fraction(tau))}")
-    t = float(tau)
-    if t > 0 and math.isfinite(1 / t):
-        return math.log(2) / math.log(2 + 1 / t)
+    try:
+        t = float(tau)
+        if t > 0 and math.isfinite(1 / t):
+            return math.log(2) / math.log(2 + 1 / t)
+    except OverflowError:
+        pass
     # log(2 + 1/tau) = log(2p + q) - log(p) for tau = p/q; math.log reads
     # integers of any size
     p, q = Fraction(tau).as_integer_ratio()

@@ -132,19 +132,18 @@ def _load_defining_sequence(source: str, bits: int):
     else:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
-    try:  # integers stay digit strings, which _ratio reads or refuses itself
-        raw = json.loads(text, parse_int=str)
-    except ValueError as exc:
+    try:  # every number stays the text it is written as, for _ratio to read
+        raw = json.loads(text, parse_int=str, parse_float=str,
+                         parse_constant=str)
+        doc = raw if isinstance(raw, dict) else {}
+        return lib.DefiningSequence.parse(doc.get("hull"), doc.get("gaps"),
+                                          bits)
+    except json.JSONDecodeError as exc:
         raise InvalidInput(f"{source}: not JSON: {exc}") from None
     except RecursionError:   # the decoder's own message varies by build
         raise InvalidInput(f"{source}: JSON nested too deeply") from None
-    if not (isinstance(raw, dict)
-            and isinstance(raw.get("hull"), list) and len(raw["hull"]) == 2
-            and isinstance(raw.get("gaps"), list)
-            and all(isinstance(g, list) and len(g) == 2 for g in raw["gaps"])):
-        raise InvalidInput(f"{source}: expected "
-                           '{"hull": [lo, hi], "gaps": [[lo, hi], ...]}')
-    return lib.DefiningSequence.parse(raw["hull"], raw["gaps"], bits)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{source}: {exc}") from None
 
 
 class Command(NamedTuple):

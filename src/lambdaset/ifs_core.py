@@ -19,7 +19,7 @@ Newton step or a double-precision guess is only a guess, never retried.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import frexp, gcd, inf, isfinite
+from math import frexp, gcd, inf
 from typing import NamedTuple, Union
 
 from .errors import InvalidInput
@@ -243,15 +243,12 @@ def root_cell(coeffs: tuple[int, ...], a_m: int, n: int, width_bits: int
     # (base + j width) / 2^k: R < 0 at j = lo and R > 0 at j = hi.
     k, base = n + levels, a_m << levels
     lo, hi = 0, 1 << levels
-    # the first round starts from the double-precision guess, unless it is
-    # not finite, and every other round from the bracket's midpoint
-    j, aim = hi // 2, levels - hi.bit_length()
+    # the first round starts from the double-precision guess: cells of
+    # level l are width / 2^(n + l) >= 2^-bits wide for l <= aim
     guess, bits = float_guess(coeffs, a_m / (1 << n))
-    if isfinite(guess):
-        # cells of level l are width / 2^(n + l) >= 2^-bits wide for l <= aim
-        num, den = guess.as_integer_ratio()
-        j = min(max(((num << k) // den - base) // width, lo), hi - 1)
-        aim = bits + width.bit_length() - 1 - n
+    num, den = guess.as_integer_ratio()
+    j = min(max(((num << k) // den - base) // width, lo), hi - 1)
+    aim = bits + width.bit_length() - 1 - n
     while hi - lo > 1:
         while aim < levels:
             aim = min(levels, max(1, 2 * aim))

@@ -45,6 +45,12 @@ def middle_alpha_gaps(alpha: Fraction, levels: int,
     return json.dumps({"hull": [str(v) for v in hull], "gaps": gaps})
 
 
+# a gap file of JSON numbers that no double holds: decimals past a double's
+# digits, and numbers below and above its range
+BEYOND_DOUBLES = ('{"hull": [-1, 1e400], "gaps": [[0.33333333333333333333, '
+                  '0.66666666666666666667], [1e-4000, 0.25]]}')
+
+
 class Pinned(NamedTuple):
     """`lambdaset` with these space-separated arguments exits 0 and prints
     the stdout whose sha256 is digest, reading stdin if it is given."""
@@ -132,6 +138,10 @@ PINNED = [
            "59d49e8f4ebedb5bf22aa4ede3d72c9bf3dac6d02e0c7474b72b70818fa924a5",
            '{"hull": ["-1", 2], "gaps": [["1/3", "2/3"], ["-1/2", "1e-1"], '
            '[0.25, "3/10"], [1, "3/2"]]}'),
+    # JSON numbers read as written, not as the doubles nearest them
+    Pinned("thickness --gaps -",
+           "12e88337319aa749bcd7ba0827c674d81d09c165c18e85a5321ce1182c7c5348",
+           BEYOND_DOUBLES),
     Pinned("cover --x 1/3 --depth 4",
            "c780ce32e99713278147dde0b21900079ac24dc28273dc55ef4dc159d7581eaf"),
     # the largest precision and width, other grid origins, degree-200 root
@@ -308,10 +318,12 @@ REFUSED = [
             "error: argument --x: not a rational: '1e-100000000'"),
     Refused("cover --x 1e-1_000_000 --depth 2",
             "error: argument --x: not a rational: '1e-1_000_000'"),
-    Refused("thickness --gaps -", "error: not a rational: '1e-10000000'",
+    Refused("thickness --gaps -",
+            "error: <stdin>: not a rational: '1e-10000000'",
             '{"hull": ["0", "1"], "gaps": [["1e-10000000", "1/2"]]}'),
     # a JSON integer past the interpreter's integer-to-string digit limit
-    Refused("thickness --gaps -", f"error: not a rational: '1{'0' * 5000}'",
+    Refused("thickness --gaps -",
+            f"error: <stdin>: not a rational: '1{'0' * 5000}'",
             f'{{"hull": [0, 1{"0" * 5000}], "gaps": []}}'),
     # a gap file that is not JSON, and files of the wrong shape, the first
     # of them a bare 5001-digit integer

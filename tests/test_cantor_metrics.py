@@ -284,7 +284,7 @@ def reference_cli(doc: dict, bits: int) -> tuple[int, str]:
         values = [parse_rational(str(v))
                   for v in chain(doc["hull"], *doc["gaps"])]
     except ValueError as exc:
-        return 1, f"error: {exc}"
+        return 1, f"error: <stdin>: {exc}"
     cells = [Enclosure.from_fraction(q, bits) for q in values]
     hull, *removals = zip(cells[::2], cells[1::2])
     try:
@@ -356,11 +356,13 @@ def test_newhouse_examples():
 
 def test_newhouse_lower_below_float_range():
     """A positive thickness too small for 1/tau to be a finite float keeps
-    a positive bound, log 2 / log(2 + 1/tau), read from its integers."""
+    a positive bound, log 2 / log(2 + 1/tau), read from its integers, and
+    one too large to be a float a bound of about 1."""
     assert newhouse_lower(F(1, 10 ** 400)) == pytest.approx(
         math.log(2) / (400 * math.log(10)), rel=1e-12)
     assert newhouse_lower(F(1, 1 << 1070)) == pytest.approx(1 / 1070,
                                                             rel=1e-12)
+    assert newhouse_lower(F(10 ** 400)) == pytest.approx(1, rel=1e-12)
     with pytest.raises(InvalidInput, match="positive: -1/10{400}$"):
         newhouse_lower(F(-1, 10 ** 400))
 

@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 import checks
 from lambdaset.cli import COMMANDS, build_parser, load_schema, main
 from lambdaset.numerics import Enclosure
-from pinned import (PINNED, REFUSED, manifest_digest, middle_alpha_gaps,
-                    refused_as_pinned, sha256)
+from pinned import (BEYOND_DOUBLES, PINNED, REFUSED, manifest_digest,
+                    middle_alpha_gaps, refused_as_pinned, sha256)
 from workloads import WORKLOADS
 
 
@@ -333,13 +333,28 @@ def _no_int_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
+def _as_run(argv: list[str]) -> list[str]:
+    """argv as the program runs it, for bench/checks.py, which reads each
+    flag and its value as two tokens and the targets as given: every
+    `--flag=value` split in two, and each --x or --targets value in
+    (1/2, 1) mirrored as the program mirrors it (not code's --x)."""
+    tokens = [t for a in argv
+              for t in (a.split("=", 1) if a.startswith("--") else [a])]
+    for i, flag in enumerate(tokens[:-1]):
+        if flag in ("--x", "--targets") and tokens[0] != "code":
+            tokens[i + 1] = ",".join(
+                str(1 - q if Fraction(1, 2) < q < 1 else q)
+                for q in map(Fraction, tokens[i + 1].split(",")))
+    return tokens
+
+
 def _problems(argv: list[str], out: str, payload: dict) -> list[str]:
     """What bench/checks.py finds wrong with a checked run's stdout. A
     library call's arguments are the parsed argv's, its target mirrored
     into (0, 1/2]; verify's case is B exactly for the target 1/4."""
     if argv[0] in ARGV_CHECKED:
         with _no_int_digit_limit():
-            return checks.check_cli({"argv": argv}, 0, out.encode())
+            return checks.check_cli({"argv": _as_run(argv)}, 0, out.encode())
     args = build_parser(argv).parse_args(argv)
     x = min(args.x, 1 - args.x)
     if argv[0] == "verify":
@@ -516,6 +531,20 @@ def test_thickness_reads_gaps_from_stdin(capsys, monkeypatch, tmp_path):
     assert payload["thickness_float"] == float(Fraction(payload["thickness"]))
     monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
     assert run(capsys, "thickness", "--gaps", "-")[:2] == (code, out)
+
+
+def test_gap_file_numbers_read_as_written(capsys, monkeypatch):
+    """A gap file's JSON numbers read as the strings they are written as:
+    BEYOND_DOUBLES, a row of PINNED, prints what it prints with every
+    number quoted."""
+    quoted = ('{"hull": ["-1", "1e400"], "gaps": [["0.33333333333333333333", '
+              '"0.66666666666666666667"], ["1e-4000", "0.25"]]}')
+    outs = []
+    for doc in (BEYOND_DOUBLES, quoted):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code, out, _ = run(capsys, "thickness", "--gaps", "-")
+        outs.append((code, out))
+    assert outs[0] == outs[1] and outs[0][0] == 0
 
 
 @pytest.mark.parametrize("name,digest", [
@@ -727,3 +756,19 @@ def test_any_argv_ends_cleanly(gap_dir, argv):
     if code == 1:
         assert out.getvalue() == ""
         assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(cli_argvs())
+def test_drawn_runs_pass_the_checker(argv):
+    """Every drawn argv of a command bench/checks.py checks that exits 0
+    prints what the checker finds no problem with."""
+    if argv[0] not in ARGV_CHECKED | CALL_CHECKED:
+        return
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    if code == 0:
+        out = out.getvalue()
+        assert _problems(argv, out, json.loads(out)) == [], argv

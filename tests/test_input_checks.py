@@ -22,6 +22,7 @@ from lambdaset.svg import svg_gaps
 
 SEQ = EpSequence((0,), (1,))
 HULL = (F(0), F(1))
+CELLS = tuple(Enclosure.from_fraction(q, 64) for q in (F(0), F(1, 2), F(1)))
 
 BAD_CALLS = [
     ("piece index 0", lambda: piece_endpoints(F(1, 3), 0), InvalidInput),
@@ -64,6 +65,12 @@ BAD_CALLS = [
     ("removal outside hull",
      lambda: thickness_of(DefiningSequence.parse(
          HULL, [(F(2), F(3))])), InvalidInput),
+    ("three-end gap", lambda: DefiningSequence.parse(
+        HULL, [(F(1, 3), F(2, 3), F(3, 4))]), InvalidInput),
+    ("one-end hull", lambda: DefiningSequence.parse(
+        HULL[:1], [(F(1, 3), F(2, 3))]), InvalidInput),
+    ("three-cell removal", lambda: DefiningSequence.from_cells(
+        CELLS[:2], [CELLS]), InvalidInput),
     ("thickness 0", lambda: newhouse_lower(0), InvalidInput),
     ("diagram q_max 2", lambda: svg_gaps(F(1, 3), 1, 1, 2), InvalidInput),
 ]

@@ -146,7 +146,7 @@ def test_psi_inverse_survives_bad_newton_steps(monkeypatch):
     different cell: guesses of cell 0, far past the grid, below it, three
     cells off, anywhere at random, or always two cells from the root's.
     The same holds for the double-precision guess the first round starts
-    from: at the grid's low end, past its high end, NaN, infinite or at
+    from: at the grid's low end, past its high end, far past it or at
     random, claiming no bits, a double's bits or more bits than the grid
     has levels."""
     x = F(2, 7)
@@ -177,8 +177,7 @@ def test_psi_inverse_survives_bad_newton_steps(monkeypatch):
         solves_unchanged()
     monkeypatch.setattr(ifs_core, "newton_cell", newton_cell)
     for guess in (lambda lo: lo, lambda lo: 1.0, lambda lo: 2.0 ** 600,
-                  lambda lo: math.nan, lambda lo: math.inf,
-                  lambda lo: -math.inf, lambda lo: rng.uniform(-1, 2)):
+                  lambda lo: rng.uniform(-1, 2)):
         for bits in (0, 52, 1000):
             monkeypatch.setattr(ifs_core, "float_guess",
                                 lambda coeffs, lo: (guess(lo), bits))
@@ -219,7 +218,7 @@ def test_solve_past_a_doubles_range(x):
             coeffs = pi_root_poly(s, x)
             assert max(abs(c) for c in coeffs).bit_length() > 1100
             guess, bits = ifs_core.float_guess(coeffs, float(a))
-            assert math.isfinite(guess) and bits > 0
+            assert float(a) <= guess <= 0.5 and bits > 0
             e = lambda_set.psi_inverse.__wrapped__(x, s, cfg)
             assert (e.lo, e.hi) == grid_oracle(s, x, cfg)
 

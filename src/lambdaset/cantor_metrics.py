@@ -24,8 +24,8 @@ from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidInput
-from .numerics import (DEFAULT_CONFIG, Cell, Enclosure, exact_str, on_grid,
-                       parse_rational, round_outward)
+from .numerics import (DEFAULT_CONFIG, Cell, Enclosure, PrecisionConfig,
+                       exact_str, on_grid, parse_rational, round_outward)
 
 __all__ = [
     "Interval",
@@ -85,8 +85,10 @@ class DefiningSequence(NamedTuple):
     def parse(cls, hull: list, gaps: list[list],
               bits: int = DEFAULT_CONFIG.precision_bits) -> "DefiningSequence":
         """The sequence of a gap file's `hull` and `gaps`, each endpoint a
-        string or a number read as its str(). A hull or gap that is not a
-        pair, then the first endpoint not a rational, raises InvalidInput."""
+        string or a number read as its str(). A precision PrecisionConfig
+        refuses, then a hull or gap that is not a pair, then the first
+        endpoint not a rational, raises InvalidInput."""
+        PrecisionConfig(bits)
         return cls(*_on_grid(hull, gaps,
                              lambda q: round_outward(*_ratio(q), bits)), bits)
 

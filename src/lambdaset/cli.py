@@ -104,7 +104,7 @@ class _Parser(argparse.ArgumentParser):
 def _fraction(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except ValueError as exc:
+    except InvalidInput as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
@@ -124,26 +124,6 @@ BITS = ("--bits", dict(type=int, default=DEFAULT_CONFIG.precision_bits,
 WIDTH_BITS = ("--width-bits", dict(
     type=int, default=DEFAULT_CONFIG.width_bits,
     help="solver target width 2^-W (default %(default)s)"))
-
-
-def _load_defining_sequence(source: str, bits: int):
-    if source == "-":
-        text, source = sys.stdin.read(), "<stdin>"
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:  # every number stays the text it is written as, for _ratio to read
-        raw = json.loads(text, parse_int=str, parse_float=str,
-                         parse_constant=str)
-        doc = raw if isinstance(raw, dict) else {}
-        return lib.DefiningSequence.parse(doc.get("hull"), doc.get("gaps"),
-                                          bits)
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"{source}: not JSON: {exc}") from None
-    except RecursionError:   # the decoder's own message varies by build
-        raise InvalidInput(f"{source}: JSON nested too deeply") from None
-    except InvalidInput as exc:
-        raise InvalidInput(f"{source}: {exc}") from None
 
 
 class Command(NamedTuple):
@@ -250,9 +230,35 @@ def _cantor_ds(args, cfg):
                          help='JSON {"hull":[lo,hi],"gaps":[[lo,hi],...]}; '
                               "- for stdin")), BITS)
 def _thickness(args, cfg):
-    ds = _load_defining_sequence(args.gaps, cfg.precision_bits)
-    tau = lib.thickness_of(ds)
-    return {"thickness": exact_str(tau), "thickness_float": float(tau),
+    source = "<stdin>" if args.gaps == "-" else args.gaps
+    try:
+        if args.gaps == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.gaps, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        # every number stays the text it is written as, for parse to read
+        raw = json.loads(text, parse_int=str, parse_float=str,
+                         parse_constant=str)
+        doc = raw if isinstance(raw, dict) else {}
+        ds = lib.DefiningSequence.parse(doc.get("hull"), doc.get("gaps"),
+                                        cfg.precision_bits)
+        tau = lib.thickness_of(ds)
+    except OSError as exc:
+        raise InvalidInput(f"{source}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{source}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"{source}: not JSON: {exc}") from None
+    except RecursionError:   # the decoder's own message varies by build
+        raise InvalidInput(f"{source}: JSON nested too deeply") from None
+    except InvalidInput as exc:
+        raise InvalidInput(f"{source}: {exc}") from None
+    try:
+        tau_float = float(tau)
+    except OverflowError:
+        tau_float = None
+    return {"thickness": exact_str(tau), "thickness_float": tau_float,
             "newhouse_lower": lib.newhouse_lower(tau),
             "gaps": len(ds.removals)}, 0
 
@@ -372,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         if entry.mirror:
             _mirror_targets(args, notes)
         payload, code = entry.handler(args, cfg)
-    except (LambdasetError, ValueError, OSError, ArithmeticError) as exc:
+    except LambdasetError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     if not isinstance(payload, str):

@@ -142,6 +142,11 @@ PINNED = [
     Pinned("thickness --gaps -",
            "12e88337319aa749bcd7ba0827c674d81d09c165c18e85a5321ce1182c7c5348",
            BEYOND_DOUBLES),
+    # a thickness of about 2^1099, past float range: `thickness_float` is null
+    Pinned("thickness --gaps - --bits 2000",
+           "0eee07a47aca154cf66df1015a8fdcfb01991af8fadff3ea1797865a0aecb50e",
+           json.dumps({"hull": ["0", "1"], "gaps": [
+               ["1/2", str(Fraction(1, 2) + Fraction(1, 1 << 1100))]]})),
     Pinned("cover --x 1/3 --depth 4",
            "c780ce32e99713278147dde0b21900079ac24dc28273dc55ef4dc159d7581eaf"),
     # the largest precision and width, other grid origins, degree-200 root
@@ -335,11 +340,17 @@ REFUSED = [
     Refused("thickness --gaps -", GAP_FILE, '{"hull": [0, 1], "gaps": 5}'),
     Refused("thickness --gaps -", "error: <stdin>: JSON nested too deeply",
             NESTED),
-    # a thickness of about 2^1099, past the float range of `thickness_float`
-    Refused("thickness --gaps - --bits 2000",
-            "error: integer division result too large for a float",
-            json.dumps({"hull": ["0", "1"], "gaps": [
-                ["1/2", str(Fraction(1, 2) + Fraction(1, 1 << 1100))]]})),
+    # well-formed files whose removals thickness_of refuses
+    Refused("thickness --gaps -",
+            "error: <stdin>: defining sequence lists no removals",
+            '{"hull": ["0", "1"], "gaps": []}'),
+    Refused("thickness --gaps -",
+            "error: <stdin>: removal 1 has no certified length",
+            '{"hull": ["0", "1"], "gaps": [["1/2", "1/2"]]}'),
+    Refused("thickness --gaps -",
+            "error: <stdin>: removal 2 is not strictly interior to any "
+            "component",
+            '{"hull": ["0", "1"], "gaps": [["1/3", "2/3"], ["1/2", "3/4"]]}'),
     # 10^-4300's period is far past the budget: no greedy run. Rationals
     # print in full, past the integer-to-string digit limit.
     Refused("expansion --x 1e-4300", EXPANSION + "0" * 4300),

@@ -104,7 +104,8 @@ def defining_sequences(draw):
     """Removals mostly cut strictly inside a component of the exact
     replay; the rest are arbitrary pairs (reversed, empty, overlapping or
     outside the hull), and a few hulls are reversed. Coarse rounding makes
-    some interior cuts uncertain."""
+    some interior cuts uncertain: 32 bits near 2^24 resolve about what 8
+    bits near 1 do."""
     lo, length = draw(grid), draw(st.builds(F, st.integers(1, 40),
                                             st.integers(1, 12)))
     hull = (lo + length, lo) if draw(st.integers(0, 9)) == 0 else (lo, lo + length)
@@ -120,8 +121,9 @@ def defining_sequences(draw):
         else:
             gl, gr = draw(grid), draw(grid)
         removals.append((gl, gr))
-    bits = draw(st.sampled_from((8, 32, 64)))
-    return hull, removals, bits
+    bits, offset = draw(st.sampled_from(((32, 1 << 24), (32, 0), (64, 0))))
+    return ([v + offset for v in hull],
+            [(gl + offset, gr + offset) for gl, gr in removals], bits)
 
 
 @settings(deadline=None)
@@ -178,7 +180,7 @@ def test_non_dyadic_endpoint_is_refused():
 
 @settings(deadline=None)
 @given(st.integers(-(10 ** 45), 10 ** 45), st.integers(1, 10 ** 45),
-       st.integers(1, 10 ** 6), st.sampled_from((1, 2, 8, 32, 128)))
+       st.integers(1, 10 ** 6), st.sampled_from((32, 33, 64, 128)))
 # one end of the scaled quotient a power of two and the other one below it
 # in magnitude: (3 * 2^129 - 1) / 3 scaled by 2 is 2^130 - 2/3, and the
 # same negated
@@ -290,7 +292,7 @@ def reference_cli(doc: dict, bits: int) -> tuple[int, str]:
     try:
         return 0, exact_str(reference_thickness(hull, removals))
     except InvalidInput as exc:
-        return 1, f"error: {exc}"
+        return 1, f"error: <stdin>: {exc}"
 
 
 def cli_thickness(doc: dict, bits: int) -> tuple[int, str]:

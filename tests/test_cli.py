@@ -502,6 +502,22 @@ def test_thickness_below_float_range(capsys, tmp_path):
     assert 0 < payload["newhouse_lower"] < 0.001
 
 
+@pytest.mark.parametrize("name,reason", [
+    ("missing.json", "No such file or directory"),
+    (".", "Is a directory"),
+    ("latin-1.json", "'utf-8' codec can't decode byte 0xe9 in position 11: "
+                     "invalid continuation byte"),
+], ids=["missing", "directory", "not-utf-8"])
+def test_unreadable_gap_file_is_refused_by_name(capsys, tmp_path, name,
+                                                reason):
+    """A gap file that cannot be opened, read or decoded ends in one
+    `error:` line that names it."""
+    (tmp_path / "latin-1.json").write_bytes(b'{"hull": ["\xe9"]}')
+    path = tmp_path / name
+    assert run(capsys, "thickness", "--gaps", str(path)) == (
+        1, "", f"error: {path}: {reason}\n")
+
+
 def test_thickness_file_builds_no_enclosure(capsys, monkeypatch, tmp_path):
     """A gap file goes straight to the integer grid: reading and replaying
     1023 removals builds no Enclosure, where rounding every endpoint to one
@@ -666,41 +682,55 @@ def test_commands_take_only_the_precision_flags_they_read(capsys, name):
 # flags come from PRECISION_FLAGS. Depths (at most 6) and the options whose
 # defaults start long runs (dim's grid exponents, verify's trial count) are
 # always given; k is at most 8. --format and svg-gaps --out are refused.
+# Half the draws take each flag's second list instead, values that a run
+# accepts, so that many runs exit 0 and print what bench/checks.py checks.
 RATIONALS = ["1/3", "1/4", "2/7", "2/3", "1/2", "0", "-1/3", "1e-30",
              "0.123456789", "", "abc", "1/0"]
+TARGETS = ["1/3", "1/4", "2/7", "2/3"]
 INTS = ["1", "2", "3", "0", "-1", "x"]
-DEPTHS = ["4", "5", "6"] + INTS
-KS = ["4", "5", "6", "7", "8"] + INTS
+COUNTS = ["1", "2", "3"]
+DEPTHS = ["4", "5", "6"]
+KS = ["4", "5", "6", "7", "8"]
 TARGET_LISTS = [f"{a},{b}" for a in ("1/3", "2/3", "abc")
                 for b in ("1/4", "0.123456789", "1e-30")] + RATIONALS
-X_FLAG = ("--x", RATIONALS + [None])
-TAIL_FLAGS = (("--ell", INTS + [None]), ("--kmax", INTS + [None]),
-              ("--qmax", INTS + [None]))
-FORMAT_FLAG = ("--format", [None, "csv", "json", "xml"])
+X_FLAG = ("--x", RATIONALS + [None], TARGETS)
+TAIL_FLAGS = (("--ell", INTS + [None], COUNTS),
+              ("--kmax", INTS + [None], COUNTS),
+              ("--qmax", INTS + [None], COUNTS))
+FORMAT_FLAG = ("--format", [None, "csv", "json", "xml"], [None])
 GRAMMAR = {
-    "code": (X_FLAG, ("--lambda", RATIONALS + [None]),
-             ("--max-steps", INTS + [None])),
-    "pi": (("--seq", ["(01)", "0(1)", "01", "", "2(0)", None]),
-           ("--lambda", RATIONALS + [None])),
+    "code": (X_FLAG, ("--lambda", RATIONALS + [None], TARGETS[:3] + ["1/2"]),
+             ("--max-steps", INTS + [None], COUNTS + [None])),
+    "pi": (("--seq", ["(01)", "0(1)", "01", "", "2(0)", None],
+            ["(01)", "0(1)", "1(0)"]),
+           ("--lambda", RATIONALS + [None], TARGETS)),
     "expansion": (X_FLAG,),
-    "cover": (X_FLAG, ("--depth", DEPTHS), FORMAT_FLAG),
-    "gaps": (X_FLAG, ("--depth", DEPTHS), FORMAT_FLAG),
-    "dim": (X_FLAG, ("--center", RATIONALS), ("--radius", RATIONALS),
-            ("--eps-min-exp", INTS), ("--eps-max-exp", INTS)),
-    "pieces": (X_FLAG, ("--k", KS + [None])),
+    "cover": (X_FLAG, ("--depth", DEPTHS + INTS, DEPTHS), FORMAT_FLAG),
+    "gaps": (X_FLAG, ("--depth", DEPTHS + INTS, DEPTHS), FORMAT_FLAG),
+    # accepted windows lie inside [x, 1/2] for every accepted target
+    "dim": (X_FLAG, ("--center", RATIONALS, ["0.46", "9/20"]),
+            ("--radius", RATIONALS, ["1/16", "1/32"]),
+            ("--eps-min-exp", INTS, ["4", "5"]),
+            ("--eps-max-exp", INTS, ["6", "7"])),
+    "pieces": (X_FLAG, ("--k", KS + INTS + [None], KS)),
     "cantor-ds": (X_FLAG,) + TAIL_FLAGS,
-    "thickness": (("--gaps", list(GAP_FILES) + ["missing", None]),),
+    "thickness": (("--gaps", list(GAP_FILES) + ["missing", None],
+                   ["valid"]),),
     "thickness-cl": (X_FLAG,) + TAIL_FLAGS,
-    "verify": (X_FLAG, ("--trials", INTS),
-               ("--seed", INTS + [None])),
-    "intersect": (("--targets", TARGET_LISTS + [None]), ("--depth", DEPTHS),
-                  FORMAT_FLAG),
-    "common": (("--targets", TARGET_LISTS + [None]), ("--depth", DEPTHS)),
-    "svg-gaps": (X_FLAG,) + TAIL_FLAGS + (("--out", [None, "d.svg"]),),
+    "verify": (X_FLAG, ("--trials", INTS, COUNTS),
+               ("--seed", INTS + [None], COUNTS + [None])),
+    "intersect": (("--targets", TARGET_LISTS + [None], TARGETS + ["1/3,1/4"]),
+                  ("--depth", DEPTHS + INTS, DEPTHS), FORMAT_FLAG),
+    "common": (("--targets", TARGET_LISTS + [None], TARGETS + ["2/7,1/4"]),
+               ("--depth", DEPTHS + INTS, DEPTHS)),
+    "svg-gaps": (X_FLAG,) + TAIL_FLAGS[:2] + (
+        ("--qmax", INTS + [None], ["0", "1"]),
+        ("--out", [None, "d.svg"], [None])),
 }
 # mostly left out, so that most draws reach the library
-PRECISION_VALUES = {"--bits": [None] * 6 + ["64", "0", "x"],
-                    "--width-bits": [None] * 6 + ["40", "3", "-1", "x"]}
+PRECISION_VALUES = {"--bits": ([None] * 6 + ["64", "0", "x"], [None, "64"]),
+                    "--width-bits": ([None] * 6 + ["40", "3", "-1", "x"],
+                                     [None, "40"])}
 
 
 class _Hang(BaseException):
@@ -714,15 +744,17 @@ def _raise_hang(signum, frame):
 @st.composite
 def cli_argvs(draw):
     name = draw(st.sampled_from(sorted(GRAMMAR)))
+    accepted = draw(st.booleans())
     argv = [name]
-    flags = GRAMMAR[name] + tuple((flag, PRECISION_VALUES[flag])
+    flags = GRAMMAR[name] + tuple((flag, *PRECISION_VALUES[flag])
                                   for flag in PRECISION_FLAGS[name])
-    for flag, values in flags:
-        value = draw(st.sampled_from(values))
+    for flag, values, good in flags:
+        value = draw(st.sampled_from(good if accepted else values))
         if value is not None:
             argv.append(f"{flag}={value}")   # so that -1/3 is not a flag
-    # now and then a precision flag the command does not take
-    stray = draw(st.sampled_from(
+    # now and then, among values not all accepted, a precision flag the
+    # command does not take
+    stray = None if accepted else draw(st.sampled_from(
         [None] * 9 + sorted(set(BOTH) - set(PRECISION_FLAGS[name]))))
     if stray is not None:
         argv.append(f"{stray}=40")
@@ -737,7 +769,8 @@ def test_grammar_spans_every_subcommand():
 @given(cli_argvs())
 def test_any_argv_ends_cleanly(gap_dir, argv):
     """Exit 0, 1 or 2 within a few seconds and never a traceback; exit 1
-    prints exactly one error line."""
+    prints exactly one error line. main ends only the library's typed
+    refusals, so any other exception escapes it and fails the test."""
     argv = _in_gap_dir(gap_dir, argv)
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _raise_hang)

@@ -133,6 +133,8 @@ def test_membership_examples():
     assert membership(F(1, 3), F(1, 2)) is True
     assert membership(F(1, 3), F(1, 4)) is False
     assert membership(F(1, 4), F(1, 4), 64) is True
+    # the orbit 1/3, 2/3, 1/3 of base 2 cycles at its second step
+    assert membership(F(1, 3), F(1, 2), 1) is None
 
 
 def test_greedy_unresolved_is_a_value():

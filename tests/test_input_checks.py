@@ -69,6 +69,10 @@ BAD_CALLS = [
         HULL, [(F(1, 3), F(2, 3), F(3, 4))]), InvalidInput),
     ("one-end hull", lambda: DefiningSequence.parse(
         HULL[:1], [(F(1, 3), F(2, 3))]), InvalidInput),
+    ("gap file precision 0", lambda: DefiningSequence.parse(
+        HULL, [(F(1, 3), F(2, 3))], 0), InvalidInput),
+    ("gap file precision above cap", lambda: DefiningSequence.parse(
+        HULL, [(F(1, 3), F(2, 3))], MAX_BITS + 1), InvalidInput),
     ("three-cell removal", lambda: DefiningSequence.from_cells(
         CELLS[:2], [CELLS]), InvalidInput),
     ("thickness 0", lambda: newhouse_lower(0), InvalidInput),

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import io
 import json
 import sys
 import time
@@ -232,11 +233,10 @@ def _cantor_ds(args, cfg):
 def _thickness(args, cfg):
     source = "<stdin>" if args.gaps == "-" else args.gaps
     try:
-        if args.gaps == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.gaps, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        # stdin's bytes decode as a named file's do, whatever the locale
+        with (io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+              if args.gaps == "-" else open(args.gaps, encoding="utf-8")) as fh:
+            text = fh.read()
         # every number stays the text it is written as, for parse to read
         raw = json.loads(text, parse_int=str, parse_float=str,
                          parse_constant=str)

@@ -1,8 +1,9 @@
 """The coding map of the two-branch IFS {t -> lam*t, t -> lam*t + 1 - lam},
 the integer polynomial whose signs and Newton steps locate its roots in the
-ratio, and the greedy digit algorithm used as an exact membership test for
-rational inputs, with greedy_cycle, its probe that only asks whether an
-orbit cycles.
+ratio, and the greedy digit algorithm, an exact membership test for
+rational inputs: one loop, _orbit, that greedy_digits runs past the
+denominator exit, where the orbit is proven not to cycle, and that
+greedy_cycle, the probe of the common-ratio search, ends there.
 
 root_cell is the one root solver: it finds the cell of a dyadic grid that
 holds the root. It starts from float_guess, Newton's iteration in double
@@ -269,80 +270,39 @@ def root_cell(coeffs: tuple[int, ...], a_m: int, n: int, width_bits: int
     return base + lo * width, base + hi * width, k
 
 
-def greedy_digits(x: Fraction, lam: Fraction, max_steps: int = 256) -> GreedyOutcome:
-    """Greedy coding of x in base lam by exact rational iteration on the
-    state's numerator and denominator.
-
-    Digit 1 whenever the state reaches [1-lam, 1] (so the tie at the overlap
-    point for lam = 1/2 resolves to 1, giving the lexicographically largest
+def _orbit(x: Fraction, p: int, q: int, max_steps: int, probe: bool
+           ) -> tuple[GreedyOutcome | None, int]:
+    """The greedy orbit of x in base lam = p/q, and the steps it took: digit
+    1 whenever the state reaches [1-lam, 1] (so the tie at the overlap point
+    for lam = 1/2 resolves to 1, giving the lexicographically largest
     coding), digit 0 on [0, lam], rejection in the open central gap. A
-    repeated exact state yields the eventually periodic coding.
-    """
-    x, lam = Fraction(x), Fraction(lam)
-    if not 0 <= x <= 1:
-        raise InvalidInput("x must lie in [0, 1]")
-    if not 0 < lam <= HALF:
-        raise InvalidInput("lam must lie in (0, 1/2]")
-    if max_steps < 1:
-        raise InvalidInput("max_steps must be positive")
-    # the state y = num/den in lowest terms, with lam = p/q and 1 - lam =
-    # rest/q; the states are keyed by that pair
-    p, q = lam.numerator, lam.denominator
-    rest = q - p
-    num, den = x.numerator, x.denominator
-    seen: dict[tuple[int, int], int] = {(num, den): 0}
-    digits: list[int] = []
-    for step in range(1, max_steps + 1):
-        scaled, cut = num * q, rest * den
-        if scaled >= cut:                # y >= 1 - lam
-            digits.append(1)
-            num, den = scaled - cut, den * p
-        elif scaled <= p * den:          # y <= lam
-            digits.append(0)
-            num, den = scaled, den * p
-        else:
-            return NotMember(step)
-        g = gcd(num, den)
-        num, den = num // g, den // g
-        start = seen.setdefault((num, den), step)
-        if start != step:
-            return Member(EpSequence(tuple(digits[:start]),
-                                     tuple(digits[start:])))
-    return Unresolved(tuple(digits))
+    repeated exact state yields the eventually periodic coding. Unchecked:
+    x lies in [0, 1], p/q in (0, 1/2] is in lowest terms and max_steps is
+    positive.
 
-
-def greedy_cycle(y: Fraction, p: int, q: int, max_steps: int
-                 ) -> EpSequence | None:
-    """The coding of y in base lam = p/q if greedy_digits(y, lam, max_steps)
-    finds that its orbit cycles, else None. Unchecked: y lies in [0, 1],
-    p/q in (0, 1/2] is in lowest terms and max_steps is positive.
-
-    The probe ends as soon as the orbit is proven not eventually periodic.
     Take the state a/b in lowest terms. One step gives
     (q a - d (q - p) b) / (p b), d the digit. If a prime r divides both p
     and b, then r divides neither a nor q, so not the new numerator, which
     is q a mod r: the power of r in the reduced denominator grows at this
     step, and at every later one, so no state repeats. While gcd(b, p) = 1,
     the new state's reduced denominator divides b when p divides the new
-    numerator, and holds a prime of p otherwise. So the probe tests
-    gcd(b, p) once for y's own denominator b, keeps every state as n/b, and
-    ends at the first step whose numerator p does not divide. Its integers
-    stay about q b in size, and a cycling orbit visits at most the b + 1
-    states n/b. Steps, digits and cycle are greedy_digits', so the coding
-    is the one greedy_digits returns.
+    numerator, and holds a prime of p otherwise. So the loop tests
+    gcd(b, p) once for x's own denominator b and keeps every state as n/b,
+    keyed by n, until the first step whose numerator p does not divide: the
+    denominator exit. A cycling orbit visits at most the b + 1 states n/b.
+    A probe ends at the exit, with outcome None. Otherwise the loop keeps
+    no table and reduces nothing past it: the state is n/(b p^t) t steps
+    on, and the two cut values scale by p at each step, so n steps take
+    time quadratic in n.
     """
-    SEARCH["probes"] += 1
-    b = y.denominator
-    if gcd(b, p) != 1:
-        SEARCH["denominator_exits"] += 1
-        return None
-    # the state n/b is at most lam when q n <= low, at least 1 - lam when
+    n, b = x.numerator, x.denominator
+    seen = {n: 0} if gcd(b, p) == 1 else None
+    if seen is None and probe:
+        return None, 0
+    # the state n/B is at most lam when q n <= low, at least 1 - lam when
     # q n >= cut
     low, cut = p * b, (q - p) * b
-    n = y.numerator
-    seen = {n: 0}
     digits: list[int] = []
-    coding = None
     for step in range(1, max_steps + 1):
         scaled = n * q
         if scaled >= cut:
@@ -351,17 +311,51 @@ def greedy_cycle(y: Fraction, p: int, q: int, max_steps: int
         elif scaled <= low:
             digits.append(0)
         else:
-            break                     # in the central gap
-        n, left = divmod(scaled, p)
-        if left:                      # a prime of p in the denominator
-            SEARCH["denominator_exits"] += 1
-            break
-        start = seen.setdefault(n, step)
-        if start != step:
-            coding = EpSequence(tuple(digits[:start]), tuple(digits[start:]))
-            break
-    SEARCH["orbit_steps"] += step
-    return coding
+            return NotMember(step), step
+        if seen is not None:
+            n, left = divmod(scaled, p)
+            if not left:
+                start = seen.setdefault(n, step)
+                if start == step:
+                    continue
+                return Member(EpSequence(tuple(digits[:start]),
+                                         tuple(digits[start:]))), step
+            if probe:                 # a prime of p in the denominator
+                return None, step
+            seen = None
+        # past the exit: the next state is scaled / (p B)
+        n, low, cut = scaled, low * p, cut * p
+    return Unresolved(tuple(digits)), max_steps
+
+
+def greedy_digits(x: Fraction, lam: Fraction, max_steps: int = 256) -> GreedyOutcome:
+    """Greedy coding of x in base lam, _orbit's loop run past the
+    denominator exit: Member, NotMember or Unresolved."""
+    x, lam = Fraction(x), Fraction(lam)
+    if not 0 <= x <= 1:
+        raise InvalidInput("x must lie in [0, 1]")
+    if not 0 < lam <= HALF:
+        raise InvalidInput("lam must lie in (0, 1/2]")
+    if max_steps < 1:
+        raise InvalidInput("max_steps must be positive")
+    return _orbit(x, lam.numerator, lam.denominator, max_steps, False)[0]
+
+
+def greedy_cycle(y: Fraction, p: int, q: int, max_steps: int
+                 ) -> EpSequence | None:
+    """The coding of y in base lam = p/q if greedy_digits(y, lam, max_steps)
+    finds that its orbit cycles, else None. Unchecked: y lies in [0, 1],
+    p/q in (0, 1/2] is in lowest terms and max_steps is positive. The loop
+    is _orbit's, ended at the denominator exit, so its integers stay about
+    q b in size for y's denominator b.
+    """
+    SEARCH["probes"] += 1
+    outcome, steps = _orbit(y, p, q, max_steps, True)
+    SEARCH["orbit_steps"] += steps
+    if outcome is None:
+        SEARCH["denominator_exits"] += 1
+        return None
+    return outcome.coding if type(outcome) is Member else None
 
 
 def membership(x: Fraction, lam: Fraction, max_steps: int = 256) -> bool | None:

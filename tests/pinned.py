@@ -22,6 +22,7 @@ and exit 1 on any mismatch.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -43,6 +44,13 @@ def middle_alpha_gaps(alpha: Fraction, levels: int,
             nxt += [(lo, a), (b, hi)]
         components = nxt
     return json.dumps({"hull": [str(v) for v in hull], "gaps": gaps})
+
+
+def as_stdin(text: str | None) -> io.TextIOWrapper:
+    """text as sys.stdin holds it, a text stream over its UTF-8 bytes, so
+    that an in-process run reads a row's stdin as a replay pipes it."""
+    return io.TextIOWrapper(io.BytesIO((text or "").encode()),
+                            encoding="utf-8")
 
 
 # a gap file of JSON numbers that no double holds: decimals past a double's

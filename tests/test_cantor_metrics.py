@@ -15,7 +15,7 @@ from lambdaset.cantor_metrics import (DefiningSequence, newhouse_lower,
 from lambdaset.cli import main
 from lambdaset.errors import InvalidInput
 from lambdaset.numerics import Enclosure, exact_str, parse_rational
-from pinned import middle_alpha_gaps
+from pinned import as_stdin, middle_alpha_gaps
 
 F = Fraction
 TOL = F(1, 1 << 40)
@@ -299,7 +299,7 @@ def cli_thickness(doc: dict, bits: int) -> tuple[int, str]:
     """(0, the payload's thickness) or (exit code, the error line) of
     `thickness --gaps -` with doc on stdin."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), \
+    with mock.patch.object(sys, "stdin", as_stdin(json.dumps(doc))), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["thickness", "--gaps", "-", "--bits", str(bits)])
     if code == 0:

@@ -1,12 +1,15 @@
 import contextlib
 import io
 import json
+import os
 import re
 import signal
+import subprocess
 import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -15,9 +18,12 @@ from hypothesis import given, settings, strategies as st
 import checks
 from lambdaset.cli import COMMANDS, build_parser, load_schema, main
 from lambdaset.numerics import Enclosure
-from pinned import (BEYOND_DOUBLES, PINNED, REFUSED, manifest_digest,
-                    middle_alpha_gaps, refused_as_pinned, sha256)
+from pinned import (BEYOND_DOUBLES, PINNED, REFUSED, as_stdin,
+                    manifest_digest, middle_alpha_gaps, refused_as_pinned,
+                    sha256)
 from workloads import WORKLOADS
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -280,11 +286,13 @@ def test_precision_flags_are_capped(capsys, monkeypatch):
     """A precision or a width past 16384 bits is refused before any work
     (REFUSED holds two such runs, PINNED one at 16384), and `thickness`
     refuses it before it reads its gap file from stdin."""
-    class Unread(io.StringIO):
+    class Unread(io.BytesIO):
         def read(self, *args):
             raise AssertionError("stdin was read")
 
-    monkeypatch.setattr(sys, "stdin", Unread())
+        read1 = read
+
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(Unread()))
     started = time.monotonic()
     assert run(capsys, "thickness", "--gaps", "-", "--bits", "100000000") == (
         1, "", "error: precision_bits must be at most 16384\n")
@@ -375,7 +383,7 @@ def test_stdout_matches_pinned_digest(capsys, monkeypatch, row):
     prints a strict JSON payload: one bench/checks.py finds no problem
     with, where it has a check, and else one valid under the command's
     schema."""
-    monkeypatch.setattr(sys, "stdin", io.StringIO(row.stdin or ""))
+    monkeypatch.setattr(sys, "stdin", as_stdin(row.stdin))
     argv = row.command.split()
     code, out, err = run(capsys, *argv)
     assert code == 0
@@ -410,7 +418,7 @@ def test_no_json_run_reads_a_fraction_view(capsys, monkeypatch,
     monkeypatch.setattr(Enclosure, "hi", property(view))
     clear_memo_tables()
     for _ in ("cold", "warm"):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(row.stdin or ""))
+        monkeypatch.setattr(sys, "stdin", as_stdin(row.stdin))
         code, out, _ = run(capsys, *row.command.split())
         assert code == 0
         assert sha256(out) == row.digest
@@ -422,7 +430,7 @@ def test_refusal_prints_its_one_error_line_at_once(capsys, monkeypatch, row):
     """Exit 1 within 0.3 s, an empty stdout and the row's `error:` line:
     stderr's only line when the library refuses the run, after the usage
     when the parser does."""
-    monkeypatch.setattr(sys, "stdin", io.StringIO(row.stdin or ""))
+    monkeypatch.setattr(sys, "stdin", as_stdin(row.stdin))
     started = time.perf_counter()
     code, out, err = run(capsys, *row.command.split())
     assert time.perf_counter() - started < 0.3
@@ -518,6 +526,30 @@ def test_unreadable_gap_file_is_refused_by_name(capsys, tmp_path, name,
         1, "", f"error: {path}: {reason}\n")
 
 
+@pytest.mark.parametrize("data,reason", [
+    (b"\xff{}", b"'utf-8' codec can't decode byte 0xff in position 0: "
+                b"invalid start byte"),
+    (b'{\r"hull":\r\n x}', b"not JSON: Expecting value: line 3 column 2 "
+                           b"(char 11)"),
+], ids=["not-utf-8", "cr-newlines"])
+def test_stdin_is_decoded_as_a_gap_file_is(tmp_path, data, reason):
+    """`--gaps -` decodes stdin's bytes as a named file's, strict UTF-8
+    with universal newlines, whatever the locale: a fresh process in the
+    POSIX locale refuses the same bytes from either with one line."""
+    path = tmp_path / "gaps.json"
+    path.write_bytes(data)
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    env.update(LC_ALL="POSIX", PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p))
+    for gaps, source in (("-", "<stdin>"), (str(path), str(path))):
+        done = subprocess.run(
+            [sys.executable, "-m", "lambdaset.cli", "thickness", "--gaps",
+             gaps], input=data, capture_output=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, b"", f"error: {source}: ".encode() + reason + b"\n")
+
+
 def test_thickness_file_builds_no_enclosure(capsys, monkeypatch, tmp_path):
     """A gap file goes straight to the integer grid: reading and replaying
     1023 removals builds no Enclosure, where rounding every endpoint to one
@@ -545,7 +577,7 @@ def test_thickness_reads_gaps_from_stdin(capsys, monkeypatch, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["thickness_float"] == float(Fraction(payload["thickness"]))
-    monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+    monkeypatch.setattr(sys, "stdin", as_stdin(path.read_text()))
     assert run(capsys, "thickness", "--gaps", "-")[:2] == (code, out)
 
 
@@ -557,7 +589,7 @@ def test_gap_file_numbers_read_as_written(capsys, monkeypatch):
               '"0.66666666666666666667"], ["1e-4000", "0.25"]]}')
     outs = []
     for doc in (BEYOND_DOUBLES, quoted):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        monkeypatch.setattr(sys, "stdin", as_stdin(doc))
         code, out, _ = run(capsys, "thickness", "--gaps", "-")
         outs.append((code, out))
     assert outs[0] == outs[1] and outs[0][0] == 0

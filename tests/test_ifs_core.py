@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -232,9 +233,21 @@ def greedy_cases(draw):
 @example((F(1, 4), F(1, 2), 64))
 @example((F(1, 2), F(1, 2), 8))
 @example((F(1), F(1, 3), 600))
+@example((F(1, 3), F(499999, 1000000), 600))
 def test_greedy_matches_fraction_reference(case):
     # the representation too: the CLI prints preperiod and period as found
     assert repr(greedy_digits(*case)) == repr(reference_greedy(*case))
+
+
+def test_greedy_orbit_past_the_denominator_exit_is_quadratic():
+    """Past the first step whose numerator 499999 does not divide, the
+    orbit of 1/3 neither cycles nor rejects, and its integers grow by
+    about 19 bits a step: 4000 steps on the unreduced state take well under
+    2 s, where a gcd of the state at every step makes them cubic."""
+    started = time.perf_counter()
+    outcome = greedy_digits(F(1, 3), F(499999, 1000000), 4000)
+    assert time.perf_counter() - started < 2
+    assert isinstance(outcome, Unresolved) and len(outcome.digits) == 4000
 
 
 def probe(x: F, lam: F, max_steps: int = 600):
@@ -254,12 +267,14 @@ def probe(x: F, lam: F, max_steps: int = 600):
 @example((F(5410, 15771), F(10, 21), 600))
 @example((F(1, 3), F(10, 21), 600))
 @example((F(1), F(1, 3), 600))
+@example((F(1, 3), F(499999, 1000000), 600))
 def test_probe_matches_greedy_digits(case):
-    """The probe is greedy_digits' membership test: a coding exactly when
-    the orbit cycles within the budget, with the same preperiod and
-    period, and None when greedy_digits rejects or leaves it unresolved."""
+    """The probe is the greedy membership test: a coding exactly when the
+    orbit of exact.greedy's Fraction loop cycles within the budget, with
+    the same preperiod and period, and None when that loop rejects or
+    leaves it unresolved."""
     x, lam, max_steps = case
-    outcome = greedy_digits(x, lam, max_steps)
+    outcome = reference_greedy(x, lam, max_steps)
     expected = outcome.coding if isinstance(outcome, Member) else None
     assert repr(probe(x, lam, max_steps)[0]) == repr(expected)
 

@@ -11,22 +11,26 @@ the exceptional target 1/4). One walker draws, decides and records each
 case's table of checks; an undecided entry of any kind (today only case
 A's switch_lower or case B's square_identity) ends the ledger
 Inconclusive. A piece carries the precision it was solved at, so each
-per-piece value is memoised on the piece (and a gap word).
+per-piece value is memoised on the piece (and a gap word). The sampler also
+draws the members of a check of the coding map's Lipschitz constant.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 from typing import NamedTuple, Optional
 
 from .errors import (DepthBudgetExceeded, HypothesisUnsatisfiable,
                      Inconclusive, InvalidInput)
 from .cantor_metrics import DefiningSequence, Interval
+from .ifs_core import pi_eval
 from .lambda_set import MAX_PREFIXES, admissible_word, psi_inverse
-from .numerics import (DEFAULT_CONFIG, HALF_CELL, Enclosure, PrecisionConfig,
-                       dyadic_str, exact_str, memo, on_grid, round_outward)
+from .numerics import (DEFAULT_CONFIG, HALF, HALF_CELL, Enclosure,
+                       PrecisionConfig, dyadic_str, exact_str, memo, on_grid,
+                       round_outward)
 from .seqcode import (EpSequence, binary_expansion, n_index, word_at_position,
                       word_str, zero_indices)
 
@@ -36,6 +40,7 @@ __all__ = [
     "ThicknessReport",
     "LedgerEntry",
     "VerificationLedger",
+    "LipschitzReport",
     "first_switch_index",
     "piece_endpoints",
     "gap_record",
@@ -43,6 +48,7 @@ __all__ = [
     "thickness_Cl",
     "verify_caseA",
     "verify_caseB",
+    "lipschitz_check",
 ]
 
 QUARTER = Fraction(1, 4)
@@ -553,3 +559,54 @@ def verify_caseB(trials: int, cfg: PrecisionConfig = DEFAULT_CONFIG,
          (1, 6), BLOCK, _switch_lower_caseB),
         ("switch_upper", lambda rng: (0, 1), (1, 8), GAP, _switch_upper_caseB),
     ), lambda rng: ((k, word_at_position(1 + k % 7)) for k in range(1, 7)))
+
+
+class LipschitzReport(NamedTuple):
+    x: Fraction
+    lam: Fraction
+    bound: Fraction            # x (1-2 lam)^2 / lam
+    min_ratio: Fraction        # certified lower bound over sampled pairs
+    pairs: int                 # distinct pairs checked
+    violations: int
+
+
+def lipschitz_check(x: Fraction, lam: Fraction, samples: int, seed: int = 0,
+                    cfg: PrecisionConfig = DEFAULT_CONFIG) -> LipschitzReport:
+    """Sampled verification that the coding-map separation constant holds.
+
+    Collects members of the ratio set below `lam`, the codings of _draw's
+    words of 3 to 20 digits that solve below it, then draws `samples`
+    distinct pairs lam1 < lam2 among them whose cells are disjoint, so
+    each pair is certified distinct. It evaluates the coding map at the
+    fixed base `lam` exactly and lower-bounds each difference quotient;
+    all quotients must clear x (1-2 lam)^2 / lam.
+    """
+    if samples < 1:
+        raise InvalidInput("samples must be positive")
+    x, lam = Fraction(x), Fraction(lam)
+    if not x < lam < HALF:
+        raise InvalidInput("need x < lam < 1/2")
+    rng = random.Random(seed)
+    xs = binary_expansion(x)
+    members: dict[EpSequence, tuple[Enclosure, Fraction]] = {}
+    want = max(8, isqrt(8 * samples) + 2)
+    attempts = 0
+    while len(members) < want and attempts < 40 * want:
+        attempts += 1
+        j, *cells = _draw(rng, x, xs, cfg, (), (3, 20), BLOCK)
+        for s, enc in zip(_codings(j, BLOCK), cells):
+            if enc.hi <= lam and s not in members:
+                members[s] = (enc, pi_eval(s, lam))
+    # each end read once: every read of an end builds its Fraction
+    pool = sorted(((enc.lo, enc.hi, v) for enc, v in members.values()),
+                  key=lambda t: t[0])
+    certified = [(a, b) for a, b in combinations(pool, 2) if a[1] < b[0]]
+    if len(certified) < samples:
+        raise HypothesisUnsatisfiable(
+            f"{len(certified)} distinct member pairs below "
+            f"{exact_str(lam)} are certified, fewer than {samples}")
+    bound = x * (1 - 2 * lam) ** 2 / lam
+    ratios = [abs(v2 - v1) / (hi2 - lo1)
+              for (lo1, _, v1), (_, hi2, v2) in rng.sample(certified, samples)]
+    return LipschitzReport(x, lam, bound, min(ratios), samples,
+                           sum(ratio < bound for ratio in ratios))

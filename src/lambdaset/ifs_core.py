@@ -23,9 +23,9 @@ from fractions import Fraction
 from math import frexp, gcd, inf
 from typing import NamedTuple, Union
 
-from .errors import InvalidInput
+from .errors import DepthBudgetExceeded, InvalidInput
 from .numerics import COUNTERS, HALF
-from .seqcode import EpSequence
+from .seqcode import MAX_DIGITS, EpSequence
 
 __all__ = [
     "Member",
@@ -330,7 +330,8 @@ def _orbit(x: Fraction, p: int, q: int, max_steps: int, probe: bool
 
 def greedy_digits(x: Fraction, lam: Fraction, max_steps: int = 256) -> GreedyOutcome:
     """Greedy coding of x in base lam, _orbit's loop run past the
-    denominator exit: Member, NotMember or Unresolved."""
+    denominator exit: Member, NotMember or Unresolved. Its integers grow
+    at each step past that exit: more than MAX_DIGITS steps are refused."""
     x, lam = Fraction(x), Fraction(lam)
     if not 0 <= x <= 1:
         raise InvalidInput("x must lie in [0, 1]")
@@ -338,6 +339,9 @@ def greedy_digits(x: Fraction, lam: Fraction, max_steps: int = 256) -> GreedyOut
         raise InvalidInput("lam must lie in (0, 1/2]")
     if max_steps < 1:
         raise InvalidInput("max_steps must be positive")
+    if max_steps > MAX_DIGITS:
+        raise DepthBudgetExceeded(
+            f"more than {MAX_DIGITS} greedy steps: {max_steps}")
     return _orbit(x, lam.numerator, lam.denominator, max_steps, False)[0]
 
 

@@ -1,6 +1,5 @@
 """Admissible codings for a target point, finite-depth interval covers and
-gaps of its contraction-ratio set, a sampled Lipschitz-constant check, and
-box-counting dimension estimation.
+gaps of its contraction-ratio set, and box-counting dimension estimation.
 
 For x in (0, 1/2) the valid ratios form a Cantor set between x and 1/2. Its
 codings are exactly the sequences between the base-1/2 expansion of x and
@@ -12,13 +11,11 @@ cells are certified by signs of the coding map minus x.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
-from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .errors import DepthBudgetExceeded, HypothesisUnsatisfiable, InvalidInput
-from .ifs_core import pi_eval, pi_root_poly, root_cell
+from .errors import DepthBudgetExceeded, InvalidInput
+from .ifs_core import pi_root_poly, root_cell
 from .numerics import (DEFAULT_CONFIG, HALF, HALF_CELL, Cell, Enclosure,
                        PrecisionConfig, dyadic_str, exact_str, memo, on_grid,
                        round_outward)
@@ -29,7 +26,6 @@ __all__ = [
     "CoverInterval",
     "IntervalCover",
     "LambdaGap",
-    "LipschitzReport",
     "BoxDimReport",
     "admissible",
     "admissible_word",
@@ -38,7 +34,6 @@ __all__ = [
     "admissible_prefixes",
     "cover",
     "gaps",
-    "lipschitz_check",
     "box_dim_estimate",
 ]
 
@@ -248,68 +243,6 @@ def gaps(x: Fraction, depth: int,
     for left, right in zip(cov.intervals, cov.intervals[1:]):
         out.append(LambdaGap(left.hi, right.lo, left.high_code, right.low_code))
     return out
-
-
-class LipschitzReport(NamedTuple):
-    x: Fraction
-    lam: Fraction
-    bound: Fraction            # x (1-2 lam)^2 / lam
-    min_ratio: Fraction        # certified lower bound over sampled pairs
-    pairs: int                 # distinct pairs checked
-    violations: int
-
-
-def _random_admissible_coding(rng: random.Random, xs: EpSequence,
-                              length: int) -> EpSequence:
-    bits: tuple[int, ...] = ()
-    for _ in range(length):
-        choices = [d for d in (0, 1) if admissible_word(xs, bits + (d,))]
-        bits = bits + (rng.choice(choices),)
-    low, high = block_codes(xs, bits)
-    return low if rng.random() < 0.5 else high
-
-
-def lipschitz_check(x: Fraction, lam: Fraction, samples: int, seed: int = 0,
-                    cfg: PrecisionConfig = DEFAULT_CONFIG) -> LipschitzReport:
-    """Sampled verification that the coding-map separation constant holds.
-
-    Collects members of the ratio set below `lam`, then draws `samples`
-    distinct pairs lam1 < lam2 among them whose cells are disjoint, so each
-    pair is certified distinct. It evaluates the coding map at the fixed
-    base `lam` exactly and lower-bounds each difference quotient; all
-    quotients must clear x (1-2 lam)^2 / lam.
-    """
-    if samples < 1:
-        raise InvalidInput("samples must be positive")
-    x, lam = Fraction(x), Fraction(lam)
-    if not x < lam < HALF:
-        raise InvalidInput("need x < lam < 1/2")
-    rng = random.Random(seed)
-    xs = binary_expansion(x)
-    members: dict[EpSequence, tuple[Enclosure, Fraction]] = {}
-    want = max(8, math.isqrt(8 * samples) + 2)
-    attempts = 0
-    while len(members) < want and attempts < 40 * want:
-        attempts += 1
-        s = _random_admissible_coding(rng, xs, rng.randint(3, 20))
-        if s in members:
-            continue
-        enc = psi_inverse(x, s, cfg)
-        if enc.hi <= lam:
-            members[s] = (enc, pi_eval(s, lam))
-    # each end read once: every read of an end builds its Fraction
-    pool = sorted(((enc.lo, enc.hi, v) for enc, v in members.values()),
-                  key=lambda t: t[0])
-    certified = [(a, b) for a, b in combinations(pool, 2) if a[1] < b[0]]
-    if len(certified) < samples:
-        raise HypothesisUnsatisfiable(
-            f"{len(certified)} distinct member pairs below "
-            f"{exact_str(lam)} are certified, fewer than {samples}")
-    bound = x * (1 - 2 * lam) ** 2 / lam
-    ratios = [abs(v2 - v1) / (hi2 - lo1)
-              for (lo1, _, v1), (_, hi2, v2) in rng.sample(certified, samples)]
-    return LipschitzReport(x, lam, bound, min(ratios), samples,
-                           sum(ratio < bound for ratio in ratios))
 
 
 class BoxDimReport(NamedTuple):

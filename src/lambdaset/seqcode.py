@@ -94,10 +94,16 @@ class EpSequence:
 
     @classmethod
     def from_string(cls, text: str) -> "EpSequence":
-        """Parse the `PRE(PER)` syntax, e.g. `01(0)`, `(01)`, `0(1)`."""
+        """Parse the `PRE(PER)` syntax, e.g. `01(0)`, `(01)`, `0(1)`.
+        Raises DepthBudgetExceeded for more than MAX_DIGITS digits."""
         m = _SEQ_RE.fullmatch(text.strip())
         if m is None:
             raise InvalidInput(f"not a sequence literal: {text!r}")
+        digits = len(m[1]) + len(m[2])
+        if digits > MAX_DIGITS:
+            raise DepthBudgetExceeded(
+                f"more than {MAX_DIGITS} digits in a sequence literal: "
+                f"{digits}")
         return cls(*(tuple(map(int, g)) for g in m.groups()))
 
     def prefix(self, n: int) -> tuple[int, ...]:

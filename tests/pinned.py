@@ -265,6 +265,8 @@ class Refused(NamedTuple):
 TINY = "0." + "0" * 4299 + "1e-4300"
 # deeper than any interpreter's default recursion limit: refused in about 2 ms
 NESTED = "[" * 100000 + "]" * 100000
+# one digit past the budget, refused before its sequence is built
+LONG_SEQ = "0" * 16384 + "(1)"
 DIM = "dim --x 1/3 --center 9/20 --radius 1/20 --eps-min-exp"
 EXPANSION = "error: more than 16384 digits in the binary expansion of 1/1"
 TAIL = "error: ell, k_max must be positive and q_max nonnegative"
@@ -380,7 +382,8 @@ REFUSED = [
             "error: width_bits must be at most 16384"),
     # deep covers, common-ratio searches, long expansions, high piece
     # indices, trial counts and gap records meet the same budget before any
-    # root is solved; the diagram's refusal names its default q_max of 1
+    # root is solved; the diagram's refusal names its default q_max of 1.
+    # So do greedy orbits and sequence literals, before their first step.
     Refused("cover --x 1/3 --depth 60",
             "error: more than 16384 admissible prefixes of length 60 for 1/3"),
     Refused("cover --x 1/3 --depth 2000", "error: more than 16384 "
@@ -410,6 +413,10 @@ REFUSED = [
             "error: more than 16384 gap records for k_max=3, q_max=30"),
     Refused("svg-gaps --x 1/3 --ell 1 --kmax 20000",
             "error: more than 16384 gap records for k_max=20000, q_max=1"),
+    Refused("code --x 1/3 --lambda 499999/1000000 --max-steps 1000000",
+            "error: more than 16384 greedy steps: 1000000"),
+    Refused(f"pi --seq {LONG_SEQ} --lambda 1/3",
+            "error: more than 16384 digits in a sequence literal: 16385"),
     # overlapping 2^-80 switch_lower cells, and a 2^-64 square_identity cell
     # whose residual misses the cap, are undecided, not violated
     Refused("verify --x 1/1000 --trials 5",

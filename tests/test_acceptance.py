@@ -11,12 +11,12 @@ from fractions import Fraction
 
 from lambdaset.cantor_metrics import (DefiningSequence, newhouse_lower,
                                       thickness_of)
-from lambdaset.constructions import thickness_Cl, verify_caseA, verify_caseB
+from lambdaset.constructions import (lipschitz_check, thickness_Cl,
+                                     verify_caseA, verify_caseB)
 from lambdaset.ifs_core import Member, greedy_digits, membership, pi_eval
 from lambdaset.intersect import find_common
 from lambdaset.lambda_set import (admissible, admissible_prefixes,
-                                  box_dim_estimate, cover, gaps,
-                                  lipschitz_check, psi_inverse)
+                                  box_dim_estimate, cover, gaps, psi_inverse)
 from lambdaset.numerics import PrecisionConfig
 from lambdaset.seqcode import EpSequence, binary_expansion
 from pinned import middle_alpha_gaps

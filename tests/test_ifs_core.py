@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lambdaset.errors import InvalidInput
+from lambdaset import ifs_core
+from lambdaset.errors import DepthBudgetExceeded, InvalidInput
 from lambdaset.ifs_core import (GUARD_BITS, SEARCH, Member, NotMember,
                                 Unresolved, greedy_cycle, greedy_digits,
                                 membership, newton_cell, pi_eval,
                                 pi_root_poly, poly_sign)
-from lambdaset.seqcode import EpSequence
+from lambdaset.seqcode import MAX_DIGITS, EpSequence
 import exact
 
 F = Fraction
@@ -248,6 +249,16 @@ def test_greedy_orbit_past_the_denominator_exit_is_quadratic():
     outcome = greedy_digits(F(1, 3), F(499999, 1000000), 4000)
     assert time.perf_counter() - started < 2
     assert isinstance(outcome, Unresolved) and len(outcome.digits) == 4000
+
+
+def test_greedy_steps_are_capped(monkeypatch):
+    """A budget of MAX_DIGITS steps runs, and one step more is refused
+    before the orbit's first step."""
+    assert membership(F(1, 4), F(1, 4), MAX_DIGITS) is True
+    monkeypatch.setattr(ifs_core, "_orbit", None)
+    with pytest.raises(DepthBudgetExceeded, match=(
+            f"^more than {MAX_DIGITS} greedy steps: {MAX_DIGITS + 1}$")):
+        greedy_digits(F(1, 3), F(499999, 1000000), MAX_DIGITS + 1)
 
 
 def probe(x: F, lam: F, max_steps: int = 600):

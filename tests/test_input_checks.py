@@ -8,12 +8,13 @@ import pytest
 
 from lambdaset.cantor_metrics import (DefiningSequence, newhouse_lower,
                                       thickness_of)
-from lambdaset.constructions import piece_endpoints, thickness_Cl
+from lambdaset.constructions import (lipschitz_check, piece_endpoints,
+                                     thickness_Cl)
 from lambdaset.errors import InvalidInput
 from lambdaset.ifs_core import greedy_digits, pi_eval
 from lambdaset.intersect import find_common
 from lambdaset.lambda_set import (admissible_prefixes, block_codes,
-                                  lipschitz_check, psi_inverse)
+                                  psi_inverse)
 from lambdaset.numerics import (MAX_BITS, Enclosure, PrecisionConfig,
                                 parse_rational)
 from lambdaset.seqcode import (EpSequence, binary_expansion,

@@ -11,12 +11,13 @@ import pytest
 
 from lambdaset.cantor_metrics import DefiningSequence
 from lambdaset.cli import Command
-from lambdaset.constructions import (GapRecord, LedgerEntry, PieceEndpoints,
+from lambdaset.constructions import (GapRecord, LedgerEntry,
+                                     LipschitzReport, PieceEndpoints,
                                      ThicknessReport, VerificationLedger)
 from lambdaset.ifs_core import Member, NotMember, Unresolved
 from lambdaset.intersect import CommonPointCertificate
 from lambdaset.lambda_set import (BoxDimReport, CoverInterval, IntervalCover,
-                                  LambdaGap, LipschitzReport)
+                                  LambdaGap)
 from lambdaset.numerics import Enclosure, PrecisionConfig
 from lambdaset.seqcode import EpSequence
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lambdaset import seqcode
-from lambdaset.errors import InvalidInput
+from lambdaset.errors import DepthBudgetExceeded, InvalidInput
 from lambdaset.seqcode import (EpSequence, n_index, word_at_position,
                                zero_indices)
 import exact
@@ -45,6 +45,18 @@ def test_parse_and_str_roundtrip():
         S("01")
     with pytest.raises(InvalidInput, match="^period must be nonempty$"):
         EpSequence((0,), ())
+
+
+def test_literal_digits_are_capped(monkeypatch):
+    """A literal of MAX_DIGITS digits, preperiod plus period, is parsed,
+    and one of a digit more is refused before its sequence is built."""
+    n = seqcode.MAX_DIGITS
+    assert S("0" * (n - 1) + "(1)").prefix(n + 1) == (0,) * (n - 1) + (1, 1)
+    monkeypatch.setattr(seqcode, "_canonical_bits", None)
+    for text in ("0" * n + "(1)", "(" + "0" * n + "1)", "01(" + "1" * (n - 1) + ")"):
+        with pytest.raises(DepthBudgetExceeded, match=(
+                f"^more than {n} digits in a sequence literal: {n + 1}$")):
+            S(text)
 
 
 def test_lex_examples():
